@@ -26,11 +26,12 @@ bool VerifyConverged(Cluster* cluster, const sysbench::Sysbench& sb) {
   for (int t = 0; t < sb.num_tables(); ++t) {
     const TableId table = sysbench::Sysbench::kBaseTableId + t;
     std::vector<Row> truth;
-    (void)cluster->rw()->engine()->GetTable(table)->Scan(
-        [&](int64_t, const Row& row) {
-          truth.push_back(row);
-          return true;
-        });
+    TransactionManager* txns = cluster->rw()->txn_manager();
+    ReadView view = txns->OpenReadView();
+    (void)txns->Scan(view, table, [&](int64_t, const Row& row) {
+      truth.push_back(row);
+      return true;
+    });
     auto schema = cluster->catalog()->Get(table);
     std::vector<int> cols(schema->num_columns());
     std::iota(cols.begin(), cols.end(), 0);

@@ -5,13 +5,12 @@
 
 #include "common/coding.h"
 #include "polarfs/polarfs.h"
-#include "rowstore/binlog.h"
 
 namespace imci {
 
 namespace {
-// Per segment: first, last, bytes, payload_hash, min_vid, max_vid.
-constexpr size_t kSegEntryBytes = 6 * 8;
+// Per segment: first, last, bytes, payload_hash.
+constexpr size_t kSegEntryBytes = 4 * 8;
 }  // namespace
 
 std::string ArchiveStore::SegmentFileName(const std::string& log_name,
@@ -50,8 +49,6 @@ Status ArchiveStore::LoadManifest(const std::string& log_name,
     seg.last = GetFixed64(blob.data() + pos + 8);
     seg.bytes = GetFixed64(blob.data() + pos + 16);
     seg.payload_hash = GetFixed64(blob.data() + pos + 24);
-    seg.min_vid = GetFixed64(blob.data() + pos + 32);
-    seg.max_vid = GetFixed64(blob.data() + pos + 40);
     pos += kSegEntryBytes;
     out->push_back(seg);
   }
@@ -67,8 +64,6 @@ Status ArchiveStore::StoreManifestLocked(
     PutFixed64(&blob, seg.last);
     PutFixed64(&blob, seg.bytes);
     PutFixed64(&blob, seg.payload_hash);
-    PutFixed64(&blob, seg.min_vid);
-    PutFixed64(&blob, seg.max_vid);
   }
   PutFixed64(&blob, HashBytes(blob.data(), blob.size()));
   return fs_->WriteFile(ManifestFileName(log_name), std::move(blob));
@@ -99,21 +94,6 @@ Status ArchiveStore::Seal(const std::string& log_name, Lsn first, Lsn last,
   seg.last = last;
   seg.bytes = framed.size();
   seg.payload_hash = HashBytes(framed.data(), framed.size());
-  if (log_name == "binlog") {
-    // Each binlog record is one committed transaction; record the segment's
-    // commit-VID range so the VID <-> LSN mapping survives recycling.
-    std::vector<std::string> payloads;
-    LogStore::DecodeFrames(framed, &payloads);
-    for (const std::string& rec : payloads) {
-      Tid tid = 0;
-      Vid vid = 0;
-      uint64_t ts = 0;
-      std::vector<BinlogWriter::Event> events;
-      if (!BinlogWriter::DecodeTxn(rec, &tid, &vid, &ts, &events)) continue;
-      if (seg.min_vid == 0 || vid < seg.min_vid) seg.min_vid = vid;
-      if (vid > seg.max_vid) seg.max_vid = vid;
-    }
-  }
   IMCI_RETURN_NOT_OK(
       fs_->WriteFile(SegmentFileName(log_name, first), framed));
   segs.push_back(seg);
@@ -238,33 +218,6 @@ Status ArchiveStore::ReadRecords(const std::string& log_name, Lsn from, Lsn to,
     if (cursor >= to) break;
   }
   *last = cursor;
-  return Status::OK();
-}
-
-Status ArchiveStore::BinlogLsnForVid(Vid vid, Lsn* lsn) const {
-  *lsn = 0;
-  std::vector<ArchivedSegment> segs;
-  Status s = LoadManifest("binlog", &segs);
-  if (s.IsNotFound()) return Status::OK();
-  IMCI_RETURN_NOT_OK(s);
-  for (const ArchivedSegment& seg : segs) {
-    // Commit VIDs and binlog LSNs are both assigned in commit order, so the
-    // per-segment ranges are monotone: stop at the first segment entirely
-    // above the target.
-    if (seg.min_vid > vid) break;
-    std::vector<std::string> payloads;
-    IMCI_RETURN_NOT_OK(DecodeSegment("binlog", seg, &payloads));
-    Lsn cur = seg.first - 1;
-    for (const std::string& rec : payloads) {
-      ++cur;
-      Tid tid = 0;
-      Vid v = 0;
-      uint64_t ts = 0;
-      std::vector<BinlogWriter::Event> events;
-      if (!BinlogWriter::DecodeTxn(rec, &tid, &v, &ts, &events)) continue;
-      if (v <= vid) *lsn = cur;
-    }
-  }
   return Status::OK();
 }
 

@@ -21,12 +21,6 @@ struct ArchivedSegment {
   Lsn last = 0;
   uint64_t bytes = 0;         // archived segment file size
   uint64_t payload_hash = 0;  // hash of the file, re-verified on every read
-  /// Commit-VID range of the segment's records — binlog space only (the
-  /// commit-VID <-> LSN mapping that recycling prunes from the live
-  /// BinlogWriter survives here at segment granularity; 0/0 for other
-  /// logs). BinlogLsnForVid resolves exact positions on demand.
-  Vid min_vid = 0;
-  Vid max_vid = 0;
 };
 
 /// The archive tier behind point-in-time recovery. LogStore::Truncate hands
@@ -74,11 +68,6 @@ class ArchiveStore : public ArchiveSink {
   /// Corruption, never a silent skip.
   Status ReadRecords(const std::string& log_name, Lsn from, Lsn to,
                      std::vector<std::string>* out, Lsn* last) const;
-
-  /// Binlog LSN of the newest archived commit record with VID <= `vid`
-  /// (0 when none) — the archive-side half of BinlogWriter::LsnForVid,
-  /// covering the prefix recycling made the live map forget.
-  Status BinlogLsnForVid(Vid vid, Lsn* lsn) const;
 
   SnapshotStore* snapshots() { return &snapshots_; }
   const SnapshotStore* snapshots() const { return &snapshots_; }

@@ -43,16 +43,18 @@ RoNode* Proxy::AcquireRo() {
 
 Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
                            Consistency consistency, EngineChoice* chosen) {
+  // §6.4 strong reads, in VID space: the RW's published commit point at
+  // submission bounds every transaction the submitter could have observed,
+  // and an RO whose applied VID reaches it has applied all of them. Open
+  // transactions never raise this point, so the wait ends once the
+  // acknowledged commits are applied, whatever the log holds above them.
+  const Vid floor = consistency == Consistency::kStrong
+                        ? rw_->txn_manager()->snapshot_vid()
+                        : 0;
   if (coordinator_ != nullptr) {
     // Distributed-first: fan the query out across the healthy RO fleet at
-    // one common snapshot. Strong reads raise the snapshot floor to the
-    // RW's committed VID at submission — every transaction the submitter
-    // could have observed is below it, which is the VID-space equivalent of
-    // the wait-on-written-LSN discipline on the single-RO path. Anything
-    // the coordinator declines or abandons falls through unchanged.
-    const Vid floor = consistency == Consistency::kStrong
-                          ? rw_->txn_manager()->snapshot_vid()
-                          : 0;
+    // one common snapshot, no lower than the floor. Anything the
+    // coordinator declines or abandons falls through unchanged.
     bool attempted = false;
     Status s = coordinator_->Execute(plan, floor, out, &attempted);
     if (attempted) {
@@ -70,39 +72,19 @@ Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
       if (chosen) *chosen = EngineChoice::kRowEngine;
       return rw_->ExecuteSnapshot(plan, out);
     }
-    if (consistency == Consistency::kStrong) {
-      bool lost = false;
-      if (ro->pipeline()->source() == ApplySource::kLogicalBinlog) {
-        // A logical-apply node tracks binlog LSNs, which are a different
-        // space from the RW's redo LSN. Commit VIDs are shared, so
-        // translate: the commit point published at submission maps (via the
-        // binlog writer's VID → binlog-LSN table) to the binlog LSN whose
-        // application makes every such commit visible — the same §6.4
-        // wait-on-LSN discipline as the redo arm, in the right LSN space.
-        // (Waiting on last_commit_vid() instead would fence on transactions
-        // still *inside* their commit call — ones the submitter could never
-        // have observed.)
-        const Vid committed = rw_->txn_manager()->snapshot_vid();
-        const Lsn target = rw_->binlog()->LsnForVid(committed);
-        while (ro->pipeline()->applied_lsn() < target) {
-          if (!ro->healthy()) { lost = true; break; }
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
-      } else {
-        // §6.4: only route to an RO whose applied LSN is not less than the
-        // RW's written LSN observed at submission.
-        const Lsn written = rw_->written_lsn();
-        while (ro->applied_lsn() < written) {
-          if (!ro->healthy()) { lost = true; break; }
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
-        }
+    bool lost = false;
+    while (ro->applied_vid() < floor) {
+      if (!ro->healthy()) {
+        lost = true;
+        break;
       }
-      if (lost) {
-        // The node wedged or was retired mid-wait: release it (unblocking
-        // the evictor's drain) and re-route instead of hanging forever.
-        ro->LeaveSession();
-        continue;
-      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    if (lost) {
+      // The node wedged or was retired mid-wait: release it (unblocking
+      // the evictor's drain) and re-route instead of hanging forever.
+      ro->LeaveSession();
+      continue;
     }
     Status s = ro->Execute(plan, out, chosen);
     ro->LeaveSession();
@@ -269,11 +251,7 @@ Status Cluster::RecycleBinlogLocked(Lsn* recycled_upto) {
   }
   if (!has_consumer) return Status::OK();
   IMCI_RETURN_NOT_OK(fs_.log("binlog")->Truncate(safe));
-  const Lsn cut = fs_.log("binlog")->truncated_lsn();
-  // Recycled records were applied by every consumer, so no strong read can
-  // need their VID → LSN fence entries anymore; keep the map bounded.
-  rw_->binlog()->ForgetVidsBelow(cut);
-  if (recycled_upto) *recycled_upto = cut;
+  if (recycled_upto) *recycled_upto = fs_.log("binlog")->truncated_lsn();
   return Status::OK();
 }
 

@@ -14,8 +14,8 @@
 namespace imci {
 
 /// Session-level consistency (§6.4): eventual reads go to any RO node;
-/// strong reads only to an RO whose applied LSN has caught up with the RW's
-/// written LSN at request time.
+/// strong reads only to an RO whose applied VID has caught up with the RW's
+/// published commit VID at request time.
 enum class Consistency { kEventual, kStrong };
 
 /// The database proxy (§3.1/§6.1 inter-node routing): a stateless layer that
@@ -37,7 +37,7 @@ class Proxy {
 
   /// Routes a read-only query: inter-node (this), then intra-node (the RO's
   /// optimizer). Strong consistency waits for the chosen node to catch up
-  /// to the RW's current written LSN; if the node goes unhealthy mid-wait
+  /// to the RW's commit VID at submission; if the node goes unhealthy mid-wait
   /// the query re-routes to a surviving RO (or the RW) instead of hanging.
   Status ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
                       Consistency consistency = Consistency::kEventual,

@@ -11,6 +11,10 @@ namespace imci {
 
 namespace {
 
+/// Total dispatch attempts per fragment (first try + retries on surviving
+/// peers) before the whole query falls back to single-node.
+constexpr int kMaxAttemptsPerFragment = 3;
+
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -24,7 +28,7 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
                                  std::vector<Row>* out, bool* attempted,
                                  DistQueryStats* stats) {
   *attempted = false;
-  if (!options_.enabled || !plan) return Status::OK();
+  if (!plan) return Status::OK();
 
   // Recruit participants. Channels arrive session-claimed; trimming or
   // destroying them releases the claim.
@@ -86,7 +90,7 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
   auto run_fragment = [&](size_t fi) {
     FragRun& fr = runs[fi];
     size_t preferred = fi % C;
-    while (fr.attempts < options_.max_attempts_per_fragment) {
+    while (fr.attempts < kMaxAttemptsPerFragment) {
       // Pick the preferred channel if usable, else the next surviving one.
       int ci = -1;
       {

@@ -27,9 +27,7 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
       engine_(fs, catalog, options_.buffer_pool_capacity),
       imci_(options_.imci),
       exec_pool_(options_.exec_threads),
-      query_tokens_(options_.query_token_budget > 0
-                        ? options_.query_token_budget
-                        : options_.exec_threads),
+      query_tokens_(options_.exec_threads),
       repl_pool_(std::max(options_.replication.parse_parallelism,
                           options_.replication.apply_parallelism)),
       pipeline_(fs, catalog, engine_.buffer_pool(), &imci_, &repl_pool_,
@@ -108,17 +106,18 @@ Status RoNode::Boot() {
 
 Status RoNode::RebuildFromRowStore() {
   // §3.3: "issue a consistent read on the row store, scan the checkpoint,
-  // and convert it to a column index". The bulk-loaded state is visible to
-  // every read view (VID 0).
+  // and convert it to a column index" — a snapshot scan at the boot VID.
+  // The loaded state is visible to every read view (VID 0).
   for (const auto& schema : catalog_->All()) {
     RowTable* table = engine_.GetTable(schema->table_id());
     if (table == nullptr) continue;
     ColumnIndex* index = imci_.CreateIndex(schema);
     Status inner = Status::OK();
-    IMCI_RETURN_NOT_OK(table->Scan([&](int64_t /*pk*/, const Row& row) {
-      inner = index->Insert(row, 0);
-      return inner.ok();
-    }));
+    IMCI_RETURN_NOT_OK(
+        table->SnapshotScan(boot_vid_, [&](int64_t /*pk*/, const Row& row) {
+          inner = index->Insert(row, 0);
+          return inner.ok();
+        }));
     IMCI_RETURN_NOT_OK(inner);
     index->FreezeFullGroups();
   }

@@ -13,17 +13,16 @@ namespace imci {
 struct RoNodeOptions {
   ReplicationOptions replication;
   ColumnIndexOptions imci;
+  /// Column-executor workers. Also the per-query token budget: concurrent
+  /// analytics queries share this many tokens, each query's parallelism
+  /// clamped to its grant (minimum 1 — a query is never refused, it
+  /// degrades toward serial).
   int exec_threads = 8;
   int default_parallelism = 8;
   size_t buffer_pool_capacity = 0;
   /// Intra-node routing threshold: estimated row-engine rows-touched above
   /// which the column engine is chosen (§6.1).
   double row_cost_threshold = 20000.0;
-  /// Per-query worker-token budget for the column executor: concurrent
-  /// analytics queries share this many tokens, each query's parallelism is
-  /// clamped to its grant (minimum 1 — a query is never refused, it
-  /// degrades toward serial). 0 means "same as exec_threads".
-  int query_token_budget = 0;
   /// Morsel size for column scans, in row groups per dispatch.
   int morsel_row_groups = 1;
 };

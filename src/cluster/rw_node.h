@@ -37,8 +37,7 @@ class RwNode {
   /// Runs a read-only plan on the RW node's row engine at an MVCC snapshot
   /// (the Fig. 10 RW-snapshot-read arm): analytical or point-read traffic
   /// that must see fresh-as-of-now data without blocking — or being blocked
-  /// by — the OLTP writers. In legacy read-committed mode the plan reads
-  /// the latest (possibly torn) state, matching the pre-MVCC behaviour.
+  /// by — the OLTP writers.
   Status ExecuteSnapshot(const LogicalRef& plan, std::vector<Row>* out);
 
   /// Prunes row version chains below the oldest live snapshot (checkpoint
@@ -52,8 +51,9 @@ class RwNode {
   BinlogWriter* binlog() { return &binlog_; }
   PolarFs* fs() { return fs_; }
 
-  /// LSN of the most recent durable append (the proxy's "written LSN" used
-  /// for strong consistency, §6.4).
+  /// LSN of the most recent redo append, shipped but possibly not yet
+  /// durable or committed. Strong reads fence on commit VIDs instead
+  /// (Proxy::ExecuteQuery); this is for log-position introspection.
   Lsn written_lsn() const { return redo_.last_lsn(); }
 
  private:

@@ -49,7 +49,7 @@ ColumnScanOp::ColumnScanOp(ColumnIndex* index, std::vector<int> cols,
 }
 
 bool ColumnScanOp::GroupPrunable(const RowGroup& g) const {
-  if (!pruning_ || !filter_) return false;
+  if (!filter_) return false;
   std::vector<IntBound> bounds;
   ExtractIntBounds(filter_, &bounds);
   for (const IntBound& b : bounds) {
@@ -184,10 +184,9 @@ void RowScanOp::AppendRow(const Row& row, Batch* batch) const {
 }
 
 Status RowScanOp::Execute(ExecContext* ctx, RowSet* out) {
-  // read_vid pins the MVCC snapshot on tables that version their rows (the
-  // RW node); kMaxVid means "latest state" — the RO replica path, where the
-  // read view is enforced upstream by the applied VID.
-  const Vid read_vid = ctx != nullptr ? ctx->read_vid : kMaxVid;
+  // The scan reads the commit prefix at read_vid: the RW's read view, or the
+  // applied VID an RO pinned for the plan.
+  const Vid read_vid = ctx->read_vid;
   out->types = out_types_;
   Batch batch = Batch::Make(out_types_);
   Status inner;
@@ -213,25 +212,17 @@ Status RowScanOp::Execute(ExecContext* ctx, RowSet* out) {
     return true;
   };
   if (hint_.col < 0) {
-    IMCI_RETURN_NOT_OK(read_vid == kMaxVid
-                           ? table_->Scan(visit)
-                           : table_->SnapshotScan(read_vid, visit));
+    IMCI_RETURN_NOT_OK(table_->SnapshotScan(read_vid, visit));
   } else if (hint_.col == table_->schema().pk_col()) {
     IMCI_RETURN_NOT_OK(
-        read_vid == kMaxVid
-            ? table_->ScanRange(hint_.lo, hint_.hi, visit)
-            : table_->SnapshotScanRange(read_vid, hint_.lo, hint_.hi, visit));
+        table_->SnapshotScanRange(read_vid, hint_.lo, hint_.hi, visit));
   } else {
     std::vector<int64_t> pks;
-    IMCI_RETURN_NOT_OK(
-        read_vid == kMaxVid
-            ? table_->IndexLookupRange(hint_.col, hint_.lo, hint_.hi, &pks)
-            : table_->SnapshotIndexLookupRange(read_vid, hint_.col, hint_.lo,
-                                               hint_.hi, &pks));
+    IMCI_RETURN_NOT_OK(table_->SnapshotIndexLookupRange(
+        read_vid, hint_.col, hint_.lo, hint_.hi, &pks));
     Row row;
     for (int64_t pk : pks) {
-      Status got = read_vid == kMaxVid ? table_->Get(pk, &row)
-                                       : table_->SnapshotGet(read_vid, pk, &row);
+      Status got = table_->SnapshotGet(read_vid, pk, &row);
       if (got.IsNotFound()) continue;  // row vanished between lookup and get
       IMCI_RETURN_NOT_OK(got);
       if (!visit(pk, row)) break;

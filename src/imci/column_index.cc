@@ -26,8 +26,7 @@ Vid ReadViewRegistry::MinActive(Vid if_none) const {
 ColumnIndex::ColumnIndex(std::shared_ptr<const Schema> schema,
                          ColumnIndexOptions options)
     : schema_(std::move(schema)),
-      options_(options),
-      locator_(options.locator_memtable_limit) {
+      options_(options) {
   col_to_pack_.assign(schema_->num_columns(), -1);
   for (int c = 0; c < schema_->num_columns(); ++c) {
     // The PK column is always part of the index (needed by compaction and

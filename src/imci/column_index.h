@@ -35,8 +35,6 @@ class ReadViewRegistry {
 struct ColumnIndexOptions {
   /// Rows per row group ("64K rows per row group" by default, §4.1).
   uint32_t row_group_size = 65536;
-  /// Memtable entries across locator shards before L0 flush.
-  size_t locator_memtable_limit = 1 << 16;
 };
 
 /// The In-Memory Column Index for one table (§4): append-only row groups in

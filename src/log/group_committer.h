@@ -71,19 +71,6 @@ class GroupCommitter {
     cv_.notify_all();
   }
 
-  /// Batch-latency knob (MySQL's binlog_group_commit_sync_delay): the
-  /// leader waits this long *before* snapshotting the written tail, so
-  /// commits arriving during the wait join its batch instead of forming the
-  /// next one — trading p50 commit latency for fewer, larger fsync batches
-  /// at low-but-nonzero concurrency. 0 (default) snapshots immediately.
-  /// Followers are unaffected: they only ever wait on the condvar.
-  void set_sync_delay_us(uint64_t us) {
-    sync_delay_us_.store(us, std::memory_order_relaxed);
-  }
-  uint64_t sync_delay_us() const {
-    return sync_delay_us_.load(std::memory_order_relaxed);
-  }
-
   /// Leader fsync batches issued.
   uint64_t batches() const {
     return batches_.load(std::memory_order_relaxed);
@@ -109,7 +96,6 @@ class GroupCommitter {
   std::condition_variable cv_;
   bool leader_active_ = false;  // guarded by mu_: at most one flush in flight
   Status poisoned_;  // guarded by mu_: non-OK after a failed batch fsync
-  std::atomic<uint64_t> sync_delay_us_{0};
   std::atomic<Lsn> durable_lsn_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> commits_{0};

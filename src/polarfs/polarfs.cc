@@ -117,7 +117,6 @@ Status PolarFs::WritePage(PageId id, std::string image) {
 
 Status PolarFs::ReadPage(PageId id, std::string* image) const {
   page_reads_.fetch_add(1, std::memory_order_relaxed);
-  SimulateLatency(options_.page_read_latency_us);
   IMCI_RETURN_NOT_OK(fault::Maybe("polarfs.read_page"));
   std::lock_guard<std::mutex> g(page_mu_);
   auto it = pages_.find(id);

@@ -55,6 +55,10 @@ void ReplicationPipeline::Stop() {
 }
 
 namespace {
+/// Row groups whose visible-row fraction drops below this are compacted
+/// during maintenance.
+constexpr double kCompactionThreshold = 0.5;
+
 /// Worth retrying: the storage layer may heal (latency spike, transient
 /// EIO, contention). Corruption is not — re-reading returns the same torn
 /// bytes, so the pipeline wedges immediately instead of spinning on them.
@@ -643,7 +647,7 @@ void ReplicationPipeline::RunMaintenance() {
     index->DropInsertVidMaps(min_active);
     if (options_.enable_compaction) {
       for (size_t gid :
-           index->FindUnderflowGroups(applied, options_.compaction_threshold)) {
+           index->FindUnderflowGroups(applied, kCompactionThreshold)) {
         uint32_t moved = 0;
         if (index->CompactGroup(gid, applied, &moved).ok()) {
           compactions_.fetch_add(1, std::memory_order_relaxed);

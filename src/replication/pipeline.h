@@ -53,7 +53,6 @@ struct ReplicationOptions {
   /// VID-map dropping / reclamation).
   int maintenance_interval = 64;
   bool enable_compaction = true;
-  double compaction_threshold = 0.5;
   /// Bounded retry on transient source-read failures (IOError/Busy): the
   /// coordinator retries with exponential backoff, then declares the
   /// pipeline wedged. Corruption wedges immediately — retrying re-reads

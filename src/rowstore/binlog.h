@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <functional>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -84,20 +82,6 @@ class BinlogWriter {
   static bool DecodeTxn(const std::string& data, Tid* tid, Vid* vid,
                         uint64_t* commit_ts_us, std::vector<Event>* events);
 
-  /// Commit-VID → binlog-LSN translation for strong reads routed to
-  /// logical-apply RO nodes: binlog LSNs are a different space from the
-  /// RW's redo LSN, but commit VIDs are shared, so the proxy maps the
-  /// commit point observed at submission to the binlog LSN whose
-  /// application makes every such commit visible. Returns the LSN of the
-  /// newest enqueued record with commit VID <= `vid` (0 when none — no
-  /// wait needed).
-  Lsn LsnForVid(Vid vid) const;
-
-  /// Drops map entries whose binlog LSN is at or below `lsn` (called after
-  /// binlog recycling — every attached consumer already applied them, so no
-  /// strong read can need to wait on them).
-  void ForgetVidsBelow(Lsn lsn);
-
   uint64_t bytes_written() const { return bytes_.load(); }
   uint64_t txns_written() const { return txns_.load(); }
   /// Binlog LSN of the most recent commit record.
@@ -105,10 +89,6 @@ class BinlogWriter {
 
  private:
   LogStore* log_;
-  mutable std::mutex mu_;
-  /// Commit VID -> binlog LSN of its record, appended under mu_ (both are
-  /// assigned in commit order, so the map is monotone in both coordinates).
-  std::map<Vid, Lsn> vid_to_lsn_;
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> txns_{0};
 };

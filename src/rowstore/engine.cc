@@ -217,7 +217,6 @@ Status TransactionManager::GetForUpdate(Transaction* txn, TableId table,
 Status TransactionManager::Get(TableId table, int64_t pk, Row* row) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (read_mode_.load() == ReadMode::kReadCommitted) return t->Get(pk, row);
   // Single-statement read: the snapshot is sampled under the table latch
   // (SnapshotGetCurrent), so no live-view registration is needed — point
   // reads skip the SnapshotRegistry mutex entirely.
@@ -225,9 +224,6 @@ Status TransactionManager::Get(TableId table, int64_t pk, Row* row) {
 }
 
 ReadView TransactionManager::OpenReadView() {
-  if (read_mode_.load() == ReadMode::kReadCommitted) {
-    return ReadView(nullptr, kMaxVid);
-  }
   // The engine's shared registry samples the published point under its own
   // mutex, so a concurrent watermark computation can never exceed the view
   // we are registering.
@@ -253,7 +249,6 @@ Status TransactionManager::Get(const ReadView& view, TableId table, int64_t pk,
                                Row* row) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->Get(pk, row);  // legacy latest read
   return t->SnapshotGet(view.vid(), pk, row);
 }
 
@@ -262,7 +257,6 @@ Status TransactionManager::Scan(
     const std::function<bool(int64_t, const Row&)>& fn) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->Scan(fn);
   return t->SnapshotScan(view.vid(), fn);
 }
 
@@ -271,7 +265,6 @@ Status TransactionManager::ScanRange(
     const std::function<bool(int64_t, const Row&)>& fn) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->ScanRange(lo, hi, fn);
   return t->SnapshotScanRange(view.vid(), lo, hi, fn);
 }
 
@@ -280,7 +273,6 @@ Status TransactionManager::IndexLookup(const ReadView& view, TableId table,
                                        std::vector<int64_t>* pks) {
   const RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  if (view.vid() == kMaxVid) return t->IndexLookup(col, key, pks);
   return t->SnapshotIndexLookup(view.vid(), col, key, pks);
 }
 

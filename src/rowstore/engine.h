@@ -121,12 +121,10 @@ class TransactionManager;
 /// RAII MVCC read view: a snapshot VID registered as live with its
 /// TransactionManager, so commit-time chain trimming and checkpoint pruning
 /// keep every version the view can still read. All reads through one view
-/// observe a single commit point (snapshot isolation). A default-constructed
-/// view — or one opened while the manager is in legacy read-committed mode —
-/// carries vid kMaxVid and reads the latest state instead.
+/// observe a single commit point (snapshot isolation). Views come only from
+/// TransactionManager::OpenReadView.
 class ReadView {
  public:
-  ReadView() = default;
   ReadView(ReadView&& o) noexcept : mgr_(o.mgr_), vid_(o.vid_) {
     o.mgr_ = nullptr;
   }
@@ -144,8 +142,6 @@ class ReadView {
   ~ReadView() { Close(); }
 
   Vid vid() const { return vid_; }
-  /// True when this view pins a registered MVCC snapshot.
-  bool IsSnapshot() const { return mgr_ != nullptr; }
   /// Unregisters the snapshot early (idempotent).
   void Close();
 
@@ -153,7 +149,7 @@ class ReadView {
   friend class TransactionManager;
   ReadView(TransactionManager* mgr, Vid vid) : mgr_(mgr), vid_(vid) {}
   TransactionManager* mgr_ = nullptr;
-  Vid vid_ = kMaxVid;
+  Vid vid_ = 0;
 };
 
 /// Transaction execution on the RW node (§3.1 "Transaction Exe."): strict
@@ -167,18 +163,10 @@ class ReadView {
 /// snapshots are free — the current published commit point IS the snapshot).
 /// Commit stamps the transaction's row versions with its VID *before*
 /// publishing that VID as the new snapshot point, so a snapshot S always
-/// sees exactly the transactions with commit VID <= S. `GetForUpdate` still
-/// reads latest-committed under the exclusive row lock, and write-write
-/// conflicts are unchanged. The legacy unlocked read-committed path survives
-/// behind set_read_mode(ReadMode::kReadCommitted) so the pre-MVCC anomalies
-/// stay demonstrable.
+/// sees exactly the transactions with commit VID <= S. `GetForUpdate` is
+/// the one read of the latest image, and it holds the exclusive row lock.
 class TransactionManager {
  public:
-  /// kSnapshot: reads resolve MVCC version chains at a snapshot VID
-  /// (default). kReadCommitted: the pre-MVCC unlocked read of the latest
-  /// B+tree image — dirty reads included; kept as the legacy/ablation arm.
-  enum class ReadMode : uint8_t { kSnapshot, kReadCommitted };
-
   /// When the snapshot point advances past a commit (the PR-4 carried
   /// visibility-vs-durability question):
   ///
@@ -207,13 +195,11 @@ class TransactionManager {
   /// Locks the row, then reads it (SELECT ... FOR UPDATE).
   Status GetForUpdate(Transaction* txn, TableId table, int64_t pk, Row* row);
 
-  /// Single-statement read at a fresh snapshot (legacy mode: unlocked
-  /// read-committed).
+  /// Single-statement read at a fresh snapshot.
   Status Get(TableId table, int64_t pk, Row* row);
 
   /// Opens a read view at the current commit point; all reads through it see
-  /// one consistent snapshot until it closes. In legacy mode the view is
-  /// unregistered and reads latest state.
+  /// one consistent snapshot until it closes.
   ReadView OpenReadView();
   Status Get(const ReadView& view, TableId table, int64_t pk, Row* row);
   Status Scan(const ReadView& view, TableId table,
@@ -234,11 +220,6 @@ class TransactionManager {
 
   /// Enables/disables the Binlog strawman (Fig. 11).
   void set_binlog_enabled(bool on) { binlog_enabled_ = on; }
-
-  /// Switches the read path (MVCC snapshot vs legacy read-committed); safe
-  /// to flip between benchmark phases.
-  void set_read_mode(ReadMode m) { read_mode_.store(m); }
-  ReadMode read_mode() const { return read_mode_.load(); }
 
   /// Switches when commits become visible to new snapshots (commit point vs
   /// durable watermark). Flip only while no commit is in flight (startup /
@@ -297,7 +278,6 @@ class TransactionManager {
   LockManager* locks_;
   BinlogWriter* binlog_;
   bool binlog_enabled_ = false;
-  std::atomic<ReadMode> read_mode_{ReadMode::kSnapshot};
   std::atomic<Tid> next_tid_{0};
   std::atomic<Vid> next_vid_{0};
   /// Published snapshot point: advanced (in VID order, under commit_mu_)

@@ -78,12 +78,6 @@ Status RowTable::Get(int64_t pk, Row* row) const {
   return RowCodec::Decode(*schema_, image.data(), image.size(), row);
 }
 
-bool RowTable::Exists(int64_t pk) const {
-  std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-  std::string image;
-  return btree_.Lookup(pk, &image).ok();
-}
-
 bool RowTable::CommittedImage(int64_t pk, std::string* image) const {
   std::shared_lock<WriterPrioritySharedMutex> g(latch_);
   auto it = versions_.find(pk);
@@ -155,43 +149,6 @@ Status RowTable::DeleteImage(int64_t pk, std::vector<RedoRecord>* redo,
   row_count_.fetch_sub(1, std::memory_order_relaxed);
   if (ship) ship(redo);
   return Status::OK();
-}
-
-Status RowTable::Scan(
-    const std::function<bool(int64_t, const Row&)>& fn) const {
-  return ScanRange(std::numeric_limits<int64_t>::min(),
-                   std::numeric_limits<int64_t>::max(), fn);
-}
-
-Status RowTable::ScanRange(
-    int64_t lo, int64_t hi,
-    const std::function<bool(int64_t, const Row&)>& fn) const {
-  if (lo > hi) return Status::OK();
-  int64_t cursor = lo;
-  std::vector<std::pair<int64_t, std::string>> batch;
-  Row row;
-  for (;;) {
-    batch.clear();
-    {
-      std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-      IMCI_RETURN_NOT_OK(
-          btree_.ScanRange(cursor, hi, [&](int64_t pk, const std::string& im) {
-            batch.emplace_back(pk, im);
-            return batch.size() < kScanBatch;
-          }));
-    }
-    // The callback (possibly slow) runs with no latch held: writers
-    // interleave between steps, MVCC supplies consistency where needed.
-    const bool more = batch.size() >= kScanBatch && batch.back().first < hi;
-    for (const auto& [pk, image] : batch) {
-      if (!RowCodec::Decode(*schema_, image.data(), image.size(), &row).ok()) {
-        continue;
-      }
-      if (!fn(pk, row)) return Status::OK();
-    }
-    if (!more) return Status::OK();
-    cursor = batch.back().first + 1;
-  }
 }
 
 Status RowTable::SnapshotGet(Vid s, int64_t pk, Row* row) const {
@@ -388,30 +345,6 @@ Status RowTable::SnapshotIndexLookupRange(Vid s, int col, int64_t lo,
     if (IsNull(row[col])) continue;
     const int64_t val = AsInt(row[col]);
     if (val >= lo && val <= hi) pks->push_back(pk);
-  }
-  return Status::OK();
-}
-
-Status RowTable::IndexLookup(int col, int64_t key,
-                             std::vector<int64_t>* pks) const {
-  std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-  auto idx = sec_index_.find(col);
-  if (idx == sec_index_.end()) return Status::NotSupported("no index");
-  auto it = idx->second.find(key);
-  if (it != idx->second.end()) {
-    pks->assign(it->second.begin(), it->second.end());
-  }
-  return Status::OK();
-}
-
-Status RowTable::IndexLookupRange(int col, int64_t lo, int64_t hi,
-                                  std::vector<int64_t>* pks) const {
-  std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-  auto idx = sec_index_.find(col);
-  if (idx == sec_index_.end()) return Status::NotSupported("no index");
-  for (auto it = idx->second.lower_bound(lo);
-       it != idx->second.end() && it->first <= hi; ++it) {
-    pks->insert(pks->end(), it->second.begin(), it->second.end());
   }
   return Status::OK();
 }

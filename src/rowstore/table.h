@@ -72,8 +72,10 @@ class RowTable {
                 const RedoShipFn& ship = nullptr, Tid writer = 0);
   Status Delete(int64_t pk, Row* old_row, std::vector<RedoRecord>* redo,
                 const RedoShipFn& ship = nullptr, Tid writer = 0);
+  /// Latest image of `pk`, committed or not: only for a writer that holds
+  /// the row lock (TransactionManager::GetForUpdate). Every other read goes
+  /// through a Snapshot* method.
   Status Get(int64_t pk, Row* row) const;
-  bool Exists(int64_t pk) const;
 
   /// Newest *committed* image of `pk` (chain resolution first, tree
   /// fallback). False when the row's committed state is absent/deleted.
@@ -104,13 +106,16 @@ class RowTable {
   /// Key-ordered scans at snapshot `s`. Rows deleted after the snapshot was
   /// taken (chain-only keys no longer in the tree) are still produced; rows
   /// inserted or updated by in-flight or later-committed transactions are
-  /// not. Latches per-step like the latest-state scans.
+  /// not. Latching is per-step: the shared latch is re-acquired every
+  /// kScanBatch rows, so concurrent writers interleave with a long scan
+  /// instead of stalling behind it.
   Status SnapshotScan(Vid s,
                       const std::function<bool(int64_t, const Row&)>& fn) const;
   Status SnapshotScanRange(
       Vid s, int64_t lo, int64_t hi,
       const std::function<bool(int64_t, const Row&)>& fn) const;
-  /// Secondary-index lookups at snapshot `s`: index candidates are
+  /// Secondary-index lookups at snapshot `s` (NotSupported when `col` has
+  /// no index): index candidates are
   /// re-checked against the snapshot-visible image (the index tracks the
   /// *latest* writes, committed or not), and version chains are swept for
   /// rows whose only snapshot-visible version the index no longer points
@@ -169,18 +174,6 @@ class RowTable {
   Status DeleteImage(int64_t pk, std::vector<RedoRecord>* redo,
                      const RedoShipFn& ship = nullptr);
 
-  /// Key-ordered full scan of the latest state (per-step latching: the
-  /// shared latch is re-acquired every kScanBatch rows, so concurrent
-  /// writers interleave with a long scan instead of stalling behind it).
-  Status Scan(const std::function<bool(int64_t, const Row&)>& fn) const;
-  Status ScanRange(int64_t lo, int64_t hi,
-                   const std::function<bool(int64_t, const Row&)>& fn) const;
-
-  /// Secondary-index equality lookup: returns the PKs whose `col` equals
-  /// `key`. Returns NotSupported if no index exists on `col`.
-  Status IndexLookup(int col, int64_t key, std::vector<int64_t>* pks) const;
-  Status IndexLookupRange(int col, int64_t lo, int64_t hi,
-                          std::vector<int64_t>* pks) const;
   bool HasIndexOn(int col) const { return sec_index_.count(col) > 0; }
 
   /// Bulk-loads rows sorted by PK without redo; also builds secondary

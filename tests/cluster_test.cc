@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
 
 #include "tests/test_util.h"
@@ -79,6 +80,70 @@ TEST_F(ClusterTest, StrongConsistencyReadsYourWrites) {
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(AsInt(out[0][0]), round + 1);
   }
+}
+
+// A strong read's floor is the commit point the submitter could observe.
+// An open transaction's eagerly shipped DML sits in the redo log above every
+// acknowledged commit but never raises that point, so the read must neither
+// wait on it nor see it — while the transaction is open, and after it rolls
+// back with no later commit to move the log along.
+TEST(StrongReadTest, OpenTransactionNeitherBlocksNorLeaksIntoStrongRead) {
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 1;
+  opts.ro.imci.row_group_size = 256;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.CreateTable(SimpleSchema()).ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1000; ++i) rows.push_back({i, i * 2});
+  ASSERT_TRUE(cluster.BulkLoad(1, std::move(rows)).ok());
+  ASSERT_TRUE(cluster.Open().ok());
+  auto* txns = cluster.rw()->txn_manager();
+
+  Transaction acked;
+  txns->Begin(&acked);
+  ASSERT_TRUE(txns->Insert(&acked, 1, {int64_t(10000), int64_t(1)}).ok());
+  ASSERT_TRUE(txns->Commit(&acked).ok());
+
+  Transaction open;
+  txns->Begin(&open);
+  ASSERT_TRUE(txns->Insert(&open, 1, {int64_t(10001), int64_t(1)}).ok());
+
+  // Runs the strong count on a side thread with a deadline. On a miss, an
+  // unrelated commit releases the stuck read so the test can fail cleanly.
+  int64_t release_pk = 90000;
+  auto strong_count = [&](int64_t* count) {
+    auto plan = LAgg(
+        LScan(1, {0}, Ge(Col(0, DataType::kInt64), ConstInt(10000))), {},
+        {AggSpec{AggKind::kCountStar, nullptr}});
+    std::vector<Row> out;
+    Status s;
+    auto done = std::async(std::launch::async, [&] {
+      s = cluster.proxy()->ExecuteQuery(plan, &out, Consistency::kStrong);
+    });
+    if (done.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+      Transaction unblock;
+      txns->Begin(&unblock);
+      EXPECT_TRUE(
+          txns->Insert(&unblock, 1, {release_pk++, int64_t(0)}).ok());
+      EXPECT_TRUE(txns->Commit(&unblock).ok());
+      done.wait();
+      return false;
+    }
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (!s.ok() || out.size() != 1) return false;
+    *count = AsInt(out[0][0]);
+    return true;
+  };
+
+  int64_t count = -1;
+  ASSERT_TRUE(strong_count(&count))
+      << "strong read did not return while a transaction was open";
+  EXPECT_EQ(count, 1);
+
+  ASSERT_TRUE(txns->Rollback(&open).ok());
+  ASSERT_TRUE(strong_count(&count))
+      << "strong read did not return after the open transaction rolled back";
+  EXPECT_EQ(count, 1);
 }
 
 TEST_F(ClusterTest, LeaderDesignationAndFailover) {

@@ -54,11 +54,12 @@ class HtapE2eTest : public ::testing::Test {
   /// must converge to.
   std::vector<Row> RwTruth(TableId t) {
     std::vector<Row> rows;
-    (void)cluster_->rw()->engine()->GetTable(t)->Scan(
-        [&](int64_t, const Row& row) {
-          rows.push_back(row);
-          return true;
-        });
+    TransactionManager* txns = cluster_->rw()->txn_manager();
+    ReadView view = txns->OpenReadView();
+    (void)txns->Scan(view, t, [&](int64_t, const Row& row) {
+      rows.push_back(row);
+      return true;
+    });
     return rows;
   }
 

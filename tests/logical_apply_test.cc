@@ -48,11 +48,11 @@ class LogicalApplyTest : public ::testing::Test {
 
   std::vector<Row> RwTruth() {
     std::vector<Row> rows;
-    (void)cluster_->rw()->engine()->GetTable(1)->Scan(
-        [&](int64_t, const Row& row) {
-          rows.push_back(row);
-          return true;
-        });
+    ReadView view = txns_->OpenReadView();
+    (void)txns_->Scan(view, 1, [&](int64_t, const Row& row) {
+      rows.push_back(row);
+      return true;
+    });
     return rows;
   }
 
@@ -111,11 +111,10 @@ TEST_F(LogicalApplyTest, AbortedTransactionsNeverReachTheBinlog) {
 }
 
 TEST_F(LogicalApplyTest, StrongReadsWaitOnCommitVidsAcrossLsnSpaces) {
-  // Binlog LSNs are a different space from the RW's redo LSN, so the proxy's
-  // strong-consistency wait translates the commit point observed at
-  // submission through the binlog writer's commit-VID → binlog-LSN map and
-  // waits on the node's applied binlog LSN — comparing redo LSNs across
-  // spaces would spin forever (regression test).
+  // Binlog LSNs are a different space from the RW's redo LSN, so comparing
+  // redo LSNs across spaces would spin forever (regression test). Commit
+  // VIDs are shared by both arms: the proxy waits for the node's applied
+  // VID to reach the commit point observed at submission.
   Transaction txn;
   txns_->Begin(&txn);
   ASSERT_TRUE(
@@ -177,11 +176,13 @@ TEST(BinlogRecycleTest, TruncatesBelowTheSlowestLogicalCursorAndNoFurther) {
   churn(5000, 40);
   ASSERT_TRUE(ro->CatchUpNow().ok());
   std::vector<Row> col_rows, truth;
-  (void)cluster.rw()->engine()->GetTable(1)->Scan(
-      [&](int64_t, const Row& row) {
-        truth.push_back(row);
-        return true;
-      });
+  {
+    ReadView view = txns->OpenReadView();
+    (void)txns->Scan(view, 1, [&](int64_t, const Row& row) {
+      truth.push_back(row);
+      return true;
+    });
+  }
   ASSERT_TRUE(ro->ExecuteColumn(LScan(1, {0, 1, 2}), &col_rows).ok());
   EXPECT_EQ(Canonicalize(col_rows), Canonicalize(truth));
 

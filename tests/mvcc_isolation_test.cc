@@ -1,6 +1,5 @@
 // MVCC snapshot reads on the RW node: the anomaly matrix (dirty read,
-// non-repeatable read, read skew across two tables — each shown to
-// *reproduce* on the legacy pre-MVCC read path and to be impossible under
+// non-repeatable read, read skew across two tables — each impossible under
 // snapshot reads), write skew documented as allowed, multi-row transaction
 // atomicity under a concurrent write-heavy mix (the tsan stress), version
 // chain pruning pinned by long-lived snapshots across TriggerCheckpoint, and
@@ -25,8 +24,6 @@
 
 namespace imci {
 namespace {
-
-using ReadMode = TransactionManager::ReadMode;
 
 std::shared_ptr<const Schema> KvSchema(TableId id, const std::string& name) {
   std::vector<ColumnDef> cols;
@@ -86,7 +83,7 @@ class MvccIsolationTest : public ::testing::Test {
   TransactionManager* txns_ = nullptr;
 };
 
-TEST_F(MvccIsolationTest, DirtyReadImpossibleButReproducesOnLegacyPath) {
+TEST_F(MvccIsolationTest, DirtyReadImpossibleUnderSnapshot) {
   Transaction t1;
   txns_->Begin(&t1);
   Row row;
@@ -96,12 +93,6 @@ TEST_F(MvccIsolationTest, DirtyReadImpossibleButReproducesOnLegacyPath) {
 
   // Snapshot read: the uncommitted write is invisible.
   EXPECT_EQ(ReadV(1, 0), 100);
-
-  // Legacy (pre-MVCC) read-committed path reads the raw B+tree image and
-  // sees the uncommitted write — the dirty-read anomaly this layer removes.
-  txns_->set_read_mode(ReadMode::kReadCommitted);
-  EXPECT_EQ(ReadV(1, 0), 999);
-  txns_->set_read_mode(ReadMode::kSnapshot);
 
   ASSERT_TRUE(txns_->Rollback(&t1).ok());
   EXPECT_EQ(ReadV(1, 0), 100);
@@ -122,20 +113,6 @@ TEST_F(MvccIsolationTest, NonRepeatableReadImpossibleUnderOneView) {
   ASSERT_TRUE(txns_->Get(view, 1, 3, &row).ok());
   EXPECT_EQ(AsInt(row[1]), 100);
   EXPECT_EQ(ReadV(1, 3), 777);
-  view.Close();
-
-  // Legacy arm: a "view" opened in read-committed mode is unregistered and
-  // reads latest state, so the same interleave produces two different
-  // values — the non-repeatable-read anomaly.
-  txns_->set_read_mode(ReadMode::kReadCommitted);
-  ReadView legacy = txns_->OpenReadView();
-  EXPECT_FALSE(legacy.IsSnapshot());
-  ASSERT_TRUE(txns_->Get(legacy, 1, 3, &row).ok());
-  const int64_t first = AsInt(row[1]);
-  ASSERT_TRUE(UpdateOne(txns_, 1, 3, 778).ok());
-  ASSERT_TRUE(txns_->Get(legacy, 1, 3, &row).ok());
-  EXPECT_NE(AsInt(row[1]), first);  // anomaly reproduced
-  txns_->set_read_mode(ReadMode::kSnapshot);
 }
 
 TEST_F(MvccIsolationTest, ReadSkewAcrossTwoTablesImpossibleUnderSnapshot) {
@@ -153,17 +130,9 @@ TEST_F(MvccIsolationTest, ReadSkewAcrossTwoTablesImpossibleUnderSnapshot) {
     ASSERT_TRUE(txns_->Commit(&txn).ok());
   };
 
-  // Legacy: read A, let a transfer commit, read B — the sum is torn (the
-  // read-skew anomaly, deterministic with this handshake).
-  txns_->set_read_mode(ReadMode::kReadCommitted);
+  // Read A, let a transfer commit, read B: under one view the sum keeps the
+  // invariant (without one, this handshake tears it deterministically).
   Row a, b;
-  ASSERT_TRUE(txns_->Get(1, 5, &a).ok());
-  transfer();
-  ASSERT_TRUE(txns_->Get(2, 5, &b).ok());
-  EXPECT_EQ(AsInt(a[1]) + AsInt(b[1]), 250);  // != 200: anomaly reproduced
-
-  // Snapshot: the same interleave under one view preserves the invariant.
-  txns_->set_read_mode(ReadMode::kSnapshot);
   ReadView view = txns_->OpenReadView();
   ASSERT_TRUE(txns_->Get(view, 1, 5, &a).ok());
   transfer();

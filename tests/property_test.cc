@@ -70,8 +70,10 @@ TEST_P(BTreeModelTest, MatchesReferenceModel) {
     }
     if (op % 500 == 499) {
       // Full-state comparison.
+      // The writes carry no writer TID, so the table keeps no versions and
+      // every snapshot reads the tree.
       std::map<int64_t, std::string> got;
-      (void)table->Scan([&](int64_t key, const Row& row) {
+      (void)table->SnapshotScan(0, [&](int64_t key, const Row& row) {
         got[key] = IsNull(row[1]) ? "" : AsString(row[1]);
         return true;
       });
@@ -87,7 +89,7 @@ TEST_P(BTreeModelTest, MatchesReferenceModel) {
     size_t expect = std::distance(model.lower_bound(lo),
                                   model.upper_bound(hi));
     size_t got = 0;
-    (void)table->ScanRange(lo, hi, [&](int64_t, const Row&) {
+    (void)table->SnapshotScanRange(0, lo, hi, [&](int64_t, const Row&) {
       ++got;
       return true;
     });

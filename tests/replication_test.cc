@@ -30,12 +30,12 @@ class ReplicationTest : public ::testing::Test {
 
   // Verifies that the RO column index contents equal the RW row store.
   void ExpectConverged(TableId table = 1) {
-    RowTable* rw_table = cluster_->rw()->engine()->GetTable(table);
     ColumnIndex* index = ro_->imci()->GetIndex(table);
     ASSERT_NE(index, nullptr);
     const Vid read_vid = ro_->applied_vid();
     std::vector<std::string> rw_rows, ro_rows;
-    (void)rw_table->Scan([&](int64_t /*pk*/, const Row& row) {
+    ReadView view = txns_->OpenReadView();
+    (void)txns_->Scan(view, table, [&](int64_t /*pk*/, const Row& row) {
       std::string s;
       for (const Value& v : row) s += ValueToString(v) + "|";
       rw_rows.push_back(std::move(s));
@@ -258,11 +258,11 @@ TEST_F(ReplicationTest, RandomizedConvergenceProperty) {
     // Rollback invalidates our `live` tracking; resync from the row store.
     if (txn.commit_vid() == 0) {
       live.clear();
-      (void)cluster_->rw()->engine()->GetTable(1)->Scan(
-          [&](int64_t pk, const Row&) {
-            live.push_back(pk);
-            return true;
-          });
+      ReadView view = txns_->OpenReadView();
+      (void)txns_->Scan(view, 1, [&](int64_t pk, const Row&) {
+        live.push_back(pk);
+        return true;
+      });
     }
   }
   CatchUp();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
 #include "common/rng.h"
@@ -19,13 +20,35 @@ std::shared_ptr<const Schema> TestSchema(TableId id = 1) {
 
 class RowStoreTest : public ::testing::Test {
  protected:
-  RowStoreTest() : engine_(&fs_, &catalog_) {
+  RowStoreTest()
+      : engine_(&fs_, &catalog_),
+        writer_(fs_.log("redo")),
+        txns_(&engine_, &writer_, &locks_) {
     EXPECT_TRUE(engine_.CreateTable(TestSchema()).ok());
     table_ = engine_.GetTable(1);
   }
+
+  /// Runs `body` in one transaction and commits it.
+  void CommitTxn(const std::function<void(Transaction*)>& body) {
+    Transaction txn;
+    txns_.Begin(&txn);
+    body(&txn);
+    ASSERT_TRUE(txns_.Commit(&txn).ok());
+  }
+
+  /// PKs whose indexed column `k` equals `key` at `view`.
+  std::vector<int64_t> LookupK(const ReadView& view, int64_t key) {
+    std::vector<int64_t> pks;
+    EXPECT_TRUE(txns_.IndexLookup(view, 1, /*col=*/1, key, &pks).ok());
+    return pks;
+  }
+
   PolarFs fs_;
   Catalog catalog_;
   RowStoreEngine engine_;
+  RedoWriter writer_;
+  LockManager locks_;
+  TransactionManager txns_;
   RowTable* table_;
 };
 
@@ -86,10 +109,12 @@ TEST_F(RowStoreTest, SplitsProduceSmoRecordsAndKeepScansOrdered) {
     }
   }
   EXPECT_TRUE(saw_smo);
-  // Scan returns keys in ascending order across leaf chain.
+  // Scan returns keys in ascending order across leaf chain. The writes carry
+  // no writer TID, so the table keeps no versions and every snapshot reads
+  // the tree.
   int64_t prev = -1;
   uint64_t count = 0;
-  (void)table_->Scan([&](int64_t pk, const Row&) {
+  (void)table_->SnapshotScan(0, [&](int64_t pk, const Row&) {
     EXPECT_GT(pk, prev);
     prev = pk;
     ++count;
@@ -105,7 +130,7 @@ TEST_F(RowStoreTest, RangeScan) {
     ASSERT_TRUE(table_->Insert({i, i, Value{}}, &redo).ok());
   }
   std::vector<int64_t> got;
-  (void)table_->ScanRange(10, 19, [&](int64_t pk, const Row&) {
+  (void)table_->SnapshotScanRange(0, 10, 19, [&](int64_t pk, const Row&) {
     got.push_back(pk);
     return true;
   });
@@ -115,23 +140,55 @@ TEST_F(RowStoreTest, RangeScan) {
 }
 
 TEST_F(RowStoreTest, SecondaryIndexMaintainedAcrossDml) {
-  std::vector<RedoRecord> redo;
-  ASSERT_TRUE(table_->Insert({int64_t(1), int64_t(100), Value{}}, &redo).ok());
-  ASSERT_TRUE(table_->Insert({int64_t(2), int64_t(100), Value{}}, &redo).ok());
-  ASSERT_TRUE(table_->Insert({int64_t(3), int64_t(200), Value{}}, &redo).ok());
+  CommitTxn([&](Transaction* t) {
+    ASSERT_TRUE(txns_.Insert(t, 1, {int64_t(1), int64_t(100), Value{}}).ok());
+    ASSERT_TRUE(txns_.Insert(t, 1, {int64_t(2), int64_t(100), Value{}}).ok());
+    ASSERT_TRUE(txns_.Insert(t, 1, {int64_t(3), int64_t(200), Value{}}).ok());
+  });
+  EXPECT_EQ(LookupK(txns_.OpenReadView(), 100).size(), 2u);
+  CommitTxn([&](Transaction* t) {
+    ASSERT_TRUE(
+        txns_.Update(t, 1, 2, {int64_t(2), int64_t(200), Value{}}).ok());
+  });
+  EXPECT_EQ(LookupK(txns_.OpenReadView(), 200).size(), 2u);
+  CommitTxn([&](Transaction* t) { ASSERT_TRUE(txns_.Delete(t, 1, 3).ok()); });
+  ReadView view = txns_.OpenReadView();
   std::vector<int64_t> pks;
-  ASSERT_TRUE(table_->IndexLookup(1, 100, &pks).ok());
+  ASSERT_TRUE(
+      table_->SnapshotIndexLookupRange(view.vid(), 1, 0, 1000, &pks).ok());
   EXPECT_EQ(pks.size(), 2u);
-  Row old_row;
-  ASSERT_TRUE(table_->Update(2, {int64_t(2), int64_t(200), Value{}}, &old_row,
-                             &redo).ok());
-  pks.clear();
-  ASSERT_TRUE(table_->IndexLookup(1, 200, &pks).ok());
-  EXPECT_EQ(pks.size(), 2u);
-  ASSERT_TRUE(table_->Delete(3, &old_row, &redo).ok());
-  pks.clear();
-  ASSERT_TRUE(table_->IndexLookupRange(1, 0, 1000, &pks).ok());
-  EXPECT_EQ(pks.size(), 2u);
+}
+
+TEST_F(RowStoreTest, SnapshotIndexLookupFollowsEachViewsCommittedValue) {
+  CommitTxn([&](Transaction* t) {
+    ASSERT_TRUE(txns_.Insert(t, 1, {int64_t(7), int64_t(100), Value{}}).ok());
+  });
+  ReadView old_view = txns_.OpenReadView();
+  CommitTxn([&](Transaction* t) {
+    ASSERT_TRUE(
+        txns_.Update(t, 1, 7, {int64_t(7), int64_t(200), Value{}}).ok());
+  });
+  ReadView fresh = txns_.OpenReadView();
+  const std::vector<int64_t> just7 = {7};
+  // The index entry moved to 200; the old view still finds the row under
+  // 100 through its version chain.
+  EXPECT_EQ(LookupK(old_view, 100), just7);
+  EXPECT_TRUE(LookupK(old_view, 200).empty());
+  EXPECT_TRUE(LookupK(fresh, 100).empty());
+  EXPECT_EQ(LookupK(fresh, 200), just7);
+
+  // An uncommitted update moves the index entry again but is invisible to
+  // both views.
+  Transaction open;
+  txns_.Begin(&open);
+  ASSERT_TRUE(
+      txns_.Update(&open, 1, 7, {int64_t(7), int64_t(300), Value{}}).ok());
+  for (const ReadView* view : {&old_view, &fresh}) {
+    EXPECT_TRUE(LookupK(*view, 300).empty());
+  }
+  EXPECT_EQ(LookupK(old_view, 100), just7);
+  EXPECT_EQ(LookupK(fresh, 200), just7);
+  ASSERT_TRUE(txns_.Rollback(&open).ok());
 }
 
 TEST_F(RowStoreTest, BulkLoadThenPointReads) {

@@ -56,6 +56,24 @@ inline std::vector<std::string> Canonicalize(const std::vector<Row>& rows) {
   return out;
 }
 
+/// The physical tree image (RowTable::Get) of every row of `expected` that
+/// the table holds, for checking a replica after the boot-time undo pass
+/// against its recovered model: an in-flight update or delete left in the
+/// pages changes an image here, and an in-flight insert shows up in
+/// row_count(). A snapshot read would resolve version chains and hide both.
+inline std::vector<Row> TreeImages(const RowTable& table,
+                                   const std::vector<Row>& expected) {
+  std::vector<Row> out;
+  out.reserve(expected.size());
+  for (const Row& r : expected) {
+    Row image;
+    if (table.Get(AsInt(r[table.schema().pk_col()]), &image).ok()) {
+      out.push_back(std::move(image));
+    }
+  }
+  return out;
+}
+
 /// Builds a cluster pre-loaded with TPC-H data at the given scale factor.
 inline std::unique_ptr<Cluster> MakeTpchCluster(double sf, int ros = 1,
                                                 uint32_t group_size = 4096) {
