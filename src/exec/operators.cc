@@ -1,6 +1,8 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <numeric>
+#include <queue>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -46,31 +48,29 @@ ColumnScanOp::ColumnScanOp(ColumnIndex* index, std::vector<int> cols,
     out_types_.push_back(index_->schema().column(c).type);
   }
   if (part_.col >= 0) part_pack_ = index_->PackForColumn(part_.col);
+  if (filter_) ExtractIntBounds(filter_, &bounds_);
+  std::erase_if(bounds_, [&](const IntBound& b) {
+    return b.col < 0 || b.col >= static_cast<int>(packs_.size());
+  });
 }
 
 bool ColumnScanOp::GroupPrunable(const RowGroup& g) const {
-  if (!filter_) return false;
-  std::vector<IntBound> bounds;
-  ExtractIntBounds(filter_, &bounds);
-  for (const IntBound& b : bounds) {
-    if (b.col < 0 || b.col >= static_cast<int>(packs_.size())) {
-      continue;
-    }
-    const PackMeta& meta = g.meta(packs_[b.col]);
-    if (!meta.has_value) continue;
+  for (const IntBound& b : bounds_) {
+    int64_t min = 0, max = 0;
+    if (!g.IntRange(packs_[b.col], &min, &max)) continue;
     // Disjoint ranges -> no row in this group can satisfy the conjunct.
-    if (b.has_lo && meta.max_i < b.lo) return true;
-    if (b.has_hi && meta.min_i > b.hi) return true;
+    if (b.has_lo && max < b.lo) return true;
+    if (b.has_hi && min > b.hi) return true;
   }
   return false;
 }
 
 bool ColumnScanOp::PartitionSkipsGroup(const RowGroup& g) const {
   if (part_pack_ < 0) return false;
-  const PackMeta& meta = g.meta(part_pack_);
-  if (!meta.has_value) return false;
-  if (part_.has_lo && meta.max_i < part_.lo) return true;
-  if (part_.has_hi && meta.min_i > part_.hi) return true;
+  int64_t min = 0, max = 0;
+  if (!g.IntRange(part_pack_, &min, &max)) return false;
+  if (part_.has_lo && max < part_.lo) return true;
+  if (part_.has_hi && min > part_.hi) return true;
   return false;
 }
 
@@ -260,8 +260,8 @@ Status ProjectOp::Execute(ExecContext* ctx, RowSet* out) {
   IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
   out->types = out_types_;
   out->batches.resize(in.batches.size());
-  std::atomic<bool> failed{false};
   const int n = static_cast<int>(in.batches.size());
+  std::vector<Status> statuses(n);
   ParallelFor(ctx->pool, n, [&](int i) {
     Batch& src = in.batches[i];
     Batch dst;
@@ -269,15 +269,16 @@ Status ProjectOp::Execute(ExecContext* ctx, RowSet* out) {
     dst.cols.reserve(exprs_.size());
     for (const ExprRef& e : exprs_) {
       ColumnVector v(e->out_type);
-      if (!e->Eval(src, &v).ok()) {
-        failed.store(true);
+      Status s = e->Eval(src, &v);
+      if (!s.ok()) {
+        statuses[i] = std::move(s);
         return;
       }
       dst.cols.push_back(std::move(v));
     }
     out->batches[i] = std::move(dst);
   });
-  if (failed.load()) return Status::Internal("projection failed");
+  for (const Status& s : statuses) IMCI_RETURN_NOT_OK(s);
   return Status::OK();
 }
 
@@ -308,6 +309,129 @@ bool EncodeKey(const Batch& b, const std::vector<int>& key_cols, size_t row,
   return true;
 }
 
+/// Number of exchange partitions for a given worker count: the smallest
+/// power of two >= workers (power of two so the partition of a hash is a
+/// mask, and >= workers so every worker owns at least one partition).
+int ExchangePartitions(int workers) {
+  int p = 1;
+  while (p < workers) p <<= 1;
+  return p;
+}
+
+/// Integer-family columns keep their values in ColumnVector::ints.
+bool IsIntFamily(DataType t) {
+  return t != DataType::kDouble && t != DataType::kString;
+}
+
+/// murmur3's 64-bit finalizer: a bijection whose every output bit depends
+/// on every input bit, so slot and partition bits can both be sliced from
+/// one hash.
+uint64_t Fmix64(uint64_t k) {
+  k ^= k >> 33;
+  k *= 0xff51afd7ed558ccdULL;
+  k ^= k >> 33;
+  k *= 0xc4ceb9fe1a85ec53ULL;
+  k ^= k >> 33;
+  return k;
+}
+
+uint64_t HashWords(const int64_t* key, int width) {
+  uint64_t h = static_cast<uint64_t>(width);
+  for (int i = 0; i < width; ++i) {
+    h = Fmix64(h * 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(key[i]));
+  }
+  return h;
+}
+
+/// Exchange partition of a typed key: the top hash bits, disjoint from the
+/// low bits KeyTable indexes slots with (P <= 64, so at most 6 bits).
+uint32_t PartitionOf(uint64_t hash, uint32_t pmask) {
+  return static_cast<uint32_t>(hash >> 58) & pmask;
+}
+
+/// Open-addressing (linear probing) map from a fixed-width key of `width`
+/// int64 words to a dense id, assigned in insertion order. Keys and hashes
+/// are stored once per id, so the key words double as a group's output
+/// values and the hash as its exchange partition.
+class KeyTable {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  explicit KeyTable(int width) : width_(width) {}
+
+  uint32_t size() const { return static_cast<uint32_t>(hashes_.size()); }
+  const int64_t* key(uint32_t id) const {
+    return &keys_[static_cast<size_t>(id) * width_];
+  }
+  uint64_t hash(uint32_t id) const { return hashes_[id]; }
+
+  void Reserve(size_t n) {
+    keys_.reserve(n * width_);
+    hashes_.reserve(n);
+    if (n * 2 > slots_.size()) Rehash(n * 2);
+  }
+
+  uint32_t Find(const int64_t* key, uint64_t hash) const {
+    return slots_.empty() ? kNone : slots_[Probe(key, hash)];
+  }
+
+  /// Returns the id of `key`, inserting it if absent (`*inserted` says
+  /// which).
+  uint32_t FindOrInsert(const int64_t* key, uint64_t hash, bool* inserted) {
+    if ((hashes_.size() + 1) * 2 > slots_.size()) {
+      Rehash(std::max<size_t>(16, slots_.size() * 2));
+    }
+    uint32_t& id = slots_[Probe(key, hash)];
+    *inserted = id == kNone;
+    if (*inserted) {
+      id = size();
+      keys_.insert(keys_.end(), key, key + width_);
+      hashes_.push_back(hash);
+    }
+    return id;
+  }
+
+ private:
+  /// The slot holding `key`, or the empty slot where it belongs.
+  size_t Probe(const int64_t* key, uint64_t hash) const {
+    for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const uint32_t id = slots_[i];
+      if (id == kNone || std::equal(key, key + width_, this->key(id))) {
+        return i;
+      }
+    }
+  }
+
+  void Rehash(size_t min_slots) {
+    size_t cap = 16;
+    while (cap < min_slots) cap <<= 1;
+    slots_.assign(cap, kNone);
+    mask_ = cap - 1;
+    for (uint32_t id = 0; id < size(); ++id) {
+      size_t i = hashes_[id] & mask_;
+      while (slots_[i] != kNone) i = (i + 1) & mask_;
+      slots_[i] = id;
+    }
+  }
+
+  int width_;
+  size_t mask_ = 0;
+  std::vector<uint32_t> slots_;  // id per slot, kNone when empty
+  std::vector<int64_t> keys_;   // width_ words per id
+  std::vector<uint64_t> hashes_;
+};
+
+using JoinRef = std::pair<uint32_t, uint32_t>;  // build (batch, row)
+
+/// One build partition of the typed join: key -> id, and the matches of id
+/// i in CSR form, refs[offsets[i], offsets[i+1]) in build (batch, row)
+/// order.
+struct IntJoinPartition {
+  KeyTable keys{1};
+  std::vector<uint32_t> offsets;
+  std::vector<JoinRef> refs;
+};
+
 }  // namespace
 
 HashJoinOp::HashJoinOp(PhysOpRef build, PhysOpRef probe,
@@ -322,20 +446,10 @@ HashJoinOp::HashJoinOp(PhysOpRef build, PhysOpRef probe,
   if (type_ == JoinType::kInner || type_ == JoinType::kLeft) {
     for (DataType t : build_->out_types()) out_types_.push_back(t);
   }
+  int_key_ = build_keys_.size() == 1 && probe_keys_.size() == 1 &&
+             IsIntFamily(build_->out_types()[build_keys_[0]]) &&
+             IsIntFamily(probe_->out_types()[probe_keys_[0]]);
 }
-
-namespace {
-
-/// Number of exchange partitions for a given worker count: the smallest
-/// power of two >= workers (power of two so the partition of a hash is a
-/// mask, and >= workers so every worker owns at least one partition).
-int ExchangePartitions(int workers) {
-  int p = 1;
-  while (p < workers) p <<= 1;
-  return p;
-}
-
-}  // namespace
 
 Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet build_set;
@@ -345,46 +459,98 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   out->types = out_types_;
 
   // Build phase, partition-parallel with an exchange step. Stage 1
-  // (scatter) runs per build batch: encode each row's key and route it to
-  // partition hash(key) & (P-1). Stage 2 (merge) runs per partition:
-  // partition p assembles its own hash table from every batch's p-bucket,
-  // walking batches in index order so refs land in the exact (batch, row)
-  // order the serial build would have produced — match emission order, and
-  // therefore results, are identical to parallelism=1.
-  using Ref = std::pair<uint32_t, uint32_t>;  // (batch, row)
+  // (scatter) runs per build batch: route each row's key to partition
+  // hash(key) & (P-1). Stage 2 (merge) runs per partition: partition p
+  // assembles its own hash table from every batch's p-bucket, walking
+  // batches in index order so refs land in the exact (batch, row) order the
+  // serial build would have produced — match emission order, and therefore
+  // results, are identical to parallelism=1.
   const int workers = std::max(1, ctx->parallelism);
   const int P = ExchangePartitions(std::min(workers, 64));
   const uint32_t pmask = static_cast<uint32_t>(P - 1);
-  const std::hash<std::string> hasher;
-
   const int nbuild = static_cast<int>(build_set.batches.size());
-  struct ScatterBucket {
-    std::vector<std::pair<std::string, uint32_t>> rows;  // (key, row)
-  };
-  // scatter[bi][p]: keys of batch bi routed to partition p.
-  std::vector<std::vector<ScatterBucket>> scatter(nbuild);
-  ParallelFor(ctx->pool, nbuild, [&](int bi) {
-    const Batch& b = build_set.batches[bi];
-    auto& parts = scatter[bi];
-    parts.resize(P);
-    std::string key;
-    for (uint32_t ri = 0; ri < b.rows; ++ri) {
-      if (!EncodeKey(b, build_keys_, ri, &key)) continue;
-      const uint32_t p = static_cast<uint32_t>(hasher(key)) & pmask;
-      parts[p].rows.emplace_back(key, ri);
-    }
-  });
 
-  std::vector<std::unordered_map<std::string, std::vector<Ref>>> tables(P);
-  ParallelFor(ctx->pool, P, [&](int p) {
-    auto& table = tables[p];
-    for (int bi = 0; bi < nbuild; ++bi) {
-      for (auto& [key, ri] : scatter[bi][p].rows) {
-        table[std::move(key)].push_back({static_cast<uint32_t>(bi), ri});
+  // Typed path: the int64 key is hashed directly into an open-addressing
+  // table per partition, with matches stored CSR.
+  std::vector<IntJoinPartition> int_tables;
+  // Encoded path: byte-encoded keys in a std::unordered_map per partition.
+  const std::hash<std::string> hasher;
+  std::vector<std::unordered_map<std::string, std::vector<JoinRef>>> tables;
+  if (int_key_) {
+    const int bk = build_keys_[0];
+    // scatter[bi][p]: (key, row) of batch bi routed to partition p.
+    using IntScatter = std::vector<std::pair<int64_t, uint32_t>>;
+    std::vector<std::vector<IntScatter>> scatter(nbuild);
+    ParallelFor(ctx->pool, nbuild, [&](int bi) {
+      const ColumnVector& v = build_set.batches[bi].cols[bk];
+      auto& parts = scatter[bi];
+      parts.resize(P);
+      for (uint32_t ri = 0; ri < v.size(); ++ri) {
+        if (v.nulls[ri]) continue;
+        const uint64_t h = HashWords(&v.ints[ri], 1);
+        parts[PartitionOf(h, pmask)].emplace_back(v.ints[ri], ri);
       }
-    }
-  });
-  scatter.clear();
+    });
+    int_tables.resize(P);
+    ParallelFor(ctx->pool, P, [&](int p) {
+      IntJoinPartition& t = int_tables[p];
+      size_t total = 0;
+      for (int bi = 0; bi < nbuild; ++bi) total += scatter[bi][p].size();
+      t.keys.Reserve(total);
+      std::vector<uint32_t> ids;
+      ids.reserve(total);
+      std::vector<uint32_t> counts;
+      for (int bi = 0; bi < nbuild; ++bi) {
+        for (const auto& [key, ri] : scatter[bi][p]) {
+          bool inserted = false;
+          const uint32_t id =
+              t.keys.FindOrInsert(&key, HashWords(&key, 1), &inserted);
+          if (inserted) counts.push_back(0);
+          counts[id]++;
+          ids.push_back(id);
+        }
+      }
+      t.offsets.assign(counts.size() + 1, 0);
+      for (size_t i = 0; i < counts.size(); ++i) {
+        t.offsets[i + 1] = t.offsets[i] + counts[i];
+      }
+      std::vector<uint32_t> cursor(t.offsets.begin(), t.offsets.end() - 1);
+      t.refs.resize(total);
+      size_t j = 0;
+      for (int bi = 0; bi < nbuild; ++bi) {
+        for (const auto& entry : scatter[bi][p]) {
+          t.refs[cursor[ids[j++]]++] = {static_cast<uint32_t>(bi),
+                                        entry.second};
+        }
+      }
+    });
+  } else {
+    struct ScatterBucket {
+      std::vector<std::pair<std::string, uint32_t>> rows;  // (key, row)
+    };
+    // scatter[bi][p]: keys of batch bi routed to partition p.
+    std::vector<std::vector<ScatterBucket>> scatter(nbuild);
+    ParallelFor(ctx->pool, nbuild, [&](int bi) {
+      const Batch& b = build_set.batches[bi];
+      auto& parts = scatter[bi];
+      parts.resize(P);
+      std::string key;
+      for (uint32_t ri = 0; ri < b.rows; ++ri) {
+        if (!EncodeKey(b, build_keys_, ri, &key)) continue;
+        const uint32_t p = static_cast<uint32_t>(hasher(key)) & pmask;
+        parts[p].rows.emplace_back(key, ri);
+      }
+    });
+    tables.resize(P);
+    ParallelFor(ctx->pool, P, [&](int p) {
+      auto& table = tables[p];
+      for (int bi = 0; bi < nbuild; ++bi) {
+        for (auto& [key, ri] : scatter[bi][p].rows) {
+          table[std::move(key)].push_back({static_cast<uint32_t>(bi), ri});
+        }
+      }
+    });
+  }
 
   const int build_width =
       (type_ == JoinType::kInner || type_ == JoinType::kLeft)
@@ -393,76 +559,66 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   const int probe_width = static_cast<int>(probe_->out_types().size());
 
   // Probe phase: parallel over probe batches, outputs kept in input order.
+  // A probe row's matches are the build refs [first, last).
   std::vector<Batch> results(probe_set.batches.size());
   const int n = static_cast<int>(probe_set.batches.size());
   ParallelFor(ctx->pool, n, [&](int pi) {
     const Batch& pb = probe_set.batches[pi];
     Batch outb = Batch::Make(out_types_);
+    auto emit = [&](uint32_t ri, const JoinRef* ref) {
+      for (int c = 0; c < probe_width; ++c) {
+        outb.cols[c].AppendFrom(pb.cols[c], ri);
+      }
+      if (ref) {
+        const Batch& bb = build_set.batches[ref->first];
+        for (int c = 0; c < build_width; ++c) {
+          outb.cols[probe_width + c].AppendFrom(bb.cols[c], ref->second);
+        }
+      } else {
+        for (int c = 0; c < build_width; ++c) {
+          outb.cols[probe_width + c].AppendNull();
+        }
+      }
+      outb.rows++;
+    };
     std::string k;
     for (uint32_t ri = 0; ri < pb.rows; ++ri) {
-      const bool valid = EncodeKey(pb, probe_keys_, ri, &k);
-      const std::vector<Ref>* matches = nullptr;
-      if (valid) {
+      const JoinRef* first = nullptr;
+      const JoinRef* last = nullptr;
+      if (int_key_) {
+        const ColumnVector& v = pb.cols[probe_keys_[0]];
+        if (!v.nulls[ri]) {
+          const uint64_t h = HashWords(&v.ints[ri], 1);
+          const IntJoinPartition& t = int_tables[PartitionOf(h, pmask)];
+          const uint32_t id = t.keys.Find(&v.ints[ri], h);
+          if (id != KeyTable::kNone) {
+            first = t.refs.data() + t.offsets[id];
+            last = t.refs.data() + t.offsets[id + 1];
+          }
+        }
+      } else if (EncodeKey(pb, probe_keys_, ri, &k)) {
         const auto& table = tables[static_cast<uint32_t>(hasher(k)) & pmask];
         auto it = table.find(k);
-        if (it != table.end()) matches = &it->second;
+        if (it != table.end()) {
+          first = it->second.data();
+          last = first + it->second.size();
+        }
       }
+      const bool matched = first != last;
       switch (type_) {
-        case JoinType::kInner: {
-          if (!matches) break;
-          for (const Ref& m : *matches) {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            const Batch& bb = build_set.batches[m.first];
-            for (int c = 0; c < build_width; ++c) {
-              outb.cols[probe_width + c].AppendFrom(bb.cols[c], m.second);
-            }
-            outb.rows++;
-          }
+        case JoinType::kInner:
+          for (const JoinRef* m = first; m != last; ++m) emit(ri, m);
           break;
-        }
-        case JoinType::kLeft: {
-          if (matches) {
-            for (const Ref& m : *matches) {
-              for (int c = 0; c < probe_width; ++c) {
-                outb.cols[c].AppendFrom(pb.cols[c], ri);
-              }
-              const Batch& bb = build_set.batches[m.first];
-              for (int c = 0; c < build_width; ++c) {
-                outb.cols[probe_width + c].AppendFrom(bb.cols[c], m.second);
-              }
-              outb.rows++;
-            }
-          } else {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            for (int c = 0; c < build_width; ++c) {
-              outb.cols[probe_width + c].AppendNull();
-            }
-            outb.rows++;
-          }
+        case JoinType::kLeft:
+          if (!matched) emit(ri, nullptr);
+          for (const JoinRef* m = first; m != last; ++m) emit(ri, m);
           break;
-        }
-        case JoinType::kSemi: {
-          if (matches) {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            outb.rows++;
-          }
+        case JoinType::kSemi:
+          if (matched) emit(ri, nullptr);
           break;
-        }
-        case JoinType::kAnti: {
-          if (!matches) {
-            for (int c = 0; c < probe_width; ++c) {
-              outb.cols[c].AppendFrom(pb.cols[c], ri);
-            }
-            outb.rows++;
-          }
+        case JoinType::kAnti:
+          if (!matched) emit(ri, nullptr);
           break;
-        }
       }
     }
     results[pi] = std::move(outb);
@@ -482,6 +638,68 @@ struct AggState {
   std::vector<Value> mins, maxs;
   std::vector<std::unordered_set<std::string>> distincts;
 };
+
+/// The MIN or MAX of one typed aggregate: int64 or double, fixed per
+/// aggregate at plan time.
+union AggLane {
+  int64_t i;
+  double d;
+};
+
+/// Whether `x` replaces `cur` as the MIN (or MAX) of a `dbl` lane.
+bool Improves(AggKind kind, bool dbl, AggLane x, AggLane cur) {
+  if (kind == AggKind::kMin) return dbl ? x.d < cur.d : x.i < cur.i;
+  return dbl ? x.d > cur.d : x.i > cur.i;
+}
+
+/// Typed aggregation state of one worker (or, after the exchange, one
+/// partition). Group keys are [null mask, one int64 per group column]; a
+/// group's aggregate a lives at index gid*A + a of each flat array. For
+/// MIN/MAX, counts hold the number of non-NULL inputs (0: the result is
+/// NULL); for COUNT DISTINCT, the number of distinct values.
+struct IntAggTable {
+  IntAggTable(int key_width, int num_aggs, bool with_sums, bool with_minmax)
+      : keys(key_width), A(num_aggs), sums_on(with_sums),
+        minmax_on(with_minmax) {}
+
+  /// Returns the dense id of `key`, adding a zeroed state if it is new.
+  uint32_t Group(const int64_t* key, uint64_t hash, bool* inserted) {
+    const uint32_t g = keys.FindOrInsert(key, hash, inserted);
+    if (*inserted) {
+      counts.resize(counts.size() + A, 0);
+      if (sums_on) sums.resize(sums.size() + A, 0.0);
+      if (minmax_on) minmax.resize(minmax.size() + A, AggLane{0});
+    }
+    return g;
+  }
+
+  /// Counts `value` for COUNT DISTINCT aggregate a of group g.
+  void AddDistinct(uint32_t g, int a, int64_t value) {
+    const int64_t triple[3] = {static_cast<int64_t>(g), a, value};
+    bool inserted = false;
+    distinct.FindOrInsert(triple, HashWords(triple, 3), &inserted);
+    if (inserted) counts[static_cast<size_t>(g) * A + a]++;
+  }
+
+  KeyTable keys;
+  size_t A;
+  bool sums_on, minmax_on;
+  std::vector<int64_t> counts;
+  std::vector<double> sums;     // only with SUM/AVG
+  std::vector<AggLane> minmax;  // [gid*A + a], only with MIN/MAX
+  KeyTable distinct{3};  // (gid, agg, value) triples
+};
+
+/// Ascending key order over [null mask, values...] keys of `ncols` columns:
+/// column by column, NULL before any value (CompareValues' order).
+bool KeyLess(const int64_t* x, const int64_t* y, int ncols) {
+  for (int c = 0; c < ncols; ++c) {
+    const bool xn = (x[0] >> c) & 1, yn = (y[0] >> c) & 1;
+    if (xn != yn) return xn;
+    if (!xn && x[1 + c] != y[1 + c]) return x[1 + c] < y[1 + c];
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -509,18 +727,308 @@ HashAggOp::HashAggOp(PhysOpRef child, std::vector<int> group_cols,
         break;
     }
   }
+  // The typed path packs the NULL flags of the group columns into one word.
+  int_keys_ = group_cols_.size() < 64;
+  for (int c : group_cols_) int_keys_ = int_keys_ && IsIntFamily(ct[c]);
+  for (const AggSpec& a : aggs_) {
+    const bool minmax = a.kind == AggKind::kMin || a.kind == AggKind::kMax;
+    has_sums_ |= a.kind == AggKind::kSum || a.kind == AggKind::kAvg;
+    has_minmax_ |= minmax;
+    double_lane_.push_back(minmax && a.arg->out_type == DataType::kDouble);
+    const bool distinct = a.kind == AggKind::kCountDistinct;
+    if ((minmax && a.arg->out_type == DataType::kString) ||
+        (distinct && !IsIntFamily(a.arg->out_type))) {
+      int_keys_ = false;
+    }
+  }
 }
 
 Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet in;
   IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
   out->types = out_types_;
+  return int_keys_ ? ExecuteIntKeys(ctx, in, out)
+                   : ExecuteEncoded(ctx, in, out);
+}
 
+Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
+                                 RowSet* out) {
+  const int G = static_cast<int>(group_cols_.size());
+  const int width = G + 1;
+  const int A = static_cast<int>(aggs_.size());
+  const int workers = std::max(1, std::min(ctx->parallelism, 32));
+  const auto new_table = [&] {
+    return IntAggTable(width, A, has_sums_, has_minmax_);
+  };
+  std::vector<IntAggTable> partials;
+  for (int w = 0; w < workers; ++w) partials.push_back(new_table());
+  std::vector<Status> statuses(workers);
+  const int nb = static_cast<int>(in.batches.size());
+  std::atomic<int> next_batch{0};
+
+  // Partial aggregation: thread-local tables, no synchronization. Each
+  // batch first maps every row to its group id, then updates one aggregate
+  // at a time over the whole batch.
+  ParallelFor(ctx->pool, workers, [&](int wi) {
+    IntAggTable& t = partials[wi];
+    std::vector<const ColumnVector*> gcols(G);
+    std::vector<int64_t> key(width);
+    std::vector<uint32_t> gids;
+    std::vector<ColumnVector> evaluated(A);
+    std::vector<const ColumnVector*> args(A, nullptr);
+    for (;;) {
+      const int bi = next_batch.fetch_add(1, std::memory_order_relaxed);
+      if (bi >= nb) return;
+      const Batch& b = in.batches[bi];
+      for (int a = 0; a < A; ++a) {
+        const ExprRef& arg = aggs_[a].arg;
+        if (!arg) continue;
+        if (arg->kind == ExprKind::kCol) {
+          args[a] = &b.cols[arg->col];  // no copy for a bare column
+        } else {
+          // A fresh vector per batch: Eval writes some NULL flags only
+          // where a row is NULL, so a reused one keeps the last batch's.
+          evaluated[a] = ColumnVector(arg->out_type);
+          Status s = arg->Eval(b, &evaluated[a]);
+          if (!s.ok()) {
+            statuses[wi] = std::move(s);
+            return;
+          }
+          args[a] = &evaluated[a];
+        }
+        const bool int_lane = aggs_[a].kind == AggKind::kCountDistinct ||
+                              aggs_[a].kind == AggKind::kSumInt ||
+                              ((aggs_[a].kind == AggKind::kMin ||
+                                aggs_[a].kind == AggKind::kMax) &&
+                               !double_lane_[a]);
+        if (int_lane && !IsIntFamily(args[a]->type)) {
+          statuses[wi] = Status::Internal("aggregate argument type");
+          return;
+        }
+      }
+      for (int c = 0; c < G; ++c) gcols[c] = &b.cols[group_cols_[c]];
+      gids.resize(b.rows);
+      for (uint32_t ri = 0; ri < b.rows; ++ri) {
+        uint64_t nulls = 0;
+        for (int c = 0; c < G; ++c) {
+          const bool null = gcols[c]->nulls[ri];
+          nulls |= static_cast<uint64_t>(null) << c;
+          key[1 + c] = null ? 0 : gcols[c]->ints[ri];
+        }
+        key[0] = static_cast<int64_t>(nulls);
+        bool inserted = false;
+        gids[ri] = t.Group(key.data(), HashWords(key.data(), width),
+                           &inserted);
+      }
+      for (int a = 0; a < A; ++a) {
+        const AggKind kind = aggs_[a].kind;
+        if (kind == AggKind::kCountStar) {
+          for (uint32_t ri = 0; ri < b.rows; ++ri) {
+            t.counts[static_cast<size_t>(gids[ri]) * A + a]++;
+          }
+          continue;
+        }
+        const ColumnVector& v = *args[a];
+        for (uint32_t ri = 0; ri < b.rows; ++ri) {
+          if (v.nulls[ri]) continue;
+          const size_t s = static_cast<size_t>(gids[ri]) * A + a;
+          switch (kind) {
+            case AggKind::kSum:
+            case AggKind::kAvg:
+              t.sums[s] += v.NumericAt(ri);
+              t.counts[s]++;
+              break;
+            case AggKind::kCount:
+              t.counts[s]++;
+              break;
+            case AggKind::kSumInt:
+              t.counts[s] += v.ints[ri];
+              break;
+            case AggKind::kMin:
+            case AggKind::kMax: {
+              AggLane x{};
+              if (double_lane_[a]) {
+                x.d = v.NumericAt(ri);
+              } else {
+                x.i = v.ints[ri];
+              }
+              if (t.counts[s]++ == 0 ||
+                  Improves(kind, double_lane_[a], x, t.minmax[s])) {
+                t.minmax[s] = x;
+              }
+              break;
+            }
+            case AggKind::kCountDistinct:
+              t.AddDistinct(gids[ri], a, v.ints[ri]);
+              break;
+            case AggKind::kCountStar:
+              break;
+          }
+        }
+      }
+    }
+  });
+  for (const Status& s : statuses) IMCI_RETURN_NOT_OK(s);
+
+  // Exchange/merge: each partition re-keys the partial groups whose key
+  // hash routes to it into its own table. A key lives in exactly one
+  // partition, so partition workers read the shared partials without
+  // synchronization, and each writes only its own groups' slots of the
+  // per-worker remap arrays. Partitions walk the partials in worker order,
+  // so the accumulation order matches the serial merge exactly.
+  const int P = ExchangePartitions(workers);
+  const uint32_t pmask = static_cast<uint32_t>(P - 1);
+  std::vector<IntAggTable> merged;
+  if (workers == 1) {
+    merged = std::move(partials);  // a lone worker's table is the partition
+  } else {
+    for (int p = 0; p < P; ++p) merged.push_back(new_table());
+    std::vector<std::vector<uint32_t>> remap(workers);
+    for (int w = 0; w < workers; ++w) remap[w].resize(partials[w].keys.size());
+    ParallelFor(ctx->pool, P, [&](int p) {
+      IntAggTable& dst = merged[p];
+      const auto in_part = [&](const IntAggTable& src, uint32_t g) {
+        return PartitionOf(src.keys.hash(g), pmask) ==
+               static_cast<uint32_t>(p);
+      };
+      for (int w = 0; w < workers; ++w) {
+        const IntAggTable& src = partials[w];
+        for (uint32_t g = 0; g < src.keys.size(); ++g) {
+          if (!in_part(src, g)) continue;
+          bool inserted = false;
+          const uint32_t dg =
+              dst.Group(src.keys.key(g), src.keys.hash(g), &inserted);
+          remap[w][g] = dg;
+          for (int a = 0; a < A; ++a) {
+            const size_t s = static_cast<size_t>(g) * A + a;
+            const size_t d = static_cast<size_t>(dg) * A + a;
+            const AggKind kind = aggs_[a].kind;
+            if (kind == AggKind::kCountDistinct) continue;  // re-counted below
+            if (kind == AggKind::kSum || kind == AggKind::kAvg) {
+              dst.sums[d] = inserted ? src.sums[s] : dst.sums[d] + src.sums[s];
+            } else if ((kind == AggKind::kMin || kind == AggKind::kMax) &&
+                       src.counts[s] > 0 &&
+                       (dst.counts[d] == 0 ||
+                        Improves(kind, double_lane_[a], src.minmax[s],
+                                 dst.minmax[d]))) {
+              dst.minmax[d] = src.minmax[s];
+            }
+            dst.counts[d] += src.counts[s];
+          }
+        }
+        for (uint32_t i = 0; i < src.distinct.size(); ++i) {
+          const int64_t* triple = src.distinct.key(i);
+          const uint32_t g = static_cast<uint32_t>(triple[0]);
+          if (!in_part(src, g)) continue;
+          dst.AddDistinct(remap[w][g], static_cast<int>(triple[1]), triple[2]);
+        }
+      }
+    });
+    partials.clear();
+  }
+
+  // SQL returns one row for a global aggregate over no rows.
+  size_t total_groups = 0;
+  for (const IntAggTable& t : merged) total_groups += t.keys.size();
+  if (total_groups == 0 && G == 0) {
+    const int64_t empty_key[1] = {0};
+    bool inserted = false;
+    merged[0].Group(empty_key, HashWords(empty_key, 1), &inserted);
+  }
+
+  // Emit in ascending key order: sort each partition's ids in parallel,
+  // then merge the partitions. The order depends only on the key set, so it
+  // is the same at every dop and in the coordinator's final fold.
+  std::vector<std::vector<uint32_t>> order(P);
+  ParallelFor(ctx->pool, P, [&](int p) {
+    const KeyTable& keys = merged[p].keys;
+    order[p].resize(keys.size());
+    std::iota(order[p].begin(), order[p].end(), 0u);
+    std::sort(order[p].begin(), order[p].end(), [&](uint32_t x, uint32_t y) {
+      return KeyLess(keys.key(x), keys.key(y), G);
+    });
+  });
+  struct Head {
+    int part;
+    size_t pos;
+  };
+  auto head_key = [&](const Head& h) {
+    return merged[h.part].keys.key(order[h.part][h.pos]);
+  };
+  auto greater = [&](const Head& x, const Head& y) {
+    return KeyLess(head_key(y), head_key(x), G);
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(greater)> heap(
+      greater);
+  for (int p = 0; p < P; ++p) {
+    if (!order[p].empty()) heap.push({p, 0});
+  }
+
+  Batch outb = Batch::Make(out_types_);
+  while (!heap.empty()) {
+    const Head h = heap.top();
+    heap.pop();
+    if (h.pos + 1 < order[h.part].size()) heap.push({h.part, h.pos + 1});
+    const IntAggTable& t = merged[h.part];
+    const uint32_t g = order[h.part][h.pos];
+    const int64_t* key = t.keys.key(g);
+    int c = 0;
+    for (; c < G; ++c) {
+      if ((key[0] >> c) & 1) {
+        outb.cols[c].AppendNull();
+      } else {
+        outb.cols[c].AppendInt(key[1 + c]);
+      }
+    }
+    for (int a = 0; a < A; ++a, ++c) {
+      const size_t s = static_cast<size_t>(g) * A + a;
+      ColumnVector& col = outb.cols[c];
+      switch (aggs_[a].kind) {
+        case AggKind::kSum:
+        case AggKind::kAvg:
+          if (t.counts[s] == 0) {
+            col.AppendNull();
+          } else if (aggs_[a].kind == AggKind::kSum) {
+            col.AppendDouble(t.sums[s]);
+          } else {
+            col.AppendDouble(t.sums[s] / t.counts[s]);
+          }
+          break;
+        case AggKind::kCount:
+        case AggKind::kCountStar:
+        case AggKind::kSumInt:
+        case AggKind::kCountDistinct:
+          col.AppendInt(t.counts[s]);
+          break;
+        case AggKind::kMin:
+        case AggKind::kMax:
+          if (t.counts[s] == 0) {
+            col.AppendNull();
+          } else if (double_lane_[a]) {
+            col.AppendDouble(t.minmax[s].d);
+          } else {
+            col.AppendInt(t.minmax[s].i);
+          }
+          break;
+      }
+    }
+    outb.rows++;
+    if (outb.rows >= Batch::kDefaultCapacity) {
+      out->batches.push_back(std::move(outb));
+      outb = Batch::Make(out_types_);
+    }
+  }
+  if (outb.rows > 0) out->batches.push_back(std::move(outb));
+  return Status::OK();
+}
+
+Status HashAggOp::ExecuteEncoded(ExecContext* ctx, const RowSet& in,
+                                 RowSet* out) {
   const int workers = std::max(1, std::min(ctx->parallelism, 32));
   std::vector<std::unordered_map<std::string, AggState>> partials(workers);
   const int nb = static_cast<int>(in.batches.size());
   std::atomic<int> next_batch{0};
-  std::atomic<bool> failed{false};
+  std::vector<Status> statuses(workers);
 
   // Partial aggregation: thread-local tables, no synchronization.
   ParallelFor(ctx->pool, workers, [&](int wi) {
@@ -534,8 +1042,9 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
       std::vector<ColumnVector> arg_vals(aggs_.size());
       for (size_t a = 0; a < aggs_.size(); ++a) {
         if (aggs_[a].arg) {
-          if (!aggs_[a].arg->Eval(b, &arg_vals[a]).ok()) {
-            failed.store(true);
+          Status s = aggs_[a].arg->Eval(b, &arg_vals[a]);
+          if (!s.ok()) {
+            statuses[wi] = std::move(s);
             return;
           }
         }
@@ -627,7 +1136,7 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
       }
     }
   });
-  if (failed.load()) return Status::Internal("agg arg eval failed");
+  for (const Status& s : statuses) IMCI_RETURN_NOT_OK(s);
 
   // Exchange/merge: the thread-local partials are repartitioned by key hash
   // and each partition is merged by a single worker. A key lives in exactly

@@ -91,6 +91,7 @@ class ColumnScanOp : public PhysOp {
   std::vector<int> cols_;   // schema ordinals
   std::vector<int> packs_;  // pack ordinals, parallel to cols_
   ExprRef filter_;
+  std::vector<IntBound> bounds_;  // filter's integer bounds, for pruning
   ScanPartition part_;
   int part_pack_ = -1;
   mutable std::atomic<uint64_t> groups_pruned_{0};
@@ -152,7 +153,9 @@ enum class JoinType { kInner, kLeft, kSemi, kAnti };
 /// In-memory hash join (§6.3): the build side is partitioned and built
 /// lock-free (one partition per worker), probes run in parallel over probe
 /// batches. Inner and left-outer emit probe columns followed by build
-/// columns; semi/anti emit probe columns only.
+/// columns; semi/anti emit probe columns only. A single integer-family key
+/// on each side takes a typed open-addressing table; other keys are
+/// byte-encoded.
 class HashJoinOp : public PhysOp {
  public:
   HashJoinOp(PhysOpRef build, PhysOpRef probe, std::vector<int> build_keys,
@@ -164,6 +167,7 @@ class HashJoinOp : public PhysOp {
   PhysOpRef build_, probe_;
   std::vector<int> build_keys_, probe_keys_;
   JoinType type_;
+  bool int_key_ = false;
 };
 
 /// kSumInt is internal to distributed execution: the coordinator's final
@@ -181,6 +185,13 @@ struct AggSpec {
 /// Hash aggregation with thread-local partial tables, repartitioned by key
 /// hash through an exchange step and merged partition-parallel (§6.3).
 /// Output: group columns (in given order) then one column per agg.
+///
+/// When every group column is integer-family (and no MIN/MAX reads a
+/// string, no COUNT DISTINCT a non-integer), groups map to dense ids in
+/// open-addressing tables, aggregate state lives in flat arrays, and groups
+/// are emitted in ascending key order (NULL first), so the row order
+/// depends only on the key set. Other keys take the byte-encoded path, in
+/// hash order.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,
@@ -189,9 +200,17 @@ class HashAggOp : public PhysOp {
   Status Execute(ExecContext* ctx, RowSet* out) override;
 
  private:
+  Status ExecuteIntKeys(ExecContext* ctx, const RowSet& in, RowSet* out);
+  Status ExecuteEncoded(ExecContext* ctx, const RowSet& in, RowSet* out);
+
   PhysOpRef child_;
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
+  // Typed-path layout, fixed at plan time.
+  bool int_keys_ = false;
+  bool has_sums_ = false;    // a SUM or AVG: allocate sums
+  bool has_minmax_ = false;  // a MIN or MAX: allocate their state
+  std::vector<uint8_t> double_lane_;  // per agg: MIN/MAX over doubles
 };
 
 struct SortKey {

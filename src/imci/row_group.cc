@@ -78,6 +78,19 @@ Value RowGroup::GetValue(int pack, uint32_t offset) const {
   return Value{};
 }
 
+PackMeta RowGroup::meta(int pack) const {
+  std::lock_guard<std::mutex> g(meta_mu_);
+  return metas_[pack];
+}
+
+bool RowGroup::IntRange(int pack, int64_t* min, int64_t* max) const {
+  std::lock_guard<std::mutex> g(meta_mu_);
+  const PackMeta& m = metas_[pack];
+  *min = m.min_i;
+  *max = m.max_i;
+  return m.has_value;
+}
+
 void RowGroup::UpdateMeta(int pack, const Value& v) {
   std::lock_guard<std::mutex> g(meta_mu_);
   PackMeta& m = metas_[pack];

@@ -104,7 +104,12 @@ class RowGroup {
   DataType pack_type(int pack) const { return packs_[pack].type; }
   Value GetValue(int pack, uint32_t offset) const;
 
-  const PackMeta& meta(int pack) const { return metas_[pack]; }
+  /// A copy of `pack`'s statistics, taken under the meta latch: appliers
+  /// update them while queries read them.
+  PackMeta meta(int pack) const;
+  /// [min, max] of an integer pack's non-NULL values, under the meta latch
+  /// and without copying the sample; false when the pack has none.
+  bool IntRange(int pack, int64_t* min, int64_t* max) const;
 
   /// Freezes a full group: compresses every pack (copy-on-write; readers are
   /// unaffected) and returns total compressed bytes.
@@ -157,7 +162,7 @@ class RowGroup {
   Rid base_rid_;
   std::vector<ColumnPack> packs_;
   std::vector<PackMeta> metas_;
-  std::mutex meta_mu_;
+  mutable std::mutex meta_mu_;  // guards metas_
   std::unique_ptr<std::atomic<Vid>[]> insert_vids_;
   std::unique_ptr<std::atomic<Vid>[]> delete_vids_;
   std::atomic<Vid> max_insert_vid_{0};

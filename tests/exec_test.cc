@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "exec/expr.h"
 #include "exec/operators.h"
 
@@ -118,6 +121,47 @@ class OperatorTest : public ::testing::Test {
   PhysOpRef Values(std::vector<Row> rows, std::vector<DataType> types) {
     return std::make_shared<ValuesOp>(types, std::move(rows));
   }
+  /// A child that emits one batch per element of `batches` (ValuesOp
+  /// emits a single batch), so parallel workers split the input.
+  PhysOpRef Batches(std::vector<std::vector<Row>> batches,
+                    std::vector<DataType> types) {
+    std::vector<PhysOpRef> parts;
+    for (auto& rows : batches) parts.push_back(Values(std::move(rows), types));
+    return std::make_shared<UnionOp>(std::move(types), std::move(parts));
+  }
+  /// Runs `plan` at dop 1 and dop 4 on the 4-thread pool; both must return
+  /// the same rows in the same order. Returns the dop-1 rows.
+  std::vector<Row> RunAtDop1And4(const PhysOpRef& plan) {
+    std::vector<Row> serial, parallel;
+    ctx_.parallelism = 1;
+    EXPECT_TRUE(RunPlan(plan, &ctx_, &serial).ok());
+    ctx_.parallelism = 4;
+    EXPECT_TRUE(RunPlan(plan, &ctx_, &parallel).ok());
+    EXPECT_EQ(serial, parallel);
+    return serial;
+  }
+
+  /// Concatenates its children's batches, in child order.
+  class UnionOp : public PhysOp {
+   public:
+    UnionOp(std::vector<DataType> types, std::vector<PhysOpRef> parts)
+        : parts_(std::move(parts)) {
+      out_types_ = std::move(types);
+    }
+    Status Execute(ExecContext* ctx, RowSet* out) override {
+      out->types = out_types_;
+      for (const PhysOpRef& p : parts_) {
+        RowSet part;
+        IMCI_RETURN_NOT_OK(p->Execute(ctx, &part));
+        for (Batch& b : part.batches) out->batches.push_back(std::move(b));
+      }
+      return Status::OK();
+    }
+
+   private:
+    std::vector<PhysOpRef> parts_;
+  };
+
   ThreadPool pool_;
   ExecContext ctx_;
 };
@@ -179,18 +223,32 @@ TEST_F(OperatorTest, HashJoinVariants) {
   EXPECT_EQ(AsInt(out[0][0]), 1);
 }
 
+// NULL keys never match: inner and semi joins drop them, a left join
+// null-extends them, and an anti join keeps them.
 TEST_F(OperatorTest, NullKeysNeverJoin) {
-  auto left = Values({{Value{}, int64_t(1)}, {int64_t(2), int64_t(2)}},
-                     {DataType::kInt64, DataType::kInt64});
-  auto right = Values({{Value{}, int64_t(10)}, {int64_t(2), int64_t(20)}},
-                      {DataType::kInt64, DataType::kInt64});
-  auto inner = std::make_shared<HashJoinOp>(right, left, std::vector<int>{0},
-                                            std::vector<int>{0},
-                                            JoinType::kInner);
-  std::vector<Row> out;
-  ASSERT_TRUE(RunPlan(inner, &ctx_, &out).ok());
-  ASSERT_EQ(out.size(), 1u);  // only the 2-2 pair
-  EXPECT_EQ(AsInt(out[0][0]), 2);
+  auto build = Batches({{{Value{}, int64_t(10)}, {int64_t(2), int64_t(20)}},
+                        {{Value{}, int64_t(30)}}},
+                       {DataType::kInt64, DataType::kInt64});
+  auto probe = Batches({{{Value{}, int64_t(1)}, {int64_t(2), int64_t(2)}},
+                        {{int64_t(3), int64_t(3)}}},
+                       {DataType::kInt64, DataType::kInt64});
+  auto join = [&](JoinType t) {
+    return RunAtDop1And4(std::make_shared<HashJoinOp>(
+        build, probe, std::vector<int>{0}, std::vector<int>{0}, t));
+  };
+  EXPECT_EQ(join(JoinType::kInner),
+            (std::vector<Row>{{int64_t(2), int64_t(2), int64_t(2),
+                               int64_t(20)}}));
+  EXPECT_EQ(join(JoinType::kSemi),
+            (std::vector<Row>{{int64_t(2), int64_t(2)}}));
+  EXPECT_EQ(join(JoinType::kLeft),
+            (std::vector<Row>{
+                {Value{}, int64_t(1), Value{}, Value{}},
+                {int64_t(2), int64_t(2), int64_t(2), int64_t(20)},
+                {int64_t(3), int64_t(3), Value{}, Value{}}}));
+  EXPECT_EQ(join(JoinType::kAnti),
+            (std::vector<Row>{{Value{}, int64_t(1)},
+                              {int64_t(3), int64_t(3)}}));
 }
 
 TEST_F(OperatorTest, HashAggAllKinds) {
@@ -238,6 +296,189 @@ TEST_F(OperatorTest, GlobalAggOnEmptyInputReturnsOneRow) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(AsInt(out[0][0]), 0);
   EXPECT_TRUE(IsNull(out[0][1]));  // SUM of nothing is NULL
+  // Integer arguments, no input batches at all, at dop 1 and 4.
+  auto ints = std::make_shared<HashAggOp>(
+      Batches({}, {DataType::kInt64}), std::vector<int>{},
+      std::vector<AggSpec>{{AggKind::kCount, Col(0, DataType::kInt64)},
+                           {AggKind::kSum, Col(0, DataType::kInt64)},
+                           {AggKind::kMin, Col(0, DataType::kInt64)},
+                           {AggKind::kCountDistinct,
+                            Col(0, DataType::kInt64)}});
+  const std::vector<Row> want = {{int64_t(0), Value{}, Value{}, int64_t(0)}};
+  EXPECT_EQ(RunAtDop1And4(ints), want);
+}
+
+// An expression that fails must fail the plan with its own Status, not a
+// generic one, whichever worker hit it.
+TEST_F(OperatorTest, FailedExpressionKeepsItsStatus) {
+  auto bad = std::make_shared<Expr>();
+  bad->kind = static_cast<ExprKind>(255);  // Eval: NotSupported
+  std::vector<std::vector<Row>> batches;
+  for (int64_t i = 0; i < 6; ++i) batches.push_back({{i, std::string("s")}});
+  auto input = Batches(batches, {DataType::kInt64, DataType::kString});
+  const std::vector<PhysOpRef> plans = {
+      std::make_shared<ProjectOp>(input, std::vector<ExprRef>{bad}),
+      std::make_shared<HashAggOp>(input, std::vector<int>{0},  // typed
+                                  std::vector<AggSpec>{{AggKind::kSum, bad}}),
+      std::make_shared<HashAggOp>(input, std::vector<int>{1},  // encoded
+                                  std::vector<AggSpec>{{AggKind::kSum, bad}}),
+  };
+  for (const PhysOpRef& plan : plans) {
+    for (int dop : {1, 4}) {
+      ctx_.parallelism = dop;
+      std::vector<Row> out;
+      const Status s = RunPlan(plan, &ctx_, &out);
+      EXPECT_EQ(s.code(), Code::kNotSupported) << s.ToString() << " dop "
+                                               << dop;
+    }
+  }
+}
+
+// A row that is NULL in one batch's evaluated argument must not stay NULL
+// in the next batch a worker takes (dop 1 runs both on one worker).
+TEST_F(OperatorTest, IntKeyAggArgumentNullsDoNotLeakAcrossBatches) {
+  auto input = Batches({{{int64_t(1), int64_t(10), int64_t(0), Value{}},
+                         {int64_t(1), int64_t(6), int64_t(3), int64_t(5)}},
+                        {{int64_t(1), int64_t(8), int64_t(2), int64_t(1)},
+                         {int64_t(1), int64_t(9), int64_t(3), int64_t(7)}}},
+                       {DataType::kInt64, DataType::kInt64, DataType::kInt64,
+                        DataType::kInt64});
+  auto agg = std::make_shared<HashAggOp>(
+      input, std::vector<int>{0},
+      std::vector<AggSpec>{
+          {AggKind::kSum,  // 10/0 is NULL; 6/3 + 8/2 + 9/3
+           Div(Col(1, DataType::kInt64), Col(2, DataType::kInt64))},
+          {AggKind::kCount,  // IN over NULL is NULL; the other three count
+           In(Col(3, DataType::kInt64), {int64_t(1), int64_t(2)})}});
+  const std::vector<Row> want = {{int64_t(1), 9.0, int64_t(3)}};
+  EXPECT_EQ(RunAtDop1And4(agg), want);
+}
+
+// A NULL integer key is a group of its own, distinct from 0, and sorts
+// first.
+TEST_F(OperatorTest, IntKeyNullGroupIsDistinctFromZero) {
+  auto input = Batches({{{Value{}, int64_t(1)}, {int64_t(0), int64_t(2)}},
+                        {{Value{}, int64_t(3)}, {int64_t(5), int64_t(5)}},
+                        {{int64_t(0), int64_t(4)}}},
+                       {DataType::kInt64, DataType::kInt64});
+  auto agg = std::make_shared<HashAggOp>(
+      input, std::vector<int>{0},
+      std::vector<AggSpec>{{AggKind::kSumInt, Col(1, DataType::kInt64)},
+                           {AggKind::kCountStar, nullptr}});
+  const std::vector<Row> want = {{Value{}, int64_t(4), int64_t(2)},
+                                 {int64_t(0), int64_t(6), int64_t(2)},
+                                 {int64_t(5), int64_t(5), int64_t(1)}};
+  EXPECT_EQ(RunAtDop1And4(agg), want);
+}
+
+TEST_F(OperatorTest, TwoIntColumnKeysEmitInKeyOrder) {
+  std::vector<std::vector<Row>> batches(4);
+  std::map<std::pair<int64_t, int64_t>, int64_t> counts;  // b NULL as -1
+  for (int64_t i = 0; i < 200; ++i) {
+    const int64_t a = (i * 7) % 5, b = (i * 3) % 4;
+    const Value bv = b == 3 ? Value{} : Value{b};
+    batches[i % 4].push_back({a, bv, i});
+    counts[{a, b == 3 ? -1 : b}]++;
+  }
+  auto input = Batches(batches, {DataType::kInt64, DataType::kInt64,
+                                 DataType::kInt64});
+  auto agg = std::make_shared<HashAggOp>(
+      input, std::vector<int>{0, 1},
+      std::vector<AggSpec>{{AggKind::kCountStar, nullptr}});
+  std::vector<Row> want;
+  for (const auto& [k, n] : counts) {
+    want.push_back({k.first, k.second < 0 ? Value{} : Value{k.second}, n});
+  }
+  EXPECT_EQ(RunAtDop1And4(agg), want);
+}
+
+TEST_F(OperatorTest, Int32AndDateKeys) {
+  const int64_t d1 = MakeDate(1995, 3, 1), d2 = MakeDate(1994, 1, 1);
+  auto input = Batches({{{int64_t(7), d1, 1.5}, {int64_t(-2), d2, 2.0}},
+                        {{int64_t(7), d1, 0.5}, {int64_t(7), d2, 1.0}}},
+                       {DataType::kInt32, DataType::kDate, DataType::kDouble});
+  auto agg = std::make_shared<HashAggOp>(
+      input, std::vector<int>{0, 1},
+      std::vector<AggSpec>{{AggKind::kSum, Col(2, DataType::kDouble)},
+                           {AggKind::kMax, Col(2, DataType::kDouble)}});
+  EXPECT_EQ(agg->out_types()[0], DataType::kInt32);
+  EXPECT_EQ(agg->out_types()[1], DataType::kDate);
+  const std::vector<Row> want = {{int64_t(-2), d2, 2.0, 2.0},
+                                 {int64_t(7), d2, 1.0, 1.0},
+                                 {int64_t(7), d1, 2.0, 1.5}};
+  EXPECT_EQ(RunAtDop1And4(agg), want);
+}
+
+// COUNT(DISTINCT int): NULLs are not counted, and a value repeated across
+// batches (so across workers at dop 4) is counted once per group.
+TEST_F(OperatorTest, IntCountDistinctAcrossBatchesAndWorkers) {
+  std::vector<std::vector<Row>> batches(8);
+  std::map<int64_t, std::set<int64_t>> seen;
+  std::set<int64_t> all;
+  for (int64_t i = 0; i < 4000; ++i) {
+    const int64_t g = i % 3;
+    Value v{};
+    if (i % 11 != 0) {
+      const int64_t x = (i * 31) % 97;
+      v = x;
+      seen[g].insert(x);
+      all.insert(x);
+    }
+    batches[i % 8].push_back({g, v});
+  }
+  auto input = Batches(batches, {DataType::kInt64, DataType::kInt64});
+  const std::vector<AggSpec> aggs = {
+      {AggKind::kCountDistinct, Col(1, DataType::kInt64)},
+      {AggKind::kCount, Col(1, DataType::kInt64)},
+      {AggKind::kMin, Col(1, DataType::kInt64)}};
+  auto grouped =
+      std::make_shared<HashAggOp>(input, std::vector<int>{0}, aggs);
+  const std::vector<Row> out = RunAtDop1And4(grouped);
+  ASSERT_EQ(out.size(), 3u);
+  for (int64_t g = 0; g < 3; ++g) {
+    EXPECT_EQ(AsInt(out[g][0]), g);
+    EXPECT_EQ(AsInt(out[g][1]), static_cast<int64_t>(seen[g].size()));
+    EXPECT_EQ(AsInt(out[g][3]), *seen[g].begin());
+  }
+  auto global = std::make_shared<HashAggOp>(input, std::vector<int>{}, aggs);
+  const std::vector<Row> total = RunAtDop1And4(global);
+  ASSERT_EQ(total.size(), 1u);
+  EXPECT_EQ(AsInt(total[0][0]), static_cast<int64_t>(all.size()));
+}
+
+// Matches of a duplicated build key come out in build (batch, row) order.
+TEST_F(OperatorTest, IntJoinDuplicateBuildKeysInBuildOrder) {
+  std::vector<std::vector<Row>> build_batches(5);
+  std::vector<Row> want;
+  int64_t payload = 0;
+  for (auto& rows : build_batches) {
+    for (int r = 0; r < 4; ++r, ++payload) {
+      const int64_t key = payload % 2 == 0 ? 7 : 8;
+      rows.push_back({key, payload});
+      if (key == 7) want.push_back({int64_t(7), key, payload});
+    }
+  }
+  auto build = Batches(build_batches, {DataType::kInt64, DataType::kInt64});
+  auto probe = Values({{int64_t(7)}}, {DataType::kInt64});
+  auto join = std::make_shared<HashJoinOp>(
+      build, probe, std::vector<int>{0}, std::vector<int>{0},
+      JoinType::kInner);
+  EXPECT_EQ(RunAtDop1And4(join), want);
+}
+
+TEST_F(OperatorTest, Int64BuildKeyJoinsInt32ProbeKey) {
+  auto build = Values({{int64_t(1), std::string("one")},
+                       {int64_t(3), std::string("three")}},
+                      {DataType::kInt64, DataType::kString});
+  auto probe = Batches({{{int64_t(3)}, {int64_t(2)}}, {{int64_t(1)}}},
+                       {DataType::kInt32});
+  auto join = std::make_shared<HashJoinOp>(
+      build, probe, std::vector<int>{0}, std::vector<int>{0},
+      JoinType::kInner);
+  const std::vector<Row> want = {
+      {int64_t(3), int64_t(3), std::string("three")},
+      {int64_t(1), int64_t(1), std::string("one")}};
+  EXPECT_EQ(RunAtDop1And4(join), want);
 }
 
 TEST_F(OperatorTest, SortWithLimitAndDirections) {

@@ -152,6 +152,29 @@ TEST_F(MorselExecTest, ParallelPlansMatchSerialExactly) {
   }
 }
 
+// Integer-keyed aggregation emits groups in ascending key order, so an
+// unsorted aggregate returns the same rows in the same order at any DOP (no
+// Canonicalize here).
+TEST_F(MorselExecTest, IntAggRowOrderIndependentOfDop) {
+  auto plan = LAgg(LScan(kFact, {0, 1, 2, 3}), {1, 2},
+                   {AggSpec{AggKind::kSum, Col(3, DataType::kInt64)},
+                    AggSpec{AggKind::kCountStar, nullptr},
+                    AggSpec{AggKind::kCountDistinct,
+                            Col(3, DataType::kInt64)}});
+  std::vector<Row> serial;
+  ASSERT_TRUE(ro_->ExecuteColumn(plan, &serial, 1).ok());
+  ASSERT_GT(serial.size(), 1000u);
+  for (size_t i = 1; i < serial.size(); ++i) {
+    ASSERT_LT(std::make_pair(AsInt(serial[i - 1][0]), AsInt(serial[i - 1][1])),
+              std::make_pair(AsInt(serial[i][0]), AsInt(serial[i][1])));
+  }
+  for (int rep = 0; rep < 3; ++rep) {
+    std::vector<Row> parallel;
+    ASSERT_TRUE(ro_->ExecuteColumn(plan, &parallel, 4).ok());
+    ASSERT_EQ(parallel, serial) << "rep=" << rep;
+  }
+}
+
 // Morsel granularity is a performance knob, not a semantic one: the same
 // plan at morsel sizes 1, 3 and 7 row groups (the last larger than many
 // scans' group count) returns the reference answer.
