@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
-#include <chrono>
 #include <thread>
 #include <unordered_map>
 
@@ -14,6 +13,15 @@
 namespace imci {
 
 namespace {
+/// Bound on a strong read's wait for its RO to apply the floor VID — the
+/// same bound the fragment path gives a participant (CoordinatorOptions).
+constexpr uint64_t kStrongReadWaitUs = 500'000;
+/// Fleet monitor: apply lag (LSN backlog) above which a node earns a
+/// strike, and the consecutive strikes that evict it (a single burst of
+/// writes must not get a healthy node evicted).
+constexpr uint64_t kMaxApplyLag = 1 << 20;
+constexpr int kLagStrikes = 5;
+
 RoNode* PickLeastLoadedLocked(const std::vector<RoNode*>& ros) {
   RoNode* best = nullptr;
   for (RoNode* ro : ros) {
@@ -62,29 +70,25 @@ Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
       return s;
     }
   }
+  auto serve_from_rw = [&] {
+    // Graceful degradation: the read goes to the RW's snapshot engine —
+    // slower, but never a client-visible error, and trivially strong (the
+    // RW sees its own writes).
+    rw_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+    if (chosen) *chosen = EngineChoice::kRowEngine;
+    return rw_->ExecuteSnapshot(plan, out);
+  };
   for (;;) {
     RoNode* ro = AcquireRo();
-    if (ro == nullptr) {
-      // Graceful degradation: with no healthy RO the read goes to the RW's
-      // snapshot engine — slower, but never a client-visible error, and
-      // trivially strong (the RW sees its own writes).
-      rw_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      if (chosen) *chosen = EngineChoice::kRowEngine;
-      return rw_->ExecuteSnapshot(plan, out);
-    }
-    bool lost = false;
-    while (ro->applied_vid() < floor) {
-      if (!ro->healthy()) {
-        lost = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-    if (lost) {
-      // The node wedged or was retired mid-wait: release it (unblocking
-      // the evictor's drain) and re-route instead of hanging forever.
+    if (ro == nullptr) return serve_from_rw();
+    if (!ro->WaitApplied(floor, kStrongReadWaitUs).ok()) {
+      // Release the node (unblocking an evictor's drain) either way. One
+      // that wedged or was retired mid-wait is re-routed; a healthy one
+      // that is merely slow hands the read to the RW instead of stalling.
+      const bool lost = !ro->healthy();
       ro->LeaveSession();
-      continue;
+      if (lost) continue;
+      return serve_from_rw();
     }
     Status s = ro->Execute(plan, out, chosen);
     ro->LeaveSession();
@@ -359,8 +363,8 @@ void Cluster::MonitorLoop() {
         victim = node;  // coordinator hung inside storage — same as dead
         break;
       }
-      if (h.apply_lag > options_.health.max_apply_lag) {
-        if (++lag_strikes[node->name()] >= options_.health.lag_strikes) {
+      if (h.apply_lag > kMaxApplyLag) {
+        if (++lag_strikes[node->name()] >= kLagStrikes) {
           victim = node;  // persistently unable to keep up
           break;
         }

@@ -38,12 +38,14 @@ class Proxy {
   /// Routes a read-only query: inter-node (this), then intra-node (the RO's
   /// optimizer). Strong consistency waits for the chosen node to catch up
   /// to the RW's commit VID at submission; if the node goes unhealthy mid-wait
-  /// the query re-routes to a surviving RO (or the RW) instead of hanging.
+  /// the query re-routes to a surviving RO (or the RW), and if the wait
+  /// outlasts its bound the RW serves the read, instead of hanging.
   Status ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
                       Consistency consistency = Consistency::kEventual,
                       EngineChoice* chosen = nullptr);
 
-  /// Queries the RW answered because no healthy RO was available.
+  /// Queries the RW answered because no healthy RO was available, or the
+  /// chosen one could not reach a strong read's floor in time.
   uint64_t rw_fallbacks() const {
     return rw_fallbacks_.load(std::memory_order_relaxed);
   }
@@ -72,11 +74,6 @@ class Proxy {
 struct FleetHealthOptions {
   bool enabled = false;
   uint64_t check_interval_us = 2'000;
-  /// Apply-lag (LSN backlog) above which a node earns a strike; eviction
-  /// after `lag_strikes` consecutive over-limit checks (a single burst of
-  /// writes must not get a healthy node evicted).
-  uint64_t max_apply_lag = 1 << 20;
-  int lag_strikes = 5;
   /// A replicating node whose coordinator heartbeat is older than this is
   /// considered hung (thread stuck in storage) and evicted like a wedge.
   uint64_t heartbeat_timeout_us = 2'000'000;

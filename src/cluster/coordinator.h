@@ -12,8 +12,6 @@
 namespace imci {
 
 struct CoordinatorOptions {
-  /// Upper bound on ROs recruited per query (the fleet may be larger).
-  int max_participants = 8;
   /// Estimated scan volume below which distribution isn't worth the
   /// dispatch fixed cost and the query stays single-node.
   double min_rows_touched = 65536.0;
@@ -66,8 +64,7 @@ class QueryCoordinator {
                    ChannelFactory channels)
       : catalog_(catalog),
         options_(options),
-        channels_(std::move(channels)),
-        max_participants_(options.max_participants) {}
+        channels_(std::move(channels)) {}
 
   /// Attempts distributed execution. `floor_vid` raises the common snapshot
   /// (strong consistency passes the RW's committed VID at submission; 0 for
@@ -78,7 +75,8 @@ class QueryCoordinator {
   Status Execute(const LogicalRef& plan, Vid floor_vid, std::vector<Row>* out,
                  bool* attempted, DistQueryStats* stats = nullptr);
 
-  /// Participant-count override (bench RO sweeps).
+  /// Upper bound on ROs recruited per query (the fleet may be larger);
+  /// bench RO sweeps lower it.
   void set_max_participants(int n) { max_participants_.store(n); }
   int max_participants() const { return max_participants_.load(); }
 
@@ -95,7 +93,7 @@ class QueryCoordinator {
   const Catalog* catalog_;
   CoordinatorOptions options_;
   ChannelFactory channels_;
-  std::atomic<int> max_participants_;
+  std::atomic<int> max_participants_{8};
   std::atomic<uint64_t> queries_attempted_{0};
   std::atomic<uint64_t> queries_distributed_{0};
   std::atomic<uint64_t> retries_{0};

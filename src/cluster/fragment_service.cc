@@ -1,7 +1,6 @@
 #include "cluster/fragment_service.h"
 
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "common/coding.h"
@@ -121,16 +120,10 @@ Status FragmentService::Execute(const FragmentRequest& req,
   // the participant set rather than stalling the whole query on one
   // straggler.
   const auto wait_start = std::chrono::steady_clock::now();
-  while (node_->applied_vid() < req.read_vid) {
-    if (!node_->healthy()) {
-      unpin();
-      return Status::Busy("node unhealthy during catch-up");
-    }
-    if (ElapsedUs(wait_start) >= req.catchup_timeout_us) {
-      unpin();
-      return Status::Busy("snapshot catch-up timeout");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  Status waited = node_->WaitApplied(req.read_vid, req.catchup_timeout_us);
+  if (!waited.ok()) {
+    unpin();
+    return waited;
   }
   rsp->wait_us = ElapsedUs(wait_start);
 

@@ -1,5 +1,8 @@
 #include "cluster/ro_node.h"
 
+#include <chrono>
+#include <thread>
+
 #include "archive/archive.h"
 #include "cluster/rw_node.h"
 #include "common/clock.h"
@@ -24,7 +27,7 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
       fs_(fs),
       catalog_(catalog),
       options_(WithFaultScope(std::move(options), name_)),
-      engine_(fs, catalog, options_.buffer_pool_capacity),
+      engine_(fs, catalog),
       imci_(options_.imci),
       exec_pool_(options_.exec_threads),
       query_tokens_(options_.exec_threads),
@@ -34,6 +37,18 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
                 options_.replication, &engine_) {}
 
 RoNode::~RoNode() { StopReplication(); }
+
+Status RoNode::WaitApplied(Vid vid, uint64_t timeout_us) {
+  Timer t;
+  while (applied_vid() < vid) {
+    if (!healthy()) return Status::Busy("node unhealthy during catch-up");
+    if (t.ElapsedMicros() >= timeout_us) {
+      return Status::Busy("snapshot catch-up timeout");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return Status::OK();
+}
 
 Status RoNode::Boot() {
   // Attach the row-store replica.

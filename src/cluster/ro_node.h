@@ -19,7 +19,6 @@ struct RoNodeOptions {
   /// degrades toward serial).
   int exec_threads = 8;
   int default_parallelism = 8;
-  size_t buffer_pool_capacity = 0;
   /// Intra-node routing threshold: estimated row-engine rows-touched above
   /// which the column engine is chosen (§6.1).
   double row_cost_threshold = 20000.0;
@@ -47,6 +46,9 @@ class RoNode {
   void StopReplication();
   /// Synchronously applies everything currently in the log (tests).
   Status CatchUpNow();
+  /// Bounded wait until the node has applied `vid` (polled every 100 µs).
+  /// Returns Busy when the node turns unhealthy or `timeout_us` passes.
+  Status WaitApplied(Vid vid, uint64_t timeout_us);
 
   // --- Query execution ----------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include "exec/operators.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <queue>
 #include <unordered_map>
@@ -284,6 +285,12 @@ Status ProjectOp::Execute(ExecContext* ctx, RowSet* out) {
 
 namespace {
 
+/// Exact key image of a double: its bit pattern, with -0.0 folded into 0.0
+/// (the two compare equal). Distinct values never share an image.
+uint64_t DoubleKeyBits(double d) {
+  return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
+}
+
 /// Encodes join/group key values; returns false when any key is NULL (SQL:
 /// NULL keys never join).
 bool EncodeKey(const Batch& b, const std::vector<int>& key_cols, size_t row,
@@ -293,10 +300,9 @@ bool EncodeKey(const Batch& b, const std::vector<int>& key_cols, size_t row,
     const ColumnVector& v = b.cols[c];
     if (v.nulls[row]) return false;
     switch (v.type) {
-      case DataType::kDouble: {
-        PutFixed64(out, static_cast<uint64_t>(v.dbls[row] * 1e6));
+      case DataType::kDouble:
+        PutFixed64(out, DoubleKeyBits(v.dbls[row]));
         break;
-      }
       case DataType::kString:
         PutFixed32(out, static_cast<uint32_t>(v.strs[row].size()));
         out->append(v.strs[row]);
@@ -1057,7 +1063,7 @@ Status HashAggOp::ExecuteEncoded(ExecContext* ctx, const RowSet& in,
           if (!v.nulls[ri]) {
             switch (v.type) {
               case DataType::kDouble:
-                PutFixed64(&key, static_cast<uint64_t>(v.dbls[ri] * 1e6));
+                PutFixed64(&key, DoubleKeyBits(v.dbls[ri]));
                 break;
               case DataType::kString:
                 PutFixed32(&key, static_cast<uint32_t>(v.strs[ri].size()));
@@ -1119,7 +1125,7 @@ Status HashAggOp::ExecuteEncoded(ExecContext* ctx, const RowSet& in,
               std::string enc;
               switch (v.type) {
                 case DataType::kDouble:
-                  PutFixed64(&enc, static_cast<uint64_t>(v.dbls[ri] * 1e6));
+                  PutFixed64(&enc, DoubleKeyBits(v.dbls[ri]));
                   break;
                 case DataType::kString: enc = v.strs[ri]; break;
                 default:

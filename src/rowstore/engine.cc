@@ -297,25 +297,19 @@ void TransactionManager::StampCommitLocked(Transaction* txn, Vid trim_hint) {
 }
 
 void TransactionManager::PublishDurable() {
-  if (pub_pending_.load(std::memory_order_acquire) == 0) return;
   const Lsn durable = redo_->durable_lsn();
   std::lock_guard<std::mutex> g(pub_mu_);
   Vid publish = 0;
   while (!pub_queue_.empty() && pub_queue_.front().second <= durable) {
     publish = pub_queue_.front().first;
     pub_queue_.pop_front();
-    pub_pending_.fetch_sub(1, std::memory_order_release);
   }
-  // The queue is VID-ascending and snapshot_vid_ is only advanced under
-  // pub_mu_ in kDurable mode, so the store stays monotone; the compare
-  // guards the mixed history left by a mode flip.
-  if (publish > snapshot_vid_.load(std::memory_order_relaxed)) {
-    snapshot_vid_.store(publish, std::memory_order_release);
-  }
+  // The queue is VID-ascending and snapshot_vid_ is only advanced here,
+  // under pub_mu_, so the store stays monotone.
+  if (publish != 0) snapshot_vid_.store(publish, std::memory_order_release);
 }
 
 void TransactionManager::DropLostPublications() {
-  if (pub_pending_.load(std::memory_order_acquire) == 0) return;
   // A failed batch fsync poisons the log: durable_lsn() is frozen at the
   // pre-batch watermark and further appends are refused until reopen, so
   // the watermark cannot race past a trimmed LSN while we drop. Every
@@ -326,7 +320,6 @@ void TransactionManager::DropLostPublications() {
   std::lock_guard<std::mutex> g(pub_mu_);
   while (!pub_queue_.empty() && pub_queue_.back().second > durable) {
     pub_queue_.pop_back();
-    pub_pending_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -407,32 +400,14 @@ Status TransactionManager::Commit(Transaction* txn) {
       return enqueue_status;
     }
     // Stamp this transaction's row versions with its commit VID, then
-    // publish the VID as the new snapshot point — in that order, so a
-    // reader whose snapshot covers this commit always finds it stamped.
-    // Both happen under commit_mu_, keeping the published point monotone in
-    // VID (≡ LSN) order.
-    //
-    // Visibility policy (see TransactionManager::Visibility):
-    //
-    // - kCommitPoint (default, the paper's freshness stance): publish now.
-    //   A snapshot taken after this store can observe the transaction
-    //   before its group-commit fsync lands; a crash in that window erases
-    //   state a reader may have acted on. Strictly stronger than the
-    //   pre-MVCC unlocked read (which exposed uncommitted data), and
-    //   conflicting *writers* are safe either way — locks are held to
-    //   durability.
-    // - kDurable: queue (vid, lsn) instead; the snapshot point advances in
-    //   PublishDurable() once the group-commit watermark covers the commit
-    //   record. Freshness now tracks fsync batch latency.
+    // queue (vid, lsn) for publication — in that order, so a reader whose
+    // snapshot covers this commit always finds it stamped. Queueing under
+    // commit_mu_ keeps the queue in VID (≡ LSN) order; the snapshot point
+    // advances in PublishDurable() once the group-commit watermark covers
+    // the commit record, so readers never see a commit that is not durable.
     StampCommitLocked(txn, trim_hint);
-    if (visibility_.load(std::memory_order_relaxed) ==
-        Visibility::kCommitPoint) {
-      snapshot_vid_.store(txn->commit_vid_, std::memory_order_release);
-    } else {
-      std::lock_guard<std::mutex> pg(pub_mu_);
-      pub_queue_.emplace_back(txn->commit_vid_, commit_lsn);
-      pub_pending_.fetch_add(1, std::memory_order_release);
-    }
+    std::lock_guard<std::mutex> pg(pub_mu_);
+    pub_queue_.emplace_back(txn->commit_vid_, commit_lsn);
   }
   // Group commit: block until a leader's batch fsync covers the commit
   // record (and, in binlog mode, the logical record). Locks are released
@@ -445,29 +420,25 @@ Status TransactionManager::Commit(Transaction* txn) {
   if (!sync_status.ok()) {
     // The batch fsync failed: the commit is NOT durable and the log is
     // poisoned (its un-fsynced tail — this commit record included — is
-    // already trimmed). In kCommitPoint mode the commit point was already
-    // published in-memory, but the store refuses further commits until
-    // re-opened, so recovery lands at the pre-batch watermark with nothing
-    // built on the lost tail. In kDurable mode the queued publications the
-    // trim orphaned are dropped — the lost commits never become
-    // reader-visible at all — and the stamped row versions are retracted
-    // under the still-held locks: without the retract, a later commit
-    // publishing a higher VID (possible once the log reopens) would expose
-    // this commit's stamped versions even though its record is gone. The
-    // retract is gated on the *redo* watermark: when the redo fsync landed
-    // and only the binlog flush failed, the commit is durable-but-ambiguous
-    // — it stays queued and publishes once a later batch advances the
-    // watermark past it, which recovery agrees with.
-    if (visibility_.load(std::memory_order_relaxed) == Visibility::kDurable &&
-        txn->commit_lsn_ > redo_->durable_lsn()) {
-      RetractLostCommit(txn);
-    }
+    // already trimmed). The queued publications the trim orphaned are
+    // dropped — the lost commits never become reader-visible at all — and
+    // the stamped row versions are retracted under the still-held locks:
+    // without the retract, a later commit publishing a higher VID (possible
+    // once the log reopens) would expose this commit's stamped versions
+    // even though its record is gone. The retract is gated on the *redo*
+    // watermark: when the redo fsync landed and only the binlog flush
+    // failed, the commit is durable-but-ambiguous — it stays queued and
+    // publishes once a later batch advances the watermark past it, which
+    // recovery agrees with.
+    if (txn->commit_lsn_ > redo_->durable_lsn()) RetractLostCommit(txn);
     DropLostPublications();
     ReleaseLocks(txn);
     return sync_status;
   }
-  ReleaseLocks(txn);
+  // Publish before releasing the row locks: a transaction that acquires a
+  // lock this commit held must find the commit already visible.
   PublishDurable();
+  ReleaseLocks(txn);
   commits_.fetch_add(1, std::memory_order_relaxed);
   // Opportunistic trim-hint refresh, off the critical path: a write-only
   // workload never opens read views, so CloseReadView alone would leave the

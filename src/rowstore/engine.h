@@ -163,27 +163,13 @@ class ReadView {
 /// snapshots are free — the current published commit point IS the snapshot).
 /// Commit stamps the transaction's row versions with its VID *before*
 /// publishing that VID as the new snapshot point, so a snapshot S always
-/// sees exactly the transactions with commit VID <= S. `GetForUpdate` is
-/// the one read of the latest image, and it holds the exclusive row lock.
+/// sees exactly the transactions with commit VID <= S. A commit is
+/// published only once the group-commit durable watermark covers its
+/// record, so no reader observes a commit a crash or a refused fsync could
+/// still erase. `GetForUpdate` is the one read of the latest image, and it
+/// holds the exclusive row lock.
 class TransactionManager {
  public:
-  /// When the snapshot point advances past a commit (the PR-4 carried
-  /// visibility-vs-durability question):
-  ///
-  /// - kCommitPoint (default, the paper's freshness stance): published
-  ///   under commit_mu_ the moment the commit's versions are stamped. A
-  ///   reader can observe a commit whose group-commit fsync has not landed
-  ///   yet — a crash in that window erases state a reader acted on.
-  ///   Conflicting *writers* are safe either way: locks are held to
-  ///   durability.
-  /// - kDurable: the commit's (vid, lsn) enters a publication queue under
-  ///   commit_mu_; the snapshot point advances only when the group-commit
-  ///   durable watermark covers the commit record's LSN. Read freshness is
-  ///   tied to fsync batch latency, and a refused batch fsync drops the
-  ///   batch's queued publications — readers can never observe a commit the
-  ///   trimmed log no longer contains.
-  enum class Visibility : uint8_t { kCommitPoint, kDurable };
-
   TransactionManager(RowStoreEngine* engine, RedoWriter* redo,
                      LockManager* locks, BinlogWriter* binlog = nullptr);
 
@@ -214,22 +200,17 @@ class TransactionManager {
   /// commit-LSN order), then waits for the log's group-commit fsync outside
   /// it — concurrent commits share one fsync per batch. In binlog mode the
   /// logical record joins the same discipline (the strawman's second fsync
-  /// becomes per-batch). Returns the commit VID via the txn.
+  /// becomes per-batch). The commit is visible to new snapshots before its
+  /// row locks are released. Returns the commit VID via the txn.
   Status Commit(Transaction* txn);
   Status Rollback(Transaction* txn);
 
   /// Enables/disables the Binlog strawman (Fig. 11).
   void set_binlog_enabled(bool on) { binlog_enabled_ = on; }
 
-  /// Switches when commits become visible to new snapshots (commit point vs
-  /// durable watermark). Flip only while no commit is in flight (startup /
-  /// between benchmark phases): a commit started in one mode must publish
-  /// in the same mode.
-  void set_visibility(Visibility v) { visibility_.store(v); }
-  Visibility visibility() const { return visibility_.load(); }
-
-  /// Commit point visible to new snapshots (published after version
-  /// stamping, so a snapshot <= this VID always resolves).
+  /// Commit point visible to new snapshots: the highest VID whose commit
+  /// record is durable (published after version stamping, so a snapshot <=
+  /// this VID always resolves).
   Vid snapshot_vid() const {
     return snapshot_vid_.load(std::memory_order_acquire);
   }
@@ -247,18 +228,18 @@ class TransactionManager {
   RowTable::RedoShipFn MakeShip(Transaction* txn);
   void ReleaseLocks(Transaction* txn);
   void CloseReadView(Vid vid);
-  /// kDurable publication: advances snapshot_vid_ over every queued commit
+  /// Publication: advances snapshot_vid_ over every queued commit
   /// whose record LSN the redo durable watermark now covers. Called after a
   /// successful group-commit sync; safe to race (pub_mu_).
   void PublishDurable();
-  /// kDurable failure path: a refused batch fsync trimmed the log's
+  /// Failure path: a refused batch fsync trimmed the log's
   /// un-fsynced tail, so queued publications above the durable watermark
   /// name commits that no longer exist. Dropping them here is what keeps
   /// them unpublishable forever — later appends reuse the trimmed LSN range,
   /// and a stale queue entry would otherwise "become durable" when an
   /// unrelated record lands on its LSN.
   void DropLostPublications();
-  /// kDurable failure path, RW-side state: the refused batch fsync trimmed
+  /// Failure path, RW-side state: the refused batch fsync trimmed
   /// this transaction's commit record, but StampCommitLocked already stamped
   /// its row versions — a later commit publishing a higher VID (possible
   /// after the log reopens) would make them visible, exposing a commit the
@@ -280,8 +261,9 @@ class TransactionManager {
   bool binlog_enabled_ = false;
   std::atomic<Tid> next_tid_{0};
   std::atomic<Vid> next_vid_{0};
-  /// Published snapshot point: advanced (in VID order, under commit_mu_)
-  /// only after the committing transaction's versions are stamped.
+  /// Published snapshot point: advanced (in VID order, under pub_mu_) only
+  /// by PublishDurable, after the commit's versions are stamped and its
+  /// record is durable.
   ///
   /// The live-view registry and the prune-watermark hint live in the
   /// engine's SnapshotRegistry (rowstore/mvcc.h) — the same instance every
@@ -294,15 +276,11 @@ class TransactionManager {
   /// so the commit ceiling is set by the group-commit batch rate, not by a
   /// serialized fsync per transaction.
   std::mutex commit_mu_;
-  std::atomic<Visibility> visibility_{Visibility::kCommitPoint};
-  /// kDurable mode: commits stamped but not yet covered by a durable batch
+  /// Commits stamped but not yet covered by a durable batch
   /// fsync, in VID (≡ LSN) order. Guarded by pub_mu_ (acquired under
   /// commit_mu_ on the enqueue side only — publication takes pub_mu_ alone).
   std::mutex pub_mu_;
   std::deque<std::pair<Vid, Lsn>> pub_queue_;
-  /// Queue-size mirror so the default kCommitPoint commit path never takes
-  /// pub_mu_ (it stays exactly as fast as before the option existed).
-  std::atomic<size_t> pub_pending_{0};
   std::atomic<uint64_t> commits_{0};
   std::atomic<uint64_t> aborts_{0};
 };

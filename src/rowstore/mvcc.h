@@ -180,7 +180,7 @@ class VersionChains {
   void Abort(Tid tid, const std::vector<int64_t>& pks);
 
   /// Unlinks versions already *stamped* with commit VID `vid` on `pks` — the
-  /// kDurable lost-commit path: the batch fsync that would have made the
+  /// lost-commit path: the batch fsync that would have made the
   /// commit durable was refused and the log trimmed its record, so the
   /// stamped versions name a commit that no longer exists. Abort() cannot
   /// reach them (it matches the in-flight stamp, and StampCommitLocked has

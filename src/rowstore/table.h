@@ -144,7 +144,7 @@ class RowTable {
   /// surviving chain bases match the tree again.
   void AbortVersions(Tid tid, const std::vector<int64_t>& pks);
   /// Removes versions already stamped with commit VID `vid` on `pks` — the
-  /// kDurable lost-commit retraction (the commit record was trimmed by a
+  /// lost-commit retraction (the commit record was trimmed by a
   /// refused batch fsync before its VID was ever published). Call after the
   /// undo images are physically restored, like AbortVersions. Returns
   /// versions dropped.

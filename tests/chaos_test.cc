@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <future>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -183,64 +184,45 @@ TEST(ChaosGroupCommitTest, PoisonedDurableAppendsFailFastUntilReopen) {
 }
 
 // --- Snapshot visibility vs durability under fsync refusal -----------------
-// The PR-4 carried question, pinned in both directions. kCommitPoint is the
-// paper's freshness stance: the snapshot point advances at the commit point,
-// so a reader can observe a commit whose batch fsync then fails — that gap is
-// *documented* behavior, demonstrated here. kDurable closes it: the lost
-// commit must never become visible — not in the failure window, not after the
-// store reopens, and (the subtle half) not after LATER commits publish higher
-// VIDs. The last case is what TransactionManager::RetractLostCommit exists
-// for: the failed commit's versions were already stamped with its VID, and
-// without retraction the next successful publication would expose them even
-// though the trimmed log no longer contains the commit.
-TEST(DurableVisibilityTest, LostCommitVisibleAtCommitPointNeverInDurableMode) {
-  // Arm 1 — kCommitPoint: the refused batch is already reader-visible.
+// A commit becomes visible only once its record is durable, so a commit whose
+// batch fsync is refused must never become visible — not in the failure
+// window, not after the store reopens, and (the subtle half) not after LATER
+// commits publish higher VIDs. The last case is what
+// TransactionManager::RetractLostCommit exists for: the failed commit's
+// versions were already stamped with its VID, and without retraction the next
+// successful publication would expose them even though the trimmed log no
+// longer contains the commit.
+TEST(DurableVisibilityTest, LostCommitNeverBecomesVisible) {
+  CommitRig rig;
+  ASSERT_TRUE(CommitOne(&rig, 1).ok());
   {
-    CommitRig rig;
-    ASSERT_TRUE(CommitOne(&rig, 1).ok());
     fault::ScopedFault refuse("polarfs.fsync", MakePolicy(fault::Kind::kFail));
     EXPECT_FALSE(CommitOne(&rig, 2).ok());
     ReadView view = rig.txns.OpenReadView();
     Row row;
-    EXPECT_TRUE(rig.txns.Get(view, 1, 2, &row).ok())
-        << "kCommitPoint publishes at the commit point (documented gap)";
-  }
-  // Arm 2 — kDurable: invisible in the window, across reopen, and past
-  // later commits.
-  {
-    CommitRig rig;
-    rig.txns.set_visibility(TransactionManager::Visibility::kDurable);
-    ASSERT_TRUE(CommitOne(&rig, 1).ok());
-    {
-      fault::ScopedFault refuse("polarfs.fsync",
-                                MakePolicy(fault::Kind::kFail));
-      EXPECT_FALSE(CommitOne(&rig, 2).ok());
-      ReadView view = rig.txns.OpenReadView();
-      Row row;
-      EXPECT_TRUE(rig.txns.Get(view, 1, 2, &row).IsNotFound())
-          << "lost commit leaked into the failure window";
-    }
-    ASSERT_TRUE(rig.fs.ReopenLogs().ok());
-    // A later commit publishes a higher VID. Without the retract, pk 2's
-    // stamped versions would ride along into visibility here.
-    ASSERT_TRUE(CommitOne(&rig, 3).ok());
-    ReadView view = rig.txns.OpenReadView();
-    Row row;
-    EXPECT_TRUE(rig.txns.Get(view, 1, 3, &row).ok());
     EXPECT_TRUE(rig.txns.Get(view, 1, 2, &row).IsNotFound())
-        << "trimmed commit resurfaced after a later publication";
-    // The physical state agrees with the logical one: the tree image was
-    // restored under the still-held locks, so a full scan shows exactly the
-    // durable history.
-    std::vector<Row> rows;
-    ASSERT_TRUE(rig.txns.Scan(view, 1, [&](int64_t, const Row& r) {
-      rows.push_back(r);
-      return true;
-    }).ok());
-    EXPECT_EQ(testing_util::Canonicalize(rows),
-              testing_util::Canonicalize({{int64_t(1), int64_t(1)},
-                                          {int64_t(3), int64_t(3)}}));
+        << "lost commit leaked into the failure window";
   }
+  ASSERT_TRUE(rig.fs.ReopenLogs().ok());
+  // A later commit publishes a higher VID. Without the retract, pk 2's
+  // stamped versions would ride along into visibility here.
+  ASSERT_TRUE(CommitOne(&rig, 3).ok());
+  ReadView view = rig.txns.OpenReadView();
+  Row row;
+  EXPECT_TRUE(rig.txns.Get(view, 1, 3, &row).ok());
+  EXPECT_TRUE(rig.txns.Get(view, 1, 2, &row).IsNotFound())
+      << "trimmed commit resurfaced after a later publication";
+  // The physical state agrees with the logical one: the tree image was
+  // restored under the still-held locks, so a full scan shows exactly the
+  // durable history.
+  std::vector<Row> rows;
+  ASSERT_TRUE(rig.txns.Scan(view, 1, [&](int64_t, const Row& r) {
+    rows.push_back(r);
+    return true;
+  }).ok());
+  EXPECT_EQ(testing_util::Canonicalize(rows),
+            testing_util::Canonicalize({{int64_t(1), int64_t(1)},
+                                        {int64_t(3), int64_t(3)}}));
 }
 
 // --- Replication pipeline under read faults --------------------------------
@@ -286,6 +268,69 @@ class ChaosClusterTest : public ::testing::Test {
   std::unique_ptr<Cluster> cluster_;
   int64_t committed_ = 0;
 };
+
+// --- Strong reads under fsync refusal and replication stalls ---------------
+
+// A refused batch fsync trims the failed commit from the log, so no RO can
+// ever apply it. The strong-read floor (the RW's published commit point)
+// must therefore never name it: the read sees the durable commit before the
+// refusal and not the lost one, and it returns instead of waiting forever.
+TEST_F(ChaosClusterTest, StrongReadAfterRefusedFsyncSeesOnlyDurableCommits) {
+  Build(1);  // no health monitor: nothing evicts the RO under the read
+  auto* txns = cluster_->rw()->txn_manager();
+  auto insert = [&](int64_t pk) {
+    Transaction txn;
+    txns->Begin(&txn);
+    EXPECT_TRUE(txns->Insert(&txn, 1, {pk, pk}).ok());
+    return txns->Commit(&txn);
+  };
+  ASSERT_TRUE(insert(20'000).ok());  // A: durable
+  {
+    fault::ScopedFault refuse("polarfs.fsync", MakePolicy(fault::Kind::kFail));
+    EXPECT_FALSE(insert(20'001).ok());  // B: refused, trimmed from the log
+  }
+  auto read = std::async(std::launch::async, [&] {
+    std::vector<Row> out;
+    Status s = cluster_->proxy()->ExecuteQuery(CountPlan(), &out,
+                                               Consistency::kStrong);
+    return s.ok() && !out.empty() ? AsInt(out[0][0]) : int64_t{-1};
+  });
+  const bool returned =
+      read.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "strong read waits on the refused commit's VID";
+  if (!returned) {
+    // Unblock the waiter so the suite does not hang: after a reopen, one
+    // more durable commit carries the RO past the floor.
+    EXPECT_TRUE(cluster_->fs()->ReopenLogs().ok());
+    EXPECT_TRUE(insert(20'002).ok());
+  }
+  const int64_t count = read.get();
+  if (returned) {
+    EXPECT_EQ(count, committed_ + 1) << "A counted, B not";
+  }
+}
+
+// A healthy RO whose replication stalls in storage must not hold a strong
+// read hostage: the wait is bounded, and the RW serves the read instead.
+TEST_F(ChaosClusterTest, StrongReadOnStalledRoIsBoundedAndServedByRw) {
+  Build(1);  // no health monitor: the stalled RO stays in the fleet
+  RoNode* ro = cluster_->ro(0);
+  ASSERT_TRUE(ro->CatchUpNow().ok());
+  fault::ScopedFault stall(
+      "logstore.read", MakePolicy(fault::Kind::kLatency, "ro1", UINT64_MAX,
+                                  /*latency_us=*/3'000'000));
+  Churn(1);
+  Timer t;
+  std::vector<Row> out;
+  ASSERT_TRUE(cluster_->proxy()
+                  ->ExecuteQuery(CountPlan(), &out, Consistency::kStrong)
+                  .ok());
+  EXPECT_LT(t.ElapsedMicros(), 2'000'000u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(AsInt(out[0][0]), committed_);  // the new row is counted
+  EXPECT_TRUE(ro->healthy());
+  EXPECT_EQ(cluster_->proxy()->rw_fallbacks(), 1u);
+}
 
 TEST_F(ChaosClusterTest, TransientReadFaultsAbsorbedByBoundedRetry) {
   Build(1);
@@ -415,7 +460,7 @@ TEST_F(ChaosClusterTest, WedgedRoIsEvictedQueriesRerouteAndReplacementRejoins) {
 }
 
 // Soak: repeated rounds of concurrent commits with a batch fsync refused
-// mid-round, on a kDurable cluster. The invariant after every round — before
+// mid-round. The invariant after every round — before
 // AND after the log reopens — is that both readers (the RW's snapshot engine
 // and the RO's column engine, which consumes only the durable log prefix)
 // show exactly the durable commit history: every commit whose record LSN the
@@ -427,7 +472,6 @@ TEST_F(ChaosClusterTest, WedgedRoIsEvictedQueriesRerouteAndReplacementRejoins) {
 TEST_F(ChaosClusterTest, FsyncRefusalSoakNoReaderObservesTrimmedCommits) {
   Build(1);
   auto* txns = cluster_->rw()->txn_manager();
-  txns->set_visibility(TransactionManager::Visibility::kDurable);
   RoNode* ro = cluster_->ro(0);
   LogStore* log = cluster_->fs()->log("redo");
 

@@ -481,6 +481,49 @@ TEST_F(OperatorTest, Int64BuildKeyJoinsInt32ProbeKey) {
   EXPECT_EQ(RunAtDop1And4(join), want);
 }
 
+// Double keys compare exactly in GROUP BY, joins and COUNT(DISTINCT):
+// values equal to six decimals stay apart, negative values are ordinary
+// keys, and -0.0 equals 0.0.
+TEST_F(OperatorTest, DoubleKeysAreExact) {
+  const std::vector<double> xs = {1.0000001, 1.0000004, -1.5, -1.5, 0.0, -0.0};
+  std::vector<std::vector<Row>> batches(2);
+  for (size_t i = 0; i < xs.size(); ++i) batches[i % 2].push_back({xs[i]});
+  auto input = Batches(batches, {DataType::kDouble});
+  auto sorted = [](PhysOpRef child) {
+    return std::make_shared<SortOp>(std::move(child),
+                                    std::vector<SortKey>{{0}});
+  };
+
+  auto grouped = std::make_shared<HashAggOp>(
+      input, std::vector<int>{0},
+      std::vector<AggSpec>{{AggKind::kCountStar, nullptr}});
+  const std::vector<Row> groups = {{-1.5, int64_t(2)},
+                                   {0.0, int64_t(2)},
+                                   {1.0000001, int64_t(1)},
+                                   {1.0000004, int64_t(1)}};
+  EXPECT_EQ(RunAtDop1And4(sorted(grouped)), groups);
+
+  auto distinct = std::make_shared<HashAggOp>(
+      input, std::vector<int>{},
+      std::vector<AggSpec>{{AggKind::kCountDistinct,
+                            Col(0, DataType::kDouble)}});
+  EXPECT_EQ(RunAtDop1And4(distinct), (std::vector<Row>{{int64_t(4)}}));
+
+  auto build = Values({{1.0000001, std::string("a")},
+                       {-1.5, std::string("b")},
+                       {0.0, std::string("z")}},
+                      {DataType::kDouble, DataType::kString});
+  auto probe = Batches({{{1.0000004}, {-0.0}}, {{1.0000001}, {-1.5}}},
+                       {DataType::kDouble});
+  auto join = std::make_shared<HashJoinOp>(build, probe, std::vector<int>{0},
+                                           std::vector<int>{0},
+                                           JoinType::kInner);
+  const std::vector<Row> matches = {{-1.5, -1.5, std::string("b")},
+                                    {-0.0, 0.0, std::string("z")},
+                                    {1.0000001, 1.0000001, std::string("a")}};
+  EXPECT_EQ(RunAtDop1And4(sorted(join)), matches);
+}
+
 TEST_F(OperatorTest, SortWithLimitAndDirections) {
   std::vector<Row> rows;
   for (int64_t i = 0; i < 100; ++i) rows.push_back({i % 10, i});
