@@ -19,10 +19,11 @@ int main(int argc, char** argv) {
   // the fleet as soon as nodes join, so the qps step-up measures scale-out
   // of *queries*, not just session balancing; the scale-out-query datapoint
   // at the end sweeps participants explicitly.
-  // rows_per_fragment is deliberately tiny: Q6's selective filter shrinks
-  // its estimated scan volume well below the table's row count, and this
-  // bench wants the fan-out exercised at smoke scale, not sized for profit.
-  opts.coordinator.min_rows_touched = 0;
+  // rows_per_fragment is deliberately tiny: this bench wants every query
+  // fanned out to all participants at smoke scale, not sized for profit.
+  // The routing threshold is zeroed for the same reason: at smoke scale Q6
+  // touches few enough rows that the proxy would route it to a row engine.
+  opts.ro.row_cost_threshold = 0.0;
   opts.coordinator.rows_per_fragment = 500.0;
   opts.coordinator.fragment_dop = 1;
   auto cluster = MakeTpchCluster(sf, 1, opts);

@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
   // RO-sweep arm: cut fragments aggressively enough that the big scans fan
   // out even at smoke scale, and run each fragment serially on its node —
   // the sweep isolates *inter-node* scaling (the intra-node story is the
-  // cores sweep above).
-  opts.coordinator.min_rows_touched = 0;
+  // cores sweep above). A zero routing threshold keeps selective queries
+  // (Q6 at smoke scale) on the column engine, so the coordinator takes them.
+  opts.ro.row_cost_threshold = 0.0;
   opts.coordinator.rows_per_fragment = 15000.0;
   opts.coordinator.fragment_dop = 1;
   auto cluster = MakeTpchCluster(sf, 1, opts);

@@ -38,11 +38,15 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
   if (chans.size() < 2) return Status::OK();
 
   // Eligibility + fragment cutting, against one participant's statistics
-  // (replicas converge to the same content; stats only steer cut points
-  // and fan-out, not correctness).
+  // (replicas converge to the same content; stats only steer routing, cut
+  // points and fan-out, not correctness). A query the participant would
+  // route to its row engine (§6.1) is a lookup the B+tree serves without a
+  // scan; it stays single-node however large the table.
   const StatsCollector* stats_src = chans[0]->stats();
-  const PlanCost cost = EstimatePlan(plan, *stats_src);
-  if (cost.rows_touched < options_.min_rows_touched) return Status::OK();
+  if (RouteQuery(plan, *stats_src, chans[0]->row_cost_threshold()).engine !=
+      EngineChoice::kColumnEngine) {
+    return Status::OK();
+  }
   const int fanout =
       ChooseFanout(plan, *stats_src, static_cast<int>(chans.size()),
                    options_.rows_per_fragment);

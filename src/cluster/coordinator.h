@@ -12,12 +12,10 @@
 namespace imci {
 
 struct CoordinatorOptions {
-  /// Estimated scan volume below which distribution isn't worth the
-  /// dispatch fixed cost and the query stays single-node.
-  double min_rows_touched = 65536.0;
-  /// Fan-out sizing: one fragment per this many estimated scanned rows
-  /// (ChooseFanout), capped at the participant count.
-  double rows_per_fragment = 262144.0;
+  /// Fan-out sizing: one fragment per this many scanned rows (ChooseFanout),
+  /// capped at the participant count. Below two fragments the query stays
+  /// single-node: distribution isn't worth the dispatch fixed cost.
+  double rows_per_fragment = kScanRowsPerWorker;
   /// Bound on each participant's applied_vid catch-up to the common
   /// snapshot; stragglers beyond it answer Busy and are shed.
   uint64_t catchup_timeout_us = 500'000;
@@ -45,7 +43,7 @@ struct DistQueryStats {
 };
 
 /// Multi-RO query coordinator (the distributed half of the morsel executor):
-/// cuts a column-engine plan into PK-range fragments, schedules them on N
+/// cuts a column-engine plan into key-range fragments, schedules them on N
 /// healthy ROs at one common snapshot, and merges partials locally. The
 /// common-snapshot protocol makes any fan-out bit-identical to single-RO
 /// execution; failures at any stage abandon the attempt and report
@@ -69,9 +67,11 @@ class QueryCoordinator {
   /// Attempts distributed execution. `floor_vid` raises the common snapshot
   /// (strong consistency passes the RW's committed VID at submission; 0 for
   /// eventual reads). On success fills `out` and sets `*attempted=true`.
-  /// `*attempted=false` means the plan or fleet wasn't eligible, or the
-  /// distributed attempt was abandoned — the caller falls back to the
-  /// single-node reference path. Never returns a fragment error.
+  /// `*attempted=false` means the plan or fleet wasn't eligible (a query
+  /// the participants route to their row engine, a scan volume below two
+  /// fragments, an unsupported shape), or the distributed attempt was
+  /// abandoned — the caller falls back to the single-node reference path.
+  /// Never returns a fragment error.
   Status Execute(const LogicalRef& plan, Vid floor_vid, std::vector<Row>* out,
                  bool* attempted, DistQueryStats* stats = nullptr);
 

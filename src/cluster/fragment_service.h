@@ -65,7 +65,8 @@ class FragmentService {
 
 /// Transport-agnostic handle to one RO's fragment service. `Submit` is a
 /// single round-trip of encoded bytes; the probe accessors back the
-/// coordinator's participant selection and common-snapshot choice.
+/// coordinator's participant selection, routing check and common-snapshot
+/// choice.
 class FragmentChannel {
  public:
   virtual ~FragmentChannel() = default;
@@ -74,6 +75,8 @@ class FragmentChannel {
   virtual Vid applied_vid() const = 0;
   virtual bool healthy() const = 0;
   virtual const StatsCollector* stats() const = 0;
+  /// The node's intra-node routing threshold (RoNodeOptions).
+  virtual double row_cost_threshold() const = 0;
 };
 
 /// In-process backend: executes on the wrapped node from the calling
@@ -96,6 +99,9 @@ class InProcessFragmentChannel : public FragmentChannel {
   Vid applied_vid() const override { return node_->applied_vid(); }
   bool healthy() const override { return node_->healthy(); }
   const StatsCollector* stats() const override { return node_->stats(); }
+  double row_cost_threshold() const override {
+    return node_->options().row_cost_threshold;
+  }
 
  private:
   RoNode* node_;

@@ -1,6 +1,7 @@
 #include "exec/expr.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace imci {
 
@@ -196,11 +197,21 @@ void ExtractIntBounds(const ExprRef& e, std::vector<IntBound>* out) {
   if (!leaf_const(e->args[1], &v)) return;
   IntBound b;
   b.col = e->args[0]->col;
+  // col < INT64_MIN and col > INT64_MAX have no representable bound; they
+  // emit none (the filter itself still rejects every row).
   switch (e->kind) {
     case ExprKind::kEq: b.has_lo = b.has_hi = true; b.lo = b.hi = v; break;
-    case ExprKind::kLt: b.has_hi = true; b.hi = v - 1; break;
+    case ExprKind::kLt:
+      if (v == std::numeric_limits<int64_t>::min()) return;
+      b.has_hi = true;
+      b.hi = v - 1;
+      break;
     case ExprKind::kLe: b.has_hi = true; b.hi = v; break;
-    case ExprKind::kGt: b.has_lo = true; b.lo = v + 1; break;
+    case ExprKind::kGt:
+      if (v == std::numeric_limits<int64_t>::max()) return;
+      b.has_lo = true;
+      b.lo = v + 1;
+      break;
     case ExprKind::kGe: b.has_lo = true; b.lo = v; break;
     default: return;
   }

@@ -71,7 +71,10 @@ bool ColumnScanOp::PartitionSkipsGroup(const RowGroup& g) const {
   int64_t min = 0, max = 0;
   if (!g.IntRange(part_pack_, &min, &max)) return false;
   if (part_.has_lo && max < part_.lo) return true;
-  if (part_.has_hi && min > part_.hi) return true;
+  // The open-low range also owns the group's NULL keys.
+  if (part_.has_hi && min > part_.hi) {
+    return part_.has_lo || g.NullCount(part_pack_) == 0;
+  }
   return false;
 }
 
@@ -92,12 +95,15 @@ Status ColumnScanOp::ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
   for (uint32_t off = 0; off < used; ++off) {
     if (!g.Visible(off, read_vid)) continue;
     if (part_pack_ >= 0) {
-      // Fragment partition check: a NULL partition key belongs to no range
-      // (the partition column is a PK in practice, so this cannot drop rows).
-      if (g.is_null(part_pack_, off)) continue;
-      const int64_t pv = g.int_data(part_pack_)[off];
-      if (part_.has_lo && pv < part_.lo) continue;
-      if (part_.has_hi && pv > part_.hi) continue;
+      // Fragment partition check: a NULL key belongs to the first (open-low)
+      // range, so NULL-keyed rows are neither lost nor duplicated.
+      if (g.is_null(part_pack_, off)) {
+        if (part_.has_lo) continue;
+      } else {
+        const int64_t pv = g.int_data(part_pack_)[off];
+        if (part_.has_lo && pv < part_.lo) continue;
+        if (part_.has_hi && pv > part_.hi) continue;
+      }
     }
     for (size_t c = 0; c < packs_.size(); ++c) {
       const int p = packs_[c];

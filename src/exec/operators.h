@@ -52,9 +52,10 @@ void CompactBatch(Batch* batch, const std::vector<uint8_t>& mask);
 // --- Scans -------------------------------------------------------------
 
 /// Value-range restriction for distributed fragment scans: the scan emits
-/// only rows whose `col` (schema ordinal, normally the PK) lies within
-/// [lo, hi], with either bound optionally open. Ranges are over PK *values*,
-/// not RIDs or row-group indexes — Phase#2 parallel apply and per-node
+/// only rows whose `col` (schema ordinal of an integer key) lies within
+/// [lo, hi], with either bound optionally open; a NULL key belongs to the
+/// range without a low bound. Ranges are over key *values*, not RIDs or
+/// row-group indexes — Phase#2 parallel apply and per-node
 /// compaction make physical layout node-dependent, so value ranges are the
 /// only partitioning that is disjoint-and-complete across replicas. This is
 /// a correctness restriction, independent of the pruning toggle; Pack

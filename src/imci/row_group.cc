@@ -91,6 +91,11 @@ bool RowGroup::IntRange(int pack, int64_t* min, int64_t* max) const {
   return m.has_value;
 }
 
+uint64_t RowGroup::NullCount(int pack) const {
+  std::lock_guard<std::mutex> g(meta_mu_);
+  return metas_[pack].null_count;
+}
+
 void RowGroup::UpdateMeta(int pack, const Value& v) {
   std::lock_guard<std::mutex> g(meta_mu_);
   PackMeta& m = metas_[pack];

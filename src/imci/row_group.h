@@ -110,6 +110,8 @@ class RowGroup {
   /// [min, max] of an integer pack's non-NULL values, under the meta latch
   /// and without copying the sample; false when the pack has none.
   bool IntRange(int pack, int64_t* min, int64_t* max) const;
+  /// NULL count of `pack`, under the meta latch.
+  uint64_t NullCount(int pack) const;
 
   /// Freezes a full group: compresses every pack (copy-on-write; readers are
   /// unaffected) and returns total compressed bytes.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <numeric>
 
 #include "common/coding.h"
@@ -43,34 +44,178 @@ LogicalRef RebuildSpine(const std::vector<LogicalRef>& upper, LogicalRef base) {
   return base;
 }
 
-/// Collects scan occurrences that may carry the fragment partition: the path
-/// from the fragment root must cross only filters, projections, join probe
-/// sides, and inner-join build sides. Partitioning the build side of a
-/// left/semi/anti join, or anything below an aggregate or sort, would break
-/// the disjoint-and-complete decomposition. Traversal order is
-/// deterministic, so an occurrence index chosen on the template resolves to
-/// the same occurrence on every clone.
-void CollectPartitionCandidates(const LogicalRef& n, bool safe,
-                                std::vector<LogicalNode*>* out) {
-  switch (n->kind) {
-    case LogicalKind::kScan:
-      if (safe) out->push_back(n.get());
-      return;
-    case LogicalKind::kFilter:
-    case LogicalKind::kProject:
-      CollectPartitionCandidates(n->children[0], safe, out);
-      return;
-    case LogicalKind::kJoin:
-      CollectPartitionCandidates(n->children[0], safe, out);
-      CollectPartitionCandidates(n->children[1],
-                                 safe && n->join_type == JoinType::kInner,
-                                 out);
-      return;
-    default:
-      // kAgg/kSort/kLimit/kValues: nothing beneath can be partitioned
-      // (those subtrees replicate wholesale on every fragment).
-      return;
+/// Key-class co-partitioning analysis over an unshared plan (every node has
+/// one parent, so each occurrence of a reused subquery gets its own
+/// decision). A subtree is "partitioned on output ordinal k" when, restricted
+/// to fragment f, it produces exactly the rows of its full output whose
+/// column k lies in range f, a NULL key belonging to the first (open-low)
+/// range. Every partitioned scan is restricted to the same value ranges, so
+/// two partitioned inputs joined on the partition key meet in one fragment.
+class CoPartitioner {
+ public:
+  static constexpr int kAnyKey = -1;    // disjoint and complete, any key
+  static constexpr int kReplicate = -2;  // every fragment computes it all
+
+  CoPartitioner(const Catalog& catalog, const StatsCollector& stats)
+      : catalog_(catalog), stats_(stats) {}
+
+  /// The largest scan row volume that can be partitioned so `n`'s output is
+  /// split on output ordinal `want` (kAnyKey: any key, not necessarily an
+  /// output column); 0 when no partitioning exists.
+  uint64_t Best(const LogicalNode* n, int want) {
+    const auto key = std::make_pair(n, want);
+    auto it = memo_.find(key);
+    if (it != memo_.end()) return it->second.vol;
+    Choice c;
+    switch (n->kind) {
+      case LogicalKind::kScan: {
+        auto schema = catalog_.Get(n->table_id);
+        if (!schema) break;
+        const int col =
+            want == kAnyKey ? schema->pk_col()
+            : want < static_cast<int>(n->cols.size()) ? n->cols[want]
+                                                       : -1;
+        if (col < 0 || col >= schema->num_columns() ||
+            !IsIntegerType(schema->column(col).type)) {
+          break;
+        }
+        const TableStats* ts = stats_.Get(n->table_id);
+        if (ts == nullptr || ts->row_count == 0 ||
+            col >= static_cast<int>(ts->cols.size()) ||
+            !ts->cols[col].has_range) {
+          break;
+        }
+        c = {ts->row_count, col, kReplicate};
+        break;
+      }
+      case LogicalKind::kFilter:
+        c = {Best(n->children[0].get(), want), want, kReplicate};
+        break;
+      case LogicalKind::kProject: {
+        // Rows map one to one, so any split survives; a keyed split only
+        // through a bare column reference.
+        int child_want = kAnyKey;
+        if (want != kAnyKey) {
+          if (want >= static_cast<int>(n->exprs.size())) break;
+          const Expr& e = *n->exprs[want];
+          if (e.kind != ExprKind::kCol) break;
+          child_want = e.col;
+        }
+        c = {Best(n->children[0].get(), child_want), child_want, kReplicate};
+        break;
+      }
+      case LogicalKind::kJoin:
+        c = BestJoin(n, want);
+        break;
+      case LogicalKind::kAgg: {
+        // Below the cut an aggregate is complete per fragment only when
+        // every group lives in one fragment: split on a group column.
+        const int G = static_cast<int>(n->group_cols.size());
+        for (int g = 0; g < G; ++g) {
+          if (want != kAnyKey && want != g) continue;
+          const int child_want = n->group_cols[g];
+          const uint64_t v = Best(n->children[0].get(), child_want);
+          if (v > c.vol) c = {v, child_want, kReplicate};
+        }
+        break;
+      }
+      default:
+        // kSort/kLimit/kValues below the cut: their subtrees replicate.
+        break;
+    }
+    memo_[key] = c;
+    return c.vol;
   }
+
+  /// Marks the scans of the Best(n, want) decision with their partition
+  /// column and widens the common key range over their sampled ranges.
+  void Apply(LogicalNode* n, int want) {
+    const Choice& c = memo_.at(std::make_pair(n, want));
+    if (n->kind == LogicalKind::kScan) {
+      n->part_col = c.first;
+      const TableStats::ColStats& cs = stats_.Get(n->table_id)->cols[c.first];
+      lo_ = has_range_ ? std::min(lo_, cs.min) : cs.min;
+      hi_ = has_range_ ? std::max(hi_, cs.max) : cs.max;
+      has_range_ = true;
+      return;
+    }
+    if (c.first != kReplicate) Apply(n->children[0].get(), c.first);
+    if (c.second != kReplicate) Apply(n->children[1].get(), c.second);
+  }
+
+  int64_t lo() const { return lo_; }
+  int64_t hi() const { return hi_; }
+
+ private:
+  /// vol: partitioned scan rows. Scan: first is the partition column.
+  /// Other nodes: the wants passed to children[0] and children[1].
+  struct Choice {
+    uint64_t vol = 0;
+    int first = kReplicate;
+    int second = kReplicate;
+  };
+
+  Choice BestJoin(const LogicalNode* n, int want) {
+    const LogicalNode* probe = n->children[0].get();
+    const LogicalNode* build = n->children[1].get();
+    const bool inner = n->join_type == JoinType::kInner;
+    Choice best;
+    std::vector<DataType> probe_types;
+    if (!InferOutputTypes(n->children[0], catalog_, &probe_types).ok()) {
+      return best;
+    }
+    const int nl = static_cast<int>(probe_types.size());
+    // Options are tried in a fixed order and only a strictly larger volume
+    // replaces the incumbent, so the choice is deterministic.
+    auto consider = [&](int lw, int rw) {
+      const uint64_t lv = lw == kReplicate ? 0 : Best(probe, lw);
+      const uint64_t rv = rw == kReplicate ? 0 : Best(build, rw);
+      if ((lw != kReplicate && lv == 0) || (rw != kReplicate && rv == 0)) {
+        return;
+      }
+      if (lv + rv > best.vol) best = {lv + rv, lw, rw};
+    };
+    // Probe split, build replicated: each probe row meets the whole build
+    // side exactly once, for every join type.
+    if (want == kAnyKey || want < nl) consider(want, kReplicate);
+    // Build split, probe replicated: each (probe, build) pair is produced
+    // where its build row lives. Inner joins only; a left/semi/anti join
+    // would decide "unmatched" per fragment.
+    if (inner) {
+      if (want == kAnyKey) consider(kReplicate, kAnyKey);
+      if (want >= nl) consider(kReplicate, want - nl);
+    }
+    // Both sides split on one equi-key pair: every match lies in the probe
+    // row's fragment (NULL keys match nothing), for every join type. The
+    // split continues upward on the probe key; on the build key only for
+    // inner joins, where an outer row's build key may be NULL.
+    for (size_t j = 0; j < n->left_keys.size(); ++j) {
+      const int lk = n->left_keys[j];
+      const int rk = n->right_keys[j];
+      if (want == kAnyKey || want == lk || (inner && want == nl + rk)) {
+        consider(lk, rk);
+      }
+    }
+    return best;
+  }
+
+  const Catalog& catalog_;
+  const StatsCollector& stats_;
+  std::map<std::pair<const LogicalNode*, int>, Choice> memo_;
+  bool has_range_ = false;
+  int64_t lo_ = 0, hi_ = 0;
+};
+
+/// Sets fragment `i`'s key range on every partitioned scan under `n`.
+void SetFragmentRange(LogicalNode* n, const std::vector<int64_t>& cuts,
+                      size_t i) {
+  if (n->kind == LogicalKind::kScan && n->part_col >= 0) {
+    n->part_has_lo = i > 0;
+    if (i > 0) n->part_lo = cuts[i - 1];
+    n->part_has_hi = i < cuts.size();
+    if (i < cuts.size()) n->part_hi = cuts[i] - 1;
+  }
+  for (const LogicalRef& c : n->children) SetFragmentRange(c.get(), cuts, i);
 }
 
 }  // namespace
@@ -139,7 +284,7 @@ int ChooseFanout(const LogicalRef& plan, const StatsCollector& stats,
   if (max_nodes <= 1) return 1;
   if (rows_per_fragment < 1.0) rows_per_fragment = 1.0;
   const PlanCost cost = EstimatePlan(plan, stats);
-  const double frags = cost.rows_touched / rows_per_fragment;
+  const double frags = cost.rows_scanned / rows_per_fragment;
   if (frags <= 1.0) return 1;
   const double capped = std::min(static_cast<double>(max_nodes), frags);
   return static_cast<int>(std::ceil(capped));
@@ -293,71 +438,41 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     fs.final_plan = fs.values_node;
   }
 
-  // Partition-site selection: among safely partitionable scan occurrences,
-  // take the one with the most rows (the fan-out win tracks the largest
-  // relation; smaller inputs replicate at tolerable cost).
-  const LogicalRef& search_root =
-      fs.merge == FragmentMerge::kConcat ? tmpl : tmpl->children[0];
-  std::vector<LogicalNode*> cands;
-  CollectPartitionCandidates(search_root, true, &cands);
-  int best = -1;
-  uint64_t best_rows = 0;
-  int best_pk = -1;
-  const TableStats* best_ts = nullptr;
-  for (size_t i = 0; i < cands.size(); ++i) {
-    auto schema = catalog.Get(cands[i]->table_id);
-    if (!schema) continue;
-    const int pk = schema->pk_col();
-    if (!IsIntegerType(schema->column(pk).type)) continue;
-    const TableStats* ts = stats.Get(cands[i]->table_id);
-    if (ts == nullptr || ts->row_count == 0) continue;
-    if (pk >= static_cast<int>(ts->cols.size()) || !ts->cols[pk].has_range) {
-      continue;
-    }
-    if (best < 0 || ts->row_count > best_rows) {
-      best = static_cast<int>(i);
-      best_rows = ts->row_count;
-      best_pk = pk;
-      best_ts = ts;
-    }
+  // Key-class co-partitioning, decided on an unshared copy so the caller's
+  // plan is never mutated and a reused subquery gets one decision per
+  // occurrence. The cut's input only has to be split disjointly and
+  // completely; below it, joins and aggregates pull their inputs onto one
+  // key class where that keeps them complete per fragment.
+  tmpl = ClonePlan(tmpl);
+  LogicalNode* search_root = fs.merge == FragmentMerge::kConcat
+                                 ? tmpl.get()
+                                 : tmpl->children[0].get();
+  CoPartitioner parts(catalog, stats);
+  if (parts.Best(search_root, CoPartitioner::kAnyKey) == 0) {
+    return Status::NotSupported("no partitionable scan");
   }
-  if (best < 0) return Status::NotSupported("no partitionable scan");
+  parts.Apply(search_root, CoPartitioner::kAnyKey);
 
-  // Cut interior boundaries over the sampled PK range. The first and last
-  // ranges are open-ended, so rows outside the (sampled, possibly stale)
-  // min/max still land in exactly one fragment.
-  const TableStats::ColStats& cs = best_ts->cols[best_pk];
+  // Cut interior boundaries over the union of the partitioned columns'
+  // sampled ranges. The first and last ranges are open-ended, so values
+  // outside the (sampled, possibly stale) min/max still land in exactly one
+  // fragment. Arithmetic in double: the span may exceed int64.
+  const double lo = static_cast<double>(parts.lo());
+  const double span = static_cast<double>(parts.hi()) - lo + 1.0;
   std::vector<int64_t> cuts;
-  const double span = static_cast<double>(cs.max) -
-                      static_cast<double>(cs.min) + 1.0;
   for (int i = 1; i < nfrags; ++i) {
-    const int64_t b =
-        cs.min + static_cast<int64_t>(span * i / nfrags);
-    if (b > (cuts.empty() ? cs.min : cuts.back())) cuts.push_back(b);
+    const double d = lo + span * i / nfrags;
+    if (d >= std::ldexp(1.0, 63)) break;  // beyond int64 (hi near max)
+    const int64_t b = static_cast<int64_t>(d);
+    if (b > (cuts.empty() ? parts.lo() : cuts.back())) cuts.push_back(b);
   }
-  if (cuts.empty()) return Status::NotSupported("degenerate PK range");
+  if (cuts.empty()) return Status::NotSupported("degenerate key range");
 
-  const int F = static_cast<int>(cuts.size()) + 1;
-  for (int i = 0; i < F; ++i) {
+  for (size_t i = 0; i <= cuts.size(); ++i) {
     LogicalRef frag = ClonePlan(tmpl);
-    std::vector<LogicalNode*> fcands;
-    CollectPartitionCandidates(
-        fs.merge == FragmentMerge::kConcat ? frag : frag->children[0], true,
-        &fcands);
-    LogicalNode* scan = fcands[best];
-    scan->part_col = best_pk;
-    if (i > 0) {
-      scan->part_has_lo = true;
-      scan->part_lo = cuts[i - 1];
-    }
-    if (i < static_cast<int>(cuts.size())) {
-      scan->part_has_hi = true;
-      scan->part_hi = cuts[i] - 1;
-    }
+    SetFragmentRange(frag.get(), cuts, i);
     fs.fragments.push_back(std::move(frag));
   }
-  fs.part_table = cands[best]->table_id;
-  fs.part_col = best_pk;
   *out = std::move(fs);
   return Status::OK();
 }

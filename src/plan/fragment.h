@@ -11,15 +11,23 @@
 namespace imci {
 
 /// Distributed fragment planning: cuts a column-engine logical plan into N
-/// subfragments partitioned by PK value ranges, to be executed on N RO nodes
+/// subfragments by integer key value ranges, to be executed on N RO nodes
 /// and recombined at the coordinator.
 ///
-/// Partitioning is over PK *values*, never physical positions: RID
+/// Partitioning is key-class co-partitioning: one set of value ranges
+/// restricts every scan whose column joins or groups on the chosen key (a
+/// join key pair, a group column below the cut, or a PK when a single scan
+/// splits), and scans outside that key class replicate. Joins and
+/// sub-aggregates over the key class therefore run on 1/N of their input
+/// per fragment instead of in full on every node.
+///
+/// Partitioning is over key *values*, never physical positions: RID
 /// assignment during Phase#2 parallel apply and per-node compaction make
 /// row-group layout replica-dependent, so value ranges are the only split
-/// that is disjoint and complete on every node. On bulk-loaded (PK-ordered)
-/// data, Pack min/max metadata on the PK pack recovers group-granular
-/// skipping, so a value-range fragment still touches ~1/N of the groups.
+/// that is disjoint and complete on every node. A NULL key belongs to the
+/// first (open-low) range. On bulk-loaded (key-ordered) data, Pack min/max
+/// metadata on the key pack recovers group-granular skipping, so a
+/// value-range fragment still touches ~1/N of the groups.
 
 /// How the coordinator recombines fragment outputs.
 enum class FragmentMerge : uint8_t {
@@ -34,30 +42,30 @@ enum class FragmentMerge : uint8_t {
 /// (`final_plan` contains no scans, so it needs no store access).
 struct FragmentSet {
   FragmentMerge merge = FragmentMerge::kConcat;
-  std::vector<LogicalRef> fragments;      // one per PK range, independently
+  std::vector<LogicalRef> fragments;      // one per key range, independently
                                           // cloned (safe to mutate/serialize)
   std::vector<DataType> fragment_types;   // fragment output schema
   LogicalRef final_plan;                  // completion plan over values_node
   LogicalRef values_node;                 // kValues placeholder for merged rows
   std::vector<SortKey> merge_keys;        // kSortMerge: SortOp total order keys
   int64_t merge_limit = -1;               // kSortMerge: overall limit
-  TableId part_table = 0;                 // partitioned table (diagnostics)
-  int part_col = -1;                      // partition column (schema ordinal)
 };
 
-/// Cuts `plan` into `nfrags` PK-range fragments. Returns NotSupported when
-/// the plan cannot be decomposed soundly (COUNT DISTINCT, bare LIMIT without
-/// ORDER BY, no partitionable scan, missing PK range stats); callers fall
-/// back to single-node execution, which stays the reference path.
+/// Cuts `plan` into up to `nfrags` key-range fragments, choosing the key
+/// class that partitions the most scanned rows. Returns NotSupported when
+/// the plan cannot be decomposed soundly (COUNT DISTINCT at the cut, bare
+/// LIMIT without ORDER BY, no partitionable scan, missing integer range
+/// stats); callers fall back to single-node execution, which stays the
+/// reference path. `plan` is never modified.
 Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
                     const StatsCollector& stats, int nfrags, FragmentSet* out);
 
 /// Inter-node fan-out sizing, the cluster-level sibling of ChooseDop: one
-/// fragment per `rows_per_fragment` of estimated scan volume, capped at
-/// `max_nodes`. Below two fragments, distribution is not worth the fixed
-/// dispatch cost.
+/// fragment per `rows_per_fragment` of scan volume (PlanCost::rows_scanned),
+/// capped at `max_nodes`. Below two fragments, distribution is not worth
+/// the fixed dispatch cost.
 int ChooseFanout(const LogicalRef& plan, const StatsCollector& stats,
-                 int max_nodes, double rows_per_fragment = 262144.0);
+                 int max_nodes, double rows_per_fragment);
 
 /// Output schema of a logical plan (needs the catalog for scan types).
 Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
@@ -65,7 +73,8 @@ Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
 
 /// Deep-copies the node tree (shared subtrees are duplicated; expressions
 /// are immutable and stay shared). Fragment cutting clones before setting
-/// partition fields so caller plans are never mutated.
+/// partition fields so caller plans are never mutated, and so every
+/// occurrence of a reused subtree gets its own partitioning decision.
 LogicalRef ClonePlan(const LogicalRef& plan);
 
 // --- Plan wire format ---------------------------------------------------

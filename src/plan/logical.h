@@ -32,9 +32,11 @@ struct LogicalNode {
   std::vector<int> cols;  // schema ordinals, defining output positions
   ExprRef filter;         // over output positions
   // kScan fragment partition (distributed execution): when part_col >= 0 the
-  // scan is restricted to rows whose part_col value (a schema ordinal; in
-  // practice the PK) lies in [part_lo, part_hi], each bound enabled by its
-  // flag. Set only on fragment plans cut by the query coordinator.
+  // scan is restricted to rows whose part_col value (a schema ordinal of an
+  // integer column: a PK, join key or group key) lies in [part_lo, part_hi],
+  // each bound enabled by its flag. A NULL value belongs to the range
+  // without a low bound. Set only on fragment plans cut by the query
+  // coordinator.
   int part_col = -1;
   bool part_has_lo = false, part_has_hi = false;
   int64_t part_lo = 0, part_hi = 0;

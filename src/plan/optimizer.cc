@@ -95,9 +95,11 @@ double EstimateSelectivity(const ExprRef& filter, const TableStats* stats,
         if (b.has_lo && b.has_hi && b.lo == b.hi) {
           s = cs.ndv > 0 ? 1.0 / cs.ndv : 0.1;  // equality: 1/NDV
         } else if (cs.has_range && cs.max > cs.min) {
-          const double width = static_cast<double>(cs.max - cs.min);
-          double lo = b.has_lo ? static_cast<double>(b.lo - cs.min) : 0;
-          double hi = b.has_hi ? static_cast<double>(b.hi - cs.min) : width;
+          // In double: the differences of extreme int64 values overflow.
+          const double min = static_cast<double>(cs.min);
+          const double width = static_cast<double>(cs.max) - min;
+          double lo = b.has_lo ? static_cast<double>(b.lo) - min : 0;
+          double hi = b.has_hi ? static_cast<double>(b.hi) - min : width;
           lo = std::clamp(lo, 0.0, width);
           hi = std::clamp(hi, 0.0, width);
           s = hi > lo ? (hi - lo) / width : 0.0;
@@ -127,6 +129,7 @@ PlanCost EstimateNode(const LogicalNode* node, const StatsCollector& stats) {
       std::vector<IntBound> bounds;
       ExtractIntBounds(node->filter, &bounds);
       cost.rows_touched = bounds.empty() ? rows : std::max(1.0, rows * sel);
+      cost.rows_scanned = rows;
       return cost;
     }
     case LogicalKind::kJoin: {
@@ -144,6 +147,7 @@ PlanCost EstimateNode(const LogicalNode* node, const StatsCollector& stats) {
           break;
       }
       cost.rows_touched = l.rows_touched + r.rows_touched;
+      cost.rows_scanned = l.rows_scanned + r.rows_scanned;
       return cost;
     }
     case LogicalKind::kAgg: {
@@ -152,6 +156,7 @@ PlanCost EstimateNode(const LogicalNode* node, const StatsCollector& stats) {
                           ? 1.0
                           : std::max(1.0, c.rows_out / 16.0);
       cost.rows_touched = c.rows_touched;
+      cost.rows_scanned = c.rows_scanned;
       return cost;
     }
     case LogicalKind::kValues:
@@ -193,11 +198,10 @@ int ChooseDop(const LogicalRef& plan, const StatsCollector& stats,
               int max_dop, double rows_per_worker) {
   if (max_dop <= 1) return 1;
   if (rows_per_worker < 1.0) rows_per_worker = 1.0;
-  // rows_touched approximates total scan volume (every scanned relation's
-  // selected rows); one worker per rows_per_worker of it — about one 64K
-  // row group each — keeps the fan-out cost amortized.
+  // One worker per rows_per_worker of scan volume — about one 64K row group
+  // each — keeps the fan-out cost amortized.
   const PlanCost cost = EstimatePlan(plan, stats);
-  const double workers = cost.rows_touched / rows_per_worker;
+  const double workers = cost.rows_scanned / rows_per_worker;
   if (workers <= 1.0) return 1;
   const double capped = std::min(static_cast<double>(max_dop), workers);
   return static_cast<int>(std::ceil(capped));

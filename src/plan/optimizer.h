@@ -41,8 +41,10 @@ double EstimateSelectivity(const ExprRef& filter, const TableStats* stats,
 
 /// Cardinality/cost estimates for a logical plan.
 struct PlanCost {
-  double rows_out = 0;     // estimated output cardinality
-  double rows_touched = 0; // rows the row engine would materialize
+  double rows_out = 0;      // estimated output cardinality
+  double rows_touched = 0;  // rows the row engine would materialize
+  double rows_scanned = 0;  // rows of every scanned table: the column
+                            // engine reads all rows of unpruned groups
 };
 PlanCost EstimatePlan(const LogicalRef& node, const StatsCollector& stats);
 
@@ -58,14 +60,19 @@ struct RoutingDecision {
 RoutingDecision RouteQuery(const LogicalRef& plan, const StatsCollector& stats,
                            double row_cost_threshold = 20000.0);
 
+/// Default scan rows per worker (ChooseDop) and per fragment
+/// (CoordinatorOptions::rows_per_fragment).
+inline constexpr double kScanRowsPerWorker = 65536.0;
+
 /// Degree-of-parallelism choice for the column engine's morsel executor:
-/// scale the worker count to the estimated scan volume so a point-ish query
-/// stays serial (no fan-out fixed cost, no pool tokens consumed) while a
-/// full TPC-H scan asks for the whole budget. Returns a value in
+/// scale the worker count to the scan volume (PlanCost::rows_scanned; a
+/// selective filter does not shrink what the scan reads) so a scan of small
+/// tables stays serial (no fan-out fixed cost, no pool tokens consumed)
+/// while a TPC-H fact-table scan asks for the whole budget. Returns a value in
 /// [1, max_dop]; the RO node then shrinks the request to its per-query
 /// token grant.
 int ChooseDop(const LogicalRef& plan, const StatsCollector& stats,
-              int max_dop, double rows_per_worker = 65536.0);
+              int max_dop, double rows_per_worker = kScanRowsPerWorker);
 
 // --- Join ordering -----------------------------------------------------
 

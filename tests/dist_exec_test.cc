@@ -8,11 +8,17 @@
 // result equivalence over the TPC-H plan corpus, fragment failover under
 // targeted fault injection and live eviction, and all-or-nothing snapshot
 // visibility under concurrent RW commits (including the straggler arm
-// where a lagging participant is shed via Busy).
+// where a lagging participant is shed via Busy). The co-partitioning rules
+// are pinned directly on CutFragments, and NULL join/group keys through a
+// seeded cluster of their own; proxy routing keeps lookups off the
+// coordinator.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -85,9 +91,11 @@ std::unique_ptr<Cluster> MakeDistCluster(int ros) {
   opts.initial_ro_nodes = ros;
   opts.ro.imci.row_group_size = 512;  // many groups -> real range cutting
   opts.ro.exec_threads = 4;
-  // Aggressive coordinator knobs: at test scale every analytic plan should
-  // distribute, so the equivalence corpus actually exercises the fan-out.
-  opts.coordinator.min_rows_touched = 0;
+  // Aggressive knobs: at test scale every analytic plan should distribute,
+  // so the equivalence corpus actually exercises the fan-out. A zero
+  // routing threshold keeps small selective scans off the row engine,
+  // which the coordinator leaves single-node.
+  opts.ro.row_cost_threshold = 0.0;
   opts.coordinator.rows_per_fragment = 500.0;
   auto cluster = std::make_unique<Cluster>(opts);
   tpch::TpchGen gen(0.01);
@@ -229,6 +237,127 @@ TEST_F(DistExecTest, AnswerInvariantAcrossParticipantCounts) {
   coord->set_max_participants(8);
 }
 
+// --- Key-class co-partitioning rules ------------------------------------
+
+/// The last plan TPC-H query `q` hands to its executor, without running it
+/// (valid for queries with no scalar subquery).
+LogicalRef CaptureTpchPlan(const Catalog& catalog, int q) {
+  LogicalRef last;
+  auto capture = [&last](const LogicalRef& plan, std::vector<Row>*) {
+    last = plan;
+    return Status::OK();
+  };
+  std::vector<Row> ignored;
+  EXPECT_TRUE(tpch::RunQuery(q, catalog, capture, &ignored).ok());
+  return last;
+}
+
+/// One entry per scan: "table.column" for a partitioned scan, else "table".
+void ScanPartitions(const Catalog& catalog, const LogicalRef& n,
+                    std::multiset<std::string>* out) {
+  if (n->kind == LogicalKind::kScan) {
+    auto schema = catalog.Get(n->table_id);
+    std::string entry = schema->name();
+    if (n->part_col >= 0) entry += "." + schema->column(n->part_col).name;
+    out->insert(entry);
+  }
+  for (const LogicalRef& c : n->children) ScanPartitions(catalog, c, out);
+}
+
+class CutRulesTest : public DistExecTest {
+ protected:
+  /// Cuts `plan` two ways and returns the first fragment's scan partitions;
+  /// both fragments must partition the same scans.
+  static std::multiset<std::string> Cut(const LogicalRef& plan) {
+    const Catalog& catalog = *cluster_->catalog();
+    FragmentSet fs;
+    Status s = CutFragments(plan, catalog, *cluster_->ro(0)->stats(), 2, &fs);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (!s.ok() || fs.fragments.size() != 2) return {};
+    std::multiset<std::string> first, second;
+    ScanPartitions(catalog, fs.fragments[0], &first);
+    ScanPartitions(catalog, fs.fragments[1], &second);
+    EXPECT_EQ(first, second);
+    return first;
+  }
+};
+
+TEST_F(CutRulesTest, Q21CoPartitionsLineitemAndOrdersOnOrderkey) {
+  auto plan = CaptureTpchPlan(*cluster_->catalog(), 21);
+  EXPECT_EQ(Cut(plan), (std::multiset<std::string>{
+                           "lineitem.l_orderkey", "lineitem.l_orderkey",
+                           "lineitem.l_orderkey", "orders.o_orderkey",
+                           "supplier", "nation"}));
+}
+
+TEST_F(CutRulesTest, Q20CoPartitionsOnSuppkey) {
+  auto plan = CaptureTpchPlan(*cluster_->catalog(), 20);
+  EXPECT_EQ(Cut(plan), (std::multiset<std::string>{
+                           "supplier.s_suppkey", "nation",
+                           "partsupp.ps_suppkey", "part",
+                           "lineitem.l_suppkey"}));
+}
+
+TEST_F(CutRulesTest, Q13CoPartitionsOnCustkey) {
+  auto plan = CaptureTpchPlan(*cluster_->catalog(), 13);
+  EXPECT_EQ(Cut(plan), (std::multiset<std::string>{"customer.c_custkey",
+                                                   "orders.o_custkey"}));
+}
+
+// A LEFT join must not split its build side unless the probe side splits on
+// the same key: here the probe's key is computed, so the (much larger)
+// lineitem build side replicates and the probe splits on its PK.
+TEST_F(CutRulesTest, LeftJoinBuildSideWithoutProbeKeyReplicates) {
+  const Catalog& catalog = *cluster_->catalog();
+  auto na = catalog.GetByName("nation");
+  auto li = catalog.GetByName("lineitem");
+  auto probe = LProject(
+      LScan(na->table_id(), {tpch::ColOf(*na, "n_nationkey")}),
+      {Add(Col(0, DataType::kInt64), ConstInt(0))});
+  auto plan = LJoin(probe,
+                    LScan(li->table_id(), {tpch::ColOf(*li, "l_suppkey")}),
+                    {0}, {0}, JoinType::kLeft);
+  EXPECT_EQ(Cut(plan), (std::multiset<std::string>{"nation.n_nationkey",
+                                                   "lineitem"}));
+}
+
+// An aggregate below the cut splits only on a group column. Here the join
+// key is an aggregate output and the semi join cannot split its build side
+// alone, so the aggregate (and its lineitem scan) replicates.
+TEST_F(CutRulesTest, AggregateJoinedOnNonGroupColumnReplicates) {
+  const Catalog& catalog = *cluster_->catalog();
+  auto od = catalog.GetByName("orders");
+  auto li = catalog.GetByName("lineitem");
+  auto per_supp = LAgg(LScan(li->table_id(), {tpch::ColOf(*li, "l_suppkey"),
+                                              tpch::ColOf(*li, "l_orderkey")}),
+                       {0}, {AggSpec{AggKind::kMax, Col(1, DataType::kInt64)}});
+  auto plan =
+      LJoin(LScan(od->table_id(), {tpch::ColOf(*od, "o_orderkey")}), per_supp,
+            {0}, {1}, JoinType::kSemi);
+  EXPECT_EQ(Cut(plan), (std::multiset<std::string>{"orders.o_orderkey",
+                                                   "lineitem"}));
+}
+
+// Cutting works on a private copy: the caller's plan (with Q21's shared
+// `late` subtree) is byte-identical afterwards and carries no partition.
+TEST_F(CutRulesTest, CallerPlanIsNotModified) {
+  const Catalog& catalog = *cluster_->catalog();
+  auto plan = CaptureTpchPlan(catalog, 21);
+  std::string before;
+  PutPlan(&before, plan);
+  FragmentSet fs;
+  ASSERT_TRUE(
+      CutFragments(plan, catalog, *cluster_->ro(0)->stats(), 2, &fs).ok());
+  std::string after;
+  PutPlan(&after, plan);
+  EXPECT_EQ(after, before);
+  std::multiset<std::string> parts;
+  ScanPartitions(catalog, plan, &parts);
+  for (const std::string& p : parts) {
+    EXPECT_EQ(p.find('.'), std::string::npos) << p;
+  }
+}
+
 // --- Failover -----------------------------------------------------------
 
 // One participant's fragment service hard-fails (in-process stand-in for a
@@ -327,7 +456,7 @@ TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingAcrossFragments) {
   ClusterOptions opts;
   opts.initial_ro_nodes = 3;
   opts.ro.imci.row_group_size = 256;
-  opts.coordinator.min_rows_touched = 0;
+  opts.ro.row_cost_threshold = 0.0;  // 6000-row scans: column engine
   opts.coordinator.rows_per_fragment = 500.0;
   auto cluster = std::make_unique<Cluster>(opts);
   ASSERT_TRUE(cluster->CreateTable(SnapSchema()).ok());
@@ -390,7 +519,7 @@ TEST_F(DistExecTest, StragglerParticipantIsShedNotWaitedFor) {
   ClusterOptions opts;
   opts.initial_ro_nodes = 3;
   opts.ro.imci.row_group_size = 256;
-  opts.coordinator.min_rows_touched = 0;
+  opts.ro.row_cost_threshold = 0.0;  // 6000-row scans: column engine
   opts.coordinator.rows_per_fragment = 500.0;
   opts.coordinator.catchup_timeout_us = 20'000;  // shed fast
   auto cluster = std::make_unique<Cluster>(opts);
@@ -442,6 +571,170 @@ TEST_F(DistExecTest, StragglerParticipantIsShedNotWaitedFor) {
     saw_shed = coord->stragglers() > shed_before;
   }
   EXPECT_TRUE(saw_shed) << "laggard was never recruited and shed";
+}
+
+// --- NULL partition keys ------------------------------------------------
+
+constexpr TableId kNullParent = 9200;
+constexpr TableId kNullChild = 9201;
+
+// A nullable integer foreign key co-partitions a LEFT join, an ANTI join and
+// a GROUP BY with its parent table. NULL keys belong to the first (open-low)
+// range: the old "belongs to no range" rule dropped NULL-keyed rows, and a
+// first fragment that skipped a row group by its key range alone would drop
+// the NULLs stored there. The child's keys are clustered by row group, so
+// most groups lie wholly above the first range and still hold NULLs.
+TEST(DistNullKeyTest, NullKeysLandInTheFirstRange) {
+  const uint64_t seed = testing_util::TestSeed(19);
+  SCOPED_TRACE(::testing::Message()
+               << "IMCI_TEST_SEED=" << seed << " reproduces this run");
+  std::printf("DistNullKeyTest seed %llu\n",
+              static_cast<unsigned long long>(seed));
+  Rng rng(seed);
+
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 2;
+  opts.ro.imci.row_group_size = 64;
+  opts.ro.row_cost_threshold = 0.0;  // small scans: column engine
+  opts.coordinator.rows_per_fragment = 100.0;
+  auto cluster = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster
+                  ->CreateTable(std::make_shared<Schema>(
+                      kNullParent, "null_parent",
+                      std::vector<ColumnDef>{{"id", DataType::kInt64},
+                                             {"w", DataType::kInt64}},
+                      0))
+                  .ok());
+  ASSERT_TRUE(cluster
+                  ->CreateTable(std::make_shared<Schema>(
+                      kNullChild, "null_child",
+                      std::vector<ColumnDef>{{"id", DataType::kInt64},
+                                             {"fk", DataType::kInt64, true},
+                                             {"val", DataType::kInt64}},
+                      0))
+                  .ok());
+  // Parents cover 2/3 of the key space, so the anti join has output.
+  std::vector<Row> parents, children;
+  for (int64_t id = 0; id < 500; ++id) {
+    if (id % 3 != 0) parents.push_back(Row{id, rng.Uniform(0, 99)});
+  }
+  for (int64_t id = 0; id < 3000; ++id) {
+    Value fk = rng.Uniform(0, 4) == 0 ? Value{} : Value{id / 6};
+    children.push_back(Row{id, fk, rng.Uniform(0, 999)});
+  }
+  ASSERT_TRUE(cluster->BulkLoad(kNullParent, std::move(parents)).ok());
+  ASSERT_TRUE(cluster->BulkLoad(kNullChild, std::move(children)).ok());
+  ASSERT_TRUE(cluster->Open().ok());
+  for (RoNode* ro : cluster->ro_nodes()) {
+    ASSERT_TRUE(ro->CatchUpNow().ok());
+    ro->RefreshStats();
+  }
+
+  auto child = [] { return LScan(kNullChild, {0, 1, 2}); };
+  auto parent = [] { return LScan(kNullParent, {0, 1}); };
+  auto per_fk = LAgg(LScan(kNullChild, {1, 2}), {0},
+                     {AggSpec{AggKind::kCountStar, nullptr},
+                      AggSpec{AggKind::kMax, Col(1, DataType::kInt64)}});
+  const std::vector<std::pair<const char*, LogicalRef>> plans = {
+      {"left join", LJoin(child(), parent(), {1}, {0}, JoinType::kLeft)},
+      {"anti join", LJoin(child(), parent(), {1}, {0}, JoinType::kAnti)},
+      {"group by", LJoin(per_fk, parent(), {0}, {0}, JoinType::kLeft)},
+  };
+  for (const auto& [name, plan] : plans) {
+    SCOPED_TRACE(name);
+    // The cut must split the child on fk, or NULL keys are never at stake.
+    FragmentSet fs;
+    ASSERT_TRUE(CutFragments(plan, *cluster->catalog(),
+                             *cluster->ro(0)->stats(), 2, &fs)
+                    .ok());
+    std::multiset<std::string> parts;
+    ScanPartitions(*cluster->catalog(), fs.fragments[0], &parts);
+    EXPECT_EQ(parts, (std::multiset<std::string>{"null_child.fk",
+                                                 "null_parent.id"}));
+
+    std::vector<Row> ref_rows, dist_rows;
+    ASSERT_TRUE(cluster->ro(0)->ExecuteColumn(plan, &ref_rows, 1).ok());
+    DistQueryStats stats;
+    bool attempted = false;
+    ASSERT_TRUE(cluster->coordinator()
+                    ->Execute(plan, 0, &dist_rows, &attempted, &stats)
+                    .ok());
+    ASSERT_TRUE(attempted);
+    EXPECT_GE(stats.fragments, 2);
+    EXPECT_EQ(Canonicalize(dist_rows), Canonicalize(ref_rows));
+  }
+}
+
+// --- Proxy routing ------------------------------------------------------
+
+constexpr TableId kLookup = 9300;
+constexpr int kLookupRows = 30000;
+
+// Distributed-first must not take lookups from the row engine. A PK point
+// query and an equality on an unordered column each touch a handful of rows
+// through the B+tree, so the proxy serves them from an RO's row engine,
+// although the fan-out budget is tiny and the unordered column's scan would
+// read the whole table on the column engine. A full aggregate over the same
+// table still distributes.
+TEST(DistRoutingTest, LookupsThroughTheProxyStayOnTheRowEngine) {
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 2;
+  opts.ro.imci.row_group_size = 512;
+  opts.coordinator.rows_per_fragment = 500.0;  // any scan would fan out
+  auto cluster = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster
+                  ->CreateTable(std::make_shared<Schema>(
+                      kLookup, "lookup",
+                      std::vector<ColumnDef>{{"id", DataType::kInt64},
+                                             {"k", DataType::kInt64},
+                                             {"v", DataType::kInt64}},
+                      0))
+                  .ok());
+  Rng rng(23);
+  std::vector<Row> rows;
+  rows.reserve(kLookupRows);
+  for (int64_t id = 0; id < kLookupRows; ++id) {
+    rows.push_back(Row{id, rng.Uniform(0, 999), rng.Uniform(0, 99999)});
+  }
+  ASSERT_TRUE(cluster->BulkLoad(kLookup, std::move(rows)).ok());
+  ASSERT_TRUE(cluster->Open().ok());
+  for (RoNode* ro : cluster->ro_nodes()) {
+    ASSERT_TRUE(ro->CatchUpNow().ok());
+    ro->RefreshStats();
+  }
+
+  struct Case {
+    const char* name;
+    LogicalRef plan;
+    EngineChoice engine;
+  };
+  const std::vector<Case> cases = {
+      {"pk point",
+       LScan(kLookup, {0, 2}, Eq(Col(0, DataType::kInt64), ConstInt(12345))),
+       EngineChoice::kRowEngine},
+      {"unordered equality",
+       LScan(kLookup, {1, 2}, Eq(Col(0, DataType::kInt64), ConstInt(7))),
+       EngineChoice::kRowEngine},
+      {"full aggregate",
+       LAgg(LScan(kLookup, {1}), {}, {AggSpec{AggKind::kCountStar, nullptr}}),
+       EngineChoice::kColumnEngine},
+  };
+  QueryCoordinator* coord = cluster->coordinator();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const uint64_t attempted_before = coord->queries_attempted();
+    std::vector<Row> ref_rows, out;
+    ASSERT_TRUE(cluster->ro(0)->ExecuteColumn(c.plan, &ref_rows, 1).ok());
+    EngineChoice chosen = EngineChoice::kRowEngine;
+    ASSERT_TRUE(cluster->proxy()->ExecuteQuery(c.plan, &out,
+                                               Consistency::kEventual, &chosen)
+                    .ok());
+    EXPECT_EQ(chosen, c.engine);
+    const bool distributed = c.engine == EngineChoice::kColumnEngine;
+    EXPECT_EQ(coord->queries_attempted() - attempted_before,
+              distributed ? 1u : 0u);
+    EXPECT_EQ(Canonicalize(out), Canonicalize(ref_rows));
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 
@@ -546,6 +547,41 @@ TEST_F(OperatorTest, LimitCutsAcrossBatches) {
   std::vector<Row> out;
   ASSERT_TRUE(RunPlan(limit, &ctx_, &out).ok());
   EXPECT_EQ(out.size(), 3000u);
+}
+
+// `col < INT64_MIN` and `col > INT64_MAX` have no representable pruning
+// bound (computing one overflowed); the scan must still reject every row,
+// while the inclusive comparisons find the extreme values.
+TEST(ColumnScanTest, ExtremeIntComparisonsNeedNoOverflowingBound) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  auto schema = std::make_shared<Schema>(
+      77, "extremes",
+      std::vector<ColumnDef>{{"id", DataType::kInt64},
+                             {"v", DataType::kInt64}},
+      0);
+  ColumnIndexOptions options;
+  options.row_group_size = 4;
+  ColumnIndex index(schema, options);
+  const std::vector<int64_t> vals = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  for (size_t i = 0; i < vals.size(); ++i) {
+    ASSERT_TRUE(index.Insert({static_cast<int64_t>(i), vals[i]}, 1).ok());
+  }
+  auto count = [&](ExprRef filter) {
+    ColumnScanOp scan(&index, {1}, std::move(filter));
+    ExecContext ctx;
+    ctx.read_vid = 1;
+    RowSet rows;
+    EXPECT_TRUE(scan.Execute(&ctx, &rows).ok());
+    return rows.TotalRows();
+  };
+  const auto v = Col(0, DataType::kInt64);
+  EXPECT_EQ(count(Lt(v, ConstInt(kMin))), 0u);
+  EXPECT_EQ(count(Gt(v, ConstInt(kMax))), 0u);
+  EXPECT_EQ(count(Le(v, ConstInt(kMin))), 1u);
+  EXPECT_EQ(count(Ge(v, ConstInt(kMax))), 1u);
+  EXPECT_EQ(count(Lt(v, ConstInt(kMin + 1))), 1u);
+  EXPECT_EQ(count(Gt(v, ConstInt(kMax - 1))), 1u);
 }
 
 TEST(CompactBatchTest, RemovesMaskedRowsInPlace) {

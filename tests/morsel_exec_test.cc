@@ -399,6 +399,14 @@ TEST_F(MorselExecTest, ChooseDopScalesWithEstimatedRows) {
   const int mid = ChooseDop(big, stats, 8, kFactRows / 2.0);
   EXPECT_GE(mid, 2);
   EXPECT_LE(mid, 8);
+  // The column engine reads every row of the groups it does not prune, so a
+  // selective integer-range filter on the fact scan (on the unordered `k`,
+  // which prunes no group) asks for the same dop.
+  auto selective = LScan(kFact, {0, 1, 2, 3},
+                         Lt(Col(1, DataType::kInt64), ConstInt(10)));
+  EXPECT_EQ(ChooseDop(selective, stats, 8, kFactRows / 4.0),
+            ChooseDop(big, stats, 8, kFactRows / 4.0));
+  EXPECT_EQ(ChooseDop(selective, stats, 8, kFactRows / 4.0), 4);
   // Tiny dim scan stays serial; max_dop=1 short-circuits everything.
   auto small = LScan(kDim, {0, 1});
   EXPECT_EQ(ChooseDop(small, stats, 8, 65536.0), 1);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "plan/optimizer.h"
 #include "tests/test_util.h"
 
@@ -52,6 +54,33 @@ TEST(JoinOrderTest, ExhaustiveSixRelationChainIsOrderedGreedily) {
     EXPECT_TRUE(connected) << "relation " << o.order[i];
     seen.insert(o.order[i]);
   }
+}
+
+// Range arithmetic over the int64 extremes: the differences between the
+// stats' min/max and a bound overflow int64, so they are taken in double.
+TEST(SelectivityTest, ExtremeIntRangesDoNotOverflow) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  TableStats ts;
+  ts.row_count = 1000;
+  ts.cols.resize(1);
+  ts.cols[0].has_range = true;
+  ts.cols[0].ndv = 1000;
+  ts.cols[0].min = kMin;
+  ts.cols[0].max = kMax;
+  const auto col = Col(0, DataType::kInt64);
+  EXPECT_NEAR(EstimateSelectivity(Ge(col, ConstInt(0)), &ts, {0}), 0.5,
+              0.01);
+  EXPECT_NEAR(EstimateSelectivity(Lt(col, ConstInt(kMax)), &ts, {0}), 1.0,
+              0.01);
+  ts.cols[0].min = -100;
+  ts.cols[0].max = 100;
+  EXPECT_DOUBLE_EQ(EstimateSelectivity(Ge(col, ConstInt(kMax)), &ts, {0}),
+                   1e-6);
+  ts.cols[0].min = 100;
+  ts.cols[0].max = 300;
+  EXPECT_DOUBLE_EQ(EstimateSelectivity(Le(col, ConstInt(kMin)), &ts, {0}),
+                   1e-6);
 }
 
 class PlanOnTpch : public ::testing::Test {
