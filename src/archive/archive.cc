@@ -30,29 +30,19 @@ Status ArchiveStore::LoadManifest(const std::string& log_name,
   out->clear();
   std::string blob;
   IMCI_RETURN_NOT_OK(fs_->ReadFile(ManifestFileName(log_name), &blob));
-  if (blob.size() < 4 + 8) {
-    return Status::Corruption("archive manifest header");
+  std::string_view body;
+  IMCI_RETURN_NOT_OK(CheckHashTrailer(blob, &body));
+  ByteReader r(body);
+  uint32_t count;
+  IMCI_RETURN_NOT_OK(r.Count(kSegEntryBytes, &count));
+  out->resize(count);
+  for (ArchivedSegment& seg : *out) {
+    IMCI_RETURN_NOT_OK(r.U64(&seg.first));
+    IMCI_RETURN_NOT_OK(r.U64(&seg.last));
+    IMCI_RETURN_NOT_OK(r.U64(&seg.bytes));
+    IMCI_RETURN_NOT_OK(r.U64(&seg.payload_hash));
   }
-  const uint64_t trailer = GetFixed64(blob.data() + blob.size() - 8);
-  if (HashBytes(blob.data(), blob.size() - 8) != trailer) {
-    return Status::Corruption("archive manifest checksum (" + log_name + ")");
-  }
-  const uint32_t count = GetFixed32(blob.data());
-  if (blob.size() != 4 + kSegEntryBytes * count + 8) {
-    return Status::Corruption("archive manifest size");
-  }
-  size_t pos = 4;
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ArchivedSegment seg;
-    seg.first = GetFixed64(blob.data() + pos);
-    seg.last = GetFixed64(blob.data() + pos + 8);
-    seg.bytes = GetFixed64(blob.data() + pos + 16);
-    seg.payload_hash = GetFixed64(blob.data() + pos + 24);
-    pos += kSegEntryBytes;
-    out->push_back(seg);
-  }
-  return Status::OK();
+  return r.done() ? Status::OK() : Status::Corruption("archive manifest size");
 }
 
 Status ArchiveStore::StoreManifestLocked(
@@ -65,7 +55,7 @@ Status ArchiveStore::StoreManifestLocked(
     PutFixed64(&blob, seg.bytes);
     PutFixed64(&blob, seg.payload_hash);
   }
-  PutFixed64(&blob, HashBytes(blob.data(), blob.size()));
+  PutHashTrailer(&blob);
   return fs_->WriteFile(ManifestFileName(log_name), std::move(blob));
 }
 

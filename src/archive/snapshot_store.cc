@@ -11,8 +11,6 @@ namespace imci {
 namespace {
 
 constexpr char kIndexFile[] = "archive/snap/INDEX";
-// ckpt_id, csn, start_lsn, pages size+hash, files size+hash, trailer hash.
-constexpr size_t kManifestBytes = 8 * 8;
 
 Status VerifiedBlob(const PolarFs* fs, const std::string& name,
                     uint64_t expect_size, uint64_t expect_hash,
@@ -47,8 +45,7 @@ Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
     std::string img;
     IMCI_RETURN_NOT_OK(fs_->ReadPage(id, &img));
     PutFixed64(&pages, id);
-    PutFixed32(&pages, static_cast<uint32_t>(img.size()));
-    pages.append(img);
+    PutLengthPrefixed(&pages, img);
   }
   // Row-store control files (registry, base_lsn) and, for checkpoint
   // anchors, the column checkpoint directory the CSN lives in.
@@ -64,10 +61,8 @@ Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
   for (const std::string& n : names) {
     std::string data;
     IMCI_RETURN_NOT_OK(fs_->ReadFile(n, &data));
-    PutFixed32(&files, static_cast<uint32_t>(n.size()));
-    files.append(n);
-    PutFixed32(&files, static_cast<uint32_t>(data.size()));
-    files.append(data);
+    PutLengthPrefixed(&files, n);
+    PutLengthPrefixed(&files, data);
   }
   const std::string dir = AnchorDir(ckpt_id);
   std::string manifest;
@@ -78,7 +73,7 @@ Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
   PutFixed64(&manifest, HashBytes(pages.data(), pages.size()));
   PutFixed64(&manifest, files.size());
   PutFixed64(&manifest, HashBytes(files.data(), files.size()));
-  PutFixed64(&manifest, HashBytes(manifest.data(), manifest.size()));
+  PutHashTrailer(&manifest);
   Anchor a;
   a.ckpt_id = ckpt_id;
   a.csn = csn;
@@ -137,7 +132,7 @@ Status SnapshotStore::StoreIndexLocked(const std::vector<Anchor>& anchors) {
     PutFixed64(&blob, a.start_lsn);
     PutFixed64(&blob, a.bytes);
   }
-  PutFixed64(&blob, HashBytes(blob.data(), blob.size()));
+  PutHashTrailer(&blob);
   return fs_->WriteFile(kIndexFile, std::move(blob));
 }
 
@@ -145,27 +140,19 @@ Status SnapshotStore::LoadIndex(std::vector<Anchor>* out) const {
   out->clear();
   std::string blob;
   IMCI_RETURN_NOT_OK(fs_->ReadFile(kIndexFile, &blob));
-  if (blob.size() < 4 + 8) return Status::Corruption("snapshot index header");
-  const uint64_t trailer = GetFixed64(blob.data() + blob.size() - 8);
-  if (HashBytes(blob.data(), blob.size() - 8) != trailer) {
-    return Status::Corruption("snapshot index checksum");
+  std::string_view body;
+  IMCI_RETURN_NOT_OK(CheckHashTrailer(blob, &body));
+  ByteReader r(body);
+  uint32_t count;
+  IMCI_RETURN_NOT_OK(r.Count(4 * 8, &count));
+  out->resize(count);
+  for (Anchor& a : *out) {
+    IMCI_RETURN_NOT_OK(r.U64(&a.ckpt_id));
+    IMCI_RETURN_NOT_OK(r.U64(&a.csn));
+    IMCI_RETURN_NOT_OK(r.U64(&a.start_lsn));
+    IMCI_RETURN_NOT_OK(r.U64(&a.bytes));
   }
-  const uint32_t count = GetFixed32(blob.data());
-  if (blob.size() != 4 + 32ull * count + 8) {
-    return Status::Corruption("snapshot index size");
-  }
-  size_t pos = 4;
-  out->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    Anchor a;
-    a.ckpt_id = GetFixed64(blob.data() + pos);
-    a.csn = GetFixed64(blob.data() + pos + 8);
-    a.start_lsn = GetFixed64(blob.data() + pos + 16);
-    a.bytes = GetFixed64(blob.data() + pos + 24);
-    pos += 32;
-    out->push_back(a);
-  }
-  return Status::OK();
+  return r.done() ? Status::OK() : Status::Corruption("snapshot index size");
 }
 
 Status SnapshotStore::Anchors(std::vector<Anchor>* out) const {
@@ -193,53 +180,44 @@ Status SnapshotStore::Restore(const Anchor& a, PolarFs* dest) const {
   const std::string dir = AnchorDir(a.ckpt_id);
   std::string manifest;
   IMCI_RETURN_NOT_OK(fs_->ReadFile(dir + "MANIFEST", &manifest));
-  if (manifest.size() != kManifestBytes) {
-    return Status::Corruption("snapshot manifest size");
+  std::string_view body;
+  IMCI_RETURN_NOT_OK(CheckHashTrailer(manifest, &body));
+  ByteReader m(body);
+  uint64_t ckpt_id, csn, start_lsn, pages_size, pages_hash, files_size,
+      files_hash;
+  for (uint64_t* field : {&ckpt_id, &csn, &start_lsn, &pages_size,
+                          &pages_hash, &files_size, &files_hash}) {
+    IMCI_RETURN_NOT_OK(m.U64(field));
   }
-  const uint64_t trailer = GetFixed64(manifest.data() + kManifestBytes - 8);
-  if (HashBytes(manifest.data(), kManifestBytes - 8) != trailer) {
-    return Status::Corruption("snapshot manifest checksum");
-  }
-  if (GetFixed64(manifest.data()) != a.ckpt_id) {
+  if (!m.done()) return Status::Corruption("snapshot manifest size");
+  if (ckpt_id != a.ckpt_id) {
     return Status::Corruption("snapshot manifest anchor mismatch");
   }
   std::string pages;
-  IMCI_RETURN_NOT_OK(VerifiedBlob(fs_, dir + "PAGES",
-                                  GetFixed64(manifest.data() + 24),
-                                  GetFixed64(manifest.data() + 32), &pages));
+  IMCI_RETURN_NOT_OK(
+      VerifiedBlob(fs_, dir + "PAGES", pages_size, pages_hash, &pages));
   std::string files;
-  IMCI_RETURN_NOT_OK(VerifiedBlob(fs_, dir + "FILES",
-                                  GetFixed64(manifest.data() + 40),
-                                  GetFixed64(manifest.data() + 48), &files));
-  if (pages.size() < 4) return Status::Corruption("snapshot pages header");
-  const uint32_t npages = GetFixed32(pages.data());
-  size_t pos = 4;
+  IMCI_RETURN_NOT_OK(
+      VerifiedBlob(fs_, dir + "FILES", files_size, files_hash, &files));
+  ByteReader pr(pages);
+  uint32_t npages;
+  IMCI_RETURN_NOT_OK(pr.Count(8 + 4, &npages));  // id + image length
   for (uint32_t i = 0; i < npages; ++i) {
-    if (pos + 12 > pages.size()) return Status::Corruption("snapshot page");
-    const PageId id = GetFixed64(pages.data() + pos);
-    const uint32_t len = GetFixed32(pages.data() + pos + 8);
-    pos += 12;
-    if (pos + len > pages.size()) return Status::Corruption("snapshot page");
-    IMCI_RETURN_NOT_OK(dest->WritePage(id, pages.substr(pos, len)));
-    pos += len;
+    PageId id;
+    std::string_view image;
+    IMCI_RETURN_NOT_OK(pr.U64(&id));
+    IMCI_RETURN_NOT_OK(pr.Str(&image));
+    IMCI_RETURN_NOT_OK(dest->WritePage(id, std::string(image)));
   }
-  if (files.size() < 4) return Status::Corruption("snapshot files header");
-  const uint32_t nfiles = GetFixed32(files.data());
-  pos = 4;
+  ByteReader fr(files);
+  uint32_t nfiles;
+  IMCI_RETURN_NOT_OK(fr.Count(4 + 4, &nfiles));  // name + data lengths
   for (uint32_t i = 0; i < nfiles; ++i) {
-    if (pos + 4 > files.size()) return Status::Corruption("snapshot file");
-    const uint32_t namelen = GetFixed32(files.data() + pos);
-    pos += 4;
-    if (pos + namelen + 4 > files.size()) {
-      return Status::Corruption("snapshot file");
-    }
-    std::string name = files.substr(pos, namelen);
-    pos += namelen;
-    const uint32_t len = GetFixed32(files.data() + pos);
-    pos += 4;
-    if (pos + len > files.size()) return Status::Corruption("snapshot file");
-    IMCI_RETURN_NOT_OK(dest->WriteFile(std::move(name), files.substr(pos, len)));
-    pos += len;
+    std::string name;
+    std::string_view data;
+    IMCI_RETURN_NOT_OK(fr.Str(&name));
+    IMCI_RETURN_NOT_OK(fr.Str(&data));
+    IMCI_RETURN_NOT_OK(dest->WriteFile(std::move(name), std::string(data)));
   }
   if (a.ckpt_id != 0) {
     IMCI_RETURN_NOT_OK(

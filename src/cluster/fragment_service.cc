@@ -14,8 +14,7 @@ constexpr uint32_t kFragmentProtoVersion = 1;
 
 void PutStatus(std::string* dst, const Status& s) {
   dst->push_back(static_cast<char>(s.code()));
-  PutFixed32(dst, static_cast<uint32_t>(s.message().size()));
-  dst->append(s.message());
+  PutLengthPrefixed(dst, s.message());
 }
 
 Status GetStatus(ByteReader* r, Status* out) {

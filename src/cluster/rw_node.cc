@@ -30,9 +30,7 @@ Status RwNode::FinishLoad() {
 Status RwNode::ReadBaseLsn(PolarFs* fs, Lsn* lsn) {
   std::string blob;
   IMCI_RETURN_NOT_OK(fs->ReadFile("rowstore/base_lsn", &blob));
-  if (blob.size() < 8) return Status::Corruption("base_lsn");
-  *lsn = GetFixed64(blob.data());
-  return Status::OK();
+  return ByteReader(blob).U64(lsn);
 }
 
 Status RwNode::ExecuteSnapshot(const LogicalRef& plan, std::vector<Row>* out) {

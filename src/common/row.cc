@@ -30,12 +30,9 @@ void RowCodec::Encode(const Schema& schema, const Row& row, std::string* out) {
         PutFixed64(out, bits);
         break;
       }
-      case DataType::kString: {
-        const std::string& s = AsString(row[i]);
-        PutFixed32(out, static_cast<uint32_t>(s.size()));
-        out->append(s);
+      case DataType::kString:
+        PutLengthPrefixed(out, AsString(row[i]));
         break;
-      }
     }
   }
 }
@@ -43,38 +40,31 @@ void RowCodec::Encode(const Schema& schema, const Row& row, std::string* out) {
 Status RowCodec::Decode(const Schema& schema, const char* data, size_t size,
                         Row* row) {
   const int n = schema.num_columns();
-  const size_t bitmap_bytes = (n + 7) / 8;
-  if (size < bitmap_bytes) return Status::Corruption("row too short");
+  ByteReader r(data, size);
+  std::string_view nulls;
+  IMCI_RETURN_NOT_OK(r.Bytes((n + 7) / 8, &nulls));
   row->assign(n, Value{});
-  size_t pos = bitmap_bytes;
   for (int i = 0; i < n; ++i) {
-    const bool is_null = (data[i / 8] >> (i % 8)) & 1;
-    if (is_null) continue;
+    if ((nulls[i / 8] >> (i % 8)) & 1) continue;
     switch (schema.column(i).type) {
       case DataType::kInt64:
       case DataType::kInt32:
       case DataType::kDate: {
-        if (pos + 8 > size) return Status::Corruption("row int trunc");
-        (*row)[i] = static_cast<int64_t>(GetFixed64(data + pos));
-        pos += 8;
+        int64_t v;
+        IMCI_RETURN_NOT_OK(r.I64(&v));
+        (*row)[i] = v;
         break;
       }
       case DataType::kDouble: {
-        if (pos + 8 > size) return Status::Corruption("row dbl trunc");
-        uint64_t bits = GetFixed64(data + pos);
         double d;
-        std::memcpy(&d, &bits, sizeof(d));
+        IMCI_RETURN_NOT_OK(r.F64(&d));
         (*row)[i] = d;
-        pos += 8;
         break;
       }
       case DataType::kString: {
-        if (pos + 4 > size) return Status::Corruption("row strlen trunc");
-        uint32_t len = GetFixed32(data + pos);
-        pos += 4;
-        if (pos + len > size) return Status::Corruption("row str trunc");
-        (*row)[i] = std::string(data + pos, len);
-        pos += len;
+        std::string_view s;
+        IMCI_RETURN_NOT_OK(r.Str(&s));
+        (*row)[i] = std::string(s);
         break;
       }
     }
@@ -86,37 +76,26 @@ Status RowCodec::DecodePk(const Schema& schema, const char* data, size_t size,
                           int64_t* pk) {
   // The PK column is non-nullable; walk lanes up to pk_col.
   const int n = schema.num_columns();
-  const size_t bitmap_bytes = (n + 7) / 8;
-  if (size < bitmap_bytes) return Status::Corruption("row too short");
-  size_t pos = bitmap_bytes;
+  ByteReader r(data, size);
+  std::string_view nulls;
+  IMCI_RETURN_NOT_OK(r.Bytes((n + 7) / 8, &nulls));
   for (int i = 0; i < n; ++i) {
-    const bool is_null = (data[i / 8] >> (i % 8)) & 1;
     const bool is_pk = (i == schema.pk_col());
-    if (is_null) {
+    if ((nulls[i / 8] >> (i % 8)) & 1) {
       if (is_pk) return Status::Corruption("null pk");
       continue;
     }
-    switch (schema.column(i).type) {
-      case DataType::kInt64:
-      case DataType::kInt32:
-      case DataType::kDate:
-      case DataType::kDouble: {
-        if (pos + 8 > size) return Status::Corruption("pk trunc");
-        if (is_pk) {
-          *pk = static_cast<int64_t>(GetFixed64(data + pos));
-          return Status::OK();
-        }
-        pos += 8;
-        break;
-      }
-      case DataType::kString: {
-        if (pos + 4 > size) return Status::Corruption("pk strlen trunc");
-        uint32_t len = GetFixed32(data + pos);
-        pos += 4 + len;
-        if (pos > size) return Status::Corruption("pk str trunc");
-        if (is_pk) return Status::Corruption("string pk unsupported");
-        break;
-      }
+    if (schema.column(i).type == DataType::kString) {
+      if (is_pk) return Status::Corruption("string pk unsupported");
+      std::string_view skipped;
+      IMCI_RETURN_NOT_OK(r.Str(&skipped));
+      continue;
+    }
+    int64_t v;
+    IMCI_RETURN_NOT_OK(r.I64(&v));
+    if (is_pk) {
+      *pk = v;
+      return Status::OK();
     }
   }
   return Status::Corruption("pk column not found");
@@ -173,26 +152,22 @@ void RowDiff::Serialize(std::string* out) const {
   PutFixed32(out, static_cast<uint32_t>(patches.size()));
   for (const Patch& p : patches) {
     PutFixed32(out, p.offset);
-    PutFixed32(out, static_cast<uint32_t>(p.bytes.size()));
-    out->append(p.bytes);
+    PutLengthPrefixed(out, p.bytes);
   }
 }
 
 Status RowDiff::Deserialize(const char* data, size_t size, RowDiff* diff) {
-  if (size < 8) return Status::Corruption("diff header");
-  diff->new_size = GetFixed32(data);
-  uint32_t n = GetFixed32(data + 4);
-  size_t pos = 8;
+  ByteReader r(data, size);
+  uint32_t n;
+  IMCI_RETURN_NOT_OK(r.U32(&diff->new_size));
+  IMCI_RETURN_NOT_OK(r.Count(8, &n));  // offset + length per patch
   diff->patches.clear();
   diff->patches.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    if (pos + 8 > size) return Status::Corruption("diff patch header");
-    uint32_t off = GetFixed32(data + pos);
-    uint32_t len = GetFixed32(data + pos + 4);
-    pos += 8;
-    if (pos + len > size) return Status::Corruption("diff patch body");
-    diff->patches.push_back({off, std::string(data + pos, len)});
-    pos += len;
+    Patch p;
+    IMCI_RETURN_NOT_OK(r.U32(&p.offset));
+    IMCI_RETURN_NOT_OK(r.Str(&p.bytes));
+    diff->patches.push_back(std::move(p));
   }
   return Status::OK();
 }

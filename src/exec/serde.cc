@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/coding.h"
-
 namespace imci {
 
 namespace {
@@ -14,62 +12,10 @@ constexpr uint8_t kTagInt = 1;
 constexpr uint8_t kTagDouble = 2;
 constexpr uint8_t kTagString = 3;
 
-// Decode guards: a corrupt length prefix must not drive a multi-gigabyte
-// allocation before the bounds check catches it. Collections are capped by
-// what the remaining buffer could possibly hold.
+// A corrupt nesting depth must not overflow the decoder's stack.
 constexpr size_t kMaxExprDepth = 256;
 
 }  // namespace
-
-Status ByteReader::U8(uint8_t* out) {
-  if (remaining() < 1) return Status::Corruption("serde: truncated u8");
-  *out = static_cast<uint8_t>(*p_++);
-  return Status::OK();
-}
-
-Status ByteReader::U32(uint32_t* out) {
-  if (remaining() < 4) return Status::Corruption("serde: truncated u32");
-  *out = GetFixed32(p_);
-  p_ += 4;
-  return Status::OK();
-}
-
-Status ByteReader::U64(uint64_t* out) {
-  if (remaining() < 8) return Status::Corruption("serde: truncated u64");
-  *out = GetFixed64(p_);
-  p_ += 8;
-  return Status::OK();
-}
-
-Status ByteReader::I32(int32_t* out) {
-  uint32_t u;
-  IMCI_RETURN_NOT_OK(U32(&u));
-  *out = static_cast<int32_t>(u);
-  return Status::OK();
-}
-
-Status ByteReader::I64(int64_t* out) {
-  uint64_t u;
-  IMCI_RETURN_NOT_OK(U64(&u));
-  *out = static_cast<int64_t>(u);
-  return Status::OK();
-}
-
-Status ByteReader::F64(double* out) {
-  uint64_t bits;
-  IMCI_RETURN_NOT_OK(U64(&bits));
-  std::memcpy(out, &bits, 8);
-  return Status::OK();
-}
-
-Status ByteReader::Str(std::string* out) {
-  uint32_t len;
-  IMCI_RETURN_NOT_OK(U32(&len));
-  if (remaining() < len) return Status::Corruption("serde: truncated string");
-  out->assign(p_, len);
-  p_ += len;
-  return Status::OK();
-}
 
 // --- Values and rows ---------------------------------------------------
 
@@ -89,9 +35,7 @@ void PutValue(std::string* dst, const Value& v) {
     PutFixed64(dst, bits);
   } else {
     dst->push_back(static_cast<char>(kTagString));
-    const std::string& s = AsString(v);
-    PutFixed32(dst, static_cast<uint32_t>(s.size()));
-    dst->append(s);
+    PutLengthPrefixed(dst, AsString(v));
   }
 }
 
@@ -132,8 +76,7 @@ void PutRow(std::string* dst, const Row& row) {
 
 Status GetRow(ByteReader* r, Row* out) {
   uint32_t n;
-  IMCI_RETURN_NOT_OK(r->U32(&n));
-  if (n > r->remaining()) return Status::Corruption("serde: row width");
+  IMCI_RETURN_NOT_OK(r->Count(1, &n));  // each value has a tag byte
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -151,8 +94,7 @@ void PutRows(std::string* dst, const std::vector<Row>& rows) {
 
 Status GetRows(ByteReader* r, std::vector<Row>* out) {
   uint32_t n;
-  IMCI_RETURN_NOT_OK(r->U32(&n));
-  if (n > r->remaining()) return Status::Corruption("serde: row count");
+  IMCI_RETURN_NOT_OK(r->Count(4, &n));  // each row has a width prefix
   out->clear();
   out->reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -174,8 +116,7 @@ void PutExprRec(std::string* dst, const ExprRef& e) {
   dst->push_back(static_cast<char>(e->out_type));
   PutFixed32(dst, static_cast<uint32_t>(e->col));
   PutValue(dst, e->constant);
-  PutFixed32(dst, static_cast<uint32_t>(e->pattern.size()));
-  dst->append(e->pattern);
+  PutLengthPrefixed(dst, e->pattern);
   PutFixed32(dst, static_cast<uint32_t>(e->in_set.size()));
   for (const Value& v : e->in_set) PutValue(dst, v);
   PutFixed32(dst, static_cast<uint32_t>(e->substr_start));
@@ -204,8 +145,7 @@ Status GetExprRec(ByteReader* r, size_t depth, ExprRef* out) {
   IMCI_RETURN_NOT_OK(GetValue(r, &e->constant));
   IMCI_RETURN_NOT_OK(r->Str(&e->pattern));
   uint32_t nset;
-  IMCI_RETURN_NOT_OK(r->U32(&nset));
-  if (nset > r->remaining()) return Status::Corruption("serde: in_set size");
+  IMCI_RETURN_NOT_OK(r->Count(1, &nset));
   e->in_set.reserve(nset);
   for (uint32_t i = 0; i < nset; ++i) {
     Value v;
@@ -218,8 +158,7 @@ Status GetExprRec(ByteReader* r, size_t depth, ExprRef* out) {
   e->substr_start = ss;
   e->substr_len = sl;
   uint32_t nargs;
-  IMCI_RETURN_NOT_OK(r->U32(&nargs));
-  if (nargs > r->remaining()) return Status::Corruption("serde: args size");
+  IMCI_RETURN_NOT_OK(r->Count(1, &nargs));
   e->args.reserve(nargs);
   for (uint32_t i = 0; i < nargs; ++i) {
     ExprRef a;

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/row.h"
 #include "common/status.h"
 #include "exec/expr.h"
@@ -13,30 +14,8 @@ namespace imci {
 /// Byte-oriented serialization for the distributed fragment protocol. The
 /// wire format is self-describing (type-tagged values) and little-endian
 /// fixed-width, so the in-process FragmentChannel and a future TCP transport
-/// share one codec. Decoding is bounds-checked end to end: a short or
-/// malformed buffer surfaces as Status::Corruption, never UB.
-
-/// Bounds-checked sequential reader over an immutable byte buffer.
-class ByteReader {
- public:
-  ByteReader(const char* data, size_t size) : p_(data), end_(data + size) {}
-  explicit ByteReader(const std::string& s) : ByteReader(s.data(), s.size()) {}
-
-  bool done() const { return p_ == end_; }
-  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
-
-  Status U8(uint8_t* out);
-  Status U32(uint32_t* out);
-  Status U64(uint64_t* out);
-  Status I32(int32_t* out);
-  Status I64(int64_t* out);
-  Status F64(double* out);
-  Status Str(std::string* out);
-
- private:
-  const char* p_;
-  const char* end_;
-};
+/// share one codec. Decoding reads through ByteReader (common/coding.h): a
+/// short or malformed buffer surfaces as Status::Corruption, never UB.
 
 // --- Values and rows ---------------------------------------------------
 

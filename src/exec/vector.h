@@ -124,13 +124,6 @@ struct Batch {
     return b;
   }
 
-  std::vector<DataType> Types() const {
-    std::vector<DataType> t;
-    t.reserve(cols.size());
-    for (const auto& c : cols) t.push_back(c.type);
-    return t;
-  }
-
   void AppendRowFrom(const Batch& src, size_t i) {
     for (int c = 0; c < num_cols(); ++c) cols[c].AppendFrom(src.cols[c], i);
     ++rows;

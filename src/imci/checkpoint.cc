@@ -1,5 +1,7 @@
 #include "imci/checkpoint.h"
 
+#include <charconv>
+
 #include "common/coding.h"
 
 namespace imci {
@@ -19,7 +21,7 @@ void EncodeVidArray(const std::atomic<Vid>* vids, uint32_t used, Vid csn,
   IntCodec::Encode(vals, out);
 }
 
-Status DecodeVidArray(const std::string& blob, std::atomic<Vid>* vids,
+Status DecodeVidArray(std::string_view blob, std::atomic<Vid>* vids,
                       uint32_t expect) {
   std::vector<int64_t> vals;
   IMCI_RETURN_NOT_OK(IntCodec::Decode(blob, &vals));
@@ -30,19 +32,22 @@ Status DecodeVidArray(const std::string& blob, std::atomic<Vid>* vids,
   return Status::OK();
 }
 
-void PutBlob(std::string* out, const std::string& blob) {
-  PutFixed32(out, static_cast<uint32_t>(blob.size()));
-  out->append(blob);
+std::string CkptDir(uint64_t ckpt_id) {
+  return "imci_ckpt/" + std::to_string(ckpt_id) + "/";
 }
 
-Status GetBlob(const std::string& data, size_t* pos, std::string* blob) {
-  if (*pos + 4 > data.size()) return Status::Corruption("blob len");
-  uint32_t len = GetFixed32(data.data() + *pos);
-  *pos += 4;
-  if (*pos + len > data.size()) return Status::Corruption("blob body");
-  blob->assign(data.data() + *pos, len);
-  *pos += len;
-  return Status::OK();
+// Reads CURRENT, the id of the newest complete checkpoint, and that
+// checkpoint's MANIFEST. A torn CURRENT write can leave the file empty or
+// half a number, which is Corruption rather than an exception.
+Status ReadLatest(PolarFs* fs, uint64_t* ckpt_id, std::string* manifest) {
+  std::string current;
+  IMCI_RETURN_NOT_OK(fs->ReadFile("imci_ckpt/CURRENT", &current));
+  const char* end = current.data() + current.size();
+  auto [parsed, ec] = std::from_chars(current.data(), end, *ckpt_id);
+  if (ec != std::errc() || parsed != end) {
+    return Status::Corruption("imci_ckpt/CURRENT: '" + current + "'");
+  }
+  return fs->ReadFile(CkptDir(*ckpt_id) + "MANIFEST", manifest);
 }
 
 }  // namespace
@@ -60,8 +65,9 @@ Status ImciCheckpoint::WriteGroup(const ColumnIndex& index, size_t gid,
   for (int p = 0; p < g->num_packs(); ++p) {
     out->push_back(static_cast<char>(g->pack_type(p)));
     const ColumnPack* pack = const_cast<RowGroup&>(*g).mutable_pack(p);
-    std::string nulls(reinterpret_cast<const char*>(pack->nulls.data()), used);
-    PutBlob(out, nulls);
+    PutLengthPrefixed(out, std::string_view(reinterpret_cast<const char*>(
+                               pack->nulls.data()),
+                           used));
     std::string lane;
     switch (pack->type) {
       case DataType::kInt64:
@@ -85,14 +91,14 @@ Status ImciCheckpoint::WriteGroup(const ColumnIndex& index, size_t gid,
         break;
       }
     }
-    PutBlob(out, lane);
+    PutLengthPrefixed(out, lane);
   }
   std::string ivids, dvids;
   EncodeVidArray(g->raw_insert_vids(), used, csn,
                  static_cast<Vid>(kInvalidVid), &ivids);
   EncodeVidArray(g->raw_delete_vids(), used, csn, kMaxVid, &dvids);
-  PutBlob(out, ivids);
-  PutBlob(out, dvids);
+  PutLengthPrefixed(out, ivids);
+  PutLengthPrefixed(out, dvids);
   return Status::OK();
 }
 
@@ -123,25 +129,24 @@ Status ImciCheckpoint::WriteIndex(const ColumnIndex& index, Vid csn,
   return Status::OK();
 }
 
-Status ImciCheckpoint::LoadGroup(const std::string& data, size_t* pos,
-                                 ColumnIndex* index, size_t gid) {
-  if (*pos + 1 > data.size()) return Status::Corruption("group flag");
-  const bool present = data[(*pos)++] != 0;
+Status ImciCheckpoint::LoadGroup(ByteReader* r, ColumnIndex* index,
+                                 size_t gid) {
+  uint8_t present;
+  IMCI_RETURN_NOT_OK(r->U8(&present));
   auto g = index->EnsureGroup(gid);
   if (!present) {
     // Reclaimed group: keep an empty (all-invisible) placeholder.
     return Status::OK();
   }
-  if (*pos + 4 > data.size()) return Status::Corruption("group used");
-  uint32_t used = GetFixed32(data.data() + *pos);
-  *pos += 4;
+  uint32_t used;
+  IMCI_RETURN_NOT_OK(r->U32(&used));
   if (used > g->capacity()) return Status::Corruption("group overfull");
   for (int p = 0; p < g->num_packs(); ++p) {
-    if (*pos + 1 > data.size()) return Status::Corruption("pack type");
-    ++*pos;  // type byte (validated against schema implicitly)
-    std::string nulls, lane;
-    IMCI_RETURN_NOT_OK(GetBlob(data, pos, &nulls));
-    IMCI_RETURN_NOT_OK(GetBlob(data, pos, &lane));
+    uint8_t type;  // validated against the schema implicitly
+    IMCI_RETURN_NOT_OK(r->U8(&type));
+    std::string_view nulls, lane;
+    IMCI_RETURN_NOT_OK(r->Str(&nulls));
+    IMCI_RETURN_NOT_OK(r->Str(&lane));
     if (nulls.size() != used) return Status::Corruption("nulls size");
     ColumnPack* pack = g->mutable_pack(p);
     for (uint32_t i = 0; i < used; ++i) {
@@ -173,9 +178,9 @@ Status ImciCheckpoint::LoadGroup(const std::string& data, size_t* pos,
       }
     }
   }
-  std::string ivids, dvids;
-  IMCI_RETURN_NOT_OK(GetBlob(data, pos, &ivids));
-  IMCI_RETURN_NOT_OK(GetBlob(data, pos, &dvids));
+  std::string_view ivids, dvids;
+  IMCI_RETURN_NOT_OK(r->Str(&ivids));
+  IMCI_RETURN_NOT_OK(r->Str(&dvids));
   IMCI_RETURN_NOT_OK(DecodeVidArray(ivids, g->raw_insert_vids(), used));
   IMCI_RETURN_NOT_OK(DecodeVidArray(dvids, g->raw_delete_vids(), used));
   g->RebuildMeta(used);
@@ -183,51 +188,44 @@ Status ImciCheckpoint::LoadGroup(const std::string& data, size_t* pos,
 }
 
 Status ImciCheckpoint::LoadIndex(const std::string& data, ColumnIndex* index) {
-  size_t pos = 0;
-  if (data.size() < 32) return Status::Corruption("ckpt header");
-  TableId tid = GetFixed32(data.data() + pos);
-  pos += 4;
+  ByteReader r(data);
+  TableId tid;
+  IMCI_RETURN_NOT_OK(r.U32(&tid));
   if (tid != index->schema().table_id()) {
     return Status::InvalidArgument("table mismatch");
   }
-  pos += 8;  // csn (recorded in manifest)
-  Rid next_rid = GetFixed64(data.data() + pos);
-  pos += 8;
-  uint32_t group_size = GetFixed32(data.data() + pos);
-  pos += 4;
+  Vid csn;  // recorded in the manifest
+  Rid next_rid;
+  uint32_t group_size;
+  uint64_t ngroups;
+  IMCI_RETURN_NOT_OK(r.U64(&csn));
+  IMCI_RETURN_NOT_OK(r.U64(&next_rid));
+  IMCI_RETURN_NOT_OK(r.U32(&group_size));
   if (group_size != index->options().row_group_size) {
     return Status::InvalidArgument("row group size mismatch");
   }
-  uint64_t ngroups = GetFixed64(data.data() + pos);
-  pos += 8;
+  IMCI_RETURN_NOT_OK(r.U64(&ngroups));
+  if (ngroups > r.remaining()) return Status::Corruption("group count");
   index->next_rid_.store(next_rid, std::memory_order_release);
   for (size_t gid = 0; gid < ngroups; ++gid) {
-    IMCI_RETURN_NOT_OK(LoadGroup(data, &pos, index, gid));
+    IMCI_RETURN_NOT_OK(LoadGroup(&r, index, gid));
   }
-  if (pos + 4 > data.size()) return Status::Corruption("locator shards");
-  uint32_t nshards = GetFixed32(data.data() + pos);
-  pos += 4;
+  uint32_t nshards;
+  IMCI_RETURN_NOT_OK(r.Count(4, &nshards));  // a run count per shard
   std::vector<std::vector<RidLocator::RunRef>> shards(nshards);
-  for (uint32_t s = 0; s < nshards; ++s) {
-    if (pos + 4 > data.size()) return Status::Corruption("locator runs");
-    uint32_t nruns = GetFixed32(data.data() + pos);
-    pos += 4;
-    for (uint32_t r = 0; r < nruns; ++r) {
-      if (pos + 4 > data.size()) return Status::Corruption("run size");
-      uint32_t nentries = GetFixed32(data.data() + pos);
-      pos += 4;
+  for (auto& runs : shards) {
+    uint32_t nruns;
+    IMCI_RETURN_NOT_OK(r.Count(4, &nruns));  // an entry count per run
+    for (uint32_t i = 0; i < nruns; ++i) {
+      uint32_t nentries;
+      IMCI_RETURN_NOT_OK(r.Count(16, &nentries));  // pk + rid per entry
       auto run = std::make_shared<RidLocator::Run>();
-      run->entries.reserve(nentries);
-      if (pos + 16ull * nentries > data.size()) {
-        return Status::Corruption("run entries");
+      run->entries.resize(nentries);
+      for (auto& [pk, rid] : run->entries) {
+        IMCI_RETURN_NOT_OK(r.I64(&pk));
+        IMCI_RETURN_NOT_OK(r.U64(&rid));
       }
-      for (uint32_t e = 0; e < nentries; ++e) {
-        int64_t pk = static_cast<int64_t>(GetFixed64(data.data() + pos));
-        Rid rid = GetFixed64(data.data() + pos + 8);
-        pos += 16;
-        run->entries.emplace_back(pk, rid);
-      }
-      shards[s].push_back(std::move(run));
+      runs.push_back(std::move(run));
     }
   }
   index->locator()->Restore(shards);
@@ -239,7 +237,7 @@ Status ImciCheckpoint::WriteSnapshot(const ImciStore& store, Vid csn,
                                      Lsn start_lsn, PolarFs* fs,
                                      uint64_t ckpt_id,
                                      const std::string& inflight) {
-  const std::string dir = "imci_ckpt/" + std::to_string(ckpt_id) + "/";
+  const std::string dir = CkptDir(ckpt_id);
   std::string manifest;
   PutFixed64(&manifest, csn);
   PutFixed64(&manifest, start_lsn);
@@ -260,37 +258,32 @@ Status ImciCheckpoint::WriteSnapshot(const ImciStore& store, Vid csn,
 
 Status ImciCheckpoint::ReadLatestManifest(PolarFs* fs, Vid* csn,
                                           Lsn* start_lsn, uint64_t* ckpt_id) {
-  std::string current;
-  IMCI_RETURN_NOT_OK(fs->ReadFile("imci_ckpt/CURRENT", &current));
+  uint64_t id;
   std::string manifest;
-  IMCI_RETURN_NOT_OK(
-      fs->ReadFile("imci_ckpt/" + current + "/MANIFEST", &manifest));
-  if (manifest.size() < 16) return Status::Corruption("manifest");
-  *csn = GetFixed64(manifest.data());
-  *start_lsn = GetFixed64(manifest.data() + 8);
-  if (ckpt_id) *ckpt_id = std::stoull(current);
+  IMCI_RETURN_NOT_OK(ReadLatest(fs, &id, &manifest));
+  ByteReader r(manifest);
+  IMCI_RETURN_NOT_OK(r.U64(csn));
+  IMCI_RETURN_NOT_OK(r.U64(start_lsn));
+  if (ckpt_id) *ckpt_id = id;
   return Status::OK();
 }
 
 Status ImciCheckpoint::LoadLatest(PolarFs* fs, const Catalog& catalog,
                                   ImciStore* store, Vid* csn, Lsn* start_lsn,
                                   uint64_t* ckpt_id, std::string* inflight) {
-  std::string current;
-  IMCI_RETURN_NOT_OK(fs->ReadFile("imci_ckpt/CURRENT", &current));
-  const uint64_t id = std::stoull(current);
-  const std::string dir = "imci_ckpt/" + current + "/";
+  uint64_t id;
   std::string manifest;
-  IMCI_RETURN_NOT_OK(fs->ReadFile(dir + "MANIFEST", &manifest));
-  if (manifest.size() < 20) return Status::Corruption("manifest");
-  *csn = GetFixed64(manifest.data());
-  *start_lsn = GetFixed64(manifest.data() + 8);
+  IMCI_RETURN_NOT_OK(ReadLatest(fs, &id, &manifest));
+  const std::string dir = CkptDir(id);
+  ByteReader r(manifest);
+  uint32_t ntables;
+  IMCI_RETURN_NOT_OK(r.U64(csn));
+  IMCI_RETURN_NOT_OK(r.U64(start_lsn));
+  IMCI_RETURN_NOT_OK(r.Count(4, &ntables));
   if (ckpt_id) *ckpt_id = id;
-  uint32_t ntables = GetFixed32(manifest.data() + 16);
-  size_t pos = 20;
   for (uint32_t i = 0; i < ntables; ++i) {
-    if (pos + 4 > manifest.size()) return Status::Corruption("manifest tbl");
-    TableId tid = GetFixed32(manifest.data() + pos);
-    pos += 4;
+    TableId tid;
+    IMCI_RETURN_NOT_OK(r.U32(&tid));
     auto schema = catalog.Get(tid);
     if (!schema) return Status::Corruption("unknown table in manifest");
     ColumnIndex* idx = store->CreateIndex(schema);

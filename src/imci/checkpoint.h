@@ -32,6 +32,8 @@ namespace imci {
 /// restores before tailing the log from start_lsn. Replaying from there
 /// with the Phase#2 rule "skip transactions with commit VID <= CSN"
 /// reproduces the live state exactly.
+class ByteReader;
+
 class ImciCheckpoint {
  public:
   /// Serializes one column index at `csn`.
@@ -65,8 +67,7 @@ class ImciCheckpoint {
  private:
   static Status WriteGroup(const ColumnIndex& index, size_t gid, Vid csn,
                            std::string* out);
-  static Status LoadGroup(const std::string& data, size_t* pos,
-                          ColumnIndex* index, size_t gid);
+  static Status LoadGroup(ByteReader* r, ColumnIndex* index, size_t gid);
 };
 
 }  // namespace imci

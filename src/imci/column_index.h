@@ -33,7 +33,9 @@ class ReadViewRegistry {
 };
 
 struct ColumnIndexOptions {
-  /// Rows per row group ("64K rows per row group" by default, §4.1).
+  /// Rows per row group ("64K rows per row group" by default, §4.1). A
+  /// checkpoint lane decodes at most 2^24 values (compression.cc), so a
+  /// larger group would not load back.
   uint32_t row_group_size = 65536;
 };
 

@@ -30,21 +30,33 @@ void BitPack(const std::vector<uint64_t>& vals, int bits, std::string* out) {
   if (acc_bits > 0) out->push_back(static_cast<char>(acc & 0xFF));
 }
 
-Status BitUnpack(const char* data, size_t size, size_t count, int bits,
+// Widest code the encoders pack: frame-of-reference and delta lanes fall
+// back to raw 8-byte values above 56 bits, and dictionary codes are 32 bits.
+constexpr int kMaxPackBits = 56;
+
+// A lane holds one row group's column (or VID array). A bit width of 0
+// packs any count into zero bytes, so the buffer alone cannot bound it.
+constexpr uint32_t kMaxLaneValues = 1u << 24;
+
+Status LaneCount(ByteReader* r, uint32_t* n) {
+  IMCI_RETURN_NOT_OK(r->U32(n));
+  return *n <= kMaxLaneValues ? Status::OK()
+                              : Status::Corruption("lane count");
+}
+
+Status BitUnpack(ByteReader* r, size_t count, int bits,
                  std::vector<uint64_t>* vals) {
-  vals->resize(count);
-  if (bits == 0) {
-    std::fill(vals->begin(), vals->end(), 0);
-    return Status::OK();
-  }
-  const size_t need = (count * bits + 7) / 8;
-  if (size < need) return Status::Corruption("bitpack underflow");
+  if (bits > kMaxPackBits) return Status::Corruption("bitpack width");
+  std::string_view data;
+  IMCI_RETURN_NOT_OK(r->Bytes((count * bits + 7) / 8, &data));
+  vals->assign(count, 0);
+  if (bits == 0) return Status::OK();
   uint64_t acc = 0;
   int acc_bits = 0;
   size_t pos = 0;
-  const uint64_t mask = bits == 64 ? ~0ull : ((1ull << bits) - 1);
+  const uint64_t mask = (1ull << bits) - 1;
   for (size_t i = 0; i < count; ++i) {
-    while (acc_bits < bits && pos < size) {
+    while (acc_bits < bits) {
       acc |= static_cast<uint64_t>(static_cast<unsigned char>(data[pos++]))
              << acc_bits;
       acc_bits += 8;
@@ -110,61 +122,47 @@ void IntCodec::Encode(const std::vector<int64_t>& values, std::string* out) {
   }
 }
 
-Status IntCodec::Decode(const std::string& data, std::vector<int64_t>* values) {
-  if (data.size() < 4) return Status::Corruption("intpack header");
-  uint32_t n = GetFixed32(data.data());
+Status IntCodec::Decode(std::string_view data, std::vector<int64_t>* values) {
+  ByteReader r(data);
+  uint32_t n;
+  IMCI_RETURN_NOT_OK(LaneCount(&r, &n));
   values->clear();
   if (n == 0) return Status::OK();
-  size_t pos = 4;
-  if (pos + 1 > data.size()) return Status::Corruption("intpack mode");
-  const uint8_t mode = static_cast<uint8_t>(data[pos++]);
+  uint8_t mode;
+  IMCI_RETURN_NOT_OK(r.U8(&mode));
   if (mode == 2) {
-    if (pos + 8ull * n > data.size()) return Status::Corruption("raw ints");
+    std::string_view raw;
+    IMCI_RETURN_NOT_OK(r.Bytes(8ull * n, &raw));
+    ByteReader rr(raw);
     values->resize(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      (*values)[i] = static_cast<int64_t>(GetFixed64(data.data() + pos));
-      pos += 8;
-    }
+    for (int64_t& v : *values) IMCI_RETURN_NOT_OK(rr.I64(&v));
     return Status::OK();
   }
-  const bool use_delta = mode == 1;
-  if (use_delta) {
-    if (pos + 17 > data.size()) return Status::Corruption("intpack delta hdr");
-    int64_t first = static_cast<int64_t>(GetFixed64(data.data() + pos));
-    uint64_t dmn = GetFixed64(data.data() + pos + 8);
-    int bits = static_cast<unsigned char>(data[pos + 16]);
-    pos += 17;
-    std::vector<uint64_t> packed;
-    IMCI_RETURN_NOT_OK(
-        BitUnpack(data.data() + pos, data.size() - pos, n - 1, bits, &packed));
+  if (mode > 2) return Status::Corruption("intpack mode");
+  uint64_t base;
+  IMCI_RETURN_NOT_OK(r.U64(&base));
+  uint64_t dmn = 0;
+  if (mode == 1) IMCI_RETURN_NOT_OK(r.U64(&dmn));
+  uint8_t bits;
+  IMCI_RETURN_NOT_OK(r.U8(&bits));
+  std::vector<uint64_t> packed;
+  if (mode == 1) {
+    // Delta: the first value, then FOR-packed deltas above `dmn`.
+    IMCI_RETURN_NOT_OK(BitUnpack(&r, n - 1, bits, &packed));
     values->resize(n);
-    (*values)[0] = first;
+    (*values)[0] = static_cast<int64_t>(base);
     for (uint32_t i = 1; i < n; ++i) {
       (*values)[i] = static_cast<int64_t>(
-          static_cast<uint64_t>((*values)[i - 1]) +
-          static_cast<uint64_t>(dmn) + packed[i - 1]);
+          static_cast<uint64_t>((*values)[i - 1]) + dmn + packed[i - 1]);
     }
   } else {
-    if (pos + 9 > data.size()) return Status::Corruption("intpack for hdr");
-    int64_t mn = static_cast<int64_t>(GetFixed64(data.data() + pos));
-    int bits = static_cast<unsigned char>(data[pos + 8]);
-    pos += 9;
-    std::vector<uint64_t> packed;
-    IMCI_RETURN_NOT_OK(
-        BitUnpack(data.data() + pos, data.size() - pos, n, bits, &packed));
+    IMCI_RETURN_NOT_OK(BitUnpack(&r, n, bits, &packed));
     values->resize(n);
     for (uint32_t i = 0; i < n; ++i) {
-      (*values)[i] =
-          static_cast<int64_t>(static_cast<uint64_t>(mn) + packed[i]);
+      (*values)[i] = static_cast<int64_t>(base + packed[i]);
     }
   }
   return Status::OK();
-}
-
-size_t IntCodec::EncodedSize(const std::vector<int64_t>& values) {
-  std::string tmp;
-  Encode(values, &tmp);
-  return tmp.size();
 }
 
 void DictCodec::Encode(const std::vector<std::string>& values,
@@ -177,10 +175,7 @@ void DictCodec::Encode(const std::vector<std::string>& values,
   uint32_t next = 0;
   for (auto& [s, code] : dict) code = next++;
   PutFixed32(out, static_cast<uint32_t>(dict.size()));
-  for (const auto& [s, code] : dict) {
-    PutFixed32(out, static_cast<uint32_t>(s.size()));
-    out->append(s);
-  }
+  for (const auto& [s, code] : dict) PutLengthPrefixed(out, s);
   const int bits = BitsFor(dict.size() > 0 ? dict.size() - 1 : 0);
   out->push_back(static_cast<char>(bits));
   std::vector<uint64_t> codes(n);
@@ -188,29 +183,21 @@ void DictCodec::Encode(const std::vector<std::string>& values,
   BitPack(codes, bits, out);
 }
 
-Status DictCodec::Decode(const std::string& data,
+Status DictCodec::Decode(std::string_view data,
                          std::vector<std::string>* values) {
-  if (data.size() < 4) return Status::Corruption("dict header");
-  uint32_t n = GetFixed32(data.data());
+  ByteReader r(data);
+  uint32_t n;
+  IMCI_RETURN_NOT_OK(LaneCount(&r, &n));
   values->clear();
   if (n == 0) return Status::OK();
-  if (data.size() < 8) return Status::Corruption("dict size");
-  uint32_t dict_size = GetFixed32(data.data() + 4);
-  size_t pos = 8;
-  std::vector<std::string> dict(dict_size);
-  for (uint32_t i = 0; i < dict_size; ++i) {
-    if (pos + 4 > data.size()) return Status::Corruption("dict entry len");
-    uint32_t len = GetFixed32(data.data() + pos);
-    pos += 4;
-    if (pos + len > data.size()) return Status::Corruption("dict entry");
-    dict[i].assign(data.data() + pos, len);
-    pos += len;
-  }
-  if (pos + 1 > data.size()) return Status::Corruption("dict bits");
-  int bits = static_cast<unsigned char>(data[pos++]);
+  uint32_t dict_size;
+  IMCI_RETURN_NOT_OK(r.Count(4, &dict_size));  // a length per entry
+  std::vector<std::string_view> dict(dict_size);
+  for (std::string_view& entry : dict) IMCI_RETURN_NOT_OK(r.Str(&entry));
+  uint8_t bits;
+  IMCI_RETURN_NOT_OK(r.U8(&bits));
   std::vector<uint64_t> codes;
-  IMCI_RETURN_NOT_OK(
-      BitUnpack(data.data() + pos, data.size() - pos, n, bits, &codes));
+  IMCI_RETURN_NOT_OK(BitUnpack(&r, n, bits, &codes));
   values->resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     if (codes[i] >= dict_size) return Status::Corruption("dict code");
@@ -228,16 +215,13 @@ void DoubleCodec::Encode(const std::vector<double>& values, std::string* out) {
   }
 }
 
-Status DoubleCodec::Decode(const std::string& data,
+Status DoubleCodec::Decode(std::string_view data,
                            std::vector<double>* values) {
-  if (data.size() < 4) return Status::Corruption("double header");
-  uint32_t n = GetFixed32(data.data());
-  if (data.size() < 4 + 8ull * n) return Status::Corruption("double body");
+  ByteReader r(data);
+  uint32_t n;
+  IMCI_RETURN_NOT_OK(r.Count(8, &n));
   values->resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint64_t bits = GetFixed64(data.data() + 4 + 8ull * i);
-    std::memcpy(&(*values)[i], &bits, 8);
-  }
+  for (double& d : *values) IMCI_RETURN_NOT_OK(r.F64(&d));
   return Status::OK();
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -23,9 +24,7 @@ namespace imci {
 class IntCodec {
  public:
   static void Encode(const std::vector<int64_t>& values, std::string* out);
-  static Status Decode(const std::string& data, std::vector<int64_t>* values);
-  /// Compressed size the encoder would produce (for stats/ablation).
-  static size_t EncodedSize(const std::vector<int64_t>& values);
+  static Status Decode(std::string_view data, std::vector<int64_t>* values);
 };
 
 /// Dictionary codec for strings: unique values sorted into a dictionary,
@@ -33,7 +32,7 @@ class IntCodec {
 class DictCodec {
  public:
   static void Encode(const std::vector<std::string>& values, std::string* out);
-  static Status Decode(const std::string& data,
+  static Status Decode(std::string_view data,
                        std::vector<std::string>* values);
 };
 
@@ -41,7 +40,7 @@ class DictCodec {
 class DoubleCodec {
  public:
   static void Encode(const std::vector<double>& values, std::string* out);
-  static Status Decode(const std::string& data, std::vector<double>* values);
+  static Status Decode(std::string_view data, std::vector<double>* values);
 };
 
 }  // namespace imci

@@ -46,11 +46,6 @@ class RidLocator {
   /// Restores from a snapshot (checkpoint recovery).
   void Restore(const std::vector<std::vector<RunRef>>& shards);
 
-  /// Total live entries (approximate; tombstones excluded on merge only).
-  size_t ApproxSize() const;
-  /// True when every shard's memtable is empty (checkpoint trigger).
-  bool MemtablesEmpty() const;
-
   static constexpr int kShards = 16;
 
  private:

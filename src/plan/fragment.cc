@@ -532,8 +532,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
   n->kind = static_cast<LogicalKind>(kind);
   IMCI_RETURN_NOT_OK(r->U32(&n->table_id));
   uint32_t ncols;
-  IMCI_RETURN_NOT_OK(r->U32(&ncols));
-  if (ncols > r->remaining()) return Status::Corruption("plan cols");
+  IMCI_RETURN_NOT_OK(r->Count(4, &ncols));
   n->cols.reserve(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
     int32_t c;
@@ -553,8 +552,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
   IMCI_RETURN_NOT_OK(r->I64(&n->part_lo));
   IMCI_RETURN_NOT_OK(r->I64(&n->part_hi));
   uint32_t nexprs;
-  IMCI_RETURN_NOT_OK(r->U32(&nexprs));
-  if (nexprs > r->remaining()) return Status::Corruption("plan exprs");
+  IMCI_RETURN_NOT_OK(r->Count(1, &nexprs));
   n->exprs.reserve(nexprs);
   for (uint32_t i = 0; i < nexprs; ++i) {
     ExprRef e;
@@ -563,8 +561,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
   }
   for (std::vector<int>* keys : {&n->left_keys, &n->right_keys}) {
     uint32_t nk;
-    IMCI_RETURN_NOT_OK(r->U32(&nk));
-    if (nk > r->remaining()) return Status::Corruption("plan keys");
+    IMCI_RETURN_NOT_OK(r->Count(4, &nk));
     keys->reserve(nk);
     for (uint32_t i = 0; i < nk; ++i) {
       int32_t k;
@@ -579,8 +576,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
   }
   n->join_type = static_cast<JoinType>(jt);
   uint32_t ngroups;
-  IMCI_RETURN_NOT_OK(r->U32(&ngroups));
-  if (ngroups > r->remaining()) return Status::Corruption("plan groups");
+  IMCI_RETURN_NOT_OK(r->Count(4, &ngroups));
   n->group_cols.reserve(ngroups);
   for (uint32_t i = 0; i < ngroups; ++i) {
     int32_t g;
@@ -588,8 +584,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
     n->group_cols.push_back(g);
   }
   uint32_t naggs;
-  IMCI_RETURN_NOT_OK(r->U32(&naggs));
-  if (naggs > r->remaining()) return Status::Corruption("plan aggs");
+  IMCI_RETURN_NOT_OK(r->Count(2, &naggs));
   n->aggs.reserve(naggs);
   for (uint32_t i = 0; i < naggs; ++i) {
     uint8_t ak, has_arg;
@@ -603,8 +598,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
     n->aggs.push_back(std::move(spec));
   }
   uint32_t nsort;
-  IMCI_RETURN_NOT_OK(r->U32(&nsort));
-  if (nsort > r->remaining()) return Status::Corruption("plan sort keys");
+  IMCI_RETURN_NOT_OK(r->Count(5, &nsort));
   n->sort_keys.reserve(nsort);
   for (uint32_t i = 0; i < nsort; ++i) {
     int32_t col;
@@ -615,8 +609,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
   }
   IMCI_RETURN_NOT_OK(r->I64(&n->limit));
   uint32_t ntypes;
-  IMCI_RETURN_NOT_OK(r->U32(&ntypes));
-  if (ntypes > r->remaining()) return Status::Corruption("plan value types");
+  IMCI_RETURN_NOT_OK(r->Count(1, &ntypes));
   n->value_types.reserve(ntypes);
   for (uint32_t i = 0; i < ntypes; ++i) {
     uint8_t t;
@@ -628,8 +621,7 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
   }
   IMCI_RETURN_NOT_OK(GetRows(r, &n->literal_rows));
   uint32_t nchildren;
-  IMCI_RETURN_NOT_OK(r->U32(&nchildren));
-  if (nchildren > r->remaining()) return Status::Corruption("plan children");
+  IMCI_RETURN_NOT_OK(r->Count(1, &nchildren));
   n->children.reserve(nchildren);
   for (uint32_t i = 0; i < nchildren; ++i) {
     LogicalRef c;

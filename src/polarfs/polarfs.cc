@@ -179,12 +179,4 @@ std::vector<std::string> PolarFs::ListFiles(const std::string& prefix) const {
   return v;
 }
 
-void PolarFs::ResetCounters() {
-  fsyncs_ = 0;
-  control_syncs_ = 0;
-  log_bytes_ = 0;
-  page_reads_ = 0;
-  page_writes_ = 0;
-}
-
 }  // namespace imci

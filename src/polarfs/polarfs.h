@@ -151,7 +151,6 @@ class PolarFs {
   void AccountLogBytes(uint64_t n) {
     log_bytes_.fetch_add(n, std::memory_order_relaxed);
   }
-  void ResetCounters();
 
  private:
   Options options_;

@@ -14,8 +14,7 @@ void RedoRecord::Serialize(std::string* out) const {
   PutFixed32(out, slot_id);
   switch (type) {
     case RedoType::kInsert:
-      PutFixed32(out, static_cast<uint32_t>(after_image.size()));
-      out->append(after_image);
+      PutLengthPrefixed(out, after_image);
       break;
     case RedoType::kUpdate:
       diff.Serialize(out);
@@ -26,8 +25,7 @@ void RedoRecord::Serialize(std::string* out) const {
       PutFixed32(out, static_cast<uint32_t>(page_images.size()));
       for (const auto& [pid, img] : page_images) {
         PutFixed64(out, pid);
-        PutFixed32(out, static_cast<uint32_t>(img.size()));
-        out->append(img);
+        PutLengthPrefixed(out, img);
       }
       break;
     case RedoType::kCommit:
@@ -41,58 +39,43 @@ void RedoRecord::Serialize(std::string* out) const {
 
 Status RedoRecord::Deserialize(const char* data, size_t size,
                                RedoRecord* rec) {
-  constexpr size_t kHeader = 1 + 8 + 8 + 8 + 4 + 8 + 4;
-  if (size < kHeader) return Status::Corruption("redo header");
-  size_t pos = 0;
-  rec->type = static_cast<RedoType>(data[pos]);
-  pos += 1;
-  rec->lsn = GetFixed64(data + pos);
-  pos += 8;
-  rec->prev_lsn = GetFixed64(data + pos);
-  pos += 8;
-  rec->tid = GetFixed64(data + pos);
-  pos += 8;
-  rec->table_id = GetFixed32(data + pos);
-  pos += 4;
-  rec->page_id = GetFixed64(data + pos);
-  pos += 8;
-  rec->slot_id = GetFixed32(data + pos);
-  pos += 4;
+  ByteReader r(data, size);
+  uint8_t type;
+  IMCI_RETURN_NOT_OK(r.U8(&type));
+  if (type > static_cast<uint8_t>(RedoType::kAbort)) {
+    return Status::Corruption("redo type");
+  }
+  rec->type = static_cast<RedoType>(type);
+  IMCI_RETURN_NOT_OK(r.U64(&rec->lsn));
+  IMCI_RETURN_NOT_OK(r.U64(&rec->prev_lsn));
+  IMCI_RETURN_NOT_OK(r.U64(&rec->tid));
+  IMCI_RETURN_NOT_OK(r.U32(&rec->table_id));
+  IMCI_RETURN_NOT_OK(r.U64(&rec->page_id));
+  IMCI_RETURN_NOT_OK(r.U32(&rec->slot_id));
   switch (rec->type) {
-    case RedoType::kInsert: {
-      if (pos + 4 > size) return Status::Corruption("redo insert len");
-      uint32_t len = GetFixed32(data + pos);
-      pos += 4;
-      if (pos + len > size) return Status::Corruption("redo insert body");
-      rec->after_image.assign(data + pos, len);
-      break;
+    case RedoType::kInsert:
+      return r.Str(&rec->after_image);
+    case RedoType::kUpdate: {
+      std::string_view diff;
+      IMCI_RETURN_NOT_OK(r.Bytes(r.remaining(), &diff));
+      return RowDiff::Deserialize(diff.data(), diff.size(), &rec->diff);
     }
-    case RedoType::kUpdate:
-      return RowDiff::Deserialize(data + pos, size - pos, &rec->diff);
-    case RedoType::kDelete:
-      break;
     case RedoType::kSmo: {
-      if (pos + 4 > size) return Status::Corruption("redo smo count");
-      uint32_t n = GetFixed32(data + pos);
-      pos += 4;
+      uint32_t n;
+      IMCI_RETURN_NOT_OK(r.Count(12, &n));  // page id + image length
       rec->page_images.clear();
+      rec->page_images.reserve(n);
       for (uint32_t i = 0; i < n; ++i) {
-        if (pos + 12 > size) return Status::Corruption("redo smo header");
-        PageId pid = GetFixed64(data + pos);
-        uint32_t len = GetFixed32(data + pos + 8);
-        pos += 12;
-        if (pos + len > size) return Status::Corruption("redo smo body");
-        rec->page_images.emplace_back(pid, std::string(data + pos, len));
-        pos += len;
+        auto& [pid, img] = rec->page_images.emplace_back();
+        IMCI_RETURN_NOT_OK(r.U64(&pid));
+        IMCI_RETURN_NOT_OK(r.Str(&img));
       }
-      break;
+      return Status::OK();
     }
-    case RedoType::kCommit: {
-      if (pos + 16 > size) return Status::Corruption("redo commit vid");
-      rec->commit_vid = GetFixed64(data + pos);
-      rec->commit_ts_us = GetFixed64(data + pos + 8);
-      break;
-    }
+    case RedoType::kCommit:
+      IMCI_RETURN_NOT_OK(r.U64(&rec->commit_vid));
+      return r.U64(&rec->commit_ts_us);
+    case RedoType::kDelete:
     case RedoType::kAbort:
       break;
   }

@@ -159,8 +159,7 @@ std::string ReplicationPipeline::SerializeInflight() const {
         auto schema = catalog_->Get(dml.table_id);
         if (schema) RowCodec::Encode(*schema, dml.row, &row);
       }
-      PutFixed32(&out, static_cast<uint32_t>(row.size()));
-      out.append(row);
+      PutLengthPrefixed(&out, row);
     }
     PutFixed32(&out, static_cast<uint32_t>(buf->pre_ops.size()));
     for (const TxnBuffer::PreOp& op : buf->pre_ops) {
@@ -189,8 +188,7 @@ std::string ReplicationPipeline::SerializeInflight() const {
       RowTable* t = replica_engine_->GetTable(table_id);
       const bool has_pre = t != nullptr && t->CommittedImage(pk, &image);
       out.push_back(has_pre ? 1 : 0);
-      PutFixed32(&out, static_cast<uint32_t>(image.size()));
-      out.append(image);
+      PutLengthPrefixed(&out, image);
     }
   }
   return out;
@@ -198,74 +196,66 @@ std::string ReplicationPipeline::SerializeInflight() const {
 
 Status ReplicationPipeline::RestoreInflight(const std::string& blob) {
   if (blob.empty()) return Status::OK();
-  size_t pos = 0;
-  auto need = [&](size_t n) { return pos + n <= blob.size(); };
-  if (!need(4)) return Status::Corruption("inflight header");
-  const uint32_t ntxns = GetFixed32(blob.data());
-  pos = 4;
+  // Smallest encodings, for the Counts that size allocations: a DML with
+  // an empty row, and a pre-op.
+  constexpr size_t kDmlBytes = 1 + 4 + 8 + 8 + 4;
+  constexpr size_t kPreOpBytes = 1 + 4 + 8 + 8;
+  ByteReader r(blob);
+  uint32_t ntxns;
+  IMCI_RETURN_NOT_OK(r.U32(&ntxns));
   for (uint32_t t = 0; t < ntxns; ++t) {
-    if (!need(8 + 8 + 1 + 4)) return Status::Corruption("inflight txn");
     auto buf = std::make_shared<TxnBuffer>();
-    buf->tid = GetFixed64(blob.data() + pos);
-    pos += 8;
-    buf->first_lsn = GetFixed64(blob.data() + pos);
-    pos += 8;
-    buf->pre_committed = blob[pos++] != 0;
-    const uint32_t ndmls = GetFixed32(blob.data() + pos);
-    pos += 4;
+    uint8_t pre_committed;
+    uint32_t ndmls;
+    IMCI_RETURN_NOT_OK(r.U64(&buf->tid));
+    IMCI_RETURN_NOT_OK(r.U64(&buf->first_lsn));
+    IMCI_RETURN_NOT_OK(r.U8(&pre_committed));
+    IMCI_RETURN_NOT_OK(r.Count(kDmlBytes, &ndmls));
+    buf->pre_committed = pre_committed != 0;
     buf->dmls.reserve(ndmls);
     for (uint32_t i = 0; i < ndmls; ++i) {
-      if (!need(1 + 4 + 8 + 8 + 4)) return Status::Corruption("inflight dml");
-      LogicalDml dml;
-      dml.op = static_cast<LogicalDml::Op>(blob[pos++]);
-      dml.table_id = GetFixed32(blob.data() + pos);
-      pos += 4;
-      dml.lsn = GetFixed64(blob.data() + pos);
-      pos += 8;
-      dml.pk = static_cast<int64_t>(GetFixed64(blob.data() + pos));
-      pos += 8;
+      LogicalDml& dml = buf->dmls.emplace_back();
+      uint8_t op;
+      IMCI_RETURN_NOT_OK(r.U8(&op));
+      if (op > static_cast<uint8_t>(LogicalDml::Op::kUpdate)) {
+        return Status::Corruption("inflight dml op");
+      }
+      dml.op = static_cast<LogicalDml::Op>(op);
       dml.tid = buf->tid;
-      const uint32_t rowlen = GetFixed32(blob.data() + pos);
-      pos += 4;
-      if (!need(rowlen)) return Status::Corruption("inflight row");
-      if (rowlen > 0) {
+      std::string_view row;
+      IMCI_RETURN_NOT_OK(r.U32(&dml.table_id));
+      IMCI_RETURN_NOT_OK(r.U64(&dml.lsn));
+      IMCI_RETURN_NOT_OK(r.I64(&dml.pk));
+      IMCI_RETURN_NOT_OK(r.Str(&row));
+      if (!row.empty()) {
         auto schema = catalog_->Get(dml.table_id);
         if (!schema) return Status::Corruption("inflight table");
         IMCI_RETURN_NOT_OK(
-            RowCodec::Decode(*schema, blob.data() + pos, rowlen, &dml.row));
+            RowCodec::Decode(*schema, row.data(), row.size(), &dml.row));
       }
-      pos += rowlen;
-      buf->dmls.push_back(std::move(dml));
     }
-    if (!need(4)) return Status::Corruption("inflight pre count");
-    const uint32_t npre = GetFixed32(blob.data() + pos);
-    pos += 4;
-    buf->pre_ops.reserve(npre);
-    for (uint32_t i = 0; i < npre; ++i) {
-      if (!need(1 + 4 + 8 + 8)) return Status::Corruption("inflight pre op");
-      TxnBuffer::PreOp op;
-      op.is_delete = blob[pos++] != 0;
-      op.table_id = GetFixed32(blob.data() + pos);
-      pos += 4;
-      op.pk = static_cast<int64_t>(GetFixed64(blob.data() + pos));
-      pos += 8;
-      op.rid = GetFixed64(blob.data() + pos);
-      pos += 8;
-      buf->pre_ops.push_back(op);
+    uint32_t npre;
+    IMCI_RETURN_NOT_OK(r.Count(kPreOpBytes, &npre));
+    buf->pre_ops.resize(npre);
+    for (TxnBuffer::PreOp& op : buf->pre_ops) {
+      uint8_t is_delete;
+      IMCI_RETURN_NOT_OK(r.U8(&is_delete));
+      op.is_delete = is_delete != 0;
+      IMCI_RETURN_NOT_OK(r.U32(&op.table_id));
+      IMCI_RETURN_NOT_OK(r.I64(&op.pk));
+      IMCI_RETURN_NOT_OK(r.U64(&op.rid));
     }
-    if (!need(4)) return Status::Corruption("inflight touched count");
-    const uint32_t ntouched = GetFixed32(blob.data() + pos);
-    pos += 4;
+    uint32_t ntouched;
+    IMCI_RETURN_NOT_OK(r.U32(&ntouched));
     for (uint32_t i = 0; i < ntouched; ++i) {
-      if (!need(4 + 8 + 1 + 4)) return Status::Corruption("inflight touched");
-      const TableId table_id = GetFixed32(blob.data() + pos);
-      pos += 4;
-      const int64_t pk = static_cast<int64_t>(GetFixed64(blob.data() + pos));
-      pos += 8;
-      const bool has_pre = blob[pos++] != 0;
-      const uint32_t len = GetFixed32(blob.data() + pos);
-      pos += 4;
-      if (!need(len)) return Status::Corruption("inflight pre-image");
+      TableId table_id;
+      int64_t pk;
+      uint8_t has_pre;
+      std::string_view image;
+      IMCI_RETURN_NOT_OK(r.U32(&table_id));
+      IMCI_RETURN_NOT_OK(r.I64(&pk));
+      IMCI_RETURN_NOT_OK(r.U8(&has_pre));
+      IMCI_RETURN_NOT_OK(r.Str(&image));
       if (MaintainsRowReplica()) {
         // Gate the flushed pages' mid-transaction effects: re-create the
         // transaction's version chain with the checkpoint-carried committed
@@ -274,16 +264,14 @@ Status ReplicationPipeline::RestoreInflight(const std::string& blob) {
         // dirty tree image.
         RowTable* t = replica_engine_->GetTable(table_id);
         if (t != nullptr) {
-          t->InstallBootInflight(buf->tid, pk, has_pre,
-                                 blob.substr(pos, len));
+          t->InstallBootInflight(buf->tid, pk, has_pre != 0,
+                                 std::string(image));
         }
       }
-      pos += len;
     }
     txn_buffers_[buf->tid] = std::move(buf);
   }
-  return pos == blob.size() ? Status::OK()
-                            : Status::Corruption("inflight trailer");
+  return r.done() ? Status::OK() : Status::Corruption("inflight trailer");
 }
 
 Status ReplicationPipeline::PollOnce() {

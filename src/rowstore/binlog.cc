@@ -17,10 +17,9 @@ Lsn BinlogWriter::EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
     buf.push_back(static_cast<char>(e.op));
     PutFixed32(&buf, e.table_id);
     PutFixed64(&buf, static_cast<uint64_t>(e.pk));
-    PutFixed32(&buf, static_cast<uint32_t>(e.row_image.size()));
-    buf.append(e.row_image);
+    PutLengthPrefixed(&buf, e.row_image);
   }
-  PutFixed64(&buf, HashBytes(buf.data(), buf.size()));
+  PutHashTrailer(&buf);
   bytes_.fetch_add(buf.size(), std::memory_order_relaxed);
   txns_.fetch_add(1, std::memory_order_relaxed);
   // The LogStore assigns the sequence number (binlog LSN) under its own
@@ -35,37 +34,33 @@ Lsn BinlogWriter::EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
 bool BinlogWriter::DecodeTxn(const std::string& data, Tid* tid, Vid* vid,
                              uint64_t* commit_ts_us,
                              std::vector<Event>* events) {
-  // Layout: tid(8) vid(8) ts(8) count(4) events... checksum(8). The
-  // checksum covers everything before it.
-  constexpr size_t kHeader = 8 + 8 + 8 + 4;
-  if (data.size() < kHeader + 8) return false;
-  const size_t body = data.size() - 8;
-  if (GetFixed64(data.data() + body) != HashBytes(data.data(), body)) {
-    return false;
-  }
-  *tid = GetFixed64(data.data());
-  *vid = GetFixed64(data.data() + 8);
-  *commit_ts_us = GetFixed64(data.data() + 16);
-  const uint32_t count = GetFixed32(data.data() + 24);
-  events->clear();
-  size_t off = kHeader;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (off + 1 + 4 + 8 + 4 > body) return false;
-    Event e;
-    e.op = static_cast<Event::Op>(data[off]);
-    off += 1;
-    e.table_id = GetFixed32(data.data() + off);
-    off += 4;
-    e.pk = static_cast<int64_t>(GetFixed64(data.data() + off));
-    off += 8;
-    const uint32_t image_len = GetFixed32(data.data() + off);
-    off += 4;
-    if (off + image_len > body) return false;
-    e.row_image.assign(data.data() + off, image_len);
-    off += image_len;
-    events->push_back(std::move(e));
-  }
-  return off == body;
+  // Layout: tid(8) vid(8) ts(8) count(4) events... hash trailer(8).
+  auto decode = [&]() -> Status {
+    std::string_view body;
+    IMCI_RETURN_NOT_OK(CheckHashTrailer(data, &body));
+    ByteReader r(body);
+    IMCI_RETURN_NOT_OK(r.U64(tid));
+    IMCI_RETURN_NOT_OK(r.U64(vid));
+    IMCI_RETURN_NOT_OK(r.U64(commit_ts_us));
+    uint32_t count;
+    IMCI_RETURN_NOT_OK(r.Count(1 + 4 + 8 + 4, &count));
+    events->clear();
+    events->reserve(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      Event& e = events->emplace_back();
+      uint8_t op;
+      IMCI_RETURN_NOT_OK(r.U8(&op));
+      if (op > static_cast<uint8_t>(Event::Op::kDelete)) {
+        return Status::Corruption("binlog event op");
+      }
+      e.op = static_cast<Event::Op>(op);
+      IMCI_RETURN_NOT_OK(r.U32(&e.table_id));
+      IMCI_RETURN_NOT_OK(r.I64(&e.pk));
+      IMCI_RETURN_NOT_OK(r.Str(&e.row_image));
+    }
+    return r.done() ? Status::OK() : Status::Corruption("binlog trailer");
+  };
+  return decode().ok();
 }
 
 size_t BinlogWriter::Replay(

@@ -98,17 +98,6 @@ Status BufferPool::FlushAllResident() {
   return Status::OK();
 }
 
-void BufferPool::Drop(PageId id) {
-  std::lock_guard<std::mutex> g(mu_);
-  pages_.erase(id);
-  dirty_.erase(id);
-  auto it = lru_pos_.find(id);
-  if (it != lru_pos_.end()) {
-    lru_.erase(it->second);
-    lru_pos_.erase(it);
-  }
-}
-
 size_t BufferPool::resident_pages() const {
   std::lock_guard<std::mutex> g(mu_);
   return pages_.size();

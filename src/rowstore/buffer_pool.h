@@ -54,8 +54,6 @@ class BufferPool {
   /// this to persist replica pages (with their page LSNs) for fast scale-out.
   Status FlushAllResident();
 
-  void Drop(PageId id);
-
   uint64_t hits() const { return hits_.load(); }
   uint64_t misses() const { return misses_.load(); }
   size_t resident_pages() const;

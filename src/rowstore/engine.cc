@@ -50,11 +50,6 @@ const RowTable* RowStoreEngine::GetTable(TableId id) const {
   return it == tables_.end() ? nullptr : it->second.get();
 }
 
-RowTable* RowStoreEngine::GetTableByName(const std::string& name) {
-  auto schema = catalog_->GetByName(name);
-  return schema ? GetTable(schema->table_id()) : nullptr;
-}
-
 std::vector<RowTable*> RowStoreEngine::AllTables() {
   std::lock_guard<std::mutex> g(mu_);
   std::vector<RowTable*> out;
@@ -99,15 +94,13 @@ Status RowStoreEngine::LoadRegistry(
     PolarFs* fs, std::vector<std::pair<TableId, PageId>>* entries) {
   std::string data;
   IMCI_RETURN_NOT_OK(fs->ReadFile("rowstore/registry", &data));
-  if (data.size() < 4) return Status::Corruption("registry");
-  uint32_t n = GetFixed32(data.data());
-  size_t pos = 4;
+  ByteReader r(data);
+  uint32_t n;
+  IMCI_RETURN_NOT_OK(r.Count(4 + 8, &n));  // table id + meta page id
   for (uint32_t i = 0; i < n; ++i) {
-    if (pos + 12 > data.size()) return Status::Corruption("registry entry");
-    TableId id = GetFixed32(data.data() + pos);
-    PageId meta = GetFixed64(data.data() + pos + 4);
-    entries->emplace_back(id, meta);
-    pos += 12;
+    auto& [id, meta] = entries->emplace_back();
+    IMCI_RETURN_NOT_OK(r.U32(&id));
+    IMCI_RETURN_NOT_OK(r.U64(&meta));
   }
   return Status::OK();
 }

@@ -38,7 +38,6 @@ class RowStoreEngine {
 
   RowTable* GetTable(TableId id);
   const RowTable* GetTable(TableId id) const;
-  RowTable* GetTableByName(const std::string& name);
   /// Every registered table (checkpoint-time version pruning walks these).
   std::vector<RowTable*> AllTables();
 

@@ -35,10 +35,7 @@ void Page::Serialize(std::string* out) const {
   PutFixed32(out, static_cast<uint32_t>(keys.size()));
   for (int64_t k : keys) PutFixed64(out, static_cast<uint64_t>(k));
   if (type == PageType::kLeaf) {
-    for (const std::string& p : payloads) {
-      PutFixed32(out, static_cast<uint32_t>(p.size()));
-      out->append(p);
-    }
+    for (const std::string& p : payloads) PutLengthPrefixed(out, p);
   } else if (type == PageType::kInternal) {
     PutFixed32(out, static_cast<uint32_t>(children.size()));
     for (PageId c : children) PutFixed64(out, c);
@@ -46,53 +43,33 @@ void Page::Serialize(std::string* out) const {
 }
 
 Status Page::Deserialize(const char* data, size_t size, Page* page) {
-  constexpr size_t kHeader = 1 + 8 + 4 + 8 + 8 + 8 + 8 + 4;
-  if (size < kHeader) return Status::Corruption("page header");
-  size_t pos = 0;
-  page->type = static_cast<PageType>(data[pos]);
-  pos += 1;
-  page->id = GetFixed64(data + pos);
-  pos += 8;
-  page->table_id = GetFixed32(data + pos);
-  pos += 4;
-  page->next_leaf = GetFixed64(data + pos);
-  pos += 8;
-  page->root_page = GetFixed64(data + pos);
-  pos += 8;
-  page->first_leaf = GetFixed64(data + pos);
-  pos += 8;
-  page->page_lsn = GetFixed64(data + pos);
-  pos += 8;
-  uint32_t nkeys = GetFixed32(data + pos);
-  pos += 4;
-  if (pos + 8ull * nkeys > size) return Status::Corruption("page keys");
-  page->keys.resize(nkeys);
-  for (uint32_t i = 0; i < nkeys; ++i) {
-    page->keys[i] = static_cast<int64_t>(GetFixed64(data + pos));
-    pos += 8;
+  ByteReader r(data, size);
+  uint8_t type;
+  IMCI_RETURN_NOT_OK(r.U8(&type));
+  if (type > static_cast<uint8_t>(PageType::kLeaf)) {
+    return Status::Corruption("page type");
   }
+  page->type = static_cast<PageType>(type);
+  IMCI_RETURN_NOT_OK(r.U64(&page->id));
+  IMCI_RETURN_NOT_OK(r.U32(&page->table_id));
+  IMCI_RETURN_NOT_OK(r.U64(&page->next_leaf));
+  IMCI_RETURN_NOT_OK(r.U64(&page->root_page));
+  IMCI_RETURN_NOT_OK(r.U64(&page->first_leaf));
+  IMCI_RETURN_NOT_OK(r.U64(&page->page_lsn));
+  uint32_t nkeys;
+  IMCI_RETURN_NOT_OK(r.Count(8, &nkeys));
+  page->keys.resize(nkeys);
+  for (int64_t& k : page->keys) IMCI_RETURN_NOT_OK(r.I64(&k));
   page->payloads.clear();
   page->children.clear();
   if (page->type == PageType::kLeaf) {
     page->payloads.resize(nkeys);
-    for (uint32_t i = 0; i < nkeys; ++i) {
-      if (pos + 4 > size) return Status::Corruption("page payload len");
-      uint32_t len = GetFixed32(data + pos);
-      pos += 4;
-      if (pos + len > size) return Status::Corruption("page payload body");
-      page->payloads[i].assign(data + pos, len);
-      pos += len;
-    }
+    for (std::string& p : page->payloads) IMCI_RETURN_NOT_OK(r.Str(&p));
   } else if (page->type == PageType::kInternal) {
-    if (pos + 4 > size) return Status::Corruption("page child count");
-    uint32_t nchildren = GetFixed32(data + pos);
-    pos += 4;
-    if (pos + 8ull * nchildren > size) return Status::Corruption("children");
+    uint32_t nchildren;
+    IMCI_RETURN_NOT_OK(r.Count(8, &nchildren));
     page->children.resize(nchildren);
-    for (uint32_t i = 0; i < nchildren; ++i) {
-      page->children[i] = GetFixed64(data + pos);
-      pos += 8;
-    }
+    for (PageId& c : page->children) IMCI_RETURN_NOT_OK(r.U64(&c));
   }
   page->byte_size = page->RecomputeByteSize();
   return Status::OK();

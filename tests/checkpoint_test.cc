@@ -145,5 +145,27 @@ TEST(CheckpointTest, ReadLatestManifestProbesWithoutLoadingIndexData) {
   EXPECT_EQ(fs.page_reads(), reads_before);  // header-only probe
 }
 
+TEST(CheckpointTest, TornCurrentIsCorruption) {
+  // A torn write can leave CURRENT empty or holding part of a number; a
+  // booting node must see Corruption, not an exception.
+  PolarFs fs;
+  Catalog catalog;
+  for (const char* current : {"", "12x"}) {
+    SCOPED_TRACE(current);
+    ASSERT_TRUE(fs.WriteFile("imci_ckpt/CURRENT", current).ok());
+    ImciStore store;
+    Vid csn = 0;
+    Lsn lsn = 0;
+    uint64_t id = 0;
+    Status s;
+    EXPECT_NO_THROW(
+        s = ImciCheckpoint::LoadLatest(&fs, catalog, &store, &csn, &lsn, &id));
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NO_THROW(s = ImciCheckpoint::ReadLatestManifest(&fs, &csn, &lsn,
+                                                           &id));
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  }
+}
+
 }  // namespace
 }  // namespace imci

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 #include <thread>
 
@@ -10,6 +11,13 @@
 #include "common/row.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "imci/checkpoint.h"
+#include "imci/compression.h"
+#include "polarfs/polarfs.h"
+#include "redo/redo_record.h"
+#include "replication/pipeline.h"
+#include "rowstore/binlog.h"
+#include "rowstore/page.h"
 
 namespace imci {
 namespace {
@@ -211,6 +219,153 @@ TEST(CodingTest, Hash64Spreads) {
   std::set<uint64_t> buckets;
   for (uint64_t i = 0; i < 1000; ++i) buckets.insert(Hash64(i) % 64);
   EXPECT_EQ(buckets.size(), 64u);
+}
+
+TEST(CodingTest, ByteReaderRejectsWhatTheBufferCannotHold) {
+  std::string buf;
+  PutFixed32(&buf, 2);  // two 8-byte elements claimed, one present
+  PutFixed64(&buf, 7);
+  ByteReader r(buf);
+  uint32_t n = 0;
+  EXPECT_TRUE(r.Count(8, &n).IsCorruption());
+  ByteReader ok(buf);
+  ASSERT_TRUE(ok.Count(4, &n).ok());
+  EXPECT_EQ(n, 2u);
+
+  std::string str;
+  PutLengthPrefixed(&str, "abc");
+  std::string_view view;
+  ASSERT_TRUE(ByteReader(str).Str(&view).ok());
+  EXPECT_EQ(view, "abc");
+  EXPECT_TRUE(ByteReader(str.data(), str.size() - 1).Str(&view).IsCorruption());
+
+  std::string_view body;
+  PutHashTrailer(&str);
+  ASSERT_TRUE(CheckHashTrailer(str, &body).ok());
+  EXPECT_EQ(body.size(), 7u);
+  str[0] ^= 1;
+  EXPECT_TRUE(CheckHashTrailer(str, &body).IsCorruption());
+  EXPECT_TRUE(CheckHashTrailer("short", &body).IsCorruption());
+}
+
+// Builds crafted decoder inputs field by field.
+struct Crafted {
+  std::string s;
+  Crafted& u8(uint8_t v) {
+    s.push_back(static_cast<char>(v));
+    return *this;
+  }
+  Crafted& u32(uint32_t v) {
+    PutFixed32(&s, v);
+    return *this;
+  }
+  Crafted& u64(uint64_t v) {
+    PutFixed64(&s, v);
+    return *this;
+  }
+  Crafted& zeros(size_t n) {
+    s.append(n, '\0');
+    return *this;
+  }
+  Crafted& hash_trailer() {
+    PutFixed64(&s, HashBytes(s.data(), s.size()));
+    return *this;
+  }
+};
+
+// Every decoder of stored or shipped bytes, fed a small crafted input that
+// claims a huge count or carries an out-of-range enum byte. Each must return
+// Corruption, and must not size an allocation from the claim first: CI runs
+// this test under `ulimit -v`, where such an allocation throws bad_alloc.
+TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
+  PolarFs fs;
+  Catalog catalog;
+  BufferPool ro_pool(&fs);
+  ImciStore imci;
+  ThreadPool threads(1);
+  ReplicationPipeline pipeline(&fs, &catalog, &ro_pool, &imci, &threads,
+                               ReplicationOptions());
+  auto schema = std::make_shared<Schema>(
+      1, "t", std::vector<ColumnDef>{{"id", DataType::kInt64, false, true}},
+      0);
+
+  using Decoder = std::function<Status(const std::string&)>;
+  const Decoder row_diff = [](const std::string& in) {
+    RowDiff diff;
+    return RowDiff::Deserialize(in.data(), in.size(), &diff);
+  };
+  const Decoder ints = [](const std::string& in) {
+    std::vector<int64_t> out;
+    return IntCodec::Decode(in, &out);
+  };
+  const Decoder dict = [](const std::string& in) {
+    std::vector<std::string> out;
+    return DictCodec::Decode(in, &out);
+  };
+  const Decoder inflight = [&](const std::string& in) {
+    return pipeline.RestoreInflight(in);
+  };
+  const Decoder ckpt_index = [&](const std::string& in) {
+    ColumnIndex index(schema);
+    return ImciCheckpoint::LoadIndex(in, &index);
+  };
+  const Decoder redo = [](const std::string& in) {
+    RedoRecord rec;
+    return RedoRecord::Deserialize(in.data(), in.size(), &rec);
+  };
+  const Decoder page = [](const std::string& in) {
+    Page p;
+    return Page::Deserialize(in.data(), in.size(), &p);
+  };
+  const Decoder binlog = [](const std::string& in) {
+    Tid tid;
+    Vid vid;
+    uint64_t ts;
+    std::vector<BinlogWriter::Event> events;
+    return BinlogWriter::DecodeTxn(in, &tid, &vid, &ts, &events)
+               ? Status::OK()
+               : Status::Corruption("binlog txn");
+  };
+
+  constexpr uint32_t kHuge = 0xFFFFFFFF;
+  // One in-flight transaction: tid, first_lsn, pre_committed.
+  const Crafted txn = Crafted().u32(1).u64(7).u64(1).u8(0);
+  // A column checkpoint of table 1 with no row groups.
+  const Crafted index = Crafted().u32(1).u64(0).u64(0).u32(
+      ColumnIndexOptions().row_group_size).u64(0);
+  struct Case {
+    const char* name;
+    std::string input;
+    const Decoder& decode;
+  };
+  const Case cases[] = {
+      {"row diff patch count", Crafted().u32(0).u32(kHuge).s, row_diff},
+      {"dict size", Crafted().u32(1).u32(kHuge).s, dict},
+      {"int lane count at width 0",
+       Crafted().u32(kHuge).u8(0).u64(0).u8(0).s, ints},
+      {"int lane width 100", Crafted().u32(1).u8(0).u64(0).u8(100).zeros(13).s,
+       ints},
+      {"in-flight DML count", Crafted(txn).u32(kHuge).s, inflight},
+      {"in-flight pre-op count", Crafted(txn).u32(0).u32(kHuge).s, inflight},
+      {"checkpoint shard count", Crafted(index).u32(kHuge).s, ckpt_index},
+      {"checkpoint run entries", Crafted(index).u32(1).u32(1).u32(kHuge).s,
+       ckpt_index},
+      // Out-of-range enum bytes; the rest of each input is well formed.
+      {"redo record type", Crafted().u8(0x7f).zeros(40).s, redo},
+      {"page type", Crafted().u8(0x7f).zeros(48).s, page},
+      {"binlog event op",
+       Crafted().zeros(24).u32(1).u8(0x7f).zeros(16).hash_trailer().s, binlog},
+      {"in-flight DML op",
+       Crafted(txn).u32(1).u8(0x7f).zeros(20).u32(0).u32(0).u32(0).s,
+       inflight},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_LE(c.input.size(), 64u);
+    Status s;
+    EXPECT_NO_THROW(s = c.decode(c.input));
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  }
 }
 
 }  // namespace
