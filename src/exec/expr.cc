@@ -137,7 +137,12 @@ ExprRef Substr(ExprRef s, int start_1based, int len) {
 }
 
 ExprRef Case(ExprRef cond, ExprRef then_e, ExprRef else_e) {
-  auto e = NewExpr(ExprKind::kCase, then_e->out_type);
+  // An integer branch beside a DOUBLE one widens, as arithmetic does.
+  DataType out = then_e->out_type;
+  if (out != DataType::kString && else_e->out_type == DataType::kDouble) {
+    out = DataType::kDouble;
+  }
+  auto e = NewExpr(ExprKind::kCase, out);
   e->args = {std::move(cond), std::move(then_e), std::move(else_e)};
   return e;
 }
@@ -154,6 +159,13 @@ ExprRef IsNull(ExprRef x) {
   return e;
 }
 
+bool ConstantFits(DataType type, const Value& v) {
+  if (IsNull(v)) return true;
+  if (type == DataType::kString) return std::holds_alternative<std::string>(v);
+  if (type == DataType::kDouble) return !std::holds_alternative<std::string>(v);
+  return std::holds_alternative<int64_t>(v);
+}
+
 void CollectColumns(const ExprRef& e, std::vector<int>* cols) {
   if (!e) return;
   if (e->kind == ExprKind::kCol) {
@@ -164,13 +176,9 @@ void CollectColumns(const ExprRef& e, std::vector<int>* cols) {
   for (const ExprRef& a : e->args) CollectColumns(a, cols);
 }
 
-void ExtractIntBounds(const ExprRef& e, std::vector<IntBound>* out) {
-  if (!e) return;
-  if (e->kind == ExprKind::kAnd) {
-    ExtractIntBounds(e->args[0], out);
-    ExtractIntBounds(e->args[1], out);
-    return;
-  }
+namespace {
+
+void AppendIntBound(const ExprRef& e, std::vector<IntBound>* out) {
   auto leaf_const = [](const ExprRef& x, int64_t* v) {
     if (x->kind != ExprKind::kConst) return false;
     if (!std::holds_alternative<int64_t>(x->constant)) return false;
@@ -218,6 +226,12 @@ void ExtractIntBounds(const ExprRef& e, std::vector<IntBound>* out) {
   out->push_back(b);
 }
 
+}  // namespace
+
+void ExtractIntBounds(const ExprRef& e, std::vector<IntBound>* out) {
+  ForEachConjunct(e, [&](const ExprRef& c) { AppendIntBound(c, out); });
+}
+
 bool Expr::LikeMatch(const std::string& s, const std::string& p) {
   // Iterative glob match over % (any run) and _ (any single char).
   size_t si = 0, pi = 0, star_p = std::string::npos, star_s = 0;
@@ -240,6 +254,17 @@ bool Expr::LikeMatch(const std::string& s, const std::string& p) {
 }
 
 namespace {
+
+bool IsString(const ColumnVector& v) { return v.type == DataType::kString; }
+
+/// Strings compare only with strings; numbers of any width compare with
+/// each other.
+Status CheckComparable(const ColumnVector& a, const ColumnVector& b) {
+  if (IsString(a) == IsString(b)) return Status::OK();
+  return Status::InvalidArgument(std::string("cannot compare ") +
+                                 DataTypeName(a.type) + " with " +
+                                 DataTypeName(b.type));
+}
 
 // Null-aware comparison of two evaluated vectors into {0,1,null} booleans.
 template <typename CmpFn>
@@ -295,10 +320,16 @@ void ArithVectors(const ColumnVector& l, const ColumnVector& r, DataType out_t,
 Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
   switch (kind) {
     case ExprKind::kCol: {
+      if (col < 0 || col >= batch.num_cols()) {
+        return Status::InvalidArgument("column ordinal out of range");
+      }
       *out = batch.cols[col];  // copy; scans avoid this via pushdown
       return Status::OK();
     }
     case ExprKind::kConst: {
+      if (!ConstantFits(out_type, constant)) {
+        return Status::InvalidArgument("constant does not fit its type");
+      }
       ColumnVector v(out_type);
       v.Reserve(batch.rows);
       for (size_t i = 0; i < batch.rows; ++i) v.AppendValue(constant);
@@ -310,6 +341,7 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
       ColumnVector l, r;
       IMCI_RETURN_NOT_OK(args[0]->Eval(batch, &l));
       IMCI_RETURN_NOT_OK(args[1]->Eval(batch, &r));
+      IMCI_RETURN_NOT_OK(CheckComparable(l, r));
       out->type = DataType::kInt64;
       switch (kind) {
         case ExprKind::kEq:
@@ -415,6 +447,7 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
     case ExprKind::kLike: case ExprKind::kNotLike: {
       ColumnVector v;
       IMCI_RETURN_NOT_OK(args[0]->Eval(batch, &v));
+      if (!IsString(v)) return Status::InvalidArgument("LIKE on non-string");
       const size_t n = v.size();
       out->type = DataType::kInt64;
       out->Resize(n);
@@ -432,6 +465,12 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
     case ExprKind::kIn: {
       ColumnVector v;
       IMCI_RETURN_NOT_OK(args[0]->Eval(batch, &v));
+      for (const Value& c : in_set) {
+        if (!IsNull(c) &&
+            std::holds_alternative<std::string>(c) != IsString(v)) {
+          return Status::InvalidArgument("IN list type does not match");
+        }
+      }
       const size_t n = v.size();
       out->type = DataType::kInt64;
       out->Resize(n);
@@ -457,6 +496,8 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
       IMCI_RETURN_NOT_OK(args[0]->Eval(batch, &v));
       IMCI_RETURN_NOT_OK(args[1]->Eval(batch, &lo));
       IMCI_RETURN_NOT_OK(args[2]->Eval(batch, &hi));
+      IMCI_RETURN_NOT_OK(CheckComparable(v, lo));
+      IMCI_RETURN_NOT_OK(CheckComparable(v, hi));
       const size_t n = v.size();
       out->type = DataType::kInt64;
       out->Resize(n);
@@ -508,16 +549,22 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
       IMCI_RETURN_NOT_OK(args[0]->Eval(batch, &c));
       IMCI_RETURN_NOT_OK(args[1]->Eval(batch, &t));
       IMCI_RETURN_NOT_OK(args[2]->Eval(batch, &e));
+      if (IsString(t) != IsString(e)) {
+        return Status::InvalidArgument("CASE mixes string and non-string");
+      }
       const size_t n = c.size();
-      out->type = out_type;
+      // The branches' lanes, not out_type, decide how rows are read.
+      const bool dbl =
+          t.type == DataType::kDouble || e.type == DataType::kDouble;
+      out->type = dbl ? DataType::kDouble : t.type;
       out->Resize(n);
       for (size_t i = 0; i < n; ++i) {
         const bool cond = !c.nulls[i] && c.ints[i] != 0;
         const ColumnVector& src = cond ? t : e;
         out->nulls[i] = src.nulls[i];
-        if (out_type == DataType::kDouble) {
+        if (out->type == DataType::kDouble) {
           out->dbls[i] = src.nulls[i] ? 0.0 : src.NumericAt(i);
-        } else if (out_type == DataType::kString) {
+        } else if (out->type == DataType::kString) {
           out->strs[i] = src.strs[i];
         } else {
           out->ints[i] = src.ints[i];

@@ -83,8 +83,25 @@ ExprRef Case(ExprRef cond, ExprRef then_e, ExprRef else_e);
 ExprRef Year(ExprRef date);
 ExprRef IsNull(ExprRef e);
 
+/// Whether a constant of `type` can hold `v`: NULL fits every type, and an
+/// integer widens to DOUBLE.
+bool ConstantFits(DataType type, const Value& v);
+
 /// Collects the column ordinals referenced by `e` into `cols` (dedup'd).
 void CollectColumns(const ExprRef& e, std::vector<int>* cols);
+
+/// Calls `fn` on each conjunct of the top-level AND tree of `e`, left to
+/// right. The one walker behind pruning bounds and the scan's kernels.
+template <typename Fn>
+void ForEachConjunct(const ExprRef& e, Fn&& fn) {
+  if (!e) return;
+  if (e->kind == ExprKind::kAnd) {
+    ForEachConjunct(e->args[0], fn);
+    ForEachConjunct(e->args[1], fn);
+    return;
+  }
+  fn(e);
+}
 
 /// A conjunctive integer range bound `lo <= col <= hi` recovered from an
 /// expression. Shared by Pack pruning (scan) and the cost model / row-engine

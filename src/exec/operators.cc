@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <functional>
 #include <numeric>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -39,20 +41,264 @@ void CompactBatch(Batch* batch, const std::vector<uint8_t>& mask) {
   batch->rows = kept;
 }
 
+namespace {
+
+/// Keeps the offsets in `sel` for which `keep(offset)` holds, in order,
+/// compacting in place without a branch on the outcome.
+template <typename Keep>
+void Refine(std::vector<uint32_t>* sel, Keep keep) {
+  uint32_t* s = sel->data();
+  size_t n = 0;
+  for (size_t i = 0, e = sel->size(); i < e; ++i) {
+    const uint32_t off = s[i];
+    s[n] = off;
+    n += keep(off) ? 1 : 0;
+  }
+  sel->resize(n);
+}
+
+/// Calls `fn` with the comparison functor of `op` (kEq..kGe).
+template <typename Fn>
+void WithCmp(ExprKind op, Fn fn) {
+  switch (op) {
+    case ExprKind::kEq: fn(std::equal_to<>()); break;
+    case ExprKind::kNe: fn(std::not_equal_to<>()); break;
+    case ExprKind::kLt: fn(std::less<>()); break;
+    case ExprKind::kLe: fn(std::less_equal<>()); break;
+    case ExprKind::kGt: fn(std::greater<>()); break;
+    default: fn(std::greater_equal<>()); break;
+  }
+}
+
+/// Calls `fn(at, consts)`: `at(offset)` reads `pack` in the lane of `args`
+/// (an integer pack widens to DOUBLE, as Expr compares it), `consts` is
+/// that lane of `args`.
+template <typename Fn>
+void WithLane(const RowGroup& g, int pack, const ColumnVector& args, Fn fn) {
+  if (args.type == DataType::kString) {
+    fn([&g, pack](uint32_t o) -> const std::string& {
+         return g.str_at(pack, o);
+       },
+       args.strs);
+  } else if (args.type != DataType::kDouble) {
+    const int64_t* v = g.int_data(pack);
+    fn([v](uint32_t o) { return v[o]; }, args.ints);
+  } else if (g.pack_type(pack) == DataType::kDouble) {
+    const double* v = g.double_data(pack);
+    fn([v](uint32_t o) { return v[o]; }, args.dbls);
+  } else {
+    const int64_t* v = g.int_data(pack);
+    fn([v](uint32_t o) { return static_cast<double>(v[o]); }, args.dbls);
+  }
+}
+
+/// IN's equality: CompareValues returns 0, so a NaN matches anything.
+template <typename T>
+bool InEqual(const T& a, const T& b) { return a == b; }
+bool InEqual(double a, double b) { return !(a < b) && !(a > b); }
+
+void RunKernel(const RowGroup& g, ExprKind op, int pack, int rhs_pack,
+               const ColumnVector& args, std::vector<uint32_t>* sel) {
+  const uint8_t* nulls = g.null_data(pack);
+  switch (op) {
+    case ExprKind::kBetween:
+      WithLane(g, pack, args, [&](auto at, const auto& c) {
+        Refine(sel, [&](uint32_t o) {
+          return (nulls[o] == 0) & (at(o) >= c[0]) & (at(o) <= c[1]);
+        });
+      });
+      return;
+    case ExprKind::kIn:
+      WithLane(g, pack, args, [&](auto at, const auto& set) {
+        Refine(sel, [&](uint32_t o) {
+          if (nulls[o]) return false;
+          const auto& x = at(o);
+          for (const auto& c : set) {
+            if (InEqual(x, c)) return true;
+          }
+          return false;
+        });
+      });
+      return;
+    case ExprKind::kLike: case ExprKind::kNotLike: {
+      const std::string& pattern = args.strs[0];
+      const bool neg = op == ExprKind::kNotLike;
+      Refine(sel, [&](uint32_t o) {
+        return !nulls[o] && Expr::LikeMatch(g.str_at(pack, o), pattern) != neg;
+      });
+      return;
+    }
+    default:
+      break;
+  }
+  if (rhs_pack >= 0) {
+    const int64_t* a = g.int_data(pack);
+    const int64_t* b = g.int_data(rhs_pack);
+    const uint8_t* b_nulls = g.null_data(rhs_pack);
+    WithCmp(op, [&](auto cmp) {
+      Refine(sel, [&](uint32_t o) {
+        return ((nulls[o] | b_nulls[o]) == 0) & cmp(a[o], b[o]);
+      });
+    });
+    return;
+  }
+  WithLane(g, pack, args, [&](auto at, const auto& c) {
+    const auto& v = c[0];
+    WithCmp(op, [&](auto cmp) {
+      Refine(sel, [&](uint32_t o) { return (nulls[o] == 0) & cmp(at(o), v); });
+    });
+  });
+}
+
+/// Replaces `dst`'s rows with `pack`'s rows at `offs`. A NULL row's lane
+/// holds 0, 0.0 or "", as ColumnVector::AppendNull writes.
+void Gather(const RowGroup& g, int pack, std::span<const uint32_t> offs,
+            ColumnVector* dst) {
+  const size_t n = offs.size();
+  const uint8_t* nulls = g.null_data(pack);
+  dst->nulls.resize(n);
+  for (size_t i = 0; i < n; ++i) dst->nulls[i] = nulls[offs[i]];
+  switch (dst->type) {
+    case DataType::kDouble: {
+      const double* v = g.double_data(pack);
+      dst->dbls.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        dst->dbls[i] = nulls[offs[i]] ? 0.0 : v[offs[i]];
+      }
+      break;
+    }
+    case DataType::kString:
+      dst->strs.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (nulls[offs[i]]) {
+          dst->strs[i].clear();
+        } else {
+          dst->strs[i] = g.str_at(pack, offs[i]);
+        }
+      }
+      break;
+    default: {
+      const int64_t* v = g.int_data(pack);
+      dst->ints.resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        dst->ints[i] = nulls[offs[i]] ? 0 : v[offs[i]];
+      }
+      break;
+    }
+  }
+}
+
+/// The lane Expr compares a `t` value in: integer types share INT64.
+DataType LaneOf(DataType t) {
+  return IsIntegerType(t) ? DataType::kInt64 : t;
+}
+
+/// Fills `args` with `consts` in the lane a `col_type` column compares with
+/// them: STRING, DOUBLE when either side is DOUBLE, else INT64. False when
+/// a constant is NULL or ill-typed, or a string meets a number.
+bool ConstArgs(DataType col_type, std::initializer_list<ExprRef> consts,
+               ColumnVector* args) {
+  DataType lane = LaneOf(col_type);
+  for (const ExprRef& c : consts) {
+    if (c->kind != ExprKind::kConst || IsNull(c->constant) ||
+        !ConstantFits(c->out_type, c->constant)) {
+      return false;
+    }
+    const DataType t = LaneOf(c->out_type);
+    if ((t == DataType::kString) != (lane == DataType::kString)) return false;
+    if (t == DataType::kDouble) lane = t;
+  }
+  *args = ColumnVector(lane);
+  for (const ExprRef& c : consts) args->AppendValue(c->constant);
+  return true;
+}
+
+/// Fills `args` with IN's non-NULL set when every element fits the
+/// column's lane (numbers of any width for a DOUBLE column).
+bool InArgs(DataType col_type, const std::vector<Value>& set,
+            ColumnVector* args) {
+  *args = ColumnVector(LaneOf(col_type));
+  for (const Value& v : set) {
+    if (IsNull(v)) continue;  // never equal to anything
+    if (!ConstantFits(args->type, v)) return false;
+    args->AppendValue(v);
+  }
+  return true;
+}
+
+/// Expression errors are type errors and do not depend on the rows, so
+/// evaluating `e` over an empty batch of `types` surfaces them even when no
+/// row reaches it.
+Status TypeCheck(const Expr& e, const std::vector<DataType>& types) {
+  std::vector<uint8_t> mask;
+  return e.EvalMask(Batch::Make(types), &mask);
+}
+
+}  // namespace
+
 ColumnScanOp::ColumnScanOp(ColumnIndex* index, std::vector<int> cols,
                            ExprRef filter, ScanPartition part)
-    : index_(index), cols_(std::move(cols)), filter_(std::move(filter)),
-      part_(part) {
+    : index_(index), cols_(std::move(cols)), part_(part) {
   packs_.reserve(cols_.size());
   for (int c : cols_) {
     packs_.push_back(index_->PackForColumn(c));
     out_types_.push_back(index_->schema().column(c).type);
   }
   if (part_.col >= 0) part_pack_ = index_->PackForColumn(part_.col);
-  if (filter_) ExtractIntBounds(filter_, &bounds_);
+  ExtractIntBounds(filter, &bounds_);
   std::erase_if(bounds_, [&](const IntBound& b) {
     return b.col < 0 || b.col >= static_cast<int>(packs_.size());
   });
+  ForEachConjunct(filter, [&](const ExprRef& c) {
+    Kernel k;
+    if (ToKernel(c, &k)) {
+      kernels_.push_back(std::move(k));
+      return;
+    }
+    Residual r{c, {}};
+    CollectColumns(c, &r.cols);
+    // An ordinal outside the output fails in Expr::Eval; gather none for it.
+    std::erase_if(r.cols, [&](int col) {
+      return col < 0 || col >= static_cast<int>(cols_.size());
+    });
+    residuals_.push_back(std::move(r));
+  });
+}
+
+bool ColumnScanOp::ToKernel(const ExprRef& e, Kernel* k) const {
+  auto col_of = [&](const ExprRef& x) {
+    const bool ok = x->kind == ExprKind::kCol && x->col >= 0 &&
+                    x->col < static_cast<int>(cols_.size());
+    return ok ? x->col : -1;
+  };
+  const int c = e->args.empty() ? -1 : col_of(e->args[0]);
+  if (c < 0) return false;
+  const DataType t = out_types_[c];
+  k->op = e->kind;
+  k->pack = packs_[c];
+  switch (e->kind) {
+    case ExprKind::kEq: case ExprKind::kNe: case ExprKind::kLt:
+    case ExprKind::kLe: case ExprKind::kGt: case ExprKind::kGe: {
+      if (e->args.size() != 2) return false;
+      if (const int c2 = col_of(e->args[1]); c2 >= 0) {
+        k->rhs_pack = packs_[c2];
+        return IsIntegerType(t) && IsIntegerType(out_types_[c2]);
+      }
+      return ConstArgs(t, {e->args[1]}, &k->args);
+    }
+    case ExprKind::kBetween:
+      return e->args.size() == 3 &&
+             ConstArgs(t, {e->args[1], e->args[2]}, &k->args);
+    case ExprKind::kIn:
+      return e->args.size() == 1 && InArgs(t, e->in_set, &k->args);
+    case ExprKind::kLike: case ExprKind::kNotLike:
+      if (e->args.size() != 1 || t != DataType::kString) return false;
+      k->args = ColumnVector(DataType::kString);
+      k->args.AppendString(e->pattern);
+      return true;
+    default:
+      return false;
+  }
 }
 
 bool ColumnScanOp::GroupPrunable(const RowGroup& g) const {
@@ -78,55 +324,95 @@ bool ColumnScanOp::PartitionSkipsGroup(const RowGroup& g) const {
   return false;
 }
 
-Status ColumnScanOp::ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
-                               RowSet* out) const {
-  Batch batch = Batch::Make(out_types_);
-  auto flush = [&]() -> Status {
-    if (batch.rows == 0) return Status::OK();
-    if (filter_) {
-      std::vector<uint8_t> mask;
-      IMCI_RETURN_NOT_OK(filter_->EvalMask(batch, &mask));
-      CompactBatch(&batch, mask);
-    }
-    if (batch.rows > 0) out->batches.push_back(std::move(batch));
-    batch = Batch::Make(out_types_);
-    return Status::OK();
-  };
+void ColumnScanOp::SelectVisible(const RowGroup& g, uint32_t used,
+                                 Vid read_vid,
+                                 std::vector<uint32_t>* sel) const {
+  // A dropped insert map means every insert is older than any read view.
+  const bool all_inserted = g.insert_vids_dropped();
+  const std::atomic<Vid>* ins = g.raw_insert_vids();
+  const std::atomic<Vid>* del = g.raw_delete_vids();
+  const uint8_t* part_nulls =
+      part_pack_ >= 0 ? g.null_data(part_pack_) : nullptr;
+  const int64_t* part_keys = part_pack_ >= 0 ? g.int_data(part_pack_) : nullptr;
+  sel->clear();
+  sel->reserve(used);
   for (uint32_t off = 0; off < used; ++off) {
-    if (!g.Visible(off, read_vid)) continue;
-    if (part_pack_ >= 0) {
+    if (!all_inserted) {
+      const Vid iv = ins[off].load(std::memory_order_acquire);
+      if (iv == kInvalidVid || iv > read_vid) continue;
+    }
+    if (del[off].load(std::memory_order_acquire) <= read_vid) continue;
+    if (part_keys != nullptr) {
       // Fragment partition check: a NULL key belongs to the first (open-low)
       // range, so NULL-keyed rows are neither lost nor duplicated.
-      if (g.is_null(part_pack_, off)) {
+      if (part_nulls[off]) {
         if (part_.has_lo) continue;
       } else {
-        const int64_t pv = g.int_data(part_pack_)[off];
+        const int64_t pv = part_keys[off];
         if (part_.has_lo && pv < part_.lo) continue;
         if (part_.has_hi && pv > part_.hi) continue;
       }
     }
-    for (size_t c = 0; c < packs_.size(); ++c) {
-      const int p = packs_[c];
-      ColumnVector& dst = batch.cols[c];
-      if (g.is_null(p, off)) {
-        dst.AppendNull();
-      } else {
-        switch (dst.type) {
-          case DataType::kDouble: dst.AppendDouble(g.double_data(p)[off]); break;
-          case DataType::kString: dst.AppendString(g.str_at(p, off)); break;
-          default: dst.AppendInt(g.int_data(p)[off]); break;
-        }
-      }
-    }
-    if (++batch.rows >= Batch::kDefaultCapacity) IMCI_RETURN_NOT_OK(flush());
+    sel->push_back(off);
   }
-  return flush();
+}
+
+Status ColumnScanOp::ApplyResidual(const Residual& r, const RowGroup& g,
+                                   std::vector<uint32_t>* sel) const {
+  Batch batch = Batch::Make(out_types_);
+  std::vector<uint8_t> mask;
+  size_t kept = 0;
+  for (size_t begin = 0; begin < sel->size();
+       begin += Batch::kDefaultCapacity) {
+    const size_t n = std::min(Batch::kDefaultCapacity, sel->size() - begin);
+    const std::span<const uint32_t> offs(sel->data() + begin, n);
+    for (int c : r.cols) Gather(g, packs_[c], offs, &batch.cols[c]);
+    batch.rows = n;
+    IMCI_RETURN_NOT_OK(r.expr->EvalMask(batch, &mask));
+    for (size_t i = 0; i < n; ++i) {
+      (*sel)[kept] = offs[i];
+      kept += mask[i];
+    }
+  }
+  sel->resize(kept);
+  return Status::OK();
+}
+
+Status ColumnScanOp::ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
+                               RowSet* out) const {
+  std::vector<uint32_t> sel;
+  SelectVisible(g, used, read_vid, &sel);
+  for (const Kernel& k : kernels_) {
+    if (sel.empty()) return Status::OK();
+    RunKernel(g, k.op, k.pack, k.rhs_pack, k.args, &sel);
+  }
+  for (const Residual& r : residuals_) {
+    if (sel.empty()) return Status::OK();
+    IMCI_RETURN_NOT_OK(ApplyResidual(r, g, &sel));
+  }
+  // Late materialization: each output column is copied for the survivors
+  // only, one column at a time.
+  for (size_t begin = 0; begin < sel.size();
+       begin += Batch::kDefaultCapacity) {
+    const size_t n = std::min(Batch::kDefaultCapacity, sel.size() - begin);
+    const std::span<const uint32_t> offs(sel.data() + begin, n);
+    Batch batch = Batch::Make(out_types_);
+    for (size_t c = 0; c < packs_.size(); ++c) {
+      Gather(g, packs_[c], offs, &batch.cols[c]);
+    }
+    batch.rows = n;
+    out->batches.push_back(std::move(batch));
+  }
+  return Status::OK();
 }
 
 Status ColumnScanOp::Execute(ExecContext* ctx, RowSet* out) {
   out->types = out_types_;
   if (part_.col >= 0 && part_pack_ < 0) {
     return Status::NotSupported("partition column has no pack");
+  }
+  for (const Residual& r : residuals_) {
+    IMCI_RETURN_NOT_OK(TypeCheck(*r.expr, out_types_));
   }
   const size_t ngroups = index_->num_groups();
   const Vid read_vid = ctx->read_vid;
@@ -149,8 +435,10 @@ Status ColumnScanOp::Execute(ExecContext* ctx, RowSet* out) {
       if (start >= ngroups) return;
       const size_t end = std::min(ngroups, start + morsel);
       for (size_t gid = start; gid < end; ++gid) {
+        // A retired group still holds the pre-compaction copies a read view
+        // older than the compaction VID sees; visibility alone decides.
         auto g = index_->group(gid);
-        if (!g || g->retired()) continue;
+        if (!g) continue;
         const uint32_t used = index_->GroupUsed(gid);
         if (used == 0) continue;
         // Partition skip is correctness-driven, not gated on the pruning
@@ -247,6 +535,7 @@ FilterOp::FilterOp(PhysOpRef child, ExprRef pred)
 Status FilterOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet in;
   IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
+  IMCI_RETURN_NOT_OK(TypeCheck(*pred_, out_types_));
   out->types = out_types_;
   for (Batch& b : in.batches) {
     std::vector<uint8_t> mask;

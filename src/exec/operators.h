@@ -71,6 +71,14 @@ struct ScanPartition {
 /// pruning (§4.1 Pack Meta), visibility filtering at the pinned read view,
 /// and pushed-down predicate evaluation. Output columns are the requested
 /// schema ordinals, in order.
+///
+/// A group is scanned through a selection vector of row offsets, with late
+/// materialization: one pass over the VID maps selects the visible rows of
+/// the partition; each simple filter conjunct (column vs constant, integer
+/// column vs integer column, BETWEEN, IN, LIKE) then runs as a typed kernel
+/// on the pack lanes and shrinks the selection in place; every other
+/// conjunct is a residual, evaluated through Expr over just its own columns
+/// for the rows still selected. Only the survivors are copied out.
 class ColumnScanOp : public PhysOp {
  public:
   /// `filter` refers to *output* ordinals (positions in `cols`).
@@ -83,16 +91,38 @@ class ColumnScanOp : public PhysOp {
   uint64_t groups_scanned() const { return groups_scanned_; }
 
  private:
+  /// A filter conjunct that runs on the pack lanes.
+  struct Kernel {
+    ExprKind op = ExprKind::kEq;  // kEq..kGe, kBetween, kIn, kLike, kNotLike
+    int pack = -1;                // pack tested
+    int rhs_pack = -1;            // integer pack right of a comparison, or -1
+    /// The constants, typed as the lane the test runs in: INT64 (integer
+    /// family), DOUBLE or STRING. One for a comparison, lo and hi for
+    /// BETWEEN, the set for IN, the pattern for LIKE.
+    ColumnVector args;
+  };
+  /// A conjunct evaluated through Expr, and the output ordinals it reads.
+  struct Residual {
+    ExprRef expr;
+    std::vector<int> cols;
+  };
+
   bool GroupPrunable(const RowGroup& g) const;
   bool PartitionSkipsGroup(const RowGroup& g) const;
+  bool ToKernel(const ExprRef& conjunct, Kernel* k) const;
+  void SelectVisible(const RowGroup& g, uint32_t used, Vid read_vid,
+                     std::vector<uint32_t>* sel) const;
+  Status ApplyResidual(const Residual& r, const RowGroup& g,
+                       std::vector<uint32_t>* sel) const;
   Status ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
                    RowSet* out) const;
 
   ColumnIndex* index_;
   std::vector<int> cols_;   // schema ordinals
   std::vector<int> packs_;  // pack ordinals, parallel to cols_
-  ExprRef filter_;
   std::vector<IntBound> bounds_;  // filter's integer bounds, for pruning
+  std::vector<Kernel> kernels_;      // in filter order
+  std::vector<Residual> residuals_;  // in filter order
   ScanPartition part_;
   int part_pack_ = -1;
   mutable std::atomic<uint64_t> groups_pruned_{0};

@@ -101,6 +101,9 @@ class RowGroup {
   bool is_null(int pack, uint32_t offset) const {
     return packs_[pack].nulls[offset] != 0;
   }
+  const uint8_t* null_data(int pack) const {
+    return packs_[pack].nulls.data();
+  }
   DataType pack_type(int pack) const { return packs_[pack].type; }
   Value GetValue(int pack, uint32_t offset) const;
 

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <map>
+#include <random>
 #include <set>
 
 #include "exec/expr.h"
 #include "exec/operators.h"
+#include "tests/test_util.h"
 
 namespace imci {
 namespace {
@@ -110,6 +114,69 @@ TEST(ExprTest, CaseSubstrYearIn) {
                 ConstInt(10), ConstInt(20));
   ASSERT_TRUE(c->Eval(b, &out).ok());
   EXPECT_EQ(out.ints, (std::vector<int64_t>{10, 20}));
+}
+
+// Comparing a string with a number used to read the empty lane of one side
+// (SEGV) or throw bad_variant_access from CompareValues (IN); it must fail
+// with InvalidArgument instead. So must the other ill-typed operands a
+// deserialized plan can carry.
+TEST(ExprTest, IllTypedOperandsFailCleanly) {
+  Batch b = MakeBatch({{int64_t(1), std::string("x")}},
+                      {DataType::kInt64, DataType::kString});
+  const auto i = Col(0, DataType::kInt64);
+  const auto s = Col(1, DataType::kString);
+  std::vector<ExprRef> bad = {
+      Eq(i, ConstString("x")),
+      Lt(s, ConstInt(3)),
+      In(i, {Value(std::string("x"))}),
+      In(s, {Value(int64_t(1))}),
+      Between(i, ConstString("a"), ConstString("z")),
+      Between(s, ConstString("a"), ConstInt(3)),
+      Like(i, "%"),
+      Col(2, DataType::kInt64),  // no such column
+  };
+  for (auto [type, value] : {std::pair<DataType, Value>{DataType::kInt64,
+                                                         std::string("x")},
+                             {DataType::kInt64, 2.5},
+                             {DataType::kString, int64_t(1)},
+                             {DataType::kDouble, std::string("x")}}) {
+    auto c = ConstInt(0);
+    c->out_type = type;
+    c->constant = value;
+    bad.push_back(Eq(c, c));
+  }
+  for (const ExprRef& e : bad) {
+    std::vector<uint8_t> mask;
+    const Status st = e->EvalMask(b, &mask);
+    EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
+  }
+  // A NULL in an IN list never matches, whatever the column's type.
+  std::vector<uint8_t> mask;
+  ASSERT_TRUE(In(i, {Value{}, Value(int64_t(1))})->EvalMask(b, &mask).ok());
+  EXPECT_EQ(mask, (std::vector<uint8_t>{1}));
+}
+
+// CASE with an INT and a DOUBLE branch used to take the INT branch's type
+// and read the DOUBLE branch's empty ints lane (SEGV); it widens instead.
+TEST(ExprTest, MixedIntDoubleCaseWidensToDouble) {
+  Batch b = MakeBatch({{int64_t(1)}, {int64_t(0)}, {Value{}}},
+                      {DataType::kInt64});
+  const auto cond = Eq(Col(0, DataType::kInt64), ConstInt(1));
+  const std::vector<std::pair<ExprRef, std::vector<double>>> cases = {
+      {Case(cond, ConstInt(1), ConstDouble(2.5)), {1.0, 2.5, 2.5}},
+      {Case(cond, ConstDouble(1.5), ConstInt(2)), {1.5, 2.0, 2.0}},
+  };
+  for (const auto& [c, want] : cases) {
+    EXPECT_EQ(c->out_type, DataType::kDouble);
+    ColumnVector out;
+    ASSERT_TRUE(c->Eval(b, &out).ok());
+    EXPECT_EQ(out.type, DataType::kDouble);
+    EXPECT_EQ(out.dbls, want);
+  }
+  ColumnVector out;
+  const Status st =
+      Case(cond, ConstString("a"), ConstInt(1))->Eval(b, &out);
+  EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
 }
 
 class OperatorTest : public ::testing::Test {
@@ -582,6 +649,277 @@ TEST(ColumnScanTest, ExtremeIntComparisonsNeedNoOverflowingBound) {
   EXPECT_EQ(count(Ge(v, ConstInt(kMax))), 1u);
   EXPECT_EQ(count(Lt(v, ConstInt(kMin + 1))), 1u);
   EXPECT_EQ(count(Gt(v, ConstInt(kMax - 1))), 1u);
+}
+
+// Compaction re-appends a sparse group's live rows at the compaction VID
+// and retires the group; a read view older than that VID must still see
+// the old copies there (the scan used to skip retired groups, which lost
+// rows from snapshots pinned across a compaction).
+TEST(ColumnScanTest, RetiredGroupServesOlderReadViews) {
+  auto schema = std::make_shared<Schema>(
+      79, "compacted",
+      std::vector<ColumnDef>{{"id", DataType::kInt64},
+                             {"v", DataType::kInt64}},
+      0);
+  ColumnIndexOptions options;
+  options.row_group_size = 4;
+  ColumnIndex index(schema, options);
+  for (int64_t id = 0; id < 8; ++id) {
+    ASSERT_TRUE(index.Insert({id, id * 10}, id + 1).ok());  // vids 1..8
+  }
+  for (int64_t id = 0; id < 3; ++id) ASSERT_TRUE(index.Delete(id, 9).ok());
+  uint32_t moved = 0;
+  ASSERT_TRUE(index.CompactGroup(0, 10, &moved).ok());
+  ASSERT_EQ(moved, 1u);
+  auto ids_at = [&](Vid read_vid) {
+    ColumnScanOp scan(&index, {0}, nullptr);
+    ExecContext ctx;
+    ctx.read_vid = read_vid;
+    RowSet rows;
+    EXPECT_TRUE(scan.Execute(&ctx, &rows).ok());
+    std::vector<int64_t> ids;
+    for (const Row& r : ToRows(rows)) ids.push_back(AsInt(r[0]));
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  EXPECT_EQ(ids_at(8), (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(ids_at(9), (std::vector<int64_t>{3, 4, 5, 6, 7}));
+  EXPECT_EQ(ids_at(10), (std::vector<int64_t>{3, 4, 5, 6, 7}));
+}
+
+// Each output column of `set`, concatenated over its batches, so lanes can
+// be compared whole (the value under a NULL included) across batchings.
+std::vector<ColumnVector> Flatten(const RowSet& set) {
+  std::vector<ColumnVector> cols;
+  for (DataType t : set.types) cols.emplace_back(t);
+  for (const Batch& b : set.batches) {
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const ColumnVector& v = b.cols[c];
+      EXPECT_EQ(v.size(), b.rows);
+      cols[c].nulls.insert(cols[c].nulls.end(), v.nulls.begin(), v.nulls.end());
+      cols[c].ints.insert(cols[c].ints.end(), v.ints.begin(), v.ints.end());
+      cols[c].dbls.insert(cols[c].dbls.end(), v.dbls.begin(), v.dbls.end());
+      cols[c].strs.insert(cols[c].strs.end(), v.strs.begin(), v.strs.end());
+    }
+  }
+  return cols;
+}
+
+// The scan's typed conjunct kernels and late materialization must return
+// exactly what the generic filter returns over an unfiltered scan: same
+// Status, same rows in the same order, same lanes under NULLs. Random
+// predicates cover every kernel shape and comparison, int-vs-double and
+// NULL constants, residuals and ill-typed conjuncts, on data with NULLs in
+// every type, a partial last group, dropped insert maps, and deletes and
+// inserts after the read view, under partition ranges including the one
+// that owns NULL keys.
+TEST(ColumnScanTest, KernelsMatchGenericFilter) {
+  const uint64_t seed = testing_util::TestSeed(20240522);
+  SCOPED_TRACE(::testing::Message() << "IMCI_TEST_SEED=" << seed);
+  std::mt19937_64 rng(seed);
+  auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+
+  auto schema = std::make_shared<Schema>(
+      78, "kernels",
+      std::vector<ColumnDef>{{"id", DataType::kInt64},
+                             {"a", DataType::kInt64, true},
+                             {"b", DataType::kInt32, true},
+                             {"d", DataType::kDate, true},
+                             {"x", DataType::kDouble, true},
+                             {"s", DataType::kString, true}},
+      0);
+  ColumnIndexOptions options;
+  options.row_group_size = 16;
+  ColumnIndex index(schema, options);
+  const int64_t day0 = MakeDate(1995, 1, 1);
+  const std::vector<std::string> words = {"",   "a",  "ab",      "abc",
+                                          "b",  "ba", "AIR",     "AIR REG",
+                                          "\xff", "a\xff", "MAIL"};
+  auto maybe_null = [&](Value v) { return pick(6) == 0 ? Value{} : v; };
+  auto make_row = [&](int64_t id) {
+    return Row{id,
+               maybe_null(int64_t(pick(41) - 20)),
+               maybe_null(int64_t(pick(41) - 20)),
+               maybe_null(int64_t(day0 + pick(30))),
+               maybe_null(0.5 * (pick(41) - 20)),
+               maybe_null(words[pick(static_cast<int>(words.size()))])};
+  };
+  Vid vid = 0;
+  int64_t next_id = 0;
+  std::vector<int64_t> live;
+  std::map<int64_t, Row> model;  // the live rows, by id
+  auto insert = [&]() {
+    Row row = make_row(next_id);
+    ASSERT_TRUE(index.Insert(row, ++vid).ok());
+    model[next_id] = std::move(row);
+    live.push_back(next_id++);
+  };
+  auto erase_some = [&](int n) {
+    for (int i = 0; i < n && !live.empty(); ++i) {
+      const size_t at = pick(static_cast<int>(live.size()));
+      ASSERT_TRUE(index.Delete(live[at], ++vid).ok());
+      model.erase(live[at]);
+      live.erase(live.begin() + at);
+    }
+  };
+  for (int i = 0; i < 16 * 6; ++i) insert();
+  erase_some(10);
+  index.FreezeFullGroups();
+  index.DropInsertVidMaps(vid);  // every full group: all inserts are old
+  for (int i = 0; i < 16 * 5 + 7; ++i) insert();  // ends in a partial group
+  erase_some(15);
+  const Vid read_vid = vid;
+  const std::map<int64_t, Row> visible = model;
+  erase_some(20);  // deleted after the read view: still visible
+  for (int i = 0; i < 9; ++i) {
+    const int64_t id = live[pick(static_cast<int>(live.size()))];
+    Row row = make_row(id);
+    ASSERT_TRUE(index.Update(row, ++vid).ok());  // new version invisible
+  }
+  for (int i = 0; i < 12; ++i) insert();  // inserted after the read view
+
+  // Output ordinals: 0 s, 1 a, 2 x, 3 b, 4 d, 5 id.
+  const std::vector<int> cols = {5, 1, 4, 2, 3, 0};
+  const std::vector<DataType> types = {DataType::kString, DataType::kInt64,
+                                       DataType::kDouble, DataType::kInt32,
+                                       DataType::kDate,   DataType::kInt64};
+  const std::vector<int> int_cols = {1, 3, 4, 5};
+  const std::vector<ScanPartition> parts = {
+      ScanPartition(),
+      {1, false, true, 0, -5},  // open low: owns the NULL keys
+      {1, true, true, -4, 6},
+      {1, true, false, 0, 7},
+  };
+
+  auto col = [&](int c) { return Col(c, types[c]); };
+  auto int_const = [&](int c) {
+    return ConstInt((c == 4 ? day0 : 0) + pick(45) - (c == 4 ? 5 : 22));
+  };
+  auto dbl_const = [&]() { return ConstDouble(0.25 * (pick(89) - 44)); };
+  auto str_const = [&]() {
+    return ConstString(words[pick(static_cast<int>(words.size()))]);
+  };
+  // A constant in column c's lane; int columns sometimes get a DOUBLE.
+  auto const_for = [&](int c) {
+    if (types[c] == DataType::kString) return str_const();
+    if (types[c] == DataType::kDouble || pick(4) == 0) {
+      return pick(3) == 0 ? int_const(c) : dbl_const();
+    }
+    return int_const(c);
+  };
+  auto value_for = [&](int c) -> Value {
+    if (pick(8) == 0) return Value{};
+    if (types[c] == DataType::kString) return str_const()->constant;
+    if (types[c] == DataType::kDouble) return dbl_const()->constant;
+    return int_const(c)->constant;
+  };
+  const std::vector<ExprKind> ops = {ExprKind::kEq, ExprKind::kNe,
+                                     ExprKind::kLt, ExprKind::kLe,
+                                     ExprKind::kGt, ExprKind::kGe};
+  auto any_op = [&]() { return ops[pick(6)]; };
+  std::function<ExprRef(int)> conjunct = [&](int depth) -> ExprRef {
+    const int c = pick(6);
+    const int ic = int_cols[pick(4)];
+    switch (pick(depth > 0 ? 8 : 12)) {
+      case 0: case 1:
+        return Cmp(any_op(), col(c), const_for(c));
+      case 2:
+        return Cmp(any_op(), const_for(c), col(c));
+      case 3:
+        return Cmp(any_op(), col(ic), col(int_cols[pick(4)]));
+      case 4:
+        return Between(col(c), const_for(c), const_for(c));
+      case 5: {
+        std::vector<Value> set;
+        for (int n = 1 + pick(4); n > 0; --n) set.push_back(value_for(c));
+        return In(col(c), std::move(set));
+      }
+      case 6: {
+        const std::vector<std::string> pats = {"a%", "%b", "%a%", "_",
+                                               "a_c", "%", "AIR%", ""};
+        auto p = pats[pick(static_cast<int>(pats.size()))];
+        return pick(2) ? Like(col(0), p) : NotLike(col(0), p);
+      }
+      case 7: {  // a NULL constant of the column's type
+        auto null = const_for(c);
+        null->constant = Value{};
+        return Cmp(any_op(), col(c), null);
+      }
+      case 8:  // residuals
+        return Or(conjunct(1), conjunct(1));
+      case 9:
+        return pick(2) ? Gt(Add(col(ic), col(int_cols[pick(4)])), int_const(1))
+                       : Lt(Mul(col(2), ConstDouble(2)), dbl_const());
+      case 10:
+        return pick(2) ? IsNull(col(c)) : Not(IsNull(col(c)));
+      default:  // ill-typed: fails the whole filter
+        switch (pick(3)) {
+          case 0: return Eq(col(ic), ConstString("x"));
+          case 1: return In(col(0), {Value(int64_t(1))});
+          default: return Between(col(0), ConstInt(1), ConstString("b"));
+        }
+    }
+  };
+
+  ExecContext ctx;
+  ctx.read_vid = read_vid;
+  // The reference itself, an unfiltered scan, returns the rows visible at
+  // the read view that fall in the partition.
+  for (const ScanPartition& part : parts) {
+    std::vector<Row> want;
+    for (const auto& [id, row] : visible) {
+      const Value& key = row[part.col < 0 ? 0 : part.col];
+      if (part.col >= 0 &&
+          (IsNull(key) ? part.has_lo
+                       : (part.has_lo && AsInt(key) < part.lo) ||
+                             (part.has_hi && AsInt(key) > part.hi))) {
+        continue;
+      }
+      Row r;
+      for (int c : cols) r.push_back(row[c]);
+      want.push_back(std::move(r));
+    }
+    ColumnScanOp scan(&index, cols, nullptr, part);
+    RowSet rows;
+    ASSERT_TRUE(scan.Execute(&ctx, &rows).ok());
+    std::vector<Row> got = ToRows(rows);
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want) << "partition col " << part.col;
+  }
+  const int iters = testing_util::TestIters(400);
+  int nonempty = 0, failed = 0;
+  for (int it = 0; it < iters; ++it) {
+    ExprRef filter = conjunct(0);
+    for (int n = pick(3); n > 0; --n) filter = And(filter, conjunct(0));
+    const ScanPartition part = parts[pick(static_cast<int>(parts.size()))];
+    SCOPED_TRACE(::testing::Message() << "iteration " << it);
+    ColumnScanOp fused(&index, cols, filter, part);
+    FilterOp generic(
+        std::make_shared<ColumnScanOp>(&index, cols, nullptr, part), filter);
+    RowSet got, want;
+    const Status got_st = fused.Execute(&ctx, &got);
+    const Status want_st = generic.Execute(&ctx, &want);
+    ASSERT_EQ(got_st.ToString(), want_st.ToString());
+    if (!got_st.ok()) {
+      ++failed;
+      continue;
+    }
+    const std::vector<ColumnVector> g = Flatten(got), w = Flatten(want);
+    ASSERT_EQ(g.size(), w.size());
+    for (size_t c = 0; c < g.size(); ++c) {
+      SCOPED_TRACE(::testing::Message() << "column " << c);
+      EXPECT_EQ(g[c].type, w[c].type);
+      EXPECT_EQ(g[c].nulls, w[c].nulls);
+      EXPECT_EQ(g[c].ints, w[c].ints);
+      EXPECT_EQ(g[c].dbls, w[c].dbls);
+      EXPECT_EQ(g[c].strs, w[c].strs);
+    }
+    if (!g[0].nulls.empty()) ++nonempty;
+  }
+  // The draw must exercise both outcomes, not just empty results.
+  EXPECT_GT(nonempty, iters / 4);
+  EXPECT_GT(failed, 0);
 }
 
 TEST(CompactBatchTest, RemovesMaskedRowsInPlace) {
