@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
+#include <cstring>
 #include <numeric>
 #include <queue>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 
-#include "common/coding.h"
 #include "exec/merge.h"
 
 namespace imci {
@@ -586,28 +584,96 @@ uint64_t DoubleKeyBits(double d) {
   return std::bit_cast<uint64_t>(d == 0.0 ? 0.0 : d);
 }
 
-/// Encodes join/group key values; returns false when any key is NULL (SQL:
-/// NULL keys never join).
-bool EncodeKey(const Batch& b, const std::vector<int>& key_cols, size_t row,
-               std::string* out) {
-  out->clear();
-  for (int c : key_cols) {
-    const ColumnVector& v = b.cols[c];
-    if (v.nulls[row]) return false;
-    switch (v.type) {
-      case DataType::kDouble:
-        PutFixed64(out, DoubleKeyBits(v.dbls[row]));
-        break;
-      case DataType::kString:
-        PutFixed32(out, static_cast<uint32_t>(v.strs[row].size()));
-        out->append(v.strs[row]);
-        break;
-      default:
-        PutFixed64(out, static_cast<uint64_t>(v.ints[row]));
-        break;
+/// A total order on DoubleKeyBits images that agrees with < on numbers:
+/// flip every bit of a negative, the sign bit of anything else.
+uint64_t OrderBits(int64_t image) {
+  const uint64_t u = static_cast<uint64_t>(image);
+  return u >> 63 ? ~u : u | (uint64_t{1} << 63);
+}
+
+/// Key words of a string of `len` bytes: the length, then the bytes packed
+/// into zero-padded words.
+size_t StringWords(size_t len) { return 1 + (len + 7) / 8; }
+
+std::string_view StringOf(const int64_t* image) {
+  return {reinterpret_cast<const char*>(image + 1),
+          static_cast<size_t>(image[0])};
+}
+
+/// Words of the key image of non-NULL row `r` of `v` in `lane`.
+size_t ImageWords(const ColumnVector& v, size_t r, DataType lane) {
+  return lane == DataType::kString ? StringWords(v.strs[r].size()) : 1;
+}
+
+/// Writes the key image of non-NULL row `r` of `v` in `lane` (LaneOf of the
+/// key type, or DOUBLE for an integer keyed against a double) to the
+/// ImageWords zeroed words at `out`: an integer's value, a number's
+/// DoubleKeyBits, a string's length and packed bytes.
+void WriteImage(const ColumnVector& v, size_t r, DataType lane,
+                int64_t* out) {
+  if (lane == DataType::kDouble) {
+    *out = static_cast<int64_t>(DoubleKeyBits(v.NumericAt(r)));
+  } else if (lane == DataType::kString) {
+    const std::string& s = v.strs[r];
+    *out = static_cast<int64_t>(s.size());
+    std::memcpy(out + 1, s.data(), s.size());
+  } else {
+    *out = v.ints[r];
+  }
+}
+
+/// Null-mask words of a key over `ncols` columns.
+size_t MaskWords(size_t ncols) { return (ncols + 63) / 64; }
+
+bool NullAt(const int64_t* key, size_t c) {
+  return (static_cast<uint64_t>(key[c / 64]) >> (c % 64)) & 1;
+}
+
+/// Ascending key order over two key images in `lanes`: column by column,
+/// NULL first, integers as int64, doubles by OrderBits (so NaN cannot break
+/// a sort), strings bytewise — CompareValues' order. Equal columns have
+/// equal images, so one cursor walks both keys.
+bool KeyLess(const int64_t* x, const int64_t* y,
+             const std::vector<DataType>& lanes) {
+  size_t i = MaskWords(lanes.size());
+  for (size_t c = 0; c < lanes.size(); ++c) {
+    const bool xn = NullAt(x, c);
+    if (xn != NullAt(y, c)) return xn;
+    if (xn) continue;
+    if (lanes[c] == DataType::kString) {
+      const std::string_view a = StringOf(x + i), b = StringOf(y + i);
+      if (a != b) return a < b;
+      i += StringWords(a.size());
+      continue;
+    }
+    if (x[i] != y[i]) {
+      return lanes[c] == DataType::kDouble ? OrderBits(x[i]) < OrderBits(y[i])
+                                           : x[i] < y[i];
+    }
+    ++i;
+  }
+  return false;
+}
+
+/// Appends the group values of key image `key` in `lanes` to the leading
+/// columns of `out`.
+void AppendKey(const int64_t* key, const std::vector<DataType>& lanes,
+               Batch* out) {
+  size_t i = MaskWords(lanes.size());
+  for (size_t c = 0; c < lanes.size(); ++c) {
+    ColumnVector& col = out->cols[c];
+    if (NullAt(key, c)) {
+      col.AppendNull();
+    } else if (lanes[c] == DataType::kString) {
+      const std::string_view s = StringOf(key + i);
+      col.AppendString(std::string(s));
+      i += StringWords(s.size());
+    } else if (lanes[c] == DataType::kDouble) {
+      col.AppendDouble(std::bit_cast<double>(key[i++]));
+    } else {
+      col.AppendInt(key[i++]);
     }
   }
-  return true;
 }
 
 /// Number of exchange partitions for a given worker count: the smallest
@@ -617,11 +683,6 @@ int ExchangePartitions(int workers) {
   int p = 1;
   while (p < workers) p <<= 1;
   return p;
-}
-
-/// Integer-family columns keep their values in ColumnVector::ints.
-bool IsIntFamily(DataType t) {
-  return t != DataType::kDouble && t != DataType::kString;
 }
 
 /// murmur3's 64-bit finalizer: a bijection whose every output bit depends
@@ -636,68 +697,145 @@ uint64_t Fmix64(uint64_t k) {
   return k;
 }
 
-uint64_t HashWords(const int64_t* key, int width) {
+uint64_t HashWords(const int64_t* key, size_t width) {
   uint64_t h = static_cast<uint64_t>(width);
-  for (int i = 0; i < width; ++i) {
+  for (size_t i = 0; i < width; ++i) {
     h = Fmix64(h * 0x9e3779b97f4a7c15ULL ^ static_cast<uint64_t>(key[i]));
   }
   return h;
 }
 
-/// Exchange partition of a typed key: the top hash bits, disjoint from the
-/// low bits KeyTable indexes slots with (P <= 64, so at most 6 bits).
+/// Exchange partition of a key: the top hash bits, disjoint from the low
+/// bits KeyTable indexes slots with (P <= 64, so at most 6 bits).
 uint32_t PartitionOf(uint64_t hash, uint32_t pmask) {
   return static_cast<uint32_t>(hash >> 58) & pmask;
 }
 
-/// Open-addressing (linear probing) map from a fixed-width key of `width`
-/// int64 words to a dense id, assigned in insertion order. Keys and hashes
-/// are stored once per id, so the key words double as a group's output
-/// values and the hash as its exchange partition.
+/// The key images of a batch's rows over some key columns, the one key
+/// format of join and aggregation: row r's key is the words [start[r],
+/// start[r+1]) — MaskWords null-mask words (bit c set when key column c is
+/// NULL), then the image of each non-NULL column in its lane — and hashes[r]
+/// is its HashWords. A whole batch is imaged column by column before any
+/// table is probed, so the probe loop stays short enough for the CPU to
+/// overlap the cache misses of consecutive rows.
+struct BatchKeys {
+  std::vector<int64_t> words;
+  std::vector<size_t> start;
+  std::vector<uint64_t> hashes;
+  std::vector<size_t> next;  // EncodeKeys' write cursor per row
+
+  const int64_t* key(size_t r) const { return words.data() + start[r]; }
+  size_t width(size_t r) const { return start[r + 1] - start[r]; }
+  /// Whether row r's mask is all zero: no key column is NULL.
+  bool NoNulls(size_t r, size_t mask_words) const {
+    const int64_t* k = key(r);
+    return std::all_of(k, k + mask_words, [](int64_t w) { return w == 0; });
+  }
+};
+
+void EncodeKeys(const Batch& b, const std::vector<int>& cols,
+                const std::vector<DataType>& lanes, BatchKeys* out) {
+  const size_t n = b.rows, mask_words = MaskWords(cols.size());
+  // Row widths go to start[r + 1]; the prefix sum turns them into starts.
+  std::vector<size_t>& start = out->start;
+  start.assign(n + 1, mask_words);
+  start[0] = 0;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const ColumnVector& v = b.cols[cols[c]];
+    for (size_t r = 0; r < n; ++r) {
+      if (!v.nulls[r]) start[r + 1] += ImageWords(v, r, lanes[c]);
+    }
+  }
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  out->words.assign(start[n], 0);
+  int64_t* words = out->words.data();
+  std::vector<size_t>& next = out->next;
+  next.resize(n);
+  for (size_t r = 0; r < n; ++r) next[r] = start[r] + mask_words;
+  for (size_t c = 0; c < cols.size(); ++c) {
+    const ColumnVector& v = b.cols[cols[c]];
+    const DataType lane = lanes[c];
+    const int64_t bit = static_cast<int64_t>(uint64_t{1} << (c % 64));
+    for (size_t r = 0; r < n; ++r) {
+      if (v.nulls[r]) {
+        words[start[r] + c / 64] |= bit;
+      } else {
+        WriteImage(v, r, lane, words + next[r]);
+        next[r] += ImageWords(v, r, lane);
+      }
+    }
+  }
+  out->hashes.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    out->hashes[r] = HashWords(out->key(r), out->width(r));
+  }
+}
+
+/// Open-addressing (linear probing) map from a key of int64 words to a
+/// dense id, assigned in insertion order. Keys of any width sit back to back
+/// in one word arena, each behind a header word holding its id and width; a
+/// slot holds its key's arena offset, so a probe reads only the slot and
+/// the key. Keys and hashes are stored once per id, so a key doubles as a
+/// group's output values and its hash as its exchange partition.
 class KeyTable {
  public:
   static constexpr uint32_t kNone = UINT32_MAX;
 
-  explicit KeyTable(int width) : width_(width) {}
-
   uint32_t size() const { return static_cast<uint32_t>(hashes_.size()); }
   const int64_t* key(uint32_t id) const {
-    return &keys_[static_cast<size_t>(id) * width_];
+    return words_.data() + starts_[id] + 1;
   }
+  size_t width(uint32_t id) const { return words_[starts_[id]] & kWidthMask; }
   uint64_t hash(uint32_t id) const { return hashes_[id]; }
 
   void Reserve(size_t n) {
-    keys_.reserve(n * width_);
+    starts_.reserve(n);
     hashes_.reserve(n);
     if (n * 2 > slots_.size()) Rehash(n * 2);
   }
 
-  uint32_t Find(const int64_t* key, uint64_t hash) const {
-    return slots_.empty() ? kNone : slots_[Probe(key, hash)];
+  /// Starts loading the slot `hash` probes first, for a probe a few rows
+  /// later.
+  void Prefetch(uint64_t hash) const {
+    if (!slots_.empty()) __builtin_prefetch(&slots_[hash & mask_]);
+  }
+
+  uint32_t Find(const int64_t* key, size_t width, uint64_t hash) const {
+    if (slots_.empty()) return kNone;
+    const uint64_t at = slots_[Probe(key, width, hash)];
+    return at == kEmpty ? kNone : static_cast<uint32_t>(words_[at] >> 32);
   }
 
   /// Returns the id of `key`, inserting it if absent (`*inserted` says
   /// which).
-  uint32_t FindOrInsert(const int64_t* key, uint64_t hash, bool* inserted) {
+  uint32_t FindOrInsert(const int64_t* key, size_t width, uint64_t hash,
+                        bool* inserted) {
     if ((hashes_.size() + 1) * 2 > slots_.size()) {
       Rehash(std::max<size_t>(16, slots_.size() * 2));
     }
-    uint32_t& id = slots_[Probe(key, hash)];
-    *inserted = id == kNone;
-    if (*inserted) {
-      id = size();
-      keys_.insert(keys_.end(), key, key + width_);
-      hashes_.push_back(hash);
-    }
+    uint64_t& at = slots_[Probe(key, width, hash)];
+    *inserted = at == kEmpty;
+    if (!*inserted) return static_cast<uint32_t>(words_[at] >> 32);
+    const uint32_t id = size();
+    at = words_.size();
+    starts_.push_back(at);
+    words_.push_back(static_cast<int64_t>(uint64_t{id} << 32 | width));
+    words_.insert(words_.end(), key, key + width);
+    hashes_.push_back(hash);
     return id;
   }
 
  private:
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+  static constexpr uint64_t kWidthMask = UINT32_MAX;
+
   /// The slot holding `key`, or the empty slot where it belongs.
-  size_t Probe(const int64_t* key, uint64_t hash) const {
+  size_t Probe(const int64_t* key, size_t width, uint64_t hash) const {
     for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
-      const uint32_t id = slots_[i];
-      if (id == kNone || std::equal(key, key + width_, this->key(id))) {
+      const uint64_t at = slots_[i];
+      if (at == kEmpty ||
+          ((words_[at] & kWidthMask) == width &&
+           std::equal(key, key + width, words_.data() + at + 1))) {
         return i;
       }
     }
@@ -706,29 +844,31 @@ class KeyTable {
   void Rehash(size_t min_slots) {
     size_t cap = 16;
     while (cap < min_slots) cap <<= 1;
-    slots_.assign(cap, kNone);
+    slots_.assign(cap, kEmpty);
     mask_ = cap - 1;
     for (uint32_t id = 0; id < size(); ++id) {
       size_t i = hashes_[id] & mask_;
-      while (slots_[i] != kNone) i = (i + 1) & mask_;
-      slots_[i] = id;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = starts_[id];
     }
   }
 
-  int width_;
   size_t mask_ = 0;
-  std::vector<uint32_t> slots_;  // id per slot, kNone when empty
-  std::vector<int64_t> keys_;   // width_ words per id
+  std::vector<uint64_t> slots_;  // arena offset per slot, kEmpty when empty
+  std::vector<int64_t> words_;   // per id: header (id << 32 | width), key
+  std::vector<uint64_t> starts_;  // arena offset per id
   std::vector<uint64_t> hashes_;
 };
 
+/// How many rows ahead a probe loop prefetches its slot.
+constexpr uint32_t kPrefetchRows = 8;
+
 using JoinRef = std::pair<uint32_t, uint32_t>;  // build (batch, row)
 
-/// One build partition of the typed join: key -> id, and the matches of id
-/// i in CSR form, refs[offsets[i], offsets[i+1]) in build (batch, row)
-/// order.
-struct IntJoinPartition {
-  KeyTable keys{1};
+/// One build partition of the join: key -> id, and the matches of id i in
+/// CSR form, refs[offsets[i], offsets[i+1]) in build (batch, row) order.
+struct JoinPartition {
+  KeyTable keys;
   std::vector<uint32_t> offsets;
   std::vector<JoinRef> refs;
 };
@@ -747,12 +887,22 @@ HashJoinOp::HashJoinOp(PhysOpRef build, PhysOpRef probe,
   if (type_ == JoinType::kInner || type_ == JoinType::kLeft) {
     for (DataType t : build_->out_types()) out_types_.push_back(t);
   }
-  int_key_ = build_keys_.size() == 1 && probe_keys_.size() == 1 &&
-             IsIntFamily(build_->out_types()[build_keys_[0]]) &&
-             IsIntFamily(probe_->out_types()[probe_keys_[0]]);
 }
 
 Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
+  // Both sides image a key pair in one lane, the one Cmp compares it in:
+  // STRING, DOUBLE when either side is DOUBLE, else INT64.
+  std::vector<DataType> lanes;
+  for (size_t k = 0; k < build_keys_.size(); ++k) {
+    const DataType b = build_->out_types()[build_keys_[k]];
+    const DataType p = probe_->out_types()[probe_keys_[k]];
+    if ((b == DataType::kString) != (p == DataType::kString)) {
+      return Status::InvalidArgument(std::string("cannot join ") +
+                                     DataTypeName(b) + " with " +
+                                     DataTypeName(p));
+    }
+    lanes.push_back(b == DataType::kDouble ? b : LaneOf(p));
+  }
   RowSet build_set;
   IMCI_RETURN_NOT_OK(build_->Execute(ctx, &build_set));
   RowSet probe_set;
@@ -760,98 +910,71 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   out->types = out_types_;
 
   // Build phase, partition-parallel with an exchange step. Stage 1
-  // (scatter) runs per build batch: route each row's key to partition
-  // hash(key) & (P-1). Stage 2 (merge) runs per partition: partition p
-  // assembles its own hash table from every batch's p-bucket, walking
-  // batches in index order so refs land in the exact (batch, row) order the
-  // serial build would have produced — match emission order, and therefore
-  // results, are identical to parallelism=1.
+  // (scatter) runs per build batch: image its keys and route each row to
+  // the partition its hash picks. Stage 2 (merge) runs per partition:
+  // partition p assembles its own table from every batch's p-bucket,
+  // walking batches in index order so refs land in the exact (batch, row)
+  // order the serial build would have produced — match emission order, and
+  // therefore results, are identical to parallelism=1. A joining key has
+  // no NULL, so its mask words are zero: tables keep only the words after
+  // them.
   const int workers = std::max(1, ctx->parallelism);
   const int P = ExchangePartitions(std::min(workers, 64));
   const uint32_t pmask = static_cast<uint32_t>(P - 1);
   const int nbuild = static_cast<int>(build_set.batches.size());
-
-  // Typed path: the int64 key is hashed directly into an open-addressing
-  // table per partition, with matches stored CSR.
-  std::vector<IntJoinPartition> int_tables;
-  // Encoded path: byte-encoded keys in a std::unordered_map per partition.
-  const std::hash<std::string> hasher;
-  std::vector<std::unordered_map<std::string, std::vector<JoinRef>>> tables;
-  if (int_key_) {
-    const int bk = build_keys_[0];
-    // scatter[bi][p]: (key, row) of batch bi routed to partition p.
-    using IntScatter = std::vector<std::pair<int64_t, uint32_t>>;
-    std::vector<std::vector<IntScatter>> scatter(nbuild);
-    ParallelFor(ctx->pool, nbuild, [&](int bi) {
-      const ColumnVector& v = build_set.batches[bi].cols[bk];
-      auto& parts = scatter[bi];
-      parts.resize(P);
-      for (uint32_t ri = 0; ri < v.size(); ++ri) {
-        if (v.nulls[ri]) continue;
-        const uint64_t h = HashWords(&v.ints[ri], 1);
-        parts[PartitionOf(h, pmask)].emplace_back(v.ints[ri], ri);
-      }
-    });
-    int_tables.resize(P);
-    ParallelFor(ctx->pool, P, [&](int p) {
-      IntJoinPartition& t = int_tables[p];
-      size_t total = 0;
-      for (int bi = 0; bi < nbuild; ++bi) total += scatter[bi][p].size();
-      t.keys.Reserve(total);
-      std::vector<uint32_t> ids;
-      ids.reserve(total);
-      std::vector<uint32_t> counts;
-      for (int bi = 0; bi < nbuild; ++bi) {
-        for (const auto& [key, ri] : scatter[bi][p]) {
-          bool inserted = false;
-          const uint32_t id =
-              t.keys.FindOrInsert(&key, HashWords(&key, 1), &inserted);
-          if (inserted) counts.push_back(0);
-          counts[id]++;
-          ids.push_back(id);
+  const size_t mask_words = MaskWords(lanes.size());
+  std::vector<BatchKeys> build_images(nbuild);
+  // scatter[bi][p]: the rows of batch bi routed to partition p.
+  std::vector<std::vector<std::vector<uint32_t>>> scatter(nbuild);
+  ParallelFor(ctx->pool, nbuild, [&](int bi) {
+    BatchKeys& keys = build_images[bi];
+    EncodeKeys(build_set.batches[bi], build_keys_, lanes, &keys);
+    auto& parts = scatter[bi];
+    parts.resize(P);
+    for (uint32_t ri = 0; ri < build_set.batches[bi].rows; ++ri) {
+      if (!keys.NoNulls(ri, mask_words)) continue;  // NULL never matches
+      parts[PartitionOf(keys.hashes[ri], pmask)].push_back(ri);
+    }
+  });
+  std::vector<JoinPartition> tables(P);
+  ParallelFor(ctx->pool, P, [&](int p) {
+    JoinPartition& t = tables[p];
+    size_t total = 0;
+    for (int bi = 0; bi < nbuild; ++bi) total += scatter[bi][p].size();
+    t.keys.Reserve(total);
+    std::vector<uint32_t> ids;
+    ids.reserve(total);
+    std::vector<uint32_t> counts;
+    for (int bi = 0; bi < nbuild; ++bi) {
+      const BatchKeys& keys = build_images[bi];
+      const std::vector<uint32_t>& rows = scatter[bi][p];
+      for (size_t j = 0; j < rows.size(); ++j) {
+        if (j + kPrefetchRows < rows.size()) {
+          t.keys.Prefetch(keys.hashes[rows[j + kPrefetchRows]]);
         }
+        const uint32_t ri = rows[j];
+        bool inserted = false;
+        const uint32_t id = t.keys.FindOrInsert(
+            keys.key(ri) + mask_words, keys.width(ri) - mask_words,
+            keys.hashes[ri], &inserted);
+        if (inserted) counts.push_back(0);
+        counts[id]++;
+        ids.push_back(id);
       }
-      t.offsets.assign(counts.size() + 1, 0);
-      for (size_t i = 0; i < counts.size(); ++i) {
-        t.offsets[i + 1] = t.offsets[i] + counts[i];
+    }
+    t.offsets.assign(counts.size() + 1, 0);
+    for (size_t i = 0; i < counts.size(); ++i) {
+      t.offsets[i + 1] = t.offsets[i] + counts[i];
+    }
+    std::vector<uint32_t> cursor(t.offsets.begin(), t.offsets.end() - 1);
+    t.refs.resize(total);
+    size_t j = 0;
+    for (int bi = 0; bi < nbuild; ++bi) {
+      for (uint32_t ri : scatter[bi][p]) {
+        t.refs[cursor[ids[j++]]++] = {static_cast<uint32_t>(bi), ri};
       }
-      std::vector<uint32_t> cursor(t.offsets.begin(), t.offsets.end() - 1);
-      t.refs.resize(total);
-      size_t j = 0;
-      for (int bi = 0; bi < nbuild; ++bi) {
-        for (const auto& entry : scatter[bi][p]) {
-          t.refs[cursor[ids[j++]]++] = {static_cast<uint32_t>(bi),
-                                        entry.second};
-        }
-      }
-    });
-  } else {
-    struct ScatterBucket {
-      std::vector<std::pair<std::string, uint32_t>> rows;  // (key, row)
-    };
-    // scatter[bi][p]: keys of batch bi routed to partition p.
-    std::vector<std::vector<ScatterBucket>> scatter(nbuild);
-    ParallelFor(ctx->pool, nbuild, [&](int bi) {
-      const Batch& b = build_set.batches[bi];
-      auto& parts = scatter[bi];
-      parts.resize(P);
-      std::string key;
-      for (uint32_t ri = 0; ri < b.rows; ++ri) {
-        if (!EncodeKey(b, build_keys_, ri, &key)) continue;
-        const uint32_t p = static_cast<uint32_t>(hasher(key)) & pmask;
-        parts[p].rows.emplace_back(key, ri);
-      }
-    });
-    tables.resize(P);
-    ParallelFor(ctx->pool, P, [&](int p) {
-      auto& table = tables[p];
-      for (int bi = 0; bi < nbuild; ++bi) {
-        for (auto& [key, ri] : scatter[bi][p].rows) {
-          table[std::move(key)].push_back({static_cast<uint32_t>(bi), ri});
-        }
-      }
-    });
-  }
+    }
+  });
 
   const int build_width =
       (type_ == JoinType::kInner || type_ == JoinType::kLeft)
@@ -882,27 +1005,23 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
       }
       outb.rows++;
     };
-    std::string k;
+    BatchKeys keys;
+    EncodeKeys(pb, probe_keys_, lanes, &keys);
     for (uint32_t ri = 0; ri < pb.rows; ++ri) {
+      if (ri + kPrefetchRows < pb.rows) {
+        const uint64_t h = keys.hashes[ri + kPrefetchRows];
+        tables[PartitionOf(h, pmask)].keys.Prefetch(h);
+      }
       const JoinRef* first = nullptr;
       const JoinRef* last = nullptr;
-      if (int_key_) {
-        const ColumnVector& v = pb.cols[probe_keys_[0]];
-        if (!v.nulls[ri]) {
-          const uint64_t h = HashWords(&v.ints[ri], 1);
-          const IntJoinPartition& t = int_tables[PartitionOf(h, pmask)];
-          const uint32_t id = t.keys.Find(&v.ints[ri], h);
-          if (id != KeyTable::kNone) {
-            first = t.refs.data() + t.offsets[id];
-            last = t.refs.data() + t.offsets[id + 1];
-          }
-        }
-      } else if (EncodeKey(pb, probe_keys_, ri, &k)) {
-        const auto& table = tables[static_cast<uint32_t>(hasher(k)) & pmask];
-        auto it = table.find(k);
-        if (it != table.end()) {
-          first = it->second.data();
-          last = first + it->second.size();
+      if (keys.NoNulls(ri, mask_words)) {
+        const uint64_t h = keys.hashes[ri];
+        const JoinPartition& t = tables[PartitionOf(h, pmask)];
+        const uint32_t id = t.keys.Find(keys.key(ri) + mask_words,
+                                        keys.width(ri) - mask_words, h);
+        if (id != KeyTable::kNone) {
+          first = t.refs.data() + t.offsets[id];
+          last = t.refs.data() + t.offsets[id + 1];
         }
       }
       const bool matched = first != last;
@@ -932,75 +1051,92 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
 
 namespace {
 
-struct AggState {
-  Row group_values;
-  std::vector<double> sums;
-  std::vector<int64_t> counts;
-  std::vector<Value> mins, maxs;
-  std::vector<std::unordered_set<std::string>> distincts;
-};
-
-/// The MIN or MAX of one typed aggregate: int64 or double, fixed per
+/// The MIN or MAX of one numeric aggregate: int64 or double, fixed per
 /// aggregate at plan time.
 union AggLane {
   int64_t i;
   double d;
 };
 
-/// Whether `x` replaces `cur` as the MIN (or MAX) of a `dbl` lane.
+/// Whether `x` replaces `cur` as the MIN (or MAX).
+template <typename T>
+bool Improves(AggKind kind, const T& x, const T& cur) {
+  return kind == AggKind::kMin ? x < cur : x > cur;
+}
 bool Improves(AggKind kind, bool dbl, AggLane x, AggLane cur) {
-  if (kind == AggKind::kMin) return dbl ? x.d < cur.d : x.i < cur.i;
-  return dbl ? x.d > cur.d : x.i > cur.i;
+  return dbl ? Improves(kind, x.d, cur.d) : Improves(kind, x.i, cur.i);
 }
 
-/// Typed aggregation state of one worker (or, after the exchange, one
-/// partition). Group keys are [null mask, one int64 per group column]; a
-/// group's aggregate a lives at index gid*A + a of each flat array. For
-/// MIN/MAX, counts hold the number of non-NULL inputs (0: the result is
-/// NULL); for COUNT DISTINCT, the number of distinct values.
-struct IntAggTable {
-  IntAggTable(int key_width, int num_aggs, bool with_sums, bool with_minmax)
-      : keys(key_width), A(num_aggs), sums_on(with_sums),
-        minmax_on(with_minmax) {}
+/// Aggregation state of one worker (or, after the exchange, one
+/// partition). Groups are key images; a group's aggregate a lives at index
+/// gid*A + a of each flat array. For MIN/MAX, counts hold the number of
+/// non-NULL inputs (0: the result is NULL); for COUNT DISTINCT, the number
+/// of distinct values.
+struct AggTable {
+  AggTable(int num_aggs, bool with_sums, bool with_minmax, bool with_strs)
+      : A(num_aggs), sums_on(with_sums), minmax_on(with_minmax),
+        strs_on(with_strs) {}
 
   /// Returns the dense id of `key`, adding a zeroed state if it is new.
-  uint32_t Group(const int64_t* key, uint64_t hash, bool* inserted) {
-    const uint32_t g = keys.FindOrInsert(key, hash, inserted);
+  uint32_t Group(const int64_t* key, size_t width, uint64_t hash,
+                 bool* inserted) {
+    const uint32_t g = keys.FindOrInsert(key, width, hash, inserted);
     if (*inserted) {
       counts.resize(counts.size() + A, 0);
       if (sums_on) sums.resize(sums.size() + A, 0.0);
       if (minmax_on) minmax.resize(minmax.size() + A, AggLane{0});
+      if (strs_on) strs.resize(strs.size() + A);
     }
     return g;
   }
 
-  /// Counts `value` for COUNT DISTINCT aggregate a of group g.
-  void AddDistinct(uint32_t g, int a, int64_t value) {
-    const int64_t triple[3] = {static_cast<int64_t>(g), a, value};
+  /// Counts each non-NULL row r of `v` for COUNT DISTINCT aggregate a of
+  /// group gids[r]. The keys, [gid, agg, value image], are built and hashed
+  /// for the whole batch before any is probed, as in EncodeKeys.
+  void AddDistinct(const std::vector<uint32_t>& gids, int a,
+                   const ColumnVector& v, BatchKeys* keys) {
+    const DataType lane = LaneOf(v.type);
+    keys->words.clear();
+    keys->start.clear();
+    for (size_t r = 0; r < v.size(); ++r) {
+      if (v.nulls[r]) continue;
+      const size_t at = keys->words.size();
+      keys->start.push_back(at);
+      keys->words.resize(at + 2 + ImageWords(v, r, lane), 0);
+      keys->words[at] = gids[r];
+      keys->words[at + 1] = a;
+      WriteImage(v, r, lane, &keys->words[at + 2]);
+    }
+    keys->start.push_back(keys->words.size());
+    const size_t n = keys->start.size() - 1;
+    keys->hashes.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      keys->hashes[i] = HashWords(keys->key(i), keys->width(i));
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchRows < n) {
+        distinct.Prefetch(keys->hashes[i + kPrefetchRows]);
+      }
+      AddDistinct(keys->key(i), keys->width(i), keys->hashes[i]);
+    }
+  }
+
+  /// Counts one [gid, agg, value image] key for COUNT DISTINCT.
+  void AddDistinct(const int64_t* key, size_t width, uint64_t hash) {
     bool inserted = false;
-    distinct.FindOrInsert(triple, HashWords(triple, 3), &inserted);
-    if (inserted) counts[static_cast<size_t>(g) * A + a]++;
+    distinct.FindOrInsert(key, width, hash, &inserted);
+    if (inserted) counts[static_cast<size_t>(key[0]) * A + key[1]]++;
   }
 
   KeyTable keys;
   size_t A;
-  bool sums_on, minmax_on;
+  bool sums_on, minmax_on, strs_on;
   std::vector<int64_t> counts;
-  std::vector<double> sums;     // only with SUM/AVG
-  std::vector<AggLane> minmax;  // [gid*A + a], only with MIN/MAX
-  KeyTable distinct{3};  // (gid, agg, value) triples
+  std::vector<double> sums;       // only with SUM/AVG
+  std::vector<AggLane> minmax;    // numeric MIN/MAX, only when one exists
+  std::vector<std::string> strs;  // string MIN/MAX, only when one exists
+  KeyTable distinct;
 };
-
-/// Ascending key order over [null mask, values...] keys of `ncols` columns:
-/// column by column, NULL before any value (CompareValues' order).
-bool KeyLess(const int64_t* x, const int64_t* y, int ncols) {
-  for (int c = 0; c < ncols; ++c) {
-    const bool xn = (x[0] >> c) & 1, yn = (y[0] >> c) & 1;
-    if (xn != yn) return xn;
-    if (!xn && x[1 + c] != y[1 + c]) return x[1 + c] < y[1 + c];
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -1010,7 +1146,10 @@ HashAggOp::HashAggOp(PhysOpRef child, std::vector<int> group_cols,
       group_cols_(std::move(group_cols)),
       aggs_(std::move(aggs)) {
   const auto& ct = child_->out_types();
-  for (int c : group_cols_) out_types_.push_back(ct[c]);
+  for (int c : group_cols_) {
+    out_types_.push_back(ct[c]);
+    key_lanes_.push_back(LaneOf(ct[c]));
+  }
   for (const AggSpec& a : aggs_) {
     switch (a.kind) {
       case AggKind::kCount:
@@ -1027,20 +1166,12 @@ HashAggOp::HashAggOp(PhysOpRef child, std::vector<int> group_cols,
         out_types_.push_back(DataType::kDouble);
         break;
     }
-  }
-  // The typed path packs the NULL flags of the group columns into one word.
-  int_keys_ = group_cols_.size() < 64;
-  for (int c : group_cols_) int_keys_ = int_keys_ && IsIntFamily(ct[c]);
-  for (const AggSpec& a : aggs_) {
     const bool minmax = a.kind == AggKind::kMin || a.kind == AggKind::kMax;
+    const DataType lane = minmax ? LaneOf(a.arg->out_type) : DataType::kInt64;
     has_sums_ |= a.kind == AggKind::kSum || a.kind == AggKind::kAvg;
-    has_minmax_ |= minmax;
-    double_lane_.push_back(minmax && a.arg->out_type == DataType::kDouble);
-    const bool distinct = a.kind == AggKind::kCountDistinct;
-    if ((minmax && a.arg->out_type == DataType::kString) ||
-        (distinct && !IsIntFamily(a.arg->out_type))) {
-      int_keys_ = false;
-    }
+    has_minmax_ |= minmax && lane != DataType::kString;
+    has_strings_ |= minmax && lane == DataType::kString;
+    minmax_lane_.push_back(lane);
   }
 }
 
@@ -1048,20 +1179,13 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet in;
   IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
   out->types = out_types_;
-  return int_keys_ ? ExecuteIntKeys(ctx, in, out)
-                   : ExecuteEncoded(ctx, in, out);
-}
-
-Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
-                                 RowSet* out) {
   const int G = static_cast<int>(group_cols_.size());
-  const int width = G + 1;
   const int A = static_cast<int>(aggs_.size());
   const int workers = std::max(1, std::min(ctx->parallelism, 32));
   const auto new_table = [&] {
-    return IntAggTable(width, A, has_sums_, has_minmax_);
+    return AggTable(A, has_sums_, has_minmax_, has_strings_);
   };
-  std::vector<IntAggTable> partials;
+  std::vector<AggTable> partials;
   for (int w = 0; w < workers; ++w) partials.push_back(new_table());
   std::vector<Status> statuses(workers);
   const int nb = static_cast<int>(in.batches.size());
@@ -1071,9 +1195,8 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
   // batch first maps every row to its group id, then updates one aggregate
   // at a time over the whole batch.
   ParallelFor(ctx->pool, workers, [&](int wi) {
-    IntAggTable& t = partials[wi];
-    std::vector<const ColumnVector*> gcols(G);
-    std::vector<int64_t> key(width);
+    AggTable& t = partials[wi];
+    BatchKeys keys, distinct_keys;
     std::vector<uint32_t> gids;
     std::vector<ColumnVector> evaluated(A);
     std::vector<const ColumnVector*> args(A, nullptr);
@@ -1097,28 +1220,24 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
           }
           args[a] = &evaluated[a];
         }
-        const bool int_lane = aggs_[a].kind == AggKind::kCountDistinct ||
-                              aggs_[a].kind == AggKind::kSumInt ||
-                              ((aggs_[a].kind == AggKind::kMin ||
-                                aggs_[a].kind == AggKind::kMax) &&
-                               !double_lane_[a]);
-        if (int_lane && !IsIntFamily(args[a]->type)) {
+        const AggKind kind = aggs_[a].kind;
+        const DataType type = args[a]->type, lane = minmax_lane_[a];
+        if ((kind == AggKind::kSumInt && !IsIntegerType(type)) ||
+            ((kind == AggKind::kMin || kind == AggKind::kMax) &&
+             (lane == DataType::kDouble ? type == DataType::kString
+                                        : LaneOf(type) != lane))) {
           statuses[wi] = Status::Internal("aggregate argument type");
           return;
         }
       }
-      for (int c = 0; c < G; ++c) gcols[c] = &b.cols[group_cols_[c]];
+      EncodeKeys(b, group_cols_, key_lanes_, &keys);
       gids.resize(b.rows);
       for (uint32_t ri = 0; ri < b.rows; ++ri) {
-        uint64_t nulls = 0;
-        for (int c = 0; c < G; ++c) {
-          const bool null = gcols[c]->nulls[ri];
-          nulls |= static_cast<uint64_t>(null) << c;
-          key[1 + c] = null ? 0 : gcols[c]->ints[ri];
+        if (ri + kPrefetchRows < b.rows) {
+          t.keys.Prefetch(keys.hashes[ri + kPrefetchRows]);
         }
-        key[0] = static_cast<int64_t>(nulls);
         bool inserted = false;
-        gids[ri] = t.Group(key.data(), HashWords(key.data(), width),
+        gids[ri] = t.Group(keys.key(ri), keys.width(ri), keys.hashes[ri],
                            &inserted);
       }
       for (int a = 0; a < A; ++a) {
@@ -1130,6 +1249,11 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
           continue;
         }
         const ColumnVector& v = *args[a];
+        if (kind == AggKind::kCountDistinct) {
+          t.AddDistinct(gids, a, v, &distinct_keys);
+          continue;
+        }
+        const DataType lane = minmax_lane_[a];
         for (uint32_t ri = 0; ri < b.rows; ++ri) {
           if (v.nulls[ri]) continue;
           const size_t s = static_cast<size_t>(gids[ri]) * A + a;
@@ -1146,23 +1270,28 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
               t.counts[s] += v.ints[ri];
               break;
             case AggKind::kMin:
-            case AggKind::kMax: {
-              AggLane x{};
-              if (double_lane_[a]) {
-                x.d = v.NumericAt(ri);
+            case AggKind::kMax:
+              if (lane == DataType::kString) {
+                if (t.counts[s]++ == 0 ||
+                    Improves(kind, v.strs[ri], t.strs[s])) {
+                  t.strs[s] = v.strs[ri];
+                }
               } else {
-                x.i = v.ints[ri];
+                AggLane x{};
+                if (lane == DataType::kDouble) {
+                  x.d = v.NumericAt(ri);
+                } else {
+                  x.i = v.ints[ri];
+                }
+                if (t.counts[s]++ == 0 ||
+                    Improves(kind, lane == DataType::kDouble, x,
+                             t.minmax[s])) {
+                  t.minmax[s] = x;
+                }
               }
-              if (t.counts[s]++ == 0 ||
-                  Improves(kind, double_lane_[a], x, t.minmax[s])) {
-                t.minmax[s] = x;
-              }
-              break;
-            }
-            case AggKind::kCountDistinct:
-              t.AddDistinct(gids[ri], a, v.ints[ri]);
               break;
             case AggKind::kCountStar:
+            case AggKind::kCountDistinct:
               break;
           }
         }
@@ -1173,13 +1302,14 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
 
   // Exchange/merge: each partition re-keys the partial groups whose key
   // hash routes to it into its own table. A key lives in exactly one
-  // partition, so partition workers read the shared partials without
-  // synchronization, and each writes only its own groups' slots of the
-  // per-worker remap arrays. Partitions walk the partials in worker order,
-  // so the accumulation order matches the serial merge exactly.
+  // partition, so partition workers read the shared partials (and move
+  // their own groups' strings out) without synchronization, and each writes
+  // only its own groups' slots of the per-worker remap arrays. Partitions
+  // walk the partials in worker order, so the accumulation order matches
+  // the serial merge exactly.
   const int P = ExchangePartitions(workers);
   const uint32_t pmask = static_cast<uint32_t>(P - 1);
-  std::vector<IntAggTable> merged;
+  std::vector<AggTable> merged;
   if (workers == 1) {
     merged = std::move(partials);  // a lone worker's table is the partition
   } else {
@@ -1187,77 +1317,93 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
     std::vector<std::vector<uint32_t>> remap(workers);
     for (int w = 0; w < workers; ++w) remap[w].resize(partials[w].keys.size());
     ParallelFor(ctx->pool, P, [&](int p) {
-      IntAggTable& dst = merged[p];
-      const auto in_part = [&](const IntAggTable& src, uint32_t g) {
+      AggTable& dst = merged[p];
+      const auto in_part = [&](const AggTable& src, uint32_t g) {
         return PartitionOf(src.keys.hash(g), pmask) ==
                static_cast<uint32_t>(p);
       };
+      std::vector<int64_t> distinct_key;
       for (int w = 0; w < workers; ++w) {
-        const IntAggTable& src = partials[w];
+        AggTable& src = partials[w];
         for (uint32_t g = 0; g < src.keys.size(); ++g) {
+          if (g + kPrefetchRows < src.keys.size()) {
+            dst.keys.Prefetch(src.keys.hash(g + kPrefetchRows));
+          }
           if (!in_part(src, g)) continue;
           bool inserted = false;
-          const uint32_t dg =
-              dst.Group(src.keys.key(g), src.keys.hash(g), &inserted);
+          const uint32_t dg = dst.Group(src.keys.key(g), src.keys.width(g),
+                                        src.keys.hash(g), &inserted);
           remap[w][g] = dg;
           for (int a = 0; a < A; ++a) {
             const size_t s = static_cast<size_t>(g) * A + a;
             const size_t d = static_cast<size_t>(dg) * A + a;
             const AggKind kind = aggs_[a].kind;
+            const DataType lane = minmax_lane_[a];
             if (kind == AggKind::kCountDistinct) continue;  // re-counted below
             if (kind == AggKind::kSum || kind == AggKind::kAvg) {
               dst.sums[d] = inserted ? src.sums[s] : dst.sums[d] + src.sums[s];
             } else if ((kind == AggKind::kMin || kind == AggKind::kMax) &&
-                       src.counts[s] > 0 &&
-                       (dst.counts[d] == 0 ||
-                        Improves(kind, double_lane_[a], src.minmax[s],
-                                 dst.minmax[d]))) {
-              dst.minmax[d] = src.minmax[s];
+                       src.counts[s] > 0) {
+              if (lane == DataType::kString) {
+                if (dst.counts[d] == 0 ||
+                    Improves(kind, src.strs[s], dst.strs[d])) {
+                  dst.strs[d] = std::move(src.strs[s]);
+                }
+              } else if (dst.counts[d] == 0 ||
+                         Improves(kind, lane == DataType::kDouble,
+                                  src.minmax[s], dst.minmax[d])) {
+                dst.minmax[d] = src.minmax[s];
+              }
             }
             dst.counts[d] += src.counts[s];
           }
         }
         for (uint32_t i = 0; i < src.distinct.size(); ++i) {
-          const int64_t* triple = src.distinct.key(i);
-          const uint32_t g = static_cast<uint32_t>(triple[0]);
+          const int64_t* k = src.distinct.key(i);
+          const uint32_t g = static_cast<uint32_t>(k[0]);
           if (!in_part(src, g)) continue;
-          dst.AddDistinct(remap[w][g], static_cast<int>(triple[1]), triple[2]);
+          distinct_key.assign(k, k + src.distinct.width(i));
+          distinct_key[0] = remap[w][g];
+          dst.AddDistinct(distinct_key.data(), distinct_key.size(),
+                          HashWords(distinct_key.data(), distinct_key.size()));
         }
       }
     });
     partials.clear();
   }
 
-  // SQL returns one row for a global aggregate over no rows.
+  // SQL returns one row for a global aggregate over no rows; its key is
+  // empty.
   size_t total_groups = 0;
-  for (const IntAggTable& t : merged) total_groups += t.keys.size();
+  for (const AggTable& t : merged) total_groups += t.keys.size();
   if (total_groups == 0 && G == 0) {
-    const int64_t empty_key[1] = {0};
     bool inserted = false;
-    merged[0].Group(empty_key, HashWords(empty_key, 1), &inserted);
+    merged[0].Group(nullptr, 0, HashWords(nullptr, 0), &inserted);
   }
 
   // Emit in ascending key order: sort each partition's ids in parallel,
   // then merge the partitions. The order depends only on the key set, so it
   // is the same at every dop and in the coordinator's final fold.
-  std::vector<std::vector<uint32_t>> order(P);
+  // Sorting (key, id) pairs keeps the id -> key lookup out of the
+  // comparisons.
+  using GroupRef = std::pair<const int64_t*, uint32_t>;
+  std::vector<std::vector<GroupRef>> order(P);
   ParallelFor(ctx->pool, P, [&](int p) {
     const KeyTable& keys = merged[p].keys;
     order[p].resize(keys.size());
-    std::iota(order[p].begin(), order[p].end(), 0u);
-    std::sort(order[p].begin(), order[p].end(), [&](uint32_t x, uint32_t y) {
-      return KeyLess(keys.key(x), keys.key(y), G);
-    });
+    for (uint32_t g = 0; g < keys.size(); ++g) order[p][g] = {keys.key(g), g};
+    std::sort(order[p].begin(), order[p].end(),
+              [&](const GroupRef& x, const GroupRef& y) {
+                return KeyLess(x.first, y.first, key_lanes_);
+              });
   });
   struct Head {
     int part;
     size_t pos;
   };
-  auto head_key = [&](const Head& h) {
-    return merged[h.part].keys.key(order[h.part][h.pos]);
-  };
+  auto head_key = [&](const Head& h) { return order[h.part][h.pos].first; };
   auto greater = [&](const Head& x, const Head& y) {
-    return KeyLess(head_key(y), head_key(x), G);
+    return KeyLess(head_key(y), head_key(x), key_lanes_);
   };
   std::priority_queue<Head, std::vector<Head>, decltype(greater)> heap(
       greater);
@@ -1270,20 +1416,12 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
     const Head h = heap.top();
     heap.pop();
     if (h.pos + 1 < order[h.part].size()) heap.push({h.part, h.pos + 1});
-    const IntAggTable& t = merged[h.part];
-    const uint32_t g = order[h.part][h.pos];
-    const int64_t* key = t.keys.key(g);
-    int c = 0;
-    for (; c < G; ++c) {
-      if ((key[0] >> c) & 1) {
-        outb.cols[c].AppendNull();
-      } else {
-        outb.cols[c].AppendInt(key[1 + c]);
-      }
-    }
-    for (int a = 0; a < A; ++a, ++c) {
+    AggTable& t = merged[h.part];
+    const auto [key, g] = order[h.part][h.pos];
+    AppendKey(key, key_lanes_, &outb);
+    for (int a = 0; a < A; ++a) {
       const size_t s = static_cast<size_t>(g) * A + a;
-      ColumnVector& col = outb.cols[c];
+      ColumnVector& col = outb.cols[G + a];
       switch (aggs_[a].kind) {
         case AggKind::kSum:
         case AggKind::kAvg:
@@ -1305,232 +1443,13 @@ Status HashAggOp::ExecuteIntKeys(ExecContext* ctx, const RowSet& in,
         case AggKind::kMax:
           if (t.counts[s] == 0) {
             col.AppendNull();
-          } else if (double_lane_[a]) {
+          } else if (minmax_lane_[a] == DataType::kString) {
+            col.AppendString(std::move(t.strs[s]));
+          } else if (minmax_lane_[a] == DataType::kDouble) {
             col.AppendDouble(t.minmax[s].d);
           } else {
             col.AppendInt(t.minmax[s].i);
           }
-          break;
-      }
-    }
-    outb.rows++;
-    if (outb.rows >= Batch::kDefaultCapacity) {
-      out->batches.push_back(std::move(outb));
-      outb = Batch::Make(out_types_);
-    }
-  }
-  if (outb.rows > 0) out->batches.push_back(std::move(outb));
-  return Status::OK();
-}
-
-Status HashAggOp::ExecuteEncoded(ExecContext* ctx, const RowSet& in,
-                                 RowSet* out) {
-  const int workers = std::max(1, std::min(ctx->parallelism, 32));
-  std::vector<std::unordered_map<std::string, AggState>> partials(workers);
-  const int nb = static_cast<int>(in.batches.size());
-  std::atomic<int> next_batch{0};
-  std::vector<Status> statuses(workers);
-
-  // Partial aggregation: thread-local tables, no synchronization.
-  ParallelFor(ctx->pool, workers, [&](int wi) {
-    auto& local = partials[wi];
-    std::string key;
-    for (;;) {
-      const int bi = next_batch.fetch_add(1, std::memory_order_relaxed);
-      if (bi >= nb) return;
-      const Batch& b = in.batches[bi];
-      // Evaluate agg argument expressions once per batch.
-      std::vector<ColumnVector> arg_vals(aggs_.size());
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (aggs_[a].arg) {
-          Status s = aggs_[a].arg->Eval(b, &arg_vals[a]);
-          if (!s.ok()) {
-            statuses[wi] = std::move(s);
-            return;
-          }
-        }
-      }
-      for (uint32_t ri = 0; ri < b.rows; ++ri) {
-        key.clear();
-        for (int c : group_cols_) {
-          const ColumnVector& v = b.cols[c];
-          key.push_back(v.nulls[ri] ? 'N' : 'V');
-          if (!v.nulls[ri]) {
-            switch (v.type) {
-              case DataType::kDouble:
-                PutFixed64(&key, DoubleKeyBits(v.dbls[ri]));
-                break;
-              case DataType::kString:
-                PutFixed32(&key, static_cast<uint32_t>(v.strs[ri].size()));
-                key.append(v.strs[ri]);
-                break;
-              default:
-                PutFixed64(&key, static_cast<uint64_t>(v.ints[ri]));
-                break;
-            }
-          }
-        }
-        AggState& st = local[key];
-        if (st.sums.empty()) {
-          st.sums.assign(aggs_.size(), 0.0);
-          st.counts.assign(aggs_.size(), 0);
-          st.mins.assign(aggs_.size(), Value{});
-          st.maxs.assign(aggs_.size(), Value{});
-          st.distincts.resize(aggs_.size());
-          st.group_values.reserve(group_cols_.size());
-          for (int c : group_cols_) {
-            st.group_values.push_back(b.cols[c].GetValue(ri));
-          }
-        }
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          const AggSpec& spec = aggs_[a];
-          if (spec.kind == AggKind::kCountStar) {
-            st.counts[a]++;
-            continue;
-          }
-          const ColumnVector& v = arg_vals[a];
-          if (v.nulls[ri]) continue;
-          switch (spec.kind) {
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              st.sums[a] += v.NumericAt(ri);
-              st.counts[a]++;
-              break;
-            case AggKind::kCount:
-              st.counts[a]++;
-              break;
-            case AggKind::kSumInt:
-              st.counts[a] += v.ints[ri];
-              break;
-            case AggKind::kMin: {
-              Value x = v.GetValue(ri);
-              if (IsNull(st.mins[a]) || CompareValues(x, st.mins[a]) < 0) {
-                st.mins[a] = std::move(x);
-              }
-              break;
-            }
-            case AggKind::kMax: {
-              Value x = v.GetValue(ri);
-              if (IsNull(st.maxs[a]) || CompareValues(x, st.maxs[a]) > 0) {
-                st.maxs[a] = std::move(x);
-              }
-              break;
-            }
-            case AggKind::kCountDistinct: {
-              std::string enc;
-              switch (v.type) {
-                case DataType::kDouble:
-                  PutFixed64(&enc, DoubleKeyBits(v.dbls[ri]));
-                  break;
-                case DataType::kString: enc = v.strs[ri]; break;
-                default:
-                  PutFixed64(&enc, static_cast<uint64_t>(v.ints[ri]));
-                  break;
-              }
-              st.distincts[a].insert(std::move(enc));
-              break;
-            }
-            default:
-              break;
-          }
-        }
-      }
-    }
-  });
-  for (const Status& s : statuses) IMCI_RETURN_NOT_OK(s);
-
-  // Exchange/merge: the thread-local partials are repartitioned by key hash
-  // and each partition is merged by a single worker. A key lives in exactly
-  // one partition, so partition workers can move agg states out of the
-  // shared partial maps without synchronization; each partition walks the
-  // partials in worker order so the accumulation order matches the serial
-  // merge exactly.
-  const int P = ExchangePartitions(workers);
-  const uint32_t pmask = static_cast<uint32_t>(P - 1);
-  const std::hash<std::string> hasher;
-  std::vector<std::unordered_map<std::string, AggState>> merged(P);
-  ParallelFor(ctx->pool, P, [&](int p) {
-    auto& part = merged[p];
-    for (int w = 0; w < workers; ++w) {
-      for (auto& [key, st] : partials[w]) {
-        if ((static_cast<uint32_t>(hasher(key)) & pmask) !=
-            static_cast<uint32_t>(p)) {
-          continue;
-        }
-        auto it = part.find(key);
-        if (it == part.end()) {
-          part.emplace(key, std::move(st));
-          continue;
-        }
-        AggState& dst = it->second;
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          dst.sums[a] += st.sums[a];
-          dst.counts[a] += st.counts[a];
-          if (!IsNull(st.mins[a]) &&
-              (IsNull(dst.mins[a]) ||
-               CompareValues(st.mins[a], dst.mins[a]) < 0)) {
-            dst.mins[a] = std::move(st.mins[a]);
-          }
-          if (!IsNull(st.maxs[a]) &&
-              (IsNull(dst.maxs[a]) ||
-               CompareValues(st.maxs[a], dst.maxs[a]) > 0)) {
-            dst.maxs[a] = std::move(st.maxs[a]);
-          }
-          for (auto& d : st.distincts[a]) dst.distincts[a].insert(d);
-        }
-      }
-    }
-  });
-
-  // Handle the global-aggregate-with-no-rows case: SQL returns one row.
-  size_t total_groups = 0;
-  for (const auto& part : merged) total_groups += part.size();
-  if (total_groups == 0 && group_cols_.empty()) {
-    AggState st;
-    st.sums.assign(aggs_.size(), 0.0);
-    st.counts.assign(aggs_.size(), 0);
-    st.mins.assign(aggs_.size(), Value{});
-    st.maxs.assign(aggs_.size(), Value{});
-    st.distincts.resize(aggs_.size());
-    merged[0].emplace("", std::move(st));
-  }
-
-  Batch outb = Batch::Make(out_types_);
-  for (auto& part : merged)
-  for (auto& [key, st] : part) {
-    int c = 0;
-    for (size_t g = 0; g < group_cols_.size(); ++g, ++c) {
-      outb.cols[c].AppendValue(st.group_values[g]);
-    }
-    for (size_t a = 0; a < aggs_.size(); ++a, ++c) {
-      switch (aggs_[a].kind) {
-        case AggKind::kSum:
-          if (st.counts[a] == 0) {
-            outb.cols[c].AppendNull();
-          } else {
-            outb.cols[c].AppendDouble(st.sums[a]);
-          }
-          break;
-        case AggKind::kAvg:
-          if (st.counts[a] == 0) {
-            outb.cols[c].AppendNull();
-          } else {
-            outb.cols[c].AppendDouble(st.sums[a] / st.counts[a]);
-          }
-          break;
-        case AggKind::kCount:
-        case AggKind::kCountStar:
-        case AggKind::kSumInt:
-          outb.cols[c].AppendInt(st.counts[a]);
-          break;
-        case AggKind::kCountDistinct:
-          outb.cols[c].AppendInt(static_cast<int64_t>(st.distincts[a].size()));
-          break;
-        case AggKind::kMin:
-          outb.cols[c].AppendValue(st.mins[a]);
-          break;
-        case AggKind::kMax:
-          outb.cols[c].AppendValue(st.maxs[a]);
           break;
       }
     }

@@ -184,9 +184,12 @@ enum class JoinType { kInner, kLeft, kSemi, kAnti };
 /// In-memory hash join (§6.3): the build side is partitioned and built
 /// lock-free (one partition per worker), probes run in parallel over probe
 /// batches. Inner and left-outer emit probe columns followed by build
-/// columns; semi/anti emit probe columns only. A single integer-family key
-/// on each side takes a typed open-addressing table; other keys are
-/// byte-encoded.
+/// columns; semi/anti emit probe columns only; a probe row's matches come
+/// in build order. Keys of any types and count are int64-word images in
+/// open-addressing tables, matches stored CSR per partition. Each key pair
+/// is imaged in the lane Cmp compares it in (an INT/DOUBLE pair as DOUBLE);
+/// a STRING keyed against a number fails Execute with InvalidArgument. NULL
+/// keys never match.
 class HashJoinOp : public PhysOp {
  public:
   HashJoinOp(PhysOpRef build, PhysOpRef probe, std::vector<int> build_keys,
@@ -198,7 +201,6 @@ class HashJoinOp : public PhysOp {
   PhysOpRef build_, probe_;
   std::vector<int> build_keys_, probe_keys_;
   JoinType type_;
-  bool int_key_ = false;
 };
 
 /// kSumInt is internal to distributed execution: the coordinator's final
@@ -217,12 +219,13 @@ struct AggSpec {
 /// hash through an exchange step and merged partition-parallel (§6.3).
 /// Output: group columns (in given order) then one column per agg.
 ///
-/// When every group column is integer-family (and no MIN/MAX reads a
-/// string, no COUNT DISTINCT a non-integer), groups map to dense ids in
-/// open-addressing tables, aggregate state lives in flat arrays, and groups
-/// are emitted in ascending key order (NULL first), so the row order
-/// depends only on the key set. Other keys take the byte-encoded path, in
-/// hash order.
+/// Groups of any key types map to dense ids in open-addressing tables over
+/// the same int64-word key images the join uses, aggregate state lives in
+/// flat arrays (strings only when a MIN/MAX reads one), and COUNT DISTINCT
+/// keeps (group, agg, value image) keys. Groups are emitted in ascending
+/// key order — NULL first, then CompareValues' order, doubles totally
+/// ordered by their bits — so the row order depends only on the key set,
+/// at every dop.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,
@@ -231,17 +234,15 @@ class HashAggOp : public PhysOp {
   Status Execute(ExecContext* ctx, RowSet* out) override;
 
  private:
-  Status ExecuteIntKeys(ExecContext* ctx, const RowSet& in, RowSet* out);
-  Status ExecuteEncoded(ExecContext* ctx, const RowSet& in, RowSet* out);
-
   PhysOpRef child_;
   std::vector<int> group_cols_;
   std::vector<AggSpec> aggs_;
-  // Typed-path layout, fixed at plan time.
-  bool int_keys_ = false;
-  bool has_sums_ = false;    // a SUM or AVG: allocate sums
-  bool has_minmax_ = false;  // a MIN or MAX: allocate their state
-  std::vector<uint8_t> double_lane_;  // per agg: MIN/MAX over doubles
+  // State layout, fixed at plan time.
+  std::vector<DataType> key_lanes_;  // per group column: its image lane
+  bool has_sums_ = false;     // a SUM or AVG: allocate sums
+  bool has_minmax_ = false;   // a numeric MIN or MAX: allocate their state
+  bool has_strings_ = false;  // a string MIN or MAX: allocate strings
+  std::vector<DataType> minmax_lane_;  // per agg: the lane a MIN/MAX reads
 };
 
 struct SortKey {

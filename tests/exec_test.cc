@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <random>
 #include <set>
 
@@ -569,7 +570,7 @@ TEST_F(OperatorTest, DoubleKeysAreExact) {
                                    {0.0, int64_t(2)},
                                    {1.0000001, int64_t(1)},
                                    {1.0000004, int64_t(1)}};
-  EXPECT_EQ(RunAtDop1And4(sorted(grouped)), groups);
+  EXPECT_EQ(RunAtDop1And4(grouped), groups);
 
   auto distinct = std::make_shared<HashAggOp>(
       input, std::vector<int>{},
@@ -590,6 +591,280 @@ TEST_F(OperatorTest, DoubleKeysAreExact) {
                                     {-0.0, 0.0, std::string("z")},
                                     {1.0000001, 1.0000001, std::string("a")}};
   EXPECT_EQ(RunAtDop1And4(sorted(join)), matches);
+}
+
+// An integer keyed against a double matches by value, as Cmp compares the
+// two, with either side building; a string keyed against a number is an
+// error, not a byte comparison.
+TEST_F(OperatorTest, MixedTypeJoinKeys) {
+  auto ints = Batches({{{int64_t(5), std::string("five")},
+                        {int64_t(0), std::string("zero")}},
+                       {{int64_t(2), std::string("two")}}},
+                      {DataType::kInt64, DataType::kString});
+  auto dbls = Batches({{{5.0}, {2.5}}, {{-0.0}, {Value{}}}},
+                      {DataType::kDouble});
+  auto int_build = std::make_shared<HashJoinOp>(
+      ints, dbls, std::vector<int>{0}, std::vector<int>{0}, JoinType::kInner);
+  EXPECT_EQ(RunAtDop1And4(int_build),
+            (std::vector<Row>{{5.0, int64_t(5), std::string("five")},
+                              {-0.0, int64_t(0), std::string("zero")}}));
+  auto dbl_build = std::make_shared<HashJoinOp>(
+      dbls, ints, std::vector<int>{0}, std::vector<int>{0}, JoinType::kInner);
+  EXPECT_EQ(RunAtDop1And4(dbl_build),
+            (std::vector<Row>{{int64_t(5), std::string("five"), 5.0},
+                              {int64_t(0), std::string("zero"), -0.0}}));
+
+  auto str_vs_int = std::make_shared<HashJoinOp>(
+      ints, ints, std::vector<int>{1}, std::vector<int>{0}, JoinType::kSemi);
+  for (int dop : {1, 4}) {
+    ctx_.parallelism = dop;
+    std::vector<Row> out;
+    const Status s = RunPlan(str_vs_int, &ctx_, &out);
+    EXPECT_EQ(s.code(), Code::kInvalidArgument) << s.ToString() << " dop "
+                                                << dop;
+  }
+}
+
+// Hash join and hash aggregation against nested-loop and std::map models
+// built on CompareValues: random keys of 1-3 columns over every key type
+// (with -0.0, "", strings longer than a key word and embedded NULs), ~20%
+// NULLs, several batches, every AggKind and JoinType, at dop 1 and 4. The
+// aggregate must come out in the model's ascending key order. One more
+// aggregation groups by 66 columns, so its null mask takes two words.
+TEST_F(OperatorTest, HashKernelsMatchReference) {
+  const uint64_t seed = testing_util::TestSeed(20240601);
+  SCOPED_TRACE(::testing::Message() << "IMCI_TEST_SEED=" << seed);
+  std::mt19937_64 rng(seed);
+  auto pick = [&](size_t n) { return static_cast<int>(rng() % n); };
+
+  const std::vector<DataType> types = {
+      DataType::kInt64, DataType::kInt32,  DataType::kDate,
+      DataType::kDouble, DataType::kString, DataType::kInt64,
+      DataType::kInt32, DataType::kDate,   DataType::kDouble,
+      DataType::kString};
+  const std::vector<int> numeric = {0, 1, 2, 3, 5, 6, 7, 8};
+  const std::vector<int> integer = {0, 1, 2, 5, 6, 7};
+  const std::vector<int> doubles = {3, 8}, strings = {4, 9};
+  const std::vector<double> dbl_values = {-1.5, -0.0, 0.0, 0.25, 1.0, 3.0};
+  const std::vector<std::string> str_values = {
+      "",         "a",          std::string("a\0", 2), "ab",
+      "ba",       "\xff",       "abcdefgh",            "abcdefghij",
+      "abcdefghik", std::string("abcdefgh\0", 9)};
+  auto any_of = [&](const std::vector<int>& cols) {
+    return cols[pick(cols.size())];
+  };
+  auto value = [&](DataType t) -> Value {
+    if (pick(5) == 0) return Value{};
+    if (t == DataType::kDouble) return dbl_values[pick(dbl_values.size())];
+    if (t == DataType::kString) return str_values[pick(str_values.size())];
+    return int64_t(pick(7) - 3);
+  };
+  // Several batches (some empty) of random rows; `rows` gets them in order.
+  auto draw_input = [&](const std::vector<DataType>& ts,
+                        const std::function<Row()>& row,
+                        std::vector<Row>* rows) {
+    std::vector<std::vector<Row>> batches(1 + pick(5));
+    for (auto& batch : batches) {
+      for (int n = pick(40); n > 0; --n) {
+        batch.push_back(row());
+        rows->push_back(batch.back());
+      }
+    }
+    return Batches(std::move(batches), ts);
+  };
+  auto random_row = [&] {
+    Row r;
+    for (DataType t : types) r.push_back(value(t));
+    return r;
+  };
+  auto col = [&](int c) { return Col(c, types[c]); };
+  const auto value_less = [](const Value& x, const Value& y) {
+    return CompareValues(x, y) < 0;
+  };
+  const auto row_less = [](const Row& x, const Row& y) {
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (const int c = CompareValues(x[i], y[i]); c != 0) return c < 0;
+    }
+    return false;
+  };
+
+  auto model_agg = [&](const std::vector<Row>& rows,
+                       const std::vector<int>& keys,
+                       const std::vector<AggSpec>& aggs) {
+    std::map<Row, std::vector<Row>, decltype(row_less)> groups(row_less);
+    for (const Row& r : rows) {
+      Row k;
+      for (int c : keys) k.push_back(r[c]);
+      groups[k].push_back(r);
+    }
+    if (keys.empty()) groups[Row{}];  // a global aggregate has one row
+    std::vector<Row> out;
+    for (const auto& [key, members] : groups) {
+      Row o = key;
+      for (const AggSpec& a : aggs) {
+        std::vector<Value> vals;  // the non-NULL arguments
+        for (const Row& m : members) {
+          if (a.arg && !IsNull(m[a.arg->col])) vals.push_back(m[a.arg->col]);
+        }
+        double sum = 0;
+        int64_t isum = 0;
+        for (const Value& v : vals) {
+          if (a.kind == AggKind::kSumInt) {
+            isum += AsInt(v);
+          } else if (a.kind == AggKind::kSum || a.kind == AggKind::kAvg) {
+            sum += NumericValue(v);
+          }
+        }
+        switch (a.kind) {
+          case AggKind::kSum:
+            o.push_back(vals.empty() ? Value{} : Value{sum});
+            break;
+          case AggKind::kAvg:
+            o.push_back(vals.empty() ? Value{} : Value{sum / vals.size()});
+            break;
+          case AggKind::kCount:
+            o.push_back(static_cast<int64_t>(vals.size()));
+            break;
+          case AggKind::kCountStar:
+            o.push_back(static_cast<int64_t>(members.size()));
+            break;
+          case AggKind::kSumInt:
+            o.push_back(isum);
+            break;
+          case AggKind::kMin:
+          case AggKind::kMax:
+            if (vals.empty()) {
+              o.push_back(Value{});
+            } else if (a.kind == AggKind::kMin) {
+              o.push_back(*std::min_element(vals.begin(), vals.end(),
+                                            value_less));
+            } else {
+              o.push_back(*std::max_element(vals.begin(), vals.end(),
+                                            value_less));
+            }
+            break;
+          case AggKind::kCountDistinct:
+            o.push_back(static_cast<int64_t>(
+                std::set<Value, decltype(value_less)>(vals.begin(),
+                                                      vals.end(), value_less)
+                    .size()));
+            break;
+        }
+      }
+      out.push_back(std::move(o));
+    }
+    return out;
+  };
+
+  auto model_join = [&](const std::vector<Row>& build,
+                        const std::vector<Row>& probe,
+                        const std::vector<int>& bk,
+                        const std::vector<int>& pk, JoinType type) {
+    std::vector<Row> out;
+    for (const Row& p : probe) {
+      std::vector<const Row*> matches;
+      for (const Row& b : build) {
+        bool eq = true;
+        for (size_t k = 0; k < bk.size(); ++k) {
+          eq = eq && !IsNull(p[pk[k]]) && !IsNull(b[bk[k]]) &&
+               CompareValues(p[pk[k]], b[bk[k]]) == 0;
+        }
+        if (eq) matches.push_back(&b);
+      }
+      auto emit = [&](const Row* b) {
+        Row o = p;
+        for (size_t c = 0; c < types.size(); ++c) {
+          o.push_back(b ? (*b)[c] : Value{});
+        }
+        out.push_back(std::move(o));
+      };
+      switch (type) {
+        case JoinType::kInner:
+          for (const Row* b : matches) emit(b);
+          break;
+        case JoinType::kLeft:
+          if (matches.empty()) emit(nullptr);
+          for (const Row* b : matches) emit(b);
+          break;
+        case JoinType::kSemi:
+          if (!matches.empty()) out.push_back(p);
+          break;
+        case JoinType::kAnti:
+          if (matches.empty()) out.push_back(p);
+          break;
+      }
+    }
+    return out;
+  };
+
+  const int iters = testing_util::TestIters(150);
+  for (int it = 0; it < iters; ++it) {
+    SCOPED_TRACE(::testing::Message() << "iteration " << it);
+    std::vector<Row> rows;
+    auto input = draw_input(types, random_row, &rows);
+    std::vector<int> keys;
+    for (int n = pick(4); n > 0; --n) keys.push_back(pick(types.size()));
+    const std::vector<AggSpec> aggs = {
+        {AggKind::kSum, col(any_of(numeric))},
+        {AggKind::kAvg, col(any_of(numeric))},
+        {AggKind::kCount, col(pick(types.size()))},
+        {AggKind::kCountStar, nullptr},
+        {AggKind::kSumInt, col(any_of(integer))},
+        {AggKind::kMin, col(pick(types.size()))},
+        {AggKind::kMax, col(pick(types.size()))},
+        {AggKind::kMin, col(any_of(strings))},
+        {AggKind::kMax, col(any_of(strings))},
+        {AggKind::kCountDistinct, col(pick(types.size()))},
+        {AggKind::kCountDistinct, col(any_of(doubles))},
+        {AggKind::kCountDistinct, col(any_of(strings))},
+    };
+    EXPECT_EQ(RunAtDop1And4(std::make_shared<HashAggOp>(input, keys, aggs)),
+              model_agg(rows, keys, aggs));
+
+    std::vector<Row> build_rows;
+    auto build = draw_input(types, random_row, &build_rows);
+    std::vector<int> bk, pk;
+    for (int n = 1 + pick(3); n > 0; --n) {
+      const bool str = pick(4) == 0;
+      bk.push_back(any_of(str ? strings : numeric));
+      pk.push_back(any_of(str ? strings : numeric));
+    }
+    for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi,
+                          JoinType::kAnti}) {
+      SCOPED_TRACE(::testing::Message() << "join type "
+                                        << static_cast<int>(type));
+      EXPECT_EQ(RunAtDop1And4(std::make_shared<HashJoinOp>(build, input, bk,
+                                                           pk, type)),
+                model_join(build_rows, rows, bk, pk, type));
+    }
+  }
+
+  // 66 group columns: 64 drawn from two prototype rows, then two INT64
+  // columns whose NULLs only the second mask word tells apart.
+  std::vector<DataType> wide_types;
+  for (int c = 0; c < 64; ++c) wide_types.push_back(types[pick(types.size())]);
+  wide_types.insert(wide_types.end(), 2, DataType::kInt64);
+  Row protos[2];
+  for (Row& proto : protos) {
+    for (int c = 0; c < 64; ++c) proto.push_back(value(wide_types[c]));
+  }
+  auto wide_row = [&] {
+    Row r = protos[pick(2)];
+    for (int c = 0; c < 2; ++c) {
+      const int v = pick(3);
+      r.push_back(v == 0 ? Value{} : Value{int64_t(v)});
+    }
+    return r;
+  };
+  std::vector<Row> wide_rows;
+  auto wide = draw_input(wide_types, wide_row, &wide_rows);
+  std::vector<int> all(wide_types.size());
+  std::iota(all.begin(), all.end(), 0);
+  const std::vector<AggSpec> wide_aggs = {
+      {AggKind::kCountStar, nullptr},
+      {AggKind::kSumInt, Col(64, DataType::kInt64)}};
+  EXPECT_EQ(RunAtDop1And4(std::make_shared<HashAggOp>(wide, all, wide_aggs)),
+            model_agg(wide_rows, all, wide_aggs));
 }
 
 TEST_F(OperatorTest, SortWithLimitAndDirections) {

@@ -152,11 +152,20 @@ TEST_F(MorselExecTest, ParallelPlansMatchSerialExactly) {
   }
 }
 
-// Integer-keyed aggregation emits groups in ascending key order, so an
-// unsorted aggregate returns the same rows in the same order at any DOP (no
-// Canonicalize here).
-TEST_F(MorselExecTest, IntAggRowOrderIndependentOfDop) {
-  auto plan = LAgg(LScan(kFact, {0, 1, 2, 3}), {1, 2},
+// Aggregation emits groups in ascending key order for every key type, so
+// an unsorted aggregate returns the same rows in the same order at any DOP
+// (no Canonicalize here). The keys are a STRING and a DOUBLE derived from k
+// (one string longer than a key word), then grp.
+TEST_F(MorselExecTest, AggRowOrderIndependentOfDop) {
+  auto k = Col(1, DataType::kInt64);
+  auto keyed = LProject(
+      LScan(kFact, {0, 1, 2, 3}),
+      {Case(Lt(k, ConstInt(130)), ConstString("lo"),
+            Case(Lt(k, ConstInt(260)), ConstString(""),
+                 ConstString("a longer string"))),
+       Mul(k, ConstDouble(-0.25)), Col(2, DataType::kInt64),
+       Col(3, DataType::kInt64)});
+  auto plan = LAgg(keyed, {0, 1, 2},
                    {AggSpec{AggKind::kSum, Col(3, DataType::kInt64)},
                     AggSpec{AggKind::kCountStar, nullptr},
                     AggSpec{AggKind::kCountDistinct,
@@ -165,8 +174,13 @@ TEST_F(MorselExecTest, IntAggRowOrderIndependentOfDop) {
   ASSERT_TRUE(ro_->ExecuteColumn(plan, &serial, 1).ok());
   ASSERT_GT(serial.size(), 1000u);
   for (size_t i = 1; i < serial.size(); ++i) {
-    ASSERT_LT(std::make_pair(AsInt(serial[i - 1][0]), AsInt(serial[i - 1][1])),
-              std::make_pair(AsInt(serial[i][0]), AsInt(serial[i][1])));
+    const Row& a = serial[i - 1];
+    const Row& b = serial[i];
+    int c = 0;
+    for (int col = 0; col < 3 && c == 0; ++col) {
+      c = CompareValues(a[col], b[col]);
+    }
+    ASSERT_LT(c, 0) << "row " << i;
   }
   for (int rep = 0; rep < 3; ++rep) {
     std::vector<Row> parallel;
