@@ -160,9 +160,11 @@ Status RoNode::CatchUpNow() {
   // on written LSNs would hang whenever a transaction's eagerly-shipped DML
   // records are still waiting for their first covering batch fsync.
   if (replicating_.load()) {
-    // Background pipeline owns the cursor; just wait for it — but never
-    // wait on a pipeline that can no longer make progress.
-    while (pipeline_.read_lsn() < pipeline_.source_durable_lsn()) {
+    // Background pipeline owns the cursor; just wait for it to reach the
+    // durable LSN of this call (a steady writer keeps moving the tail) —
+    // but never wait on a pipeline that can no longer make progress.
+    const Lsn target = pipeline_.source_durable_lsn();
+    while (pipeline_.read_lsn() < target) {
       if (pipeline_.wedged()) return pipeline_.wedge_reason();
       if (!replicating_.load()) break;
       std::this_thread::sleep_for(std::chrono::microseconds(200));

@@ -186,6 +186,49 @@ void Gather(const RowGroup& g, int pack, std::span<const uint32_t> offs,
   }
 }
 
+/// A row a row gather copies: row `row` of `col`, or NULL when `col` is
+/// null.
+struct RowRef {
+  const ColumnVector* col;
+  uint32_t row;
+};
+
+template <typename T, typename Pick>
+void GatherLane(size_t n, Pick pick, std::vector<T> ColumnVector::*lane,
+                ColumnVector* dst) {
+  std::vector<T>& out = dst->*lane;
+  out.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const RowRef r = pick(i);
+    const bool null = r.col == nullptr || r.col->nulls[r.row];
+    dst->nulls[i] = null;
+    if (null) {
+      out[i] = T();
+    } else {
+      out[i] = (r.col->*lane)[r.row];
+    }
+  }
+}
+
+/// Replaces `dst`'s rows with `n` rows, row i a copy of the RowRef
+/// `pick(i)`, in one typed loop. A NULL row's lane holds 0, 0.0 or "", as
+/// Gather and ColumnVector::AppendNull write.
+template <typename Pick>
+void GatherRows(size_t n, Pick pick, ColumnVector* dst) {
+  dst->nulls.resize(n);
+  switch (dst->type) {
+    case DataType::kDouble:
+      GatherLane(n, pick, &ColumnVector::dbls, dst);
+      break;
+    case DataType::kString:
+      GatherLane(n, pick, &ColumnVector::strs, dst);
+      break;
+    default:
+      GatherLane(n, pick, &ColumnVector::ints, dst);
+      break;
+  }
+}
+
 /// The lane Expr compares a `t` value in: integer types share INT64.
 DataType LaneOf(DataType t) {
   return IsIntegerType(t) ? DataType::kInt64 : t;
@@ -655,6 +698,28 @@ bool KeyLess(const int64_t* x, const int64_t* y,
   return false;
 }
 
+/// A 64-bit prefix of key image `key`'s first column in `lanes` whose
+/// order never disagrees with KeyLess (prefixes may tie): 0 for NULL, an
+/// integer with its sign bit flipped, a double's OrderBits, a string's
+/// first 8 bytes big-endian (zero-padded).
+uint64_t KeyPrefix(const int64_t* key, const std::vector<DataType>& lanes) {
+  if (lanes.empty() || NullAt(key, 0)) return 0;
+  const int64_t* v = key + MaskWords(lanes.size());
+  switch (lanes[0]) {
+    case DataType::kDouble:
+      return OrderBits(v[0]);
+    case DataType::kString: {
+      if (v[0] == 0) return 0;  // "": no byte words
+      const uint64_t bytes = static_cast<uint64_t>(v[1]);
+      return std::endian::native == std::endian::little
+                 ? __builtin_bswap64(bytes)
+                 : bytes;
+    }
+    default:
+      return static_cast<uint64_t>(v[0]) ^ (uint64_t{1} << 63);
+  }
+}
+
 /// Appends the group values of key image `key` in `lanes` to the leading
 /// columns of `out`.
 void AppendKey(const int64_t* key, const std::vector<DataType>& lanes,
@@ -865,6 +930,9 @@ constexpr uint32_t kPrefetchRows = 8;
 
 using JoinRef = std::pair<uint32_t, uint32_t>;  // build (batch, row)
 
+/// The build batch of a JoinRef that pads a left join's unmatched row.
+constexpr uint32_t kNoMatch = UINT32_MAX;
+
 /// One build partition of the join: key -> id, and the matches of id i in
 /// CSR form, refs[offsets[i], offsets[i+1]) in build (batch, row) order.
 struct JoinPartition {
@@ -982,29 +1050,27 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
           : 0;
   const int probe_width = static_cast<int>(probe_->out_types().size());
 
+  // build_cols[c][bi]: column c of build batch bi.
+  std::vector<std::vector<const ColumnVector*>> build_cols(build_width);
+  for (int c = 0; c < build_width; ++c) {
+    for (const Batch& bb : build_set.batches) {
+      build_cols[c].push_back(&bb.cols[c]);
+    }
+  }
+
   // Probe phase: parallel over probe batches, outputs kept in input order.
-  // A probe row's matches are the build refs [first, last).
+  // A probe row's matches are the build refs [first, last). A batch first
+  // lists its output rows — probe_rows[i] paired with build_rows[i], or
+  // with kNoMatch for a left join's padding — then gathers each output
+  // column from the list in one typed loop.
   std::vector<Batch> results(probe_set.batches.size());
   const int n = static_cast<int>(probe_set.batches.size());
   ParallelFor(ctx->pool, n, [&](int pi) {
     const Batch& pb = probe_set.batches[pi];
-    Batch outb = Batch::Make(out_types_);
-    auto emit = [&](uint32_t ri, const JoinRef* ref) {
-      for (int c = 0; c < probe_width; ++c) {
-        outb.cols[c].AppendFrom(pb.cols[c], ri);
-      }
-      if (ref) {
-        const Batch& bb = build_set.batches[ref->first];
-        for (int c = 0; c < build_width; ++c) {
-          outb.cols[probe_width + c].AppendFrom(bb.cols[c], ref->second);
-        }
-      } else {
-        for (int c = 0; c < build_width; ++c) {
-          outb.cols[probe_width + c].AppendNull();
-        }
-      }
-      outb.rows++;
-    };
+    std::vector<uint32_t> probe_rows;
+    std::vector<JoinRef> build_rows;  // inner and left joins only
+    probe_rows.reserve(pb.rows);
+    if (build_width > 0) build_rows.reserve(pb.rows);
     BatchKeys keys;
     EncodeKeys(pb, probe_keys_, lanes, &keys);
     for (uint32_t ri = 0; ri < pb.rows; ++ri) {
@@ -1026,22 +1092,46 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
       }
       const bool matched = first != last;
       switch (type_) {
-        case JoinType::kInner:
-          for (const JoinRef* m = first; m != last; ++m) emit(ri, m);
-          break;
         case JoinType::kLeft:
-          if (!matched) emit(ri, nullptr);
-          for (const JoinRef* m = first; m != last; ++m) emit(ri, m);
+          if (!matched) {
+            probe_rows.push_back(ri);
+            build_rows.push_back({kNoMatch, 0});
+            break;
+          }
+          [[fallthrough]];
+        case JoinType::kInner:
+          probe_rows.insert(probe_rows.end(), last - first, ri);
+          build_rows.insert(build_rows.end(), first, last);
           break;
         case JoinType::kSemi:
-          if (matched) emit(ri, nullptr);
+          if (matched) probe_rows.push_back(ri);
           break;
         case JoinType::kAnti:
-          if (!matched) emit(ri, nullptr);
+          if (!matched) probe_rows.push_back(ri);
           break;
       }
     }
-    results[pi] = std::move(outb);
+    Batch& outb = results[pi];
+    outb = Batch::Make(out_types_);
+    outb.rows = probe_rows.size();
+    for (int c = 0; c < probe_width; ++c) {
+      const ColumnVector* src = &pb.cols[c];
+      GatherRows(
+          outb.rows,
+          [&](size_t i) { return RowRef{src, probe_rows[i]}; },
+          &outb.cols[c]);
+    }
+    for (int c = 0; c < build_width; ++c) {
+      const std::vector<const ColumnVector*>& src = build_cols[c];
+      GatherRows(
+          outb.rows,
+          [&](size_t i) {
+            const JoinRef m = build_rows[i];
+            return m.first == kNoMatch ? RowRef{nullptr, 0}
+                                       : RowRef{src[m.first], m.second};
+          },
+          &outb.cols[probe_width + c]);
+    }
   });
   for (Batch& b : results) {
     if (b.rows > 0) out->batches.push_back(std::move(b));
@@ -1090,42 +1180,14 @@ struct AggTable {
     return g;
   }
 
-  /// Counts each non-NULL row r of `v` for COUNT DISTINCT aggregate a of
-  /// group gids[r]. The keys, [gid, agg, value image], are built and hashed
-  /// for the whole batch before any is probed, as in EncodeKeys.
-  void AddDistinct(const std::vector<uint32_t>& gids, int a,
-                   const ColumnVector& v, BatchKeys* keys) {
-    const DataType lane = LaneOf(v.type);
-    keys->words.clear();
-    keys->start.clear();
-    for (size_t r = 0; r < v.size(); ++r) {
-      if (v.nulls[r]) continue;
-      const size_t at = keys->words.size();
-      keys->start.push_back(at);
-      keys->words.resize(at + 2 + ImageWords(v, r, lane), 0);
-      keys->words[at] = gids[r];
-      keys->words[at + 1] = a;
-      WriteImage(v, r, lane, &keys->words[at + 2]);
-    }
-    keys->start.push_back(keys->words.size());
-    const size_t n = keys->start.size() - 1;
-    keys->hashes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      keys->hashes[i] = HashWords(keys->key(i), keys->width(i));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (i + kPrefetchRows < n) {
-        distinct.Prefetch(keys->hashes[i + kPrefetchRows]);
-      }
-      AddDistinct(keys->key(i), keys->width(i), keys->hashes[i]);
-    }
-  }
-
-  /// Counts one [gid, agg, value image] key for COUNT DISTINCT.
-  void AddDistinct(const int64_t* key, size_t width, uint64_t hash) {
-    bool inserted = false;
-    distinct.FindOrInsert(key, width, hash, &inserted);
-    if (inserted) counts[static_cast<size_t>(key[0]) * A + key[1]]++;
+  /// Makes room for `groups` groups and `triples` COUNT DISTINCT keys.
+  void Reserve(size_t groups, size_t triples) {
+    keys.Reserve(groups);
+    counts.reserve(groups * A);
+    if (sums_on) sums.reserve(groups * A);
+    if (minmax_on) minmax.reserve(groups * A);
+    if (strs_on) strs.reserve(groups * A);
+    distinct.Reserve(triples);
   }
 
   KeyTable keys;
@@ -1137,6 +1199,78 @@ struct AggTable {
   std::vector<std::string> strs;  // string MIN/MAX, only when one exists
   KeyTable distinct;
 };
+
+/// Hashes the [gid, agg, value image] keys of `keys`, then counts each new
+/// one for COUNT DISTINCT in table `table_of(i)`, prefetching a few keys
+/// ahead.
+template <typename TableOf>
+void CountDistinct(BatchKeys* keys, TableOf table_of) {
+  const size_t n = keys->start.size() - 1;
+  keys->hashes.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys->hashes[i] = HashWords(keys->key(i), keys->width(i));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kPrefetchRows < n) {
+      table_of(i + kPrefetchRows).distinct.Prefetch(
+          keys->hashes[i + kPrefetchRows]);
+    }
+    AggTable& t = table_of(i);
+    const int64_t* key = keys->key(i);
+    bool inserted = false;
+    t.distinct.FindOrInsert(key, keys->width(i), keys->hashes[i], &inserted);
+    if (inserted) t.counts[static_cast<size_t>(key[0]) * t.A + key[1]]++;
+  }
+}
+
+/// Counts each non-NULL row r of `v` for COUNT DISTINCT aggregate a of
+/// group gids[r] of table *tables[r]. The keys, [gid, agg, value image],
+/// are built for the whole batch before any is probed, as in EncodeKeys;
+/// key_rows[i] is the row of key i.
+void AddDistinct(const std::vector<AggTable*>& tables,
+                 const std::vector<uint32_t>& gids, int a,
+                 const ColumnVector& v, BatchKeys* keys,
+                 std::vector<uint32_t>* key_rows) {
+  const DataType lane = LaneOf(v.type);
+  keys->words.clear();
+  keys->start.clear();
+  key_rows->clear();
+  for (uint32_t r = 0; r < v.size(); ++r) {
+    if (v.nulls[r]) continue;
+    const size_t at = keys->words.size();
+    keys->start.push_back(at);
+    key_rows->push_back(r);
+    keys->words.resize(at + 2 + ImageWords(v, r, lane), 0);
+    keys->words[at] = gids[r];
+    keys->words[at + 1] = a;
+    WriteImage(v, r, lane, &keys->words[at + 2]);
+  }
+  keys->start.push_back(keys->words.size());
+  CountDistinct(keys, [&](size_t i) -> AggTable& {
+    return *tables[(*key_rows)[i]];
+  });
+}
+
+/// Folds `src`'s COUNT DISTINCT keys into `dst`, their group ids mapped
+/// through `remap`, a batch of keys at a time.
+void FoldDistinct(const KeyTable& src, const std::vector<uint32_t>& remap,
+                  BatchKeys* keys, AggTable* dst) {
+  for (uint32_t begin = 0; begin < src.size();
+       begin += Batch::kDefaultCapacity) {
+    const uint32_t end =
+        std::min<uint32_t>(src.size(), begin + Batch::kDefaultCapacity);
+    keys->words.clear();
+    keys->start.clear();
+    for (uint32_t i = begin; i < end; ++i) {
+      const int64_t* k = src.key(i);
+      keys->start.push_back(keys->words.size());
+      keys->words.push_back(remap[static_cast<size_t>(k[0])]);
+      keys->words.insert(keys->words.end(), k + 1, k + src.width(i));
+    }
+    keys->start.push_back(keys->words.size());
+    CountDistinct(keys, [dst](size_t) -> AggTable& { return *dst; });
+  }
+}
 
 }  // namespace
 
@@ -1182,22 +1316,28 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
   const int G = static_cast<int>(group_cols_.size());
   const int A = static_cast<int>(aggs_.size());
   const int workers = std::max(1, std::min(ctx->parallelism, 32));
+  const int P = ExchangePartitions(workers);
+  const uint32_t pmask = static_cast<uint32_t>(P - 1);
   const auto new_table = [&] {
     return AggTable(A, has_sums_, has_minmax_, has_strings_);
   };
-  std::vector<AggTable> partials;
-  for (int w = 0; w < workers; ++w) partials.push_back(new_table());
+  // partials[w][p]: worker w's groups whose key hash routes to partition p.
+  std::vector<std::vector<AggTable>> partials(workers);
+  for (std::vector<AggTable>& tables : partials) {
+    for (int p = 0; p < P; ++p) tables.push_back(new_table());
+  }
   std::vector<Status> statuses(workers);
   const int nb = static_cast<int>(in.batches.size());
   std::atomic<int> next_batch{0};
 
   // Partial aggregation: thread-local tables, no synchronization. Each
-  // batch first maps every row to its group id, then updates one aggregate
-  // at a time over the whole batch.
+  // batch first maps every row to its group id in the table of its
+  // partition, then updates one aggregate at a time over the whole batch.
   ParallelFor(ctx->pool, workers, [&](int wi) {
-    AggTable& t = partials[wi];
+    std::vector<AggTable>& tables = partials[wi];
     BatchKeys keys, distinct_keys;
-    std::vector<uint32_t> gids;
+    std::vector<AggTable*> row_tables;
+    std::vector<uint32_t> gids, key_rows;
     std::vector<ColumnVector> evaluated(A);
     std::vector<const ColumnVector*> args(A, nullptr);
     for (;;) {
@@ -1231,31 +1371,37 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
         }
       }
       EncodeKeys(b, group_cols_, key_lanes_, &keys);
+      row_tables.resize(b.rows);
+      for (uint32_t ri = 0; ri < b.rows; ++ri) {
+        row_tables[ri] = &tables[PartitionOf(keys.hashes[ri], pmask)];
+      }
       gids.resize(b.rows);
       for (uint32_t ri = 0; ri < b.rows; ++ri) {
         if (ri + kPrefetchRows < b.rows) {
-          t.keys.Prefetch(keys.hashes[ri + kPrefetchRows]);
+          row_tables[ri + kPrefetchRows]->keys.Prefetch(
+              keys.hashes[ri + kPrefetchRows]);
         }
         bool inserted = false;
-        gids[ri] = t.Group(keys.key(ri), keys.width(ri), keys.hashes[ri],
-                           &inserted);
+        gids[ri] = row_tables[ri]->Group(keys.key(ri), keys.width(ri),
+                                         keys.hashes[ri], &inserted);
       }
       for (int a = 0; a < A; ++a) {
         const AggKind kind = aggs_[a].kind;
         if (kind == AggKind::kCountStar) {
           for (uint32_t ri = 0; ri < b.rows; ++ri) {
-            t.counts[static_cast<size_t>(gids[ri]) * A + a]++;
+            row_tables[ri]->counts[static_cast<size_t>(gids[ri]) * A + a]++;
           }
           continue;
         }
         const ColumnVector& v = *args[a];
         if (kind == AggKind::kCountDistinct) {
-          t.AddDistinct(gids, a, v, &distinct_keys);
+          AddDistinct(row_tables, gids, a, v, &distinct_keys, &key_rows);
           continue;
         }
         const DataType lane = minmax_lane_[a];
         for (uint32_t ri = 0; ri < b.rows; ++ri) {
           if (v.nulls[ri]) continue;
+          AggTable& t = *row_tables[ri];
           const size_t s = static_cast<size_t>(gids[ri]) * A + a;
           switch (kind) {
             case AggKind::kSum:
@@ -1300,77 +1446,62 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
   });
   for (const Status& s : statuses) IMCI_RETURN_NOT_OK(s);
 
-  // Exchange/merge: each partition re-keys the partial groups whose key
-  // hash routes to it into its own table. A key lives in exactly one
-  // partition, so partition workers read the shared partials (and move
-  // their own groups' strings out) without synchronization, and each writes
-  // only its own groups' slots of the per-worker remap arrays. Partitions
-  // walk the partials in worker order, so the accumulation order matches
-  // the serial merge exactly.
-  const int P = ExchangePartitions(workers);
-  const uint32_t pmask = static_cast<uint32_t>(P - 1);
-  std::vector<AggTable> merged;
-  if (workers == 1) {
-    merged = std::move(partials);  // a lone worker's table is the partition
-  } else {
-    for (int p = 0; p < P; ++p) merged.push_back(new_table());
-    std::vector<std::vector<uint32_t>> remap(workers);
-    for (int w = 0; w < workers; ++w) remap[w].resize(partials[w].keys.size());
-    ParallelFor(ctx->pool, P, [&](int p) {
-      AggTable& dst = merged[p];
-      const auto in_part = [&](const AggTable& src, uint32_t g) {
-        return PartitionOf(src.keys.hash(g), pmask) ==
-               static_cast<uint32_t>(p);
-      };
-      std::vector<int64_t> distinct_key;
-      for (int w = 0; w < workers; ++w) {
-        AggTable& src = partials[w];
-        for (uint32_t g = 0; g < src.keys.size(); ++g) {
-          if (g + kPrefetchRows < src.keys.size()) {
-            dst.keys.Prefetch(src.keys.hash(g + kPrefetchRows));
-          }
-          if (!in_part(src, g)) continue;
-          bool inserted = false;
-          const uint32_t dg = dst.Group(src.keys.key(g), src.keys.width(g),
-                                        src.keys.hash(g), &inserted);
-          remap[w][g] = dg;
-          for (int a = 0; a < A; ++a) {
-            const size_t s = static_cast<size_t>(g) * A + a;
-            const size_t d = static_cast<size_t>(dg) * A + a;
-            const AggKind kind = aggs_[a].kind;
-            const DataType lane = minmax_lane_[a];
-            if (kind == AggKind::kCountDistinct) continue;  // re-counted below
-            if (kind == AggKind::kSum || kind == AggKind::kAvg) {
-              dst.sums[d] = inserted ? src.sums[s] : dst.sums[d] + src.sums[s];
-            } else if ((kind == AggKind::kMin || kind == AggKind::kMax) &&
-                       src.counts[s] > 0) {
-              if (lane == DataType::kString) {
-                if (dst.counts[d] == 0 ||
-                    Improves(kind, src.strs[s], dst.strs[d])) {
-                  dst.strs[d] = std::move(src.strs[s]);
-                }
-              } else if (dst.counts[d] == 0 ||
-                         Improves(kind, lane == DataType::kDouble,
-                                  src.minmax[s], dst.minmax[d])) {
-                dst.minmax[d] = src.minmax[s];
-              }
-            }
-            dst.counts[d] += src.counts[s];
-          }
+  // Exchange/merge: partition p takes over worker 0's table p, reserves it
+  // for every worker's groups of p, and folds workers 1..W-1's tables p into
+  // it in worker order, so a group's partials always add up in worker
+  // order. A partition reads and writes only its own tables, so partitions
+  // merge without synchronization.
+  ParallelFor(ctx->pool, P, [&](int p) {
+    AggTable& dst = partials[0][p];
+    size_t groups = 0, triples = 0;
+    for (int w = 0; w < workers; ++w) {
+      groups += partials[w][p].keys.size();
+      triples += partials[w][p].distinct.size();
+    }
+    dst.Reserve(groups, triples);
+    std::vector<uint32_t> remap;  // src group id -> dst group id
+    BatchKeys distinct_keys;
+    for (int w = 1; w < workers; ++w) {
+      AggTable& src = partials[w][p];
+      remap.resize(src.keys.size());
+      for (uint32_t g = 0; g < src.keys.size(); ++g) {
+        if (g + kPrefetchRows < src.keys.size()) {
+          dst.keys.Prefetch(src.keys.hash(g + kPrefetchRows));
         }
-        for (uint32_t i = 0; i < src.distinct.size(); ++i) {
-          const int64_t* k = src.distinct.key(i);
-          const uint32_t g = static_cast<uint32_t>(k[0]);
-          if (!in_part(src, g)) continue;
-          distinct_key.assign(k, k + src.distinct.width(i));
-          distinct_key[0] = remap[w][g];
-          dst.AddDistinct(distinct_key.data(), distinct_key.size(),
-                          HashWords(distinct_key.data(), distinct_key.size()));
+        bool inserted = false;
+        const uint32_t dg = dst.Group(src.keys.key(g), src.keys.width(g),
+                                      src.keys.hash(g), &inserted);
+        remap[g] = dg;
+        for (int a = 0; a < A; ++a) {
+          const size_t s = static_cast<size_t>(g) * A + a;
+          const size_t d = static_cast<size_t>(dg) * A + a;
+          const AggKind kind = aggs_[a].kind;
+          const DataType lane = minmax_lane_[a];
+          if (kind == AggKind::kCountDistinct) continue;  // re-counted below
+          if (kind == AggKind::kSum || kind == AggKind::kAvg) {
+            dst.sums[d] = inserted ? src.sums[s] : dst.sums[d] + src.sums[s];
+          } else if ((kind == AggKind::kMin || kind == AggKind::kMax) &&
+                     src.counts[s] > 0) {
+            if (lane == DataType::kString) {
+              if (dst.counts[d] == 0 ||
+                  Improves(kind, src.strs[s], dst.strs[d])) {
+                dst.strs[d] = std::move(src.strs[s]);
+              }
+            } else if (dst.counts[d] == 0 ||
+                       Improves(kind, lane == DataType::kDouble,
+                                src.minmax[s], dst.minmax[d])) {
+              dst.minmax[d] = src.minmax[s];
+            }
+          }
+          dst.counts[d] += src.counts[s];
         }
       }
-    });
-    partials.clear();
-  }
+      FoldDistinct(src.distinct, remap, &distinct_keys, &dst);
+      src = new_table();  // folded: free it now
+    }
+  });
+  std::vector<AggTable> merged = std::move(partials[0]);
+  partials.clear();
 
   // SQL returns one row for a global aggregate over no rows; its key is
   // empty.
@@ -1383,27 +1514,34 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
 
   // Emit in ascending key order: sort each partition's ids in parallel,
   // then merge the partitions. The order depends only on the key set, so it
-  // is the same at every dop and in the coordinator's final fold.
-  // Sorting (key, id) pairs keeps the id -> key lookup out of the
-  // comparisons.
-  using GroupRef = std::pair<const int64_t*, uint32_t>;
+  // is the same at every dop and in the coordinator's final fold. Groups
+  // compare by a prefix of their first key column, and by KeyLess only when
+  // the prefixes tie; carrying (prefix, key, id) keeps the id -> key lookup
+  // out of the comparisons.
+  struct GroupRef {
+    uint64_t prefix;
+    const int64_t* key;
+    uint32_t id;
+  };
+  const auto group_less = [&](const GroupRef& x, const GroupRef& y) {
+    if (x.prefix != y.prefix) return x.prefix < y.prefix;
+    return KeyLess(x.key, y.key, key_lanes_);
+  };
   std::vector<std::vector<GroupRef>> order(P);
   ParallelFor(ctx->pool, P, [&](int p) {
     const KeyTable& keys = merged[p].keys;
     order[p].resize(keys.size());
-    for (uint32_t g = 0; g < keys.size(); ++g) order[p][g] = {keys.key(g), g};
-    std::sort(order[p].begin(), order[p].end(),
-              [&](const GroupRef& x, const GroupRef& y) {
-                return KeyLess(x.first, y.first, key_lanes_);
-              });
+    for (uint32_t g = 0; g < keys.size(); ++g) {
+      order[p][g] = {KeyPrefix(keys.key(g), key_lanes_), keys.key(g), g};
+    }
+    std::sort(order[p].begin(), order[p].end(), group_less);
   });
   struct Head {
     int part;
     size_t pos;
   };
-  auto head_key = [&](const Head& h) { return order[h.part][h.pos].first; };
   auto greater = [&](const Head& x, const Head& y) {
-    return KeyLess(head_key(y), head_key(x), key_lanes_);
+    return group_less(order[y.part][y.pos], order[x.part][x.pos]);
   };
   std::priority_queue<Head, std::vector<Head>, decltype(greater)> heap(
       greater);
@@ -1417,8 +1555,9 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
     heap.pop();
     if (h.pos + 1 < order[h.part].size()) heap.push({h.part, h.pos + 1});
     AggTable& t = merged[h.part];
-    const auto [key, g] = order[h.part][h.pos];
-    AppendKey(key, key_lanes_, &outb);
+    const GroupRef& ref = order[h.part][h.pos];
+    const uint32_t g = ref.id;
+    AppendKey(ref.key, key_lanes_, &outb);
     for (int a = 0; a < A; ++a) {
       const size_t s = static_cast<size_t>(g) * A + a;
       ColumnVector& col = outb.cols[G + a];
@@ -1514,8 +1653,13 @@ Status LimitOp::Execute(ExecContext* ctx, RowSet* out) {
       out->batches.push_back(std::move(b));
     } else {
       Batch cut = Batch::Make(out_types_);
-      for (int64_t i = 0; i < remaining; ++i) {
-        cut.AppendRowFrom(b, static_cast<size_t>(i));
+      cut.rows = static_cast<size_t>(remaining);
+      for (int c = 0; c < cut.num_cols(); ++c) {
+        const ColumnVector* src = &b.cols[c];
+        GatherRows(
+            cut.rows,
+            [src](size_t i) { return RowRef{src, static_cast<uint32_t>(i)}; },
+            &cut.cols[c]);
       }
       out->batches.push_back(std::move(cut));
       remaining = 0;

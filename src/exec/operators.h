@@ -190,6 +190,11 @@ enum class JoinType { kInner, kLeft, kSemi, kAnti };
 /// is imaged in the lane Cmp compares it in (an INT/DOUBLE pair as DOUBLE);
 /// a STRING keyed against a number fails Execute with InvalidArgument. NULL
 /// keys never match.
+///
+/// A probe batch first lists its output rows: each probe row with the build
+/// (batch, row) it pairs with, or a no-match mark for a left join's padding.
+/// Each output column is then gathered from that list in one typed loop,
+/// NULL rows holding 0, 0.0 or "" in their lane.
 class HashJoinOp : public PhysOp {
  public:
   HashJoinOp(PhysOpRef build, PhysOpRef probe, std::vector<int> build_keys,
@@ -215,17 +220,21 @@ struct AggSpec {
   ExprRef arg;  // null for kCountStar
 };
 
-/// Hash aggregation with thread-local partial tables, repartitioned by key
-/// hash through an exchange step and merged partition-parallel (§6.3).
-/// Output: group columns (in given order) then one column per agg.
+/// Hash aggregation with thread-local partial tables, partitioned by key
+/// hash as they fill and merged partition-parallel (§6.3). Output: group
+/// columns (in given order) then one column per agg.
 ///
 /// Groups of any key types map to dense ids in open-addressing tables over
 /// the same int64-word key images the join uses, aggregate state lives in
 /// flat arrays (strings only when a MIN/MAX reads one), and COUNT DISTINCT
-/// keeps (group, agg, value image) keys. Groups are emitted in ascending
-/// key order — NULL first, then CompareValues' order, doubles totally
-/// ordered by their bits — so the row order depends only on the key set,
-/// at every dop.
+/// keeps (group, agg, value image) keys. Each worker keeps one table per
+/// exchange partition; partition p takes over worker 0's table p and folds
+/// the other workers' tables p into it in worker order, remapping the group
+/// ids of their COUNT DISTINCT keys. Groups are emitted in ascending key
+/// order — NULL first, then CompareValues' order, doubles totally ordered
+/// by their bits — so the row order depends only on the key set, at every
+/// dop. The emission sort compares a 64-bit prefix of the first key column
+/// and falls back to the full key only on a tie.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,

@@ -88,19 +88,6 @@ struct ColumnVector {
     return ints[i];
   }
 
-  /// Copies row `i` of `src` onto the end of this vector.
-  void AppendFrom(const ColumnVector& src, size_t i) {
-    if (src.nulls[i]) {
-      AppendNull();
-    } else if (type == DataType::kDouble) {
-      AppendDouble(src.dbls[i]);
-    } else if (type == DataType::kString) {
-      AppendString(src.strs[i]);
-    } else {
-      AppendInt(src.ints[i]);
-    }
-  }
-
   /// Numeric view of row i (integers widen); caller guarantees non-null.
   double NumericAt(size_t i) const {
     return type == DataType::kDouble ? dbls[i]
@@ -122,11 +109,6 @@ struct Batch {
     b.cols.reserve(types.size());
     for (DataType t : types) b.cols.emplace_back(t);
     return b;
-  }
-
-  void AppendRowFrom(const Batch& src, size_t i) {
-    for (int c = 0; c < num_cols(); ++c) cols[c].AppendFrom(src.cols[c], i);
-    ++rows;
   }
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <thread>
 
@@ -327,6 +328,38 @@ TEST(CheckpointBootTest, TailReplaySkipsTransactionsAlreadyFoldedIntoCheckpoint)
                   ->LookupByPk(100, fresh->applied_vid(), &r).ok());
   EXPECT_TRUE(fresh->imci()->GetIndex(1)
                   ->LookupByPk(300, fresh->applied_vid(), &r).IsNotFound());
+}
+
+// With replication running, CatchUpNow waits for the durable LSN of the
+// call, not for a tail that a steady writer keeps moving.
+TEST_F(ClusterTest, CatchUpNowReturnsUnderASteadyWriter) {
+  auto* txns = cluster_->rw()->txn_manager();
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> commits{0};
+  std::thread writer([&] {
+    for (int64_t pk = 30000; !stop.load(); ++pk) {
+      Transaction txn;
+      txns->Begin(&txn);
+      if (!txns->Insert(&txn, 1, {pk, int64_t(1)}).ok() ||
+          !txns->Commit(&txn).ok()) {
+        return;
+      }
+      commits.fetch_add(1);
+    }
+  });
+  while (commits.load() < 20) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  RoNode* ro = cluster_->ro(0);
+  const Lsn target = ro->pipeline()->source_durable_lsn();
+  auto done = std::async(std::launch::async, [&] { return ro->CatchUpNow(); });
+  const bool returned =
+      done.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  stop = true;
+  writer.join();
+  ASSERT_TRUE(returned) << "CatchUpNow kept waiting under a steady writer";
+  EXPECT_TRUE(done.get().ok());
+  EXPECT_GE(ro->pipeline()->read_lsn(), target);
 }
 
 TEST_F(ClusterTest, VisibilityDelayIsMeasured) {

@@ -198,15 +198,19 @@ class OperatorTest : public ::testing::Test {
     for (auto& rows : batches) parts.push_back(Values(std::move(rows), types));
     return std::make_shared<UnionOp>(std::move(types), std::move(parts));
   }
-  /// Runs `plan` at dop 1 and dop 4 on the 4-thread pool; both must return
-  /// the same rows in the same order. Returns the dop-1 rows.
-  std::vector<Row> RunAtDop1And4(const PhysOpRef& plan) {
-    std::vector<Row> serial, parallel;
+  /// Runs `plan` at dop 1, 3 and 4 on the 4-thread pool (at dop 3, three
+  /// workers share four exchange partitions); every dop must return the
+  /// same rows in the same order. Returns the dop-1 rows.
+  std::vector<Row> RunAtDops(const PhysOpRef& plan) {
+    std::vector<Row> serial;
     ctx_.parallelism = 1;
     EXPECT_TRUE(RunPlan(plan, &ctx_, &serial).ok());
-    ctx_.parallelism = 4;
-    EXPECT_TRUE(RunPlan(plan, &ctx_, &parallel).ok());
-    EXPECT_EQ(serial, parallel);
+    for (int dop : {3, 4}) {
+      std::vector<Row> parallel;
+      ctx_.parallelism = dop;
+      EXPECT_TRUE(RunPlan(plan, &ctx_, &parallel).ok());
+      EXPECT_EQ(serial, parallel) << "dop " << dop;
+    }
     return serial;
   }
 
@@ -302,7 +306,7 @@ TEST_F(OperatorTest, NullKeysNeverJoin) {
                         {{int64_t(3), int64_t(3)}}},
                        {DataType::kInt64, DataType::kInt64});
   auto join = [&](JoinType t) {
-    return RunAtDop1And4(std::make_shared<HashJoinOp>(
+    return RunAtDops(std::make_shared<HashJoinOp>(
         build, probe, std::vector<int>{0}, std::vector<int>{0}, t));
   };
   EXPECT_EQ(join(JoinType::kInner),
@@ -374,7 +378,7 @@ TEST_F(OperatorTest, GlobalAggOnEmptyInputReturnsOneRow) {
                            {AggKind::kCountDistinct,
                             Col(0, DataType::kInt64)}});
   const std::vector<Row> want = {{int64_t(0), Value{}, Value{}, int64_t(0)}};
-  EXPECT_EQ(RunAtDop1And4(ints), want);
+  EXPECT_EQ(RunAtDops(ints), want);
 }
 
 // An expression that fails must fail the plan with its own Status, not a
@@ -420,7 +424,7 @@ TEST_F(OperatorTest, IntKeyAggArgumentNullsDoNotLeakAcrossBatches) {
           {AggKind::kCount,  // IN over NULL is NULL; the other three count
            In(Col(3, DataType::kInt64), {int64_t(1), int64_t(2)})}});
   const std::vector<Row> want = {{int64_t(1), 9.0, int64_t(3)}};
-  EXPECT_EQ(RunAtDop1And4(agg), want);
+  EXPECT_EQ(RunAtDops(agg), want);
 }
 
 // A NULL integer key is a group of its own, distinct from 0, and sorts
@@ -437,7 +441,7 @@ TEST_F(OperatorTest, IntKeyNullGroupIsDistinctFromZero) {
   const std::vector<Row> want = {{Value{}, int64_t(4), int64_t(2)},
                                  {int64_t(0), int64_t(6), int64_t(2)},
                                  {int64_t(5), int64_t(5), int64_t(1)}};
-  EXPECT_EQ(RunAtDop1And4(agg), want);
+  EXPECT_EQ(RunAtDops(agg), want);
 }
 
 TEST_F(OperatorTest, TwoIntColumnKeysEmitInKeyOrder) {
@@ -458,7 +462,7 @@ TEST_F(OperatorTest, TwoIntColumnKeysEmitInKeyOrder) {
   for (const auto& [k, n] : counts) {
     want.push_back({k.first, k.second < 0 ? Value{} : Value{k.second}, n});
   }
-  EXPECT_EQ(RunAtDop1And4(agg), want);
+  EXPECT_EQ(RunAtDops(agg), want);
 }
 
 TEST_F(OperatorTest, Int32AndDateKeys) {
@@ -475,7 +479,7 @@ TEST_F(OperatorTest, Int32AndDateKeys) {
   const std::vector<Row> want = {{int64_t(-2), d2, 2.0, 2.0},
                                  {int64_t(7), d2, 1.0, 1.0},
                                  {int64_t(7), d1, 2.0, 1.5}};
-  EXPECT_EQ(RunAtDop1And4(agg), want);
+  EXPECT_EQ(RunAtDops(agg), want);
 }
 
 // COUNT(DISTINCT int): NULLs are not counted, and a value repeated across
@@ -502,7 +506,7 @@ TEST_F(OperatorTest, IntCountDistinctAcrossBatchesAndWorkers) {
       {AggKind::kMin, Col(1, DataType::kInt64)}};
   auto grouped =
       std::make_shared<HashAggOp>(input, std::vector<int>{0}, aggs);
-  const std::vector<Row> out = RunAtDop1And4(grouped);
+  const std::vector<Row> out = RunAtDops(grouped);
   ASSERT_EQ(out.size(), 3u);
   for (int64_t g = 0; g < 3; ++g) {
     EXPECT_EQ(AsInt(out[g][0]), g);
@@ -510,7 +514,7 @@ TEST_F(OperatorTest, IntCountDistinctAcrossBatchesAndWorkers) {
     EXPECT_EQ(AsInt(out[g][3]), *seen[g].begin());
   }
   auto global = std::make_shared<HashAggOp>(input, std::vector<int>{}, aggs);
-  const std::vector<Row> total = RunAtDop1And4(global);
+  const std::vector<Row> total = RunAtDops(global);
   ASSERT_EQ(total.size(), 1u);
   EXPECT_EQ(AsInt(total[0][0]), static_cast<int64_t>(all.size()));
 }
@@ -532,7 +536,7 @@ TEST_F(OperatorTest, IntJoinDuplicateBuildKeysInBuildOrder) {
   auto join = std::make_shared<HashJoinOp>(
       build, probe, std::vector<int>{0}, std::vector<int>{0},
       JoinType::kInner);
-  EXPECT_EQ(RunAtDop1And4(join), want);
+  EXPECT_EQ(RunAtDops(join), want);
 }
 
 TEST_F(OperatorTest, Int64BuildKeyJoinsInt32ProbeKey) {
@@ -547,7 +551,7 @@ TEST_F(OperatorTest, Int64BuildKeyJoinsInt32ProbeKey) {
   const std::vector<Row> want = {
       {int64_t(3), int64_t(3), std::string("three")},
       {int64_t(1), int64_t(1), std::string("one")}};
-  EXPECT_EQ(RunAtDop1And4(join), want);
+  EXPECT_EQ(RunAtDops(join), want);
 }
 
 // Double keys compare exactly in GROUP BY, joins and COUNT(DISTINCT):
@@ -570,13 +574,13 @@ TEST_F(OperatorTest, DoubleKeysAreExact) {
                                    {0.0, int64_t(2)},
                                    {1.0000001, int64_t(1)},
                                    {1.0000004, int64_t(1)}};
-  EXPECT_EQ(RunAtDop1And4(grouped), groups);
+  EXPECT_EQ(RunAtDops(grouped), groups);
 
   auto distinct = std::make_shared<HashAggOp>(
       input, std::vector<int>{},
       std::vector<AggSpec>{{AggKind::kCountDistinct,
                             Col(0, DataType::kDouble)}});
-  EXPECT_EQ(RunAtDop1And4(distinct), (std::vector<Row>{{int64_t(4)}}));
+  EXPECT_EQ(RunAtDops(distinct), (std::vector<Row>{{int64_t(4)}}));
 
   auto build = Values({{1.0000001, std::string("a")},
                        {-1.5, std::string("b")},
@@ -590,7 +594,7 @@ TEST_F(OperatorTest, DoubleKeysAreExact) {
   const std::vector<Row> matches = {{-1.5, -1.5, std::string("b")},
                                     {-0.0, 0.0, std::string("z")},
                                     {1.0000001, 1.0000001, std::string("a")}};
-  EXPECT_EQ(RunAtDop1And4(sorted(join)), matches);
+  EXPECT_EQ(RunAtDops(sorted(join)), matches);
 }
 
 // An integer keyed against a double matches by value, as Cmp compares the
@@ -605,12 +609,12 @@ TEST_F(OperatorTest, MixedTypeJoinKeys) {
                       {DataType::kDouble});
   auto int_build = std::make_shared<HashJoinOp>(
       ints, dbls, std::vector<int>{0}, std::vector<int>{0}, JoinType::kInner);
-  EXPECT_EQ(RunAtDop1And4(int_build),
+  EXPECT_EQ(RunAtDops(int_build),
             (std::vector<Row>{{5.0, int64_t(5), std::string("five")},
                               {-0.0, int64_t(0), std::string("zero")}}));
   auto dbl_build = std::make_shared<HashJoinOp>(
       dbls, ints, std::vector<int>{0}, std::vector<int>{0}, JoinType::kInner);
-  EXPECT_EQ(RunAtDop1And4(dbl_build),
+  EXPECT_EQ(RunAtDops(dbl_build),
             (std::vector<Row>{{int64_t(5), std::string("five"), 5.0},
                               {int64_t(0), std::string("zero"), -0.0}}));
 
@@ -628,9 +632,11 @@ TEST_F(OperatorTest, MixedTypeJoinKeys) {
 // Hash join and hash aggregation against nested-loop and std::map models
 // built on CompareValues: random keys of 1-3 columns over every key type
 // (with -0.0, "", strings longer than a key word and embedded NULs), ~20%
-// NULLs, several batches, every AggKind and JoinType, at dop 1 and 4. The
-// aggregate must come out in the model's ascending key order. One more
-// aggregation groups by 66 columns, so its null mask takes two words.
+// NULLs, several batches, every AggKind and JoinType, at dop 1, 3 and 4.
+// The aggregate must come out in the model's ascending key order. One
+// aggregation groups thousands of integer keys over at least 8 batches, so
+// every worker holds groups of every exchange partition; one more groups by
+// 66 columns, so its null mask takes two words.
 TEST_F(OperatorTest, HashKernelsMatchReference) {
   const uint64_t seed = testing_util::TestSeed(20240601);
   SCOPED_TRACE(::testing::Message() << "IMCI_TEST_SEED=" << seed);
@@ -818,7 +824,7 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
         {AggKind::kCountDistinct, col(any_of(doubles))},
         {AggKind::kCountDistinct, col(any_of(strings))},
     };
-    EXPECT_EQ(RunAtDop1And4(std::make_shared<HashAggOp>(input, keys, aggs)),
+    EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(input, keys, aggs)),
               model_agg(rows, keys, aggs));
 
     std::vector<Row> build_rows;
@@ -833,11 +839,37 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
                           JoinType::kAnti}) {
       SCOPED_TRACE(::testing::Message() << "join type "
                                         << static_cast<int>(type));
-      EXPECT_EQ(RunAtDop1And4(std::make_shared<HashJoinOp>(build, input, bk,
+      EXPECT_EQ(RunAtDops(std::make_shared<HashJoinOp>(build, input, bk,
                                                            pk, type)),
                 model_join(build_rows, rows, bk, pk, type));
     }
   }
+
+  // High cardinality: ~6000 rows over 2000 integer keys in 16-23 batches,
+  // so the partition fold merges COUNT DISTINCT keys and string MIN/MAX
+  // states of every worker.
+  std::vector<std::vector<Row>> many(16 + pick(8));
+  std::vector<Row> many_rows;
+  for (auto& batch : many) {
+    for (int n = 250 + pick(150); n > 0; --n) {
+      Row r = random_row();
+      r[0] = pick(50) == 0 ? Value{} : Value{int64_t(pick(2000)) - 1000};
+      batch.push_back(r);
+      many_rows.push_back(std::move(r));
+    }
+  }
+  auto many_input = Batches(std::move(many), types);
+  const std::vector<int> many_keys = {0};
+  const std::vector<AggSpec> many_aggs = {
+      {AggKind::kCountDistinct, col(any_of(integer))},
+      {AggKind::kCountDistinct, col(any_of(strings))},
+      {AggKind::kMin, col(any_of(strings))},
+      {AggKind::kMax, col(any_of(strings))},
+      {AggKind::kSum, col(any_of(doubles))},
+      {AggKind::kCountStar, nullptr}};
+  EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(many_input, many_keys,
+                                                  many_aggs)),
+            model_agg(many_rows, many_keys, many_aggs));
 
   // 66 group columns: 64 drawn from two prototype rows, then two INT64
   // columns whose NULLs only the second mask word tells apart.
@@ -863,8 +895,144 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
   const std::vector<AggSpec> wide_aggs = {
       {AggKind::kCountStar, nullptr},
       {AggKind::kSumInt, Col(64, DataType::kInt64)}};
-  EXPECT_EQ(RunAtDop1And4(std::make_shared<HashAggOp>(wide, all, wide_aggs)),
+  EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(wide, all, wide_aggs)),
             model_agg(wide_rows, all, wide_aggs));
+}
+
+// The join gathers its output a column at a time from a list of matches.
+// The inputs' NULL rows hold junk lanes (7, 7.5, "junk"), which every
+// output NULL must replace with 0, 0.0 or "": a left join pads unmatched
+// probe rows with INT64, DOUBLE and STRING build NULLs, and the probe
+// columns carry NULLs of their own. One probe row matches 2100 build rows,
+// more than a batch. The RowSet is read lane by lane, then row by row
+// against a nested-loop model, at dop 1, 3 and 4.
+TEST_F(OperatorTest, JoinGatherKeepsNullLanes) {
+  // Emits fixed batches whose NULL rows hold junk lanes.
+  class JunkOp : public PhysOp {
+   public:
+    JunkOp(std::vector<DataType> types,
+           const std::vector<std::vector<Row>>& batches) {
+      out_types_ = std::move(types);
+      for (const std::vector<Row>& rows : batches) {
+        Batch b = Batch::Make(out_types_);
+        for (const Row& r : rows) {
+          for (size_t c = 0; c < r.size(); ++c) {
+            ColumnVector& v = b.cols[c];
+            v.AppendValue(r[c]);
+            if (!IsNull(r[c])) continue;
+            if (v.type == DataType::kDouble) {
+              v.dbls.back() = 7.5;
+            } else if (v.type == DataType::kString) {
+              v.strs.back() = "junk";
+            } else {
+              v.ints.back() = 7;
+            }
+          }
+          b.rows++;
+        }
+        batches_.push_back(std::move(b));
+      }
+    }
+    Status Execute(ExecContext*, RowSet* out) override {
+      out->types = out_types_;
+      out->batches = batches_;
+      return Status::OK();
+    }
+
+   private:
+    std::vector<Batch> batches_;
+  };
+
+  const std::vector<DataType> build_types = {
+      DataType::kInt64, DataType::kInt64, DataType::kDouble,
+      DataType::kString};
+  std::vector<std::vector<Row>> build_batches(2);
+  std::vector<Row> build_rows;
+  for (int64_t i = 0; i < 2300; ++i) {
+    const int64_t key = i < 2100 ? 7 : i % 5;
+    Row r = {key, i % 5 == 0 ? Value{} : Value{i},
+             i % 7 == 0 ? Value{} : Value{i * 0.5},
+             i % 3 == 0 ? Value{} : Value{"s" + std::to_string(i)}};
+    build_batches[i < 1200 ? 0 : 1].push_back(r);
+    build_rows.push_back(std::move(r));
+  }
+  const std::vector<DataType> probe_types = {DataType::kInt64,
+                                             DataType::kDouble,
+                                             DataType::kString};
+  const std::vector<std::vector<Row>> probe_batches = {
+      {{int64_t(7), Value{}, std::string("p0")},
+       {int64_t(42), 1.5, Value{}},
+       {Value{}, Value{}, std::string("p2")},
+       {int64_t(3), -2.0, std::string("p3")}},
+      {{int64_t(1), Value{}, Value{}}, {int64_t(99), 0.5, std::string("")}}};
+  std::vector<Row> probe_rows;
+  for (const auto& rows : probe_batches) {
+    probe_rows.insert(probe_rows.end(), rows.begin(), rows.end());
+  }
+  auto build = std::make_shared<JunkOp>(build_types, build_batches);
+  auto probe = std::make_shared<JunkOp>(probe_types, probe_batches);
+
+  for (JoinType type : {JoinType::kInner, JoinType::kLeft, JoinType::kSemi,
+                        JoinType::kAnti}) {
+    std::vector<Row> want;
+    for (const Row& p : probe_rows) {
+      std::vector<const Row*> matches;
+      for (const Row& b : build_rows) {
+        if (!IsNull(p[0]) && CompareValues(p[0], b[0]) == 0) {
+          matches.push_back(&b);
+        }
+      }
+      const bool pads = type == JoinType::kLeft && matches.empty();
+      if (type == JoinType::kInner || type == JoinType::kLeft) {
+        if (pads) matches.push_back(nullptr);
+        for (const Row* b : matches) {
+          Row o = p;
+          for (size_t c = 0; c < build_types.size(); ++c) {
+            o.push_back(b ? (*b)[c] : Value{});
+          }
+          want.push_back(std::move(o));
+        }
+      } else if (matches.empty() == (type == JoinType::kAnti)) {
+        want.push_back(p);
+      }
+    }
+    auto join = std::make_shared<HashJoinOp>(build, probe, std::vector<int>{0},
+                                             std::vector<int>{0}, type);
+    for (int dop : {1, 3, 4}) {
+      SCOPED_TRACE(::testing::Message() << "join type "
+                                        << static_cast<int>(type) << " dop "
+                                        << dop);
+      ctx_.parallelism = dop;
+      RowSet set;
+      ASSERT_TRUE(join->Execute(&ctx_, &set).ok());
+      std::vector<Row> got;
+      size_t nulls = 0;
+      for (const Batch& b : set.batches) {
+        ASSERT_EQ(b.cols.size(), join->out_types().size());
+        for (const ColumnVector& v : b.cols) {
+          ASSERT_EQ(v.nulls.size(), b.rows);
+          for (size_t i = 0; i < b.rows; ++i) {
+            if (!v.nulls[i]) continue;
+            ++nulls;
+            if (v.type == DataType::kDouble) {
+              EXPECT_EQ(v.dbls[i], 0.0);
+            } else if (v.type == DataType::kString) {
+              EXPECT_EQ(v.strs[i], "");
+            } else {
+              EXPECT_EQ(v.ints[i], 0);
+            }
+          }
+        }
+        for (size_t i = 0; i < b.rows; ++i) {
+          Row r;
+          for (const ColumnVector& v : b.cols) r.push_back(v.GetValue(i));
+          got.push_back(std::move(r));
+        }
+      }
+      EXPECT_GT(nulls, 0u);
+      EXPECT_EQ(got, want);
+    }
+  }
 }
 
 TEST_F(OperatorTest, SortWithLimitAndDirections) {
