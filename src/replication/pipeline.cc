@@ -300,9 +300,17 @@ Status ReplicationPipeline::PollLogicalOnce() {
       &txns, &read_error);
   // Nothing consumed: surface the read failure (OK when merely idle).
   if (to == from) return read_error;
+  ApplyLogicalTxns(&txns);
+  read_lsn_.store(to, std::memory_order_release);
+  // A failure mid-scan: what was delivered is applied and the cursor kept,
+  // so a retry resumes exactly past the progress made.
+  return read_error;
+}
+
+void ReplicationPipeline::ApplyLogicalTxns(std::vector<LogicalTxn>* txns) {
   std::vector<CommittedTxn> batch;
-  batch.reserve(txns.size());
-  for (LogicalTxn& lt : txns) {
+  batch.reserve(txns->size());
+  for (LogicalTxn& lt : *txns) {
     if (lt.vid <= options_.skip_vids_upto) continue;  // in the checkpoint
     CommittedTxn txn;
     txn.buffer = std::make_shared<TxnBuffer>();
@@ -314,10 +322,6 @@ Status ReplicationPipeline::PollLogicalOnce() {
     batch.push_back(std::move(txn));
   }
   if (!batch.empty()) ApplyBatch(batch);
-  read_lsn_.store(to, std::memory_order_release);
-  // A failure mid-scan: what was delivered is applied and the cursor kept,
-  // so a retry resumes exactly past the progress made.
-  return read_error;
 }
 
 Status ReplicationPipeline::PollRedoOnce() {
@@ -419,20 +423,7 @@ Status ReplicationPipeline::BootstrapFromArchive(Lsn upto) {
     }
     std::vector<LogicalTxn> txns;
     logical_.DecodeRaw(from + 1, raw, &txns);
-    std::vector<CommittedTxn> batch;
-    batch.reserve(txns.size());
-    for (LogicalTxn& lt : txns) {
-      if (lt.vid <= options_.skip_vids_upto) continue;
-      CommittedTxn txn;
-      txn.buffer = std::make_shared<TxnBuffer>();
-      txn.buffer->tid = lt.tid;
-      txn.buffer->dmls = std::move(lt.dmls);
-      txn.vid = lt.vid;
-      txn.commit_ts_us = lt.commit_ts_us;
-      txn.lsn = lt.lsn;
-      batch.push_back(std::move(txn));
-    }
-    if (!batch.empty()) ApplyBatch(batch);
+    ApplyLogicalTxns(&txns);
     read_lsn_.store(last, std::memory_order_release);
     from = last;
   }

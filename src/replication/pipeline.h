@@ -196,6 +196,10 @@ class ReplicationPipeline {
   void Wedge(Status reason);
   Status PollRedoOnce();
   Status PollLogicalOnce();
+  /// The logical-apply Phase#2 (live binlog and archive bootstrap alike):
+  /// applies the decoded transactions past the checkpoint filter as one
+  /// commit batch.
+  void ApplyLogicalTxns(std::vector<LogicalTxn>* txns);
   void DeliverDmls(std::vector<LogicalDml>&& dmls);
   void MaybePreCommit(const std::shared_ptr<TxnBuffer>& buf);
   void ApplyBatch(std::vector<CommittedTxn>& batch);

@@ -83,14 +83,6 @@ class RowStoreEngine {
   std::unordered_map<TableId, std::unique_ptr<RowTable>> tables_;
 };
 
-/// Undo record kept RW-side for rollback.
-struct UndoEntry {
-  enum class Op : uint8_t { kInsert, kUpdate, kDelete } op;
-  TableId table_id;
-  int64_t pk;
-  std::string old_image;  // for update/delete undo
-};
-
 /// A client transaction on the RW node. Created by TransactionManager;
 /// not thread-safe (one session uses one transaction at a time).
 class Transaction {
@@ -104,13 +96,16 @@ class Transaction {
 
  private:
   friend class TransactionManager;
+  void NoteWrite(TableId table, int64_t pk);
+
   Tid tid_ = 0;
   Lsn last_lsn_ = 0;
   Vid commit_vid_ = 0;
   Lsn commit_lsn_ = 0;
-  uint32_t dml_count_ = 0;
   bool finished_ = false;
-  std::vector<UndoEntry> undo_;
+  /// Write set: the pks written per table. Commit stamps their versions;
+  /// undo restores them from their version chains (RowTable::UndoWrites).
+  std::map<TableId, std::vector<int64_t>> writes_;
   std::vector<std::pair<TableId, int64_t>> locks_;
   std::vector<BinlogWriter::Event> binlog_events_;
 };
@@ -243,7 +238,8 @@ class TransactionManager {
   /// its row versions — a later commit publishing a higher VID (possible
   /// after the log reopens) would make them visible, exposing a commit the
   /// log no longer contains. Called under the still-held row locks, before
-  /// ReleaseLocks: restores the tree images from the undo list (no redo
+  /// ReleaseLocks and DropLostPublications: restores every written row to
+  /// the newest committed version below the lost VID in its chain (no redo
   /// shipping — the poisoned log refuses appends, and recovery rebuilds the
   /// same pre-batch state anyway) and unlinks the stamped versions, so the
   /// in-memory engine agrees with what recovery would rebuild.

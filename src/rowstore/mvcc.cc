@@ -80,16 +80,6 @@ const RowVersion* VersionChains::ResolveChain(const RowVersion* head, Vid s) {
   return nullptr;
 }
 
-const RowVersion* VersionChains::NewestCommitted(const RowVersion* head) {
-  for (const RowVersion* v = head; v != nullptr; v = v->next()) {
-    if ((v->stamp_.load(std::memory_order_acquire) &
-         RowVersion::kInflightBit) == 0) {
-      return v;
-    }
-  }
-  return nullptr;
-}
-
 bool VersionChains::Resolve(int64_t pk, Vid s, const RowVersion** v) const {
   auto it = chains_.find(pk);
   if (it == chains_.end()) return false;
@@ -152,90 +142,19 @@ void VersionChains::Stamp(Tid tid, Vid vid, const std::vector<int64_t>& pks,
   }
 }
 
-void VersionChains::Abort(Tid tid, const std::vector<int64_t>& pks) {
-  const uint64_t inflight = InflightStamp(tid);
-  for (int64_t pk : pks) {
-    auto it = chains_.find(pk);
-    if (it == chains_.end()) continue;
-    ChainRef& chain = it->second;
-    size_t n = 0;
-    RowVersion* prev = nullptr;
-    RowVersion* v = chain.head.load(std::memory_order_relaxed);
-    while (v != nullptr) {
-      RowVersion* next = v->next_.load(std::memory_order_relaxed);
-      if (v->stamp_.load(std::memory_order_relaxed) == inflight) {
-        // Unlink v; its own next pointer is left intact so a reader already
-        // standing on it continues over a valid (immutable) suffix.
-        if (prev != nullptr) {
-          prev->next_.store(next, std::memory_order_release);
-        } else {
-          chain.head.store(next, std::memory_order_release);
-        }
-        ++n;
-      } else {
-        prev = v;
-      }
-      v = next;
-    }
-    if (n != 0) {
-      versions_live_ -= n;
-      dropped_total_ += n;
-      NoteLengthChange(&chain, chain.length - static_cast<uint32_t>(n));
-    }
-    if (chain.head.load(std::memory_order_relaxed) == nullptr) EraseChain(it);
-  }
-}
-
-size_t VersionChains::Retract(Vid vid, const std::vector<int64_t>& pks) {
-  size_t dropped = 0;
-  for (int64_t pk : pks) {
-    auto it = chains_.find(pk);
-    if (it == chains_.end()) continue;
-    ChainRef& chain = it->second;
-    size_t n = 0;
-    RowVersion* prev = nullptr;
-    RowVersion* v = chain.head.load(std::memory_order_relaxed);
-    while (v != nullptr) {
-      RowVersion* next = v->next_.load(std::memory_order_relaxed);
-      if (v->stamp_.load(std::memory_order_relaxed) == vid) {
-        // Unlink v; its own next pointer is left intact so a reader already
-        // standing on it continues over a valid (immutable) suffix. Readers
-        // can only be standing here via a chain walk that started before the
-        // unlink — no snapshot at `vid` was ever published (the retract
-        // precondition), so none will *select* this version.
-        if (prev != nullptr) {
-          prev->next_.store(next, std::memory_order_release);
-        } else {
-          chain.head.store(next, std::memory_order_release);
-        }
-        ++n;
-      } else {
-        prev = v;
-      }
-      v = next;
-    }
-    if (n != 0) {
-      versions_live_ -= n;
-      dropped_total_ += n;
-      dropped += n;
-      NoteLengthChange(&chain, chain.length - static_cast<uint32_t>(n));
-    }
-    if (chain.head.load(std::memory_order_relaxed) == nullptr) EraseChain(it);
-  }
-  return dropped;
-}
-
-size_t VersionChains::DropInflight(int64_t pk) {
-  auto it = chains_.find(pk);
-  if (it == chains_.end()) return 0;
+size_t VersionChains::UnlinkLocked(Map::iterator it, uint64_t mask,
+                                   uint64_t match) {
   ChainRef& chain = it->second;
   size_t n = 0;
   RowVersion* prev = nullptr;
   RowVersion* v = chain.head.load(std::memory_order_relaxed);
   while (v != nullptr) {
     RowVersion* next = v->next_.load(std::memory_order_relaxed);
-    if ((v->stamp_.load(std::memory_order_relaxed) &
-         RowVersion::kInflightBit) != 0) {
+    if ((v->stamp_.load(std::memory_order_relaxed) & mask) == match) {
+      // Unlink v; its own next pointer is left intact so a reader already
+      // standing on it continues over a valid (immutable) suffix. No reader
+      // selects v: in-flight versions are invisible, and a retracted VID
+      // was never published.
       if (prev != nullptr) {
         prev->next_.store(next, std::memory_order_release);
       } else {
@@ -254,6 +173,26 @@ size_t VersionChains::DropInflight(int64_t pk) {
   }
   if (chain.head.load(std::memory_order_relaxed) == nullptr) EraseChain(it);
   return n;
+}
+
+void VersionChains::Abort(Tid tid, const std::vector<int64_t>& pks) {
+  for (int64_t pk : pks) {
+    auto it = chains_.find(pk);
+    if (it != chains_.end()) UnlinkLocked(it, ~0ull, InflightStamp(tid));
+  }
+}
+
+void VersionChains::Retract(Vid vid, const std::vector<int64_t>& pks) {
+  for (int64_t pk : pks) {
+    auto it = chains_.find(pk);
+    if (it != chains_.end()) UnlinkLocked(it, ~0ull, vid);
+  }
+}
+
+size_t VersionChains::DropInflight(int64_t pk) {
+  auto it = chains_.find(pk);
+  if (it == chains_.end()) return 0;
+  return UnlinkLocked(it, RowVersion::kInflightBit, RowVersion::kInflightBit);
 }
 
 size_t VersionChains::Prune(Vid watermark) {

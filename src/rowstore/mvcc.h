@@ -25,9 +25,9 @@ namespace imci {
 ///      transaction, and Phase#2 stamps them at the commit decision, so RO
 ///      row-engine scans at a pinned snapshot VID can never observe a
 ///      transaction mid-apply;
-///   3. boot-time recovery — the ARIES-style undo pass resolves the newest
-///      committed version of every row still carrying unstamped entries at
-///      the end of physical replay and rolls the page effects back to it.
+///   3. undo — an RW rollback, the retraction of a lost commit, and the
+///      ARIES-style boot pass restore each row to the newest committed
+///      version older than the writer's own; the chain is the only undo log.
 ///
 /// Storage model: a row's history is an intrusive singly-linked chain of
 /// arena-allocated RowVersion nodes, newest first, with the encoded row
@@ -134,7 +134,7 @@ struct MvccStats {
 ///     (RowTable's table latch — exclusive for mutation, shared for map
 ///     reads), exactly as before;
 ///   - chain *traversal* from a harvested head pointer (ResolveChain,
-///     NewestCommitted, walking next()) is safe with no latch at all,
+///     walking next()) is safe with no latch at all,
 ///     provided the caller entered an ArenaReadGuard before harvesting the
 ///     head. That is the read path the table latch came off of.
 ///
@@ -175,8 +175,8 @@ class VersionChains {
              Vid trim_below);
 
   /// Unlinks `tid`'s in-flight versions on `pks` (rollback / replicated
-  /// abort). Call after the undo images are physically restored so surviving
-  /// chain bases match the tree again.
+  /// abort). Call after the rows are physically restored so surviving chain
+  /// bases match the tree again.
   void Abort(Tid tid, const std::vector<int64_t>& pks);
 
   /// Unlinks versions already *stamped* with commit VID `vid` on `pks` — the
@@ -186,9 +186,8 @@ class VersionChains {
   /// reach them (it matches the in-flight stamp, and StampCommitLocked has
   /// already overwritten it with the VID). Same unlink discipline as Abort:
   /// each node's own next pointer stays intact, so a concurrent latch-free
-  /// reader standing on it continues over a valid suffix. Returns versions
-  /// dropped.
-  size_t Retract(Vid vid, const std::vector<int64_t>& pks);
+  /// reader standing on it continues over a valid suffix.
+  void Retract(Vid vid, const std::vector<int64_t>& pks);
 
   /// Checkpoint pruning: drops all history below `watermark`, erases chains
   /// whose single survivor is the live tree image (or a committed delete of
@@ -213,12 +212,10 @@ class VersionChains {
 
   /// Newest version reachable from `head` visible at snapshot `s`, or
   /// nullptr. Latch-free (acquire-loads only) under an ArenaReadGuard.
+  /// `s` = kMaxVid resolves the newest committed (stamped or base) version,
+  /// whatever is in flight above it — the undo target of an in-flight
+  /// writer.
   static const RowVersion* ResolveChain(const RowVersion* head, Vid s);
-
-  /// Newest committed (stamped or base) version regardless of snapshot —
-  /// the rollback target of the recovery undo pass. nullptr when the chain
-  /// holds only in-flight entries (the row did not exist before them).
-  static const RowVersion* NewestCommitted(const RowVersion* head);
 
   /// PKs whose chain still carries at least one in-flight (unstamped)
   /// entry — the rows the boot-time undo pass must roll back.
@@ -254,6 +251,10 @@ class VersionChains {
   /// Unlinks everything older than the newest committed version with
   /// VID <= watermark. Returns versions unlinked.
   size_t TrimChainLocked(ChainRef* chain, Vid watermark);
+  /// Unlinks every node of `it`'s chain whose stamp word `w` has
+  /// `(w & mask) == match`, erasing the chain when nothing survives.
+  /// Returns nodes unlinked.
+  size_t UnlinkLocked(Map::iterator it, uint64_t mask, uint64_t match);
   void NoteLengthChange(ChainRef* chain, uint32_t new_length);
   void EraseChain(Map::iterator it);
 

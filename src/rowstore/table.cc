@@ -80,10 +80,8 @@ Status RowTable::Get(int64_t pk, Row* row) const {
 
 bool RowTable::CommittedImage(int64_t pk, std::string* image) const {
   std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-  auto it = versions_.find(pk);
-  if (it != versions_.end()) {
-    const RowVersion* v = VersionChains::NewestCommitted(
-        it->second.head.load(std::memory_order_acquire));
+  if (const RowVersion* head = versions_.Head(pk); head != nullptr) {
+    const RowVersion* v = VersionChains::ResolveChain(head, kMaxVid);
     if (v == nullptr || v->deleted()) return false;
     image->assign(v->image());
     return true;
@@ -103,52 +101,6 @@ void RowTable::InstallBootInflight(Tid tid, int64_t pk, bool has_pre,
   const bool in_tree = btree_.Lookup(pk, &cur).ok();
   versions_.Install(pk, tid, /*deleted=*/!in_tree, cur,
                     has_pre ? &pre_image : nullptr);
-}
-
-Status RowTable::InsertImage(int64_t pk, const std::string& image,
-                             std::vector<RedoRecord>* redo,
-                             const RedoShipFn& ship) {
-  Row row;
-  IMCI_RETURN_NOT_OK(RowCodec::Decode(*schema_, image.data(), image.size(),
-                                      &row));
-  std::unique_lock<WriterPrioritySharedMutex> g(latch_);
-  IMCI_RETURN_NOT_OK(btree_.Insert(pk, image, redo));
-  IndexInsert(row, pk);
-  row_count_.fetch_add(1, std::memory_order_relaxed);
-  if (ship) ship(redo);
-  return Status::OK();
-}
-
-Status RowTable::UpdateImage(int64_t pk, const std::string& image,
-                             std::vector<RedoRecord>* redo,
-                             const RedoShipFn& ship) {
-  Row new_row;
-  IMCI_RETURN_NOT_OK(
-      RowCodec::Decode(*schema_, image.data(), image.size(), &new_row));
-  std::unique_lock<WriterPrioritySharedMutex> g(latch_);
-  std::string old_image;
-  IMCI_RETURN_NOT_OK(btree_.Update(pk, image, &old_image, redo));
-  Row old_row;
-  IMCI_RETURN_NOT_OK(
-      RowCodec::Decode(*schema_, old_image.data(), old_image.size(), &old_row));
-  IndexRemove(old_row, pk);
-  IndexInsert(new_row, pk);
-  if (ship) ship(redo);
-  return Status::OK();
-}
-
-Status RowTable::DeleteImage(int64_t pk, std::vector<RedoRecord>* redo,
-                             const RedoShipFn& ship) {
-  std::unique_lock<WriterPrioritySharedMutex> g(latch_);
-  std::string old_image;
-  IMCI_RETURN_NOT_OK(btree_.Delete(pk, &old_image, redo));
-  Row old_row;
-  IMCI_RETURN_NOT_OK(
-      RowCodec::Decode(*schema_, old_image.data(), old_image.size(), &old_row));
-  IndexRemove(old_row, pk);
-  row_count_.fetch_sub(1, std::memory_order_relaxed);
-  if (ship) ship(redo);
-  return Status::OK();
 }
 
 Status RowTable::SnapshotGet(Vid s, int64_t pk, Row* row) const {
@@ -420,18 +372,15 @@ void RowTable::ApplyReplica(ReplicaApply&& a) {
   }
 }
 
-void RowTable::RestoreRowLocked(int64_t pk, const RowVersion* target) {
-  // Physical rollback of one row to its newest committed version. The
-  // B+tree mutations here are replica-local (the discarded records ship
-  // nowhere) — valid only on a final log, as RollbackInflight documents.
-  std::vector<RedoRecord> discard;
+void RowTable::RestoreRowLocked(int64_t pk, const RowVersion* target,
+                                std::vector<RedoRecord>* redo) {
   std::string cur;
   const bool in_tree = btree_.Lookup(pk, &cur).ok();
   Row row;
   if (target == nullptr || target->deleted()) {
     if (in_tree) {
       std::string old_image;
-      if (btree_.Delete(pk, &old_image, &discard).ok()) {
+      if (btree_.Delete(pk, &old_image, redo).ok()) {
         row_count_.fetch_sub(1, std::memory_order_relaxed);
         if (RowCodec::Decode(*schema_, old_image.data(), old_image.size(),
                              &row)
@@ -444,7 +393,7 @@ void RowTable::RestoreRowLocked(int64_t pk, const RowVersion* target) {
   }
   const std::string target_image(target->image());
   if (!in_tree) {
-    if (btree_.Insert(pk, target_image, &discard).ok()) {
+    if (btree_.Insert(pk, target_image, redo).ok()) {
       row_count_.fetch_add(1, std::memory_order_relaxed);
       if (RowCodec::Decode(*schema_, target_image.data(), target_image.size(),
                            &row)
@@ -454,9 +403,9 @@ void RowTable::RestoreRowLocked(int64_t pk, const RowVersion* target) {
     }
     return;
   }
-  if (cur == target_image) return;  // compensation already restored it
+  if (cur == target_image) return;  // already at the target
   std::string old_image;
-  if (!btree_.Update(pk, target_image, &old_image, &discard).ok()) return;
+  if (!btree_.Update(pk, target_image, &old_image, redo).ok()) return;
   if (RowCodec::Decode(*schema_, old_image.data(), old_image.size(), &row)
           .ok()) {
     IndexRemove(row, pk);
@@ -468,14 +417,46 @@ void RowTable::RestoreRowLocked(int64_t pk, const RowVersion* target) {
   }
 }
 
+void RowTable::UndoWrites(Tid tid, Vid commit_vid,
+                          const std::vector<int64_t>& pks,
+                          const RedoShipFn& ship) {
+  // The restore target — the newest committed version older than the
+  // writer's own — is always still linked in the chain:
+  //   - strict 2PL: the writer holds the row lock on every pk for its whole
+  //     life, so nothing lands above its version and no other commit's
+  //     trim touches these chains;
+  //   - TrimChainLocked keeps the newest committed version <= its watermark
+  //     and everything newer, and Prune erases a chain only when a single
+  //     committed version survives — never one under the writer's version;
+  //   - a lost commit's VID is never published: nothing publishes at or
+  //     above it before DropLostPublications (the poisoned log froze the
+  //     durable watermark below its record), so no prune watermark reaches
+  //     it and its stamped versions stay above every cut.
+  const Vid below = commit_vid == 0 ? kMaxVid : commit_vid - 1;
+  std::unique_lock<WriterPrioritySharedMutex> g(latch_);
+  std::vector<RedoRecord> redo;
+  for (int64_t pk : pks) {
+    RestoreRowLocked(
+        pk, VersionChains::ResolveChain(versions_.Head(pk), below), &redo);
+  }
+  // Under the latch: log order == page-op order. A row already at its
+  // target (say, inserted then deleted) restores without a record.
+  if (ship && !redo.empty()) ship(&redo);
+  if (commit_vid == 0) {
+    versions_.Abort(tid, pks);
+  } else {
+    versions_.Retract(commit_vid, pks);
+  }
+}
+
 size_t RowTable::RollbackInflight() {
   std::unique_lock<WriterPrioritySharedMutex> g(latch_);
+  // Replica-local restore on a final log: the records ship nowhere.
+  std::vector<RedoRecord> discard;
   size_t undone = 0;
   for (int64_t pk : versions_.InflightPks()) {
-    auto it = versions_.find(pk);
-    if (it == versions_.end()) continue;
-    RestoreRowLocked(pk, VersionChains::NewestCommitted(
-                             it->second.head.load(std::memory_order_acquire)));
+    RestoreRowLocked(
+        pk, VersionChains::ResolveChain(versions_.Head(pk), kMaxVid), &discard);
     undone += versions_.DropInflight(pk);
   }
   return undone;
@@ -491,11 +472,6 @@ void RowTable::StampVersions(Tid tid, Vid vid,
 void RowTable::AbortVersions(Tid tid, const std::vector<int64_t>& pks) {
   std::unique_lock<WriterPrioritySharedMutex> g(latch_);
   versions_.Abort(tid, pks);
-}
-
-size_t RowTable::RetractVersions(Vid vid, const std::vector<int64_t>& pks) {
-  std::unique_lock<WriterPrioritySharedMutex> g(latch_);
-  return versions_.Retract(vid, pks);
 }
 
 size_t RowTable::PruneVersions(Vid watermark) {

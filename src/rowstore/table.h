@@ -47,8 +47,10 @@ namespace imci {
 /// live snapshot (SnapshotRegistry::Watermark), so a missing chain means the
 /// tree image is visible to every snapshot that can still be opened or is
 /// live. The same machinery serves the RO replica (Phase#1 installs via
-/// ApplyReplica, Phase#2 stamps via StampVersions) and the boot-time undo
-/// pass (RollbackInflight).
+/// ApplyReplica, Phase#2 stamps via StampVersions) and every undo: the chain
+/// is the only undo log. A row is restored to the newest committed version
+/// older than its writer's own, by UndoWrites (RW rollback, lost-commit
+/// retraction) or RollbackInflight (boot).
 class RowTable {
  public:
   /// Ships stamped records to the log; invoked under the table write latch.
@@ -77,11 +79,11 @@ class RowTable {
   /// through a Snapshot* method.
   Status Get(int64_t pk, Row* row) const;
 
-  /// Newest *committed* image of `pk` (chain resolution first, tree
-  /// fallback). False when the row's committed state is absent/deleted.
-  /// Checkpoint serialization uses this to freeze pre-images of rows touched
-  /// by in-flight transactions — the tree itself may already hold their
-  /// uncommitted after-images.
+  /// Newest *committed* image of `pk` — the undo target of an in-flight
+  /// writer (chain resolution first, tree fallback). False when the row's
+  /// committed state is absent/deleted. Checkpoint serialization uses this
+  /// to freeze pre-images of rows touched by in-flight transactions — the
+  /// tree itself may already hold their uncommitted after-images.
   bool CommittedImage(int64_t pk, std::string* image) const;
 
   // --- MVCC snapshot read path -------------------------------------------
@@ -139,16 +141,21 @@ class RowTable {
   /// advances past `vid`.
   void StampVersions(Tid tid, Vid vid, const std::vector<int64_t>& pks,
                      Vid trim_below);
-  /// Removes `tid`'s in-flight versions on `pks` (rollback / replicated
-  /// abort). Call after the undo images are physically restored so
-  /// surviving chain bases match the tree again.
+  /// Removes `tid`'s in-flight versions on `pks` (replicated abort: the
+  /// RW's compensation records already restored the replica's pages).
   void AbortVersions(Tid tid, const std::vector<int64_t>& pks);
-  /// Removes versions already stamped with commit VID `vid` on `pks` — the
-  /// lost-commit retraction (the commit record was trimmed by a
-  /// refused batch fsync before its VID was ever published). Call after the
-  /// undo images are physically restored, like AbortVersions. Returns
-  /// versions dropped.
-  size_t RetractVersions(Vid vid, const std::vector<int64_t>& pks);
+  /// The RW undo path. Restores each of `pks` to the newest committed
+  /// version older than writer `tid`'s own — the version chain is the undo
+  /// log — then unlinks the writer's versions. `commit_vid` 0 rolls back an
+  /// in-flight writer; otherwise it retracts a lost commit already stamped
+  /// with `commit_vid` (its record was trimmed by a refused batch fsync
+  /// before the VID was ever published). The restore's page changes are
+  /// compensation records: shipped through `ship` under the write latch
+  /// when given (rollback, TID 0), discarded otherwise (retraction — the
+  /// poisoned log refuses appends, and recovery never replays the trimmed
+  /// records). One restore per row, however often the writer wrote it.
+  void UndoWrites(Tid tid, Vid commit_vid, const std::vector<int64_t>& pks,
+                  const RedoShipFn& ship);
   /// Checkpoint pruning: drops all history below `watermark` and erases
   /// chains whose single survivor is the live tree image (or a committed
   /// delete of a key the tree no longer holds). Returns versions dropped.
@@ -163,16 +170,6 @@ class RowTable {
   size_t MaxVersionChainLength() const;
   /// O(1) snapshot of the table's MVCC counters and arena accounting.
   MvccStats MvccStatsSnapshot() const;
-
-  /// Raw-image variants used by transaction rollback (no re-encode).
-  Status InsertImage(int64_t pk, const std::string& image,
-                     std::vector<RedoRecord>* redo,
-                     const RedoShipFn& ship = nullptr);
-  Status UpdateImage(int64_t pk, const std::string& image,
-                     std::vector<RedoRecord>* redo,
-                     const RedoShipFn& ship = nullptr);
-  Status DeleteImage(int64_t pk, std::vector<RedoRecord>* redo,
-                     const RedoShipFn& ship = nullptr);
 
   bool HasIndexOn(int col) const { return sec_index_.count(col) > 0; }
 
@@ -236,8 +233,10 @@ class RowTable {
   void IndexInsert(const Row& row, int64_t pk);
   void IndexRemove(const Row& row, int64_t pk);
   /// Physically restores `pk` to `target` (nullptr/deleted == absent) under
-  /// the write latch; fixes indexes and the row count. Undo-path helper.
-  void RestoreRowLocked(int64_t pk, const RowVersion* target);
+  /// the write latch, appending the page records to `redo`; fixes indexes
+  /// and the row count. The one row-restore step of every undo.
+  void RestoreRowLocked(int64_t pk, const RowVersion* target,
+                        std::vector<RedoRecord>* redo);
 
   std::shared_ptr<const Schema> schema_;
   BTree btree_;

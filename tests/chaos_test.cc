@@ -194,35 +194,68 @@ TEST(ChaosGroupCommitTest, PoisonedDurableAppendsFailFastUntilReopen) {
 // longer contains the commit.
 TEST(DurableVisibilityTest, LostCommitNeverBecomesVisible) {
   CommitRig rig;
-  ASSERT_TRUE(CommitOne(&rig, 1).ok());
+  RowTable* table = rig.engine.GetTable(1);
+  // The lost commit inserts 2, updates 4, deletes 5, and re-inserts 6 over
+  // a committed delete its chain still holds: every restore target of the
+  // retraction (absent, an image, a committed delete).
+  for (int64_t pk : {1, 4, 5, 6}) ASSERT_TRUE(CommitOne(&rig, pk).ok());
+  {
+    Transaction del;
+    rig.txns.Begin(&del);
+    ASSERT_TRUE(rig.txns.Delete(&del, 1, 6).ok());
+    ASSERT_TRUE(rig.txns.Commit(&del).ok());
+  }
+  ASSERT_GT(table->VersionChainLength(6), 0u);
+  auto expect_durable_state = [&](const ReadView& view, const char* when) {
+    Row row;
+    EXPECT_TRUE(rig.txns.Get(view, 1, 2, &row).IsNotFound()) << when;
+    ASSERT_TRUE(rig.txns.Get(view, 1, 4, &row).ok()) << when;
+    EXPECT_EQ(AsInt(row[1]), 4) << when;
+    EXPECT_TRUE(rig.txns.Get(view, 1, 5, &row).ok()) << when;
+    EXPECT_TRUE(rig.txns.Get(view, 1, 6, &row).IsNotFound()) << when;
+  };
   {
     fault::ScopedFault refuse("polarfs.fsync", MakePolicy(fault::Kind::kFail));
-    EXPECT_FALSE(CommitOne(&rig, 2).ok());
-    ReadView view = rig.txns.OpenReadView();
-    Row row;
-    EXPECT_TRUE(rig.txns.Get(view, 1, 2, &row).IsNotFound())
-        << "lost commit leaked into the failure window";
+    Transaction txn;
+    rig.txns.Begin(&txn);
+    ASSERT_TRUE(rig.txns.Insert(&txn, 1, {int64_t(2), int64_t(2)}).ok());
+    ASSERT_TRUE(rig.txns.Update(&txn, 1, 4, {int64_t(4), int64_t(40)}).ok());
+    ASSERT_TRUE(rig.txns.Delete(&txn, 1, 5).ok());
+    ASSERT_TRUE(rig.txns.Insert(&txn, 1, {int64_t(6), int64_t(60)}).ok());
+    EXPECT_FALSE(rig.txns.Commit(&txn).ok());
+    expect_durable_state(rig.txns.OpenReadView(),
+                         "lost commit leaked into the failure window");
   }
   ASSERT_TRUE(rig.fs.ReopenLogs().ok());
-  // A later commit publishes a higher VID. Without the retract, pk 2's
-  // stamped versions would ride along into visibility here.
+  // A later commit publishes a higher VID. Without the retract, the lost
+  // commit's stamped versions would ride along into visibility here.
   ASSERT_TRUE(CommitOne(&rig, 3).ok());
   ReadView view = rig.txns.OpenReadView();
   Row row;
   EXPECT_TRUE(rig.txns.Get(view, 1, 3, &row).ok());
-  EXPECT_TRUE(rig.txns.Get(view, 1, 2, &row).IsNotFound())
-      << "trimmed commit resurfaced after a later publication";
-  // The physical state agrees with the logical one: the tree image was
+  expect_durable_state(view,
+                       "trimmed commit resurfaced after a later publication");
+  // The physical state agrees with the logical one: the tree images were
   // restored under the still-held locks, so a full scan shows exactly the
-  // durable history.
+  // durable history, and so does the tree itself.
   std::vector<Row> rows;
   ASSERT_TRUE(rig.txns.Scan(view, 1, [&](int64_t, const Row& r) {
     rows.push_back(r);
     return true;
   }).ok());
+  const std::vector<Row> durable = {{int64_t(1), int64_t(1)},
+                                    {int64_t(3), int64_t(3)},
+                                    {int64_t(4), int64_t(4)},
+                                    {int64_t(5), int64_t(5)}};
   EXPECT_EQ(testing_util::Canonicalize(rows),
-            testing_util::Canonicalize({{int64_t(1), int64_t(1)},
-                                        {int64_t(3), int64_t(3)}}));
+            testing_util::Canonicalize(durable));
+  rows.clear();
+  for (int64_t pk = 1; pk <= 6; ++pk) {
+    if (table->Get(pk, &row).ok()) rows.push_back(row);
+  }
+  EXPECT_EQ(testing_util::Canonicalize(rows),
+            testing_util::Canonicalize(durable));
+  EXPECT_EQ(table->row_count(), durable.size());
 }
 
 // --- Replication pipeline under read faults --------------------------------

@@ -258,11 +258,19 @@ TEST_F(TxnTest, CommitAssignsIncreasingVids) {
 }
 
 TEST_F(TxnTest, RollbackUndoesAllOps) {
+  RowTable* table = engine_.GetTable(1);
   Transaction setup;
   txns_.Begin(&setup);
   ASSERT_TRUE(txns_.Insert(&setup, 1, {int64_t(1), int64_t(10),
                                        std::string("orig")}).ok());
+  ASSERT_TRUE(txns_.Insert(&setup, 1, {int64_t(3), int64_t(30),
+                                       std::string("three")}).ok());
+  ASSERT_TRUE(txns_.Insert(&setup, 1, {int64_t(4), int64_t(40),
+                                       std::string("four")}).ok());
   ASSERT_TRUE(txns_.Commit(&setup).ok());
+  // Chainless rows: the writes below seed their chains with the pre-image.
+  table->PruneVersions(txns_.PruneWatermark());
+  ASSERT_EQ(table->versioned_row_count(), 0u);
 
   Transaction txn;
   txns_.Begin(&txn);
@@ -270,6 +278,23 @@ TEST_F(TxnTest, RollbackUndoesAllOps) {
   ASSERT_TRUE(txns_.Update(&txn, 1, 1, {int64_t(1), int64_t(99),
                                         std::string("mod")}).ok());
   ASSERT_TRUE(txns_.Delete(&txn, 1, 1).ok());
+  // One pk inserted, updated, then deleted.
+  ASSERT_TRUE(txns_.Insert(&txn, 1, {int64_t(5), int64_t(50), Value{}}).ok());
+  ASSERT_TRUE(txns_.Update(&txn, 1, 5, {int64_t(5), int64_t(51),
+                                        std::string("five")}).ok());
+  ASSERT_TRUE(txns_.Delete(&txn, 1, 5).ok());
+  // One pk updated twice.
+  ASSERT_TRUE(txns_.Update(&txn, 1, 3, {int64_t(3), int64_t(31), Value{}})
+                  .ok());
+  ASSERT_TRUE(txns_.Update(&txn, 1, 3, {int64_t(3), int64_t(32),
+                                        std::string("x")}).ok());
+  // One pk deleted, then re-inserted with other values.
+  ASSERT_TRUE(txns_.Delete(&txn, 1, 4).ok());
+  ASSERT_TRUE(txns_.Insert(&txn, 1, {int64_t(4), int64_t(41),
+                                     std::string("new")}).ok());
+  // A prune between the writes and the rollback keeps every restore
+  // target: the committed version under an in-flight head is never cut.
+  table->PruneVersions(txns_.PruneWatermark());
   ASSERT_TRUE(txns_.Rollback(&txn).ok());
 
   Row row;
@@ -277,6 +302,37 @@ TEST_F(TxnTest, RollbackUndoesAllOps) {
   EXPECT_EQ(AsInt(row[1]), 10);
   EXPECT_EQ(AsString(row[2]), "orig");
   EXPECT_TRUE(txns_.Get(1, 2, &row).IsNotFound());
+  ASSERT_TRUE(txns_.Get(1, 3, &row).ok());
+  EXPECT_EQ(AsInt(row[1]), 30);
+  EXPECT_EQ(AsString(row[2]), "three");
+  ASSERT_TRUE(txns_.Get(1, 4, &row).ok());
+  EXPECT_EQ(AsInt(row[1]), 40);
+  EXPECT_EQ(AsString(row[2]), "four");
+  EXPECT_TRUE(txns_.Get(1, 5, &row).IsNotFound());
+  EXPECT_EQ(table->row_count(), 3u);
+
+  // Prune again so reads come from the tree and the secondary index alone:
+  // both were physically restored, not just the version chains.
+  table->PruneVersions(txns_.PruneWatermark());
+  EXPECT_EQ(table->versioned_row_count(), 0u);
+  ReadView view = txns_.OpenReadView();
+  auto lookup = [&](int64_t key) {
+    std::vector<int64_t> pks;
+    EXPECT_TRUE(txns_.IndexLookup(view, 1, /*col=*/1, key, &pks).ok());
+    return pks;
+  };
+  EXPECT_EQ(lookup(10), std::vector<int64_t>{1});
+  EXPECT_EQ(lookup(30), std::vector<int64_t>{3});
+  EXPECT_EQ(lookup(40), std::vector<int64_t>{4});
+  for (int64_t gone : {2, 31, 32, 41, 50, 51, 99}) {
+    EXPECT_TRUE(lookup(gone).empty()) << "k=" << gone;
+  }
+  std::vector<int64_t> scanned;
+  ASSERT_TRUE(txns_.Scan(view, 1, [&](int64_t pk, const Row&) {
+    scanned.push_back(pk);
+    return true;
+  }).ok());
+  EXPECT_EQ(scanned, (std::vector<int64_t>{1, 3, 4}));
 }
 
 TEST_F(TxnTest, LockConflictReportsBusy) {
