@@ -19,6 +19,25 @@ RoNodeOptions WithFaultScope(RoNodeOptions options, const std::string& name) {
   }
   return options;
 }
+
+/// Deadline of CatchUpNow's wait on the background pipeline: far above any
+/// catch-up a test or bench drives, so reaching it means a stuck pipeline.
+constexpr uint64_t kCatchUpTimeoutUs = 60'000'000;
+
+/// Polls `done` every 100 µs. Busy when `node` turns unhealthy or
+/// `timeout_us` passes first.
+template <typename Done>
+Status PollUntil(const RoNode& node, Done done, uint64_t timeout_us) {
+  Timer t;
+  while (!done()) {
+    if (!node.healthy()) return Status::Busy("node unhealthy during catch-up");
+    if (t.ElapsedMicros() >= timeout_us) {
+      return Status::Busy("catch-up timeout");
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return Status::OK();
+}
 }  // namespace
 
 RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
@@ -39,15 +58,7 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
 RoNode::~RoNode() { StopReplication(); }
 
 Status RoNode::WaitApplied(Vid vid, uint64_t timeout_us) {
-  Timer t;
-  while (applied_vid() < vid) {
-    if (!healthy()) return Status::Busy("node unhealthy during catch-up");
-    if (t.ElapsedMicros() >= timeout_us) {
-      return Status::Busy("snapshot catch-up timeout");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return Status::OK();
+  return PollUntil(*this, [&] { return applied_vid() >= vid; }, timeout_us);
 }
 
 Status RoNode::Boot() {
@@ -134,7 +145,6 @@ Status RoNode::RebuildFromRowStore() {
           return inner.ok();
         }));
     IMCI_RETURN_NOT_OK(inner);
-    index->FreezeFullGroups();
   }
   return Status::OK();
 }
@@ -164,12 +174,11 @@ Status RoNode::CatchUpNow() {
     // durable LSN of this call (a steady writer keeps moving the tail) —
     // but never wait on a pipeline that can no longer make progress.
     const Lsn target = pipeline_.source_durable_lsn();
-    while (pipeline_.read_lsn() < target) {
-      if (pipeline_.wedged()) return pipeline_.wedge_reason();
-      if (!replicating_.load()) break;
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    return Status::OK();
+    Status s = PollUntil(
+        *this, [&] { return pipeline_.read_lsn() >= target; },
+        kCatchUpTimeoutUs);
+    if (!s.ok() && pipeline_.wedged()) return pipeline_.wedge_reason();
+    return s;
   }
   if (pipeline_.read_lsn() == 0 && pipeline_.applied_vid() == 0) {
     pipeline_.Start(boot_lsn_, boot_vid_);

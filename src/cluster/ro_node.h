@@ -44,7 +44,10 @@ class RoNode {
   /// Starts/stops the background replication pipeline.
   void StartReplication();
   void StopReplication();
-  /// Synchronously applies everything currently in the log (tests).
+  /// Synchronously applies everything currently durable in the log. With
+  /// replication running it waits for the pipeline through the same loop
+  /// as WaitApplied, under a fixed deadline: a wedge returns the wedge
+  /// reason, another health loss or the deadline returns Busy.
   Status CatchUpNow();
   /// Bounded wait until the node has applied `vid` (polled every 100 µs).
   /// Returns Busy when the node turns unhealthy or `timeout_us` passes.

@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "common/coding.h"
+#include "imci/compression.h"
 
 namespace imci {
 
@@ -72,24 +73,15 @@ Status ImciCheckpoint::WriteGroup(const ColumnIndex& index, size_t gid,
     switch (pack->type) {
       case DataType::kInt64:
       case DataType::kInt32:
-      case DataType::kDate: {
-        std::vector<int64_t> vals(pack->ints.begin(),
-                                  pack->ints.begin() + used);
-        IntCodec::Encode(vals, &lane);
+      case DataType::kDate:
+        IntCodec::Encode({pack->ints.data(), used}, &lane);
         break;
-      }
-      case DataType::kDouble: {
-        std::vector<double> vals(pack->dbls.begin(),
-                                 pack->dbls.begin() + used);
-        DoubleCodec::Encode(vals, &lane);
+      case DataType::kDouble:
+        DoubleCodec::Encode({pack->dbls.data(), used}, &lane);
         break;
-      }
-      case DataType::kString: {
-        std::vector<std::string> vals(pack->strs.begin(),
-                                      pack->strs.begin() + used);
-        DictCodec::Encode(vals, &lane);
+      case DataType::kString:
+        DictCodec::Encode({pack->strs.data(), used}, &lane);
         break;
-      }
     }
     PutLengthPrefixed(out, lane);
   }
@@ -229,7 +221,6 @@ Status ImciCheckpoint::LoadIndex(const std::string& data, ColumnIndex* index) {
     }
   }
   index->locator()->Restore(shards);
-  index->FreezeFullGroups();
   return Status::OK();
 }
 

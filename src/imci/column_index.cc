@@ -153,17 +153,6 @@ Status ColumnIndex::MaterializeRow(Rid rid, Row* row) const {
   return Status::OK();
 }
 
-size_t ColumnIndex::FreezeFullGroups() {
-  size_t total = 0;
-  const size_t n = num_groups();
-  for (size_t i = 0; i < n; ++i) {
-    auto g = group(i);
-    if (!g || g->frozen() || g->retired()) continue;
-    if (GroupUsed(i) == options_.row_group_size) total += g->Freeze();
-  }
-  return total;
-}
-
 std::vector<size_t> ColumnIndex::FindUnderflowGroups(Vid read_vid,
                                                      double threshold) const {
   std::vector<size_t> out;
@@ -238,6 +227,7 @@ size_t ColumnIndex::DropInsertVidMaps(Vid min_active_vid) {
   size_t dropped = 0;
   const size_t n = num_groups();
   for (size_t i = 0; i < n; ++i) {
+    if (GroupUsed(i) != options_.row_group_size) continue;
     auto g = group(i);
     if (g && g->MaybeDropInsertVids(min_active_vid)) ++dropped;
   }

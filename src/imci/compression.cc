@@ -70,7 +70,7 @@ Status BitUnpack(ByteReader* r, size_t count, int bits,
 
 }  // namespace
 
-void IntCodec::Encode(const std::vector<int64_t>& values, std::string* out) {
+void IntCodec::Encode(std::span<const int64_t> values, std::string* out) {
   const uint32_t n = static_cast<uint32_t>(values.size());
   PutFixed32(out, n);
   if (n == 0) return;
@@ -165,7 +165,7 @@ Status IntCodec::Decode(std::string_view data, std::vector<int64_t>* values) {
   return Status::OK();
 }
 
-void DictCodec::Encode(const std::vector<std::string>& values,
+void DictCodec::Encode(std::span<const std::string> values,
                        std::string* out) {
   const uint32_t n = static_cast<uint32_t>(values.size());
   PutFixed32(out, n);
@@ -206,7 +206,7 @@ Status DictCodec::Decode(std::string_view data,
   return Status::OK();
 }
 
-void DoubleCodec::Encode(const std::vector<double>& values, std::string* out) {
+void DoubleCodec::Encode(std::span<const double> values, std::string* out) {
   PutFixed32(out, static_cast<uint32_t>(values.size()));
   for (double d : values) {
     uint64_t bits;

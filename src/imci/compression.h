@@ -2,6 +2,7 @@
 #define POLARDB_IMCI_IMCI_COMPRESSION_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,16 +15,15 @@ namespace imci {
 /// of frame-of-reference, delta-encoding, and bit-packing compression, and
 /// string columns use dictionary compression."
 ///
-/// A Partial Pack is transformed into a compressed Pack when it reaches
-/// capacity; compression is copy-on-write at the pack level (the caller swaps
-/// the frozen pack in atomically).
+/// In-memory packs stay raw lanes; the checkpoint encodes each lane in place
+/// when it persists a row group, and decodes it on load.
 
 /// Integer codec: optional delta encoding (chosen when it shrinks the value
 /// range), then frame-of-reference (subtract min), then bit-packing to the
 /// minimal width.
 class IntCodec {
  public:
-  static void Encode(const std::vector<int64_t>& values, std::string* out);
+  static void Encode(std::span<const int64_t> values, std::string* out);
   static Status Decode(std::string_view data, std::vector<int64_t>* values);
 };
 
@@ -31,7 +31,7 @@ class IntCodec {
 /// codes bit-packed.
 class DictCodec {
  public:
-  static void Encode(const std::vector<std::string>& values, std::string* out);
+  static void Encode(std::span<const std::string> values, std::string* out);
   static Status Decode(std::string_view data,
                        std::vector<std::string>* values);
 };
@@ -39,7 +39,7 @@ class DictCodec {
 /// Doubles are stored verbatim (the paper does not claim FP compression).
 class DoubleCodec {
  public:
-  static void Encode(const std::vector<double>& values, std::string* out);
+  static void Encode(std::span<const double> values, std::string* out);
   static Status Decode(std::string_view data, std::vector<double>* values);
 };
 

@@ -103,78 +103,25 @@ void RowGroup::UpdateMeta(int pack, const Value& v) {
     m.null_count++;
     return;
   }
-  m.value_count++;
   m.has_value = true;
-  switch (packs_[pack].type) {
-    case DataType::kInt64:
-    case DataType::kInt32:
-    case DataType::kDate: {
-      int64_t x = AsInt(v);
-      m.min_i = std::min(m.min_i, x);
-      m.max_i = std::max(m.max_i, x);
-      m.sum += static_cast<double>(x);
-      break;
-    }
-    case DataType::kDouble: {
-      double x = AsDouble(v);
-      m.min_d = std::min(m.min_d, x);
-      m.max_d = std::max(m.max_d, x);
-      m.sum += x;
-      break;
-    }
-    case DataType::kString: {
-      const std::string& x = AsString(v);
-      if (m.min_s.empty() && m.max_s.empty() && m.value_count == 1) {
-        m.min_s = m.max_s = x;
-      } else {
-        if (x < m.min_s) m.min_s = x;
-        if (x > m.max_s) m.max_s = x;
-      }
-      break;
-    }
+  if (IsIntegerType(packs_[pack].type)) {
+    const int64_t x = AsInt(v);
+    m.min_i = std::min(m.min_i, x);
+    m.max_i = std::max(m.max_i, x);
   }
-  // Reservoir-ish sample: keep the first 64 values.
   if (m.sample.size() < 64) m.sample.push_back(v);
-}
-
-size_t RowGroup::Freeze() {
-  bool expected = false;
-  if (!frozen_.compare_exchange_strong(expected, true)) {
-    return compressed_bytes_;
-  }
-  size_t total = 0;
-  for (ColumnPack& pack : packs_) {
-    pack.compressed.clear();
-    switch (pack.type) {
-      case DataType::kInt64:
-      case DataType::kInt32:
-      case DataType::kDate:
-        IntCodec::Encode(pack.ints, &pack.compressed);
-        break;
-      case DataType::kDouble:
-        DoubleCodec::Encode(pack.dbls, &pack.compressed);
-        break;
-      case DataType::kString:
-        DictCodec::Encode(pack.strs, &pack.compressed);
-        break;
-    }
-    total += pack.compressed.size();
-  }
-  compressed_bytes_ = total;
-  return total;
 }
 
 bool RowGroup::MaybeDropInsertVids(Vid min_active_vid) {
   if (insert_vids_dropped_.load(std::memory_order_acquire)) return true;
-  if (!frozen_.load(std::memory_order_acquire)) return false;
   if (max_insert_vid_.load(std::memory_order_acquire) >= min_active_vid) {
     return false;
   }
   // Every published insert is older than every possible read view: the
   // insert check always passes, so the map can be discarded. Unpublished
-  // slots (kInvalidVid) in a frozen group only exist for aborted pre-commit
-  // residue, which compaction eliminates before retiring the group; we keep
-  // the map if any slot is unpublished.
+  // slots (kInvalidVid) in a full group only exist for pre-commit slots
+  // not yet rectified or aborted residue, which compaction eliminates
+  // before retiring the group; we keep the map if any slot is unpublished.
   for (uint32_t i = 0; i < capacity_; ++i) {
     if (insert_vids_[i].load(std::memory_order_relaxed) == kInvalidVid) {
       return false;

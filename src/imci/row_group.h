@@ -10,38 +10,30 @@
 
 #include "common/row.h"
 #include "common/schema.h"
-#include "imci/compression.h"
 
 namespace imci {
 
 /// Statistics kept per Data Pack (one column within one row group), the
-/// paper's "Pack Meta" (§4.1): min/max, sum, counts and a small value sample
-/// (standing in for the sampling histogram). Scans consult min/max to skip
-/// Packs that cannot satisfy a predicate.
+/// paper's "Pack Meta" (§4.1), reduced to what readers use: the integer
+/// min/max that scans prune on and the optimizer reads, the NULL count, and
+/// a small value sample (standing in for the sampling histogram).
 struct PackMeta {
   int64_t min_i = std::numeric_limits<int64_t>::max();
   int64_t max_i = std::numeric_limits<int64_t>::min();
-  double min_d = std::numeric_limits<double>::infinity();
-  double max_d = -std::numeric_limits<double>::infinity();
-  std::string min_s, max_s;
   bool has_value = false;
   uint64_t null_count = 0;
-  uint64_t value_count = 0;
-  double sum = 0;
-  std::vector<Value> sample;  // reservoir sample for optimizer statistics
+  std::vector<Value> sample;  // first values, for optimizer statistics
 };
 
-/// One column's storage inside a row group — a "Data Pack". Partial packs
-/// are plain arrays written append-only; when the group fills, Freeze()
-/// produces the compressed image (copy-on-write: the compressed blob is
-/// created aside, the in-memory arrays keep serving reads).
+/// One column's storage inside a row group — a "Data Pack": a raw lane
+/// written append-only, one slot per row. Packs stay raw in memory; the
+/// checkpoint is the one place a lane is compressed (§4.3).
 struct ColumnPack {
   DataType type = DataType::kInt64;
   std::vector<int64_t> ints;
   std::vector<double> dbls;
   std::vector<std::string> strs;
   std::vector<uint8_t> nulls;  // one byte per row: safe concurrent slots
-  std::string compressed;      // set by Freeze()
 };
 
 /// A row group (§4.1): `capacity` rows, one Data Pack per indexed column,
@@ -116,15 +108,10 @@ class RowGroup {
   /// NULL count of `pack`, under the meta latch.
   uint64_t NullCount(int pack) const;
 
-  /// Freezes a full group: compresses every pack (copy-on-write; readers are
-  /// unaffected) and returns total compressed bytes.
-  size_t Freeze();
-  bool frozen() const { return frozen_.load(std::memory_order_acquire); }
-  size_t compressed_bytes() const { return compressed_bytes_; }
-
   /// Drops the insert-VID map once no active transaction can have a read
   /// view older than every insert in the group (§4.3 memory-footprint
-  /// optimization). `min_active_vid` is the oldest pinned read view.
+  /// optimization). `min_active_vid` is the oldest pinned read view. Only
+  /// for a full group, with the caller serialized with the appliers.
   bool MaybeDropInsertVids(Vid min_active_vid);
   bool insert_vids_dropped() const {
     return insert_vids_dropped_.load(std::memory_order_acquire);
@@ -154,7 +141,6 @@ class RowGroup {
   std::atomic<Vid>* raw_insert_vids() { return insert_vids_.get(); }
   std::atomic<Vid>* raw_delete_vids() { return delete_vids_.get(); }
   ColumnPack* mutable_pack(int pack) { return &packs_[pack]; }
-  PackMeta* mutable_meta(int pack) { return &metas_[pack]; }
   /// Recomputes all pack metas over the first `used` slots (checkpoint load).
   void RebuildMeta(uint32_t used);
 
@@ -172,9 +158,7 @@ class RowGroup {
   std::unique_ptr<std::atomic<Vid>[]> delete_vids_;
   std::atomic<Vid> max_insert_vid_{0};
   std::atomic<bool> insert_vids_dropped_{false};
-  std::atomic<bool> frozen_{false};
   std::atomic<bool> retired_{false};
-  size_t compressed_bytes_ = 0;
 };
 
 }  // namespace imci

@@ -621,7 +621,6 @@ void ReplicationPipeline::RunMaintenance() {
     for (RowTable* t : replica_engine_->AllTables()) t->PruneVersions(wm);
   }
   for (ColumnIndex* index : imci_->All()) {
-    index->FreezeFullGroups();
     const Vid min_active = index->read_views()->MinActive(applied);
     index->DropInsertVidMaps(min_active);
     if (options_.enable_compaction) {

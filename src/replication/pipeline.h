@@ -49,8 +49,8 @@ struct ReplicationOptions {
   /// effects are already contained in the loaded checkpoint).
   Vid skip_vids_upto = 0;
   uint64_t poll_timeout_us = 2000;
-  /// Poll iterations between maintenance passes (freeze / compaction /
-  /// VID-map dropping / reclamation).
+  /// Poll iterations between maintenance passes (compaction / VID-map
+  /// dropping / reclamation).
   int maintenance_interval = 64;
   bool enable_compaction = true;
   /// Bounded retry on transient source-read failures (IOError/Busy): the
@@ -74,8 +74,8 @@ struct ReplicationOptions {
 /// Phase#2 (parallel row-grained apply into the column indexes, batched
 /// commit of the applied VID).
 ///
-/// Maintenance (pack freeze, compaction, insert-VID-map dropping, retired
-/// group reclamation) runs in the coordinator thread between batches, which
+/// Maintenance (compaction, insert-VID-map dropping, retired group
+/// reclamation) runs in the coordinator thread between batches, which
 /// serializes it with Phase#2 as ColumnIndex::CompactGroup requires.
 class ReplicationPipeline {
  public:

@@ -172,9 +172,7 @@ Status TransactionManager::Update(Transaction* txn, TableId table, int64_t pk,
   IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
   txn->locks_.emplace_back(table, pk);
   std::vector<RedoRecord> redo;
-  Row old_row;
-  IMCI_RETURN_NOT_OK(
-      t->Update(pk, row, &old_row, &redo, MakeShip(txn), txn->tid_));
+  IMCI_RETURN_NOT_OK(t->Update(pk, row, &redo, MakeShip(txn), txn->tid_));
   txn->NoteWrite(table, pk);
   if (binlog_enabled_ && binlog_ != nullptr) {
     std::string image;
@@ -192,8 +190,7 @@ Status TransactionManager::Delete(Transaction* txn, TableId table,
   IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
   txn->locks_.emplace_back(table, pk);
   std::vector<RedoRecord> redo;
-  Row old_row;
-  IMCI_RETURN_NOT_OK(t->Delete(pk, &old_row, &redo, MakeShip(txn), txn->tid_));
+  IMCI_RETURN_NOT_OK(t->Delete(pk, &redo, MakeShip(txn), txn->tid_));
   txn->NoteWrite(table, pk);
   if (binlog_enabled_ && binlog_ != nullptr) {
     txn->binlog_events_.push_back(

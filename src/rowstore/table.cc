@@ -34,7 +34,7 @@ Status RowTable::Insert(const Row& row, std::vector<RedoRecord>* redo,
   return Status::OK();
 }
 
-Status RowTable::Update(int64_t pk, const Row& new_row, Row* old_row,
+Status RowTable::Update(int64_t pk, const Row& new_row,
                         std::vector<RedoRecord>* redo,
                         const RedoShipFn& ship, Tid writer) {
   std::string new_image;
@@ -42,9 +42,10 @@ Status RowTable::Update(int64_t pk, const Row& new_row, Row* old_row,
   std::unique_lock<WriterPrioritySharedMutex> g(latch_);
   std::string old_image;
   IMCI_RETURN_NOT_OK(btree_.Update(pk, new_image, &old_image, redo));
+  Row old_row;
   IMCI_RETURN_NOT_OK(
-      RowCodec::Decode(*schema_, old_image.data(), old_image.size(), old_row));
-  IndexRemove(*old_row, pk);
+      RowCodec::Decode(*schema_, old_image.data(), old_image.size(), &old_row));
+  IndexRemove(old_row, pk);
   IndexInsert(new_row, pk);
   if (writer != 0) {
     versions_.Install(pk, writer, /*deleted=*/false, new_image, &old_image);
@@ -53,15 +54,15 @@ Status RowTable::Update(int64_t pk, const Row& new_row, Row* old_row,
   return Status::OK();
 }
 
-Status RowTable::Delete(int64_t pk, Row* old_row,
-                        std::vector<RedoRecord>* redo,
+Status RowTable::Delete(int64_t pk, std::vector<RedoRecord>* redo,
                         const RedoShipFn& ship, Tid writer) {
   std::unique_lock<WriterPrioritySharedMutex> g(latch_);
   std::string old_image;
   IMCI_RETURN_NOT_OK(btree_.Delete(pk, &old_image, redo));
+  Row old_row;
   IMCI_RETURN_NOT_OK(
-      RowCodec::Decode(*schema_, old_image.data(), old_image.size(), old_row));
-  IndexRemove(*old_row, pk);
+      RowCodec::Decode(*schema_, old_image.data(), old_image.size(), &old_row));
+  IndexRemove(old_row, pk);
   row_count_.fetch_sub(1, std::memory_order_relaxed);
   if (writer != 0) {
     versions_.Install(pk, writer, /*deleted=*/true, std::string_view(),

@@ -69,10 +69,9 @@ class RowTable {
 
   Status Insert(const Row& row, std::vector<RedoRecord>* redo,
                 const RedoShipFn& ship = nullptr, Tid writer = 0);
-  Status Update(int64_t pk, const Row& new_row, Row* old_row,
-                std::vector<RedoRecord>* redo,
+  Status Update(int64_t pk, const Row& new_row, std::vector<RedoRecord>* redo,
                 const RedoShipFn& ship = nullptr, Tid writer = 0);
-  Status Delete(int64_t pk, Row* old_row, std::vector<RedoRecord>* redo,
+  Status Delete(int64_t pk, std::vector<RedoRecord>* redo,
                 const RedoShipFn& ship = nullptr, Tid writer = 0);
   /// Latest image of `pk`, committed or not: only for a writer that holds
   /// the row lock (TransactionManager::GetForUpdate). Every other read goes

@@ -10,6 +10,7 @@ std::shared_ptr<const Schema> TestSchema(TableId id = 1) {
   cols.push_back({"id", DataType::kInt64, false, true});
   cols.push_back({"v", DataType::kInt64, false, true});
   cols.push_back({"s", DataType::kString, true, true});
+  cols.push_back({"d", DataType::kDouble, true, true});
   return std::make_shared<Schema>(id, "t" + std::to_string(id), cols, 0);
 }
 
@@ -22,12 +23,12 @@ ColumnIndexOptions SmallGroups() {
 TEST(CheckpointTest, IndexRoundTripPreservesContentAndVisibility) {
   ColumnIndex src(TestSchema(), SmallGroups());
   for (int64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(src.Insert({i, i * 3, std::string("s") + std::to_string(i)},
+    ASSERT_TRUE(src.Insert({i, i * 3, std::string("s") + std::to_string(i),
+                            i * 0.5},
                            i % 5 + 1).ok());
   }
   ASSERT_TRUE(src.Delete(10, 7).ok());
-  ASSERT_TRUE(src.Update({int64_t(20), int64_t(777), Value{}}, 8).ok());
-  src.FreezeFullGroups();
+  ASSERT_TRUE(src.Update({int64_t(20), int64_t(777), Value{}, 7.25}, 8).ok());
 
   std::string blob;
   ASSERT_TRUE(ImciCheckpoint::WriteIndex(src, /*csn=*/100, &blob).ok());
@@ -41,6 +42,10 @@ TEST(CheckpointTest, IndexRoundTripPreservesContentAndVisibility) {
   Row row;
   ASSERT_TRUE(dst.LookupByPk(20, 100, &row).ok());
   EXPECT_EQ(AsInt(row[1]), 777);
+  EXPECT_EQ(AsDouble(row[3]), 7.25);
+  ASSERT_TRUE(dst.LookupByPk(33, 100, &row).ok());
+  EXPECT_EQ(AsString(row[2]), "s33");
+  EXPECT_EQ(AsDouble(row[3]), 16.5);
   EXPECT_TRUE(dst.LookupByPk(10, 100, &row).IsNotFound());
   // Pack metas were rebuilt (pruning stays sound).
   const PackMeta& m = dst.group(0)->meta(dst.PackForColumn(0));
@@ -53,11 +58,12 @@ TEST(CheckpointTest, PreCommitResidueStaysInvisibleAcrossCheckpoint) {
   // clamp's job is to keep *pre-committed large-transaction residue*
   // (invalid VIDs, §5.5) invisible in the persisted image.
   ColumnIndex src(TestSchema(), SmallGroups());
-  ASSERT_TRUE(src.Insert({int64_t(1), int64_t(1), Value{}}, 5).ok());
+  ASSERT_TRUE(src.Insert({int64_t(1), int64_t(1), Value{}, Value{}}, 5).ok());
   Rid rid = src.PreAllocate(3);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(
-        src.PreWrite(rid + i, {int64_t(100 + i), int64_t(i), Value{}}).ok());
+        src.PreWrite(rid + i, {int64_t(100 + i), int64_t(i), Value{}, Value{}})
+            .ok());
   }
   std::string blob;
   ASSERT_TRUE(ImciCheckpoint::WriteIndex(src, /*csn=*/5, &blob).ok());
@@ -84,14 +90,15 @@ TEST(CheckpointTest, SnapshotManifestAndLoadLatest) {
   ColumnIndex* i1 = store.CreateIndex(s1);
   ColumnIndex* i2 = store.CreateIndex(s2);
   for (int64_t i = 0; i < 40; ++i) {
-    ASSERT_TRUE(i1->Insert({i, i, Value{}}, 1).ok());
-    ASSERT_TRUE(i2->Insert({i, -i, Value{}}, 2).ok());
+    ASSERT_TRUE(i1->Insert({i, i, Value{}, Value{}}, 1).ok());
+    ASSERT_TRUE(i2->Insert({i, -i, Value{}, Value{}}, 2).ok());
   }
   ASSERT_TRUE(
       ImciCheckpoint::WriteSnapshot(store, /*csn=*/2, /*start_lsn=*/17, &fs,
                                     /*ckpt_id=*/1).ok());
   // A newer checkpoint becomes CURRENT.
-  ASSERT_TRUE(i1->Insert({int64_t(100), int64_t(100), Value{}}, 3).ok());
+  ASSERT_TRUE(
+      i1->Insert({int64_t(100), int64_t(100), Value{}, Value{}}, 3).ok());
   ASSERT_TRUE(
       ImciCheckpoint::WriteSnapshot(store, /*csn=*/3, /*start_lsn=*/29, &fs,
                                     /*ckpt_id=*/2).ok());
@@ -132,7 +139,7 @@ TEST(CheckpointTest, ReadLatestManifestProbesWithoutLoadingIndexData) {
   auto schema = TestSchema();
   ImciStore store(SmallGroups());
   ColumnIndex* idx = store.CreateIndex(schema);
-  ASSERT_TRUE(idx->Insert({int64_t(1), int64_t(1), Value{}}, 1).ok());
+  ASSERT_TRUE(idx->Insert({int64_t(1), int64_t(1), Value{}, Value{}}, 1).ok());
   ASSERT_TRUE(
       ImciCheckpoint::WriteSnapshot(store, /*csn=*/7, /*start_lsn=*/42, &fs,
                                     /*ckpt_id=*/3).ok());

@@ -1207,7 +1207,6 @@ TEST(ColumnScanTest, KernelsMatchGenericFilter) {
   };
   for (int i = 0; i < 16 * 6; ++i) insert();
   erase_some(10);
-  index.FreezeFullGroups();
   index.DropInsertVidMaps(vid);  // every full group: all inserts are old
   for (int i = 0; i < 16 * 5 + 7; ++i) insert();  // ends in a partial group
   erase_some(15);

@@ -80,27 +80,40 @@ TEST(ColumnIndexTest, PackMetaTracksMinMax) {
   const PackMeta& m = g->meta(idx.PackForColumn(1));
   EXPECT_EQ(m.min_i, 1000);
   EXPECT_EQ(m.max_i, 1063);
-  EXPECT_EQ(m.value_count, 64u);
   EXPECT_FALSE(m.sample.empty());
 }
 
-TEST(ColumnIndexTest, FreezeCompressesFullGroups) {
+TEST(ColumnIndexTest, PackCodecsCompressFullGroup) {
   ColumnIndex idx(TestSchema(), SmallGroups());
   for (int64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(
         idx.Insert({i, i % 4, 0.5, std::string("tag") +
                     std::to_string(i % 3)}, 1).ok());
   }
-  size_t bytes = idx.FreezeFullGroups();
-  EXPECT_GT(bytes, 0u);
+  ASSERT_EQ(idx.GroupUsed(0), 64u);
   auto g = idx.group(0);
-  EXPECT_TRUE(g->frozen());
-  // Compressed form is far smaller than raw 64 * (8+8+8+string).
-  EXPECT_LT(g->compressed_bytes(), 64u * 30);
-  // Data remains readable after freeze (copy-on-write).
-  Row row;
-  ASSERT_TRUE(idx.LookupByPk(5, 1, &row).ok());
-  EXPECT_EQ(AsInt(row[1]), 1);
+  size_t bytes = 0;
+  for (int p = 0; p < g->num_packs(); ++p) {
+    const ColumnPack& pack = *g->mutable_pack(p);
+    std::string lane;
+    switch (pack.type) {
+      case DataType::kInt64:
+      case DataType::kInt32:
+      case DataType::kDate:
+        IntCodec::Encode(pack.ints, &lane);
+        break;
+      case DataType::kDouble:
+        DoubleCodec::Encode(pack.dbls, &lane);
+        break;
+      case DataType::kString:
+        DictCodec::Encode(pack.strs, &lane);
+        break;
+    }
+    bytes += lane.size();
+  }
+  // The encoded lanes are far smaller than raw 64 * (8+8+8+string).
+  EXPECT_GT(bytes, 0u);
+  EXPECT_LT(bytes, 64u * 30);
 }
 
 TEST(ColumnIndexTest, InsertVidMapDropping) {
@@ -108,7 +121,6 @@ TEST(ColumnIndexTest, InsertVidMapDropping) {
   for (int64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(idx.Insert({i, i, Value{}, Value{}}, 2).ok());
   }
-  idx.FreezeFullGroups();
   // Oldest active view at VID 1: map must be kept.
   EXPECT_EQ(idx.DropInsertVidMaps(1), 0u);
   // Oldest active view newer than every insert: map dropped, rows stay
@@ -116,6 +128,30 @@ TEST(ColumnIndexTest, InsertVidMapDropping) {
   EXPECT_EQ(idx.DropInsertVidMaps(10), 1u);
   EXPECT_TRUE(idx.group(0)->insert_vids_dropped());
   EXPECT_EQ(idx.visible_rows(10), 64u);
+
+  // A partial group keeps its map, however old its inserts.
+  for (int64_t i = 64; i < 70; ++i) {
+    ASSERT_TRUE(idx.Insert({i, i, Value{}, Value{}}, 3).ok());
+  }
+  EXPECT_EQ(idx.DropInsertVidMaps(10), 1u);
+  EXPECT_FALSE(idx.group(1)->insert_vids_dropped());
+
+  // A full group keeps its map while a pre-allocated slot is unrectified.
+  const Rid base = idx.PreAllocate(58);
+  ASSERT_EQ(idx.GroupUsed(1), 64u);
+  for (int64_t i = 0; i < 58; ++i) {
+    ASSERT_TRUE(
+        idx.PreWrite(base + i, {70 + i, i, Value{}, Value{}}).ok());
+  }
+  for (int64_t i = 0; i < 57; ++i) {
+    ASSERT_TRUE(idx.RectifyInsert(base + i, 70 + i, 4).ok());
+  }
+  EXPECT_EQ(idx.DropInsertVidMaps(10), 1u);
+  EXPECT_FALSE(idx.group(1)->insert_vids_dropped());
+  ASSERT_TRUE(idx.RectifyInsert(base + 57, 127, 4).ok());
+  EXPECT_EQ(idx.DropInsertVidMaps(10), 2u);
+  EXPECT_TRUE(idx.group(1)->insert_vids_dropped());
+  EXPECT_EQ(idx.visible_rows(10), 128u);
 }
 
 TEST(ColumnIndexTest, PreCommitInvisibleUntilRectified) {

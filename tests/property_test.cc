@@ -50,8 +50,7 @@ TEST_P(BTreeModelTest, MatchesReferenceModel) {
       }
     } else if (action == 1) {
       std::string payload = rng.RandomString(0, 120);
-      Row old_row;
-      Status s = table->Update(pk, {pk, payload}, &old_row, &redo);
+      Status s = table->Update(pk, {pk, payload}, &redo);
       if (model.count(pk)) {
         ASSERT_TRUE(s.ok());
         model[pk] = payload;
@@ -59,8 +58,7 @@ TEST_P(BTreeModelTest, MatchesReferenceModel) {
         EXPECT_TRUE(s.IsNotFound());
       }
     } else {
-      Row old_row;
-      Status s = table->Delete(pk, &old_row, &redo);
+      Status s = table->Delete(pk, &redo);
       if (model.count(pk)) {
         ASSERT_TRUE(s.ok());
         model.erase(pk);

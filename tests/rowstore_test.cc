@@ -62,8 +62,7 @@ TEST_F(RowStoreTest, InsertLookupDelete) {
   ASSERT_TRUE(table_->Get(1, &row).ok());
   EXPECT_EQ(AsInt(row[1]), 5);
   redo.clear();
-  Row old_row;
-  ASSERT_TRUE(table_->Delete(1, &old_row, &redo).ok());
+  ASSERT_TRUE(table_->Delete(1, &redo).ok());
   EXPECT_EQ(redo[0].type, RedoType::kDelete);
   EXPECT_TRUE(table_->Get(1, &row).IsNotFound());
 }
@@ -79,12 +78,16 @@ TEST_F(RowStoreTest, UpdateEmitsDiffRecord) {
   ASSERT_TRUE(table_->Insert({int64_t(9), int64_t(1), std::string("aaaa")},
                              &redo).ok());
   redo.clear();
-  Row old_row;
   ASSERT_TRUE(table_->Update(9, {int64_t(9), int64_t(2), std::string("bbbb")},
-                             &old_row, &redo).ok());
+                             &redo).ok());
   ASSERT_EQ(redo.size(), 1u);
   EXPECT_EQ(redo[0].type, RedoType::kUpdate);
-  EXPECT_EQ(AsInt(old_row[1]), 1);
+  // The secondary index on `k` finds the row under its new value only.
+  std::vector<int64_t> pks;
+  ASSERT_TRUE(table_->SnapshotIndexLookup(kMaxVid, 1, 1, &pks).ok());
+  EXPECT_TRUE(pks.empty());
+  ASSERT_TRUE(table_->SnapshotIndexLookup(kMaxVid, 1, 2, &pks).ok());
+  EXPECT_EQ(pks, std::vector<int64_t>{9});
   Row row;
   ASSERT_TRUE(table_->Get(9, &row).ok());
   EXPECT_EQ(AsInt(row[1]), 2);
