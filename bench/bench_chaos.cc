@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   opts.health.enabled = true;
   opts.health.check_interval_us = 1'000;
   opts.health.auto_replace = true;
-  opts.health.readmit_max_lag = 64;
   const size_t target_fleet = opts.initial_ro_nodes;
 
   Cluster cluster(opts);

@@ -21,13 +21,17 @@ constexpr uint64_t kStrongReadWaitUs = 500'000;
 /// writes must not get a healthy node evicted).
 constexpr uint64_t kMaxApplyLag = 1 << 20;
 constexpr int kLagStrikes = 5;
+/// Re-admission gate: a replacement joins routing only once its apply lag
+/// is at or below this — routing to a cold replica would violate the
+/// freshness the fleet was sized for.
+constexpr uint64_t kReadmitMaxLag = 64;
 
-RoNode* PickLeastLoadedLocked(const std::vector<RoNode*>& ros) {
+RoNode* PickLeastLoadedLocked(const std::vector<std::unique_ptr<RoNode>>& ros) {
   RoNode* best = nullptr;
-  for (RoNode* ro : ros) {
+  for (const auto& ro : ros) {
     if (!ro->healthy()) continue;
     if (best == nullptr || ro->active_sessions() < best->active_sessions()) {
-      best = ro;
+      best = ro.get();
     }
   }
   return best;
@@ -42,7 +46,7 @@ RoNode* Proxy::PickRo() {
 RoNode* Proxy::AcquireRo() {
   std::lock_guard<std::mutex> g(*topo_mu_);
   RoNode* best = PickLeastLoadedLocked(*ros_);
-  // Claim under the topology lock: EvictRoNode retires the node under this
+  // Claim under the topology lock: RemoveRoNode retires the node under this
   // same lock and then drains sessions before destroying it, so a claimed
   // node stays alive for the duration of this query.
   if (best != nullptr) best->EnterSession();
@@ -82,7 +86,7 @@ Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
     RoNode* ro = AcquireRo();
     if (ro == nullptr) return serve_from_rw();
     if (!ro->WaitApplied(floor, kStrongReadWaitUs).ok()) {
-      // Release the node (unblocking an evictor's drain) either way. One
+      // Release the node (unblocking a removal's drain) either way. One
       // that wedged or was retired mid-wait is re-routed; a healthy one
       // that is merely slow hands the read to the RW instead of stalling.
       const bool lost = !ro->healthy();
@@ -104,15 +108,16 @@ Cluster::Cluster(ClusterOptions options)
       proxy_(rw_.get(), &ro_nodes_, &topo_mu_) {
   // Channel factory: wraps every currently-healthy RO in a session-claimed
   // in-process channel, under the topology lock — the same claim discipline
-  // as Proxy::AcquireRo, so eviction drains (never destroys) a participant
+  // as Proxy::AcquireRo, so removal drains (never destroys) a participant
   // mid-fragment.
   coordinator_ = std::make_unique<QueryCoordinator>(
       &catalog_, options_.coordinator, [this] {
         std::vector<std::unique_ptr<FragmentChannel>> chans;
         std::lock_guard<std::mutex> g(topo_mu_);
-        for (RoNode* ro : ro_nodes_) {
+        for (const auto& ro : ro_nodes_) {
           if (!ro->healthy()) continue;
-          chans.push_back(std::make_unique<InProcessFragmentChannel>(ro));
+          chans.push_back(
+              std::make_unique<InProcessFragmentChannel>(ro.get()));
         }
         return chans;
       });
@@ -121,7 +126,7 @@ Cluster::Cluster(ClusterOptions options)
 
 Cluster::~Cluster() {
   StopHealthMonitor();
-  for (auto& ro : ro_owned_) ro->StopReplication();
+  for (auto& ro : ro_nodes_) ro->StopReplication();
 }
 
 Status Cluster::Open() {
@@ -151,37 +156,55 @@ Status Cluster::Open() {
 
 Status Cluster::AddRoNode(RoNode** out) {
   std::lock_guard<std::mutex> admin(admin_mu_);
-  auto node = std::make_unique<RoNode>(
-      "ro" + std::to_string(next_ro_id_++), &fs_, &catalog_, options_.ro);
-  IMCI_RETURN_NOT_OK(node->Boot());
-  node->StartReplication();
-  RoNode* raw = node.get();
-  {
-    std::lock_guard<std::mutex> g(topo_mu_);
-    ro_owned_.push_back(std::move(node));
-    ro_nodes_.push_back(raw);
-    // §7: the first RO node in the cluster is the leader.
-    if (ro_nodes_.size() == 1) raw->set_leader(true);
-  }
+  std::unique_ptr<RoNode> node;
+  IMCI_RETURN_NOT_OK(BootNode(&node));
+  RoNode* raw = Admit(std::move(node));
   if (out) *out = raw;
   return Status::OK();
 }
 
-Status Cluster::RemoveRoNode(size_t index) {
+Status Cluster::BootNode(std::unique_ptr<RoNode>* out) {
+  auto node = std::make_unique<RoNode>(
+      "ro" + std::to_string(next_ro_id_++), &fs_, &catalog_, options_.ro);
+  IMCI_RETURN_NOT_OK(node->Boot());
+  node->StartReplication();
+  *out = std::move(node);
+  return Status::OK();
+}
+
+RoNode* Cluster::Admit(std::unique_ptr<RoNode> node) {
+  RoNode* raw = node.get();
+  std::lock_guard<std::mutex> g(topo_mu_);
+  ro_nodes_.push_back(std::move(node));
+  // §7: the first RO node in the cluster is the leader. RemoveRoNode hands
+  // leadership on, so only a node joining an empty fleet finds none.
+  if (ro_nodes_.size() == 1) raw->set_leader(true);
+  return raw;
+}
+
+Status Cluster::RemoveRoNode(RoNode* node) {
   std::lock_guard<std::mutex> admin(admin_mu_);
   std::unique_ptr<RoNode> victim;
   {
     std::lock_guard<std::mutex> g(topo_mu_);
-    if (index >= ro_nodes_.size()) return Status::OutOfRange("ro index");
-    const bool was_leader = ro_nodes_[index]->is_leader();
-    victim = std::move(ro_owned_[index]);
-    ro_owned_.erase(ro_owned_.begin() + index);
-    ro_nodes_.erase(ro_nodes_.begin() + index);
-    if (was_leader && !ro_nodes_.empty()) {
+    const auto it =
+        std::find_if(ro_nodes_.begin(), ro_nodes_.end(),
+                     [&](const auto& ro) { return ro.get() == node; });
+    if (it == ro_nodes_.end()) return Status::NotFound("node not in fleet");
+    // Retire under the topology lock: from here no AcquireRo admits a new
+    // session, and strong-read waiters already inside see !healthy() and
+    // bail — both of which the drain below depends on.
+    node->Retire();
+    victim = std::move(*it);
+    ro_nodes_.erase(it);
+    if (node->is_leader() && !ro_nodes_.empty()) {
       // RW re-designates one of the followers as the new leader (§7).
       ro_nodes_.front()->set_leader(true);
     }
   }
+  // Drain: queries already admitted finish against the (still live) node
+  // before it is destroyed; none can join after Retire().
+  while (victim->active_sessions() > 0) YieldFor(100);
   victim->StopReplication();
   return Status::OK();
 }
@@ -216,13 +239,9 @@ Status Cluster::RecycleRedoLogLocked(Lsn* recycled_upto) {
   Status s = ImciCheckpoint::ReadLatestManifest(&fs_, &csn, &safe, nullptr);
   if (s.IsNotFound()) return Status::OK();  // nothing reclaimable yet
   IMCI_RETURN_NOT_OK(s);
-  {
-    std::lock_guard<std::mutex> g(topo_mu_);
-    for (RoNode* ro : ro_nodes_) {
-      // Binlog-space pipelines don't consume redo; their cursors don't clamp.
-      if (ro->pipeline()->source() != ApplySource::kRedoReuse) continue;
-      safe = std::min(safe, ro->pipeline()->read_lsn());
-    }
+  // Binlog-space pipelines don't consume redo; their cursors don't clamp.
+  if (const auto slowest = SlowestCursor(ApplySource::kRedoReuse)) {
+    safe = std::min(safe, *slowest);
   }
   IMCI_RETURN_NOT_OK(fs_.log("redo")->Truncate(safe));
   if (recycled_upto) *recycled_upto = fs_.log("redo")->truncated_lsn();
@@ -242,21 +261,22 @@ Status Cluster::RecycleBinlogLocked(Lsn* recycled_upto) {
   // (RoNode::Boot bridges the recycled prefix from the archive); without
   // it, new logical-apply boots below the cut are refused. With no
   // consumer there is no cursor to clamp to, so nothing is recycled.
-  Lsn safe = 0;
-  bool has_consumer = false;
-  {
-    std::lock_guard<std::mutex> g(topo_mu_);
-    for (RoNode* ro : ro_nodes_) {
-      if (ro->pipeline()->source() != ApplySource::kLogicalBinlog) continue;
-      const Lsn cursor = ro->pipeline()->read_lsn();
-      safe = has_consumer ? std::min(safe, cursor) : cursor;
-      has_consumer = true;
-    }
-  }
-  if (!has_consumer) return Status::OK();
-  IMCI_RETURN_NOT_OK(fs_.log("binlog")->Truncate(safe));
+  const auto safe = SlowestCursor(ApplySource::kLogicalBinlog);
+  if (!safe) return Status::OK();
+  IMCI_RETURN_NOT_OK(fs_.log("binlog")->Truncate(*safe));
   if (recycled_upto) *recycled_upto = fs_.log("binlog")->truncated_lsn();
   return Status::OK();
+}
+
+std::optional<Lsn> Cluster::SlowestCursor(ApplySource source) {
+  std::optional<Lsn> slowest;
+  std::lock_guard<std::mutex> g(topo_mu_);
+  for (const auto& ro : ro_nodes_) {
+    if (ro->pipeline()->source() != source) continue;
+    const Lsn cursor = ro->pipeline()->read_lsn();
+    if (!slowest || cursor < *slowest) slowest = cursor;
+  }
+  return slowest;
 }
 
 Status Cluster::RestoreToLsn(Lsn lsn, RestoredCluster* out) {
@@ -374,7 +394,10 @@ void Cluster::MonitorLoop() {
     }
     if (victim != nullptr) {
       lag_strikes.erase(victim->name());
-      (void)EvictRoNode(victim);  // NotFound = an admin removed it first
+      // NotFound = an admin removed it first.
+      if (RemoveRoNode(victim).ok()) {
+        evictions_.fetch_add(1, std::memory_order_relaxed);
+      }
       continue;  // replace on the next tick; re-check the survivors first
     }
     if (options_.health.auto_replace &&
@@ -385,78 +408,39 @@ void Cluster::MonitorLoop() {
   }
 }
 
-Status Cluster::EvictRoNode(RoNode* node) {
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  std::unique_ptr<RoNode> victim;
-  {
-    std::lock_guard<std::mutex> g(topo_mu_);
-    const auto it = std::find(ro_nodes_.begin(), ro_nodes_.end(), node);
-    if (it == ro_nodes_.end()) return Status::NotFound("node not in fleet");
-    const size_t index = static_cast<size_t>(it - ro_nodes_.begin());
-    const bool was_leader = node->is_leader();
-    // Retire under the topology lock: from here no AcquireRo admits a new
-    // session, and strong-read waiters already inside see !healthy() and
-    // bail — both of which the drain below depends on.
-    node->Retire();
-    victim = std::move(ro_owned_[index]);
-    ro_owned_.erase(ro_owned_.begin() + static_cast<ptrdiff_t>(index));
-    ro_nodes_.erase(it);
-    if (was_leader && !ro_nodes_.empty()) {
-      // RW re-designates one of the followers as the new leader (§7).
-      ro_nodes_.front()->set_leader(true);
-    }
-  }
-  // Drain: queries already admitted finish against the (still live) node
-  // before it is destroyed; none can join after Retire().
-  while (victim->active_sessions() > 0) YieldFor(100);
-  victim->StopReplication();
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
 Status Cluster::BootReplacement() {
   // admin_mu_ held across boot *and* convergence: recycling must not
   // truncate redo/binlog records the replacement is still replaying.
   std::lock_guard<std::mutex> admin(admin_mu_);
-  auto node = std::make_unique<RoNode>(
-      "ro" + std::to_string(next_ro_id_++), &fs_, &catalog_, options_.ro);
-  IMCI_RETURN_NOT_OK(node->Boot());
-  node->StartReplication();
-  // Re-admission gate: the node serves no queries until its apply lag
-  // converges — routing to a cold replica would violate the freshness the
-  // fleet was sized for.
+  std::unique_ptr<RoNode> node;
+  IMCI_RETURN_NOT_OK(BootNode(&node));
   while (monitor_running_.load(std::memory_order_acquire)) {
     if (node->pipeline()->wedged()) return node->pipeline()->wedge_reason();
-    if (node->LsnDelay() <= options_.health.readmit_max_lag) break;
+    if (node->LsnDelay() <= kReadmitMaxLag) break;
     YieldFor(200);
   }
-  RoNode* raw = node.get();
-  {
-    std::lock_guard<std::mutex> g(topo_mu_);
-    ro_owned_.push_back(std::move(node));
-    ro_nodes_.push_back(raw);
-    bool has_leader = false;
-    for (RoNode* ro : ro_nodes_) has_leader = has_leader || ro->is_leader();
-    if (!has_leader) raw->set_leader(true);
-  }
+  Admit(std::move(node));
   replacements_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
 std::vector<RoNode*> Cluster::ro_nodes() {
   std::lock_guard<std::mutex> g(topo_mu_);
-  return ro_nodes_;
+  std::vector<RoNode*> nodes;
+  nodes.reserve(ro_nodes_.size());
+  for (const auto& ro : ro_nodes_) nodes.push_back(ro.get());
+  return nodes;
 }
 
 RoNode* Cluster::ro(size_t i) {
   std::lock_guard<std::mutex> g(topo_mu_);
-  return i < ro_nodes_.size() ? ro_nodes_[i] : nullptr;
+  return i < ro_nodes_.size() ? ro_nodes_[i].get() : nullptr;
 }
 
 RoNode* Cluster::leader() {
   std::lock_guard<std::mutex> g(topo_mu_);
-  for (RoNode* ro : ro_nodes_) {
-    if (ro->is_leader()) return ro;
+  for (const auto& ro : ro_nodes_) {
+    if (ro->is_leader()) return ro.get();
   }
   return nullptr;
 }

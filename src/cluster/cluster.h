@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -25,14 +26,15 @@ enum class Consistency { kEventual, kStrong };
 /// query falls back to the RW's snapshot engine — never an error.
 class Proxy {
  public:
-  Proxy(RwNode* rw, std::vector<RoNode*>* ros, std::mutex* topo_mu)
+  Proxy(RwNode* rw, const std::vector<std::unique_ptr<RoNode>>* ros,
+        std::mutex* topo_mu)
       : rw_(rw), ros_(ros), topo_mu_(topo_mu) {}
 
   RwNode* Write() { return rw_; }
 
   /// Picks the least-loaded healthy RO node; nullptr when none. A peek —
   /// it does not claim a session (ExecuteQuery claims atomically under the
-  /// topology lock via AcquireRo, so eviction cannot free a node mid-query).
+  /// topology lock via AcquireRo, so removal cannot free a node mid-query).
   RoNode* PickRo();
 
   /// Routes a read-only query: inter-node (this), then intra-node (the RO's
@@ -57,11 +59,11 @@ class Proxy {
 
  private:
   /// PickRo + EnterSession in one critical section: a claimed session keeps
-  /// the node alive until LeaveSession (eviction drains sessions first).
+  /// the node alive until LeaveSession (removal drains sessions first).
   RoNode* AcquireRo();
 
   RwNode* rw_;
-  std::vector<RoNode*>* ros_;
+  const std::vector<std::unique_ptr<RoNode>>* ros_;
   std::mutex* topo_mu_;
   QueryCoordinator* coordinator_ = nullptr;
   std::atomic<uint64_t> rw_fallbacks_{0};
@@ -70,7 +72,7 @@ class Proxy {
 /// Self-healing knobs (the fleet monitor thread): when enabled, the cluster
 /// detects wedged / hung / hopelessly lagging RO nodes, evicts them from
 /// routing, and (optionally) boots archive/checkpoint-based replacements
-/// that are re-admitted once they converge.
+/// that are admitted once their apply lag converges.
 struct FleetHealthOptions {
   bool enabled = false;
   uint64_t check_interval_us = 2'000;
@@ -79,9 +81,6 @@ struct FleetHealthOptions {
   uint64_t heartbeat_timeout_us = 2'000'000;
   /// Boot a replacement whenever the fleet is below its Open() size.
   bool auto_replace = true;
-  /// Replacements join routing only once their apply lag is at or below
-  /// this (re-admission gate).
-  uint64_t readmit_max_lag = 64;
 };
 
 struct ClusterOptions {
@@ -117,9 +116,11 @@ class Cluster {
   /// serves queries immediately; use `node->LsnDelay()` to watch catch-up.
   Status AddRoNode(RoNode** out);
 
-  /// Scale-in: stops and removes RO node `index`; re-designates the leader
-  /// if needed.
-  Status RemoveRoNode(size_t index);
+  /// Scale-in, and the fleet monitor's eviction: retires `node` from
+  /// routing, hands leadership to the first survivor if it led (§7), waits
+  /// for its in-flight sessions to drain, and destroys it. NotFound when
+  /// the node already left the fleet.
+  Status RemoveRoNode(RoNode* node);
 
   /// Asks the RO leader to checkpoint (CSN = its applied VID), then recycles
   /// redo segments no longer needed by the *previous* completed checkpoint
@@ -187,11 +188,7 @@ class Cluster {
   void StartHealthMonitor();
   void StopHealthMonitor();
 
-  /// Removes `node` from routing, re-designates the leader if needed,
-  /// drains its in-flight sessions, and destroys it. NotFound when the
-  /// node already left the fleet.
-  Status EvictRoNode(RoNode* node);
-
+  /// Nodes the monitor removed, and replacements it admitted.
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
@@ -202,9 +199,16 @@ class Cluster {
  private:
   Status RecycleRedoLogLocked(Lsn* recycled_upto);
   Status RecycleBinlogLocked(Lsn* recycled_upto);
+  /// The slowest read position among fleet pipelines tailing `source`;
+  /// nullopt when none does.
+  std::optional<Lsn> SlowestCursor(ApplySource source);
+  /// Constructs a fleet node, boots it (checkpoint, archive or rebuild) and
+  /// starts its replication. It serves nothing until Admit.
+  Status BootNode(std::unique_ptr<RoNode>* out);
+  /// Adds a booted node to routing; it leads when the fleet has no leader.
+  RoNode* Admit(std::unique_ptr<RoNode> node);
   void MonitorLoop();
-  /// Boots a fresh RO via the normal checkpoint/archive bootstrap path and
-  /// admits it into routing once its apply lag converged.
+  /// Boots a replacement and admits it once its apply lag converged.
   Status BootReplacement();
 
   ClusterOptions options_;
@@ -217,8 +221,9 @@ class Cluster {
   /// booting (Boot'd but not yet registered in ro_nodes_) will replay.
   std::mutex admin_mu_;
   std::mutex topo_mu_;
-  std::vector<std::unique_ptr<RoNode>> ro_owned_;
-  std::vector<RoNode*> ro_nodes_;
+  /// The fleet, in join order (guarded by topo_mu_); the proxy and the
+  /// coordinator's channel factory read it under the same lock.
+  std::vector<std::unique_ptr<RoNode>> ro_nodes_;
   Proxy proxy_;
   std::unique_ptr<QueryCoordinator> coordinator_;
   uint64_t next_ckpt_id_ = 1;

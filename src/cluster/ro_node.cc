@@ -10,16 +10,6 @@
 namespace imci {
 
 namespace {
-/// Default the pipeline's fault scope to the node name, so chaos tests can
-/// fail storage for exactly this node's replication I/O (fault::Policy's
-/// `scope` matches the coordinator thread's ScopedContext tag).
-RoNodeOptions WithFaultScope(RoNodeOptions options, const std::string& name) {
-  if (options.replication.fault_scope.empty()) {
-    options.replication.fault_scope = name;
-  }
-  return options;
-}
-
 /// Deadline of CatchUpNow's wait on the background pipeline: far above any
 /// catch-up a test or bench drives, so reaching it means a stuck pipeline.
 constexpr uint64_t kCatchUpTimeoutUs = 60'000'000;
@@ -45,7 +35,7 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
     : name_(std::move(name)),
       fs_(fs),
       catalog_(catalog),
-      options_(WithFaultScope(std::move(options), name_)),
+      options_(std::move(options)),
       engine_(fs, catalog),
       imci_(options_.imci),
       exec_pool_(options_.exec_threads),
@@ -53,7 +43,7 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
       repl_pool_(std::max(options_.replication.parse_parallelism,
                           options_.replication.apply_parallelism)),
       pipeline_(fs, catalog, engine_.buffer_pool(), &imci_, &repl_pool_,
-                options_.replication, &engine_) {}
+                options_.replication, name_, &engine_) {}
 
 RoNode::~RoNode() { StopReplication(); }
 
@@ -78,8 +68,6 @@ Status RoNode::Boot() {
   // beginning over the base row-store state: binlog LSNs are a different
   // space from redo LSNs, so redo-anchored checkpoints don't apply to them.
   if (options_.replication.source == ApplySource::kLogicalBinlog) {
-    boot_lsn_ = 0;
-    boot_vid_ = 0;
     IMCI_RETURN_NOT_OK(RebuildFromRowStore());
     // Binlog recycling (Cluster::RecycleBinlog) truncates below the slowest
     // attached cursor. A fresh node's replay from LSN 0 would silently skip
@@ -95,8 +83,6 @@ Status RoNode::Boot() {
             "recycled prefix; logical-apply scale-out impossible");
       }
       IMCI_RETURN_NOT_OK(pipeline_.BootstrapFromArchive(truncated));
-      boot_lsn_ = truncated;
-      boot_vid_ = pipeline_.applied_vid();
     }
     RefreshStats();
     return Status::OK();
@@ -109,19 +95,18 @@ Status RoNode::Boot() {
   Status s = ImciCheckpoint::LoadLatest(fs_, *catalog_, &imci_, &csn,
                                         &start_lsn, &ckpt_id, &inflight);
   if (s.ok()) {
-    boot_vid_ = csn;
-    boot_lsn_ = start_lsn;
-    // The checkpoint filter: transactions already folded into the loaded
-    // state must not be re-applied should the replayed range re-read their
-    // commit records.
-    pipeline_.set_skip_vids_upto(csn);
+    // csn is also the checkpoint filter: transactions already folded into
+    // the loaded state must not be re-applied should the replayed range
+    // re-read their commit records.
+    pipeline_.Seed(start_lsn, csn);
     // Transactions in flight at checkpoint time: their CALS-shipped DMLs
     // precede start_lsn (and are unreplayable past the flushed page LSNs),
     // so the checkpoint carries the buffers themselves.
     IMCI_RETURN_NOT_OK(pipeline_.RestoreInflight(inflight));
   } else if (s.IsNotFound()) {
-    IMCI_RETURN_NOT_OK(RwNode::ReadBaseLsn(fs_, &boot_lsn_));
-    boot_vid_ = 0;
+    Lsn base = 0;
+    IMCI_RETURN_NOT_OK(RwNode::ReadBaseLsn(fs_, &base));
+    pipeline_.Seed(base, 0);
     IMCI_RETURN_NOT_OK(RebuildFromRowStore());
   } else {
     return s;
@@ -132,15 +117,15 @@ Status RoNode::Boot() {
 
 Status RoNode::RebuildFromRowStore() {
   // §3.3: "issue a consistent read on the row store, scan the checkpoint,
-  // and convert it to a column index" — a snapshot scan at the boot VID.
-  // The loaded state is visible to every read view (VID 0).
+  // and convert it to a column index" — a snapshot scan at the base image
+  // (VID 0). The loaded state is visible to every read view.
   for (const auto& schema : catalog_->All()) {
     RowTable* table = engine_.GetTable(schema->table_id());
     if (table == nullptr) continue;
     ColumnIndex* index = imci_.CreateIndex(schema);
     Status inner = Status::OK();
     IMCI_RETURN_NOT_OK(
-        table->SnapshotScan(boot_vid_, [&](int64_t /*pk*/, const Row& row) {
+        table->SnapshotScan(0, [&](int64_t /*pk*/, const Row& row) {
           inner = index->Insert(row, 0);
           return inner.ok();
         }));
@@ -151,12 +136,7 @@ Status RoNode::RebuildFromRowStore() {
 
 void RoNode::StartReplication() {
   if (replicating_.exchange(true)) return;
-  // Restart from wherever we already advanced to (Boot or prior runs).
-  const Lsn from = pipeline_.read_lsn() > boot_lsn_ ? pipeline_.read_lsn()
-                                                    : boot_lsn_;
-  const Vid vid = pipeline_.applied_vid() > boot_vid_ ? pipeline_.applied_vid()
-                                                      : boot_vid_;
-  pipeline_.Start(from, vid);
+  pipeline_.Start();
 }
 
 void RoNode::StopReplication() {
@@ -179,10 +159,6 @@ Status RoNode::CatchUpNow() {
         kCatchUpTimeoutUs);
     if (!s.ok() && pipeline_.wedged()) return pipeline_.wedge_reason();
     return s;
-  }
-  if (pipeline_.read_lsn() == 0 && pipeline_.applied_vid() == 0) {
-    pipeline_.Start(boot_lsn_, boot_vid_);
-    pipeline_.Stop();
   }
   return pipeline_.CatchUp(pipeline_.source_durable_lsn());
 }
@@ -277,6 +253,7 @@ RoNode::Health RoNode::health() const {
   h.replicating = replicating_.load();
   h.wedged = pipeline_.wedged();
   if (h.wedged) h.wedge_reason = pipeline_.wedge_reason();
+  h.checkpoint_error = pipeline_.last_checkpoint_error();
   h.apply_lag = pipeline_.LsnDelay();
   const uint64_t beat = pipeline_.heartbeat_us();
   const uint64_t now = NowMicros();

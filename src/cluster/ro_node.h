@@ -37,11 +37,12 @@ class RoNode {
 
   /// Boots the node: attaches row tables from the shared registry, then
   /// either fast-recovers column indexes from the latest checkpoint (§7) or
-  /// rebuilds them by scanning the row store (the DDL path, §3.3). Returns
-  /// the LSN replication must start from.
+  /// rebuilds them by scanning the row store (the DDL path, §3.3). Leaves
+  /// the pipeline's cursors at the booted state's replay position.
   Status Boot();
 
-  /// Starts/stops the background replication pipeline.
+  /// Starts/stops the background replication pipeline; a restart resumes
+  /// from the pipeline's cursors.
   void StartReplication();
   void StopReplication();
   /// Synchronously applies everything currently durable in the log. With
@@ -100,17 +101,18 @@ class RoNode {
     bool replicating = false;
     bool wedged = false;         // pipeline hit a terminal failure
     Status wedge_reason;         // OK unless wedged
+    Status checkpoint_error;     // last failed leader checkpoint, else OK
     uint64_t apply_lag = 0;      // LsnDelay: shipped-but-unconsumed backlog
     uint64_t heartbeat_age_us = 0;  // staleness of the coordinator's tick
   };
   Health health() const;
 
-  /// Routable: replicating, not wedged, not retired by the fleet monitor.
+  /// Routable: replicating, not wedged, not retired (leaving the fleet).
   bool healthy() const {
     return replicating_.load() && !retired_.load() && !pipeline_.wedged();
   }
   /// Marks the node as leaving the fleet: pickers skip it and strong-read
-  /// waiters bail out, so the evictor's session drain terminates.
+  /// waiters bail out, so RemoveRoNode's session drain terminates.
   void Retire() { retired_.store(true); }
   bool retired() const { return retired_.load(); }
 
@@ -147,8 +149,6 @@ class RoNode {
   ThreadPool repl_pool_;
   ReplicationPipeline pipeline_;
   StatsCollector stats_;
-  Lsn boot_lsn_ = 0;
-  Vid boot_vid_ = 0;
   std::atomic<bool> leader_{false};
   std::atomic<bool> replicating_{false};
   std::atomic<bool> retired_{false};

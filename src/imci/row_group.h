@@ -54,7 +54,6 @@ class RowGroup {
   uint32_t capacity() const { return capacity_; }
   Rid base_rid() const { return base_rid_; }
   int num_packs() const { return static_cast<int>(cols_.size()); }
-  const std::vector<int>& pack_columns() const { return cols_; }
 
   /// Writes the indexed columns of `row` into slot `offset`. Does not make
   /// the row visible; call SetInsertVid afterwards.
@@ -90,9 +89,6 @@ class RowGroup {
   const std::string& str_at(int pack, uint32_t offset) const {
     return packs_[pack].strs[offset];
   }
-  bool is_null(int pack, uint32_t offset) const {
-    return packs_[pack].nulls[offset] != 0;
-  }
   const uint8_t* null_data(int pack) const {
     return packs_[pack].nulls.data();
   }
@@ -125,10 +121,7 @@ class RowGroup {
   void Retire() { retired_.store(true, std::memory_order_release); }
   bool retired() const { return retired_.load(std::memory_order_acquire); }
 
-  /// Maximum insert VID observed (for insert-map dropping).
-  Vid max_insert_vid() const {
-    return max_insert_vid_.load(std::memory_order_acquire);
-  }
+  /// Records an insert VID; the maximum gates insert-map dropping.
   void NoteInsertVid(Vid v);
 
   // Checkpoint support: raw access to VID arrays.

@@ -24,10 +24,10 @@ void AppendFrame(std::string* dst, const std::string& payload) {
 
 }  // namespace
 
-LogStore::LogStore(PolarFs* fs, std::string name, LogStoreOptions options)
+LogStore::LogStore(PolarFs* fs, std::string name, size_t segment_bytes)
     : fs_(fs),
       name_(std::move(name)),
-      options_(options),
+      segment_bytes_(segment_bytes),
       group_(std::make_unique<GroupCommitter>(this)) {}
 
 LogStore::~LogStore() = default;
@@ -163,7 +163,7 @@ Lsn LogStore::Append(std::vector<std::string> records, bool durable,
     for (std::string& payload : records) {
       Segment* active = &segments_.back();
       if (!active->offsets.empty() &&
-          active->data.size() >= options_.segment_bytes) {
+          active->data.size() >= segment_bytes_) {
         // Roll over at a record boundary: flush what this batch added to the
         // sealed segment, then open the next one. The sealed segment's
         // in-memory mirror is dropped — the durable copy serves its reads.

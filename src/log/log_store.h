@@ -29,13 +29,6 @@ class ArchiveSink {
                       const std::string& framed) = 0;
 };
 
-struct LogStoreOptions {
-  /// Soft cap on a segment's payload size. Appending never splits a record:
-  /// the active segment is sealed at the first record boundary at or past
-  /// this size, so segments can exceed it by at most one record.
-  size_t segment_bytes = 1 << 20;
-};
-
 /// A named, segmented, append-only log on shared storage (§3.1: the shared
 /// log is the only RW→RO channel). One LogStore instance per log name is
 /// shared by every node attached to the same PolarFs — obtain it through
@@ -72,7 +65,11 @@ struct LogStoreOptions {
 class LogStore {
  public:
   /// Does not recover; call Open() before use (PolarFs::log does both).
-  LogStore(PolarFs* fs, std::string name, LogStoreOptions options = {});
+  /// `segment_bytes` is a soft cap on a segment's payload size. Appending
+  /// never splits a record: the active segment is sealed at the first
+  /// record boundary at or past this size, so segments can exceed it by at
+  /// most one record.
+  LogStore(PolarFs* fs, std::string name, size_t segment_bytes);
   ~LogStore();
 
   /// Scans the segment files and rebuilds the in-memory index, detecting and
@@ -204,7 +201,7 @@ class LogStore {
 
   PolarFs* fs_;
   const std::string name_;
-  const LogStoreOptions options_;
+  const size_t segment_bytes_;
   std::atomic<ArchiveSink*> archive_{nullptr};
 
   mutable std::mutex mu_;

@@ -44,9 +44,8 @@ LogStore* PolarFs::log(const std::string& name) {
   std::lock_guard<std::mutex> g(logs_mu_);
   auto it = logs_.find(name);
   if (it == logs_.end()) {
-    LogStoreOptions opts;
-    opts.segment_bytes = options_.log_segment_bytes;
-    auto store = std::make_unique<LogStore>(this, name, opts);
+    auto store =
+        std::make_unique<LogStore>(this, name, options_.log_segment_bytes);
     // Lazy first open. Recovery of a brand-new log over an in-memory fs
     // only fails under an injected `logstore.recover` fault; tests that
     // exercise recovery failures go through Reopen()/ReopenLogs(), which

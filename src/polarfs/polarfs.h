@@ -17,7 +17,6 @@ namespace imci {
 
 class ArchiveStore;
 class LogStore;
-struct LogStoreOptions;
 
 /// Simulation of PolarFS (§3.1), the shared distributed file system that all
 /// computation nodes attach to. It is the *only* channel between the RW node

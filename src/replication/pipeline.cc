@@ -15,6 +15,7 @@ ReplicationPipeline::ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
                                          BufferPool* ro_pool, ImciStore* imci,
                                          ThreadPool* pool,
                                          ReplicationOptions options,
+                                         std::string name,
                                          RowStoreEngine* replica_engine)
     : fs_(fs),
       catalog_(catalog),
@@ -23,6 +24,7 @@ ReplicationPipeline::ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
       pool_(pool),
       replica_engine_(replica_engine),
       options_(options),
+      name_(std::move(name)),
       source_log_(fs->log(options.source == ApplySource::kRedoReuse
                               ? "redo"
                               : "binlog")),
@@ -33,10 +35,14 @@ ReplicationPipeline::ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
 
 ReplicationPipeline::~ReplicationPipeline() { Stop(); }
 
-void ReplicationPipeline::Start(Lsn from_lsn, Vid start_vid) {
-  read_lsn_.store(from_lsn, std::memory_order_release);
-  applied_lsn_.store(from_lsn, std::memory_order_release);
-  applied_vid_.store(start_vid, std::memory_order_release);
+void ReplicationPipeline::Seed(Lsn lsn, Vid vid) {
+  read_lsn_.store(lsn, std::memory_order_release);
+  applied_lsn_.store(lsn, std::memory_order_release);
+  applied_vid_.store(vid, std::memory_order_release);
+  seed_vid_ = vid;
+}
+
+void ReplicationPipeline::Start() {
   {
     std::lock_guard<std::mutex> g(health_mu_);
     wedge_reason_ = Status::OK();
@@ -68,7 +74,7 @@ bool IsTransient(const Status& s) { return s.IsIOError() || s.IsBusy(); }
 void ReplicationPipeline::CoordinatorLoop() {
   // Tag the thread for targeted fault injection: chaos tests wedge exactly
   // one node by arming a fault point with scope == this node's name.
-  fault::ScopedContext scope(options_.fault_scope);
+  fault::ScopedContext scope(name_);
   int failures = 0;
   uint64_t backoff_us = options_.retry_backoff_us;
   while (running_.load(std::memory_order_acquire)) {
@@ -311,7 +317,7 @@ void ReplicationPipeline::ApplyLogicalTxns(std::vector<LogicalTxn>* txns) {
   std::vector<CommittedTxn> batch;
   batch.reserve(txns->size());
   for (LogicalTxn& lt : *txns) {
-    if (lt.vid <= options_.skip_vids_upto) continue;  // in the checkpoint
+    if (lt.vid <= seed_vid_) continue;  // in the checkpoint
     CommittedTxn txn;
     txn.buffer = std::make_shared<TxnBuffer>();
     txn.buffer->tid = lt.tid;
@@ -380,7 +386,7 @@ Status ReplicationPipeline::PollRedoOnce() {
       aborted_txns_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    if (d.vid <= options_.skip_vids_upto) continue;  // in the checkpoint
+    if (d.vid <= seed_vid_) continue;  // in the checkpoint
     CommittedTxn txn;
     txn.buffer = std::move(buf);
     txn.vid = d.vid;

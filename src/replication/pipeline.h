@@ -45,9 +45,6 @@ struct ReplicationOptions {
   /// transaction's DMLs are delivered one poll cycle late, emulating
   /// ship-at-commit propagation.
   bool commit_ahead = true;
-  /// Transactions with commit VID <= this are skipped by Phase#2 (their
-  /// effects are already contained in the loaded checkpoint).
-  Vid skip_vids_upto = 0;
   uint64_t poll_timeout_us = 2000;
   /// Poll iterations between maintenance passes (compaction / VID-map
   /// dropping / reclamation).
@@ -60,11 +57,6 @@ struct ReplicationOptions {
   int max_transient_retries = 5;
   uint64_t retry_backoff_us = 200;        // first retry; doubles per attempt
   uint64_t retry_backoff_cap_us = 20'000;
-  /// Fault-injection scope tag for the coordinator thread
-  /// (fault::ScopedContext): chaos tests target exactly one node's
-  /// replication I/O by arming a fault point with this scope. RoNode sets
-  /// it to the node name; empty leaves the thread untagged.
-  std::string fault_scope;
 };
 
 /// The RO node's update-propagation engine (§5): a coordinator thread tails
@@ -79,15 +71,25 @@ struct ReplicationOptions {
 /// serializes it with Phase#2 as ColumnIndex::CompactGroup requires.
 class ReplicationPipeline {
  public:
+  /// `name` (the owning node's) tags the coordinator thread for fault
+  /// injection (fault::ScopedContext): chaos tests target exactly one
+  /// node's replication I/O by arming a fault point with that scope.
   ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
                       BufferPool* ro_pool, ImciStore* imci, ThreadPool* pool,
-                      ReplicationOptions options,
+                      ReplicationOptions options, std::string name,
                       RowStoreEngine* replica_engine = nullptr);
   ~ReplicationPipeline();
 
-  /// Starts the background coordinator, tailing the log from `from_lsn`
-  /// (exclusive) with the column-index state already at `start_vid`.
-  void Start(Lsn from_lsn, Vid start_vid);
+  /// Sets the replay position of a freshly booted state: the log is
+  /// consumed past `lsn` and the column state is at commit point `vid`.
+  /// `vid` is also the checkpoint filter — Phase#2 skips transactions with
+  /// commit VID <= `vid`, whose effects the booted state already holds.
+  /// Call once, before Start or PollOnce.
+  void Seed(Lsn lsn, Vid vid);
+
+  /// Starts the background coordinator, resuming from the cursors (as
+  /// seeded, or wherever earlier runs advanced them).
+  void Start();
   void Stop();
 
   /// One synchronous poll iteration (used by tests and by CatchUp).
@@ -106,7 +108,6 @@ class ReplicationPipeline {
   /// Which log this pipeline consumes, and its current written tail. LSNs
   /// (read_lsn/applied_lsn) are in that log's LSN space.
   ApplySource source() const { return options_.source; }
-  Lsn source_written_lsn() const { return source_log_->written_lsn(); }
   /// The source log's durable watermark — the highest LSN this pipeline will
   /// ever consume. The written-but-unfsynced tail beyond it is retractable
   /// (a failed batch fsync trims it), so replicas never build state on it.
@@ -177,12 +178,6 @@ class ReplicationPipeline {
   /// Requests the coordinator to take a checkpoint at the next boundary.
   void RequestCheckpoint(uint64_t ckpt_id);
 
-  /// Sets the checkpoint filter (transactions with commit VID <= `csn` are
-  /// already folded into the booted state). Must be called before Start —
-  /// the pipeline holds its own copy of the options, so writing the
-  /// RoNodeOptions after construction has no effect.
-  void set_skip_vids_upto(Vid csn) { options_.skip_vids_upto = csn; }
-
  private:
   struct CommittedTxn {
     std::shared_ptr<TxnBuffer> buffer;
@@ -229,6 +224,7 @@ class ReplicationPipeline {
   ThreadPool* pool_;
   RowStoreEngine* replica_engine_;
   ReplicationOptions options_;
+  std::string name_;
   LogStore* source_log_;  // the log this pipeline tails (redo or binlog)
   RedoParser parser_;
   RedoReader reader_;
@@ -240,6 +236,7 @@ class ReplicationPipeline {
   std::atomic<Lsn> read_lsn_{0};
   std::atomic<Lsn> applied_lsn_{0};
   std::atomic<Vid> applied_vid_{0};
+  Vid seed_vid_ = 0;  // the checkpoint filter (see Seed)
   std::atomic<uint64_t> applied_ops_{0};
   std::atomic<uint64_t> committed_txns_{0};
   std::atomic<uint64_t> aborted_txns_{0};

@@ -403,6 +403,42 @@ TEST_F(ChaosClusterTest, PersistentReadFaultsWedgeWithReasonNotSilentStall) {
   EXPECT_GE(ro->pipeline()->transient_retries(), 3u);
 }
 
+// A failed leader checkpoint leaves replication running (the previous
+// checkpoint still anchors boots) but shows in the node's health sample,
+// and CURRENT keeps naming the previous checkpoint.
+TEST_F(ChaosClusterTest, FailedCheckpointSurfacesInHealthNotWedge) {
+  Build(1);
+  RoNode* leader = cluster_->leader();
+  ASSERT_NE(leader, nullptr);
+  ASSERT_EQ(leader->name(), "ro1");
+  std::string current;
+  ASSERT_TRUE(cluster_->TriggerCheckpoint().ok());
+  ASSERT_TRUE(WaitUntil([&] {
+    return cluster_->fs()->ReadFile("imci_ckpt/CURRENT", &current).ok();
+  }));
+  EXPECT_TRUE(leader->health().checkpoint_error.ok());
+  {
+    fault::ScopedFault refuse("polarfs.write_file",
+                              MakePolicy(fault::Kind::kFail, "ro1"));
+    Churn(5);
+    ASSERT_TRUE(cluster_->TriggerCheckpoint().ok());
+    ASSERT_TRUE(
+        WaitUntil([&] { return !leader->health().checkpoint_error.ok(); }));
+  }
+  const RoNode::Health h = leader->health();
+  EXPECT_TRUE(h.checkpoint_error.IsIOError()) << h.checkpoint_error.ToString();
+  EXPECT_FALSE(h.wedged);
+  EXPECT_TRUE(leader->healthy());
+  Churn(5);
+  ASSERT_TRUE(leader->CatchUpNow().ok());
+  std::vector<Row> out;
+  ASSERT_TRUE(leader->ExecuteColumn(CountPlan(), &out).ok());
+  EXPECT_EQ(AsInt(out[0][0]), committed_);
+  std::string after;
+  ASSERT_TRUE(cluster_->fs()->ReadFile("imci_ckpt/CURRENT", &after).ok());
+  EXPECT_EQ(after, current);
+}
+
 TEST_F(ChaosClusterTest, ProxySkipsWedgedNodeAndServesFromSurvivor) {
   Build(2);  // no health monitor: routing alone must degrade gracefully
   RoNode* ro1 = cluster_->ro(0);
@@ -431,7 +467,6 @@ TEST_F(ChaosClusterTest, WedgedRoIsEvictedQueriesRerouteAndReplacementRejoins) {
   health.enabled = true;
   health.check_interval_us = 1'000;
   health.auto_replace = true;
-  health.readmit_max_lag = 64;
   Build(1, health);
   ASSERT_EQ(cluster_->ro(0)->name(), "ro1");
   ASSERT_TRUE(cluster_->ro(0)->CatchUpNow().ok());

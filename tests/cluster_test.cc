@@ -150,9 +150,32 @@ TEST(StrongReadTest, OpenTransactionNeitherBlocksNorLeaksIntoStrongRead) {
 TEST_F(ClusterTest, LeaderDesignationAndFailover) {
   EXPECT_TRUE(cluster_->ro(0)->is_leader());
   EXPECT_FALSE(cluster_->ro(1)->is_leader());
-  ASSERT_TRUE(cluster_->RemoveRoNode(0).ok());
+  ASSERT_TRUE(cluster_->RemoveRoNode(cluster_->ro(0)).ok());
   ASSERT_NE(cluster_->leader(), nullptr);
   EXPECT_TRUE(cluster_->ro(0)->is_leader());
+}
+
+// Admin scale-in leaves the fleet the way eviction does: the node is retired
+// at once (no new session, leadership handed on), but it is destroyed only
+// after the sessions already on it have left.
+TEST_F(ClusterTest, ScaleInDrainsSessions) {
+  RoNode* node = cluster_->ro(0);
+  ASSERT_TRUE(node->is_leader());
+  node->EnterSession();
+  auto removal = std::async(std::launch::async,
+                            [&] { return cluster_->RemoveRoNode(node); });
+  EXPECT_EQ(removal.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "removal returned with a session still on the node";
+  EXPECT_FALSE(node->healthy());
+  RoNode* leader = cluster_->leader();
+  ASSERT_NE(leader, nullptr);
+  EXPECT_NE(leader, node);
+  node->LeaveSession();
+  ASSERT_EQ(removal.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  EXPECT_TRUE(removal.get().ok());
+  EXPECT_EQ(cluster_->ro_nodes().size(), 1u);
 }
 
 TEST_F(ClusterTest, ScaleOutFromCheckpointAndCatchUp) {

@@ -284,7 +284,7 @@ TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
   ImciStore imci;
   ThreadPool threads(1);
   ReplicationPipeline pipeline(&fs, &catalog, &ro_pool, &imci, &threads,
-                               ReplicationOptions());
+                               ReplicationOptions(), "hostile");
   auto schema = std::make_shared<Schema>(
       1, "t", std::vector<ColumnDef>{{"id", DataType::kInt64, false, true}},
       0);

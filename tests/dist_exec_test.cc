@@ -428,7 +428,7 @@ TEST_F(DistExecTest, EvictionMidQueryStreamIsInvisible) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   RoNode* victim = cluster->ro(2);
   ASSERT_NE(victim, nullptr);
-  ASSERT_TRUE(cluster->EvictRoNode(victim).ok());
+  ASSERT_TRUE(cluster->RemoveRoNode(victim).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   stop.store(true);
   runner.join();

@@ -333,7 +333,7 @@ TEST(RoMvccTest, RowEngineScanSeesAllOrNothingDuringStraddlingApply) {
   opts.replication.chunk_records = 1;
   RoNode node("ro-step", &fs, &catalog, opts);
   ASSERT_TRUE(node.Boot().ok());
-  ASSERT_TRUE(node.CatchUpNow().ok());  // seeds the pipeline cursor
+  ASSERT_TRUE(node.CatchUpNow().ok());
 
   auto* txns = rw.txn_manager();
   Transaction txn;
