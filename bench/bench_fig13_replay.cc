@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
                   commits / commit_t.ElapsedSeconds());
     // Parse throughput: deserialize the produced log.
     std::vector<std::string> raw;
-    fs.log("redo")->Read(0, writer.last_lsn(), &raw);
+    fs.log("redo")->Read(0, writer.written_lsn(), &raw);
     Timer parse_t;
     size_t parsed = 0;
     for (const auto& buf : raw) {

@@ -78,7 +78,6 @@ class QueryCoordinator {
   /// Upper bound on ROs recruited per query (the fleet may be larger);
   /// bench RO sweeps lower it.
   void set_max_participants(int n) { max_participants_.store(n); }
-  int max_participants() const { return max_participants_.load(); }
 
   const CoordinatorOptions& options() const { return options_; }
 

@@ -23,7 +23,7 @@ Status RwNode::BulkLoad(TableId table, std::vector<Row> rows) {
 Status RwNode::FinishLoad() {
   IMCI_RETURN_NOT_OK(engine_.CheckpointPages());
   std::string blob;
-  PutFixed64(&blob, redo_.last_lsn());
+  PutFixed64(&blob, redo_.written_lsn());
   return fs_->WriteFile("rowstore/base_lsn", std::move(blob));
 }
 

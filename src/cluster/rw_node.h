@@ -54,7 +54,7 @@ class RwNode {
   /// LSN of the most recent redo append, shipped but possibly not yet
   /// durable or committed. Strong reads fence on commit VIDs instead
   /// (Proxy::ExecuteQuery); this is for log-position introspection.
-  Lsn written_lsn() const { return redo_.last_lsn(); }
+  Lsn written_lsn() const { return redo_.written_lsn(); }
 
  private:
   PolarFs* fs_;

@@ -75,7 +75,6 @@ void ThreadPool::WorkerLoop(int self) {
         --pending_;
       }
       task();
-      tasks_run_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     std::unique_lock<std::mutex> l(mu_);

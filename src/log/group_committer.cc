@@ -8,30 +8,16 @@ namespace imci {
 
 Status GroupCommitter::SyncTo(Lsn lsn) {
   commits_.fetch_add(1, std::memory_order_relaxed);
-  // Guard the precondition (`lsn` already appended and published): a batch
-  // can never cover a future LSN, so waiting on one would fsync in an
-  // unbounded loop. Clamp to the published tail — and make the misuse loud
-  // in debug builds.
-  const Lsn tail = log_->written_lsn();
-  if (lsn > tail && log_->poisoned()) {
-    // A poison rollback trimmed the published tail below our already-
-    // assigned LSN: our record is gone from the device, the commit fails.
-    // (PoisonToDurable latches poisoned() before rolling written_lsn back,
-    // so observing the rollback implies observing the latch.)
-    return Status::IOError("log '" + log_->name() +
-                           "' poisoned by a failed fsync; Reopen() to "
-                           "recover");
-  }
-  assert(lsn <= tail && "SyncTo on an LSN that was never appended");
-  if (lsn > tail) lsn = tail;
   // Fast path: an earlier batch's fsync ran after our record was already in
-  // the segment file, so we are durable without waiting at all.
+  // the segment file, so we are durable without waiting at all. (A poison
+  // trims only above the watermark, so a covered record stays covered.)
   if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return Status::OK();
   std::unique_lock<std::mutex> l(mu_);
   while (durable_lsn_.load(std::memory_order_relaxed) < lsn) {
-    // A failed batch fsync fails every commit at or above the watermark —
-    // ours included, whether we led, followed, or arrived late.
-    if (!poisoned_.ok()) return poisoned_;
+    // The log's latch fails every commit above the watermark — ours
+    // included, whether we lead, follow, or arrive late. Checked on every
+    // wake-up: the latch can be set while we wait.
+    if (!log_->poison_.ok()) return log_->poison_;
     if (leader_active_) {
       // Follower: a leader's fsync is in flight. If it covers us we are
       // woken durable; if we appended after its snapshot we loop and the
@@ -41,30 +27,29 @@ Status GroupCommitter::SyncTo(Lsn lsn) {
     }
     // Leader: snapshot the written tail first — the one fsync below covers
     // every record write-through appended up to this instant, not just ours.
-    leader_active_ = true;
+    // With the latch clear under mu_, no poison has rolled the tail back
+    // below our published record.
     const Lsn target = log_->written_lsn();
+    assert(lsn <= target && "SyncTo on an LSN that was never appended");
+    if (lsn > target) lsn = target;
+    leader_active_ = true;
     l.unlock();
     Status s = log_->Sync();
-    if (!s.ok()) {
-      // The batch fsync failed: nothing in (durable, target] is guaranteed
-      // on the device. Do NOT advance the watermark; poison the log (trims
-      // the un-fsynced tail — both mutexes are free here, establishing the
-      // LogStore::mu_ → mu_ nesting ResetDurable also uses) and fail every
-      // waiter.
-      log_->PoisonToDurable(durable_lsn_.load(std::memory_order_acquire));
-      l.lock();
-      leader_active_ = false;
-      poisoned_ = s;
-      cv_.notify_all();
-      return s;
-    }
+    // The batch fsync failed: nothing in (durable, target] is guaranteed on
+    // the device. Poison the log (trims the un-fsynced tail; both mutexes
+    // are free here) and fail every waiter through the latch.
+    if (!s.ok()) log_->PoisonToDurable(s);
     l.lock();
     leader_active_ = false;
+    cv_.notify_all();
+    if (!s.ok()) return s;
+    // Advance only while the latch is clear: a poison that landed during the
+    // fsync has already trimmed the tail to the old watermark.
+    if (!log_->poison_.ok()) return log_->poison_;
     if (target > durable_lsn_.load(std::memory_order_relaxed)) {
       durable_lsn_.store(target, std::memory_order_release);
     }
     batches_.fetch_add(1, std::memory_order_relaxed);
-    cv_.notify_all();
   }
   return Status::OK();
 }

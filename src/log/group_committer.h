@@ -35,40 +35,27 @@ class LogStore;
 /// commit-VID ≡ commit-LSN invariant Phase#2 replay relies on is enforced by
 /// the caller's enqueue-side critical section (TransactionManager::Commit).
 ///
-/// Failure model: a failed batch fsync fails EVERY commit in the batch —
-/// leader and followers alike get the error, the durable watermark does not
-/// move (durability that did not happen is never reported), and the log is
-/// poisoned (LogStore::PoisonToDurable trims the un-fsynced tail) so later
-/// commits fail fast until Reopen() recovers it clean at the pre-batch
-/// watermark.
+/// Failure model: the committer obeys the log's one latch
+/// (LogStore::PoisonToDurable), set under this committer's mutex. A failed
+/// batch fsync poisons the log, failing EVERY commit in the batch, and the
+/// durable watermark does not move. A leader advances the watermark only
+/// while the latch is clear, so a poison landing during its fsync (a failed
+/// write-through append) fails the batch too; waiters check the latch on
+/// every wake-up. Later commits fail fast until Reopen().
 class GroupCommitter {
  public:
   explicit GroupCommitter(LogStore* log) : log_(log) {}
 
   /// Blocks until every record at or below `lsn` is durable, joining (or
   /// leading) a batch fsync as described above. `lsn` must already be
-  /// appended to the log and published via written_lsn(); passing a
-  /// not-yet-appended LSN would flush forever without covering it. Counts
-  /// one commit against the batching stats. Fails — without advancing the
-  /// durable watermark — when the covering batch fsync failed or the log is
-  /// already poisoned.
+  /// appended to the log and published via written_lsn(). Counts one commit
+  /// against the batching stats. Fails — without advancing the durable
+  /// watermark — when the log is poisoned before a batch covers `lsn`.
   Status SyncTo(Lsn lsn);
 
   /// Records at or below this LSN are durable. Monotonic.
   Lsn durable_lsn() const {
     return durable_lsn_.load(std::memory_order_acquire);
-  }
-
-  /// Re-seeds the durable watermark after recovery: everything a LogStore
-  /// re-reads from segment files is by definition durable. Also clears a
-  /// poison latched by a failed batch fsync — recovery re-derived a clean
-  /// durable state. (Lock order: LogStore::mu_ → this->mu_, the same nesting
-  /// PoisonToDurable uses from the leader path, which holds neither.)
-  void ResetDurable(Lsn lsn) {
-    std::lock_guard<std::mutex> g(mu_);
-    durable_lsn_.store(lsn, std::memory_order_release);
-    poisoned_ = Status::OK();
-    cv_.notify_all();
   }
 
   /// Leader fsync batches issued.
@@ -91,11 +78,14 @@ class GroupCommitter {
   }
 
  private:
+  friend class LogStore;  // sets its latch and watermark under mu_
+
   LogStore* log_;
+  /// Guards leader_active_, the watermark's advance and (with
+  /// LogStore::mu_) the log's latch. Lock order: LogStore::mu_ → mu_.
   std::mutex mu_;
   std::condition_variable cv_;
   bool leader_active_ = false;  // guarded by mu_: at most one flush in flight
-  Status poisoned_;  // guarded by mu_: non-OK after a failed batch fsync
   std::atomic<Lsn> durable_lsn_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> commits_{0};

@@ -44,10 +44,10 @@ std::string LogStore::WatermarkFileName() const {
   return "log/" + name_ + "/TRUNCATED";
 }
 
-bool LogStore::ParseSegment(const std::string& data, Segment* seg) {
+bool LogStore::ParseSegment(const std::string& data, Lsn cut, Segment* seg) {
   size_t pos = 0;
   Lsn lsn = seg->first - 1;
-  while (pos + kFrameHeader <= data.size()) {
+  while (lsn < cut && pos + kFrameHeader <= data.size()) {
     const uint32_t len = GetFixed32(data.data() + pos);
     const uint64_t hash = GetFixed64(data.data() + pos + 4);
     if (pos + kFrameHeader + len > data.size()) break;  // torn frame
@@ -67,8 +67,11 @@ bool LogStore::ParseSegment(const std::string& data, Segment* seg) {
 Status LogStore::Open() {
   std::lock_guard<std::mutex> g(mu_);
   IMCI_RETURN_NOT_OK(fault::Maybe("logstore.recover"));
+  // A poisoned log's written tail is its cut: the files may still hold
+  // records above it, and they are trimmed below like a torn tail, before
+  // the latch clears. A failed trim fails Open and keeps the latch.
+  const Lsn cut = poison_.ok() ? UINT64_MAX : written_lsn_.load();
   segments_.clear();
-  poisoned_.store(false, std::memory_order_release);
 
   Lsn truncated = 0;
   std::string wm;
@@ -101,7 +104,7 @@ Status LogStore::Open() {
     std::string data;
     Status s = fs_->ReadFile(file, &data);
     if (!s.ok()) return s;
-    const bool intact = ParseSegment(data, &seg);
+    const bool intact = ParseSegment(data, cut, &seg);
     if (!intact || seg.offsets.empty()) {
       // Torn tail inside this segment: trim the durable image to the good
       // prefix so the next recovery sees a clean log. A zero-record file can
@@ -122,8 +125,11 @@ Status LogStore::Open() {
     segments_.push_back(std::move(seg));
   }
   written_lsn_.store(tail, std::memory_order_release);
-  // Everything recovery re-read from segment files is durable by definition.
-  group_->ResetDurable(tail);
+  // Everything recovery re-read from segment files is durable by definition,
+  // and the clean state it re-derived clears the latch.
+  std::lock_guard<std::mutex> c(group_->mu_);
+  group_->durable_lsn_.store(tail, std::memory_order_release);
+  poison_ = Status::OK();
   return Status::OK();
 }
 
@@ -150,11 +156,7 @@ Lsn LogStore::Append(std::vector<std::string> records, bool durable,
   Lsn last;
   {
     std::lock_guard<std::mutex> g(mu_);
-    if (poisoned_.load(std::memory_order_relaxed)) {
-      return fail(Status::IOError("log '" + name_ +
-                                  "' poisoned by a failed fsync; Reopen() "
-                                  "to recover"));
-    }
+    if (!poison_.ok()) return fail(poison_);
     if (segments_.empty() || segments_.back().sealed) {
       StartSegmentLocked(written_lsn_.load(std::memory_order_relaxed) + 1);
     }
@@ -173,7 +175,7 @@ Lsn LogStore::Append(std::vector<std::string> records, bool durable,
             // The durable image and the in-memory index have diverged:
             // poison back to the fsync watermark, exactly as a failed batch
             // fsync would.
-            PoisonToDurableLocked(group_->durable_lsn());
+            PoisonToDurableLocked(ws);
             return fail(std::move(ws));
           }
           flush.clear();
@@ -194,22 +196,19 @@ Lsn LogStore::Append(std::vector<std::string> records, bool durable,
     if (!flush.empty()) {
       Status ws = fs_->AppendFile(segments_.back().file, flush);
       if (!ws.ok()) {
-        PoisonToDurableLocked(group_->durable_lsn());
+        PoisonToDurableLocked(ws);
         return fail(std::move(ws));
       }
     }
     fs_->AccountLogBytes(bytes);
     last = segments_.back().last;
+    // Publish under mu_, so a poison trim (also under mu_) can never be
+    // overtaken by a stale publication above it. Publication must precede
+    // the durability wait below — the group-commit leader's batch target is
+    // written_lsn(), which has to cover this batch for SyncTo to terminate.
+    written_lsn_.store(last, std::memory_order_release);
   }
-  // Publish and notify: the "broadcast its up-to-date LSN" step of CALS
-  // (§5.1). Concurrent appenders may reach here out of order, hence the
-  // monotonic CAS. Publication must precede the durability wait below —
-  // the group-commit leader's batch target is written_lsn(), which has to
-  // cover this batch for SyncTo to terminate.
-  Lsn prev = written_lsn_.load(std::memory_order_relaxed);
-  while (prev < last && !written_lsn_.compare_exchange_weak(
-                            prev, last, std::memory_order_release)) {
-  }
+  // Notify: the "broadcast its up-to-date LSN" step of CALS (§5.1).
   cv_.notify_all();
   if (durable) {
     if (Status s = group_->SyncTo(last); !s.ok()) return fail(std::move(s));
@@ -221,38 +220,40 @@ Status LogStore::Sync() { return fs_->SyncLog(); }
 
 Status LogStore::SyncTo(Lsn lsn) { return group_->SyncTo(lsn); }
 
-void LogStore::PoisonToDurable(Lsn durable) {
+bool LogStore::poisoned() const {
   std::lock_guard<std::mutex> g(mu_);
-  PoisonToDurableLocked(durable);
+  return !poison_.ok();
 }
 
-void LogStore::PoisonToDurableLocked(Lsn durable) {
-  if (poisoned_.exchange(true, std::memory_order_acq_rel)) return;
+void LogStore::PoisonToDurable(const Status& cause) {
+  std::lock_guard<std::mutex> g(mu_);
+  PoisonToDurableLocked(cause);
+}
+
+void LogStore::PoisonToDurableLocked(const Status& cause) {
+  Lsn durable;
+  {
+    // Latch and watermark read under the committer's mutex, where a batch
+    // leader advances the watermark only while the latch is clear: either
+    // the leader advanced first and the trim below keeps its fsynced batch,
+    // or the latch came first and the leader fails instead of advancing.
+    std::lock_guard<std::mutex> c(group_->mu_);
+    if (!poison_.ok()) return;
+    poison_ = Status::IOError("log '" + name_ + "' poisoned (" +
+                              cause.ToString() + "); Reopen() to recover");
+    durable = group_->durable_lsn();
+  }
   // The un-fsynced tail was never guaranteed device-side. Trim it from the
-  // durable files AND the in-memory index so the live view never shows
-  // records that the next recovery would not — the exact state a crash at
-  // this fsync would leave behind. All file ops are best-effort: the device
-  // is already misbehaving, and Reopen()'s torn-tail scan re-derives the
-  // same cut from whatever survives.
+  // in-memory index so the live view never shows records that the next
+  // recovery would not — the exact state a crash at this fsync would leave
+  // behind. The segment files are cut by the next Open().
   while (!segments_.empty() && segments_.back().first > durable) {
-    (void)fs_->DeleteFile(segments_.back().file);
     segments_.pop_back();
   }
   if (!segments_.empty() && segments_.back().last > durable) {
     Segment& seg = segments_.back();
     const size_t keep = static_cast<size_t>(durable + 1 - seg.first);
-    if (seg.sealed) {
-      // Sealed mid-batch: the mirror is gone, re-read the durable copy to
-      // find the cut offset (offsets are retained past sealing).
-      std::string data;
-      if (fs_->ReadFile(seg.file, &data).ok()) {
-        data.resize(std::min<size_t>(data.size(), seg.offsets[keep]));
-        (void)fs_->WriteFile(seg.file, std::move(data));
-      }
-    } else {
-      seg.data.resize(seg.offsets[keep]);
-      (void)fs_->WriteFile(seg.file, seg.data);
-    }
+    if (!seg.sealed) seg.data.resize(seg.offsets[keep]);
     seg.offsets.resize(keep);
     seg.last = durable;
   }
@@ -327,6 +328,8 @@ bool LogStore::DecodeFrames(const std::string& data,
 Status LogStore::Truncate(Lsn lsn) {
   IMCI_RETURN_NOT_OK(fault::Maybe("logstore.truncate"));
   std::lock_guard<std::mutex> g(mu_);
+  // The files may still hold a poisoned tail that must not be archived.
+  if (!poison_.ok()) return poison_;
   ArchiveSink* archive = archive_.load(std::memory_order_acquire);
   bool recycled = false;
   Status result;
@@ -350,7 +353,6 @@ Status LogStore::Truncate(Lsn lsn) {
     (void)fs_->DeleteFile(segments_.front().file);
     truncated_lsn_.store(segments_.front().last, std::memory_order_release);
     segments_.pop_front();
-    segments_recycled_.fetch_add(1, std::memory_order_relaxed);
     recycled = true;
   }
   if (recycled) {

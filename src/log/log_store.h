@@ -55,13 +55,17 @@ class ArchiveSink {
 ///
 /// Failure model (common/fault.h): fault points `logstore.append`,
 /// `logstore.read`, `logstore.recover`, `logstore.truncate`, plus whatever
-/// PolarFs injects underneath. A failed *batch fsync* (GroupCommitter) or a
-/// failed write-through append **poisons** the log: the un-fsynced tail is
-/// trimmed back to the durable watermark (device-side it was never
-/// guaranteed — exactly what the next crash recovery would conclude), every
-/// commit in the batch fails, and all further appends/syncs fail fast until
-/// `Reopen()` recovers the store clean at the pre-batch watermark. The
-/// durable watermark never advances past an fsync that did not happen.
+/// PolarFs injects underneath. The log has ONE failure latch, and it holds
+/// the reason. A failed *batch fsync* (GroupCommitter), a failed
+/// write-through append, or a writer whose refused records already changed
+/// its state (PoisonToDurable) **poisons** the log: the un-fsynced tail is
+/// cut at the durable watermark (device-side it was never guaranteed), every
+/// commit waiting on an fsync fails, and all further appends, syncs and
+/// truncations fail fast until `Reopen()` trims the segment files to the
+/// cut and recovers the store clean there. The latch is set under the group
+/// committer's mutex, the same mutex a batch leader advances the watermark
+/// under, so the watermark never advances past an fsync that did not happen
+/// nor past a poison cut.
 class LogStore {
  public:
   /// Does not recover; call Open() before use (PolarFs::log does both).
@@ -78,7 +82,8 @@ class LogStore {
 
   /// Drops all in-memory state and recovers from the segment files again, as
   /// a restarting node would. Tests simulate crashes by mutilating segment
-  /// files between appends and Reopen().
+  /// files between appends and Reopen(). A poisoned log is first trimmed to
+  /// its cut; only a recovery that completes clears the latch.
   Status Reopen();
 
   /// Appends a batch of records; returns the LSN of the last one. When
@@ -87,9 +92,9 @@ class LogStore {
   /// leader batch). Thread-safe; LSN order == append order.
   ///
   /// Returns 0 and sets `*error` (when non-null) if the append failed:
-  /// the log is poisoned, the write-through landed short, or the covering
-  /// batch fsync failed (the commit is NOT durable). Fault point
-  /// `logstore.append`.
+  /// the log is poisoned, the write-through failed (which poisons it), or
+  /// the covering batch fsync failed (the commit is NOT durable). A refusal
+  /// at fault point `logstore.append` wrote nothing and does not poison.
   Lsn Append(std::vector<std::string> records, bool durable,
              Status* error = nullptr);
 
@@ -127,8 +132,8 @@ class LogStore {
   /// <= `lsn` (segment-granular, so the cut never outruns `lsn`). The active
   /// segment is never recycled. Persists the watermark. A failed archive
   /// seal or watermark write surfaces as the returned status; recycling
-  /// stops at the failure (never destroys unarchived history). Fault point
-  /// `logstore.truncate`.
+  /// stops at the failure (never destroys unarchived history). Refused
+  /// while poisoned. Fault point `logstore.truncate`.
   Status Truncate(Lsn lsn);
 
   /// Highest LSN that has been appended.
@@ -147,25 +152,24 @@ class LogStore {
 
   const std::string& name() const { return name_; }
   size_t segment_count() const;
-  uint64_t segments_recycled() const { return segments_recycled_.load(); }
 
   /// Attaches the archive sink. From then on Truncate seals every segment
   /// into the sink before deleting it, and stops recycling (leaving the
   /// segment live) when sealing fails.
   void set_archive(ArchiveSink* sink);
 
-  /// True after a failed batch fsync / write-through append poisoned the
-  /// log: appends and syncs fail fast until Reopen() recovers it clean at
-  /// the durable watermark.
-  bool poisoned() const { return poisoned_.load(std::memory_order_acquire); }
+  /// True once the log is poisoned: appends and syncs fail fast until
+  /// Reopen() recovers it clean at the durable watermark.
+  bool poisoned() const;
 
-  /// Poisons the log at `durable` (the group-commit watermark): the
-  /// un-fsynced tail above it is trimmed from both the in-memory index and
-  /// the durable segment files — the fsync never happened, so device-side
-  /// those bytes were never guaranteed — and written_lsn() rolls back to
-  /// `durable`. Called by GroupCommitter when a batch fsync fails; tests
-  /// may call it directly to simulate the same. Idempotent.
-  void PoisonToDurable(Lsn durable);
+  /// Sets the failure latch to `cause` and cuts the log at the durable
+  /// watermark, read under the group committer's mutex together with the
+  /// latch: the un-fsynced tail above it leaves the in-memory index now and
+  /// the segment files at the next Open(), and written_lsn() rolls back to
+  /// it. Called when a batch fsync or a write-through append fails, and by
+  /// a writer whose refused append left state the log no longer matches.
+  /// Only the first call latches and cuts.
+  void PoisonToDurable(const Status& cause);
 
   /// Durable file name of the segment starting at `first_lsn` (exposed so
   /// tests can mutilate exactly the segment they mean to).
@@ -191,13 +195,16 @@ class LogStore {
     std::vector<uint32_t> offsets;  // frame start offset per record
   };
 
+  friend class GroupCommitter;  // reads poison_ under its own mutex
+
   void StartSegmentLocked(Lsn first_lsn);
   /// PoisonToDurable with mu_ already held (the in-Append failure path).
-  void PoisonToDurableLocked(Lsn durable);
+  void PoisonToDurableLocked(const Status& cause);
   std::string WatermarkFileName() const;
-  /// Parses `data` frames into `seg`; returns false when a torn/corrupt
-  /// frame cut the scan short (seg holds the good prefix).
-  static bool ParseSegment(const std::string& data, Segment* seg);
+  /// Parses `data` frames up to LSN `cut` into `seg`; returns false when a
+  /// torn/corrupt frame or the cut left bytes unparsed (seg holds the good
+  /// prefix).
+  static bool ParseSegment(const std::string& data, Lsn cut, Segment* seg);
 
   PolarFs* fs_;
   const std::string name_;
@@ -210,8 +217,9 @@ class LogStore {
   std::deque<Segment> segments_;  // ascending LSN; back() is active
   std::atomic<Lsn> written_lsn_{0};
   std::atomic<Lsn> truncated_lsn_{0};
-  std::atomic<uint64_t> segments_recycled_{0};
-  std::atomic<bool> poisoned_{false};
+  /// The failure latch: non-OK from the first poison until Open(). Written
+  /// holding both mu_ and the group committer's mutex, so either reads it.
+  Status poison_;
 };
 
 }  // namespace imci

@@ -77,7 +77,6 @@ Status PolarFs::SyncLog() {
 }
 
 Status PolarFs::SyncControl() {
-  control_syncs_.fetch_add(1, std::memory_order_relaxed);
   SimulateLatency(options_.fsync_latency_us);
   return fault::Maybe("polarfs.fsync.control");
 }

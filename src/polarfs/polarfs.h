@@ -138,8 +138,6 @@ class PolarFs {
   // derive fsyncs-per-commit (= commit_batches/batched_commits) and the mean
   // batch size (= batched_commits/commit_batches) without walking the logs.
   uint64_t fsync_count() const { return fsyncs_.load(); }
-  /// Control-plane fsyncs (archive manifests / snapshot indexes).
-  uint64_t control_syncs() const { return control_syncs_.load(); }
   /// Group-commit fsync batches issued across all open logs.
   uint64_t commit_batches() const;
   /// Durable commits those batches served across all open logs.
@@ -167,7 +165,6 @@ class PolarFs {
   std::map<std::string, std::string> files_;
 
   std::atomic<uint64_t> fsyncs_{0};
-  std::atomic<uint64_t> control_syncs_{0};
   std::atomic<uint64_t> log_bytes_{0};
   mutable std::atomic<uint64_t> page_reads_{0};
   std::atomic<uint64_t> page_writes_{0};

@@ -2,33 +2,28 @@
 
 namespace imci {
 
-Lsn RedoWriter::Append(std::vector<RedoRecord*> records, bool durable,
-                       Status* error) {
+Status RedoWriter::Append(std::span<RedoRecord> records, Lsn* last) {
   std::vector<std::string> serialized;
   serialized.reserve(records.size());
-  Lsn last;
-  {
-    // LSN assignment and serialization under the lock keeps LSN order equal
-    // to log order, the prerequisite Phase#2 sorting relies on (§5.4).
-    std::lock_guard<std::mutex> g(mu_);
-    // Stamp from the log's tail, not a private counter: a failed batch fsync
-    // trims the log below a previously returned LSN, and a stale counter
-    // would stamp the first post-reopen record with a colliding LSN — the
-    // replica's page-LSN idempotence check then silently discards the real
-    // record that later lands there. Every redo append serializes through
-    // this mutex, so written_lsn() is exactly the last stamped position.
-    Lsn lsn = log_->written_lsn();
-    for (RedoRecord* r : records) {
-      r->lsn = ++lsn;
-      std::string buf;
-      r->Serialize(&buf);
-      serialized.push_back(std::move(buf));
-    }
-    last = log_->Append(std::move(serialized), durable, error);
-    if (last == 0) return 0;  // failed append: LSNs were never published
-    last_lsn_.store(last, std::memory_order_release);
+  // LSN assignment and serialization under the lock keeps LSN order equal
+  // to log order, the prerequisite Phase#2 sorting relies on (§5.4).
+  std::lock_guard<std::mutex> g(mu_);
+  // Stamp from the log's tail, not a private counter: a poison trims the
+  // log below a previously returned LSN, and a stale counter would stamp
+  // the first post-reopen record with a colliding LSN — the replica's
+  // page-LSN idempotence check then silently discards the real record that
+  // later lands there. Every redo append serializes through this mutex, so
+  // written_lsn() is exactly the last stamped position.
+  Lsn lsn = log_->written_lsn();
+  for (RedoRecord& r : records) {
+    r.lsn = ++lsn;
+    std::string buf;
+    r.Serialize(&buf);
+    serialized.push_back(std::move(buf));
   }
-  return last;
+  Status s;
+  *last = log_->Append(std::move(serialized), /*durable=*/false, &s);
+  return s;
 }
 
 Lsn RedoReader::Read(Lsn from, Lsn to, std::vector<RedoRecord>* out,

@@ -1,8 +1,8 @@
 #ifndef POLARDB_IMCI_REDO_REDO_WRITER_H_
 #define POLARDB_IMCI_REDO_REDO_WRITER_H_
 
-#include <atomic>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "log/log_store.h"
@@ -19,24 +19,23 @@ namespace imci {
 /// property the Binlog baseline destroys, Fig. 11).
 ///
 /// Thread-safe: many transaction threads append concurrently; LSNs are
-/// assigned under the append lock, so LSN order == log order. A writer
-/// attached after recovery continues from the log's recovered tail.
+/// assigned under the append lock, so LSN order == log order. The writer
+/// holds no LSN of its own: it stamps from the log's written tail, so a
+/// writer attached after recovery continues from the recovered tail. A
+/// refused append is reported; whether it poisons the log is the caller's
+/// call (TransactionManager).
 class RedoWriter {
  public:
-  explicit RedoWriter(LogStore* log)
-      : log_(log), last_lsn_(log->written_lsn()) {}
+  explicit RedoWriter(LogStore* log) : log_(log) {}
 
-  /// Assigns LSNs to `records`, serializes and appends them. Returns the LSN
-  /// of the last appended record. `durable` forces an fsync (commit/abort).
-  /// Returns 0 and sets `*error` (when non-null) on a failed append — the
-  /// records are not in the log and their LSNs were never published.
-  Lsn Append(std::vector<RedoRecord*> records, bool durable,
-             Status* error = nullptr);
+  /// Assigns LSNs to `records`, serializes and appends them write-through,
+  /// without waiting for durability; `*last` gets the LSN of the last one.
+  /// On failure the records are not in the log, their LSNs were never
+  /// published, and `*last` is 0.
+  Status Append(std::span<RedoRecord> records, Lsn* last);
 
-  /// Convenience for a single record.
-  Lsn AppendOne(RedoRecord* rec, bool durable, Status* error = nullptr) {
-    return Append({rec}, durable, error);
-  }
+  /// LogStore::PoisonToDurable.
+  void Poison(const Status& cause) { log_->PoisonToDurable(cause); }
 
   /// Blocks until every record at or below `lsn` is durable, joining the
   /// log's group commit (one fsync per batch of concurrent committers).
@@ -44,7 +43,7 @@ class RedoWriter {
   /// when the covering batch fsync failed (the commit is NOT durable).
   Status SyncTo(Lsn lsn) { return log_->SyncTo(lsn); }
 
-  Lsn last_lsn() const { return last_lsn_.load(std::memory_order_acquire); }
+  Lsn written_lsn() const { return log_->written_lsn(); }
 
   /// Group-commit durable watermark: every record at or below this LSN has
   /// been covered by a successful batch fsync. After a failed batch fsync
@@ -56,7 +55,6 @@ class RedoWriter {
  private:
   LogStore* log_;
   std::mutex mu_;
-  std::atomic<Lsn> last_lsn_;
 };
 
 /// Reads and deserializes REDO records from the shared log; used by RO nodes'

@@ -58,8 +58,6 @@ void LogicalApplySource::DecodeRaw(Lsn first_lsn,
       }
       txn.dmls.push_back(std::move(dml));
     }
-    dmls_.fetch_add(txn.dmls.size(), std::memory_order_relaxed);
-    txns_.fetch_add(1, std::memory_order_relaxed);
     out->push_back(std::move(txn));
   }
 }

@@ -1,7 +1,6 @@
 #ifndef POLARDB_IMCI_REPLICATION_LOGICAL_APPLY_H_
 #define POLARDB_IMCI_REPLICATION_LOGICAL_APPLY_H_
 
-#include <atomic>
 #include <vector>
 
 #include "common/schema.h"
@@ -48,14 +47,9 @@ class LogicalApplySource {
   void DecodeRaw(Lsn first_lsn, const std::vector<std::string>& raw,
                  std::vector<LogicalTxn>* out);
 
-  uint64_t txns_decoded() const { return txns_.load(); }
-  uint64_t dmls_produced() const { return dmls_.load(); }
-
  private:
   LogStore* log_;
   const Catalog* catalog_;
-  std::atomic<uint64_t> txns_{0};
-  std::atomic<uint64_t> dmls_{0};
 };
 
 }  // namespace imci

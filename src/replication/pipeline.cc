@@ -383,7 +383,6 @@ Status ReplicationPipeline::PollRedoOnce() {
       // go too — the compensation records (which precede the abort record in
       // the log, hence already applied) restored the pages.
       DropReplicaVersions(*buf);
-      aborted_txns_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (d.vid <= seed_vid_) continue;  // in the checkpoint

@@ -123,7 +123,6 @@ class ReplicationPipeline {
 
   uint64_t applied_ops() const { return applied_ops_.load(); }
   uint64_t committed_txns() const { return committed_txns_.load(); }
-  uint64_t aborted_txns() const { return aborted_txns_.load(); }
   uint64_t precommitted_txns() const { return precommitted_txns_.load(); }
   uint64_t compactions() const { return compactions_.load(); }
 
@@ -239,7 +238,6 @@ class ReplicationPipeline {
   Vid seed_vid_ = 0;  // the checkpoint filter (see Seed)
   std::atomic<uint64_t> applied_ops_{0};
   std::atomic<uint64_t> committed_txns_{0};
-  std::atomic<uint64_t> aborted_txns_{0};
   std::atomic<uint64_t> precommitted_txns_{0};
   std::atomic<uint64_t> compactions_{0};
   LatencyHistogram vd_;

@@ -276,7 +276,6 @@ Status RedoParser::ParseChunk(std::vector<RedoRecord>& records,
             [](const LogicalDml& a, const LogicalDml& b) {
               return a.lsn < b.lsn;
             });
-  dmls_produced_.fetch_add(total, std::memory_order_relaxed);
   return Status::OK();
 }
 

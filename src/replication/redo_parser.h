@@ -52,7 +52,6 @@ class RedoParser {
                     std::vector<Decision>* decisions);
 
   uint64_t records_applied() const { return records_applied_.load(); }
-  uint64_t dmls_produced() const { return dmls_produced_.load(); }
 
  private:
   /// Phase-B payload computed by PreparePageRecord under a shared page
@@ -100,7 +99,6 @@ class RedoParser {
   int parallelism_;
   RowStoreEngine* replica_engine_;
   std::atomic<uint64_t> records_applied_{0};
-  std::atomic<uint64_t> dmls_produced_{0};
 };
 
 }  // namespace imci

@@ -6,8 +6,8 @@ namespace imci {
 
 BinlogWriter::BinlogWriter(LogStore* log) : log_(log) {}
 
-Lsn BinlogWriter::EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
-                             const std::vector<Event>& events, Status* error) {
+Status BinlogWriter::EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
+                                const std::vector<Event>& events, Lsn* lsn) {
   std::string buf;
   PutFixed64(&buf, tid);
   PutFixed64(&buf, vid);
@@ -28,7 +28,9 @@ Lsn BinlogWriter::EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
   // durable flush — the extra fsync the paper blames for the Binlog
   // baseline's OLTP loss — is the caller's SyncTo, outside any ordering
   // mutex, so concurrent commits share it per batch.
-  return log_->Append({std::move(buf)}, /*durable=*/false, error);
+  Status s;
+  *lsn = log_->Append({std::move(buf)}, /*durable=*/false, &s);
+  return s;
 }
 
 bool BinlogWriter::DecodeTxn(const std::string& data, Tid* tid, Vid* vid,

@@ -41,17 +41,16 @@ class BinlogWriter {
   };
 
   /// Serializes and appends one transaction's events write-through without
-  /// waiting for durability; returns the record's binlog LSN. `vid`/
+  /// waiting for durability; `*lsn` gets the record's binlog LSN. `vid`/
   /// `commit_ts_us` are the commit sequence number and RW commit wall-clock,
   /// recorded so logical apply assigns the same read-view VIDs as REDO
   /// reuse. The caller makes the record durable with SyncTo() *outside* the
   /// commit-ordering mutex, so the binlog arm's extra fsync is paid once per
   /// group-commit batch instead of once per transaction.
-  /// Returns 0 and sets `*error` (when non-null) if the underlying append
-  /// failed (poisoned or faulted binlog) — the transaction has no binlog
-  /// record and must not commit.
-  Lsn EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
-                 const std::vector<Event>& events, Status* error = nullptr);
+  /// Fails (`*lsn` 0) if the underlying append failed (poisoned or faulted
+  /// binlog): the transaction has no binlog record and must not commit.
+  Status EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
+                    const std::vector<Event>& events, Lsn* lsn);
 
   /// Blocks until binlog records at or below `lsn` are durable (joins the
   /// binlog log's group commit). Fails when the covering batch fsync failed.
@@ -62,9 +61,8 @@ class BinlogWriter {
   /// commit; concurrent callers batch.
   Status CommitTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
                    const std::vector<Event>& events) {
-    Status s;
-    const Lsn lsn = EnqueueTxn(tid, vid, commit_ts_us, events, &s);
-    IMCI_RETURN_NOT_OK(s);
+    Lsn lsn;
+    IMCI_RETURN_NOT_OK(EnqueueTxn(tid, vid, commit_ts_us, events, &lsn));
     return SyncTo(lsn);
   }
 

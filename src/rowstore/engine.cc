@@ -126,24 +126,57 @@ void TransactionManager::Begin(Transaction* txn) {
   txn->tid_ = next_tid_.fetch_add(1) + 1;
 }
 
-RowTable::RedoShipFn TransactionManager::MakeShip(Transaction* txn) {
-  // Stamps the user-DML records with the transaction id (SMO records keep
-  // TID 0 — system) and ships them immediately, non-durably: the eager
-  // append CALS depends on (§5.1). The table invokes this while holding its
-  // write latch so that log order always equals page-modification order —
-  // the prerequisite of Phase#1's per-page in-order replay.
-  return [this, txn](std::vector<RedoRecord>* redo) {
-    std::vector<RedoRecord*> ptrs;
-    ptrs.reserve(redo->size());
-    for (RedoRecord& r : *redo) {
-      if (r.type != RedoType::kSmo) {
-        r.tid = txn->tid_;
-        r.prev_lsn = txn->last_lsn_;
-      }
-      ptrs.push_back(&r);
+Status TransactionManager::Ship(Transaction* txn,
+                                std::span<RedoRecord> records) {
+  if (txn != nullptr) {
+    for (RedoRecord& r : records) {
+      if (r.type == RedoType::kSmo) continue;  // SMOs stay system (TID 0)
+      r.tid = txn->tid_;
+      r.prev_lsn = txn->last_lsn_;
     }
-    txn->last_lsn_ = redo_->Append(std::move(ptrs), /*durable=*/false);
+  }
+  // Non-durable: the eager append CALS depends on (§5.1).
+  Lsn last;
+  Status s = redo_->Append(records, &last);
+  if (!s.ok()) {
+    redo_->Poison(s);
+    return s;
+  }
+  if (txn != nullptr) txn->last_lsn_ = last;
+  return s;
+}
+
+Status TransactionManager::Write(Transaction* txn, RowTable* t, int64_t pk,
+                                 BinlogWriter::Event::Op op, const Row* row) {
+  using Op = BinlogWriter::Event::Op;
+  const TableId table = t->schema().table_id();
+  IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
+  txn->locks_.emplace_back(table, pk);
+  // The table runs this under its write latch, so log order always equals
+  // page-modification order — the prerequisite of Phase#1's per-page
+  // in-order replay.
+  auto ship = [&](std::vector<RedoRecord>* redo) {
+    txn->NoteWrite(table, pk);
+    return Ship(txn, *redo);
   };
+  std::vector<RedoRecord> redo;
+  switch (op) {
+    case Op::kInsert:
+      IMCI_RETURN_NOT_OK(t->Insert(*row, &redo, ship, txn->tid_));
+      break;
+    case Op::kUpdate:
+      IMCI_RETURN_NOT_OK(t->Update(pk, *row, &redo, ship, txn->tid_));
+      break;
+    case Op::kDelete:
+      IMCI_RETURN_NOT_OK(t->Delete(pk, &redo, ship, txn->tid_));
+      break;
+  }
+  if (binlog_enabled_ && binlog_ != nullptr) {
+    std::string image;
+    if (row != nullptr) RowCodec::Encode(t->schema(), *row, &image);
+    txn->binlog_events_.push_back({op, table, pk, std::move(image)});
+  }
+  return Status::OK();
 }
 
 Status TransactionManager::Insert(Transaction* txn, TableId table,
@@ -151,52 +184,21 @@ Status TransactionManager::Insert(Transaction* txn, TableId table,
   RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
   const int64_t pk = AsInt(row[t->schema().pk_col()]);
-  IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
-  txn->locks_.emplace_back(table, pk);
-  std::vector<RedoRecord> redo;
-  IMCI_RETURN_NOT_OK(t->Insert(row, &redo, MakeShip(txn), txn->tid_));
-  txn->NoteWrite(table, pk);
-  if (binlog_enabled_ && binlog_ != nullptr) {
-    std::string image;
-    RowCodec::Encode(t->schema(), row, &image);
-    txn->binlog_events_.push_back(
-        {BinlogWriter::Event::Op::kInsert, table, pk, std::move(image)});
-  }
-  return Status::OK();
+  return Write(txn, t, pk, BinlogWriter::Event::Op::kInsert, &row);
 }
 
 Status TransactionManager::Update(Transaction* txn, TableId table, int64_t pk,
                                   const Row& row) {
   RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
-  txn->locks_.emplace_back(table, pk);
-  std::vector<RedoRecord> redo;
-  IMCI_RETURN_NOT_OK(t->Update(pk, row, &redo, MakeShip(txn), txn->tid_));
-  txn->NoteWrite(table, pk);
-  if (binlog_enabled_ && binlog_ != nullptr) {
-    std::string image;
-    RowCodec::Encode(t->schema(), row, &image);
-    txn->binlog_events_.push_back(
-        {BinlogWriter::Event::Op::kUpdate, table, pk, std::move(image)});
-  }
-  return Status::OK();
+  return Write(txn, t, pk, BinlogWriter::Event::Op::kUpdate, &row);
 }
 
 Status TransactionManager::Delete(Transaction* txn, TableId table,
                                   int64_t pk) {
   RowTable* t = engine_->GetTable(table);
   if (t == nullptr) return Status::NotFound("table");
-  IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
-  txn->locks_.emplace_back(table, pk);
-  std::vector<RedoRecord> redo;
-  IMCI_RETURN_NOT_OK(t->Delete(pk, &redo, MakeShip(txn), txn->tid_));
-  txn->NoteWrite(table, pk);
-  if (binlog_enabled_ && binlog_ != nullptr) {
-    txn->binlog_events_.push_back(
-        {BinlogWriter::Event::Op::kDelete, table, pk, {}});
-  }
-  return Status::OK();
+  return Write(txn, t, pk, BinlogWriter::Event::Op::kDelete, nullptr);
 }
 
 Status TransactionManager::GetForUpdate(Transaction* txn, TableId table,
@@ -315,20 +317,21 @@ void TransactionManager::DropLostPublications() {
 void TransactionManager::RetractLostCommit(Transaction* txn) {
   for (const auto& [table_id, pks] : txn->writes_) {
     RowTable* t = engine_->GetTable(table_id);
-    if (t != nullptr) t->UndoWrites(txn->tid_, txn->commit_vid_, pks, nullptr);
+    if (t != nullptr) {
+      (void)t->UndoWrites(txn->tid_, txn->commit_vid_, pks, nullptr);
+    }
   }
 }
 
 Status TransactionManager::Commit(Transaction* txn) {
   if (txn->finished_) return Status::InvalidArgument("finished txn");
-  txn->finished_ = true;
   RedoRecord commit;
   commit.type = RedoType::kCommit;
   commit.tid = txn->tid_;
   commit.prev_lsn = txn->last_lsn_;
-  Lsn commit_lsn = 0;
   Lsn binlog_lsn = 0;
-  Status enqueue_status;
+  Status enqueued;  // the redo commit record's append
+  Status s;         // the first failure after it
   const Vid trim_hint =
       txn->writes_.empty() ? 0 : engine_->row_snapshots()->hint();
   {
@@ -343,61 +346,66 @@ Status TransactionManager::Commit(Transaction* txn) {
     txn->commit_vid_ = next_vid_.fetch_add(1) + 1;
     commit.commit_vid = txn->commit_vid_;
     commit.commit_ts_us = NowMicros();
-    commit_lsn = redo_->AppendOne(&commit, /*durable=*/false, &enqueue_status);
-    txn->commit_lsn_ = commit_lsn;
-    if (commit_lsn != 0 && binlog_enabled_ && binlog_ != nullptr) {
-      // MySQL's ordered group commit serializes the binlog *write* with the
-      // engine commit (XA between binlog and redo). The strawman's extra
-      // flush still sits on the commit path — the perturbation Fig. 11
-      // measures — but, like the redo flush, it is now paid once per batch.
-      binlog_lsn = binlog_->EnqueueTxn(txn->tid_, txn->commit_vid_,
-                                       commit.commit_ts_us,
-                                       txn->binlog_events_, &enqueue_status);
+    enqueued = redo_->Append({&commit, 1}, &txn->commit_lsn_);
+    if (enqueued.ok()) {
+      if (binlog_enabled_ && binlog_ != nullptr) {
+        // MySQL's ordered group commit serializes the binlog *write* with
+        // the engine commit (XA between binlog and redo). The strawman's
+        // extra flush still sits on the commit path — the perturbation
+        // Fig. 11 measures — but, like the redo flush, it is paid once per
+        // batch. A refused binlog record lands after a redo commit record
+        // replicas would act on: poison the redo log, which trims that
+        // record unless a batch already made it durable, and fail below
+        // like a refused fsync.
+        s = binlog_->EnqueueTxn(txn->tid_, txn->commit_vid_,
+                                commit.commit_ts_us, txn->binlog_events_,
+                                &binlog_lsn);
+        if (!s.ok()) redo_->Poison(s);
+      }
+      // Stamp this transaction's row versions with its commit VID, then
+      // queue (vid, lsn) for publication — in that order, so a reader whose
+      // snapshot covers this commit always finds it stamped. Queueing under
+      // commit_mu_ keeps the queue in VID (≡ LSN) order; the snapshot point
+      // advances in PublishDurable() once the group-commit watermark covers
+      // the commit record, so readers never see a commit that is not
+      // durable.
+      StampCommitLocked(txn, trim_hint);
+      std::lock_guard<std::mutex> pg(pub_mu_);
+      pub_queue_.emplace_back(txn->commit_vid_, txn->commit_lsn_);
     }
-    if (!enqueue_status.ok()) {
-      // A poisoned/faulted log refused the commit record: nothing is
-      // stamped or published, the transaction fails cleanly. (A binlog
-      // enqueue failure can strand an already-appended redo commit record
-      // — the same window a crash between the two writes opens in MySQL
-      // without XA; the poison trim erases it before any recovery replays.)
-      ReleaseLocks(txn);
-      return enqueue_status;
-    }
-    // Stamp this transaction's row versions with its commit VID, then
-    // queue (vid, lsn) for publication — in that order, so a reader whose
-    // snapshot covers this commit always finds it stamped. Queueing under
-    // commit_mu_ keeps the queue in VID (≡ LSN) order; the snapshot point
-    // advances in PublishDurable() once the group-commit watermark covers
-    // the commit record, so readers never see a commit that is not durable.
-    StampCommitLocked(txn, trim_hint);
-    std::lock_guard<std::mutex> pg(pub_mu_);
-    pub_queue_.emplace_back(txn->commit_vid_, commit_lsn);
   }
+  if (!enqueued.ok()) {
+    // The refused commit record wrote nothing and nothing is stamped or
+    // queued: an ordinary rollback restores the writes, so a retry of the
+    // same rows finds them free.
+    (void)Rollback(txn);
+    return enqueued;
+  }
+  txn->finished_ = true;
   // Group commit: block until a leader's batch fsync covers the commit
   // record (and, in binlog mode, the logical record). Locks are released
   // only after durability so no other transaction builds on a commit that
   // could still be lost.
-  Status sync_status = redo_->SyncTo(commit_lsn);
-  if (sync_status.ok() && binlog_lsn != 0) {
-    sync_status = binlog_->SyncTo(binlog_lsn);
-  }
-  if (!sync_status.ok()) {
-    // The batch fsync failed: the commit is NOT durable and the log is
-    // poisoned (its un-fsynced tail — this commit record included — is
-    // already trimmed). The queued publications the trim orphaned are
-    // dropped — the lost commits never become reader-visible at all — and
-    // the stamped row versions are retracted under the still-held locks:
-    // without the retract, a later commit publishing a higher VID (possible
-    // once the log reopens) would expose this commit's stamped versions
-    // even though its record is gone. The retract is gated on the *redo*
-    // watermark: when the redo fsync landed and only the binlog flush
-    // failed, the commit is durable-but-ambiguous — it stays queued and
-    // publishes once a later batch advances the watermark past it, which
-    // recovery agrees with.
+  if (s.ok()) s = redo_->SyncTo(txn->commit_lsn_);
+  if (s.ok() && binlog_lsn != 0) s = binlog_->SyncTo(binlog_lsn);
+  if (!s.ok()) {
+    // The commit failed after its record entered the redo log: a batch
+    // fsync or the binlog record was refused, and the redo log is poisoned
+    // (its un-fsynced tail — this commit record included, unless a batch
+    // already covered it — is trimmed). The queued publications the trim
+    // orphaned are dropped — the lost commits never become reader-visible
+    // at all — and the stamped row versions are retracted under the
+    // still-held locks: without the retract, a later commit publishing a
+    // higher VID (possible once the log reopens) would expose this
+    // commit's stamped versions even though its record is gone. The
+    // retract is gated on the *redo* watermark: when the redo fsync landed
+    // and only the binlog failed, the commit is durable-but-ambiguous — it
+    // stays queued and publishes once a later batch advances the watermark
+    // past it, which recovery agrees with.
     if (txn->commit_lsn_ > redo_->durable_lsn()) RetractLostCommit(txn);
     DropLostPublications();
     ReleaseLocks(txn);
-    return sync_status;
+    return s;
   }
   // Publish before releasing the row locks: a transaction that acquires a
   // lock this commit held must find the commit already visible.
@@ -423,23 +431,24 @@ Status TransactionManager::Rollback(Transaction* txn) {
   // the aborted transaction's buffered DMLs are simply discarded when the
   // abort record arrives (§5.1). Snapshot readers skipped the in-flight
   // versions all along, so they never saw any of the rolled-back state.
-  auto comp_ship = [this](std::vector<RedoRecord>* redo) {
-    std::vector<RedoRecord*> ptrs;
-    for (RedoRecord& r : *redo) ptrs.push_back(&r);
-    redo_->Append(std::move(ptrs), /*durable=*/false);
+  // A refused ship still restores memory; the log is poisoned by then.
+  auto ship = [this](std::vector<RedoRecord>* redo) {
+    return Ship(nullptr, *redo);
   };
+  Status s;
   for (const auto& [table_id, pks] : txn->writes_) {
     RowTable* t = engine_->GetTable(table_id);
-    if (t != nullptr) t->UndoWrites(txn->tid_, 0, pks, comp_ship);
+    if (t == nullptr) continue;
+    Status undone = t->UndoWrites(txn->tid_, 0, pks, ship);
+    if (s.ok()) s = undone;
   }
   RedoRecord abort;
   abort.type = RedoType::kAbort;
-  abort.tid = txn->tid_;
-  abort.prev_lsn = txn->last_lsn_;
-  redo_->AppendOne(&abort, /*durable=*/false);
+  Status aborted = Ship(txn, {&abort, 1});
+  if (s.ok()) s = aborted;
   ReleaseLocks(txn);
   aborts_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return s;
 }
 
 void TransactionManager::ReleaseLocks(Transaction* txn) {

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -152,6 +153,12 @@ class ReadView {
 /// system records on rollback so replica pages converge without exposing
 /// aborted DMLs.
 ///
+/// Every redo append's outcome is honoured. A refused record that already
+/// changed a page (DML, SMO, compensation) or that replicas act on (the
+/// abort record, a binlog record behind the redo commit record) poisons the
+/// redo log and fails the statement. A refused commit record wrote nothing:
+/// its transaction rolls back normally.
+///
 /// Readers never lock and never block: every read runs at an MVCC snapshot
 /// VID taken under the existing commit ordering (commit-VID ≡ commit-LSN, so
 /// snapshots are free — the current published commit point IS the snapshot).
@@ -195,8 +202,12 @@ class TransactionManager {
   /// it — concurrent commits share one fsync per batch. In binlog mode the
   /// logical record joins the same discipline (the strawman's second fsync
   /// becomes per-batch). The commit is visible to new snapshots before its
-  /// row locks are released. Returns the commit VID via the txn.
+  /// row locks are released. Returns the commit VID via the txn. A refused
+  /// commit-record append rolls the transaction back.
   Status Commit(Transaction* txn);
+  /// Restores every written row and ships the compensation and abort
+  /// records. Memory is restored even when the log refuses them; the first
+  /// refusal is returned.
   Status Rollback(Transaction* txn);
 
   /// Enables/disables the Binlog strawman (Fig. 11).
@@ -219,7 +230,16 @@ class TransactionManager {
  private:
   friend class ReadView;
 
-  RowTable::RedoShipFn MakeShip(Transaction* txn);
+  /// The one redo append outside Commit; a refusal poisons the log. With a
+  /// `txn`, stamps its TID and prev_lsn on every non-SMO record (DML, abort)
+  /// and advances its last_lsn_; without one, ships rollback compensation
+  /// as system records (TID 0).
+  Status Ship(Transaction* txn, std::span<RedoRecord> records);
+  /// Insert/Update/Delete: locks the row and runs `op` with a ship that adds
+  /// the pk to the write set first (the page has changed, so undo must cover
+  /// it whatever the append's outcome). `row` is null for a delete.
+  Status Write(Transaction* txn, RowTable* t, int64_t pk,
+               BinlogWriter::Event::Op op, const Row* row);
   void ReleaseLocks(Transaction* txn);
   void CloseReadView(Vid vid);
   /// Publication: advances snapshot_vid_ over every queued commit

@@ -30,8 +30,8 @@ Status RowTable::Insert(const Row& row, std::vector<RedoRecord>* redo,
     // empty or already in the chain (committed delete).
     versions_.Install(pk, writer, /*deleted=*/false, image, nullptr);
   }
-  if (ship) ship(redo);  // under the latch: log order == page-op order
-  return Status::OK();
+  // Under the latch: log order == page-op order.
+  return ship ? ship(redo) : Status::OK();
 }
 
 Status RowTable::Update(int64_t pk, const Row& new_row,
@@ -50,8 +50,7 @@ Status RowTable::Update(int64_t pk, const Row& new_row,
   if (writer != 0) {
     versions_.Install(pk, writer, /*deleted=*/false, new_image, &old_image);
   }
-  if (ship) ship(redo);
-  return Status::OK();
+  return ship ? ship(redo) : Status::OK();
 }
 
 Status RowTable::Delete(int64_t pk, std::vector<RedoRecord>* redo,
@@ -68,8 +67,7 @@ Status RowTable::Delete(int64_t pk, std::vector<RedoRecord>* redo,
     versions_.Install(pk, writer, /*deleted=*/true, std::string_view(),
                       &old_image);
   }
-  if (ship) ship(redo);
-  return Status::OK();
+  return ship ? ship(redo) : Status::OK();
 }
 
 Status RowTable::Get(int64_t pk, Row* row) const {
@@ -418,9 +416,9 @@ void RowTable::RestoreRowLocked(int64_t pk, const RowVersion* target,
   }
 }
 
-void RowTable::UndoWrites(Tid tid, Vid commit_vid,
-                          const std::vector<int64_t>& pks,
-                          const RedoShipFn& ship) {
+Status RowTable::UndoWrites(Tid tid, Vid commit_vid,
+                            const std::vector<int64_t>& pks,
+                            const RedoShipFn& ship) {
   // The restore target — the newest committed version older than the
   // writer's own — is always still linked in the chain:
   //   - strict 2PL: the writer holds the row lock on every pk for its whole
@@ -442,12 +440,13 @@ void RowTable::UndoWrites(Tid tid, Vid commit_vid,
   }
   // Under the latch: log order == page-op order. A row already at its
   // target (say, inserted then deleted) restores without a record.
-  if (ship && !redo.empty()) ship(&redo);
+  Status s = ship && !redo.empty() ? ship(&redo) : Status::OK();
   if (commit_vid == 0) {
     versions_.Abort(tid, pks);
   } else {
     versions_.Retract(commit_vid, pks);
   }
+  return s;
 }
 
 size_t RowTable::RollbackInflight() {

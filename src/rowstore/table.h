@@ -28,8 +28,10 @@ namespace imci {
 /// `redo`; the transaction layer stamps and ships them. When a `ship`
 /// callback is passed, it runs *before the write latch is released*: log
 /// order must equal page-modification order or Phase#1 replay applies slot
-/// operations out of order. Single-threaded callers (tests, bulk tools) may
-/// omit it and ship afterwards.
+/// operations out of order. It runs only after the page has changed, and a
+/// refused ship fails the call with the page still changed — undo is the
+/// caller's. Single-threaded callers (tests, bulk tools) may omit it and
+/// ship afterwards.
 ///
 /// MVCC: the table keeps no version bookkeeping of its own — it is a client
 /// of the shared VersionChains layer (rowstore/mvcc.h), guarded by the same
@@ -54,7 +56,7 @@ namespace imci {
 class RowTable {
  public:
   /// Ships stamped records to the log; invoked under the table write latch.
-  using RedoShipFn = std::function<void(std::vector<RedoRecord>*)>;
+  using RedoShipFn = std::function<Status(std::vector<RedoRecord>*)>;
 
   /// Rows per shared-latch acquisition during scans (the per-step unit).
   static constexpr size_t kScanBatch = 256;
@@ -153,8 +155,10 @@ class RowTable {
   /// when given (rollback, TID 0), discarded otherwise (retraction — the
   /// poisoned log refuses appends, and recovery never replays the trimmed
   /// records). One restore per row, however often the writer wrote it.
-  void UndoWrites(Tid tid, Vid commit_vid, const std::vector<int64_t>& pks,
-                  const RedoShipFn& ship);
+  /// Memory is restored even when the ship is refused; its status is
+  /// returned.
+  Status UndoWrites(Tid tid, Vid commit_vid, const std::vector<int64_t>& pks,
+                    const RedoShipFn& ship);
   /// Checkpoint pruning: drops all history below `watermark` and erases
   /// chains whose single survivor is the live tree image (or a committed
   /// delete of a key the tree no longer holds). Returns versions dropped.

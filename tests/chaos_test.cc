@@ -183,6 +183,89 @@ TEST(ChaosGroupCommitTest, PoisonedDurableAppendsFailFastUntilReopen) {
   EXPECT_GT(log->Append({"d"}, /*durable=*/true), durable);
 }
 
+// --- Refused redo appends on the RW path -----------------------------------
+// Every redo append's outcome is honoured. A refused DML record already
+// changed a page, so it poisons the log and fails the statement; the
+// transaction can never commit. A refused commit record changed nothing: the
+// transaction rolls back and the same row can be written again.
+
+class RefusedAppendTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(rw_.CreateTable(SimpleSchema()).ok());
+    ASSERT_TRUE(rw_.BulkLoad(1, {{int64_t(0), int64_t(0)}}).ok());
+    ASSERT_TRUE(rw_.FinishLoad().ok());
+  }
+  void TearDown() override { fault::Registry::Instance().Reset(); }
+
+  /// Refuses the `n`-th redo/binlog append from now (only the redo log is
+  /// written here: the binlog arm is off).
+  static fault::Policy RefuseAppend(uint64_t n) {
+    fault::Policy p = MakePolicy(fault::Kind::kFail);
+    p.hit_at = n;
+    return p;
+  }
+
+  /// Rows of table 1 on an RO booted from the shared store.
+  std::vector<Row> BootedRoRows() {
+    RoNode node("ro", &fs_, &catalog_, RoNodeOptions{});
+    std::vector<Row> rows;
+    EXPECT_TRUE(node.Boot().ok());
+    EXPECT_TRUE(node.CatchUpNow().ok());
+    EXPECT_TRUE(node.ExecuteColumn(LScan(1, {0, 1}), &rows).ok());
+    return rows;
+  }
+
+  PolarFs fs_;
+  Catalog catalog_;
+  RwNode rw_{&fs_, &catalog_};
+};
+
+TEST_F(RefusedAppendTest, RefusedDmlAppendFailsStatementAndCommit) {
+  TransactionManager* txns = rw_.txn_manager();
+  Transaction txn;
+  txns->Begin(&txn);
+  {
+    fault::ScopedFault refuse("logstore.append", RefuseAppend(1));
+    EXPECT_FALSE(txns->Insert(&txn, 1, {int64_t(7), int64_t(7)}).ok());
+  }
+  EXPECT_TRUE(fs_.log("redo")->poisoned());
+  EXPECT_FALSE(txns->Commit(&txn).ok());
+  Row row;
+  {
+    ReadView view = txns->OpenReadView();
+    EXPECT_TRUE(txns->Get(view, 1, 7, &row).IsNotFound());
+  }
+  ASSERT_TRUE(fs_.ReopenLogs().ok());
+  const std::vector<Row> ro_rows = BootedRoRows();
+  ASSERT_EQ(ro_rows.size(), 1u);
+  EXPECT_EQ(AsInt(ro_rows[0][0]), 0);
+}
+
+TEST_F(RefusedAppendTest, RefusedCommitRecordRollsBackAndRetryCommits) {
+  TransactionManager* txns = rw_.txn_manager();
+  Transaction txn;
+  txns->Begin(&txn);
+  {
+    // Append 1 is the insert's DML record, append 2 its commit record.
+    fault::ScopedFault refuse("logstore.append", RefuseAppend(2));
+    ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(7), int64_t(7)}).ok());
+    EXPECT_FALSE(txns->Commit(&txn).ok());
+  }
+  EXPECT_FALSE(fs_.log("redo")->poisoned());
+  Transaction retry;
+  txns->Begin(&retry);
+  ASSERT_TRUE(txns->Insert(&retry, 1, {int64_t(7), int64_t(8)}).ok());
+  ASSERT_TRUE(txns->Commit(&retry).ok());
+  Row row;
+  ASSERT_TRUE(txns->Get(1, 7, &row).ok());
+  EXPECT_EQ(AsInt(row[1]), 8);
+  ASSERT_TRUE(fs_.ReopenLogs().ok());
+  EXPECT_EQ(testing_util::Canonicalize(BootedRoRows()),
+            testing_util::Canonicalize(
+                {{int64_t(0), int64_t(0)}, {int64_t(7), int64_t(8)}}));
+}
+
 // --- Snapshot visibility vs durability under fsync refusal -----------------
 // A commit becomes visible only once its record is durable, so a commit whose
 // batch fsync is refused must never become visible — not in the failure

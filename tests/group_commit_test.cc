@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <thread>
 
+#include "common/fault.h"
 #include "log/group_committer.h"
 #include "redo/redo_record.h"
 #include "tests/test_util.h"
@@ -73,6 +76,90 @@ TEST(GroupCommitterTest, PolarFsAggregatesBatchStatsAcrossLogs) {
   fs.log("binlog")->Append({"b"}, /*durable=*/true);
   EXPECT_EQ(fs.commit_batches(), 2u);
   EXPECT_EQ(fs.batched_commits(), 2u);
+}
+
+// --- One poison latch: a poison landing during a leader's fsync ------------
+// The fsync latency holds the batch leader inside its fsync while another
+// appender's write-through fails and poisons the log, trimming the tail the
+// leader's batch was covering.
+
+/// Arms `polarfs.append_file` to fail every write-through until destroyed.
+fault::ScopedFault FailWriteThrough() {
+  fault::Policy p;
+  p.kind = fault::Kind::kFail;
+  return fault::ScopedFault("polarfs.append_file", p);
+}
+
+/// Blocks until `fs` has issued `n` fsyncs: a leader that bumped the count
+/// is inside its (latency-held) fsync.
+void WaitForFsyncs(const PolarFs& fs, uint64_t n) {
+  while (fs.fsync_count() < n) std::this_thread::yield();
+}
+
+TEST(GroupCommitterTest, PoisonDuringLeaderFsyncFailsTheLeader) {
+  PolarFs::Options fopts;
+  fopts.fsync_latency_us = 300'000;
+  PolarFs fs(fopts);
+  LogStore* log = fs.log("redo");
+  const Lsn lsn = log->Append({"acked?"}, /*durable=*/false);
+  auto leader = std::async(std::launch::async, [&] { return log->SyncTo(lsn); });
+  WaitForFsyncs(fs, 1);
+  {
+    auto fail = FailWriteThrough();
+    Status error;
+    EXPECT_EQ(log->Append({"refused"}, /*durable=*/false, &error), 0u);
+    EXPECT_TRUE(log->poisoned());
+  }
+  // The poison trimmed the leader's record before its fsync returned, so
+  // the leader must not report it durable, nor advance the watermark past
+  // the written tail.
+  const Status s = leader.get();
+  EXPECT_FALSE(s.ok());
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_LE(log->durable_lsn(), log->written_lsn());
+  ASSERT_TRUE(fs.ReopenLogs().ok());
+  EXPECT_EQ(log->written_lsn(), 0u);
+}
+
+TEST(GroupCommitterTest, FollowerParkedBehindPoisonedBatchReturns) {
+  PolarFs::Options fopts;
+  fopts.fsync_latency_us = 300'000;
+  // Shared with the follower thread, which a regression leaves spinning.
+  auto fs = std::make_shared<PolarFs>(fopts);
+  LogStore* log = fs->log("redo");
+  const Lsn first = log->Append({"a"}, /*durable=*/false);
+  auto leader =
+      std::async(std::launch::async, [&] { return log->SyncTo(first); });
+  WaitForFsyncs(*fs, 1);
+  // Appended after the leader's snapshot: the follower needs a later batch.
+  const Lsn second = log->Append({"b"}, /*durable=*/false);
+  std::promise<Status> done;
+  std::future<Status> follower_status = done.get_future();
+  std::thread follower([fs, log, second, p = std::move(done)]() mutable {
+    p.set_value(log->SyncTo(second));
+  });
+  // The follower counts its commit on entry and parks on the leader's
+  // condition variable right after; parking itself is not observable, so
+  // give it a moment (the latch is checked on entry too, so a late follower
+  // must fail the same way).
+  while (log->group()->commits() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  {
+    auto fail = FailWriteThrough();
+    Status error;
+    EXPECT_EQ(log->Append({"refused"}, /*durable=*/false, &error), 0u);
+  }
+  (void)leader.get();
+  const bool returned = follower_status.wait_for(std::chrono::seconds(2)) ==
+                        std::future_status::ready;
+  if (returned) {
+    follower.join();
+  } else {
+    follower.detach();  // stuck re-leading fsyncs over a trimmed tail
+  }
+  ASSERT_TRUE(returned) << "follower still waiting 2 s after the poison";
+  EXPECT_TRUE(follower_status.get().IsIOError());
+  EXPECT_LE(log->durable_lsn(), log->written_lsn());
 }
 
 // --- Concurrent batching on the real commit path ---------------------------
@@ -144,7 +231,7 @@ TEST(GroupCommitTest, ConcurrentCommitsShareBatchFsyncs) {
   EXPECT_LT(rig.fs.log("redo")->group()->fsyncs_per_commit(), 1.0);
   EXPECT_GT(rig.fs.log("redo")->group()->mean_batch_size(), 1.0);
   // Every commit record is actually durable.
-  EXPECT_GE(rig.fs.log("redo")->durable_lsn(), rig.redo.last_lsn());
+  EXPECT_GE(rig.fs.log("redo")->durable_lsn(), rig.redo.written_lsn());
 }
 
 /// Reads every commit record of the shared redo log in LSN order and returns

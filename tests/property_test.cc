@@ -148,7 +148,8 @@ TEST(FailureInjectionTest, CorruptLogEntriesAreSkipped) {
   RedoRecord a;
   a.type = RedoType::kInsert;
   a.after_image = "good";
-  writer.AppendOne(&a, false);
+  Lsn last = 0;
+  ASSERT_TRUE(writer.Append({&a, 1}, &last).ok());
   // A record whose *frame* is valid but whose payload is not a RedoRecord —
   // the reader must skip it without derailing later valid entries.
   log->Append({"garbage-bytes-not-a-record"}, false);

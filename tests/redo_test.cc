@@ -87,21 +87,24 @@ TEST(RedoRecordTest, CorruptBufferRejected) {
 TEST(RedoWriterTest, AssignsMonotonicLsns) {
   PolarFs fs;
   RedoWriter writer(fs.log("redo"));
-  RedoRecord a, b, c;
-  a.type = b.type = RedoType::kInsert;
+  std::vector<RedoRecord> dml(2);
+  dml[0].type = dml[1].type = RedoType::kInsert;
+  RedoRecord c;
   c.type = RedoType::kCommit;
-  writer.Append({&a, &b}, false);
-  writer.AppendOne(&c, true);
-  EXPECT_EQ(a.lsn, 1u);
-  EXPECT_EQ(b.lsn, 2u);
+  Lsn last = 0;
+  ASSERT_TRUE(writer.Append(dml, &last).ok());
+  EXPECT_EQ(last, 2u);
+  ASSERT_TRUE(writer.Append({&c, 1}, &last).ok());
+  ASSERT_TRUE(writer.SyncTo(last).ok());
+  EXPECT_EQ(dml[0].lsn, 1u);
+  EXPECT_EQ(dml[1].lsn, 2u);
   EXPECT_EQ(c.lsn, 3u);
-  EXPECT_EQ(writer.last_lsn(), 3u);
-  EXPECT_EQ(fs.fsync_count(), 1u);  // only the commit was durable
+  EXPECT_EQ(writer.written_lsn(), 3u);
+  EXPECT_EQ(fs.fsync_count(), 1u);  // only the commit was made durable
 
   RedoReader reader(fs.log("redo"));
   std::vector<RedoRecord> records;
-  Lsn last = reader.Read(0, 100, &records);
-  EXPECT_EQ(last, 3u);
+  EXPECT_EQ(reader.Read(0, 100, &records), 3u);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[2].type, RedoType::kCommit);
 }
@@ -113,14 +116,17 @@ TEST(RedoWriterTest, WriterAttachedAfterRecoveryContinuesLsns) {
     RedoRecord a;
     a.type = RedoType::kInsert;
     a.after_image = "x";
-    writer.AppendOne(&a, true);
+    Lsn last = 0;
+    ASSERT_TRUE(writer.Append({&a, 1}, &last).ok());
+    ASSERT_TRUE(writer.SyncTo(last).ok());
   }
   (void)fs.ReopenLogs();
   RedoWriter resumed(fs.log("redo"));
-  EXPECT_EQ(resumed.last_lsn(), 1u);
+  EXPECT_EQ(resumed.written_lsn(), 1u);
   RedoRecord b;
   b.type = RedoType::kCommit;
-  resumed.AppendOne(&b, true);
+  Lsn last = 0;
+  ASSERT_TRUE(resumed.Append({&b, 1}, &last).ok());
   EXPECT_EQ(b.lsn, 2u);
 }
 
