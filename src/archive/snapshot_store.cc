@@ -12,40 +12,114 @@ namespace {
 
 constexpr char kIndexFile[] = "archive/snap/INDEX";
 
-Status VerifiedBlob(const PolarFs* fs, const std::string& name,
-                    uint64_t expect_size, uint64_t expect_hash,
-                    std::string* out) {
-  IMCI_RETURN_NOT_OK(fs->ReadFile(name, out));
-  if (out->size() != expect_size ||
-      HashBytes(out->data(), out->size()) != expect_hash) {
-    return Status::Corruption("snapshot blob " + name + " torn or corrupt");
+std::string PageLink(const std::string& dir, PageId id) {
+  return dir + "page/" + std::to_string(id);
+}
+
+std::string FileLink(const std::string& dir, const std::string& name) {
+  return dir + "file/" + name;
+}
+
+SnapshotStore::Listing::Entry EntryOf(const Blob& b) {
+  return {b->size(), HashBytes(b->data(), b->size())};
+}
+
+/// The buffer linked as `link`, checked against its listing entry. A link
+/// that is missing, short or altered is Corruption: the anchor is torn.
+Status VerifiedLink(const PolarFs* fs, const std::string& link,
+                    const SnapshotStore::Listing::Entry& e, Blob* out) {
+  Status s = fs->ReadFile(link, out);
+  if (s.IsNotFound()) {
+    return Status::Corruption("snapshot link " + link + " missing");
+  }
+  IMCI_RETURN_NOT_OK(s);
+  if ((*out)->size() != e.size ||
+      HashBytes((*out)->data(), (*out)->size()) != e.hash) {
+    return Status::Corruption("snapshot link " + link + " torn or corrupt");
   }
   return Status::OK();
 }
 
 }  // namespace
 
+std::string SnapshotStore::Listing::Encode() const {
+  std::string out;
+  PutFixed64(&out, ckpt_id);
+  PutFixed64(&out, csn);
+  PutFixed64(&out, start_lsn);
+  PutFixed32(&out, static_cast<uint32_t>(pages.size()));
+  for (const auto& [id, e] : pages) {
+    PutFixed64(&out, id);
+    PutFixed64(&out, e.size);
+    PutFixed64(&out, e.hash);
+  }
+  PutFixed32(&out, static_cast<uint32_t>(files.size()));
+  for (const auto& [name, e] : files) {
+    PutLengthPrefixed(&out, name);
+    PutFixed64(&out, e.size);
+    PutFixed64(&out, e.hash);
+  }
+  PutHashTrailer(&out);
+  return out;
+}
+
+Status SnapshotStore::Listing::Decode(std::string_view blob, Listing* out) {
+  std::string_view body;
+  IMCI_RETURN_NOT_OK(CheckHashTrailer(blob, &body));
+  ByteReader r(body);
+  IMCI_RETURN_NOT_OK(r.U64(&out->ckpt_id));
+  IMCI_RETURN_NOT_OK(r.U64(&out->csn));
+  IMCI_RETURN_NOT_OK(r.U64(&out->start_lsn));
+  uint32_t n;
+  IMCI_RETURN_NOT_OK(r.Count(3 * 8, &n));  // id, size, hash
+  out->pages.resize(n);
+  for (auto& [id, e] : out->pages) {
+    IMCI_RETURN_NOT_OK(r.U64(&id));
+    IMCI_RETURN_NOT_OK(r.U64(&e.size));
+    IMCI_RETURN_NOT_OK(r.U64(&e.hash));
+  }
+  IMCI_RETURN_NOT_OK(r.Count(4 + 2 * 8, &n));  // name length, size, hash
+  out->files.resize(n);
+  for (auto& [name, e] : out->files) {
+    IMCI_RETURN_NOT_OK(r.Str(&name));
+    IMCI_RETURN_NOT_OK(r.U64(&e.size));
+    IMCI_RETURN_NOT_OK(r.U64(&e.hash));
+  }
+  return r.done() ? Status::OK() : Status::Corruption("snapshot listing size");
+}
+
 std::string SnapshotStore::AnchorDir(uint64_t ckpt_id) {
   return "archive/snap/" + std::to_string(ckpt_id) + "/";
+}
+
+void SnapshotStore::DropLinks(const std::string& dir) {
+  for (const std::string& name : fs_->ListFiles(dir)) {
+    (void)fs_->DeleteFile(name);
+  }
 }
 
 Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
   std::lock_guard<std::mutex> g(mu_);
   // Scope tag for targeted injection: tests arm e.g. `polarfs.write_file`
-  // with scope "snapshot.seal" to tear exactly an anchor blob write (the
-  // tear reports success here; Restore's checksum verification must catch
-  // it as Corruption — never a silently shorter history).
+  // with scope "snapshot.seal" to tear exactly one link or the listing (the
+  // tear reports success here; Restore's verification must catch it as
+  // Corruption — never a silently shorter history).
   fault::ScopedContext seal_scope("snapshot.seal");
-  // Freeze the page store: later checkpoint flushes overwrite page images in
-  // place, so the anchor keeps its own copy.
-  std::string pages;
-  const std::vector<PageId> ids = fs_->ListPages();
-  PutFixed32(&pages, static_cast<uint32_t>(ids.size()));
-  for (PageId id : ids) {
-    std::string img;
+  const std::string dir = AnchorDir(ckpt_id);
+  DropLinks(dir);  // a re-registration replaces the anchor
+  Listing listing;
+  listing.ckpt_id = ckpt_id;
+  listing.csn = csn;
+  listing.start_lsn = start_lsn;
+  uint64_t bytes = 0;
+  // Link every page image: later flushes swap new buffers into the live
+  // store, so these stay the pages as of this cut.
+  for (PageId id : fs_->ListPages()) {
+    Blob img;
     IMCI_RETURN_NOT_OK(fs_->ReadPage(id, &img));
-    PutFixed64(&pages, id);
-    PutLengthPrefixed(&pages, img);
+    listing.pages.emplace_back(id, EntryOf(img));
+    bytes += img->size();
+    IMCI_RETURN_NOT_OK(fs_->WriteFile(PageLink(dir, id), std::move(img)));
   }
   // Row-store control files (registry, base_lsn) and, for checkpoint
   // anchors, the column checkpoint directory the CSN lives in.
@@ -56,32 +130,19 @@ Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
       names.push_back(std::move(n));
     }
   }
-  std::string files;
-  PutFixed32(&files, static_cast<uint32_t>(names.size()));
   for (const std::string& n : names) {
-    std::string data;
+    Blob data;
     IMCI_RETURN_NOT_OK(fs_->ReadFile(n, &data));
-    PutLengthPrefixed(&files, n);
-    PutLengthPrefixed(&files, data);
+    listing.files.emplace_back(n, EntryOf(data));
+    bytes += data->size();
+    IMCI_RETURN_NOT_OK(fs_->WriteFile(FileLink(dir, n), std::move(data)));
   }
-  const std::string dir = AnchorDir(ckpt_id);
-  std::string manifest;
-  PutFixed64(&manifest, ckpt_id);
-  PutFixed64(&manifest, csn);
-  PutFixed64(&manifest, start_lsn);
-  PutFixed64(&manifest, pages.size());
-  PutFixed64(&manifest, HashBytes(pages.data(), pages.size()));
-  PutFixed64(&manifest, files.size());
-  PutFixed64(&manifest, HashBytes(files.data(), files.size()));
-  PutHashTrailer(&manifest);
+  IMCI_RETURN_NOT_OK(fs_->WriteFile(dir + "MANIFEST", listing.Encode()));
   Anchor a;
   a.ckpt_id = ckpt_id;
   a.csn = csn;
   a.start_lsn = start_lsn;
-  a.bytes = pages.size() + files.size();
-  IMCI_RETURN_NOT_OK(fs_->WriteFile(dir + "PAGES", std::move(pages)));
-  IMCI_RETURN_NOT_OK(fs_->WriteFile(dir + "FILES", std::move(files)));
-  IMCI_RETURN_NOT_OK(fs_->WriteFile(dir + "MANIFEST", std::move(manifest)));
+  a.bytes = bytes;
   std::vector<Anchor> anchors;
   Status s = LoadIndex(&anchors);
   if (!s.ok() && !s.IsNotFound()) return s;
@@ -94,20 +155,15 @@ Status SnapshotStore::Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn) {
   }
   if (!replaced) anchors.push_back(a);
   if (retention_ > 0 && anchors.size() > retention_) {
-    // Cap exceeded: drop the oldest anchors (their frozen blobs first, then
-    // the index entries). A restore to an LSN below the surviving anchors is
-    // no longer possible, which is exactly what raises the archive GC floor.
+    // Cap exceeded: drop the oldest anchors (their links first, then the
+    // index entries). A restore to an LSN below the surviving anchors is no
+    // longer possible, which is exactly what raises the archive GC floor.
     std::sort(anchors.begin(), anchors.end(),
               [](const Anchor& x, const Anchor& y) {
                 return x.ckpt_id < y.ckpt_id;
               });
     const size_t drop = anchors.size() - retention_;
-    for (size_t i = 0; i < drop; ++i) {
-      const std::string old_dir = AnchorDir(anchors[i].ckpt_id);
-      (void)fs_->DeleteFile(old_dir + "PAGES");
-      (void)fs_->DeleteFile(old_dir + "FILES");
-      (void)fs_->DeleteFile(old_dir + "MANIFEST");
-    }
+    for (size_t i = 0; i < drop; ++i) DropLinks(AnchorDir(anchors[i].ckpt_id));
     anchors.erase(anchors.begin(),
                   anchors.begin() + static_cast<ptrdiff_t>(drop));
   }
@@ -180,44 +236,20 @@ Status SnapshotStore::Restore(const Anchor& a, PolarFs* dest) const {
   const std::string dir = AnchorDir(a.ckpt_id);
   std::string manifest;
   IMCI_RETURN_NOT_OK(fs_->ReadFile(dir + "MANIFEST", &manifest));
-  std::string_view body;
-  IMCI_RETURN_NOT_OK(CheckHashTrailer(manifest, &body));
-  ByteReader m(body);
-  uint64_t ckpt_id, csn, start_lsn, pages_size, pages_hash, files_size,
-      files_hash;
-  for (uint64_t* field : {&ckpt_id, &csn, &start_lsn, &pages_size,
-                          &pages_hash, &files_size, &files_hash}) {
-    IMCI_RETURN_NOT_OK(m.U64(field));
-  }
-  if (!m.done()) return Status::Corruption("snapshot manifest size");
-  if (ckpt_id != a.ckpt_id) {
+  Listing listing;
+  IMCI_RETURN_NOT_OK(Listing::Decode(manifest, &listing));
+  if (listing.ckpt_id != a.ckpt_id) {
     return Status::Corruption("snapshot manifest anchor mismatch");
   }
-  std::string pages;
-  IMCI_RETURN_NOT_OK(
-      VerifiedBlob(fs_, dir + "PAGES", pages_size, pages_hash, &pages));
-  std::string files;
-  IMCI_RETURN_NOT_OK(
-      VerifiedBlob(fs_, dir + "FILES", files_size, files_hash, &files));
-  ByteReader pr(pages);
-  uint32_t npages;
-  IMCI_RETURN_NOT_OK(pr.Count(8 + 4, &npages));  // id + image length
-  for (uint32_t i = 0; i < npages; ++i) {
-    PageId id;
-    std::string_view image;
-    IMCI_RETURN_NOT_OK(pr.U64(&id));
-    IMCI_RETURN_NOT_OK(pr.Str(&image));
-    IMCI_RETURN_NOT_OK(dest->WritePage(id, std::string(image)));
+  for (const auto& [id, e] : listing.pages) {
+    Blob img;
+    IMCI_RETURN_NOT_OK(VerifiedLink(fs_, PageLink(dir, id), e, &img));
+    IMCI_RETURN_NOT_OK(dest->WritePage(id, std::move(img)));
   }
-  ByteReader fr(files);
-  uint32_t nfiles;
-  IMCI_RETURN_NOT_OK(fr.Count(4 + 4, &nfiles));  // name + data lengths
-  for (uint32_t i = 0; i < nfiles; ++i) {
-    std::string name;
-    std::string_view data;
-    IMCI_RETURN_NOT_OK(fr.Str(&name));
-    IMCI_RETURN_NOT_OK(fr.Str(&data));
-    IMCI_RETURN_NOT_OK(dest->WriteFile(std::move(name), std::string(data)));
+  for (const auto& [name, e] : listing.files) {
+    Blob data;
+    IMCI_RETURN_NOT_OK(VerifiedLink(fs_, FileLink(dir, name), e, &data));
+    IMCI_RETURN_NOT_OK(dest->WriteFile(name, std::move(data)));
   }
   if (a.ckpt_id != 0) {
     IMCI_RETURN_NOT_OK(

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -15,37 +17,63 @@ class PolarFs;
 
 /// Restore anchors for point-in-time recovery. Every completed checkpoint
 /// (and the post-load base image, anchor id 0) is registered here as a
-/// self-contained snapshot: a frozen copy of the shared page store, the
-/// row-store control files (registry, base_lsn) and — for checkpoint
-/// anchors — the column-index checkpoint directory, all under a checksummed
-/// manifest. Freezing a copy is what makes the anchor usable later: the
-/// live page store is overwritten in place by subsequent flushes, so "the
-/// pages as of checkpoint N" exist nowhere else once checkpoint N+1 runs.
+/// self-contained snapshot of the shared page store, the row-store control
+/// files (registry, base_lsn) and — for checkpoint anchors — the
+/// column-index checkpoint directory, all under a checksummed listing.
+///
+/// An anchor shares bytes instead of copying them: PolarFs pages and files
+/// are immutable shared buffers (see polarfs.h), so Register links each
+/// live buffer under the anchor's directory. Later flushes swap new buffers
+/// into the live store and leave the linked ones alone, so "the pages as of
+/// checkpoint N" stay intact while costing only the pages that changed
+/// since. Dropping an anchor deletes its links, which frees every buffer no
+/// live name or other anchor still holds.
 ///
 /// Cluster::RestoreToLsn picks the anchor with the largest start_lsn at or
-/// below the target LSN, primes a fresh PolarFs from it (Restore), and
-/// replays the archived + live redo suffix on top.
+/// below the target LSN, links its buffers into a fresh PolarFs (Restore),
+/// and replays the archived + live redo suffix on top.
 ///
 /// Layout (all names in the owning PolarFs's file namespace):
-///   archive/snap/<ckpt_id>/PAGES      frozen page images
-///   archive/snap/<ckpt_id>/FILES      row-store + checkpoint files
-///   archive/snap/<ckpt_id>/MANIFEST   sizes + hashes of the two blobs
-///   archive/snap/INDEX                checksummed anchor list
+///   archive/snap/<ckpt_id>/page/<page_id>  link to a page image
+///   archive/snap/<ckpt_id>/file/<name>     link to file <name>
+///   archive/snap/<ckpt_id>/MANIFEST        listing: size + hash per link
+///   archive/snap/INDEX                     checksummed anchor list
 class SnapshotStore {
  public:
   struct Anchor {
     uint64_t ckpt_id = 0;  // 0 == the post-load base image
     Vid csn = 0;           // checkpoint CSN (0 for the base anchor)
     Lsn start_lsn = 0;     // redo LSN replay must start from (exclusive)
-    uint64_t bytes = 0;    // archived payload size (pages + files)
+    uint64_t bytes = 0;    // bytes the anchor restores (pages + files),
+                           // mostly shared with the live store
+  };
+
+  /// An anchor's MANIFEST: every linked buffer with the size and hash it
+  /// had at Register time. Restore verifies each link against its entry.
+  struct Listing {
+    struct Entry {
+      uint64_t size = 0;
+      uint64_t hash = 0;
+    };
+    uint64_t ckpt_id = 0;
+    Vid csn = 0;
+    Lsn start_lsn = 0;
+    std::vector<std::pair<PageId, Entry>> pages;
+    std::vector<std::pair<std::string, Entry>> files;
+
+    /// Serialized listing with a hash trailer.
+    std::string Encode() const;
+    /// Corruption on a bad trailer, a short body, or counts the body cannot
+    /// hold.
+    static Status Decode(std::string_view blob, Listing* out);
   };
 
   explicit SnapshotStore(PolarFs* fs) : fs_(fs) {}
 
   /// Retention cap: keep only the newest `keep` anchors (by checkpoint id);
   /// 0 (default) keeps everything. Enforced at Register time — when a new
-  /// anchor pushes the count over the cap, the oldest anchors' frozen blobs
-  /// are deleted and the index rewritten. Dropping anchors raises the GC
+  /// anchor pushes the count over the cap, the oldest anchors' links are
+  /// deleted and the index rewritten. Dropping anchors raises the GC
   /// floor (GcFloorLsn), which is what makes old archived log segments
   /// eligible for reclamation.
   void set_retention(size_t keep) { retention_ = keep; }
@@ -57,9 +85,9 @@ class SnapshotStore {
   /// the oldest anchor starts at 0.
   Lsn GcFloorLsn() const;
 
-  /// Freezes the current shared state as a restore anchor. Idempotent per
+  /// Links the current shared state in as a restore anchor. Idempotent per
   /// ckpt_id (a re-registration replaces the anchor). Call quiesced — at a
-  /// checkpoint boundary, right after the page flush — so the copied pages
+  /// checkpoint boundary, right after the page flush — so the linked pages
   /// form one consistent cut.
   Status Register(uint64_t ckpt_id, Vid csn, Lsn start_lsn);
 
@@ -71,15 +99,16 @@ class SnapshotStore {
   /// All registered anchors (verified against the index checksum).
   Status Anchors(std::vector<Anchor>* out) const;
 
-  /// Primes `dest` with the anchor's frozen state: pages, row-store files,
-  /// and (for checkpoint anchors) the column checkpoint directory plus a
-  /// CURRENT pointer naming it. Verifies every blob against the manifest
-  /// hashes — a torn or truncated anchor is an error, never a silent
-  /// partial restore.
+  /// Links the anchor's buffers into `dest`: pages, row-store files, and
+  /// (for checkpoint anchors) the column checkpoint directory plus a
+  /// CURRENT pointer naming it. Verifies every link against its listing
+  /// entry — a torn or missing link is Corruption, never a silent partial
+  /// restore.
   Status Restore(const Anchor& a, PolarFs* dest) const;
 
  private:
   static std::string AnchorDir(uint64_t ckpt_id);
+  void DropLinks(const std::string& dir);
   Status LoadIndex(std::vector<Anchor>* out) const;
   Status StoreIndexLocked(const std::vector<Anchor>& anchors);
 

@@ -160,7 +160,7 @@ class Cluster {
 
   /// Restores a fresh, self-contained environment to redo LSN `lsn` (clamped
   /// to the live log's written tail): picks the nearest snapshot anchor at
-  /// or below it, primes a new PolarFs from the frozen snapshot, splices the
+  /// or below it, links its shared buffers into a new PolarFs, splices the
   /// archived + live redo suffix up to exactly `lsn` into the new log (the
   /// pre-seeded truncation watermark keeps original LSNs), and boots + fully
   /// replays an RO over it. Durable-prefix semantics at the cut: replay

@@ -278,9 +278,9 @@ Status ImciCheckpoint::LoadLatest(PolarFs* fs, const Catalog& catalog,
     auto schema = catalog.Get(tid);
     if (!schema) return Status::Corruption("unknown table in manifest");
     ColumnIndex* idx = store->CreateIndex(schema);
-    std::string blob;
+    Blob blob;  // shared, not copied: table checkpoints run to tens of MB
     IMCI_RETURN_NOT_OK(fs->ReadFile(dir + std::to_string(tid), &blob));
-    IMCI_RETURN_NOT_OK(LoadIndex(blob, idx));
+    IMCI_RETURN_NOT_OK(LoadIndex(*blob, idx));
   }
   if (inflight != nullptr) {
     inflight->clear();

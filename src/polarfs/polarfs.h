@@ -18,6 +18,12 @@ namespace imci {
 class ArchiveStore;
 class LogStore;
 
+/// An immutable stored byte buffer. Every page image and file in a PolarFs
+/// is one; a write swaps in a new buffer instead of overwriting, so a holder
+/// of the old one (a restore anchor, a restored PolarFs) keeps its bytes —
+/// the copy-on-write sharing of a storage-level snapshot.
+using Blob = std::shared_ptr<const std::string>;
+
 /// Simulation of PolarFS (§3.1), the shared distributed file system that all
 /// computation nodes attach to. It is the *only* channel between the RW node
 /// and RO nodes: REDO log entries, binlog records, data pages, and
@@ -34,6 +40,17 @@ class LogStore;
 /// Durable logging itself lives in `LogStore` (src/log): PolarFs only hosts
 /// the per-name log directory (`log(name)`), the segment files, and the
 /// fsync accounting the log stores charge against.
+///
+/// Storage model: pages and files are shared immutable buffers (`Blob`).
+/// The `Blob` overloads of WritePage/WriteFile link an existing buffer under
+/// a new name — in this or another PolarFs — without copying it, and the
+/// `Blob` overloads of ReadPage/ReadFile hand one out. That is how restore
+/// anchors (SnapshotStore) freeze the store: they link the live buffers,
+/// and later writes replace rather than mutate them. A page rewritten with
+/// identical bytes keeps its buffer, so anchors of an unchanged page share
+/// one image. AppendFile extends a file's buffer in place while the buffer
+/// has never left this PolarFs, and copies it once after it has, so
+/// log-segment appends stay amortized O(1).
 ///
 /// Failure model: every I/O entry point is a named fault point
 /// (common/fault.h) — `polarfs.fsync`, `polarfs.write_page`,
@@ -116,7 +133,10 @@ class PolarFs {
   // and what a booting RO reads).
 
   Status WritePage(PageId id, std::string image);
-  Status ReadPage(PageId id, std::string* image) const;
+  /// Links `image` as page `id` without copying it.
+  Status WritePage(PageId id, Blob image);
+  /// The page's shared buffer, without copying it.
+  Status ReadPage(PageId id, Blob* image) const;
   bool HasPage(PageId id) const;
   std::vector<PageId> ListPages() const;
 
@@ -124,10 +144,14 @@ class PolarFs {
   // Named blobs: column-index checkpoints, pack spills, log segments.
 
   Status WriteFile(const std::string& name, std::string data);
+  /// Links `data` under `name` without copying it.
+  Status WriteFile(const std::string& name, Blob data);
   /// Appends to a named blob, creating it when absent (POSIX O_APPEND — the
   /// write path of log segments).
   Status AppendFile(const std::string& name, const std::string& data);
   Status ReadFile(const std::string& name, std::string* data) const;
+  /// The file's shared buffer, without copying it.
+  Status ReadFile(const std::string& name, Blob* data) const;
   Status DeleteFile(const std::string& name);
   std::vector<std::string> ListFiles(const std::string& prefix) const;
 
@@ -145,11 +169,16 @@ class PolarFs {
   uint64_t log_bytes() const { return log_bytes_.load(); }
   uint64_t page_reads() const { return page_reads_.load(); }
   uint64_t page_writes() const { return page_writes_.load(); }
+  /// Bytes held by the page and file stores, counting each shared buffer
+  /// once however many pages, files and anchor links name it.
+  uint64_t stored_bytes() const;
   void AccountLogBytes(uint64_t n) {
     log_bytes_.fetch_add(n, std::memory_order_relaxed);
   }
 
  private:
+  Status PutFile(const std::string& name, Blob data, bool lent);
+
   Options options_;
 
   mutable std::mutex logs_mu_;
@@ -159,10 +188,17 @@ class PolarFs {
   std::unique_ptr<ArchiveStore> archive_;
 
   mutable std::mutex page_mu_;
-  std::unordered_map<PageId, std::string> pages_;
+  std::unordered_map<PageId, Blob> pages_;
 
+  struct File {
+    Blob data;
+    /// Set once `data` is shared: handed out by ReadFile or linked in by
+    /// WriteFile(Blob). While clear, the map holds the only reference and
+    /// `data` came from this PolarFs, so AppendFile may extend it in place.
+    mutable bool lent = false;
+  };
   mutable std::mutex file_mu_;
-  std::map<std::string, std::string> files_;
+  std::map<std::string, File> files_;
 
   std::atomic<uint64_t> fsyncs_{0};
   std::atomic<uint64_t> log_bytes_{0};

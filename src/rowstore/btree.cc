@@ -91,7 +91,7 @@ Status BTree::Insert(int64_t key, const std::string& image,
     leaf->keys.insert(leaf->keys.begin() + pos, key);
     leaf->payloads.insert(leaf->payloads.begin() + pos, image);
     leaf->byte_size += need;
-    pool_->MarkDirty(leaf->id);
+    pool_->MarkDirty(leaf);
 
     RedoRecord rec;
     rec.type = RedoType::kInsert;
@@ -117,7 +117,7 @@ Status BTree::SplitLeaf(const PageRef& leaf, std::vector<PageRef>& path,
   leaf->next_leaf = right->id;
   leaf->byte_size = leaf->RecomputeByteSize();
   right->byte_size = right->RecomputeByteSize();
-  pool_->MarkDirty(leaf->id);
+  pool_->MarkDirty(leaf);
   const int64_t sep = right->keys.front();
   smo_pages->push_back(leaf);
   smo_pages->push_back(right);
@@ -139,7 +139,7 @@ Status BTree::InsertIntoParent(const PageRef& left, int64_t sep_key,
     new_root->children.push_back(right->id);
     new_root->byte_size = new_root->RecomputeByteSize();
     meta->root_page = new_root->id;
-    pool_->MarkDirty(meta->id);
+    pool_->MarkDirty(meta);
     smo_pages->push_back(new_root);
     smo_pages->push_back(meta);
     return Status::OK();
@@ -150,7 +150,7 @@ Status BTree::InsertIntoParent(const PageRef& left, int64_t sep_key,
   parent->keys.insert(parent->keys.begin() + pos, sep_key);
   parent->children.insert(parent->children.begin() + pos + 1, right->id);
   parent->byte_size += 16;
-  pool_->MarkDirty(parent->id);
+  pool_->MarkDirty(parent);
   if (std::find_if(smo_pages->begin(), smo_pages->end(),
                    [&](const PageRef& p) { return p->id == parent->id; }) ==
       smo_pages->end()) {
@@ -189,7 +189,7 @@ Status BTree::Update(int64_t key, const std::string& new_image,
   rec.diff = RowDiff::Compute(*old_image, new_image);
   leaf->byte_size += new_image.size() - leaf->payloads[slot].size();
   leaf->payloads[slot] = new_image;
-  pool_->MarkDirty(leaf->id);
+  pool_->MarkDirty(leaf);
   redo->push_back(std::move(rec));
   return Status::OK();
 }
@@ -204,7 +204,7 @@ Status BTree::Delete(int64_t key, std::string* old_image,
   leaf->byte_size -= leaf->payloads[slot].size() + 12;
   leaf->keys.erase(leaf->keys.begin() + slot);
   leaf->payloads.erase(leaf->payloads.begin() + slot);
-  pool_->MarkDirty(leaf->id);
+  pool_->MarkDirty(leaf);
   // Underflowing leaves are left in place (no merge); the paper's row store
   // consolidations are likewise system SMOs and orthogonal to the protocol.
   RedoRecord rec;
@@ -319,7 +319,7 @@ Status BTree::BulkLoad(
     level = std::move(next_level);
   }
   meta->root_page = level.front().second;
-  pool_->MarkDirty(meta->id);
+  pool_->MarkDirty(meta);
   return Status::OK();
 }
 

@@ -14,17 +14,20 @@ Status BufferPool::GetPage(PageId id, PageRef* out) {
     }
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
-  std::string image;
+  Blob image;
   IMCI_RETURN_NOT_OK(fs_->ReadPage(id, &image));
   auto page = std::make_shared<Page>();
-  IMCI_RETURN_NOT_OK(Page::Deserialize(image.data(), image.size(), page.get()));
+  IMCI_RETURN_NOT_OK(
+      Page::Deserialize(image->data(), image->size(), page.get()));
   std::lock_guard<std::mutex> g(mu_);
   auto [it, inserted] = pages_.emplace(id, page);
+  // Take the page before eviction runs: when every other resident page is
+  // dirty, the walk evicts the page just fetched (MarkDirty re-admits it).
+  *out = it->second;
   if (inserted) {
     TouchLocked(id);
     MaybeEvictLocked();
   }
-  *out = it->second;
   return Status::OK();
 }
 
@@ -58,9 +61,16 @@ void BufferPool::PutPage(PageRef page, bool dirty) {
   MaybeEvictLocked();
 }
 
-void BufferPool::MarkDirty(PageId id) {
+void BufferPool::MarkDirty(const PageRef& page) {
   std::lock_guard<std::mutex> g(mu_);
-  dirty_.insert(id);
+  dirty_.insert(page->id);
+  PageRef& slot = pages_[page->id];
+  if (slot == page) return;
+  // Eviction dropped the page while its writer held it (or a reader has
+  // since fetched the older image): the writer's copy is the current one.
+  slot = page;
+  TouchLocked(page->id);
+  MaybeEvictLocked();
 }
 
 Status BufferPool::FlushPage(PageId id) {

@@ -42,7 +42,10 @@ class BufferPool {
   /// page images during replay).
   void PutPage(PageRef page, bool dirty);
 
-  void MarkDirty(PageId id);
+  /// Records a write to `page`, which its writer fetched from this pool.
+  /// Re-admits the page if eviction dropped it meanwhile, so the write
+  /// reaches the next flush.
+  void MarkDirty(const PageRef& page);
 
   /// Flushes one page to shared storage (no-op if absent).
   Status FlushPage(PageId id);

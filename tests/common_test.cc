@@ -4,6 +4,7 @@
 #include <set>
 #include <thread>
 
+#include "archive/snapshot_store.h"
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/histogram.h"
@@ -317,6 +318,10 @@ TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
     Page p;
     return Page::Deserialize(in.data(), in.size(), &p);
   };
+  const Decoder listing = [](const std::string& in) {
+    SnapshotStore::Listing out;
+    return SnapshotStore::Listing::Decode(in, &out);
+  };
   const Decoder binlog = [](const std::string& in) {
     Tid tid;
     Vid vid;
@@ -350,6 +355,13 @@ TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
       {"checkpoint shard count", Crafted(index).u32(kHuge).s, ckpt_index},
       {"checkpoint run entries", Crafted(index).u32(1).u32(1).u32(kHuge).s,
        ckpt_index},
+      {"anchor listing page count",
+       Crafted().zeros(24).u32(kHuge).hash_trailer().s, listing},
+      {"anchor listing file count",
+       Crafted().zeros(24).u32(0).u32(kHuge).hash_trailer().s, listing},
+      {"anchor listing file name length",
+       Crafted().zeros(24).u32(0).u32(1).u32(kHuge).zeros(16).hash_trailer().s,
+       listing},
       // Out-of-range enum bytes; the rest of each input is well formed.
       {"redo record type", Crafted().u8(0x7f).zeros(40).s, redo},
       {"page type", Crafted().u8(0x7f).zeros(48).s, page},

@@ -179,7 +179,7 @@ TEST_P(CrashRecoveryTest, RecoveredStateEqualsDurableWatermarkPrefix) {
   // exactly the redo records at or below the durable watermark.
   PolarFs fs2;
   for (PageId id : fs.ListPages()) {
-    std::string image;
+    Blob image;
     ASSERT_TRUE(fs.ReadPage(id, &image).ok());
     ASSERT_TRUE(fs2.WritePage(id, std::move(image)).ok());
   }
@@ -384,7 +384,7 @@ TEST_P(FaultPointCrashTest, RebootAfterSeamCrashRecoversDurablePrefix) {
   const Lsn cut = fs.log("redo")->durable_lsn();
   PolarFs fs2;
   for (PageId id : fs.ListPages()) {
-    std::string image;
+    Blob image;
     ASSERT_TRUE(fs.ReadPage(id, &image).ok());
     ASSERT_TRUE(fs2.WritePage(id, std::move(image)).ok());
   }
@@ -541,7 +541,7 @@ TEST(MidTxnCheckpointTest, BootedNodeGatesUndecidedCheckpointEffects) {
   const Lsn cut = fs.log("redo")->written_lsn();
   PolarFs fs2;
   for (PageId id : fs.ListPages()) {
-    std::string image;
+    Blob image;
     ASSERT_TRUE(fs.ReadPage(id, &image).ok());
     ASSERT_TRUE(fs2.WritePage(id, std::move(image)).ok());
   }

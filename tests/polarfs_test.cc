@@ -13,9 +13,9 @@ TEST(PolarFsTest, PageStore) {
   EXPECT_FALSE(fs.HasPage(7));
   ASSERT_TRUE(fs.WritePage(7, "image7").ok());
   EXPECT_TRUE(fs.HasPage(7));
-  std::string img;
+  Blob img;
   ASSERT_TRUE(fs.ReadPage(7, &img).ok());
-  EXPECT_EQ(img, "image7");
+  EXPECT_EQ(*img, "image7");
   EXPECT_TRUE(fs.ReadPage(8, &img).IsNotFound());
   EXPECT_EQ(fs.page_writes(), 1u);
   EXPECT_GE(fs.page_reads(), 2u);
@@ -42,6 +42,49 @@ TEST(PolarFsTest, AppendFileCreatesAndExtends) {
   std::string data;
   ASSERT_TRUE(fs.ReadFile("seg", &data).ok());
   EXPECT_EQ(data, "abcdef");
+}
+
+TEST(PolarFsTest, LinksShareBuffersAndWritesSwapThem) {
+  PolarFs fs;
+  const std::string image(1000, 'a');
+  ASSERT_TRUE(fs.WritePage(1, image).ok());
+  Blob old_page;
+  ASSERT_TRUE(fs.ReadPage(1, &old_page).ok());
+  ASSERT_TRUE(fs.WriteFile("link/1", old_page).ok());
+  EXPECT_EQ(fs.stored_bytes(), 1000u);  // one buffer, two names
+
+  // An identical rewrite keeps the buffer; a changed one swaps in a new
+  // buffer and leaves the link's bytes alone.
+  ASSERT_TRUE(fs.WritePage(1, image).ok());
+  Blob now;
+  ASSERT_TRUE(fs.ReadPage(1, &now).ok());
+  EXPECT_EQ(now, old_page);
+  ASSERT_TRUE(fs.WritePage(1, std::string(1000, 'b')).ok());
+  ASSERT_TRUE(fs.ReadPage(1, &now).ok());
+  EXPECT_NE(now, old_page);
+  std::string linked;
+  ASSERT_TRUE(fs.ReadFile("link/1", &linked).ok());
+  EXPECT_EQ(linked, image);
+  EXPECT_EQ(fs.stored_bytes(), 2000u);
+
+  // An append to a shared file copies it once; the link keeps its bytes.
+  ASSERT_TRUE(fs.AppendFile("seg", "abc").ok());
+  Blob seg;
+  ASSERT_TRUE(fs.ReadFile("seg", &seg).ok());
+  ASSERT_TRUE(fs.WriteFile("link/seg", seg).ok());
+  ASSERT_TRUE(fs.AppendFile("seg", "def").ok());
+  ASSERT_TRUE(fs.ReadFile("link/seg", &linked).ok());
+  EXPECT_EQ(linked, "abc");
+  ASSERT_TRUE(fs.ReadFile("seg", &linked).ok());
+  EXPECT_EQ(linked, "abcdef");
+
+  // Deleting the last name frees the buffer.
+  seg.reset();
+  ASSERT_TRUE(fs.DeleteFile("link/seg").ok());
+  old_page.reset();
+  now.reset();
+  ASSERT_TRUE(fs.DeleteFile("link/1").ok());
+  EXPECT_EQ(fs.stored_bytes(), 1000u + 6u);
 }
 
 TEST(PolarFsTest, LogDirectoryReturnsSharedInstancePerName) {

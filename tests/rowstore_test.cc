@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <numeric>
 #include <thread>
 
 #include "common/rng.h"
+#include "rowstore/btree.h"
 #include "rowstore/engine.h"
 
 namespace imci {
@@ -219,6 +221,48 @@ TEST(BufferPoolTest, EvictsCleanColdPages) {
   ASSERT_TRUE(pool.GetPage(1, &page).ok());
   EXPECT_EQ(page->id, 1u);
   EXPECT_GT(pool.misses(), 0u);
+}
+
+// With every other resident page dirty, a miss evicts the page it just
+// fetched: its caller holds the only copy. A write through that copy must
+// still reach the next flush.
+TEST(BufferPoolTest, WriteToPageEvictedOnFetchIsKept) {
+  PolarFs fs;
+  std::atomic<PageId> alloc{1};
+  constexpr PageId kMeta = 1;
+  {
+    BufferPool setup(&fs);
+    BTree tree(&setup, &alloc, 1, kMeta);
+    ASSERT_TRUE(tree.CreateEmpty().ok());
+    ASSERT_TRUE(setup.FlushAll().ok());
+  }
+  BufferPool pool(&fs, 2);
+  pool.NewPage(1000, 1, PageType::kLeaf);
+  pool.NewPage(1001, 1, PageType::kLeaf);
+  BTree tree(&pool, &alloc, 1, kMeta);
+  constexpr int64_t kKeys = 2000;  // enough to split the root leaf
+  for (int64_t k = 0; k < kKeys; ++k) {
+    std::vector<RedoRecord> redo;
+    ASSERT_TRUE(tree.Insert(k, "payload-" + std::to_string(k), &redo).ok());
+  }
+  EXPECT_GT(alloc.load(), 2u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+
+  BufferPool fresh(&fs);
+  BTree reread(&fresh, &alloc, 1, kMeta);
+  std::vector<int64_t> keys;
+  size_t wrong_payloads = 0;
+  ASSERT_TRUE(reread
+                  .Scan([&](int64_t key, const std::string& image) {
+                    keys.push_back(key);
+                    wrong_payloads += image != "payload-" + std::to_string(key);
+                    return true;
+                  })
+                  .ok());
+  std::vector<int64_t> want(kKeys);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(keys, want);
+  EXPECT_EQ(wrong_payloads, 0u);
 }
 
 TEST(LockManagerTest, ExclusiveAndReentrant) {
