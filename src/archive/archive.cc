@@ -147,21 +147,6 @@ Lsn ArchiveStore::archived_upto(const std::string& log_name) const {
   return segs.back().last;
 }
 
-bool ArchiveStore::Covers(const std::string& log_name, Lsn from,
-                          Lsn to) const {
-  if (to <= from) return true;
-  std::vector<ArchivedSegment> segs;
-  if (!LoadManifest(log_name, &segs).ok()) return false;
-  Lsn cursor = from;
-  for (const ArchivedSegment& seg : segs) {
-    if (seg.last <= cursor) continue;
-    if (seg.first > cursor + 1) return false;
-    cursor = seg.last;
-    if (cursor >= to) return true;
-  }
-  return cursor >= to;
-}
-
 Status ArchiveStore::DecodeSegment(const std::string& log_name,
                                    const ArchivedSegment& seg,
                                    std::vector<std::string>* payloads) const {

@@ -34,8 +34,7 @@ struct ArchivedSegment {
 ///
 /// The paired SnapshotStore (snapshots()) registers checkpoint anchors;
 /// together they implement Cluster::RestoreToLsn (nearest anchor + archived
-/// suffix + live tail) and mid-run logical-apply scale-out after binlog
-/// recycling (RoNode::Boot bootstraps from the archived binlog prefix).
+/// suffix + live tail).
 ///
 /// Layout: archive/log/<name>/seg_<first-lsn> + archive/log/<name>/MANIFEST.
 class ArchiveStore : public ArchiveSink {
@@ -56,9 +55,6 @@ class ArchiveStore : public ArchiveSink {
 
   /// Highest archived LSN of `log_name` (0 when nothing is archived).
   Lsn archived_upto(const std::string& log_name) const;
-
-  /// True when archived segments contiguously cover (from, to].
-  bool Covers(const std::string& log_name, Lsn from, Lsn to) const;
 
   /// Reads archived record payloads with LSN in (from, to] into `out`
   /// (appended in order); `*last` receives the highest LSN delivered (==
@@ -82,10 +78,7 @@ class ArchiveStore : public ArchiveSink {
 
   /// Deletes the GC-eligible prefix of `log_name` (segment files + manifest
   /// entries). `*dropped` (optional) receives the segment count. Safe with
-  /// concurrent Seal calls; the surviving manifest stays contiguous. Note
-  /// the trade-off: a dropped binlog prefix is also gone for logical-apply
-  /// bootstrap, so callers gate this on the same retention policy that
-  /// dropped the anchors.
+  /// concurrent Seal calls; the surviving manifest stays contiguous.
   Status DropGcEligibleSegments(const std::string& log_name,
                                 size_t* dropped = nullptr);
 

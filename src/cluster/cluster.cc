@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 #include <unordered_map>
 
@@ -130,12 +131,6 @@ Cluster::~Cluster() {
 }
 
 Status Cluster::Open() {
-  // Logical-apply ROs can only make progress if the RW actually writes the
-  // binlog; tying the knobs here keeps the configuration coherent (a bench
-  // may still toggle binlog logging explicitly afterwards).
-  if (options_.ro.replication.source == ApplySource::kLogicalBinlog) {
-    rw_->txn_manager()->set_binlog_enabled(true);
-  }
   IMCI_RETURN_NOT_OK(rw_->FinishLoad());
   // Register the freshly-flushed base image as restore anchor 0 — until the
   // first checkpoint completes, it is the only state RestoreToLsn can start
@@ -183,14 +178,20 @@ RoNode* Cluster::Admit(std::unique_ptr<RoNode> node) {
 }
 
 Status Cluster::RemoveRoNode(RoNode* node) {
+  return RemoveMatching([node](const RoNode& ro) { return &ro == node; });
+}
+
+Status Cluster::RemoveMatching(
+    const std::function<bool(const RoNode&)>& match) {
   std::lock_guard<std::mutex> admin(admin_mu_);
   std::unique_ptr<RoNode> victim;
   {
     std::lock_guard<std::mutex> g(topo_mu_);
     const auto it =
         std::find_if(ro_nodes_.begin(), ro_nodes_.end(),
-                     [&](const auto& ro) { return ro.get() == node; });
+                     [&](const auto& ro) { return match(*ro); });
     if (it == ro_nodes_.end()) return Status::NotFound("node not in fleet");
+    RoNode* node = it->get();
     // Retire under the topology lock: from here no AcquireRo admits a new
     // session, and strong-read waiters already inside see !healthy() and
     // bail — both of which the drain below depends on.
@@ -216,11 +217,8 @@ Status Cluster::TriggerCheckpoint() {
   l->RequestCheckpoint(next_ckpt_id_++);
   // Recycle what the previous completed checkpoint made reclaimable; the one
   // just requested pays off at the next trigger. Periodic checkpoints thus
-  // keep log storage bounded in long runs. The binlog arm recycles against
-  // its consumers' cursors, not the checkpoint manifest (binlog LSNs are a
-  // different space), but rides the same trigger cadence.
+  // keep log storage bounded in long runs.
   IMCI_RETURN_NOT_OK(RecycleRedoLogLocked(nullptr));
-  IMCI_RETURN_NOT_OK(RecycleBinlogLocked(nullptr));
   // Same watermark discipline for the RW node's MVCC version chains: drop
   // row history below the oldest live snapshot.
   rw_->PruneVersions();
@@ -239,8 +237,7 @@ Status Cluster::RecycleRedoLogLocked(Lsn* recycled_upto) {
   Status s = ImciCheckpoint::ReadLatestManifest(&fs_, &csn, &safe, nullptr);
   if (s.IsNotFound()) return Status::OK();  // nothing reclaimable yet
   IMCI_RETURN_NOT_OK(s);
-  // Binlog-space pipelines don't consume redo; their cursors don't clamp.
-  if (const auto slowest = SlowestCursor(ApplySource::kRedoReuse)) {
+  if (const auto slowest = SlowestCursor()) {
     safe = std::min(safe, *slowest);
   }
   IMCI_RETURN_NOT_OK(fs_.log("redo")->Truncate(safe));
@@ -248,31 +245,10 @@ Status Cluster::RecycleRedoLogLocked(Lsn* recycled_upto) {
   return Status::OK();
 }
 
-Status Cluster::RecycleBinlog(Lsn* recycled_upto) {
-  std::lock_guard<std::mutex> admin(admin_mu_);
-  return RecycleBinlogLocked(recycled_upto);
-}
-
-Status Cluster::RecycleBinlogLocked(Lsn* recycled_upto) {
-  if (recycled_upto) *recycled_upto = 0;
-  // Only logical-apply cursors make binlog history reclaimable: every
-  // attached consumer has applied what we cut. With the archive attached,
-  // the sealed segments keep later logical-apply boots possible
-  // (RoNode::Boot bridges the recycled prefix from the archive); without
-  // it, new logical-apply boots below the cut are refused. With no
-  // consumer there is no cursor to clamp to, so nothing is recycled.
-  const auto safe = SlowestCursor(ApplySource::kLogicalBinlog);
-  if (!safe) return Status::OK();
-  IMCI_RETURN_NOT_OK(fs_.log("binlog")->Truncate(*safe));
-  if (recycled_upto) *recycled_upto = fs_.log("binlog")->truncated_lsn();
-  return Status::OK();
-}
-
-std::optional<Lsn> Cluster::SlowestCursor(ApplySource source) {
+std::optional<Lsn> Cluster::SlowestCursor() {
   std::optional<Lsn> slowest;
   std::lock_guard<std::mutex> g(topo_mu_);
   for (const auto& ro : ro_nodes_) {
-    if (ro->pipeline()->source() != source) continue;
     const Lsn cursor = ro->pipeline()->read_lsn();
     if (!slowest || cursor < *slowest) slowest = cursor;
   }
@@ -334,13 +310,8 @@ Status Cluster::RestoreToLsn(Lsn lsn, RestoredCluster* out) {
   }
   auto catalog = std::make_unique<Catalog>();
   for (const auto& schema : catalog_.All()) catalog->Register(schema);
-  RoNodeOptions ro = options_.ro;
-  // The restored environment replays physical redo regardless of what arm
-  // the live cluster's ROs run: the snapshot's pages + redo suffix are the
-  // durable history.
-  ro.replication.source = ApplySource::kRedoReuse;
-  auto node =
-      std::make_unique<RoNode>("restore", fs.get(), catalog.get(), ro);
+  auto node = std::make_unique<RoNode>("restore", fs.get(), catalog.get(),
+                                       options_.ro);
   IMCI_RETURN_NOT_OK(node->Boot());
   IMCI_RETURN_NOT_OK(node->CatchUpNow());
   // Durable-prefix cut: transactions still undecided at `target` roll back.
@@ -371,31 +342,45 @@ void Cluster::MonitorLoop() {
   std::unordered_map<std::string, int> lag_strikes;
   while (monitor_running_.load(std::memory_order_acquire)) {
     YieldFor(options_.health.check_interval_us);
-    RoNode* victim = nullptr;
-    for (RoNode* node : ro_nodes()) {
-      const RoNode::Health h = node->health();
+    // Sample under the topology lock: an admin RemoveRoNode frees a node
+    // once it leaves the fleet, so a pointer copied out of the fleet is
+    // not safe to read after the lock is dropped.
+    std::vector<std::pair<std::string, RoNode::Health>> samples;
+    {
+      std::lock_guard<std::mutex> g(topo_mu_);
+      samples.reserve(ro_nodes_.size());
+      for (const auto& ro : ro_nodes_) {
+        samples.emplace_back(ro->name(), ro->health());
+      }
+    }
+    const std::string* victim = nullptr;
+    for (const auto& [name, h] : samples) {
       if (!h.replicating) continue;  // stopped by an admin, not a failure
       if (h.wedged) {
-        victim = node;  // terminal: storage failures exhausted the retries
+        victim = &name;  // terminal: storage failures exhausted the retries
         break;
       }
       if (h.heartbeat_age_us > options_.health.heartbeat_timeout_us) {
-        victim = node;  // coordinator hung inside storage — same as dead
+        victim = &name;  // coordinator hung inside storage — same as dead
         break;
       }
       if (h.apply_lag > kMaxApplyLag) {
-        if (++lag_strikes[node->name()] >= kLagStrikes) {
-          victim = node;  // persistently unable to keep up
+        if (++lag_strikes[name] >= kLagStrikes) {
+          victim = &name;  // persistently unable to keep up
           break;
         }
       } else {
-        lag_strikes.erase(node->name());
+        lag_strikes.erase(name);
       }
     }
     if (victim != nullptr) {
-      lag_strikes.erase(victim->name());
-      // NotFound = an admin removed it first.
-      if (RemoveRoNode(victim).ok()) {
+      lag_strikes.erase(*victim);
+      // By name, looked up again under the lock: the sampled node may have
+      // left meanwhile, and a new one may occupy its address. NotFound = an
+      // admin removed it first.
+      if (RemoveMatching([victim](const RoNode& ro) {
+            return ro.name() == *victim;
+          }).ok()) {
         evictions_.fetch_add(1, std::memory_order_relaxed);
       }
       continue;  // replace on the next tick; re-check the survivors first
@@ -410,7 +395,7 @@ void Cluster::MonitorLoop() {
 
 Status Cluster::BootReplacement() {
   // admin_mu_ held across boot *and* convergence: recycling must not
-  // truncate redo/binlog records the replacement is still replaying.
+  // truncate redo records the replacement is still replaying.
   std::lock_guard<std::mutex> admin(admin_mu_);
   std::unique_ptr<RoNode> node;
   IMCI_RETURN_NOT_OK(BootNode(&node));

@@ -2,6 +2,7 @@
 #define POLARDB_IMCI_CLUSTER_CLUSTER_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -71,7 +72,7 @@ class Proxy {
 
 /// Self-healing knobs (the fleet monitor thread): when enabled, the cluster
 /// detects wedged / hung / hopelessly lagging RO nodes, evicts them from
-/// routing, and (optionally) boots archive/checkpoint-based replacements
+/// routing, and (optionally) boots checkpoint-based replacements
 /// that are admitted once their apply lag converges.
 struct FleetHealthOptions {
   bool enabled = false;
@@ -123,27 +124,15 @@ class Cluster {
   Status RemoveRoNode(RoNode* node);
 
   /// Asks the RO leader to checkpoint (CSN = its applied VID), then recycles
-  /// redo segments no longer needed by the *previous* completed checkpoint
-  /// and binlog segments below the slowest logical-apply cursor.
+  /// redo segments no longer needed by the *previous* completed checkpoint.
   Status TriggerCheckpoint();
 
   /// Recycles shared-log storage (§7): truncates the "redo" log below the
-  /// latest completed checkpoint's start LSN, clamped by the slowest
-  /// redo-consuming RO's read position so no pipeline loses its tail.
+  /// latest completed checkpoint's start LSN, clamped by the slowest RO's
+  /// read position so no pipeline loses its tail.
   /// Segment-granular — only whole sealed segments are reclaimed. Returns
   /// the LSN up to which records were recycled via `recycled_upto`.
   Status RecycleRedoLog(Lsn* recycled_upto = nullptr);
-
-  /// Recycles binlog storage (PR 2 follow-up): truncates the "binlog" log
-  /// below the slowest logical-apply RO's read position, so the binlog arm
-  /// no longer leaks segments on long runs. A no-op when no logical-apply
-  /// node is attached — a later logical-apply boot replays the binlog from
-  /// LSN 0 over the base state, so with no consumer cursor to clamp to,
-  /// nothing is provably reclaimable. Segment-granular, like the redo path.
-  /// With the archive tier attached (PolarFs::Options::enable_archive),
-  /// recycled segments are sealed into the archive first, and later
-  /// logical-apply boots bridge the recycled prefix from there.
-  Status RecycleBinlog(Lsn* recycled_upto = nullptr);
 
   /// Point-in-time recovery: a cluster environment restored to exactly the
   /// durable prefix at `lsn`, independent of the live one. Declaration order
@@ -198,11 +187,13 @@ class Cluster {
 
  private:
   Status RecycleRedoLogLocked(Lsn* recycled_upto);
-  Status RecycleBinlogLocked(Lsn* recycled_upto);
-  /// The slowest read position among fleet pipelines tailing `source`;
-  /// nullopt when none does.
-  std::optional<Lsn> SlowestCursor(ApplySource source);
-  /// Constructs a fleet node, boots it (checkpoint, archive or rebuild) and
+  /// RemoveRoNode's body: removes the first fleet node `match` accepts
+  /// (checked under the topology lock). NotFound when none does.
+  Status RemoveMatching(const std::function<bool(const RoNode&)>& match);
+  /// The slowest read position among fleet pipelines; nullopt when the
+  /// fleet is empty.
+  std::optional<Lsn> SlowestCursor();
+  /// Constructs a fleet node, boots it (checkpoint or rebuild) and
   /// starts its replication. It serves nothing until Admit.
   Status BootNode(std::unique_ptr<RoNode>* out);
   /// Adds a booted node to routing; it leads when the fleet has no leader.

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <thread>
 
-#include "archive/archive.h"
 #include "cluster/rw_node.h"
 #include "common/clock.h"
 
@@ -63,29 +62,6 @@ Status RoNode::Boot() {
     // row engine; rebuild them from the attached pages.
     IMCI_RETURN_NOT_OK(
         engine_.GetTable(table_id)->RebuildIndexesFromPages());
-  }
-  // Logical-apply nodes (the Fig. 11 binlog arm) tail the binlog from its
-  // beginning over the base row-store state: binlog LSNs are a different
-  // space from redo LSNs, so redo-anchored checkpoints don't apply to them.
-  if (options_.replication.source == ApplySource::kLogicalBinlog) {
-    IMCI_RETURN_NOT_OK(RebuildFromRowStore());
-    // Binlog recycling (Cluster::RecycleBinlog) truncates below the slowest
-    // attached cursor. A fresh node's replay from LSN 0 would silently skip
-    // the recycled transactions (LogStore::Read elides them), so bridge the
-    // recycled prefix from the archive tier — and refuse to boot rather
-    // than diverge when no archive covers it.
-    const Lsn truncated = fs_->log("binlog")->truncated_lsn();
-    if (truncated != 0) {
-      ArchiveStore* arc = fs_->archive();
-      if (arc == nullptr || !arc->Covers("binlog", 0, truncated)) {
-        return Status::NotSupported(
-            "binlog recycled below boot point and no archive covers the "
-            "recycled prefix; logical-apply scale-out impossible");
-      }
-      IMCI_RETURN_NOT_OK(pipeline_.BootstrapFromArchive(truncated));
-    }
-    RefreshStats();
-    return Status::OK();
   }
   // Column indexes: fast recovery from checkpoint, else rebuild by scan.
   Vid csn = 0;
@@ -223,14 +199,6 @@ size_t RoNode::RecoverRowReplica() {
 
 Status RoNode::Execute(const LogicalRef& plan, std::vector<Row>* out,
                        EngineChoice* chosen) {
-  if (options_.replication.source == ApplySource::kLogicalBinlog) {
-    // The binlog carries no page changes, so this node's row replica is
-    // frozen at the base state — only the column engine serves fresh data
-    // on the strawman arm (one more cost REDO reuse doesn't pay: it keeps
-    // both engines current from a single log).
-    if (chosen) *chosen = EngineChoice::kColumnEngine;
-    return ExecuteColumn(plan, out);
-  }
   RoutingDecision d = RouteQuery(plan, stats_, options_.row_cost_threshold);
   if (chosen) *chosen = d.engine;
   if (d.engine == EngineChoice::kRowEngine) {

@@ -28,7 +28,7 @@ class LogStore;
 /// pile up and are drained by the next leader in one more fsync, so the
 /// fsync count scales with batch count, not client count — the property
 /// that lifts the RW commit ceiling at high concurrency (and that makes the
-/// Fig. 11 binlog arm's *extra* fsync a per-batch, not per-txn, cost).
+/// Fig. 11 binlog strawman's *extra* fsync a per-batch, not per-txn, cost).
 ///
 /// Ordering note: batching changes *when* records become durable, never
 /// their LSN order — LSNs are assigned at append time, before SyncTo. The

@@ -25,13 +25,10 @@ ReplicationPipeline::ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
       replica_engine_(replica_engine),
       options_(options),
       name_(std::move(name)),
-      source_log_(fs->log(options.source == ApplySource::kRedoReuse
-                              ? "redo"
-                              : "binlog")),
+      redo_log_(fs->log("redo")),
       parser_(catalog, ro_pool, pool, options.parse_parallelism,
               replica_engine),
-      reader_(fs->log("redo")),
-      logical_(fs->log("binlog"), catalog) {}
+      reader_(redo_log_) {}
 
 ReplicationPipeline::~ReplicationPipeline() { Stop(); }
 
@@ -79,7 +76,7 @@ void ReplicationPipeline::CoordinatorLoop() {
   uint64_t backoff_us = options_.retry_backoff_us;
   while (running_.load(std::memory_order_acquire)) {
     heartbeat_us_.store(NowMicros(), std::memory_order_release);
-    source_log_->WaitFor(read_lsn_.load(std::memory_order_acquire),
+    redo_log_->WaitFor(read_lsn_.load(std::memory_order_acquire),
                          options_.poll_timeout_us);
     Status s = PollOnce();
     if (s.ok()) {
@@ -134,7 +131,7 @@ uint64_t ReplicationPipeline::LsnDelay() const {
   // not-yet-fsynced tail would report "lag" no amount of applying can
   // clear (and could trip the health monitor's lag eviction on a node
   // that is fully caught up).
-  const Lsn durable = source_log_->durable_lsn();
+  const Lsn durable = redo_log_->durable_lsn();
   const Lsn read = read_lsn_.load(std::memory_order_acquire);
   return durable > read ? durable - read : 0;
 }
@@ -281,9 +278,7 @@ Status ReplicationPipeline::RestoreInflight(const std::string& blob) {
 }
 
 Status ReplicationPipeline::PollOnce() {
-  Status s = options_.source == ApplySource::kRedoReuse ? PollRedoOnce()
-                                                        : PollLogicalOnce();
-  if (!s.ok()) return s;
+  IMCI_RETURN_NOT_OK(ReplayChunk());
   if (++polls_since_maintenance_ >= options_.maintenance_interval) {
     polls_since_maintenance_ = 0;
     RunMaintenance();
@@ -291,55 +286,16 @@ Status ReplicationPipeline::PollOnce() {
   return Status::OK();
 }
 
-Status ReplicationPipeline::PollLogicalOnce() {
-  // The strawman's Phase#1: one binlog record == one committed transaction,
-  // already in commit order, no commit-ahead buffering possible.
+Status ReplicationPipeline::ReplayChunk() {
   const Lsn from = read_lsn_.load(std::memory_order_acquire);
-  // Consume only the durable prefix (see PollRedoOnce).
-  const Lsn durable = source_log_->durable_lsn();
-  if (durable <= from) return Status::OK();
-  std::vector<LogicalTxn> txns;
-  Status read_error;
-  const Lsn to = logical_.Poll(
-      from,
-      static_cast<size_t>(std::min<Lsn>(options_.chunk_records, durable - from)),
-      &txns, &read_error);
-  // Nothing consumed: surface the read failure (OK when merely idle).
-  if (to == from) return read_error;
-  ApplyLogicalTxns(&txns);
-  read_lsn_.store(to, std::memory_order_release);
-  // A failure mid-scan: what was delivered is applied and the cursor kept,
-  // so a retry resumes exactly past the progress made.
-  return read_error;
-}
-
-void ReplicationPipeline::ApplyLogicalTxns(std::vector<LogicalTxn>* txns) {
-  std::vector<CommittedTxn> batch;
-  batch.reserve(txns->size());
-  for (LogicalTxn& lt : *txns) {
-    if (lt.vid <= seed_vid_) continue;  // in the checkpoint
-    CommittedTxn txn;
-    txn.buffer = std::make_shared<TxnBuffer>();
-    txn.buffer->tid = lt.tid;
-    txn.buffer->dmls = std::move(lt.dmls);
-    txn.vid = lt.vid;
-    txn.commit_ts_us = lt.commit_ts_us;
-    txn.lsn = lt.lsn;
-    batch.push_back(std::move(txn));
-  }
-  if (!batch.empty()) ApplyBatch(batch);
-}
-
-Status ReplicationPipeline::PollRedoOnce() {
-  const Lsn from = read_lsn_.load(std::memory_order_acquire);
-  // Consume only the durable prefix of the source log. Written-but-unfsynced
+  // Consume only the durable prefix of the redo log. Written-but-unfsynced
   // records are retractable: a failed batch fsync trims them, and a replica
   // that already applied one would expose a commit the log no longer
   // contains — with its cursor parked over LSNs that post-reopen appends
   // reuse for different records. CALS still ships commit-ahead: a DML record
   // becomes consumable as soon as any batch fsync covers it, long before its
   // transaction decides.
-  const Lsn durable = source_log_->durable_lsn();
+  const Lsn durable = redo_log_->durable_lsn();
   if (durable <= from) return Status::OK();
   std::vector<RedoRecord> records;
   Status read_error;
@@ -405,34 +361,6 @@ Status ReplicationPipeline::PollRedoOnce() {
   // A failure mid-scan: what was delivered is applied and the cursor kept,
   // so a retry resumes exactly past the progress made.
   return read_error;
-}
-
-Status ReplicationPipeline::BootstrapFromArchive(Lsn upto) {
-  if (options_.source != ApplySource::kLogicalBinlog) {
-    return Status::NotSupported("archive bootstrap is a logical-apply path");
-  }
-  ArchiveStore* arc = fs_->archive();
-  if (arc == nullptr) return Status::NotSupported("no archive tier");
-  Lsn from = read_lsn_.load(std::memory_order_acquire);
-  while (from < upto) {
-    std::vector<std::string> raw;
-    Lsn last = from;
-    IMCI_RETURN_NOT_OK(
-        arc->ReadRecords("binlog", from,
-                         std::min<Lsn>(upto, from + options_.chunk_records),
-                         &raw, &last));
-    if (last == from) {
-      return Status::Corruption("archived binlog ends at lsn " +
-                                std::to_string(from) + ", need " +
-                                std::to_string(upto));
-    }
-    std::vector<LogicalTxn> txns;
-    logical_.DecodeRaw(from + 1, raw, &txns);
-    ApplyLogicalTxns(&txns);
-    read_lsn_.store(last, std::memory_order_release);
-    from = last;
-  }
-  return Status::OK();
 }
 
 Status ReplicationPipeline::CatchUp(Lsn target_lsn) {
@@ -649,15 +577,7 @@ Status ReplicationPipeline::TakeCheckpoint(uint64_t ckpt_id) {
   // must travel with the checkpoint instead, and replay starts at read_lsn.
   IMCI_RETURN_NOT_OK(ro_pool_->FlushAllResident());
   const Vid csn = applied_vid_.load(std::memory_order_acquire);
-  // The manifest's start_lsn is read back in *redo* LSN space (redo-reuse
-  // boots replay from it; Cluster::RecycleRedoLog truncates below it). A
-  // logical-binlog pipeline's cursor lives in binlog LSN space, so writing
-  // it here would truncate/replay the redo log at a position from the wrong
-  // space — record 0 instead (replay-from-base, recycle-nothing), until the
-  // binlog arm gets its own checkpoint anchor (ROADMAP).
-  const Lsn start_lsn = options_.source == ApplySource::kRedoReuse
-                            ? read_lsn_.load(std::memory_order_acquire)
-                            : 0;
+  const Lsn start_lsn = read_lsn_.load(std::memory_order_acquire);
   IMCI_RETURN_NOT_OK(ImciCheckpoint::WriteSnapshot(
       *imci_, csn, start_lsn, fs_, ckpt_id, SerializeInflight()));
   // Register the checkpoint as a PITR restore anchor: the pages just

@@ -15,27 +15,13 @@
 #include "imci/column_index.h"
 #include "log/log_store.h"
 #include "redo/redo_writer.h"
-#include "replication/logical_apply.h"
 #include "replication/logical_dml.h"
 #include "replication/redo_parser.h"
 #include "rowstore/buffer_pool.h"
 
 namespace imci {
 
-/// Which shared log Phase#1 consumes — the two arms of Fig. 11.
-enum class ApplySource : uint8_t {
-  /// Physical REDO reuse (the paper's design): Phase#1 replays pages and
-  /// reconstructs logical DMLs from the "redo" log.
-  kRedoReuse = 0,
-  /// Logical binlog strawman, end-to-end: Phase#1 decodes committed
-  /// transactions from the "binlog" log (LogicalApplySource).
-  kLogicalBinlog = 1,
-};
-
 struct ReplicationOptions {
-  /// Which log this node's pipeline tails. Logical-binlog nodes skip CALS
-  /// and the row-replica maintenance (the binlog carries no page changes).
-  ApplySource source = ApplySource::kRedoReuse;
   int parse_parallelism = 4;   // Phase#1 workers (page-grained)
   int apply_parallelism = 4;   // Phase#2 workers (row-grained)
   size_t chunk_records = 8192; // max records fetched per poll
@@ -105,13 +91,10 @@ class ReplicationPipeline {
   const std::atomic<Vid>& applied_vid_ref() const { return applied_vid_; }
   /// LSN up to which the log has been consumed.
   Lsn read_lsn() const { return read_lsn_.load(std::memory_order_acquire); }
-  /// Which log this pipeline consumes, and its current written tail. LSNs
-  /// (read_lsn/applied_lsn) are in that log's LSN space.
-  ApplySource source() const { return options_.source; }
-  /// The source log's durable watermark — the highest LSN this pipeline will
+  /// The redo log's durable watermark — the highest LSN this pipeline will
   /// ever consume. The written-but-unfsynced tail beyond it is retractable
   /// (a failed batch fsync trims it), so replicas never build state on it.
-  Lsn source_durable_lsn() const { return source_log_->durable_lsn(); }
+  Lsn source_durable_lsn() const { return redo_log_->durable_lsn(); }
   /// LSN of the last applied commit record.
   Lsn applied_lsn() const { return applied_lsn_.load(std::memory_order_acquire); }
   /// Durable-but-unconsumed backlog (Fig. 14's "LSN delay"), bounded by
@@ -168,12 +151,6 @@ class ReplicationPipeline {
   /// replayed log delivers the commit decisions.
   Status RestoreInflight(const std::string& blob);
 
-  /// Logical-binlog bootstrap across the recycled prefix: replays archived
-  /// binlog transactions with LSN in (read_lsn, upto] through Phase#2, in
-  /// chunks, and advances read_lsn. Corruption when the archive does not
-  /// reach `upto`. Call before Start (the live log takes over from there).
-  Status BootstrapFromArchive(Lsn upto);
-
   /// Requests the coordinator to take a checkpoint at the next boundary.
   void RequestCheckpoint(uint64_t ckpt_id);
 
@@ -188,24 +165,16 @@ class ReplicationPipeline {
   void CoordinatorLoop();
   /// Latches the terminal failure state and stops the coordinator.
   void Wedge(Status reason);
-  Status PollRedoOnce();
-  Status PollLogicalOnce();
-  /// The logical-apply Phase#2 (live binlog and archive bootstrap alike):
-  /// applies the decoded transactions past the checkpoint filter as one
-  /// commit batch.
-  void ApplyLogicalTxns(std::vector<LogicalTxn>* txns);
+  /// Phase#1 and Phase#2 over the next chunk of the durable redo log.
+  Status ReplayChunk();
   void DeliverDmls(std::vector<LogicalDml>&& dmls);
   void MaybePreCommit(const std::shared_ptr<TxnBuffer>& buf);
   void ApplyBatch(std::vector<CommittedTxn>& batch);
   void RunMaintenance();
   std::string SerializeInflight() const;
   /// True when this pipeline maintains a row-store replica whose MVCC
-  /// version chains Phase#1 installs into (redo-reuse only: the binlog
-  /// carries no page changes, so logical-apply replicas stay frozen).
-  bool MaintainsRowReplica() const {
-    return replica_engine_ != nullptr &&
-           options_.source == ApplySource::kRedoReuse;
-  }
+  /// version chains Phase#1 installs into.
+  bool MaintainsRowReplica() const { return replica_engine_ != nullptr; }
   /// Phase#2 commit decision for the row replica: stamps the transaction's
   /// in-flight versions with its commit VID. Runs before applied_vid_
   /// advances past `vid`, so a reader pinned at the new applied point
@@ -224,10 +193,9 @@ class ReplicationPipeline {
   RowStoreEngine* replica_engine_;
   ReplicationOptions options_;
   std::string name_;
-  LogStore* source_log_;  // the log this pipeline tails (redo or binlog)
+  LogStore* redo_log_;  // the log this pipeline tails
   RedoParser parser_;
   RedoReader reader_;
-  LogicalApplySource logical_;
 
   std::unordered_map<Tid, std::shared_ptr<TxnBuffer>> txn_buffers_;
   std::vector<CommittedTxn> delayed_;  // CALS-off emulation

@@ -17,15 +17,16 @@ namespace imci {
 /// paper describes: every commit triggers an *additional* fsync and ships
 /// full logical row images, inflating commit-path latency and log volume.
 ///
-/// The Fig. 11 bench runs the same OLTP workload once with REDO reuse
-/// (BinlogWriter disabled) and once with this writer feeding the RO's
-/// logical-apply pipeline end-to-end.
+/// The Fig. 11 bench runs the same OLTP workload once with REDO reuse alone
+/// (BinlogWriter disabled) and once with this writer on the commit path.
+/// Only the RW pays for it: no RO consumes the binlog — every RO tails the
+/// REDO log in both arms, so the arms differ exactly by this writer's cost.
 ///
 /// Each committed transaction is one durable record in the shared "binlog"
 /// LogStore (seq == binlog LSN, dense and 1-based). The record carries the
-/// commit VID and timestamp so a logical-apply consumer reproduces the same
-/// visibility order the REDO path does, plus a trailing checksum so replay
-/// detects in-record corruption even when the segment frame passes.
+/// commit VID and timestamp, as a logical-apply consumer would need to
+/// reproduce the REDO path's visibility order, plus a trailing checksum so
+/// Replay detects in-record corruption even when the segment frame passes.
 class BinlogWriter {
  public:
   /// Attaches to the shared binlog, continuing after any records already
@@ -43,8 +44,7 @@ class BinlogWriter {
   /// Serializes and appends one transaction's events write-through without
   /// waiting for durability; `*lsn` gets the record's binlog LSN. `vid`/
   /// `commit_ts_us` are the commit sequence number and RW commit wall-clock,
-  /// recorded so logical apply assigns the same read-view VIDs as REDO
-  /// reuse. The caller makes the record durable with SyncTo() *outside* the
+  /// the ordering a logical consumer would need. The caller makes the record durable with SyncTo() *outside* the
   /// commit-ordering mutex, so the binlog arm's extra fsync is paid once per
   /// group-commit batch instead of once per transaction.
   /// Fails (`*lsn` 0) if the underlying append failed (poisoned or faulted

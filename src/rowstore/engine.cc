@@ -140,6 +140,7 @@ Status TransactionManager::Ship(Transaction* txn,
   Status s = redo_->Append(records, &last);
   if (!s.ok()) {
     redo_->Poison(s);
+    if (txn != nullptr && txn->refused_.ok()) txn->refused_ = s;
     return s;
   }
   if (txn != nullptr) txn->last_lsn_ = last;
@@ -150,6 +151,7 @@ Status TransactionManager::Write(Transaction* txn, RowTable* t, int64_t pk,
                                  BinlogWriter::Event::Op op, const Row* row) {
   using Op = BinlogWriter::Event::Op;
   const TableId table = t->schema().table_id();
+  if (!txn->refused_.ok()) return txn->refused_;
   IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
   txn->locks_.emplace_back(table, pk);
   // The table runs this under its write latch, so log order always equals
@@ -325,6 +327,13 @@ void TransactionManager::RetractLostCommit(Transaction* txn) {
 
 Status TransactionManager::Commit(Transaction* txn) {
   if (txn->finished_) return Status::InvalidArgument("finished txn");
+  if (!txn->refused_.ok()) {
+    // A reopened log has trimmed the records before the refusal, so a
+    // commit record now would commit writes the log does not hold.
+    const Status refused = txn->refused_;
+    (void)Rollback(txn);
+    return refused;
+  }
   RedoRecord commit;
   commit.type = RedoType::kCommit;
   commit.tid = txn->tid_;
@@ -432,8 +441,12 @@ Status TransactionManager::Rollback(Transaction* txn) {
   // abort record arrives (§5.1). Snapshot readers skipped the in-flight
   // versions all along, so they never saw any of the rolled-back state.
   // A refused ship still restores memory; the log is poisoned by then.
-  auto ship = [this](std::vector<RedoRecord>* redo) {
-    return Ship(nullptr, *redo);
+  // After a refused ship of this transaction's own, nothing is shipped even
+  // if the log has reopened since: the records the compensation would undo
+  // were trimmed, and on a replica it would hit rows they never touched.
+  const Status refused = txn->refused_;
+  auto ship = [&](std::vector<RedoRecord>* redo) {
+    return refused.ok() ? Ship(nullptr, *redo) : refused;
   };
   Status s;
   for (const auto& [table_id, pks] : txn->writes_) {
@@ -444,7 +457,7 @@ Status TransactionManager::Rollback(Transaction* txn) {
   }
   RedoRecord abort;
   abort.type = RedoType::kAbort;
-  Status aborted = Ship(txn, {&abort, 1});
+  Status aborted = refused.ok() ? Ship(txn, {&abort, 1}) : refused;
   if (s.ok()) s = aborted;
   ReleaseLocks(txn);
   aborts_.fetch_add(1, std::memory_order_relaxed);

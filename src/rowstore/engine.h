@@ -104,6 +104,9 @@ class Transaction {
   Vid commit_vid_ = 0;
   Lsn commit_lsn_ = 0;
   bool finished_ = false;
+  /// The first refused ship (OK while none was). Such a transaction writes
+  /// nothing more to the log: a later Write fails, and Commit rolls back.
+  Status refused_;
   /// Write set: the pks written per table. Commit stamps their versions;
   /// undo restores them from their version chains (RowTable::UndoWrites).
   std::map<TableId, std::vector<int64_t>> writes_;
@@ -156,8 +159,10 @@ class ReadView {
 /// Every redo append's outcome is honoured. A refused record that already
 /// changed a page (DML, SMO, compensation) or that replicas act on (the
 /// abort record, a binlog record behind the redo commit record) poisons the
-/// redo log and fails the statement. A refused commit record wrote nothing:
-/// its transaction rolls back normally.
+/// redo log and fails the statement, and its transaction can only roll back,
+/// in memory alone: a reopened log lacks its trimmed records, so neither a
+/// commit record nor compensation may follow them. A refused commit record
+/// wrote nothing: its transaction rolls back normally.
 ///
 /// Readers never lock and never block: every read runs at an MVCC snapshot
 /// VID taken under the existing commit ordering (commit-VID ≡ commit-LSN, so
@@ -203,11 +208,12 @@ class TransactionManager {
   /// logical record joins the same discipline (the strawman's second fsync
   /// becomes per-batch). The commit is visible to new snapshots before its
   /// row locks are released. Returns the commit VID via the txn. A refused
-  /// commit-record append rolls the transaction back.
+  /// commit-record append rolls the transaction back, and so does an
+  /// earlier refused ship (its status is returned).
   Status Commit(Transaction* txn);
   /// Restores every written row and ships the compensation and abort
   /// records. Memory is restored even when the log refuses them; the first
-  /// refusal is returned.
+  /// refusal is returned. After a refused ship nothing is shipped.
   Status Rollback(Transaction* txn);
 
   /// Enables/disables the Binlog strawman (Fig. 11).
@@ -232,8 +238,8 @@ class TransactionManager {
 
   /// The one redo append outside Commit; a refusal poisons the log. With a
   /// `txn`, stamps its TID and prev_lsn on every non-SMO record (DML, abort)
-  /// and advances its last_lsn_; without one, ships rollback compensation
-  /// as system records (TID 0).
+  /// and advances its last_lsn_, or records the refusal in it; without one,
+  /// ships rollback compensation as system records (TID 0).
   Status Ship(Transaction* txn, std::span<RedoRecord> records);
   /// Insert/Update/Delete: locks the row and runs `op` with a ship that adds
   /// the pk to the write set first (the page has changed, so undo must cover

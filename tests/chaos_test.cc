@@ -266,6 +266,63 @@ TEST_F(RefusedAppendTest, RefusedCommitRecordRollsBackAndRetryCommits) {
                 {{int64_t(0), int64_t(0)}, {int64_t(7), int64_t(8)}}));
 }
 
+TEST_F(RefusedAppendTest, RefusedShipCannotCommitAfterReopen) {
+  TransactionManager* txns = rw_.txn_manager();
+  {
+    // A committed row after the refused insert's slot: compensation shipped
+    // for the trimmed inserts would delete it from a replica's page.
+    Transaction txn;
+    txns->Begin(&txn);
+    ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(10), int64_t(10)}).ok());
+    ASSERT_TRUE(txns->Commit(&txn).ok());
+  }
+  Transaction txn;
+  txns->Begin(&txn);
+  ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(5), int64_t(5)}).ok());
+  {
+    fault::ScopedFault refuse("logstore.append", RefuseAppend(1));
+    EXPECT_FALSE(txns->Insert(&txn, 1, {int64_t(7), int64_t(7)}).ok());
+  }
+  // The reopen trims the un-fsynced insert of 5 too; the transaction's
+  // in-memory writes are all that is left of it.
+  ASSERT_TRUE(fs_.ReopenLogs().ok());
+  EXPECT_FALSE(txns->Insert(&txn, 1, {int64_t(8), int64_t(8)}).ok());
+  EXPECT_FALSE(txns->Commit(&txn).ok());
+  {
+    // The log is healthy again: later transactions commit, and their page
+    // records land where the replica's pages agree with the RW's.
+    Transaction next;
+    txns->Begin(&next);
+    ASSERT_TRUE(txns->Insert(&next, 1, {int64_t(3), int64_t(3)}).ok());
+    ASSERT_TRUE(txns->Update(&next, 1, 10, {int64_t(10), int64_t(11)}).ok());
+    ASSERT_TRUE(txns->Commit(&next).ok());
+  }
+  const std::vector<Row> want = {{int64_t(0), int64_t(0)},
+                                 {int64_t(3), int64_t(3)},
+                                 {int64_t(10), int64_t(11)}};
+  std::vector<Row> rw_rows;
+  {
+    ReadView view = txns->OpenReadView();
+    ASSERT_TRUE(txns->Scan(view, 1, [&](int64_t, const Row& row) {
+                      rw_rows.push_back(row);
+                      return true;
+                    }).ok());
+  }
+  EXPECT_EQ(testing_util::Canonicalize(rw_rows),
+            testing_util::Canonicalize(want));
+  RoNode node("ro", &fs_, &catalog_, RoNodeOptions{});
+  ASSERT_TRUE(node.Boot().ok());
+  ASSERT_TRUE(node.CatchUpNow().ok());
+  std::vector<Row> column_rows;
+  std::vector<Row> replica_rows;
+  ASSERT_TRUE(node.ExecuteColumn(LScan(1, {0, 1}), &column_rows).ok());
+  ASSERT_TRUE(node.ExecuteRow(LScan(1, {0, 1}), &replica_rows).ok());
+  EXPECT_EQ(testing_util::Canonicalize(column_rows),
+            testing_util::Canonicalize(want));
+  EXPECT_EQ(testing_util::Canonicalize(replica_rows),
+            testing_util::Canonicalize(want));
+}
+
 // --- Snapshot visibility vs durability under fsync refusal -----------------
 // A commit becomes visible only once its record is durable, so a commit whose
 // batch fsync is refused must never become visible — not in the failure

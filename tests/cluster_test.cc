@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <future>
 #include <thread>
 
@@ -176,6 +177,44 @@ TEST_F(ClusterTest, ScaleInDrainsSessions) {
             std::future_status::ready);
   EXPECT_TRUE(removal.get().ok());
   EXPECT_EQ(cluster_->ro_nodes().size(), 1u);
+}
+
+// The fleet monitor samples node health while admin scale-out and scale-in
+// change the fleet. RemoveRoNode frees a node as soon as it has drained, so
+// the monitor must never read a node through a pointer copied out of the
+// fleet before the removal (asan and tsan report it when it does).
+TEST(FleetMonitorTest, MonitorRacesAdminScaling) {
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 2;
+  opts.ro.exec_threads = 1;
+  opts.ro.replication.parse_parallelism = 1;
+  opts.ro.replication.apply_parallelism = 1;
+  // A short poll wait lets a removed node stop, and be freed, promptly.
+  opts.ro.replication.poll_timeout_us = 20;
+  opts.health.enabled = true;
+  opts.health.check_interval_us = 10;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.CreateTable(SimpleSchema()).ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back({i, i});
+  ASSERT_TRUE(cluster.BulkLoad(1, std::move(rows)).ok());
+  ASSERT_TRUE(cluster.Open().ok());
+  // Each added node stays for two more rounds, so the monitor samples it
+  // many times before it leaves.
+  std::deque<RoNode*> added;
+  const int rounds = testing_util::TestIters(200);
+  for (int i = 0; i < rounds; ++i) {
+    RoNode* node = nullptr;
+    ASSERT_TRUE(cluster.AddRoNode(&node).ok());
+    added.push_back(node);
+    if (added.size() > 2) {
+      ASSERT_TRUE(cluster.RemoveRoNode(added.front()).ok());
+      added.pop_front();
+    }
+  }
+  for (RoNode* node : added) ASSERT_TRUE(cluster.RemoveRoNode(node).ok());
+  EXPECT_EQ(cluster.evictions(), 0u);
+  EXPECT_EQ(cluster.ro_nodes().size(), 2u);
 }
 
 TEST_F(ClusterTest, ScaleOutFromCheckpointAndCatchUp) {
@@ -398,6 +437,37 @@ TEST_F(ClusterTest, VisibilityDelayIsMeasured) {
   EXPECT_GT(ro->pipeline()->vd_histogram()->Count(), 0u);
   // Visibility delay at this scale should be well under a second.
   EXPECT_LT(ro->pipeline()->vd_histogram()->Percentile(0.99), 1'000'000u);
+}
+
+// With the binlog on, the RW writes a logical event per commit; a rolled-back
+// transaction writes none, and the RO (fed by REDO) never sees its row.
+TEST(LogicalApplyTest, AbortedTransactionsNeverReachTheBinlog) {
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 1;
+  opts.ro.imci.row_group_size = 256;
+  Cluster cluster(opts);
+  ASSERT_TRUE(cluster.CreateTable(SimpleSchema()).ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 100; ++i) rows.push_back({i, i * 2});
+  ASSERT_TRUE(cluster.BulkLoad(1, std::move(rows)).ok());
+  ASSERT_TRUE(cluster.Open().ok());
+  auto* txns = cluster.rw()->txn_manager();
+  txns->set_binlog_enabled(true);
+  Transaction txn;
+  txns->Begin(&txn);
+  ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(2000), int64_t(1)}).ok());
+  ASSERT_TRUE(txns->Rollback(&txn).ok());
+  EXPECT_EQ(cluster.rw()->binlog()->txns_written(), 0u);
+  EXPECT_EQ(cluster.rw()->binlog()->bytes_written(), 0u);
+  RoNode* ro = cluster.ro(0);
+  ASSERT_TRUE(ro->CatchUpNow().ok());
+  EXPECT_EQ(ro->pipeline()->committed_txns(), 0u);
+  auto plan =
+      LAgg(LScan(1, {0}), {}, {AggSpec{AggKind::kCountStar, nullptr}});
+  std::vector<Row> out;
+  ASSERT_TRUE(ro->ExecuteColumn(plan, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(AsInt(out[0][0]), 100);  // only the bulk-loaded base
 }
 
 }  // namespace
