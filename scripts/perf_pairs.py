@@ -4,9 +4,12 @@
 Checks the base revision out into a temporary `git worktree`, then runs
 `perfbench/run.py` alternately on the base and on the working tree (the
 first side alternates from pair to pair, and both runs of a pair use the
-same seed), each side with its own build directory. Prints, for every
-end-to-end metric, the per-pair values, the two medians with the base's
-quartile spread, and on how many pairs the working tree is better:
+same seed), each side with its own build directory. Prints each side's
+share of failed operations, and for every end-to-end metric the per-pair
+values, the two medians with the base's quartile spread, on how many pairs
+the working tree is better, and a verdict against the metric's
+BENCHMARK.json bound: "within bound", "worse beyond bound", or "unresolved"
+when the base's quartile spread alone exceeds the bound:
 
   python3 scripts/perf_pairs.py --workload olap_tpch --pairs 5 --seconds 20
 
@@ -34,7 +37,8 @@ def git(*args):
 
 
 def run_side(tree, build_dir, workload, seed, seconds, log):
-    """One perfbench run of `tree`; returns its metrics dict or None."""
+    """One perfbench run of `tree`: a dict with its metric values and its
+    failed/attempted operation counts, or None."""
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
@@ -48,22 +52,40 @@ def run_side(tree, build_dir, workload, seed, seconds, log):
         return None
     if not result.get("correct"):
         return None
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "failed": result["failed"], "attempted": result["attempted"]}
 
 
-def better_of(spec):
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+def verdict(change, spread, bound):
+    """`change` and `spread` are fractions of the base median; `change` is
+    positive when the working tree is worse."""
+    if spread > bound:
+        return "unresolved"
+    return "worse beyond bound" if change > bound else "within bound"
 
 
-def summarize(pairs, better):
-    for name in sorted(better):
-        base = [p[0][name] for p in pairs if name in p[0]]
-        head = [p[1][name] for p in pairs if name in p[1]]
+def summarize(pairs, spec):
+    shares = []
+    for side, label in ((0, "base"), (1, "head")):
+        failed = sum(p[side]["failed"] for p in pairs)
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        shares.append(failed / attempted if attempted else 0.0)
+        print("%s failed %d of %d operations (%.4f%%)"
+              % (label, failed, attempted, 100 * shares[-1]))
+    print("failure share %s" % ("higher on head" if shares[1] > shares[0]
+                                else "not higher on head"))
+    for m in sorted(spec["end_to_end"], key=lambda m: m["name"]):
+        name = m["name"]
+        base = [p[0]["metrics"][name] for p in pairs
+                if name in p[0]["metrics"]]
+        head = [p[1]["metrics"][name] for p in pairs
+                if name in p[1]["metrics"]]
         if not base or len(base) != len(head):
             continue
-        lower = better[name] == "lower"
+        better = m["better"]
+        lower = better == "lower"
         wins = sum(1 for b, h in zip(base, head) if (h < b if lower else h > b))
-        print("%s (%s is better)" % (name, better[name]))
+        print("%s (%s is better)" % (name, better))
         for i, (b, h) in enumerate(zip(base, head)):
             delta = (h - b) / b * 100 if b else 0.0
             print("  pair %-2d base %12.4f  head %12.4f  %+7.1f%%"
@@ -77,6 +99,9 @@ def summarize(pairs, better):
         print("  median base %.4f  head %.4f  (%+.1f%%; base quartile "
               "spread %.1f%%)  better in %d/%d"
               % (mb, mh, change, spread, wins, len(base)))
+        worse = change if lower else -change
+        print("  bound %.0f%%: %s" % (100 * m["bound"], verdict(
+            worse / 100, spread / 100, m["bound"])))
 
 
 def main():
@@ -90,7 +115,7 @@ def main():
     args = p.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better = better_of(json.load(f))
+        spec = json.load(f)
     rev = git("rev-parse", "--verify", args.base + "^{commit}")
     build_root = os.path.abspath(args.build_root or
                                  tempfile.mkdtemp(prefix="perf_pairs_"))
@@ -123,7 +148,7 @@ def main():
                     return 1
                 pairs.append(got)
                 print("pair %d done (seed %d)" % (i + 1, seed), flush=True)
-        summarize(pairs, better)
+        summarize(pairs, spec)
         ok = True
         return 0
     finally:

@@ -102,22 +102,6 @@ Status ArchiveStore::ListSegments(const std::string& log_name,
   return LoadManifest(log_name, out);
 }
 
-Status ArchiveStore::GcEligibleSegments(const std::string& log_name,
-                                        std::vector<ArchivedSegment>* out) const {
-  out->clear();
-  const Lsn floor = snapshots_.GcFloorLsn();
-  if (floor == 0) return Status::OK();  // every anchor still restorable
-  std::vector<ArchivedSegment> segs;
-  Status s = LoadManifest(log_name, &segs);
-  if (s.IsNotFound()) return Status::OK();
-  IMCI_RETURN_NOT_OK(s);
-  for (const ArchivedSegment& seg : segs) {
-    if (seg.last > floor) break;  // segments are LSN-ordered: prefix only
-    out->push_back(seg);
-  }
-  return Status::OK();
-}
-
 Status ArchiveStore::DropGcEligibleSegments(const std::string& log_name,
                                             size_t* dropped) {
   if (dropped != nullptr) *dropped = 0;

@@ -68,16 +68,11 @@ class ArchiveStore : public ArchiveSink {
   SnapshotStore* snapshots() { return &snapshots_; }
   const SnapshotStore* snapshots() const { return &snapshots_; }
 
-  /// Archived segments of `log_name` no restore can need any more: those
-  /// entirely below the snapshot GC floor (smallest start_lsn among
-  /// retained anchors — see SnapshotStore::GcFloorLsn). Empty until a
-  /// retention cap actually drops an anchor whose start was 0. The eligible
-  /// set is always a prefix of the archived range.
-  Status GcEligibleSegments(const std::string& log_name,
-                            std::vector<ArchivedSegment>* out) const;
-
   /// Deletes the GC-eligible prefix of `log_name` (segment files + manifest
-  /// entries). `*dropped` (optional) receives the segment count. Safe with
+  /// entries): the archived segments no restore can need any more, those
+  /// entirely below the snapshot GC floor (smallest start_lsn among
+  /// retained anchors — see SnapshotStore::GcFloorLsn). Nothing is eligible
+  /// until a retention cap actually drops an anchor whose start was 0. `*dropped` (optional) receives the segment count. Safe with
   /// concurrent Seal calls; the surviving manifest stays contiguous.
   Status DropGcEligibleSegments(const std::string& log_name,
                                 size_t* dropped = nullptr);

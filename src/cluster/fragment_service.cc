@@ -100,30 +100,22 @@ Status FragmentService::Execute(const FragmentRequest& req,
 
   // Pin the requested snapshot on every index the fragment touches *before*
   // waiting: maintenance must not reclaim versions the common snapshot can
-  // still read while we catch up to it.
-  std::vector<const LogicalNode*> scans;
-  CollectScans(req.plan, &scans);
-  std::vector<std::pair<ColumnIndex*, uint64_t>> pins;
-  for (const LogicalNode* s : scans) {
-    ColumnIndex* index = node_->imci()->GetIndex(s->table_id);
-    if (index) {
-      pins.emplace_back(index, index->read_views()->Pin(req.read_vid));
-    }
+  // still read while we catch up to it. This node may have applied past
+  // the snapshot since the coordinator chose it, and released what the
+  // snapshot reads: it answers Busy, and the coordinator retries the
+  // fragment on a peer at the same VID.
+  ScanPins pins(*node_->imci(), req.plan, req.read_vid);
+  if (!pins.covered()) {
+    return Status::Busy("snapshot below this node's released state");
   }
-  auto unpin = [&pins]() {
-    for (auto& [index, token] : pins) index->read_views()->Unpin(token);
-  };
 
   // Bounded catch-up to the common snapshot. A node that can't cover the
   // coordinator's VID in time answers Busy — the coordinator then shrinks
   // the participant set rather than stalling the whole query on one
   // straggler.
   const auto wait_start = std::chrono::steady_clock::now();
-  Status waited = node_->WaitApplied(req.read_vid, req.catchup_timeout_us);
-  if (!waited.ok()) {
-    unpin();
-    return waited;
-  }
+  IMCI_RETURN_NOT_OK(
+      node_->WaitApplied(req.read_vid, req.catchup_timeout_us));
   rsp->wait_us = ElapsedUs(wait_start);
 
   const int desired =
@@ -144,7 +136,6 @@ Status FragmentService::Execute(const FragmentRequest& req,
   if (status.ok()) status = RunPlan(root, &ctx, &rsp->rows);
   rsp->exec_us = ElapsedUs(exec_start);
   rsp->applied_vid = node_->applied_vid();
-  unpin();
   return status;
 }
 

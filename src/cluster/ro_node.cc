@@ -1,6 +1,7 @@
 #include "cluster/ro_node.h"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "cluster/rw_node.h"
@@ -139,6 +140,21 @@ Status RoNode::CatchUpNow() {
   return pipeline_.CatchUp(pipeline_.source_durable_lsn());
 }
 
+ScanPins::ScanPins(const ImciStore& imci, const LogicalRef& plan, Vid vid) {
+  std::vector<const LogicalNode*> scans;
+  CollectScans(plan, &scans);
+  for (const LogicalNode* s : scans) {
+    ColumnIndex* index = imci.GetIndex(s->table_id);
+    if (index == nullptr) continue;
+    pins_.emplace_back(index, index->read_views()->Pin(vid));
+    covered_ = covered_ && index->read_views()->Covers(vid);
+  }
+}
+
+ScanPins::~ScanPins() {
+  for (auto& [index, token] : pins_) index->read_views()->Unpin(token);
+}
+
 Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
                              int parallelism, int* dop_used) {
   // Degree of parallelism: an explicit caller request wins (bench sweeps,
@@ -156,20 +172,17 @@ Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
   ctx.pool = &exec_pool_;
   ctx.parallelism = grant.tokens();
   ctx.morsel_row_groups = options_.morsel_row_groups;
-  ctx.read_vid = pipeline_.applied_vid();
-  // Pin the read view on every index the plan touches so maintenance never
-  // reclaims versions under us (§6.4 snapshot consistency).
-  std::vector<const LogicalNode*> scans;
-  CollectScans(plan, &scans);
-  std::vector<std::pair<ColumnIndex*, uint64_t>> pins;
-  for (const LogicalNode* s : scans) {
-    ColumnIndex* index = imci_.GetIndex(s->table_id);
-    if (index) pins.emplace_back(index, index->read_views()->Pin(ctx.read_vid));
-  }
+  // A maintenance pass between sampling the applied point and pinning it
+  // may already have released that point; the applied point has moved on
+  // by then, so sample again.
+  std::optional<ScanPins> pins;
+  do {
+    ctx.read_vid = pipeline_.applied_vid();
+    pins.emplace(imci_, plan, ctx.read_vid);
+  } while (!pins->covered());
   PhysOpRef root;
   Status status = LowerToColumnPlan(plan, &imci_, &root);
   if (status.ok()) status = RunPlan(root, &ctx, out);
-  for (auto& [index, token] : pins) index->read_views()->Unpin(token);
   return status;
 }
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "plan/optimizer.h"
 #include "replication/pipeline.h"
@@ -24,6 +26,24 @@ struct RoNodeOptions {
   double row_cost_threshold = 20000.0;
   /// Morsel size for column scans, in row groups per dispatch.
   int morsel_row_groups = 1;
+};
+
+/// One column-engine plan's read view: `vid` pinned on every index the plan
+/// scans until destruction, so maintenance never reclaims versions under
+/// the plan (§6.4 snapshot consistency). covered() is false when an index
+/// had already released state a view at `vid` reads
+/// (ReadViewRegistry::Covers); such a view must not be scanned.
+class ScanPins {
+ public:
+  ScanPins(const ImciStore& imci, const LogicalRef& plan, Vid vid);
+  ~ScanPins();
+  ScanPins(const ScanPins&) = delete;
+  ScanPins& operator=(const ScanPins&) = delete;
+  bool covered() const { return covered_; }
+
+ private:
+  std::vector<std::pair<ColumnIndex*, uint64_t>> pins_;
+  bool covered_ = true;
 };
 
 /// A read-only node (§3.1): dual-format storage — a row-store replica (its

@@ -99,14 +99,6 @@ bool ArenaReadRegistry::QuiescedSince(uint64_t stamp) const {
   return true;
 }
 
-size_t ArenaReadRegistry::active_readers() const {
-  std::lock_guard<std::mutex> g(mu_);
-  size_t n = 0;
-  for (const auto& slot : slots_) {
-    if (slot->era.load(std::memory_order_relaxed) != kIdle) ++n;
-  }
-  return n;
-}
 
 ArenaReadGuard::ArenaReadGuard() {
   if (tls_reader.depth++ != 0) return;  // nested: outermost era stays pinned

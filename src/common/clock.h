@@ -16,13 +16,6 @@ inline uint64_t NowMicros() {
           .count());
 }
 
-inline uint64_t NowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Yield-discipline blocking wait: the caller makes no progress before the
 /// deadline, but the CPU is released (yield) so every other thread keeps
 /// running meanwhile. This is THE clock/wait primitive for simulated device

@@ -1636,38 +1636,6 @@ Status SortOp::Execute(ExecContext* ctx, RowSet* out) {
   return Status::OK();
 }
 
-LimitOp::LimitOp(PhysOpRef child, int64_t limit)
-    : child_(std::move(child)), limit_(limit) {
-  out_types_ = child_->out_types();
-}
-
-Status LimitOp::Execute(ExecContext* ctx, RowSet* out) {
-  RowSet in;
-  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
-  out->types = out_types_;
-  int64_t remaining = limit_;
-  for (Batch& b : in.batches) {
-    if (remaining <= 0) break;
-    if (static_cast<int64_t>(b.rows) <= remaining) {
-      remaining -= b.rows;
-      out->batches.push_back(std::move(b));
-    } else {
-      Batch cut = Batch::Make(out_types_);
-      cut.rows = static_cast<size_t>(remaining);
-      for (int c = 0; c < cut.num_cols(); ++c) {
-        const ColumnVector* src = &b.cols[c];
-        GatherRows(
-            cut.rows,
-            [src](size_t i) { return RowRef{src, static_cast<uint32_t>(i)}; },
-            &cut.cols[c]);
-      }
-      out->batches.push_back(std::move(cut));
-      remaining = 0;
-    }
-  }
-  return Status::OK();
-}
-
 ValuesOp::ValuesOp(std::vector<DataType> types, std::vector<Row> rows)
     : rows_(std::move(rows)) {
   out_types_ = std::move(types);

@@ -270,16 +270,6 @@ class SortOp : public PhysOp {
   int64_t limit_;
 };
 
-class LimitOp : public PhysOp {
- public:
-  LimitOp(PhysOpRef child, int64_t limit);
-  Status Execute(ExecContext* ctx, RowSet* out) override;
-
- private:
-  PhysOpRef child_;
-  int64_t limit_;
-};
-
 /// Materialized constant input (used for scalar-subquery results).
 class ValuesOp : public PhysOp {
  public:

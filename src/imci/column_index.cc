@@ -16,11 +16,17 @@ void ReadViewRegistry::Unpin(uint64_t token) {
   pinned_.erase(token);
 }
 
-Vid ReadViewRegistry::MinActive(Vid if_none) const {
+Vid ReadViewRegistry::MinActive(Vid if_none) {
   std::lock_guard<std::mutex> g(mu_);
   Vid min = if_none;
   for (const auto& [token, vid] : pinned_) min = std::min(min, vid);
+  horizon_ = std::max(horizon_, min);
   return min;
+}
+
+bool ReadViewRegistry::Covers(Vid vid) const {
+  std::lock_guard<std::mutex> g(mu_);
+  return vid >= horizon_;
 }
 
 ColumnIndex::ColumnIndex(std::shared_ptr<const Schema> schema,
@@ -204,13 +210,16 @@ size_t ColumnIndex::ReclaimRetired(Vid min_active_vid) {
   std::unique_lock<std::shared_mutex> g(groups_mu_);
   for (auto& grp : groups_) {
     if (!grp || !grp->retired()) continue;
-    // Safe once no pinned reader can see any version in the group: every row
-    // was marked deleted at the compaction VID, so the oldest active read
-    // view (>= that VID) observes nothing here; neither can any newer one.
+    // Safe once no view at or above the oldest pinned one sees any row
+    // here. A published row is visible at some VID >= min_active_vid iff
+    // its delete VID exceeds both min_active_vid and its insert VID; a row
+    // inserted after the oldest view can still be visible to a newer one.
     bool any_visible = false;
     const uint32_t cap = grp->capacity();
     for (uint32_t off = 0; off < cap; ++off) {
-      if (grp->Visible(off, min_active_vid)) {
+      const Vid iv = grp->InsertVid(off);
+      if (iv != kInvalidVid &&
+          grp->DeleteVid(off) > std::max(min_active_vid, iv)) {
         any_visible = true;
         break;
       }

@@ -23,13 +23,21 @@ class ReadViewRegistry {
   /// Pins `vid`; returns a token for Unpin.
   uint64_t Pin(Vid vid);
   void Unpin(uint64_t token);
-  /// Oldest pinned VID, or `if_none` when nothing is pinned.
-  Vid MinActive(Vid if_none) const;
+  /// Oldest pinned VID, or `if_none` when nothing is pinned. Maintenance
+  /// asks right before it releases what no view at or above the answer
+  /// reads (retired groups, insert-VID maps), so the answer also raises the
+  /// horizon below which Covers is false.
+  Vid MinActive(Vid if_none);
+  /// False when maintenance may already have released state a view at
+  /// `vid` reads. Pin first, then ask: while the pin holds, a true answer
+  /// stays true.
+  bool Covers(Vid vid) const;
 
  private:
   mutable std::mutex mu_;
   uint64_t next_token_ = 1;
   std::unordered_map<uint64_t, Vid> pinned_;
+  Vid horizon_ = 0;
 };
 
 struct ColumnIndexOptions {
@@ -114,7 +122,8 @@ class ColumnIndex {
   /// between apply batches). Returns the number of migrated rows.
   Status CompactGroup(size_t gid, Vid vid, uint32_t* moved);
 
-  /// Frees retired groups no active reader can still access.
+  /// Frees retired groups no read view at or above `min_active_vid` can
+  /// still access.
   size_t ReclaimRetired(Vid min_active_vid);
 
   /// Drops insert-VID maps of full groups older than every active reader.

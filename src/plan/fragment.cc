@@ -30,7 +30,7 @@ DataType AggOutType(const AggSpec& a) {
 
 bool IsSpineKind(LogicalKind k) {
   return k == LogicalKind::kProject || k == LogicalKind::kFilter ||
-         k == LogicalKind::kSort || k == LogicalKind::kLimit;
+         k == LogicalKind::kSort;
 }
 
 /// Rebuilds the coordinator-side spine (root-first `upper`) on top of `base`
@@ -120,7 +120,7 @@ class CoPartitioner {
         break;
       }
       default:
-        // kSort/kLimit/kValues below the cut: their subtrees replicate.
+        // kSort/kValues below the cut: their subtrees replicate.
         break;
     }
     memo_[key] = c;
@@ -244,7 +244,6 @@ Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
     }
     case LogicalKind::kFilter:
     case LogicalKind::kSort:
-    case LogicalKind::kLimit:
       return InferOutputTypes(plan->children[0], catalog, out);
     case LogicalKind::kProject:
       for (const ExprRef& e : plan->exprs) out->push_back(e->out_type);
@@ -405,14 +404,7 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     fs.final_plan = RebuildSpine(spine, std::move(fin));
   } else if (last_sort >= 0) {
     // Sort cut: fragments sort (and limit) their partition, the coordinator
-    // k-way merges under the same total order. A LIMIT between the sort and
-    // the inputs would truncate fragments arbitrarily — not decomposable.
-    for (size_t i = static_cast<size_t>(last_sort) + 1; i < spine.size();
-         ++i) {
-      if (spine[i]->kind == LogicalKind::kLimit) {
-        return Status::NotSupported("limit below sort");
-      }
-    }
+    // k-way merges under the same total order.
     LogicalRef S = spine[last_sort];
     tmpl = S;
     fs.merge = FragmentMerge::kSortMerge;
@@ -423,14 +415,7 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     fs.final_plan = RebuildSpine(
         {spine.begin(), spine.begin() + last_sort}, fs.values_node);
   } else {
-    // Concat cut: fragment outputs are disjoint row sets. A bare LIMIT has
-    // no deterministic decomposition (any N rows are a valid answer, but not
-    // a bit-identical one).
-    for (const LogicalRef& n : spine) {
-      if (n->kind == LogicalKind::kLimit) {
-        return Status::NotSupported("bare limit");
-      }
-    }
+    // Concat cut: fragment outputs are disjoint row sets.
     tmpl = plan;
     fs.merge = FragmentMerge::kConcat;
     IMCI_RETURN_NOT_OK(InferOutputTypes(plan, catalog, &fs.fragment_types));

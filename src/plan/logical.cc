@@ -60,13 +60,6 @@ LogicalRef LSort(LogicalRef child, std::vector<SortKey> keys, int64_t limit) {
   return n;
 }
 
-LogicalRef LLimit(LogicalRef child, int64_t limit) {
-  auto n = NewNode(LogicalKind::kLimit);
-  n->children = {std::move(child)};
-  n->limit = limit;
-  return n;
-}
-
 LogicalRef LValues(std::vector<DataType> types, std::vector<Row> rows) {
   auto n = NewNode(LogicalKind::kValues);
   n->value_types = std::move(types);
@@ -122,12 +115,6 @@ Status Lower(const LogicalRef& node, const ScanLower& scan_lower,
       IMCI_RETURN_NOT_OK(Lower(node->children[0], scan_lower, &child));
       *out = std::make_shared<SortOp>(std::move(child), node->sort_keys,
                                       node->limit);
-      return Status::OK();
-    }
-    case LogicalKind::kLimit: {
-      PhysOpRef child;
-      IMCI_RETURN_NOT_OK(Lower(node->children[0], scan_lower, &child));
-      *out = std::make_shared<LimitOp>(std::move(child), node->limit);
       return Status::OK();
     }
     case LogicalKind::kValues:

@@ -17,7 +17,7 @@ namespace imci {
 /// plans are lowered from the same logical plan, preserving behaviour —
 /// implicit casts, error surfaces — across engines by construction).
 enum class LogicalKind : uint8_t {
-  kScan, kFilter, kProject, kJoin, kAgg, kSort, kLimit, kValues,
+  kScan, kFilter, kProject, kJoin, kAgg, kSort, kValues,
 };
 
 struct LogicalNode;
@@ -53,7 +53,7 @@ struct LogicalNode {
   std::vector<int> group_cols;
   std::vector<AggSpec> aggs;
 
-  // kSort / kLimit
+  // kSort (limit < 0: keep every row)
   std::vector<SortKey> sort_keys;
   int64_t limit = -1;
 
@@ -72,7 +72,6 @@ LogicalRef LAgg(LogicalRef child, std::vector<int> group_cols,
                 std::vector<AggSpec> aggs);
 LogicalRef LSort(LogicalRef child, std::vector<SortKey> keys,
                  int64_t limit = -1);
-LogicalRef LLimit(LogicalRef child, int64_t n);
 LogicalRef LValues(std::vector<DataType> types, std::vector<Row> rows);
 
 /// Lowers to the column-based engine (vectorized scan over column indexes).

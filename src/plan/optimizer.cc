@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <set>
 
 namespace imci {
@@ -167,10 +166,6 @@ PlanCost EstimateNode(const LogicalNode* node, const StatsCollector& stats) {
       PlanCost c = EstimateNode(node->children[0].get(), stats);
       cost = c;
       if (node->kind == LogicalKind::kFilter) cost.rows_out *= 0.25;
-      if (node->kind == LogicalKind::kLimit && node->limit >= 0) {
-        cost.rows_out = std::min(cost.rows_out,
-                                 static_cast<double>(node->limit));
-      }
       return cost;
     }
   }
@@ -205,77 +200,6 @@ int ChooseDop(const LogicalRef& plan, const StatsCollector& stats,
   if (workers <= 1.0) return 1;
   const double capped = std::min(static_cast<double>(max_dop), workers);
   return static_cast<int>(std::ceil(capped));
-}
-
-JoinOrder OrderJoins(const JoinGraph& graph) {
-  const int n = static_cast<int>(graph.cardinalities.size());
-  JoinOrder result;
-  if (n == 0) return result;
-  const uint32_t full = (n >= 32) ? ~0u : ((1u << n) - 1);
-  // DP over subsets: best[S] = (cost, cardinality, last relation, prev set).
-  struct Entry {
-    double cost = std::numeric_limits<double>::infinity();
-    double card = 0;
-    int last = -1;
-    uint32_t prev = 0;
-    bool valid = false;
-  };
-  std::vector<Entry> best(full + 1);
-  for (int i = 0; i < n; ++i) {
-    Entry& e = best[1u << i];
-    e.cost = 0;
-    e.card = graph.cardinalities[i];
-    e.last = i;
-    e.valid = true;
-  }
-  auto edge_sel = [&](uint32_t set, int rel, bool* connected) {
-    double sel = 1.0;
-    *connected = false;
-    for (const auto& e : graph.edges) {
-      const bool a_in = (set >> e.a) & 1, b_in = (set >> e.b) & 1;
-      if ((a_in && e.b == rel) || (b_in && e.a == rel)) {
-        sel *= e.selectivity;
-        *connected = true;
-      }
-    }
-    return sel;
-  };
-  for (uint32_t set = 1; set <= full; ++set) {
-    if (!best[set].valid) continue;
-    for (int r = 0; r < n; ++r) {
-      if ((set >> r) & 1) continue;
-      bool connected;
-      const double sel = edge_sel(set, r, &connected);
-      // Only extend along join edges (avoid cross products) unless nothing
-      // is connected at all.
-      if (!connected && set != 0 && __builtin_popcount(set) < n - 1) continue;
-      const double new_card =
-          best[set].card * graph.cardinalities[r] * (connected ? sel : 1.0);
-      const double new_cost = best[set].cost + new_card;
-      const uint32_t nset = set | (1u << r);
-      if (new_cost < best[nset].cost) {
-        Entry& e = best[nset];
-        e.cost = new_cost;
-        e.card = new_card;
-        e.last = r;
-        e.prev = set;
-        e.valid = true;
-      }
-    }
-  }
-  // Reconstruct.
-  uint32_t cur = full;
-  std::vector<int> rev;
-  while (cur != 0 && best[cur].valid) {
-    rev.push_back(best[cur].last);
-    uint32_t prev = best[cur].prev;
-    if (prev == 0) break;
-    cur = prev;
-  }
-  std::reverse(rev.begin(), rev.end());
-  result.order = rev;
-  result.cost = best[full].cost;
-  return result;
 }
 
 }  // namespace imci

@@ -74,29 +74,6 @@ inline constexpr double kScanRowsPerWorker = 65536.0;
 int ChooseDop(const LogicalRef& plan, const StatsCollector& stats,
               int max_dop, double rows_per_worker = kScanRowsPerWorker);
 
-// --- Join ordering -----------------------------------------------------
-
-/// A join-ordering problem: relations with cardinalities and equi-join
-/// edges (selectivity per edge). Solved with connected-subgraph dynamic
-/// programming (the DPhyp/DPccp family the paper adopts, §6.2), returning a
-/// left-deep order that minimizes the sum of intermediate cardinalities.
-struct JoinGraph {
-  struct Edge {
-    int a, b;
-    double selectivity;  // |A join B| = |A|*|B|*selectivity
-  };
-  std::vector<double> cardinalities;  // per relation
-  std::vector<Edge> edges;
-};
-
-struct JoinOrder {
-  std::vector<int> order;  // relation indices, join left-to-right
-  double cost = 0;         // sum of intermediate result sizes
-};
-
-/// Exact DP over connected subgraphs for up to 16 relations.
-JoinOrder OrderJoins(const JoinGraph& graph);
-
 }  // namespace imci
 
 #endif  // POLARDB_IMCI_PLAN_OPTIMIZER_H_

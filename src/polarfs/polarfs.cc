@@ -150,11 +150,6 @@ Status PolarFs::ReadPage(PageId id, Blob* image) const {
   return Status::OK();
 }
 
-bool PolarFs::HasPage(PageId id) const {
-  std::lock_guard<std::mutex> g(page_mu_);
-  return pages_.count(id) > 0;
-}
-
 std::vector<PageId> PolarFs::ListPages() const {
   std::lock_guard<std::mutex> g(page_mu_);
   std::vector<PageId> v;

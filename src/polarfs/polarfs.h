@@ -137,7 +137,6 @@ class PolarFs {
   Status WritePage(PageId id, Blob image);
   /// The page's shared buffer, without copying it.
   Status ReadPage(PageId id, Blob* image) const;
-  bool HasPage(PageId id) const;
   std::vector<PageId> ListPages() const;
 
   // --- File store ----------------------------------------------------------

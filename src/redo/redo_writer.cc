@@ -29,12 +29,21 @@ Status RedoWriter::Append(std::span<RedoRecord> records, Lsn* last) {
 Lsn RedoReader::Read(Lsn from, Lsn to, std::vector<RedoRecord>* out,
                      Status* error) const {
   std::vector<std::string> raw;
-  Lsn last = log_->Read(from, to, &raw, error);
+  const Lsn last = log_->Read(from, to, &raw, error);
   out->reserve(out->size() + raw.size());
-  for (const std::string& buf : raw) {
+  // The log delivers dense LSNs ending at `last`.
+  const Lsn first = last - raw.size() + 1;
+  for (size_t i = 0; i < raw.size(); ++i) {
     RedoRecord rec;
-    Status s = RedoRecord::Deserialize(buf.data(), buf.size(), &rec);
-    if (!s.ok()) continue;  // corrupted entries are skipped defensively
+    Status s = RedoRecord::Deserialize(raw[i].data(), raw[i].size(), &rec);
+    if (!s.ok()) {
+      if (error != nullptr) {
+        *error = Status::Corruption("redo record at LSN " +
+                                    std::to_string(first + i) + ": " +
+                                    s.ToString());
+      }
+      return first + i - 1;
+    }
     out->push_back(std::move(rec));
   }
   return last;

@@ -65,7 +65,9 @@ class RedoReader {
 
   /// Reads records with LSN in (from, to]; appends to `out`. Returns the last
   /// LSN read (== from when nothing new). A storage failure stops the scan
-  /// and is reported via `*error` (when non-null) — see LogStore::Read.
+  /// and is reported via `*error` (when non-null) — see LogStore::Read. So
+  /// does a record that fails to decode: the scan returns the LSN before it
+  /// and `*error` is Corruption naming its LSN.
   Lsn Read(Lsn from, Lsn to, std::vector<RedoRecord>* out,
            Status* error = nullptr) const;
 

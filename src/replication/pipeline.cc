@@ -178,11 +178,6 @@ std::string ReplicationPipeline::SerializeInflight() const {
     for (const TxnBuffer::PreOp& op : buf->pre_ops) {
       touched.emplace(op.table_id, op.pk);
     }
-    if (!MaintainsRowReplica()) {
-      // No row replica to read pre-images from (or to gate at boot).
-      PutFixed32(&out, 0);
-      continue;
-    }
     PutFixed32(&out, static_cast<uint32_t>(touched.size()));
     for (const auto& [table_id, pk] : touched) {
       PutFixed32(&out, table_id);
@@ -259,17 +254,15 @@ Status ReplicationPipeline::RestoreInflight(const std::string& blob) {
       IMCI_RETURN_NOT_OK(r.I64(&pk));
       IMCI_RETURN_NOT_OK(r.U8(&has_pre));
       IMCI_RETURN_NOT_OK(r.Str(&image));
-      if (MaintainsRowReplica()) {
-        // Gate the flushed pages' mid-transaction effects: re-create the
-        // transaction's version chain with the checkpoint-carried committed
-        // pre-image as its base. Must run before replay starts — a later
-        // DML on the same row would otherwise seed the chain base from the
-        // dirty tree image.
-        RowTable* t = replica_engine_->GetTable(table_id);
-        if (t != nullptr) {
-          t->InstallBootInflight(buf->tid, pk, has_pre != 0,
-                                 std::string(image));
-        }
+      // Gate the flushed pages' mid-transaction effects: re-create the
+      // transaction's version chain with the checkpoint-carried committed
+      // pre-image as its base. Must run before replay starts — a later DML
+      // on the same row would otherwise seed the chain base from the dirty
+      // tree image.
+      RowTable* t = replica_engine_->GetTable(table_id);
+      if (t != nullptr) {
+        t->InstallBootInflight(buf->tid, pk, has_pre != 0,
+                               std::string(image));
       }
     }
     txn_buffers_[buf->tid] = std::move(buf);
@@ -438,7 +431,6 @@ std::map<TableId, std::vector<int64_t>> PksByTable(const TxnBuffer& buf) {
 
 void ReplicationPipeline::StampReplicaVersions(const TxnBuffer& buf,
                                                Vid vid) {
-  if (!MaintainsRowReplica()) return;
   // Trim opportunistically like the RW commit path: the registry hint is
   // only ever stale-low (row-engine readers pin at or above it), which
   // merely trims less.
@@ -451,7 +443,6 @@ void ReplicationPipeline::StampReplicaVersions(const TxnBuffer& buf,
 }
 
 void ReplicationPipeline::DropReplicaVersions(const TxnBuffer& buf) {
-  if (!MaintainsRowReplica()) return;
   for (const auto& [table_id, pks] : PksByTable(buf)) {
     RowTable* t = replica_engine_->GetTable(table_id);
     if (t != nullptr) t->AbortVersions(buf.tid, pks);
@@ -544,15 +535,12 @@ void ReplicationPipeline::ApplyBatch(std::vector<CommittedTxn>& batch) {
 
 void ReplicationPipeline::RunMaintenance() {
   const Vid applied = applied_vid_.load(std::memory_order_acquire);
-  if (MaintainsRowReplica()) {
-    // Same watermark discipline as the RW's checkpoint pruning: drop row
-    // version history below the oldest row-engine snapshot still pinned on
-    // this node (RoNode::ExecuteRow registers them), capped by the applied
-    // commit point.
-    const Vid wm =
-        replica_engine_->row_snapshots()->Watermark(applied_vid_);
-    for (RowTable* t : replica_engine_->AllTables()) t->PruneVersions(wm);
-  }
+  // Same watermark discipline as the RW's checkpoint pruning: drop row
+  // version history below the oldest row-engine snapshot still pinned on
+  // this node (RoNode::ExecuteRow registers them), capped by the applied
+  // commit point.
+  const Vid wm = replica_engine_->row_snapshots()->Watermark(applied_vid_);
+  for (RowTable* t : replica_engine_->AllTables()) t->PruneVersions(wm);
   for (ColumnIndex* index : imci_->All()) {
     const Vid min_active = index->read_views()->MinActive(applied);
     index->DropInsertVidMaps(min_active);

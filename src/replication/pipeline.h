@@ -60,10 +60,12 @@ class ReplicationPipeline {
   /// `name` (the owning node's) tags the coordinator thread for fault
   /// injection (fault::ScopedContext): chaos tests target exactly one
   /// node's replication I/O by arming a fault point with that scope.
+  /// `replica_engine` is the node's row replica, whose version chains
+  /// Phase#1 installs into and Phase#2 stamps.
   ReplicationPipeline(PolarFs* fs, const Catalog* catalog,
                       BufferPool* ro_pool, ImciStore* imci, ThreadPool* pool,
                       ReplicationOptions options, std::string name,
-                      RowStoreEngine* replica_engine = nullptr);
+                      RowStoreEngine* replica_engine);
   ~ReplicationPipeline();
 
   /// Sets the replay position of a freshly booted state: the log is
@@ -144,11 +146,11 @@ class ReplicationPipeline {
   Status TakeCheckpoint(uint64_t ckpt_id);
 
   /// Restores in-flight transaction buffers persisted by a checkpoint.
-  /// Call after Boot's LoadLatest and before Start/PollOnce. On a node
-  /// maintaining a row replica, also re-creates each in-flight transaction's
-  /// version chains from the checkpoint-carried committed pre-images, so
-  /// readers gate the flushed pages' mid-transaction effects until the
-  /// replayed log delivers the commit decisions.
+  /// Call after Boot's LoadLatest and before Start/PollOnce. Also
+  /// re-creates each in-flight transaction's row-replica version chains
+  /// from the checkpoint-carried committed pre-images, so readers gate the
+  /// flushed pages' mid-transaction effects until the replayed log
+  /// delivers the commit decisions.
   Status RestoreInflight(const std::string& blob);
 
   /// Requests the coordinator to take a checkpoint at the next boundary.
@@ -172,9 +174,6 @@ class ReplicationPipeline {
   void ApplyBatch(std::vector<CommittedTxn>& batch);
   void RunMaintenance();
   std::string SerializeInflight() const;
-  /// True when this pipeline maintains a row-store replica whose MVCC
-  /// version chains Phase#1 installs into.
-  bool MaintainsRowReplica() const { return replica_engine_ != nullptr; }
   /// Phase#2 commit decision for the row replica: stamps the transaction's
   /// in-flight versions with its commit VID. Runs before applied_vid_
   /// advances past `vid`, so a reader pinned at the new applied point

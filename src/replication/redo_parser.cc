@@ -24,20 +24,39 @@ Status RedoParser::GetOrCreatePage(PageId id, TableId table_id,
   return Status::OK();
 }
 
-void RedoParser::ApplySmo(const RedoRecord& rec) {
+namespace {
+/// A record Phase#1 cannot apply: the replica would diverge from the RW if
+/// replay went on past it, so the failure wedges the pipeline (Corruption
+/// is never retried).
+Status ApplyFailure(const RedoRecord& rec, const Status& cause) {
+  return Status::Corruption("redo apply at LSN " + std::to_string(rec.lsn) +
+                            ": " + cause.ToString());
+}
+}  // namespace
+
+Status RedoParser::ApplySmo(const RedoRecord& rec) {
   // Full page images: overwrite the replica pages. SMO records are applied
   // serially (they are barriers), so no latching races with DML appliers.
+  // Every image is decoded before any is installed, so a bad one leaves
+  // the record wholly unapplied.
+  std::vector<PageRef> pages;
+  pages.reserve(rec.page_images.size());
   for (const auto& [pid, image] : rec.page_images) {
     auto page = std::make_shared<Page>();
-    if (!Page::Deserialize(image.data(), image.size(), page.get()).ok()) {
-      continue;
-    }
+    Status s = Page::Deserialize(image.data(), image.size(), page.get());
+    if (!s.ok()) return ApplyFailure(rec, s);
+    pages.push_back(std::move(page));
+  }
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const PageId pid = rec.page_images[i].first;
+    PageRef& page = pages[i];
     PageRef existing = pool_->GetCached(pid);
     if (existing && existing->page_lsn >= rec.lsn) continue;
     page->page_lsn = rec.lsn;
     pool_->PutPage(std::move(page), /*dirty=*/false);
   }
   records_applied_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
 }
 
 Status RedoParser::ApplyPageRecord(const RedoRecord& rec,
@@ -46,8 +65,7 @@ Status RedoParser::ApplyPageRecord(const RedoRecord& rec,
   if (!schema) return Status::Corruption("unknown table in redo");
   PageRef page;
   IMCI_RETURN_NOT_OK(GetOrCreatePage(rec.page_id, rec.table_id, &page));
-  RowTable* replica =
-      replica_engine_ ? replica_engine_->GetTable(rec.table_id) : nullptr;
+  RowTable* replica = replica_engine_->GetTable(rec.table_id);
   RowTable::ReplicaApply effect;
   PreparedApply prep;
   IMCI_RETURN_NOT_OK(PreparePageRecord(rec, *schema, page,
@@ -209,8 +227,9 @@ Status RedoParser::ApplyPreparedLocked(const RedoRecord& rec,
   return Status::OK();
 }
 
-void RedoParser::ApplyRun(const std::vector<RedoRecord*>& run,
-                          std::vector<std::vector<LogicalDml>>* worker_dmls) {
+Status RedoParser::ApplyRun(
+    const std::vector<RedoRecord*>& run,
+    std::vector<std::vector<LogicalDml>>* worker_dmls) {
   // Partition by Hash(PageID) mod N: records touching the same page go to
   // the same worker in LSN order — the conflict-free property of Phase#1.
   const int n = parallelism_;
@@ -220,12 +239,28 @@ void RedoParser::ApplyRun(const std::vector<RedoRecord*>& run,
   }
   size_t base = worker_dmls->size();
   worker_dmls->resize(base + n);
+  // A worker stops at its first failure; each shard is in LSN order, so
+  // the lowest failing LSN across workers is the run's first failure.
+  std::vector<const RedoRecord*> failed(n, nullptr);
+  std::vector<Status> causes(n);
   ParallelFor(workers_, n, [&](int w) {
     std::vector<LogicalDml>& out = (*worker_dmls)[base + w];
     for (RedoRecord* rec : shards[w]) {
-      (void)ApplyPageRecord(*rec, &out);  // corrupt records are skipped
+      causes[w] = ApplyPageRecord(*rec, &out);
+      if (!causes[w].ok()) {
+        failed[w] = rec;
+        return;
+      }
     }
   });
+  int first = -1;
+  for (int w = 0; w < n; ++w) {
+    if (failed[w] != nullptr &&
+        (first < 0 || failed[w]->lsn < failed[first]->lsn)) {
+      first = w;
+    }
+  }
+  return first < 0 ? Status::OK() : ApplyFailure(*failed[first], causes[first]);
 }
 
 Status RedoParser::ParseChunk(std::vector<RedoRecord>& records,
@@ -234,17 +269,18 @@ Status RedoParser::ParseChunk(std::vector<RedoRecord>& records,
   std::vector<std::vector<LogicalDml>> worker_dmls;
   std::vector<RedoRecord*> run;
   auto flush_run = [&] {
-    if (run.empty()) return;
-    ApplyRun(run, &worker_dmls);
+    if (run.empty()) return Status::OK();
+    Status s = ApplyRun(run, &worker_dmls);
     run.clear();
+    return s;
   };
   for (RedoRecord& rec : records) {
     switch (rec.type) {
       case RedoType::kSmo:
         // Barrier: an SMO touches several pages, so everything before it
         // must land first, and everything after must see its effect.
-        flush_run();
-        ApplySmo(rec);
+        IMCI_RETURN_NOT_OK(flush_run());
+        IMCI_RETURN_NOT_OK(ApplySmo(rec));
         break;
       case RedoType::kCommit:
       case RedoType::kAbort: {
@@ -262,7 +298,7 @@ Status RedoParser::ParseChunk(std::vector<RedoRecord>& records,
         break;
     }
   }
-  flush_run();
+  IMCI_RETURN_NOT_OK(flush_run());
   // Phase#1 broke LSN order across workers; restore it before the DMLs are
   // inserted into transaction buffers (§5.4 "sort DMLs according to the LSN
   // of their associated log entries").

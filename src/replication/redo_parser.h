@@ -38,15 +38,20 @@ class RedoParser {
     Lsn lsn = 0;
   };
 
-  /// `replica_engine` (optional) is the RO node's row-store engine whose
-  /// table metadata (secondary indexes, row counts) is maintained alongside
-  /// the page replay so the RO row engine can serve index lookups.
+  /// `replica_engine` is the RO node's row-store engine whose table
+  /// metadata (secondary indexes, row counts) and version chains are
+  /// maintained alongside the page replay so the RO row engine can serve
+  /// snapshot reads and index lookups.
   RedoParser(const Catalog* catalog, BufferPool* pool, ThreadPool* workers,
-             int parallelism, RowStoreEngine* replica_engine = nullptr);
+             int parallelism, RowStoreEngine* replica_engine);
 
   /// Applies one chunk of records (ascending LSN). Logical DMLs are appended
   /// to `dmls` sorted by LSN; commit/abort decisions to `decisions` in LSN
-  /// order.
+  /// order. A record that cannot be applied (unknown table, slot out of
+  /// range, page read error, undecodable SMO image) fails the chunk with
+  /// Corruption naming its LSN and cause. The chunk's earlier records have
+  /// already advanced their pages, so the chunk must not be parsed again:
+  /// the page-LSN skip would drop their DMLs.
   Status ParseChunk(std::vector<RedoRecord>& records,
                     std::vector<LogicalDml>* dmls,
                     std::vector<Decision>* decisions);
@@ -62,8 +67,8 @@ class RedoParser {
     std::string new_image;   // completed after-image (updates)
   };
 
-  void ApplyRun(const std::vector<RedoRecord*>& run,
-                std::vector<std::vector<LogicalDml>>* worker_dmls);
+  Status ApplyRun(const std::vector<RedoRecord*>& run,
+                  std::vector<std::vector<LogicalDml>>* worker_dmls);
   /// Applies one DML page record in two page-latch scopes with the replica
   /// version install *between* them:
   ///   A. Prepare (shared page latch): read the old slot image, complete
@@ -90,7 +95,7 @@ class RedoParser {
                            std::vector<LogicalDml>* out);
   Status ApplyPreparedLocked(const RedoRecord& rec, const PageRef& page,
                              PreparedApply&& prep);
-  void ApplySmo(const RedoRecord& rec);
+  Status ApplySmo(const RedoRecord& rec);
   Status GetOrCreatePage(PageId id, TableId table_id, PageRef* page);
 
   const Catalog* catalog_;

@@ -44,9 +44,10 @@ class BinlogWriter {
   /// Serializes and appends one transaction's events write-through without
   /// waiting for durability; `*lsn` gets the record's binlog LSN. `vid`/
   /// `commit_ts_us` are the commit sequence number and RW commit wall-clock,
-  /// the ordering a logical consumer would need. The caller makes the record durable with SyncTo() *outside* the
-  /// commit-ordering mutex, so the binlog arm's extra fsync is paid once per
-  /// group-commit batch instead of once per transaction.
+  /// the ordering a logical consumer would need. The caller makes the record
+  /// durable with SyncTo() *outside* the commit-ordering mutex, so the
+  /// binlog arm's extra fsync is paid once per group-commit batch instead of
+  /// once per transaction.
   /// Fails (`*lsn` 0) if the underlying append failed (poisoned or faulted
   /// binlog): the transaction has no binlog record and must not commit.
   Status EnqueueTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
@@ -55,16 +56,6 @@ class BinlogWriter {
   /// Blocks until binlog records at or below `lsn` are durable (joins the
   /// binlog log's group commit). Fails when the covering batch fsync failed.
   Status SyncTo(Lsn lsn) { return log_->SyncTo(lsn); }
-
-  /// Serializes and durably appends one transaction's events: EnqueueTxn +
-  /// SyncTo. Single-threaded callers pay one fsync, exactly as before group
-  /// commit; concurrent callers batch.
-  Status CommitTxn(Tid tid, Vid vid, uint64_t commit_ts_us,
-                   const std::vector<Event>& events) {
-    Lsn lsn;
-    IMCI_RETURN_NOT_OK(EnqueueTxn(tid, vid, commit_ts_us, events, &lsn));
-    return SyncTo(lsn);
-  }
 
   /// Replays the durable binlog in commit order, invoking `fn` once per
   /// fully-recovered transaction. Stops at the first corrupt record (the

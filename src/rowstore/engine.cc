@@ -266,14 +266,6 @@ Status TransactionManager::ScanRange(
   return t->SnapshotScanRange(view.vid(), lo, hi, fn);
 }
 
-Status TransactionManager::IndexLookup(const ReadView& view, TableId table,
-                                       int col, int64_t key,
-                                       std::vector<int64_t>* pks) {
-  const RowTable* t = engine_->GetTable(table);
-  if (t == nullptr) return Status::NotFound("table");
-  return t->SnapshotIndexLookup(view.vid(), col, key, pks);
-}
-
 void TransactionManager::StampCommitLocked(Transaction* txn, Vid trim_hint) {
   // The chains only need versions a snapshot can still read: trim below the
   // oldest live view (or just below this commit when nothing older is
@@ -465,9 +457,8 @@ Status TransactionManager::Rollback(Transaction* txn) {
 }
 
 void TransactionManager::ReleaseLocks(Transaction* txn) {
-  // Strict 2PL: everything the transaction holds goes at commit/rollback.
-  // Released from the txn's own acquisition list (O(locks held)) rather
-  // than LockManager::UnlockAll, which scans every shard.
+  // Strict 2PL: everything the transaction holds goes at commit/rollback,
+  // released from the txn's own acquisition list.
   for (auto& [table, pk] : txn->locks_) locks_->Unlock(txn->tid_, table, pk);
   txn->locks_.clear();
 }

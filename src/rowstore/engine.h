@@ -45,7 +45,6 @@ class RowStoreEngine {
   BufferPool* buffer_pool() { return &pool_; }
   Catalog* catalog() { return catalog_; }
   const Catalog* catalog() const { return catalog_; }
-  std::atomic<PageId>* page_allocator() { return &page_alloc_; }
 
   /// Live row snapshots on this engine (rowstore/mvcc.h): the RW's
   /// transaction manager registers its read views here, an RO node its
@@ -198,8 +197,6 @@ class TransactionManager {
               const std::function<bool(int64_t, const Row&)>& fn);
   Status ScanRange(const ReadView& view, TableId table, int64_t lo, int64_t hi,
                    const std::function<bool(int64_t, const Row&)>& fn);
-  Status IndexLookup(const ReadView& view, TableId table, int col, int64_t key,
-                     std::vector<int64_t>* pks);
 
   /// Commits: assigns the commit sequence number (VID) and enqueues the
   /// commit record under a short critical section (preserving commit-VID ≡

@@ -335,11 +335,4 @@ void SnapshotRegistry::TryRefresh(const std::atomic<Vid>& published) {
   }
 }
 
-size_t SnapshotRegistry::live_count() const {
-  std::lock_guard<std::mutex> g(mu_);
-  size_t n = 0;
-  for (const auto& [vid, count] : live_) n += count;
-  return n;
-}
-
 }  // namespace imci

@@ -84,8 +84,6 @@ class RowVersion {
     }
   }
 
-  RowVersion* next_mutable() { return next_.load(std::memory_order_acquire); }
-
   std::atomic<uint64_t> stamp_;      // kInflightBit|tid, or commit VID
   std::atomic<RowVersion*> next_;    // older version (newest-first chain)
   uint32_t image_len_;
@@ -300,9 +298,6 @@ class SnapshotRegistry {
   /// valid forever, so hot paths read this atomic instead of taking the
   /// reader-hammered mutex.
   Vid hint() const { return hint_.load(std::memory_order_relaxed); }
-
-  /// Open snapshot count (tests/stats).
-  size_t live_count() const;
 
  private:
   Vid RefreshLocked(Vid published);

@@ -257,11 +257,6 @@ Status RowTable::SnapshotScanRange(
   }
 }
 
-Status RowTable::SnapshotIndexLookup(Vid s, int col, int64_t key,
-                                     std::vector<int64_t>* pks) const {
-  return SnapshotIndexLookupRange(s, col, key, key, pks);
-}
-
 Status RowTable::SnapshotIndexLookupRange(Vid s, int col, int64_t lo,
                                           int64_t hi,
                                           std::vector<int64_t>* pks) const {

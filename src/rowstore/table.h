@@ -117,8 +117,8 @@ class RowTable {
   Status SnapshotScanRange(
       Vid s, int64_t lo, int64_t hi,
       const std::function<bool(int64_t, const Row&)>& fn) const;
-  /// Secondary-index lookups at snapshot `s` (NotSupported when `col` has
-  /// no index): index candidates are
+  /// Secondary-index lookup of `col` values in [lo, hi] at snapshot `s`
+  /// (NotSupported when `col` has no index): index candidates are
   /// re-checked against the snapshot-visible image (the index tracks the
   /// *latest* writes, committed or not), and version chains are swept for
   /// rows whose only snapshot-visible version the index no longer points
@@ -127,8 +127,6 @@ class RowTable {
   /// fine for the RW's occasional index-hinted snapshot plans, but a
   /// displaced-entry side index would be needed before putting this on a
   /// hot path.
-  Status SnapshotIndexLookup(Vid s, int col, int64_t key,
-                             std::vector<int64_t>* pks) const;
   Status SnapshotIndexLookupRange(Vid s, int col, int64_t lo, int64_t hi,
                                   std::vector<int64_t>* pks) const;
 

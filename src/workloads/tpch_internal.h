@@ -29,10 +29,6 @@ struct ScanDef {
     return Col(i, schema->column(cols[i]).type);
   }
 
-  DataType type_of(const std::string& name) const {
-    return schema->column(cols[at(name)]).type;
-  }
-
   LogicalRef Plan(ExprRef filter = nullptr) const {
     return LScan(schema->table_id(), cols, std::move(filter));
   }

@@ -28,6 +28,15 @@ struct ReplayedTxn {
   std::vector<Event> events;
 };
 
+/// One durable commit: the write-through append, then the group-commit
+/// sync that covers it.
+void CommitDurably(BinlogWriter* binlog, Tid tid, Vid vid, uint64_t ts,
+                   const std::vector<Event>& events) {
+  Lsn lsn = 0;
+  ASSERT_TRUE(binlog->EnqueueTxn(tid, vid, ts, events, &lsn).ok());
+  ASSERT_TRUE(binlog->SyncTo(lsn).ok());
+}
+
 std::vector<ReplayedTxn> ReplayAll(PolarFs* fs) {
   std::vector<ReplayedTxn> out;
   BinlogWriter::Replay(
@@ -50,11 +59,11 @@ TEST(BinlogTest, EmptyLogReplaysNothing) {
 TEST(BinlogTest, RoundTripPreservesCommitOrderAndPayloads) {
   PolarFs fs;
   BinlogWriter binlog(fs.log("binlog"));
-  (void)binlog.CommitTxn(11, 1, 1001,
-                   {MakeEvent(Event::Op::kInsert, 1, 100, "row-100"),
-                    MakeEvent(Event::Op::kUpdate, 1, 100, "row-100v2")});
-  (void)binlog.CommitTxn(12, 2, 1002, {MakeEvent(Event::Op::kDelete, 2, 7)});
-  (void)binlog.CommitTxn(13, 3, 1003, {});  // empty txn is still a commit record
+  CommitDurably(&binlog, 11, 1, 1001,
+                {MakeEvent(Event::Op::kInsert, 1, 100, "row-100"),
+                 MakeEvent(Event::Op::kUpdate, 1, 100, "row-100v2")});
+  CommitDurably(&binlog, 12, 2, 1002, {MakeEvent(Event::Op::kDelete, 2, 7)});
+  CommitDurably(&binlog, 13, 3, 1003, {});  // empty txn: still a commit record
   EXPECT_EQ(binlog.txns_written(), 3u);
   EXPECT_EQ(binlog.last_seq(), 3u);
 
@@ -83,8 +92,8 @@ TEST(BinlogTest, EveryCommitPaysItsOwnFsync) {
   PolarFs fs;
   BinlogWriter binlog(fs.log("binlog"));
   const uint64_t before = fs.fsync_count();
-  (void)binlog.CommitTxn(1, 1, 0, {MakeEvent(Event::Op::kInsert, 1, 1, "x")});
-  (void)binlog.CommitTxn(2, 2, 0, {MakeEvent(Event::Op::kInsert, 1, 2, "y")});
+  CommitDurably(&binlog, 1, 1, 0, {MakeEvent(Event::Op::kInsert, 1, 1, "x")});
+  CommitDurably(&binlog, 2, 2, 0, {MakeEvent(Event::Op::kInsert, 1, 2, "y")});
   EXPECT_EQ(fs.fsync_count(), before + 2);
 }
 
@@ -94,9 +103,9 @@ TEST(BinlogTest, TruncatedTailStopsReplayAtLastGoodRecord) {
   PolarFs fs(opt);
   BinlogWriter binlog(fs.log("binlog"));
   for (int i = 1; i <= 5; ++i) {
-    (void)binlog.CommitTxn(i, i, 0,
-                     {MakeEvent(Event::Op::kInsert, 1, i,
-                                "payload-" + std::to_string(i))});
+    CommitDurably(&binlog, i, i, 0,
+                  {MakeEvent(Event::Op::kInsert, 1, i,
+                             "payload-" + std::to_string(i))});
   }
   // Simulated crash mid-write: the segment's durable tail loses its last
   // bytes, tearing the final record's frame.
@@ -119,9 +128,9 @@ TEST(BinlogTest, SeqResumesAfterRecoveryOnSegmentedLayout) {
   {
     BinlogWriter binlog(fs.log("binlog"));
     for (int i = 1; i <= 6; ++i) {
-      (void)binlog.CommitTxn(i, i, 0,
-                       {MakeEvent(Event::Op::kInsert, 1, i,
-                                  "old-" + std::to_string(i))});
+      CommitDurably(&binlog, i, i, 0,
+                    {MakeEvent(Event::Op::kInsert, 1, i,
+                               "old-" + std::to_string(i))});
     }
   }
   ASSERT_GE(fs.log("binlog")->segment_count(), 2u);
@@ -145,8 +154,8 @@ TEST(BinlogTest, SeqResumesAfterRecoveryOnSegmentedLayout) {
   // the LogStore's recovered LSN *is* the resume point).
   BinlogWriter resumed(fs.log("binlog"));
   EXPECT_EQ(resumed.last_seq(), recovered);
-  (void)resumed.CommitTxn(100, 100, 0,
-                    {MakeEvent(Event::Op::kInsert, 1, 100, "new-100")});
+  CommitDurably(&resumed, 100, 100, 0,
+                {MakeEvent(Event::Op::kInsert, 1, 100, "new-100")});
 
   auto txns = ReplayAll(&fs);
   ASSERT_EQ(txns.size(), recovered + 1);
@@ -169,7 +178,8 @@ TEST(BinlogTest, DecodeRejectsShortBuffers) {
 TEST(BinlogTest, DecodeRejectsFlippedPayloadByte) {
   PolarFs fs;
   BinlogWriter binlog(fs.log("binlog"));
-  (void)binlog.CommitTxn(1, 1, 0, {MakeEvent(Event::Op::kInsert, 1, 1, "payload")});
+  CommitDurably(&binlog, 1, 1, 0,
+                {MakeEvent(Event::Op::kInsert, 1, 1, "payload")});
   std::vector<std::string> raw;
   fs.log("binlog")->Read(0, 1, &raw);
   ASSERT_EQ(raw.size(), 1u);

@@ -281,11 +281,12 @@ struct Crafted {
 TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
   PolarFs fs;
   Catalog catalog;
-  BufferPool ro_pool(&fs);
+  RowStoreEngine replica(&fs, &catalog);
   ImciStore imci;
   ThreadPool threads(1);
-  ReplicationPipeline pipeline(&fs, &catalog, &ro_pool, &imci, &threads,
-                               ReplicationOptions(), "hostile");
+  ReplicationPipeline pipeline(&fs, &catalog, replica.buffer_pool(), &imci,
+                               &threads, ReplicationOptions(), "hostile",
+                               &replica);
   auto schema = std::make_shared<Schema>(
       1, "t", std::vector<ColumnDef>{{"id", DataType::kInt64, false, true}},
       0);

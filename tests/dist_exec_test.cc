@@ -511,6 +511,58 @@ TEST_F(DistExecTest, ConcurrentCommitsAllOrNothingAcrossFragments) {
   EXPECT_GT(distributed, iters / 2);
 }
 
+// The coordinator picks the common snapshot before its requests arrive;
+// meanwhile a participant may apply further commits and run maintenance,
+// which reclaims row groups no view at its own applied point reads. A
+// request below that point must answer Busy (the coordinator retries it on
+// a peer) instead of scanning a snapshot whose rows are gone.
+TEST(FragmentSnapshotTest, SnapshotBelowReleasedStateIsBusyNotShort) {
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 1;
+  opts.ro.imci.row_group_size = 4;
+  opts.ro.replication.maintenance_interval = 1;
+  auto cluster = std::make_unique<Cluster>(opts);
+  ASSERT_TRUE(cluster->CreateTable(SnapSchema()).ok());
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < 8; ++id) rows.push_back(Row{id, 0});
+  ASSERT_TRUE(cluster->BulkLoad(kSnap, std::move(rows)).ok());
+  ASSERT_TRUE(cluster->Open().ok());
+  RoNode* ro = cluster->ro(0);
+  ASSERT_TRUE(ro->CatchUpNow().ok());
+  ro->StopReplication();  // catch-ups below poll, and maintain, in this thread
+  const Vid before = ro->applied_vid();
+  // Rewrite every row: each old group is empty at the new commit point,
+  // so the next maintenance pass compacts and reclaims it.
+  auto* txns = cluster->rw()->txn_manager();
+  Transaction txn;
+  txns->Begin(&txn);
+  for (int64_t id = 0; id < 8; ++id) {
+    ASSERT_TRUE(txns->Update(&txn, kSnap, id, Row{id, 1}).ok());
+  }
+  ASSERT_TRUE(txns->Commit(&txn).ok());
+  ASSERT_TRUE(ro->CatchUpNow().ok());
+  ASSERT_GT(ro->applied_vid(), before);
+
+  FragmentService service(ro);
+  auto run_at = [&](Vid read_vid, FragmentResponse* rsp) {
+    FragmentRequest req;
+    req.read_vid = read_vid;
+    req.plan = LAgg(LScan(kSnap, {0}), {},
+                    {AggSpec{AggKind::kCountStar, nullptr}});
+    std::string request;
+    EncodeFragmentRequest(req, &request);
+    ASSERT_TRUE(DecodeFragmentResponse(service.Handle(request), rsp).ok());
+  };
+  FragmentResponse stale;
+  run_at(before, &stale);
+  EXPECT_TRUE(stale.status.IsBusy()) << stale.status.ToString();
+  FragmentResponse fresh;
+  run_at(ro->applied_vid(), &fresh);
+  ASSERT_TRUE(fresh.status.ok()) << fresh.status.ToString();
+  ASSERT_EQ(fresh.rows.size(), 1u);
+  EXPECT_EQ(AsInt(fresh.rows[0][0]), 8);
+}
+
 // Straggler shedding: one participant's replication reads are slowed to a
 // crawl so it cannot cover the common snapshot inside the catch-up budget.
 // It must answer Busy, get shed, and the query completes correctly on the

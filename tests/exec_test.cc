@@ -1049,14 +1049,19 @@ TEST_F(OperatorTest, SortWithLimitAndDirections) {
   EXPECT_EQ(AsInt(out[4][1]), 49);
 }
 
+// A limit past one output batch (2048 rows) cuts inside the second batch.
 TEST_F(OperatorTest, LimitCutsAcrossBatches) {
   std::vector<Row> rows;
-  for (int64_t i = 0; i < 5000; ++i) rows.push_back({i});
+  for (int64_t i = 4999; i >= 0; --i) rows.push_back({i});
   auto values = Values(rows, {DataType::kInt64});
-  auto limit = std::make_shared<LimitOp>(values, 3000);
+  auto sort = std::make_shared<SortOp>(values, std::vector<SortKey>{{0}}, 3000);
+  RowSet rs;
+  ASSERT_TRUE(sort->Execute(&ctx_, &rs).ok());
+  EXPECT_GT(rs.batches.size(), 1u);
   std::vector<Row> out;
-  ASSERT_TRUE(RunPlan(limit, &ctx_, &out).ok());
-  EXPECT_EQ(out.size(), 3000u);
+  ASSERT_TRUE(RunPlan(sort, &ctx_, &out).ok());
+  ASSERT_EQ(out.size(), 3000u);
+  for (int64_t i = 0; i < 3000; ++i) ASSERT_EQ(AsInt(out[i][0]), i);
 }
 
 // `col < INT64_MIN` and `col > INT64_MAX` have no representable pruning
@@ -1127,6 +1132,13 @@ TEST(ColumnScanTest, RetiredGroupServesOlderReadViews) {
   };
   EXPECT_EQ(ids_at(8), (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
   EXPECT_EQ(ids_at(9), (std::vector<int64_t>{3, 4, 5, 6, 7}));
+  EXPECT_EQ(ids_at(10), (std::vector<int64_t>{3, 4, 5, 6, 7}));
+  // With the oldest view at VID 0, which sees nothing in the group, the
+  // group still serves views at VIDs 1..9: it stays until no view at or
+  // above the oldest one can read it.
+  EXPECT_EQ(index.ReclaimRetired(0), 0u);
+  EXPECT_EQ(ids_at(8), (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(index.ReclaimRetired(10), 1u);
   EXPECT_EQ(ids_at(10), (std::vector<int64_t>{3, 4, 5, 6, 7}));
 }
 

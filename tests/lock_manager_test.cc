@@ -21,52 +21,24 @@ TEST(LockManagerTest, ExclusiveConflictsWithExclusive) {
   EXPECT_TRUE(lm.Lock(2, 8, 42).ok());
 }
 
+// True while another TID owns (table_id, key): the probe's Lock times out
+// Busy until the owner releases. A granted probe is released at once, so
+// probing leaves the table as it found it.
+constexpr Tid kProbeTid = 999;
+bool Held(LockManager* lm, TableId table_id, int64_t key) {
+  Status s = lm->Lock(kProbeTid, table_id, key);
+  if (s.ok()) lm->Unlock(kProbeTid, table_id, key);
+  return s.IsBusy();
+}
+
 TEST(LockManagerTest, ExclusiveIsReentrant) {
   LockManager lm(kShortTimeoutUs);
   ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
   EXPECT_TRUE(lm.Lock(1, 7, 42).ok());
-  EXPECT_EQ(lm.HeldCount(1), 1u);
-}
-
-TEST(LockManagerTest, SharedIsCompatibleWithShared) {
-  LockManager lm(kShortTimeoutUs);
-  ASSERT_TRUE(lm.LockShared(1, 7, 42).ok());
-  ASSERT_TRUE(lm.LockShared(2, 7, 42).ok());
-  ASSERT_TRUE(lm.LockShared(3, 7, 42).ok());
-  // Re-entrant share keeps a single hold.
-  ASSERT_TRUE(lm.LockShared(1, 7, 42).ok());
-  EXPECT_EQ(lm.HeldCount(1), 1u);
-}
-
-TEST(LockManagerTest, SharedBlocksExclusiveAndViceVersa) {
-  LockManager lm(kShortTimeoutUs);
-  ASSERT_TRUE(lm.LockShared(1, 7, 42).ok());
-  EXPECT_TRUE(lm.Lock(2, 7, 42).IsBusy());  // S held, X wanted
+  EXPECT_TRUE(Held(&lm, 7, 42));
+  // A re-entrant grant is one hold: one release frees the key.
   lm.Unlock(1, 7, 42);
-  ASSERT_TRUE(lm.Lock(2, 7, 42).ok());
-  EXPECT_TRUE(lm.LockShared(1, 7, 42).IsBusy());  // X held, S wanted
-}
-
-TEST(LockManagerTest, ExclusiveHolderGetsSharedForFree) {
-  LockManager lm(kShortTimeoutUs);
-  ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
-  EXPECT_TRUE(lm.LockShared(1, 7, 42).ok());
-  EXPECT_EQ(lm.HeldCount(1), 1u);
-}
-
-TEST(LockManagerTest, SoleSharerUpgradesOthersTimeout) {
-  LockManager lm(kShortTimeoutUs);
-  ASSERT_TRUE(lm.LockShared(1, 7, 42).ok());
-  // Sole shared holder may upgrade in place.
-  ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
-  EXPECT_TRUE(lm.LockShared(2, 7, 42).IsBusy());
-  lm.UnlockAll(1);
-
-  // With two sharers, neither can upgrade (classic upgrade deadlock is
-  // resolved by the wait timeout).
-  ASSERT_TRUE(lm.LockShared(1, 7, 42).ok());
-  ASSERT_TRUE(lm.LockShared(2, 7, 42).ok());
-  EXPECT_TRUE(lm.Lock(1, 7, 42).IsBusy());
+  EXPECT_FALSE(Held(&lm, 7, 42));
 }
 
 TEST(LockManagerTest, UnlockByNonOwnerIsNoOp) {
@@ -74,25 +46,6 @@ TEST(LockManagerTest, UnlockByNonOwnerIsNoOp) {
   ASSERT_TRUE(lm.Lock(1, 7, 42).ok());
   lm.Unlock(2, 7, 42);
   EXPECT_TRUE(lm.Lock(2, 7, 42).IsBusy());  // tid 1 still owns it
-}
-
-TEST(LockManagerTest, UnlockAllReleasesEveryHold) {
-  LockManager lm(kShortTimeoutUs);
-  for (int64_t k = 0; k < 100; ++k) {
-    ASSERT_TRUE(lm.Lock(1, 7, k).ok());
-  }
-  for (int64_t k = 100; k < 150; ++k) {
-    ASSERT_TRUE(lm.LockShared(1, 8, k).ok());
-  }
-  ASSERT_TRUE(lm.Lock(2, 9, 1).ok());  // unrelated holder survives
-  EXPECT_EQ(lm.HeldCount(1), 150u);
-  lm.UnlockAll(1);
-  EXPECT_EQ(lm.HeldCount(1), 0u);
-  EXPECT_EQ(lm.HeldCount(2), 1u);
-  // All released keys are immediately grantable to others.
-  for (int64_t k = 0; k < 100; ++k) {
-    EXPECT_TRUE(lm.Lock(3, 7, k).ok());
-  }
 }
 
 TEST(LockManagerTest, ReleaseWakesWaiter) {
@@ -106,7 +59,7 @@ TEST(LockManagerTest, ReleaseWakesWaiter) {
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(acquired.load());
-  lm.UnlockAll(1);
+  lm.Unlock(1, 7, 42);
   waiter.join();
   EXPECT_TRUE(acquired.load());
 }
@@ -134,7 +87,7 @@ TEST(LockManagerTest, TransactionCommitReleasesAllRowLocks) {
   for (int64_t pk = 0; pk < 10; ++pk) {
     ASSERT_TRUE(txns.Insert(&writer, 1, {pk, pk * 2}).ok());
   }
-  EXPECT_EQ(locks.HeldCount(writer.tid()), 10u);
+  for (int64_t pk = 0; pk < 10; ++pk) EXPECT_TRUE(Held(&locks, 1, pk));
 
   // A concurrent transaction cannot touch the uncommitted rows.
   Transaction other;
@@ -143,14 +96,15 @@ TEST(LockManagerTest, TransactionCommitReleasesAllRowLocks) {
   EXPECT_TRUE(txns.GetForUpdate(&other, 1, 3, &row).IsBusy());
 
   ASSERT_TRUE(txns.Commit(&writer).ok());
-  EXPECT_EQ(locks.HeldCount(writer.tid()), 0u);
+  for (int64_t pk = 0; pk < 10; ++pk) EXPECT_FALSE(Held(&locks, 1, pk));
   // ... and after commit every one of them is grantable.
   for (int64_t pk = 0; pk < 10; ++pk) {
     ASSERT_TRUE(txns.GetForUpdate(&other, 1, pk, &row).ok());
     EXPECT_EQ(AsInt(row[1]), pk * 2);
   }
+  for (int64_t pk = 0; pk < 10; ++pk) EXPECT_TRUE(Held(&locks, 1, pk));
   ASSERT_TRUE(txns.Rollback(&other).ok());
-  EXPECT_EQ(locks.HeldCount(other.tid()), 0u);
+  for (int64_t pk = 0; pk < 10; ++pk) EXPECT_FALSE(Held(&locks, 1, pk));
 }
 
 }  // namespace

@@ -8,54 +8,6 @@
 namespace imci {
 namespace {
 
-TEST(JoinOrderTest, PrefersSmallIntermediateResults) {
-  // Star schema: fact (1M) with two dims (100, 10). Starting from a dim and
-  // joining fact last is never optimal; the DP should start small.
-  JoinGraph g;
-  g.cardinalities = {1'000'000, 100, 10};
-  g.edges = {{0, 1, 0.01}, {0, 2, 0.1}};
-  JoinOrder order = OrderJoins(g);
-  ASSERT_EQ(order.order.size(), 3u);
-  EXPECT_GT(order.cost, 0);
-  // Chain: A(1000) - B(10) - C(1000) with selective A-B edge: join A-B first.
-  JoinGraph chain;
-  chain.cardinalities = {1000, 10, 1000};
-  chain.edges = {{0, 1, 0.001}, {1, 2, 0.01}};
-  JoinOrder o2 = OrderJoins(chain);
-  ASSERT_EQ(o2.order.size(), 3u);
-  EXPECT_NE(o2.order[0], 2);  // never start by materializing the far side
-}
-
-TEST(JoinOrderTest, HandlesSingleAndEmpty) {
-  JoinGraph g;
-  EXPECT_TRUE(OrderJoins(g).order.empty());
-  g.cardinalities = {42};
-  JoinOrder o = OrderJoins(g);
-  ASSERT_EQ(o.order.size(), 1u);
-  EXPECT_EQ(o.order[0], 0);
-}
-
-TEST(JoinOrderTest, ExhaustiveSixRelationChainIsOrderedGreedily) {
-  JoinGraph g;
-  for (int i = 0; i < 6; ++i) g.cardinalities.push_back(1000.0 * (i + 1));
-  for (int i = 0; i + 1 < 6; ++i) g.edges.push_back({i, i + 1, 0.001});
-  JoinOrder o = OrderJoins(g);
-  ASSERT_EQ(o.order.size(), 6u);
-  // Every prefix must stay connected (no cross products).
-  std::set<int> seen{o.order[0]};
-  for (size_t i = 1; i < o.order.size(); ++i) {
-    bool connected = false;
-    for (auto& e : g.edges) {
-      if ((seen.count(e.a) && e.b == o.order[i]) ||
-          (seen.count(e.b) && e.a == o.order[i])) {
-        connected = true;
-      }
-    }
-    EXPECT_TRUE(connected) << "relation " << o.order[i];
-    seen.insert(o.order[i]);
-  }
-}
-
 // Range arithmetic over the int64 extremes: the differences between the
 // stats' min/max and a bound overflow int64, so they are taken in double.
 TEST(SelectivityTest, ExtremeIntRangesDoNotOverflow) {

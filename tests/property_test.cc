@@ -139,9 +139,10 @@ TEST_P(LocatorModelTest, MatchesReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LocatorModelTest,
                          ::testing::Values(5, 6, 7, 8));
 
-/// Failure injection: corrupted REDO entries in the shared log must be
-/// skipped by the reader without derailing later valid entries.
-TEST(FailureInjectionTest, CorruptLogEntriesAreSkipped) {
+/// Failure injection: a corrupted REDO entry in the shared log stops the
+/// reader at the last record it decoded, with Corruption naming the bad
+/// LSN — skipping it would let a replica diverge with no signal.
+TEST(FailureInjectionTest, CorruptLogEntryStopsTheReader) {
   PolarFs fs;
   LogStore* log = fs.log("redo");
   RedoWriter writer(log);
@@ -150,9 +151,8 @@ TEST(FailureInjectionTest, CorruptLogEntriesAreSkipped) {
   a.after_image = "good";
   Lsn last = 0;
   ASSERT_TRUE(writer.Append({&a, 1}, &last).ok());
-  // A record whose *frame* is valid but whose payload is not a RedoRecord —
-  // the reader must skip it without derailing later valid entries.
-  log->Append({"garbage-bytes-not-a-record"}, false);
+  // A record whose *frame* is valid but whose payload is not a RedoRecord.
+  const Lsn bad = log->Append({"garbage-bytes-not-a-record"}, false);
   RedoRecord b;
   b.type = RedoType::kCommit;
   b.commit_vid = 9;
@@ -162,10 +162,19 @@ TEST(FailureInjectionTest, CorruptLogEntriesAreSkipped) {
   log->Append({buf}, false);
   RedoReader reader(log);
   std::vector<RedoRecord> records;
-  reader.Read(0, 100, &records);
-  ASSERT_EQ(records.size(), 2u);  // the corrupt middle entry was dropped
+  Status error;
+  EXPECT_EQ(reader.Read(0, 100, &records, &error), bad - 1);
+  EXPECT_TRUE(error.IsCorruption()) << error.ToString();
+  EXPECT_NE(error.message().find("LSN " + std::to_string(bad)),
+            std::string::npos);
+  ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].type, RedoType::kInsert);
-  EXPECT_EQ(records[1].type, RedoType::kCommit);
+  // A read that starts past the bad entry is unaffected by it.
+  records.clear();
+  EXPECT_EQ(reader.Read(bad, 100, &records, &error), bad + 1);
+  EXPECT_TRUE(error.ok());
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].type, RedoType::kCommit);
 }
 
 }  // namespace

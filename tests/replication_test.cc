@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "cluster/cluster.h"
+#include "common/clock.h"
 #include "common/rng.h"
 #include "tests/test_util.h"
 
@@ -301,6 +305,73 @@ TEST_F(ReplicationTest, ConcurrentWritersOnOneTableConverge) {
   EXPECT_EQ(committed.load(), 1600);
   CatchUp();
   ExpectConverged();
+}
+
+// Phase#1 never skips redo it cannot apply: a record that fails to decode
+// or to apply stops the poll with Corruption before the record's LSN, and
+// the running pipeline wedges with that reason instead of letting the
+// replica diverge silently.
+TEST_F(ReplicationTest, UnappliableRedoWedgesInsteadOfSkipping) {
+  RedoRecord unknown_table;
+  unknown_table.type = RedoType::kInsert;
+  unknown_table.tid = 777;
+  unknown_table.table_id = 999;  // never created
+  unknown_table.page_id = 4242;
+  unknown_table.after_image = "row";
+  RedoRecord bad_smo;
+  bad_smo.type = RedoType::kSmo;
+  bad_smo.page_images = {{4242, "not-a-page-image"}};
+  struct Input {
+    const char* name;
+    const RedoRecord* rec;  // null: the payload is not a redo record
+  };
+  for (const Input& in : {Input{"not a record", nullptr},
+                          Input{"unknown table", &unknown_table},
+                          Input{"undecodable smo image", &bad_smo}}) {
+    SCOPED_TRACE(in.name);
+    cluster_ = std::make_unique<Cluster>(opts_);
+    ASSERT_TRUE(cluster_->CreateTable(SimpleSchema()).ok());
+    ASSERT_TRUE(cluster_->Open().ok());
+    ro_ = cluster_->ro(0);
+    txns_ = cluster_->rw()->txn_manager();
+    ro_->StopReplication();
+    // A valid transaction shares the chunk with the bad record.
+    Transaction txn;
+    txns_->Begin(&txn);
+    ASSERT_TRUE(txns_->Insert(&txn, 1, {int64_t(1), int64_t(1), Value{}}).ok());
+    ASSERT_TRUE(txns_->Commit(&txn).ok());
+
+    LogStore* log = cluster_->fs()->log("redo");
+    std::string payload = "garbage-bytes-not-a-record";
+    if (in.rec != nullptr) {
+      RedoRecord rec = *in.rec;
+      rec.lsn = log->written_lsn() + 1;
+      payload.clear();
+      rec.Serialize(&payload);
+    }
+    const Lsn bad = log->Append({payload}, /*durable=*/true);
+    ASSERT_GT(bad, 0u);
+
+    ReplicationPipeline* pipeline = ro_->pipeline();
+    const Status polled = pipeline->PollOnce();
+    EXPECT_TRUE(polled.IsCorruption()) << polled.ToString();
+    EXPECT_NE(polled.message().find("LSN " + std::to_string(bad)),
+              std::string::npos)
+        << polled.ToString();
+    EXPECT_LT(pipeline->read_lsn(), bad);
+
+    ro_->StartReplication();
+    Timer t;
+    while (!pipeline->wedged() && t.ElapsedMicros() < 10'000'000) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(pipeline->wedged());
+    EXPECT_TRUE(pipeline->wedge_reason().IsCorruption())
+        << pipeline->wedge_reason().ToString();
+    EXPECT_TRUE(ro_->health().wedged);
+    EXPECT_FALSE(ro_->healthy());
+    EXPECT_LT(pipeline->read_lsn(), bad);
+  }
 }
 
 TEST_F(ReplicationTest, CompactionPreservesContentAndReclaims) {

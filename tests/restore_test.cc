@@ -305,12 +305,18 @@ TEST_F(RetentionRestoreTest, RetentionDropsAnchorsAndMakesLogPrefixGcEligible) {
   EXPECT_GT(floor, 0u);
   for (const auto& a : anchors) EXPECT_GE(a.start_lsn, floor);
 
-  // Archived segments wholly below the floor are GC-eligible; dropping them
-  // removes the files and the manifest entries.
+  // Archived segments wholly below the floor are GC-eligible (always a
+  // prefix of the archived range); dropping them removes the files and the
+  // manifest entries, and leaves the rest.
+  std::vector<ArchivedSegment> before;
+  ASSERT_TRUE(arc->ListSegments("redo", &before).ok());
   std::vector<ArchivedSegment> eligible;
-  ASSERT_TRUE(arc->GcEligibleSegments("redo", &eligible).ok());
+  for (const auto& seg : before) {
+    if (seg.last > floor) break;
+    eligible.push_back(seg);
+  }
   ASSERT_FALSE(eligible.empty());
-  for (const auto& seg : eligible) EXPECT_LE(seg.last, floor);
+  ASSERT_LT(eligible.size(), before.size());
   size_t dropped = 0;
   ASSERT_TRUE(arc->DropGcEligibleSegments("redo", &dropped).ok());
   EXPECT_EQ(dropped, eligible.size());
@@ -321,9 +327,13 @@ TEST_F(RetentionRestoreTest, RetentionDropsAnchorsAndMakesLogPrefixGcEligible) {
                                 &data)
                      .ok());
   }
-  std::vector<ArchivedSegment> again;
-  ASSERT_TRUE(arc->GcEligibleSegments("redo", &again).ok());
-  EXPECT_TRUE(again.empty());
+  std::vector<ArchivedSegment> after;
+  ASSERT_TRUE(arc->ListSegments("redo", &after).ok());
+  ASSERT_EQ(after.size(), before.size() - eligible.size());
+  EXPECT_EQ(after.front().first, before[eligible.size()].first);
+  EXPECT_GT(after.front().last, floor);
+  ASSERT_TRUE(arc->DropGcEligibleSegments("redo", &dropped).ok());
+  EXPECT_EQ(dropped, 0u);
 
   // Every restore the retained anchors serve still works end-to-end: the
   // live tail, and the first commit above the floor (worst case — maximum

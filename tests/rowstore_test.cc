@@ -41,7 +41,9 @@ class RowStoreTest : public ::testing::Test {
   /// PKs whose indexed column `k` equals `key` at `view`.
   std::vector<int64_t> LookupK(const ReadView& view, int64_t key) {
     std::vector<int64_t> pks;
-    EXPECT_TRUE(txns_.IndexLookup(view, 1, /*col=*/1, key, &pks).ok());
+    EXPECT_TRUE(
+        table_->SnapshotIndexLookupRange(view.vid(), /*col=*/1, key, key, &pks)
+            .ok());
     return pks;
   }
 
@@ -86,9 +88,9 @@ TEST_F(RowStoreTest, UpdateEmitsDiffRecord) {
   EXPECT_EQ(redo[0].type, RedoType::kUpdate);
   // The secondary index on `k` finds the row under its new value only.
   std::vector<int64_t> pks;
-  ASSERT_TRUE(table_->SnapshotIndexLookup(kMaxVid, 1, 1, &pks).ok());
+  ASSERT_TRUE(table_->SnapshotIndexLookupRange(kMaxVid, 1, 1, 1, &pks).ok());
   EXPECT_TRUE(pks.empty());
-  ASSERT_TRUE(table_->SnapshotIndexLookup(kMaxVid, 1, 2, &pks).ok());
+  ASSERT_TRUE(table_->SnapshotIndexLookupRange(kMaxVid, 1, 2, 2, &pks).ok());
   EXPECT_EQ(pks, std::vector<int64_t>{9});
   Row row;
   ASSERT_TRUE(table_->Get(9, &row).ok());
@@ -365,7 +367,9 @@ TEST_F(TxnTest, RollbackUndoesAllOps) {
   ReadView view = txns_.OpenReadView();
   auto lookup = [&](int64_t key) {
     std::vector<int64_t> pks;
-    EXPECT_TRUE(txns_.IndexLookup(view, 1, /*col=*/1, key, &pks).ok());
+    EXPECT_TRUE(
+        table->SnapshotIndexLookupRange(view.vid(), /*col=*/1, key, key, &pks)
+            .ok());
     return pks;
   };
   EXPECT_EQ(lookup(10), std::vector<int64_t>{1});
