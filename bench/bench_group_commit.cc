@@ -1,7 +1,7 @@
 // The commit-scalability curve: N client threads drive commit-heavy
 // sysbench writes against the RW commit path and we measure how durability
 // cost scales with concurrency. With leader-based group commit
-// (src/log/group_committer.h) the fsync count scales with *batch* count —
+// (LogStore::SyncTo) the fsync count scales with *batch* count —
 // one client pays one fsync per commit, 16 clients share a handful per
 // batch — so commits/s keeps climbing while fsyncs-per-commit collapses.
 // This is the commit ceiling the paper's RW node needs lifted for its OLTP
@@ -13,7 +13,6 @@
 #include <algorithm>
 
 #include "bench/bench_util.h"
-#include "log/group_committer.h"
 
 using namespace imci;
 using namespace imci::bench;

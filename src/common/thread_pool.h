@@ -18,8 +18,8 @@ namespace imci {
 /// replay workers. Each worker owns a deque: Submit() round-robins new tasks
 /// across the deques, the owner pops from the front (submission order), and
 /// an idle worker steals from the back of a victim's deque. Tasks are plain
-/// std::function<void()>; completion is tracked externally (see TaskGroup
-/// below).
+/// std::function<void()>; completion is tracked by the caller (ParallelFor
+/// below waits per index).
 class ThreadPool {
  public:
   explicit ThreadPool(int num_threads);
@@ -62,33 +62,6 @@ class ThreadPool {
 
   std::atomic<uint64_t> next_queue_{0};
   std::atomic<uint64_t> tasks_stolen_{0};
-};
-
-/// Counts outstanding tasks; Wait() blocks until all added tasks finished.
-/// The count is mutated strictly under the mutex: a lock-free decrement
-/// would let Wait() return — and the group be destroyed — while the last
-/// Done() is still touching the condition variable (use-after-free).
-class TaskGroup {
- public:
-  void Add(int n = 1) {
-    std::lock_guard<std::mutex> g(mu_);
-    pending_ += n;
-  }
-
-  void Done() {
-    std::lock_guard<std::mutex> g(mu_);
-    if (--pending_ == 0) cv_.notify_all();
-  }
-
-  void Wait() {
-    std::unique_lock<std::mutex> l(mu_);
-    cv_.wait(l, [&] { return pending_ == 0; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int pending_ = 0;
 };
 
 /// Per-pool token ledger for per-query worker accounting. A query acquires

@@ -1,13 +1,13 @@
 #include "log/log_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/coding.h"
 #include "common/fault.h"
-#include "log/group_committer.h"
 #include "polarfs/polarfs.h"
 
 namespace imci {
@@ -25,12 +25,7 @@ void AppendFrame(std::string* dst, const std::string& payload) {
 }  // namespace
 
 LogStore::LogStore(PolarFs* fs, std::string name, size_t segment_bytes)
-    : fs_(fs),
-      name_(std::move(name)),
-      segment_bytes_(segment_bytes),
-      group_(std::make_unique<GroupCommitter>(this)) {}
-
-LogStore::~LogStore() = default;
+    : fs_(fs), name_(std::move(name)), segment_bytes_(segment_bytes) {}
 
 std::string LogStore::SegmentFileName(const std::string& log_name,
                                       Lsn first_lsn) {
@@ -127,13 +122,11 @@ Status LogStore::Open() {
   written_lsn_.store(tail, std::memory_order_release);
   // Everything recovery re-read from segment files is durable by definition,
   // and the clean state it re-derived clears the latch.
-  std::lock_guard<std::mutex> c(group_->mu_);
-  group_->durable_lsn_.store(tail, std::memory_order_release);
+  std::lock_guard<std::mutex> c(batch_mu_);
+  durable_lsn_.store(tail, std::memory_order_release);
   poison_ = Status::OK();
   return Status::OK();
 }
-
-Status LogStore::Reopen() { return Open(); }
 
 void LogStore::StartSegmentLocked(Lsn first_lsn) {
   Segment seg;
@@ -211,14 +204,58 @@ Lsn LogStore::Append(std::vector<std::string> records, bool durable,
   // Notify: the "broadcast its up-to-date LSN" step of CALS (§5.1).
   cv_.notify_all();
   if (durable) {
-    if (Status s = group_->SyncTo(last); !s.ok()) return fail(std::move(s));
+    if (Status s = SyncTo(last); !s.ok()) return fail(std::move(s));
   }
   return last;
 }
 
-Status LogStore::Sync() { return fs_->SyncLog(); }
-
-Status LogStore::SyncTo(Lsn lsn) { return group_->SyncTo(lsn); }
+Status LogStore::SyncTo(Lsn lsn) {
+  commits_.fetch_add(1, std::memory_order_relaxed);
+  // Fast path: an earlier batch's fsync ran after our record was already in
+  // the segment file, so we are durable without waiting at all. (A poison
+  // trims only above the watermark, so a covered record stays covered.)
+  if (durable_lsn_.load(std::memory_order_acquire) >= lsn) return Status::OK();
+  std::unique_lock<std::mutex> l(batch_mu_);
+  while (durable_lsn_.load(std::memory_order_relaxed) < lsn) {
+    // The latch fails every commit above the watermark — ours included,
+    // whether we lead, follow, or arrive late. Checked on every wake-up: the
+    // latch can be set while we wait.
+    if (!poison_.ok()) return poison_;
+    if (leader_active_) {
+      // Follower: a leader's fsync is in flight. If it covers us we are
+      // woken durable; if we appended after its snapshot we loop and the
+      // next batch picks us up.
+      batch_cv_.wait(l);
+      continue;
+    }
+    // Leader: snapshot the written tail first — the one fsync below covers
+    // every record write-through appended up to this instant, not just ours.
+    // With the latch clear under batch_mu_, no poison has rolled the tail
+    // back below our published record.
+    const Lsn target = written_lsn();
+    assert(lsn <= target && "SyncTo on an LSN that was never appended");
+    if (lsn > target) lsn = target;
+    leader_active_ = true;
+    l.unlock();
+    Status s = fs_->SyncLog();
+    // The batch fsync failed: nothing in (durable, target] is guaranteed on
+    // the device. Poison the log (trims the un-fsynced tail; both mutexes
+    // are free here) and fail every waiter through the latch.
+    if (!s.ok()) PoisonToDurable(s);
+    l.lock();
+    leader_active_ = false;
+    batch_cv_.notify_all();
+    if (!s.ok()) return s;
+    // Advance only while the latch is clear: a poison that landed during the
+    // fsync has already trimmed the tail to the old watermark.
+    if (!poison_.ok()) return poison_;
+    if (target > durable_lsn_.load(std::memory_order_relaxed)) {
+      durable_lsn_.store(target, std::memory_order_release);
+    }
+    batches_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
 
 bool LogStore::poisoned() const {
   std::lock_guard<std::mutex> g(mu_);
@@ -233,15 +270,17 @@ void LogStore::PoisonToDurable(const Status& cause) {
 void LogStore::PoisonToDurableLocked(const Status& cause) {
   Lsn durable;
   {
-    // Latch and watermark read under the committer's mutex, where a batch
-    // leader advances the watermark only while the latch is clear: either
-    // the leader advanced first and the trim below keeps its fsynced batch,
-    // or the latch came first and the leader fails instead of advancing.
-    std::lock_guard<std::mutex> c(group_->mu_);
+    // Latch and watermark read under batch_mu_, where a batch leader
+    // advances the watermark only while the latch is clear: either the
+    // leader advanced first and the trim below keeps its fsynced batch, or
+    // the latch came first and the leader fails instead of advancing.
+    std::lock_guard<std::mutex> c(batch_mu_);
     if (!poison_.ok()) return;
     poison_ = Status::IOError("log '" + name_ + "' poisoned (" +
-                              cause.ToString() + "); Reopen() to recover");
-    durable = group_->durable_lsn();
+                              cause.ToString() + "); Open() to recover");
+    durable = durable_lsn();
+    cuts_.push_back(durable);
+    poisons_.store(cuts_.size(), std::memory_order_release);
   }
   // The un-fsynced tail was never guaranteed device-side. Trim it from the
   // in-memory index so the live view never shows records that the next
@@ -260,7 +299,15 @@ void LogStore::PoisonToDurableLocked(const Status& cause) {
   written_lsn_.store(durable, std::memory_order_release);
 }
 
-Lsn LogStore::durable_lsn() const { return group_->durable_lsn(); }
+bool LogStore::CutBelow(Lsn lsn, uint64_t* seen) const {
+  if (poisons_.load(std::memory_order_acquire) == *seen) return false;
+  std::lock_guard<std::mutex> g(mu_);
+  for (size_t i = *seen; i < cuts_.size(); ++i) {
+    if (cuts_[i] < lsn) return true;
+  }
+  *seen = cuts_.size();
+  return false;
+}
 
 Lsn LogStore::Read(Lsn from, Lsn to, std::vector<std::string>* out,
                    Status* error) const {

@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -15,7 +14,6 @@
 
 namespace imci {
 
-class GroupCommitter;
 class PolarFs;
 
 /// Sink for segments about to be recycled (the archive tier behind PITR —
@@ -38,34 +36,53 @@ class ArchiveSink {
 /// Layout: the log is a sequence of fixed-size segment files named
 /// `log/<name>/seg_<first-lsn>`, each holding checksum-framed records
 /// (`[len:4][hash:8][payload]`). LSNs are 1-based and dense across segments.
-/// Durability is write-through: every append lands in the segment file
-/// immediately; `durable` appends additionally wait until a group-commit
-/// fsync covers them (see GroupCommitter) — concurrent durable appenders
-/// share one fsync per batch instead of paying one each.
+///
+/// Group commit: appends are write-through (every record lands in the
+/// segment file immediately), so durability is purely a matter of when the
+/// fsync happens, and the log owns that too. A committer calls SyncTo(lsn)
+/// after its record is appended and published: the first waiter that finds
+/// no flush in progress becomes the batch *leader* — it snapshots the
+/// written tail, issues one fsync covering every record appended up to that
+/// instant (its own and everyone else's), advances the durable watermark to
+/// the snapshot, and wakes the *followers*, who waited on the batch
+/// condition variable instead of fsyncing themselves. Commits that arrive
+/// while a flush is in flight pile up and are drained by the next leader in
+/// one more fsync, so the fsync count scales with batch count, not client
+/// count — the property that lifts the RW commit ceiling at high concurrency
+/// (and that makes the Fig. 11 binlog strawman's *extra* fsync a per-batch,
+/// not per-txn, cost). Batching changes *when* records become durable, never
+/// their LSN order: LSNs are assigned at append time, and the commit-VID ≡
+/// commit-LSN invariant Phase#2 replay relies on is the caller's enqueue-side
+/// critical section (TransactionManager::Commit).
+///
+/// Two locks: `mu_` guards the segments and the written tail (appends,
+/// reads, truncation, recovery); `batch_mu_` guards the flush in flight and
+/// the watermark's advance. Lock order: mu_ → batch_mu_. No lock is held
+/// across the fsync, and a SyncTo the watermark already covers takes none.
 ///
 /// Recycling: `Truncate(lsn)` deletes whole sealed segments entirely at or
 /// below `lsn` — the checkpoint-driven space reclaim of §7 — and persists
 /// the truncation watermark so recovery knows where the log now begins.
 ///
-/// Recovery: `Open()` (or `Reopen()` after a simulated crash) re-reads the
-/// segment files, verifies every frame checksum, stops at the first torn or
-/// corrupt frame — including a tear that lands exactly on a segment
-/// boundary — trims the damaged durable tail, and deletes any orphaned
-/// later segments.
+/// Recovery: `Open()` re-reads the segment files, as a restarting node would,
+/// verifies every frame checksum, stops at the first torn or corrupt frame —
+/// including a tear that lands exactly on a segment boundary — trims the
+/// damaged durable tail, and deletes any orphaned later segments.
 ///
 /// Failure model (common/fault.h): fault points `logstore.append`,
 /// `logstore.read`, `logstore.recover`, `logstore.truncate`, plus whatever
 /// PolarFs injects underneath. The log has ONE failure latch, and it holds
-/// the reason. A failed *batch fsync* (GroupCommitter), a failed
-/// write-through append, or a writer whose refused records already changed
-/// its state (PoisonToDurable) **poisons** the log: the un-fsynced tail is
-/// cut at the durable watermark (device-side it was never guaranteed), every
-/// commit waiting on an fsync fails, and all further appends, syncs and
-/// truncations fail fast until `Reopen()` trims the segment files to the
-/// cut and recovers the store clean there. The latch is set under the group
-/// committer's mutex, the same mutex a batch leader advances the watermark
-/// under, so the watermark never advances past an fsync that did not happen
-/// nor past a poison cut.
+/// the reason. A failed batch fsync, a failed write-through append, or a
+/// writer whose refused records already changed its state (PoisonToDurable)
+/// **poisons** the log: the un-fsynced tail is cut at the durable watermark
+/// (device-side it was never guaranteed), every commit waiting on an fsync
+/// fails — leader, parked follower or late arrival alike, since each waiter
+/// re-checks the latch whenever it wakes — and all further appends, syncs
+/// and truncations fail fast until `Open()` trims the segment files to the
+/// cut and recovers the store clean there. The latch is set holding both
+/// locks, and a leader advances the watermark under batch_mu_ only while the
+/// latch is clear, so the watermark never advances past an fsync that did
+/// not happen nor past a poison cut.
 class LogStore {
  public:
   /// Does not recover; call Open() before use (PolarFs::log does both).
@@ -74,22 +91,17 @@ class LogStore {
   /// record boundary at or past this size, so segments can exceed it by at
   /// most one record.
   LogStore(PolarFs* fs, std::string name, size_t segment_bytes);
-  ~LogStore();
 
-  /// Scans the segment files and rebuilds the in-memory index, detecting and
-  /// trimming a torn tail. Idempotent.
+  /// Drops all in-memory state and rebuilds it from the segment files,
+  /// detecting and trimming a torn tail; everything recovered is durable.
+  /// Idempotent. Tests simulate crashes by mutilating segment files between
+  /// appends and Open(). A poisoned log is first trimmed to its cut; only a
+  /// recovery that completes clears the latch.
   Status Open();
 
-  /// Drops all in-memory state and recovers from the segment files again, as
-  /// a restarting node would. Tests simulate crashes by mutilating segment
-  /// files between appends and Reopen(). A poisoned log is first trimmed to
-  /// its cut; only a recovery that completes clears the latch.
-  Status Reopen();
-
   /// Appends a batch of records; returns the LSN of the last one. When
-  /// `durable`, blocks until a group-commit fsync covers the batch (the
-  /// commit-path flush; concurrent durable appends share one fsync per
-  /// leader batch). Thread-safe; LSN order == append order.
+  /// `durable`, then waits in SyncTo for the batch. Thread-safe; LSN order
+  /// == append order.
   ///
   /// Returns 0 and sets `*error` (when non-null) if the append failed:
   /// the log is poisoned, the write-through failed (which poisons it), or
@@ -98,24 +110,28 @@ class LogStore {
   Lsn Append(std::vector<std::string> records, bool durable,
              Status* error = nullptr);
 
-  /// Explicit immediate fsync of the log. Accounting only — appends are
-  /// already write-through. Group-commit leaders call this once per batch;
-  /// prefer SyncTo() on the commit path.
-  Status Sync();
-
-  /// Blocks until every record at or below `lsn` is durable, joining the
-  /// leader-based group commit (GroupCommitter::SyncTo). `lsn` must already
-  /// be appended. Call *outside* any commit-ordering mutex so concurrent
-  /// commits can batch. Fails (and poisons the log) when the covering batch
-  /// fsync fails.
+  /// Blocks until every record at or below `lsn` is durable, joining (or
+  /// leading) a batch fsync as described above. `lsn` must already be
+  /// appended. Call *outside* any commit-ordering mutex so concurrent
+  /// commits can batch. Counts one commit against the batching stats.
+  /// Fails — without advancing the durable watermark — when the log is
+  /// poisoned before a batch covers `lsn` (a failed batch fsync poisons it).
   Status SyncTo(Lsn lsn);
 
-  /// Records at or below this LSN are covered by an fsync.
-  Lsn durable_lsn() const;
+  /// Records at or below this LSN are covered by an fsync. Monotonic until
+  /// Open() recovers a mutilated tail.
+  Lsn durable_lsn() const {
+    return durable_lsn_.load(std::memory_order_acquire);
+  }
 
-  /// The log's group committer (batching stats: batches/commits/
-  /// fsyncs-per-commit/mean-batch-size).
-  GroupCommitter* group() const { return group_.get(); }
+  /// Leader fsync batches issued.
+  uint64_t batches() const {
+    return batches_.load(std::memory_order_relaxed);
+  }
+  /// Durable commits (SyncTo calls) served.
+  uint64_t commits() const {
+    return commits_.load(std::memory_order_relaxed);
+  }
 
   /// Reads records with LSN in (from, to] into `out` (appended in order).
   /// Recycled LSNs are skipped. Returns the LSN of the last record read.
@@ -159,16 +175,26 @@ class LogStore {
   void set_archive(ArchiveSink* sink);
 
   /// True once the log is poisoned: appends and syncs fail fast until
-  /// Reopen() recovers it clean at the durable watermark.
+  /// Open() recovers it clean at the durable watermark.
   bool poisoned() const;
 
+  /// Poisons so far.
+  uint64_t poisons() const {
+    return poisons_.load(std::memory_order_acquire);
+  }
+
+  /// True when a poison that the count `*seen` does not include cut the log
+  /// below `lsn`, so the record at `lsn` may be gone even if the log has
+  /// reopened since. Otherwise brings `*seen` up to date.
+  bool CutBelow(Lsn lsn, uint64_t* seen) const;
+
   /// Sets the failure latch to `cause` and cuts the log at the durable
-  /// watermark, read under the group committer's mutex together with the
-  /// latch: the un-fsynced tail above it leaves the in-memory index now and
-  /// the segment files at the next Open(), and written_lsn() rolls back to
-  /// it. Called when a batch fsync or a write-through append fails, and by
-  /// a writer whose refused append left state the log no longer matches.
-  /// Only the first call latches and cuts.
+  /// watermark, read under batch_mu_ together with the latch: the
+  /// un-fsynced tail above it leaves the in-memory index now and the segment
+  /// files at the next Open(), and written_lsn() rolls back to it. Called
+  /// when a batch fsync or a write-through append fails, and by a writer
+  /// whose refused append left state the log no longer matches. Only the
+  /// first call latches and cuts.
   void PoisonToDurable(const Status& cause);
 
   /// Durable file name of the segment starting at `first_lsn` (exposed so
@@ -195,8 +221,6 @@ class LogStore {
     std::vector<uint32_t> offsets;  // frame start offset per record
   };
 
-  friend class GroupCommitter;  // reads poison_ under its own mutex
-
   void StartSegmentLocked(Lsn first_lsn);
   /// PoisonToDurable with mu_ already held (the in-Append failure path).
   void PoisonToDurableLocked(const Status& cause);
@@ -212,14 +236,24 @@ class LogStore {
   std::atomic<ArchiveSink*> archive_{nullptr};
 
   mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  std::unique_ptr<GroupCommitter> group_;
-  std::deque<Segment> segments_;  // ascending LSN; back() is active
+  mutable std::condition_variable cv_;  // written tail advanced (CALS)
+  std::deque<Segment> segments_;        // ascending LSN; back() is active
   std::atomic<Lsn> written_lsn_{0};
   std::atomic<Lsn> truncated_lsn_{0};
+
+  std::mutex batch_mu_;
+  std::condition_variable batch_cv_;  // a batch fsync finished
+  bool leader_active_ = false;  // guarded by batch_mu_: one flush in flight
+  std::atomic<Lsn> durable_lsn_{0};
+  std::atomic<uint64_t> batches_{0};
+  std::atomic<uint64_t> commits_{0};
+
   /// The failure latch: non-OK from the first poison until Open(). Written
-  /// holding both mu_ and the group committer's mutex, so either reads it.
+  /// holding both mu_ and batch_mu_, so either reads it; so are the two
+  /// below.
   Status poison_;
+  std::vector<Lsn> cuts_;  // each poison's cut, in poison order
+  std::atomic<uint64_t> poisons_{0};  // cuts_.size(), read lock-free
 };
 
 }  // namespace imci

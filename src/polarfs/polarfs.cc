@@ -6,7 +6,6 @@
 #include "archive/archive.h"
 #include "common/clock.h"
 #include "common/fault.h"
-#include "log/group_committer.h"
 #include "log/log_store.h"
 
 namespace imci {
@@ -68,8 +67,8 @@ LogStore* PolarFs::log(const std::string& name) {
         std::make_unique<LogStore>(this, name, options_.log_segment_bytes);
     // Lazy first open. Recovery of a brand-new log over an in-memory fs
     // only fails under an injected `logstore.recover` fault; tests that
-    // exercise recovery failures go through Reopen()/ReopenLogs(), which
-    // do report them.
+    // exercise recovery failures go through ReopenLogs(), which reports
+    // them.
     (void)store->Open();
     if (options_.enable_archive) store->set_archive(archive());
     it = logs_.emplace(name, std::move(store)).first;
@@ -83,7 +82,7 @@ Status PolarFs::ReopenLogs() {
   for (auto& [name, store] : logs_) {
     // Reopen every log even when one fails (each recovers independently);
     // report the first failure.
-    if (Status s = store->Reopen(); !s.ok() && result.ok()) {
+    if (Status s = store->Open(); !s.ok() && result.ok()) {
       result = std::move(s);
     }
   }
@@ -114,14 +113,14 @@ ArchiveStore* PolarFs::archive() {
 uint64_t PolarFs::commit_batches() const {
   std::lock_guard<std::mutex> g(logs_mu_);
   uint64_t n = 0;
-  for (auto& [name, store] : logs_) n += store->group()->batches();
+  for (auto& [name, store] : logs_) n += store->batches();
   return n;
 }
 
 uint64_t PolarFs::batched_commits() const {
   std::lock_guard<std::mutex> g(logs_mu_);
   uint64_t n = 0;
-  for (auto& [name, store] : logs_) n += store->group()->commits();
+  for (auto& [name, store] : logs_) n += store->commits();
   return n;
 }
 

@@ -111,9 +111,9 @@ class PolarFs {
   Status ReopenLogs();
 
   /// Accounts one fsync (with simulated latency). Called by group-commit
-  /// batch leaders (one per batch) and explicit LogStore::Sync calls.
-  /// Fails (fault point `polarfs.fsync`) with IOError when injected — the
-  /// group committer then fails the whole batch and poisons the log.
+  /// batch leaders, once per batch (LogStore::SyncTo). Fails (fault point
+  /// `polarfs.fsync`) with IOError when injected — the log then fails the
+  /// whole batch and poisons itself.
   Status SyncLog();
 
   /// Accounts one *control-plane* fsync (archive manifests, snapshot

@@ -36,6 +36,12 @@ class RedoWriter {
 
   /// LogStore::PoisonToDurable.
   void Poison(const Status& cause) { log_->PoisonToDurable(cause); }
+  /// LogStore::poisons.
+  uint64_t poisons() const { return log_->poisons(); }
+  /// LogStore::CutBelow.
+  bool CutBelow(Lsn lsn, uint64_t* seen) const {
+    return log_->CutBelow(lsn, seen);
+  }
 
   /// Blocks until every record at or below `lsn` is durable, joining the
   /// log's group commit (one fsync per batch of concurrent committers).

@@ -135,6 +135,9 @@ Status TransactionManager::Ship(Transaction* txn,
       r.prev_lsn = txn->last_lsn_;
     }
   }
+  // Sampled before the append, so Refusal checks this record against every
+  // poison that could have cut it.
+  const uint64_t poisons = redo_->poisons();
   // Non-durable: the eager append CALS depends on (§5.1).
   Lsn last;
   Status s = redo_->Append(records, &last);
@@ -143,15 +146,29 @@ Status TransactionManager::Ship(Transaction* txn,
     if (txn != nullptr && txn->refused_.ok()) txn->refused_ = s;
     return s;
   }
-  if (txn != nullptr) txn->last_lsn_ = last;
+  if (txn != nullptr) {
+    if (txn->last_lsn_ == 0) txn->poisons_ = poisons;
+    txn->last_lsn_ = last;
+  }
   return s;
+}
+
+Status TransactionManager::Refusal(Transaction* txn) {
+  // A cut at or above last_lsn_ kept every record of this transaction: it
+  // goes on as if no poison happened.
+  if (txn->refused_.ok() && txn->last_lsn_ != 0 &&
+      redo_->CutBelow(txn->last_lsn_, &txn->poisons_)) {
+    txn->refused_ = Status::IOError(
+        "a redo log poison cut the transaction's shipped records");
+  }
+  return txn->refused_;
 }
 
 Status TransactionManager::Write(Transaction* txn, RowTable* t, int64_t pk,
                                  BinlogWriter::Event::Op op, const Row* row) {
   using Op = BinlogWriter::Event::Op;
   const TableId table = t->schema().table_id();
-  if (!txn->refused_.ok()) return txn->refused_;
+  IMCI_RETURN_NOT_OK(Refusal(txn));
   IMCI_RETURN_NOT_OK(locks_->Lock(txn->tid_, table, pk));
   txn->locks_.emplace_back(table, pk);
   // The table runs this under its write latch, so log order always equals
@@ -319,10 +336,9 @@ void TransactionManager::RetractLostCommit(Transaction* txn) {
 
 Status TransactionManager::Commit(Transaction* txn) {
   if (txn->finished_) return Status::InvalidArgument("finished txn");
-  if (!txn->refused_.ok()) {
-    // A reopened log has trimmed the records before the refusal, so a
-    // commit record now would commit writes the log does not hold.
-    const Status refused = txn->refused_;
+  if (Status refused = Refusal(txn); !refused.ok()) {
+    // A reopened log has trimmed records of this transaction, so a commit
+    // record now would commit writes the log does not hold.
     (void)Rollback(txn);
     return refused;
   }
@@ -433,10 +449,11 @@ Status TransactionManager::Rollback(Transaction* txn) {
   // abort record arrives (§5.1). Snapshot readers skipped the in-flight
   // versions all along, so they never saw any of the rolled-back state.
   // A refused ship still restores memory; the log is poisoned by then.
-  // After a refused ship of this transaction's own, nothing is shipped even
-  // if the log has reopened since: the records the compensation would undo
-  // were trimmed, and on a replica it would hit rows they never touched.
-  const Status refused = txn->refused_;
+  // After a refused ship of this transaction's own, or a poison that cut a
+  // shipped record, nothing is shipped even if the log has reopened since:
+  // the records the compensation would undo were trimmed, and on a replica
+  // it would hit rows they never touched.
+  const Status refused = Refusal(txn);
   auto ship = [&](std::vector<RedoRecord>* redo) {
     return refused.ok() ? Ship(nullptr, *redo) : refused;
   };
@@ -452,7 +469,6 @@ Status TransactionManager::Rollback(Transaction* txn) {
   Status aborted = refused.ok() ? Ship(txn, {&abort, 1}) : refused;
   if (s.ok()) s = aborted;
   ReleaseLocks(txn);
-  aborts_.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
 

@@ -103,9 +103,14 @@ class Transaction {
   Vid commit_vid_ = 0;
   Lsn commit_lsn_ = 0;
   bool finished_ = false;
-  /// The first refused ship (OK while none was). Such a transaction writes
-  /// nothing more to the log: a later Write fails, and Commit rolls back.
+  /// The first refused ship (OK while none was), or a poison that cut the
+  /// log below a shipped record (TransactionManager::Refusal). Such a
+  /// transaction writes nothing more to the log: a later Write fails, and
+  /// Commit rolls back.
   Status refused_;
+  /// The log's poisons already checked against the shipped records: the
+  /// count before the first ship, advanced by each check they survive.
+  uint64_t poisons_ = 0;
   /// Write set: the pks written per table. Commit stamps their versions;
   /// undo restores them from their version chains (RowTable::UndoWrites).
   std::map<TableId, std::vector<int64_t>> writes_;
@@ -160,8 +165,10 @@ class ReadView {
 /// abort record, a binlog record behind the redo commit record) poisons the
 /// redo log and fails the statement, and its transaction can only roll back,
 /// in memory alone: a reopened log lacks its trimmed records, so neither a
-/// commit record nor compensation may follow them. A refused commit record
-/// wrote nothing: its transaction rolls back normally.
+/// commit record nor compensation may follow them. So can a transaction
+/// with a shipped record above a poison's cut, which a restarting RW would
+/// lose too. A refused commit record wrote nothing: its transaction rolls
+/// back normally.
 ///
 /// Readers never lock and never block: every read runs at an MVCC snapshot
 /// VID taken under the existing commit ordering (commit-VID ≡ commit-LSN, so
@@ -206,7 +213,8 @@ class TransactionManager {
   /// becomes per-batch). The commit is visible to new snapshots before its
   /// row locks are released. Returns the commit VID via the txn. A refused
   /// commit-record append rolls the transaction back, and so does an
-  /// earlier refused ship (its status is returned).
+  /// earlier refused ship or a poison that cut a shipped record (its status
+  /// is returned).
   Status Commit(Transaction* txn);
   /// Restores every written row and ships the compensation and abort
   /// records. Memory is restored even when the log refuses them; the first
@@ -228,7 +236,6 @@ class TransactionManager {
 
   Vid last_commit_vid() const { return next_vid_.load(); }
   uint64_t commits() const { return commits_.load(); }
-  uint64_t aborts() const { return aborts_.load(); }
 
  private:
   friend class ReadView;
@@ -238,6 +245,10 @@ class TransactionManager {
   /// and advances its last_lsn_, or records the refusal in it; without one,
   /// ships rollback compensation as system records (TID 0).
   Status Ship(Transaction* txn, std::span<RedoRecord> records);
+  /// The transaction's refusal: its refused ship, or an IOError once a
+  /// poison cut the log below one of its shipped records (recorded as
+  /// refused_). OK while neither happened.
+  Status Refusal(Transaction* txn);
   /// Insert/Update/Delete: locks the row and runs `op` with a ship that adds
   /// the pk to the write set first (the page has changed, so undo must cover
   /// it whatever the append's outcome). `row` is null for a delete.
@@ -300,7 +311,6 @@ class TransactionManager {
   std::mutex pub_mu_;
   std::deque<std::pair<Vid, Lsn>> pub_queue_;
   std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> aborts_{0};
 };
 
 }  // namespace imci

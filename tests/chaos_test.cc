@@ -4,7 +4,7 @@
 // Three layers are pinned here:
 //  - Durability honesty: a batch fsync that fails must fail *every* commit
 //    in the batch and poison the log — the durable watermark never advances
-//    past an fsync that did not happen — and Reopen() recovers the store
+//    past an fsync that did not happen — and reopening recovers the store
 //    clean at exactly the pre-batch watermark.
 //  - Honest consumers: the replication coordinator absorbs transient source
 //    read failures with bounded retry + backoff, and wedges (with the reason
@@ -26,7 +26,6 @@
 
 #include "common/clock.h"
 #include "common/fault.h"
-#include "log/group_committer.h"
 #include "log/log_store.h"
 #include "tests/test_util.h"
 
@@ -216,6 +215,34 @@ class RefusedAppendTest : public ::testing::Test {
     return rows;
   }
 
+  /// Expects table 1 to hold exactly `want` on the RW (a snapshot scan)
+  /// and on an RO booted from the shared store (column index and row
+  /// replica).
+  void ExpectEveryEngineHolds(const std::vector<Row>& want) {
+    TransactionManager* txns = rw_.txn_manager();
+    std::vector<Row> rw_rows;
+    {
+      ReadView view = txns->OpenReadView();
+      ASSERT_TRUE(txns->Scan(view, 1, [&](int64_t, const Row& row) {
+                        rw_rows.push_back(row);
+                        return true;
+                      }).ok());
+    }
+    EXPECT_EQ(testing_util::Canonicalize(rw_rows),
+              testing_util::Canonicalize(want));
+    RoNode node("ro", &fs_, &catalog_, RoNodeOptions{});
+    ASSERT_TRUE(node.Boot().ok());
+    ASSERT_TRUE(node.CatchUpNow().ok());
+    std::vector<Row> column_rows;
+    std::vector<Row> replica_rows;
+    ASSERT_TRUE(node.ExecuteColumn(LScan(1, {0, 1}), &column_rows).ok());
+    ASSERT_TRUE(node.ExecuteRow(LScan(1, {0, 1}), &replica_rows).ok());
+    EXPECT_EQ(testing_util::Canonicalize(column_rows),
+              testing_util::Canonicalize(want));
+    EXPECT_EQ(testing_util::Canonicalize(replica_rows),
+              testing_util::Canonicalize(want));
+  }
+
   PolarFs fs_;
   Catalog catalog_;
   RwNode rw_{&fs_, &catalog_};
@@ -297,30 +324,68 @@ TEST_F(RefusedAppendTest, RefusedShipCannotCommitAfterReopen) {
     ASSERT_TRUE(txns->Update(&next, 1, 10, {int64_t(10), int64_t(11)}).ok());
     ASSERT_TRUE(txns->Commit(&next).ok());
   }
-  const std::vector<Row> want = {{int64_t(0), int64_t(0)},
-                                 {int64_t(3), int64_t(3)},
-                                 {int64_t(10), int64_t(11)}};
-  std::vector<Row> rw_rows;
+  ExpectEveryEngineHolds({{int64_t(0), int64_t(0)},
+                          {int64_t(3), int64_t(3)},
+                          {int64_t(10), int64_t(11)}});
+}
+
+TEST_F(RefusedAppendTest, PoisonCutsOtherOpenTransactions) {
+  TransactionManager* txns = rw_.txn_manager();
+  // The victim's insert ships but no batch fsync covers it yet.
+  Transaction victim;
+  txns->Begin(&victim);
+  ASSERT_TRUE(txns->Insert(&victim, 1, {int64_t(5), int64_t(5)}).ok());
+  ASSERT_GT(fs_.log("redo")->written_lsn(), fs_.log("redo")->durable_lsn());
   {
-    ReadView view = txns->OpenReadView();
-    ASSERT_TRUE(txns->Scan(view, 1, [&](int64_t, const Row& row) {
-                      rw_rows.push_back(row);
-                      return true;
-                    }).ok());
+    // Another transaction's refused DML poisons the log, and the cut takes
+    // the victim's record with it.
+    Transaction other;
+    txns->Begin(&other);
+    fault::ScopedFault refuse("logstore.append", RefuseAppend(1));
+    EXPECT_FALSE(txns->Insert(&other, 1, {int64_t(7), int64_t(7)}).ok());
+    EXPECT_FALSE(txns->Commit(&other).ok());
   }
-  EXPECT_EQ(testing_util::Canonicalize(rw_rows),
-            testing_util::Canonicalize(want));
-  RoNode node("ro", &fs_, &catalog_, RoNodeOptions{});
-  ASSERT_TRUE(node.Boot().ok());
-  ASSERT_TRUE(node.CatchUpNow().ok());
-  std::vector<Row> column_rows;
-  std::vector<Row> replica_rows;
-  ASSERT_TRUE(node.ExecuteColumn(LScan(1, {0, 1}), &column_rows).ok());
-  ASSERT_TRUE(node.ExecuteRow(LScan(1, {0, 1}), &replica_rows).ok());
-  EXPECT_EQ(testing_util::Canonicalize(column_rows),
-            testing_util::Canonicalize(want));
-  EXPECT_EQ(testing_util::Canonicalize(replica_rows),
-            testing_util::Canonicalize(want));
+  ASSERT_TRUE(fs_.ReopenLogs().ok());
+  // A restarted RW would have lost the victim; committing it here would put
+  // a commit record in the log without the insert it commits.
+  EXPECT_FALSE(txns->Commit(&victim).ok());
+  ExpectEveryEngineHolds({{int64_t(0), int64_t(0)}});
+  // The victim left nothing behind: pk 5 is free on every engine.
+  Transaction next;
+  txns->Begin(&next);
+  ASSERT_TRUE(txns->Insert(&next, 1, {int64_t(5), int64_t(6)}).ok());
+  ASSERT_TRUE(txns->Commit(&next).ok());
+  ExpectEveryEngineHolds({{int64_t(0), int64_t(0)}, {int64_t(5), int64_t(6)}});
+}
+
+TEST_F(RefusedAppendTest, PoisonSparesOpenTransactionsBelowTheCut) {
+  TransactionManager* txns = rw_.txn_manager();
+  Transaction survivor;
+  txns->Begin(&survivor);
+  ASSERT_TRUE(txns->Insert(&survivor, 1, {int64_t(5), int64_t(5)}).ok());
+  {
+    // This commit's batch fsync also covers the survivor's insert.
+    Transaction txn;
+    txns->Begin(&txn);
+    ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(9), int64_t(9)}).ok());
+    ASSERT_TRUE(txns->Commit(&txn).ok());
+  }
+  ASSERT_EQ(fs_.log("redo")->written_lsn(), fs_.log("redo")->durable_lsn());
+  {
+    Transaction other;
+    txns->Begin(&other);
+    fault::ScopedFault refuse("logstore.append", RefuseAppend(1));
+    EXPECT_FALSE(txns->Insert(&other, 1, {int64_t(7), int64_t(7)}).ok());
+    EXPECT_FALSE(txns->Commit(&other).ok());
+  }
+  ASSERT_TRUE(fs_.ReopenLogs().ok());
+  // The cut kept the survivor's insert, so it goes on: refusing it now
+  // would leave that insert on replicas with no decision behind it.
+  ASSERT_TRUE(txns->Update(&survivor, 1, 5, {int64_t(5), int64_t(6)}).ok());
+  ASSERT_TRUE(txns->Commit(&survivor).ok());
+  ExpectEveryEngineHolds({{int64_t(0), int64_t(0)},
+                          {int64_t(5), int64_t(6)},
+                          {int64_t(9), int64_t(9)}});
 }
 
 // --- Snapshot visibility vs durability under fsync refusal -----------------

@@ -193,21 +193,6 @@ TEST(ThreadPoolTest, ParallelForRunsAllIndices) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPoolTest, TaskGroupWaitsForCompletion) {
-  ThreadPool pool(4);
-  TaskGroup group;
-  std::atomic<int> done{0};
-  group.Add(100);
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] {
-      done.fetch_add(1);
-      group.Done();
-    });
-  }
-  group.Wait();
-  EXPECT_EQ(done.load(), 100);
-}
-
 TEST(CodingTest, FixedIntsRoundTrip) {
   std::string buf;
   PutFixed32(&buf, 0xdeadbeef);

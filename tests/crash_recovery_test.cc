@@ -506,11 +506,15 @@ TEST(MidTxnCheckpointTest, BootedNodeGatesUndecidedCheckpointEffects) {
           .ok());
   // The in-flight DMLs are shipped commit-ahead but sit above the durable
   // watermark until some batch fsync covers them — and the pipeline consumes
-  // only the durable prefix. Fsync explicitly so the leader buffers them and
-  // the checkpoint below carries the in-flight section this test exercises.
-  ASSERT_TRUE(fs.log("redo")->Sync().ok());
+  // only the durable prefix. Make the written tail durable so the leader
+  // buffers them and the checkpoint below carries the in-flight section
+  // this test exercises.
+  LogStore* redo = fs.log("redo");
+  const Lsn tail = redo->written_lsn();
+  ASSERT_TRUE(redo->SyncTo(tail).ok());
 
   ASSERT_TRUE(leader.CatchUpNow().ok());
+  ASSERT_EQ(leader.pipeline()->read_lsn(), tail);
   ASSERT_TRUE(leader.pipeline()->TakeCheckpoint(1).ok());
 
   // The committed prefix at the checkpoint: the base rows with pk 2 updated

@@ -1,4 +1,4 @@
-// Leader-based group commit (src/log/group_committer.h): durability cost
+// Leader-based group commit (LogStore::SyncTo): durability cost
 // must scale with *batch* count, not client count, while preserving the
 // invariant Phase#2 replay relies on — commit-VID order equals commit-record
 // LSN order. The multi-threaded cases double as the tsan stress surface for
@@ -12,14 +12,28 @@
 #include <thread>
 
 #include "common/fault.h"
-#include "log/group_committer.h"
+#include "log/log_store.h"
 #include "redo/redo_record.h"
 #include "tests/test_util.h"
 
 namespace imci {
 namespace {
 
-// --- GroupCommitter semantics (deterministic, single-threaded) -------------
+// --- Group-commit semantics (deterministic, single-threaded) --------------
+
+/// batches/commits: 1.0 single-threaded, < 1 whenever batching happens.
+double FsyncsPerCommit(const LogStore& log) {
+  return log.commits() == 0
+             ? 0.0
+             : static_cast<double>(log.batches()) / log.commits();
+}
+
+/// commits/batches: how many commits the average fsync covered.
+double MeanBatchSize(const LogStore& log) {
+  return log.batches() == 0
+             ? 0.0
+             : static_cast<double>(log.commits()) / log.batches();
+}
 
 TEST(GroupCommitterTest, OneFsyncCoversEveryRecordAppendedBeforeIt) {
   PolarFs fs;
@@ -40,9 +54,9 @@ TEST(GroupCommitterTest, OneFsyncCoversEveryRecordAppendedBeforeIt) {
   // Already covered: the fast path returns without another fsync.
   (void)log->SyncTo(last);
   EXPECT_EQ(fs.fsync_count(), 1u);
-  EXPECT_EQ(log->group()->batches(), 1u);
-  EXPECT_EQ(log->group()->commits(), 2u);
-  EXPECT_DOUBLE_EQ(log->group()->mean_batch_size(), 2.0);
+  EXPECT_EQ(log->batches(), 1u);
+  EXPECT_EQ(log->commits(), 2u);
+  EXPECT_DOUBLE_EQ(MeanBatchSize(*log), 2.0);
 }
 
 TEST(GroupCommitterTest, SingleThreadedDurableAppendsPayOneFsyncEach) {
@@ -53,7 +67,7 @@ TEST(GroupCommitterTest, SingleThreadedDurableAppendsPayOneFsyncEach) {
   }
   // No concurrency, no batching: exactly the pre-group-commit cost.
   EXPECT_EQ(fs.fsync_count(), 5u);
-  EXPECT_DOUBLE_EQ(log->group()->fsyncs_per_commit(), 1.0);
+  EXPECT_DOUBLE_EQ(FsyncsPerCommit(*log), 1.0);
   EXPECT_EQ(log->durable_lsn(), log->written_lsn());
 }
 
@@ -142,7 +156,7 @@ TEST(GroupCommitterTest, FollowerParkedBehindPoisonedBatchReturns) {
   // condition variable right after; parking itself is not observable, so
   // give it a moment (the latch is checked on entry too, so a late follower
   // must fail the same way).
-  while (log->group()->commits() < 2) std::this_thread::yield();
+  while (log->commits() < 2) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   {
     auto fail = FailWriteThrough();
@@ -204,7 +218,7 @@ TEST(GroupCommitTest, SingleThreadedCommitIsOneFsyncPerCommit) {
   const uint64_t before = rig.fs.fsync_count();
   CommitLoop(&rig, 0, 16);
   EXPECT_EQ(rig.fs.fsync_count() - before, 16u);
-  EXPECT_DOUBLE_EQ(rig.fs.log("redo")->group()->fsyncs_per_commit(), 1.0);
+  EXPECT_DOUBLE_EQ(FsyncsPerCommit(*rig.fs.log("redo")), 1.0);
 }
 
 TEST(GroupCommitTest, ConcurrentCommitsShareBatchFsyncs) {
@@ -228,8 +242,8 @@ TEST(GroupCommitTest, ConcurrentCommitsShareBatchFsyncs) {
   // The headline property: at concurrency >= 4 the durable path batches, so
   // fsyncs-per-commit drops below one.
   EXPECT_LT(fsyncs, commits);
-  EXPECT_LT(rig.fs.log("redo")->group()->fsyncs_per_commit(), 1.0);
-  EXPECT_GT(rig.fs.log("redo")->group()->mean_batch_size(), 1.0);
+  EXPECT_LT(FsyncsPerCommit(*rig.fs.log("redo")), 1.0);
+  EXPECT_GT(MeanBatchSize(*rig.fs.log("redo")), 1.0);
   // Every commit record is actually durable.
   EXPECT_GE(rig.fs.log("redo")->durable_lsn(), rig.redo.written_lsn());
 }

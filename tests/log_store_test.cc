@@ -90,7 +90,7 @@ TEST(LogStoreTest, SegmentRolloverMidBatchKeepsRecordsIntact) {
     EXPECT_EQ(out[i], "record-" + std::to_string(i) + "-payload");
   }
   // The durable layout must agree with the in-memory index after reopen.
-  ASSERT_TRUE(log->Reopen().ok());
+  ASSERT_TRUE(log->Open().ok());
   EXPECT_EQ(log->written_lsn(), 10u);
   EXPECT_EQ(ReadAll(log), out);
 }
