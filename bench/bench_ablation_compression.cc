@@ -56,7 +56,7 @@ void BM_IntDecode(benchmark::State& state, const std::string& pattern) {
 
 void BM_DictEncode(benchmark::State& state) {
   Rng rng(9);
-  std::vector<std::string> v(65536);
+  std::vector<std::string_view> v(65536);
   const char* tags[] = {"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP",
                         "TRUCK"};
   size_t raw = 0;

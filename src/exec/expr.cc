@@ -232,7 +232,7 @@ void ExtractIntBounds(const ExprRef& e, std::vector<IntBound>* out) {
   ForEachConjunct(e, [&](const ExprRef& c) { AppendIntBound(c, out); });
 }
 
-bool Expr::LikeMatch(const std::string& s, const std::string& p) {
+bool Expr::LikeMatch(std::string_view s, std::string_view p) {
   // Iterative glob match over % (any run) and _ (any single char).
   size_t si = 0, pi = 0, star_p = std::string::npos, star_s = 0;
   while (si < s.size()) {
@@ -286,8 +286,7 @@ void CompareVectors(const ColumnVector& l, const ColumnVector& r,
     }
   } else {
     for (size_t i = 0; i < n; ++i) {
-      int c = l.strs[i].compare(r.strs[i]);
-      out->ints[i] = cmp(c, 0) ? 1 : 0;
+      out->ints[i] = cmp(l.str(i).compare(r.str(i)), 0) ? 1 : 0;
     }
   }
   for (size_t i = 0; i < n; ++i) {
@@ -456,7 +455,7 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
         if (v.nulls[i]) {
           out->nulls[i] = 1;
         } else {
-          bool m = LikeMatch(v.strs[i], pattern);
+          bool m = LikeMatch(v.str(i), pattern);
           out->ints[i] = (m != neg) ? 1 : 0;
         }
       }
@@ -474,6 +473,19 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
       const size_t n = v.size();
       out->type = DataType::kInt64;
       out->Resize(n);
+      if (IsString(v)) {
+        std::vector<std::string_view> set;  // NULL equals nothing
+        for (const Value& c : in_set) {
+          if (!IsNull(c)) set.push_back(AsString(c));
+        }
+        for (size_t i = 0; i < n; ++i) {
+          out->nulls[i] = v.nulls[i];
+          const std::string_view x = v.str(i);
+          out->ints[i] = !v.nulls[i] && std::find(set.begin(), set.end(),
+                                                  x) != set.end();
+        }
+        return Status::OK();
+      }
       for (size_t i = 0; i < n; ++i) {
         if (v.nulls[i]) {
           out->nulls[i] = 1;
@@ -512,8 +524,8 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
         }
       } else if (v.type == DataType::kString) {
         for (size_t i = 0; i < n; ++i) {
-          out->ints[i] = (v.strs[i] >= lo.strs[i] && v.strs[i] <= hi.strs[i])
-                             ? 1 : 0;
+          const std::string_view x = v.str(i);
+          out->ints[i] = (x >= lo.str(i) && x <= hi.str(i)) ? 1 : 0;
         }
       } else {
         for (size_t i = 0; i < n; ++i) {
@@ -530,17 +542,15 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
     case ExprKind::kSubstr: {
       ColumnVector v;
       IMCI_RETURN_NOT_OK(args[0]->Eval(batch, &v));
+      if (!IsString(v)) return Status::InvalidArgument("SUBSTR on non-string");
       const size_t n = v.size();
-      out->type = DataType::kString;
-      out->Resize(n);
+      *out = ColumnVector(DataType::kString);
+      out->Reserve(n);
+      const size_t start = substr_start > 0 ? substr_start - 1 : 0;
       for (size_t i = 0; i < n; ++i) {
-        if (v.nulls[i]) {
-          out->nulls[i] = 1;
-          continue;
-        }
-        const std::string& s = v.strs[i];
-        size_t start = substr_start > 0 ? substr_start - 1 : 0;
-        if (start < s.size()) out->strs[i] = s.substr(start, substr_len);
+        const std::string_view s = v.nulls[i] ? "" : v.str(i);
+        out->nulls.push_back(v.nulls[i]);
+        out->PushStr(start < s.size() ? s.substr(start, substr_len) : "");
       }
       return Status::OK();
     }
@@ -556,18 +566,18 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
       // The branches' lanes, not out_type, decide how rows are read.
       const bool dbl =
           t.type == DataType::kDouble || e.type == DataType::kDouble;
-      out->type = dbl ? DataType::kDouble : t.type;
-      out->Resize(n);
+      *out = ColumnVector(dbl ? DataType::kDouble : t.type);
+      out->Reserve(n);
       for (size_t i = 0; i < n; ++i) {
         const bool cond = !c.nulls[i] && c.ints[i] != 0;
         const ColumnVector& src = cond ? t : e;
-        out->nulls[i] = src.nulls[i];
+        out->nulls.push_back(src.nulls[i]);
         if (out->type == DataType::kDouble) {
-          out->dbls[i] = src.nulls[i] ? 0.0 : src.NumericAt(i);
+          out->dbls.push_back(src.nulls[i] ? 0.0 : src.NumericAt(i));
         } else if (out->type == DataType::kString) {
-          out->strs[i] = src.strs[i];
+          out->PushStr(src.str(i));
         } else {
-          out->ints[i] = src.ints[i];
+          out->ints.push_back(src.ints[i]);
         }
       }
       return Status::OK();

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -45,7 +46,7 @@ class Expr {
   Status EvalMask(const Batch& batch, std::vector<uint8_t>* mask) const;
 
   /// SQL LIKE with % and _ wildcards.
-  static bool LikeMatch(const std::string& s, const std::string& pattern);
+  static bool LikeMatch(std::string_view s, std::string_view pattern);
 };
 
 // --- Builders ---------------------------------------------------------------

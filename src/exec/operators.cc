@@ -12,6 +12,30 @@
 
 namespace imci {
 
+namespace {
+
+/// Moves the kept rows of a string lane to its front, bytes included.
+void CompactStrings(const std::vector<uint8_t>& mask, size_t rows,
+                    ColumnVector* col) {
+  if (rows == 0) return;
+  uint32_t* offs = col->offs.data();
+  char* bytes = col->bytes.data();
+  uint32_t end = 0;
+  size_t kept = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    if (!mask[i]) continue;
+    // offs[kept + 1] <= offs[i + 1] is rewritten only after row i is read.
+    const uint32_t begin = offs[i], len = offs[i + 1] - begin;
+    std::memmove(bytes + end, bytes + begin, len);
+    end += len;
+    offs[++kept] = end;
+  }
+  col->offs.resize(kept + 1);
+  col->bytes.resize(end);
+}
+
+}  // namespace
+
 void CompactBatch(Batch* batch, const std::vector<uint8_t>& mask) {
   size_t kept = 0;
   for (size_t i = 0; i < batch->rows; ++i) {
@@ -21,7 +45,7 @@ void CompactBatch(Batch* batch, const std::vector<uint8_t>& mask) {
         col.nulls[kept] = col.nulls[i];
         switch (col.type) {
           case DataType::kDouble: col.dbls[kept] = col.dbls[i]; break;
-          case DataType::kString: col.strs[kept] = std::move(col.strs[i]); break;
+          case DataType::kString: break;  // CompactStrings below
           default: col.ints[kept] = col.ints[i]; break;
         }
       }
@@ -32,7 +56,7 @@ void CompactBatch(Batch* batch, const std::vector<uint8_t>& mask) {
     col.nulls.resize(kept);
     switch (col.type) {
       case DataType::kDouble: col.dbls.resize(kept); break;
-      case DataType::kString: col.strs.resize(kept); break;
+      case DataType::kString: CompactStrings(mask, batch->rows, &col); break;
       default: col.ints.resize(kept); break;
     }
   }
@@ -74,10 +98,9 @@ void WithCmp(ExprKind op, Fn fn) {
 template <typename Fn>
 void WithLane(const RowGroup& g, int pack, const ColumnVector& args, Fn fn) {
   if (args.type == DataType::kString) {
-    fn([&g, pack](uint32_t o) -> const std::string& {
-         return g.str_at(pack, o);
-       },
-       args.strs);
+    std::vector<std::string_view> consts(args.size());
+    for (size_t i = 0; i < consts.size(); ++i) consts[i] = args.str(i);
+    fn([&g, pack](uint32_t o) { return g.str_at(pack, o); }, consts);
   } else if (args.type != DataType::kDouble) {
     const int64_t* v = g.int_data(pack);
     fn([v](uint32_t o) { return v[o]; }, args.ints);
@@ -110,7 +133,7 @@ void RunKernel(const RowGroup& g, ExprKind op, int pack, int rhs_pack,
       WithLane(g, pack, args, [&](auto at, const auto& set) {
         Refine(sel, [&](uint32_t o) {
           if (nulls[o]) return false;
-          const auto& x = at(o);
+          const auto x = at(o);
           for (const auto& c : set) {
             if (InEqual(x, c)) return true;
           }
@@ -119,7 +142,7 @@ void RunKernel(const RowGroup& g, ExprKind op, int pack, int rhs_pack,
       });
       return;
     case ExprKind::kLike: case ExprKind::kNotLike: {
-      const std::string& pattern = args.strs[0];
+      const std::string_view pattern = args.str(0);
       const bool neg = op == ExprKind::kNotLike;
       Refine(sel, [&](uint32_t o) {
         return !nulls[o] && Expr::LikeMatch(g.str_at(pack, o), pattern) != neg;
@@ -166,13 +189,10 @@ void Gather(const RowGroup& g, int pack, std::span<const uint32_t> offs,
       break;
     }
     case DataType::kString:
-      dst->strs.resize(n);
+      dst->ClearStrings();
       for (size_t i = 0; i < n; ++i) {
-        if (nulls[offs[i]]) {
-          dst->strs[i].clear();
-        } else {
-          dst->strs[i] = g.str_at(pack, offs[i]);
-        }
+        dst->PushStr(nulls[offs[i]] ? std::string_view()
+                                    : g.str_at(pack, offs[i]));
       }
       break;
     default: {
@@ -210,6 +230,18 @@ void GatherLane(size_t n, Pick pick, std::vector<T> ColumnVector::*lane,
   }
 }
 
+/// GatherLane for the string lane: copies byte ranges, in row order.
+template <typename Pick>
+void GatherStrings(size_t n, Pick pick, ColumnVector* dst) {
+  dst->ClearStrings();
+  for (size_t i = 0; i < n; ++i) {
+    const RowRef r = pick(i);
+    const bool null = r.col == nullptr || r.col->nulls[r.row];
+    dst->nulls[i] = null;
+    dst->PushStr(null ? std::string_view() : r.col->str(r.row));
+  }
+}
+
 /// Replaces `dst`'s rows with `n` rows, row i a copy of the RowRef
 /// `pick(i)`, in one typed loop. A NULL row's lane holds 0, 0.0 or "", as
 /// Gather and ColumnVector::AppendNull write.
@@ -221,7 +253,7 @@ void GatherRows(size_t n, Pick pick, ColumnVector* dst) {
       GatherLane(n, pick, &ColumnVector::dbls, dst);
       break;
     case DataType::kString:
-      GatherLane(n, pick, &ColumnVector::strs, dst);
+      GatherStrings(n, pick, dst);
       break;
     default:
       GatherLane(n, pick, &ColumnVector::ints, dst);
@@ -645,7 +677,7 @@ std::string_view StringOf(const int64_t* image) {
 
 /// Words of the key image of non-NULL row `r` of `v` in `lane`.
 size_t ImageWords(const ColumnVector& v, size_t r, DataType lane) {
-  return lane == DataType::kString ? StringWords(v.strs[r].size()) : 1;
+  return lane == DataType::kString ? StringWords(v.str(r).size()) : 1;
 }
 
 /// Writes the key image of non-NULL row `r` of `v` in `lane` (LaneOf of the
@@ -657,7 +689,7 @@ void WriteImage(const ColumnVector& v, size_t r, DataType lane,
   if (lane == DataType::kDouble) {
     *out = static_cast<int64_t>(DoubleKeyBits(v.NumericAt(r)));
   } else if (lane == DataType::kString) {
-    const std::string& s = v.strs[r];
+    const std::string_view s = v.str(r);
     *out = static_cast<int64_t>(s.size());
     std::memcpy(out + 1, s.data(), s.size());
   } else {
@@ -731,7 +763,7 @@ void AppendKey(const int64_t* key, const std::vector<DataType>& lanes,
       col.AppendNull();
     } else if (lanes[c] == DataType::kString) {
       const std::string_view s = StringOf(key + i);
-      col.AppendString(std::string(s));
+      col.AppendString(s);
       i += StringWords(s.size());
     } else if (lanes[c] == DataType::kDouble) {
       col.AppendDouble(std::bit_cast<double>(key[i++]));
@@ -1157,6 +1189,28 @@ bool Improves(AggKind kind, bool dbl, AggLane x, AggLane cur) {
   return dbl ? Improves(kind, x.d, cur.d) : Improves(kind, x.i, cur.i);
 }
 
+/// Copies of string MIN/MAX values, kept until the operator ends. Blocks
+/// never move, so a view into one stays valid as the arena grows.
+class ViewArena {
+ public:
+  std::string_view Keep(std::string_view s) {
+    if (blocks_.empty() || s.size() > cap_ - used_) {
+      cap_ = std::max(kBlockBytes, s.size());
+      blocks_.push_back(std::make_unique_for_overwrite<char[]>(cap_));
+      used_ = 0;
+    }
+    char* at = blocks_.back().get() + used_;
+    std::copy(s.begin(), s.end(), at);
+    used_ += s.size();
+    return {at, s.size()};
+  }
+
+ private:
+  static constexpr size_t kBlockBytes = 4096;
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  size_t cap_ = 0, used_ = 0;  // of the last block
+};
+
 /// Aggregation state of one worker (or, after the exchange, one
 /// partition). Groups are key images; a group's aggregate a lives at index
 /// gid*A + a of each flat array. For MIN/MAX, counts hold the number of
@@ -1196,7 +1250,8 @@ struct AggTable {
   std::vector<int64_t> counts;
   std::vector<double> sums;       // only with SUM/AVG
   std::vector<AggLane> minmax;    // numeric MIN/MAX, only when one exists
-  std::vector<std::string> strs;  // string MIN/MAX, only when one exists
+  std::vector<std::string_view> strs;  // string MIN/MAX, views into arena
+  ViewArena arena;
   KeyTable distinct;
 };
 
@@ -1418,9 +1473,9 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
             case AggKind::kMin:
             case AggKind::kMax:
               if (lane == DataType::kString) {
-                if (t.counts[s]++ == 0 ||
-                    Improves(kind, v.strs[ri], t.strs[s])) {
-                  t.strs[s] = v.strs[ri];
+                const std::string_view x = v.str(ri);
+                if (t.counts[s]++ == 0 || Improves(kind, x, t.strs[s])) {
+                  t.strs[s] = t.arena.Keep(x);
                 }
               } else {
                 AggLane x{};
@@ -1485,7 +1540,7 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
             if (lane == DataType::kString) {
               if (dst.counts[d] == 0 ||
                   Improves(kind, src.strs[s], dst.strs[d])) {
-                dst.strs[d] = std::move(src.strs[s]);
+                dst.strs[d] = dst.arena.Keep(src.strs[s]);  // src is freed
               }
             } else if (dst.counts[d] == 0 ||
                        Improves(kind, lane == DataType::kDouble,
@@ -1583,7 +1638,7 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
           if (t.counts[s] == 0) {
             col.AppendNull();
           } else if (minmax_lane_[a] == DataType::kString) {
-            col.AppendString(std::move(t.strs[s]));
+            col.AppendString(t.strs[s]);
           } else if (minmax_lane_[a] == DataType::kDouble) {
             col.AppendDouble(t.minmax[s].d);
           } else {

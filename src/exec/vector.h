@@ -2,7 +2,9 @@
 #define POLARDB_IMCI_EXEC_VECTOR_H_
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.h"
@@ -11,38 +13,65 @@ namespace imci {
 
 /// A column of values inside an execution batch. Numeric lanes are dense
 /// arrays so the expression kernels compile to tight (auto-vectorizable,
-/// SIMD) loops; nulls are a parallel byte mask.
+/// SIMD) loops; nulls are a parallel byte mask. The string lane is flat:
+/// row i is bytes [offs[i], offs[i+1]), appended in row order, and a NULL
+/// row holds "". `offs` is empty or holds size()+1 offsets.
 struct ColumnVector {
   DataType type = DataType::kInt64;
   std::vector<int64_t> ints;
   std::vector<double> dbls;
-  std::vector<std::string> strs;
+  std::vector<uint32_t> offs;
+  std::string bytes;
   std::vector<uint8_t> nulls;
 
   explicit ColumnVector(DataType t = DataType::kInt64) : type(t) {}
 
   size_t size() const { return nulls.size(); }
 
+  std::string_view str(size_t i) const {
+    return {bytes.data() + offs[i], offs[i + 1] - offs[i]};
+  }
+
   void Reserve(size_t n) {
     nulls.reserve(n);
     if (type == DataType::kDouble) {
       dbls.reserve(n);
     } else if (type == DataType::kString) {
-      strs.reserve(n);
+      offs.reserve(n + 1);
     } else {
       ints.reserve(n);
     }
   }
 
+  /// Sets the row count to `n`; new rows are non-NULL 0, 0.0 or "".
   void Resize(size_t n) {
     nulls.resize(n, 0);
     if (type == DataType::kDouble) {
       dbls.resize(n, 0.0);
     } else if (type == DataType::kString) {
-      strs.resize(n);
+      const uint32_t end = offs.empty() ? 0 : offs.back();
+      offs.resize(n + 1, end);
+      bytes.resize(offs[n]);
     } else {
       ints.resize(n, 0);
     }
+  }
+
+  /// Empties the string lane, keeping its capacity.
+  void ClearStrings() {
+    offs.assign(1, 0);
+    bytes.clear();
+  }
+
+  /// Appends `s` to the string lane only; the caller sets the row's NULL
+  /// flag. Throws std::length_error past the 32-bit offsets.
+  void PushStr(std::string_view s) {
+    if (offs.empty()) offs.push_back(0);
+    if (s.size() > UINT32_MAX - bytes.size()) {
+      throw std::length_error("string lane passes 4 GiB");
+    }
+    bytes.append(s);
+    offs.push_back(static_cast<uint32_t>(bytes.size()));
   }
 
   void AppendNull() {
@@ -50,7 +79,7 @@ struct ColumnVector {
     if (type == DataType::kDouble) {
       dbls.push_back(0.0);
     } else if (type == DataType::kString) {
-      strs.emplace_back();
+      PushStr({});
     } else {
       ints.push_back(0);
     }
@@ -64,9 +93,9 @@ struct ColumnVector {
     nulls.push_back(0);
     dbls.push_back(v);
   }
-  void AppendString(std::string v) {
+  void AppendString(std::string_view v) {
     nulls.push_back(0);
-    strs.push_back(std::move(v));
+    PushStr(v);
   }
 
   void AppendValue(const Value& v) {
@@ -84,7 +113,7 @@ struct ColumnVector {
   Value GetValue(size_t i) const {
     if (nulls[i]) return Value{};
     if (type == DataType::kDouble) return dbls[i];
-    if (type == DataType::kString) return strs[i];
+    if (type == DataType::kString) return std::string(str(i));
     return ints[i];
   }
 

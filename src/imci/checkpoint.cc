@@ -79,9 +79,12 @@ Status ImciCheckpoint::WriteGroup(const ColumnIndex& index, size_t gid,
       case DataType::kDouble:
         DoubleCodec::Encode({pack->dbls.data(), used}, &lane);
         break;
-      case DataType::kString:
-        DictCodec::Encode({pack->strs.data(), used}, &lane);
+      case DataType::kString: {
+        std::vector<std::string_view> views(used);
+        for (uint32_t i = 0; i < used; ++i) views[i] = g->str_at(p, i);
+        DictCodec::Encode(views, &lane);
         break;
+      }
     }
     PutLengthPrefixed(out, lane);
   }
@@ -161,13 +164,10 @@ Status ImciCheckpoint::LoadGroup(ByteReader* r, ColumnIndex* index,
         std::copy(vals.begin(), vals.end(), pack->dbls.begin());
         break;
       }
-      case DataType::kString: {
-        std::vector<std::string> vals;
-        IMCI_RETURN_NOT_OK(DictCodec::Decode(lane, &vals));
-        if (vals.size() != used) return Status::Corruption("string lane");
-        std::move(vals.begin(), vals.end(), pack->strs.begin());
+      case DataType::kString:
+        IMCI_RETURN_NOT_OK(
+            DictCodec::Decode(lane, used, &pack->pool, pack->refs.data()));
         break;
-      }
     }
   }
   std::string_view ivids, dvids;

@@ -81,14 +81,14 @@ uint32_t ColumnIndex::GroupUsed(size_t i) const {
 
 Status ColumnIndex::Insert(const Row& row, Vid vid) {
   // §4.2 insert: (1) allocate an empty RID from the partial packs,
-  // (2) record PK->RID in the locator, (3) write the row data,
-  // (4) publish the insert VID (commit sequence number).
+  // (2) write the row data, (3) record PK->RID in the locator,
+  // (4) publish the insert VID (commit sequence number). A row whose data
+  // is refused is never located or published.
   const Rid rid = next_rid_.fetch_add(1, std::memory_order_acq_rel);
   auto group = EnsureGroup(rid / options_.row_group_size);
   const uint32_t off = OffsetForRid(rid);
-  const int64_t pk = AsInt(row[schema_->pk_col()]);
-  locator_.Put(pk, rid);
-  group->WriteRow(off, row);
+  IMCI_RETURN_NOT_OK(group->WriteRow(off, row));
+  locator_.Put(AsInt(row[schema_->pk_col()]), rid);
   group->NoteInsertVid(vid);
   group->SetInsertVid(off, vid);
   return Status::OK();
@@ -122,7 +122,7 @@ Status ColumnIndex::PreWrite(Rid rid, const Row& row) {
   auto group = GroupForRid(rid);
   if (!group) return Status::NotFound("group");
   const uint32_t off = OffsetForRid(rid);
-  group->WriteRow(off, row);
+  IMCI_RETURN_NOT_OK(group->WriteRow(off, row));
   // Both VIDs stay invalid: the row is invisible to every snapshot (§5.5).
   group->SetDeleteVid(off, kMaxVid);
   return Status::OK();
@@ -190,7 +190,7 @@ Status ColumnIndex::CompactGroup(size_t gid, Vid vid, uint32_t* moved) {
     const Rid new_rid = next_rid_.fetch_add(1, std::memory_order_acq_rel);
     auto ng = EnsureGroup(new_rid / options_.row_group_size);
     const uint32_t noff = OffsetForRid(new_rid);
-    ng->WriteRow(noff, row);
+    IMCI_RETURN_NOT_OK(ng->WriteRow(noff, row));
     // Preserve the original insert visibility so readers between the row's
     // insert VID and `vid` are unaffected (they still see the old copy; new
     // copy becomes the visible one from `vid` on).

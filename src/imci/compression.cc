@@ -165,13 +165,13 @@ Status IntCodec::Decode(std::string_view data, std::vector<int64_t>* values) {
   return Status::OK();
 }
 
-void DictCodec::Encode(std::span<const std::string> values,
+void DictCodec::Encode(std::span<const std::string_view> values,
                        std::string* out) {
   const uint32_t n = static_cast<uint32_t>(values.size());
   PutFixed32(out, n);
   if (n == 0) return;
-  std::map<std::string, uint32_t> dict;
-  for (const std::string& s : values) dict.emplace(s, 0);
+  std::map<std::string_view, uint32_t> dict;
+  for (std::string_view s : values) dict.emplace(s, 0);
   uint32_t next = 0;
   for (auto& [s, code] : dict) code = next++;
   PutFixed32(out, static_cast<uint32_t>(dict.size()));
@@ -183,12 +183,12 @@ void DictCodec::Encode(std::span<const std::string> values,
   BitPack(codes, bits, out);
 }
 
-Status DictCodec::Decode(std::string_view data,
-                         std::vector<std::string>* values) {
+Status DictCodec::Decode(std::string_view data, uint32_t count,
+                         StringPool* pool, StrRef* refs) {
   ByteReader r(data);
   uint32_t n;
-  IMCI_RETURN_NOT_OK(LaneCount(&r, &n));
-  values->clear();
+  IMCI_RETURN_NOT_OK(r.U32(&n));
+  if (n != count) return Status::Corruption("string lane count");
   if (n == 0) return Status::OK();
   uint32_t dict_size;
   IMCI_RETURN_NOT_OK(r.Count(4, &dict_size));  // a length per entry
@@ -198,10 +198,16 @@ Status DictCodec::Decode(std::string_view data,
   IMCI_RETURN_NOT_OK(r.U8(&bits));
   std::vector<uint64_t> codes;
   IMCI_RETURN_NOT_OK(BitUnpack(&r, n, bits, &codes));
-  values->resize(n);
+  uint64_t total = 0;
+  for (uint64_t code : codes) {
+    if (code >= dict_size) return Status::Corruption("dict code");
+    total += dict[code].size();
+  }
+  if (total > UINT32_MAX) return Status::Corruption("string lane length");
   for (uint32_t i = 0; i < n; ++i) {
-    if (codes[i] >= dict_size) return Status::Corruption("dict code");
-    (*values)[i] = dict[codes[i]];
+    if (!pool->Append(dict[codes[i]], &refs[i])) {
+      return Status::Corruption("string lane length");
+    }
   }
   return Status::OK();
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/string_pool.h"
 
 namespace imci {
 
@@ -31,9 +32,14 @@ class IntCodec {
 /// codes bit-packed.
 class DictCodec {
  public:
-  static void Encode(std::span<const std::string> values, std::string* out);
-  static Status Decode(std::string_view data,
-                       std::vector<std::string>* values);
+  static void Encode(std::span<const std::string_view> values,
+                     std::string* out);
+  /// Decodes a lane of exactly `count` values into `pool`, value i's ref to
+  /// refs[i]. Corruption when the values do not fit the pool's 32-bit
+  /// offsets; a wrong count, a code past the dictionary or a total length
+  /// past 4 GiB is Corruption before anything is copied.
+  static Status Decode(std::string_view data, uint32_t count,
+                       StringPool* pool, StrRef* refs);
 };
 
 /// Doubles are stored verbatim (the paper does not claim FP compression).

@@ -26,7 +26,7 @@ RowGroup::RowGroup(const Schema& schema, std::vector<int> cols,
         pack.dbls.assign(capacity, 0.0);
         break;
       case DataType::kString:
-        pack.strs.assign(capacity, std::string());
+        pack.refs.assign(capacity, StrRef{});
         break;
     }
   }
@@ -36,7 +36,8 @@ RowGroup::RowGroup(const Schema& schema, std::vector<int> cols,
   }
 }
 
-void RowGroup::WriteRow(uint32_t offset, const Row& row) {
+Status RowGroup::WriteRow(uint32_t offset, const Row& row) {
+  std::lock_guard<std::mutex> g(mu_);
   for (size_t p = 0; p < cols_.size(); ++p) {
     ColumnPack& pack = packs_[p];
     const Value& v = row[cols_[p]];
@@ -54,12 +55,16 @@ void RowGroup::WriteRow(uint32_t offset, const Row& row) {
           pack.dbls[offset] = AsDouble(v);
           break;
         case DataType::kString:
-          pack.strs[offset] = AsString(v);
+          if (!pack.pool.Append(AsString(v), &pack.refs[offset])) {
+            return Status::InvalidArgument(
+                "string does not fit its pack's 32-bit offsets");
+          }
           break;
       }
     }
-    UpdateMeta(static_cast<int>(p), v);
+    UpdateMetaLocked(static_cast<int>(p), offset);
   }
+  return Status::OK();
 }
 
 Value RowGroup::GetValue(int pack, uint32_t offset) const {
@@ -73,18 +78,18 @@ Value RowGroup::GetValue(int pack, uint32_t offset) const {
     case DataType::kDouble:
       return p.dbls[offset];
     case DataType::kString:
-      return p.strs[offset];
+      return std::string(p.pool.View(p.refs[offset]));
   }
   return Value{};
 }
 
 PackMeta RowGroup::meta(int pack) const {
-  std::lock_guard<std::mutex> g(meta_mu_);
+  std::lock_guard<std::mutex> g(mu_);
   return metas_[pack];
 }
 
 bool RowGroup::IntRange(int pack, int64_t* min, int64_t* max) const {
-  std::lock_guard<std::mutex> g(meta_mu_);
+  std::lock_guard<std::mutex> g(mu_);
   const PackMeta& m = metas_[pack];
   *min = m.min_i;
   *max = m.max_i;
@@ -92,24 +97,23 @@ bool RowGroup::IntRange(int pack, int64_t* min, int64_t* max) const {
 }
 
 uint64_t RowGroup::NullCount(int pack) const {
-  std::lock_guard<std::mutex> g(meta_mu_);
+  std::lock_guard<std::mutex> g(mu_);
   return metas_[pack].null_count;
 }
 
-void RowGroup::UpdateMeta(int pack, const Value& v) {
-  std::lock_guard<std::mutex> g(meta_mu_);
+void RowGroup::UpdateMetaLocked(int pack, uint32_t offset) {
   PackMeta& m = metas_[pack];
-  if (IsNull(v)) {
+  const ColumnPack& p = packs_[pack];
+  if (p.nulls[offset]) {
     m.null_count++;
     return;
   }
   m.has_value = true;
-  if (IsIntegerType(packs_[pack].type)) {
-    const int64_t x = AsInt(v);
-    m.min_i = std::min(m.min_i, x);
-    m.max_i = std::max(m.max_i, x);
+  if (IsIntegerType(p.type)) {
+    m.min_i = std::min(m.min_i, p.ints[offset]);
+    m.max_i = std::max(m.max_i, p.ints[offset]);
   }
-  if (m.sample.size() < 64) m.sample.push_back(v);
+  if (m.sample.size() < 64) m.sample.push_back(GetValue(pack, offset));
 }
 
 bool RowGroup::MaybeDropInsertVids(Vid min_active_vid) {
@@ -140,13 +144,13 @@ uint32_t RowGroup::CountVisible(uint32_t used, Vid read_vid) const {
 }
 
 void RowGroup::RebuildMeta(uint32_t used) {
-  for (size_t p = 0; p < packs_.size(); ++p) {
-    {
-      std::lock_guard<std::mutex> g(meta_mu_);
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    for (size_t p = 0; p < packs_.size(); ++p) {
       metas_[p] = PackMeta();
-    }
-    for (uint32_t i = 0; i < used; ++i) {
-      UpdateMeta(static_cast<int>(p), GetValue(static_cast<int>(p), i));
+      for (uint32_t i = 0; i < used; ++i) {
+        UpdateMetaLocked(static_cast<int>(p), i);
+      }
     }
   }
   Vid max_iv = 0;

@@ -10,6 +10,8 @@
 
 #include "common/row.h"
 #include "common/schema.h"
+#include "common/status.h"
+#include "common/string_pool.h"
 
 namespace imci {
 
@@ -27,12 +29,15 @@ struct PackMeta {
 
 /// One column's storage inside a row group — a "Data Pack": a raw lane
 /// written append-only, one slot per row. Packs stay raw in memory; the
-/// checkpoint is the one place a lane is compressed (§4.3).
+/// checkpoint is the one place a lane is compressed (§4.3). A string slot
+/// is an 8-byte ref into the pack's pool; a NULL or "" slot holds an empty
+/// ref.
 struct ColumnPack {
   DataType type = DataType::kInt64;
   std::vector<int64_t> ints;
   std::vector<double> dbls;
-  std::vector<std::string> strs;
+  std::vector<StrRef> refs;
+  StringPool pool;             // appended under the group's latch
   std::vector<uint8_t> nulls;  // one byte per row: safe concurrent slots
 };
 
@@ -42,9 +47,11 @@ struct ColumnPack {
 /// VIDs may still change); the last, partial group is filled append-only.
 ///
 /// Concurrency: distinct row slots may be written by different Phase#2
-/// workers simultaneously (each RID is owned by exactly one writer);
-/// publication is via the insert VID (release store) which readers check
-/// first (acquire load). Delete VIDs are CAS-set.
+/// workers simultaneously (each RID is owned by exactly one writer, and
+/// each slot is written once); a writer copies a string into its pack's
+/// pool under the group latch. Publication is via the insert VID (release
+/// store) which readers check first (acquire load), so a reader that sees
+/// the VID also sees the slot's ref and bytes. Delete VIDs are CAS-set.
 class RowGroup {
  public:
   /// `cols` maps pack ordinal -> schema column ordinal.
@@ -56,8 +63,9 @@ class RowGroup {
   int num_packs() const { return static_cast<int>(cols_.size()); }
 
   /// Writes the indexed columns of `row` into slot `offset`. Does not make
-  /// the row visible; call SetInsertVid afterwards.
-  void WriteRow(uint32_t offset, const Row& row);
+  /// the row visible; call SetInsertVid afterwards. InvalidArgument when a
+  /// string does not fit its pack's 32-bit offsets.
+  Status WriteRow(uint32_t offset, const Row& row);
 
   void SetInsertVid(uint32_t offset, Vid vid) {
     insert_vids_[offset].store(vid, std::memory_order_release);
@@ -86,8 +94,9 @@ class RowGroup {
   const double* double_data(int pack) const {
     return packs_[pack].dbls.data();
   }
-  const std::string& str_at(int pack, uint32_t offset) const {
-    return packs_[pack].strs[offset];
+  std::string_view str_at(int pack, uint32_t offset) const {
+    const ColumnPack& p = packs_[pack];
+    return p.pool.View(p.refs[offset]);
   }
   const uint8_t* null_data(int pack) const {
     return packs_[pack].nulls.data();
@@ -95,13 +104,13 @@ class RowGroup {
   DataType pack_type(int pack) const { return packs_[pack].type; }
   Value GetValue(int pack, uint32_t offset) const;
 
-  /// A copy of `pack`'s statistics, taken under the meta latch: appliers
-  /// update them while queries read them.
+  /// A copy of `pack`'s statistics, taken under the latch: appliers update
+  /// them while queries read them.
   PackMeta meta(int pack) const;
-  /// [min, max] of an integer pack's non-NULL values, under the meta latch
-  /// and without copying the sample; false when the pack has none.
+  /// [min, max] of an integer pack's non-NULL values, under the latch and
+  /// without copying the sample; false when the pack has none.
   bool IntRange(int pack, int64_t* min, int64_t* max) const;
-  /// NULL count of `pack`, under the meta latch.
+  /// NULL count of `pack`, under the latch.
   uint64_t NullCount(int pack) const;
 
   /// Drops the insert-VID map once no active transaction can have a read
@@ -138,7 +147,8 @@ class RowGroup {
   void RebuildMeta(uint32_t used);
 
  private:
-  void UpdateMeta(int pack, const Value& v);
+  /// Folds slot `offset` of `pack` into its meta; the caller holds mu_.
+  void UpdateMetaLocked(int pack, uint32_t offset);
 
   const Schema* schema_;
   std::vector<int> cols_;
@@ -146,7 +156,7 @@ class RowGroup {
   Rid base_rid_;
   std::vector<ColumnPack> packs_;
   std::vector<PackMeta> metas_;
-  mutable std::mutex meta_mu_;  // guards metas_
+  mutable std::mutex mu_;  // guards metas_ and every pack's pool appends
   std::unique_ptr<std::atomic<Vid>[]> insert_vids_;
   std::unique_ptr<std::atomic<Vid>[]> delete_vids_;
   std::atomic<Vid> max_insert_vid_{0};

@@ -152,6 +152,52 @@ TEST(CheckpointTest, ReadLatestManifestProbesWithoutLoadingIndexData) {
   EXPECT_EQ(fs.page_reads(), reads_before);  // header-only probe
 }
 
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(CheckpointTest, FormatOfFixedIndexIsPinned) {
+  // The checkpoint bytes of a fixed index, string edge cases included: NULL,
+  // "", one byte, 16 bytes (past libstdc++'s small-string buffer) and
+  // 70 KiB. A change to how packs hold strings must not change them.
+  const std::vector<Value> strs = {Value{},
+                                   std::string(),
+                                   std::string("x"),
+                                   std::string("0123456789abcdef"),
+                                   std::string(70 * 1024, 'q'),
+                                   std::string("s") + std::string(1, '\0')};
+  ColumnIndex src(TestSchema(), SmallGroups());
+  for (int64_t i = 0; i < 80; ++i) {
+    Value s = strs[i % strs.size()];
+    if (i % 7 == 3) s = "row" + std::to_string(i);
+    const Value d = i % 11 == 0 ? Value{} : Value{i * 0.25 - 3};
+    ASSERT_TRUE(src.Insert({i, i * i - 40, s, d}, i % 9 + 1).ok());
+  }
+  ASSERT_TRUE(src.Delete(12, 6).ok());
+  ASSERT_TRUE(
+      src.Update({int64_t(30), int64_t(-5), std::string(17, 'z'), 1.5}, 7)
+          .ok());
+  std::string blob;
+  ASSERT_TRUE(ImciCheckpoint::WriteIndex(src, /*csn=*/8, &blob).ok());
+  EXPECT_EQ(blob.size(), 218263u);
+  EXPECT_EQ(Fnv1a64(blob), 0x37e498f2e5b17ae7ull);
+
+  // And it loads back to the same strings.
+  ColumnIndex dst(TestSchema(), SmallGroups());
+  ASSERT_TRUE(ImciCheckpoint::LoadIndex(blob, &dst).ok());
+  for (int64_t pk : {0, 1, 4, 5, 10, 30}) {
+    Row want, got;
+    ASSERT_TRUE(src.LookupByPk(pk, 8, &want).ok()) << pk;
+    ASSERT_TRUE(dst.LookupByPk(pk, 8, &got).ok()) << pk;
+    EXPECT_EQ(got, want) << pk;
+  }
+}
+
 TEST(CheckpointTest, TornCurrentIsCorruption) {
   // A torn write can leave CURRENT empty or holding part of a number; a
   // booting node must see Corruption, not an exception.

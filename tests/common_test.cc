@@ -253,6 +253,10 @@ struct Crafted {
     s.append(n, '\0');
     return *this;
   }
+  Crafted& str(std::string_view v) {
+    PutLengthPrefixed(&s, v);
+    return *this;
+  }
   Crafted& hash_trailer() {
     PutFixed64(&s, HashBytes(s.data(), s.size()));
     return *this;
@@ -286,8 +290,9 @@ TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
     return IntCodec::Decode(in, &out);
   };
   const Decoder dict = [](const std::string& in) {
-    std::vector<std::string> out;
-    return DictCodec::Decode(in, &out);
+    StringPool pool;
+    StrRef ref;
+    return DictCodec::Decode(in, 1, &pool, &ref);
   };
   const Decoder inflight = [&](const std::string& in) {
     return pipeline.RestoreInflight(in);
@@ -364,6 +369,80 @@ TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
     EXPECT_NO_THROW(s = c.decode(c.input));
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   }
+}
+
+// Decoding a checkpoint string lane into a pack's flat lane: a lane that
+// names a code past its dictionary, decodes to more bytes than the pack's
+// 32-bit offsets address, or holds more codes than the group has slots is
+// Corruption, and nothing is copied into the pool first.
+TEST(HostileInputTest, StringLanesIntoThePoolAreCorruption) {
+  constexpr uint32_t kSlots = 65536;  // the default row group size
+  ASSERT_EQ(ColumnIndexOptions().row_group_size, kSlots);
+  std::vector<StrRef> refs(kSlots);
+  auto decode = [&](const std::string& lane, uint32_t count,
+                    StringPool* pool) {
+    Status s;
+    EXPECT_NO_THROW(s = DictCodec::Decode(lane, count, pool, refs.data()));
+    return s;
+  };
+  {  // Well formed: codes 0, 1, 1 over {"a", "bc"} at 2 bits.
+    StringPool pool;
+    ASSERT_TRUE(decode(Crafted().u32(3).u32(2).str("a").str("bc").u8(2).u8(
+                           0x14).s,
+                       3, &pool)
+                    .ok());
+    EXPECT_EQ(pool.View(refs[0]), "a");
+    EXPECT_EQ(pool.View(refs[1]), "bc");
+    EXPECT_EQ(pool.View(refs[2]), "bc");
+  }
+  struct Case {
+    const char* name;
+    std::string lane;
+    uint32_t count;
+  };
+  const std::string wide(kSlots + 1, 'x');
+  const Case cases[] = {
+      // Codes 0 and 2 over two entries: 2 is the dictionary's size.
+      {"code at dictionary size",
+       Crafted().u32(2).u32(2).str("a").str("bc").u8(2).u8(0x08).s, 2},
+      {"code past dictionary size",
+       Crafted().u32(2).u32(2).str("a").str("bc").u8(2).u8(0x0c).s, 2},
+      // Every slot names one entry of 65537 bytes: 2^32 + 2^16 bytes.
+      {"total length past 32-bit offsets",
+       Crafted().u32(kSlots).u32(1).str(wide).u8(0).s, kSlots},
+      {"more codes than slots", Crafted().u32(kSlots + 1).u32(1).str("a").u8(
+                                    0).s,
+       kSlots},
+      {"huge code count", Crafted().u32(0xFFFFFFFF).u32(1).str("a").u8(0).s,
+       kSlots},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StringPool pool;
+    const Status s = decode(c.lane, c.count, &pool);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(pool.allocated_bytes(), 0u);
+  }
+
+  // The same overflowing lane inside a checkpoint, under LoadIndex: one
+  // full group of a table (id INT64, s STRING).
+  auto schema = std::make_shared<Schema>(
+      1, "t",
+      std::vector<ColumnDef>{{"id", DataType::kInt64, false, true},
+                             {"s", DataType::kString, false, true}},
+      0);
+  std::string ids;
+  IntCodec::Encode(std::vector<int64_t>(kSlots, 0), &ids);
+  const std::string nulls(kSlots, '\0');
+  Crafted ckpt = Crafted().u32(1).u64(0).u64(kSlots).u32(kSlots).u64(1);
+  ckpt.u8(1).u32(kSlots);
+  ckpt.u8(static_cast<uint8_t>(DataType::kInt64)).str(nulls).str(ids);
+  ckpt.u8(static_cast<uint8_t>(DataType::kString)).str(nulls).str(
+      Crafted().u32(kSlots).u32(1).str(wide).u8(0).s);
+  ColumnIndex index(schema);
+  Status s;
+  EXPECT_NO_THROW(s = ImciCheckpoint::LoadIndex(ckpt.s, &index));
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ TEST(ExprTest, CaseSubstrYearIn) {
                       {DataType::kString, DataType::kDate});
   ColumnVector out;
   ASSERT_TRUE(Substr(Col(0, DataType::kString), 1, 2)->Eval(b, &out).ok());
-  EXPECT_EQ(out.strs[0], "13");
+  EXPECT_EQ(out.str(0), "13");
   ASSERT_TRUE(Year(Col(1, DataType::kDate))->Eval(b, &out).ok());
   EXPECT_EQ(out.ints[0], 1995);
   EXPECT_EQ(out.ints[1], 1996);
@@ -923,7 +923,8 @@ TEST_F(OperatorTest, JoinGatherKeepsNullLanes) {
             if (v.type == DataType::kDouble) {
               v.dbls.back() = 7.5;
             } else if (v.type == DataType::kString) {
-              v.strs.back() = "junk";
+              v.offs.pop_back();
+              v.PushStr("junk");
             } else {
               v.ints.back() = 7;
             }
@@ -1017,7 +1018,7 @@ TEST_F(OperatorTest, JoinGatherKeepsNullLanes) {
             if (v.type == DataType::kDouble) {
               EXPECT_EQ(v.dbls[i], 0.0);
             } else if (v.type == DataType::kString) {
-              EXPECT_EQ(v.strs[i], "");
+              EXPECT_EQ(v.str(i), "");
             } else {
               EXPECT_EQ(v.ints[i], 0);
             }
@@ -1154,7 +1155,9 @@ std::vector<ColumnVector> Flatten(const RowSet& set) {
       cols[c].nulls.insert(cols[c].nulls.end(), v.nulls.begin(), v.nulls.end());
       cols[c].ints.insert(cols[c].ints.end(), v.ints.begin(), v.ints.end());
       cols[c].dbls.insert(cols[c].dbls.end(), v.dbls.begin(), v.dbls.end());
-      cols[c].strs.insert(cols[c].strs.end(), v.strs.begin(), v.strs.end());
+      if (v.type == DataType::kString) {
+        for (size_t i = 0; i < v.size(); ++i) cols[c].PushStr(v.str(i));
+      }
     }
   }
   return cols;
@@ -1187,9 +1190,19 @@ TEST(ColumnScanTest, KernelsMatchGenericFilter) {
   options.row_group_size = 16;
   ColumnIndex index(schema, options);
   const int64_t day0 = MakeDate(1995, 1, 1);
-  const std::vector<std::string> words = {"",   "a",  "ab",      "abc",
-                                          "b",  "ba", "AIR",     "AIR REG",
-                                          "\xff", "a\xff", "MAIL"};
+  // Two values pass libstdc++'s 15-byte small-string buffer and share a
+  // 20-byte prefix.
+  const std::vector<std::string> words = {
+      "",     "a",      "ab",   "abc", "b", "ba", "AIR", "AIR REG",
+      "\xff", "a\xff", "MAIL", "SHIP DELIVER IN PERSON",
+      "SHIP DELIVER IN PERSOM"};
+  // Constants also draw values no row holds: between two words, past every
+  // word, and longer than the longest.
+  std::vector<std::string> consts = words;
+  for (const char* w : {"aa", "AIR REGULAR", "\xff\xff", "A", "zz",
+                        "SHIP DELIVER IN PERSON!", "SHIP DELIVER IN PERSONA"}) {
+    consts.push_back(w);
+  }
   auto maybe_null = [&](Value v) { return pick(6) == 0 ? Value{} : v; };
   auto make_row = [&](int64_t id) {
     return Row{id,
@@ -1251,7 +1264,7 @@ TEST(ColumnScanTest, KernelsMatchGenericFilter) {
   };
   auto dbl_const = [&]() { return ConstDouble(0.25 * (pick(89) - 44)); };
   auto str_const = [&]() {
-    return ConstString(words[pick(static_cast<int>(words.size()))]);
+    return ConstString(consts[pick(static_cast<int>(consts.size()))]);
   };
   // A constant in column c's lane; int columns sometimes get a DOUBLE.
   auto const_for = [&](int c) {
@@ -1281,16 +1294,20 @@ TEST(ColumnScanTest, KernelsMatchGenericFilter) {
         return Cmp(any_op(), const_for(c), col(c));
       case 3:
         return Cmp(any_op(), col(ic), col(int_cols[pick(4)]));
-      case 4:
-        return Between(col(c), const_for(c), const_for(c));
+      case 4: {
+        // Sometimes both bounds are one value, so a row can equal each.
+        auto lo = const_for(c);
+        return Between(col(c), lo, pick(4) == 0 ? lo : const_for(c));
+      }
       case 5: {
         std::vector<Value> set;
         for (int n = 1 + pick(4); n > 0; --n) set.push_back(value_for(c));
         return In(col(c), std::move(set));
       }
       case 6: {
-        const std::vector<std::string> pats = {"a%", "%b", "%a%", "_",
-                                               "a_c", "%", "AIR%", ""};
+        const std::vector<std::string> pats = {
+            "a%", "%b", "%a%", "_", "a_c", "%", "AIR%", "", "SHIP%PERSO_",
+            "%IN P%"};
         auto p = pats[pick(static_cast<int>(pats.size()))];
         return pick(2) ? Like(col(0), p) : NotLike(col(0), p);
       }
@@ -1367,7 +1384,8 @@ TEST(ColumnScanTest, KernelsMatchGenericFilter) {
       EXPECT_EQ(g[c].nulls, w[c].nulls);
       EXPECT_EQ(g[c].ints, w[c].ints);
       EXPECT_EQ(g[c].dbls, w[c].dbls);
-      EXPECT_EQ(g[c].strs, w[c].strs);
+      EXPECT_EQ(g[c].offs, w[c].offs);
+      EXPECT_EQ(g[c].bytes, w[c].bytes);
     }
     if (!g[0].nulls.empty()) ++nonempty;
   }
@@ -1386,7 +1404,7 @@ TEST(CompactBatchTest, RemovesMaskedRowsInPlace) {
   CompactBatch(&b, {1, 0, 1, 0, 0, 1});
   ASSERT_EQ(b.rows, 3u);
   EXPECT_EQ(b.cols[0].ints, (std::vector<int64_t>{0, 2, 5}));
-  EXPECT_EQ(b.cols[1].strs[2], "s5");
+  EXPECT_EQ(b.cols[1].str(2), "s5");
 }
 
 }  // namespace

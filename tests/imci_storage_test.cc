@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/rng.h"
 #include "imci/column_index.h"
 #include "imci/compression.h"
@@ -105,9 +107,12 @@ TEST(ColumnIndexTest, PackCodecsCompressFullGroup) {
       case DataType::kDouble:
         DoubleCodec::Encode(pack.dbls, &lane);
         break;
-      case DataType::kString:
-        DictCodec::Encode(pack.strs, &lane);
+      case DataType::kString: {
+        std::vector<std::string_view> views;
+        for (StrRef ref : pack.refs) views.push_back(pack.pool.View(ref));
+        DictCodec::Encode(views, &lane);
         break;
+      }
     }
     bytes += lane.size();
   }
@@ -277,20 +282,22 @@ TEST(IntCodecTest, SequentialDataCompressesWell) {
 }
 
 TEST(DictCodecTest, RoundTripAndCompression) {
-  std::vector<std::string> v;
+  std::vector<std::string_view> v;
   const char* tags[] = {"alpha", "beta", "gamma"};
   for (int i = 0; i < 5000; ++i) v.push_back(tags[i % 3]);
   std::string buf;
   DictCodec::Encode(v, &buf);
   EXPECT_LT(buf.size(), 3000u);  // 2 bits/code + tiny dictionary
-  std::vector<std::string> out;
-  ASSERT_TRUE(DictCodec::Decode(buf, &out).ok());
-  EXPECT_EQ(out, v);
-  // Empty and single-value edge cases.
+  StringPool pool;
+  std::vector<StrRef> refs(v.size());
+  ASSERT_TRUE(DictCodec::Decode(buf, 5000, &pool, refs.data()).ok());
+  for (size_t i = 0; i < v.size(); ++i) EXPECT_EQ(pool.View(refs[i]), v[i]);
+  // A lane of another length is refused.
+  EXPECT_TRUE(DictCodec::Decode(buf, 4999, &pool, refs.data()).IsCorruption());
+  // Empty edge case.
   buf.clear();
   DictCodec::Encode({}, &buf);
-  ASSERT_TRUE(DictCodec::Decode(buf, &out).ok());
-  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(DictCodec::Decode(buf, 0, &pool, refs.data()).ok());
 }
 
 TEST(DoubleCodecTest, RoundTrip) {
@@ -320,6 +327,68 @@ TEST(ReadViewRegistryTest, MinActiveTracksPins) {
   EXPECT_EQ(reg.MinActive(100), 80u);  // a pin still holds maintenance back
   reg.Unpin(t3);
   EXPECT_TRUE(reg.Covers(100));
+}
+
+TEST(StringPoolTest, ValuesOfEverySizeReadBackWhole) {
+  StringPool pool;
+  std::vector<std::pair<StrRef, std::string>> kept;
+  for (size_t len : {0, 1, 255, 2, 300, 16, 70 * 1024, 3, 600}) {
+    std::string s(len, static_cast<char>('a' + kept.size()));
+    StrRef ref;
+    ASSERT_TRUE(pool.Append(s, &ref));
+    kept.emplace_back(ref, std::move(s));
+  }
+  for (const auto& [ref, s] : kept) EXPECT_EQ(pool.View(ref), s);
+}
+
+// Phase#2 appliers write distinct slots of one partial group at once, each
+// slot once, and publish each through its insert VID; a scan running beside
+// them must see every published string whole. The values span the pool's
+// chunk sizes, so writers open chunks while the scan reads older ones. CI
+// runs this under tsan.
+TEST(RowGroupTest, ConcurrentStringWritersPublishWholeValues) {
+  auto schema = TestSchema();
+  constexpr uint32_t kSlots = 4096;
+  constexpr uint32_t kUsed = kSlots - 9;  // the group stays partial
+  constexpr int kWriters = 4;
+  RowGroup g(*schema, {0, 3}, kSlots, 0);
+  auto value_of = [](uint32_t slot) -> Value {
+    if (slot % 13 == 0) return Value{};
+    const size_t len = slot % 97 == 0 ? 5000 + slot : (slot * 7919) % 300;
+    std::string s = std::to_string(slot) + ":";
+    s.resize(std::max(s.size(), len), static_cast<char>('a' + slot % 26));
+    return s;
+  };
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint32_t slot = w; slot < kUsed; slot += kWriters) {
+        EXPECT_TRUE(
+            g.WriteRow(slot, {int64_t(slot), Value{}, Value{}, value_of(slot)})
+                .ok());
+        g.SetInsertVid(slot, slot + 1);
+      }
+    });
+  }
+  uint64_t checked = 0;
+  for (bool all = false; !all;) {
+    all = true;
+    for (uint32_t slot = 0; slot < kUsed; ++slot) {
+      if (!g.Visible(slot, kMaxVid - 1)) {
+        all = false;
+        continue;
+      }
+      const Value want = value_of(slot);
+      EXPECT_EQ(g.null_data(1)[slot] != 0, IsNull(want)) << slot;
+      if (!IsNull(want)) {
+        EXPECT_EQ(g.str_at(1, slot), AsString(want)) << slot;
+      }
+      ++checked;
+    }
+  }
+  for (std::thread& t : writers) t.join();
+  EXPECT_GE(checked, kUsed);
+  EXPECT_FALSE(g.Visible(kUsed, kMaxVid - 1));
 }
 
 }  // namespace
