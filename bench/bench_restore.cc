@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   const double load_secs = load_t.ElapsedSeconds();
   const Lsn tail = cluster.fs()->log("redo")->written_lsn();
   ArchiveStore* arc = cluster.fs()->archive();
-  if (arc == nullptr || below_watermark == 0 ||
-      below_watermark > recycled) {
+  if (below_watermark == 0 || below_watermark > recycled) {
     std::fprintf(stderr, "setup failed: watermark=%llu recycled=%llu\n",
                  (unsigned long long)below_watermark,
                  (unsigned long long)recycled);

@@ -135,11 +135,9 @@ Status Cluster::Open() {
   // Register the freshly-flushed base image as restore anchor 0 — until the
   // first checkpoint completes, it is the only state RestoreToLsn can start
   // replay from.
-  if (ArchiveStore* arc = fs_.archive()) {
-    Lsn base = 0;
-    IMCI_RETURN_NOT_OK(RwNode::ReadBaseLsn(&fs_, &base));
-    IMCI_RETURN_NOT_OK(arc->snapshots()->Register(0, 0, base));
-  }
+  Lsn base = 0;
+  IMCI_RETURN_NOT_OK(RwNode::ReadBaseLsn(&fs_, &base));
+  IMCI_RETURN_NOT_OK(fs_.archive()->snapshots()->Register(0, 0, base));
   for (int i = 0; i < options_.initial_ro_nodes; ++i) {
     RoNode* node = nullptr;
     IMCI_RETURN_NOT_OK(AddRoNode(&node));
@@ -258,10 +256,6 @@ std::optional<Lsn> Cluster::SlowestCursor() {
 Status Cluster::RestoreToLsn(Lsn lsn, RestoredCluster* out) {
   std::lock_guard<std::mutex> admin(admin_mu_);
   ArchiveStore* arc = fs_.archive();
-  if (arc == nullptr) {
-    return Status::NotSupported("point-in-time recovery needs the archive "
-                                "tier (PolarFs::Options::enable_archive)");
-  }
   LogStore* redo = fs_.log("redo");
   // Clamp to the durable watermark: restore reproduces durable history, and
   // written-but-unfsynced records are retractable (a failed batch fsync

@@ -156,9 +156,8 @@ class Cluster {
   /// stops at `lsn`, and transactions whose commit decision lies beyond it
   /// are rolled back (row replica) / never surfaced (column state). `lsn`
   /// may lie far below the recycle watermark — that is the point of the
-  /// archive tier. NotSupported without an archive; Corruption when the
-  /// spliced history is torn, truncated, or gapped — never a silent partial
-  /// restore.
+  /// archive tier. Corruption when the spliced history is torn, truncated,
+  /// or gapped — never a silent partial restore.
   Status RestoreToLsn(Lsn lsn, RestoredCluster* out);
 
   RwNode* rw() { return rw_.get(); }

@@ -5,8 +5,6 @@
 #include <mutex>
 #include <thread>
 
-#include "exec/merge.h"
-
 namespace imci {
 
 namespace {
@@ -154,26 +152,16 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
     }
   }
 
-  // Merge partials and run the coordinator-side completion plan. The
-  // completion plan contains no scans (it reads the merged rows through a
-  // Values node), so it executes locally without store access.
+  // Concatenate the fragment outputs and run the coordinator-side
+  // completion plan over them. Fragment-index order, not completion order:
+  // the final fold visits partials in a deterministic sequence. The
+  // completion plan contains no scans (it reads the rows through a Values
+  // node), so it executes locally without store access.
   const auto merge_start = std::chrono::steady_clock::now();
   std::vector<Row> merged;
-  if (fset.merge == FragmentMerge::kSortMerge) {
-    std::vector<std::vector<Row>> sorted_runs;
-    sorted_runs.reserve(F);
-    for (FragRun& fr : runs) sorted_runs.push_back(std::move(fr.rsp.rows));
-    merged =
-        KWayMergeSorted(std::move(sorted_runs), fset.merge_keys,
-                        fset.merge_limit);
-  } else {
-    // Fragment-index order, not completion order: the final fold visits
-    // partials in a deterministic sequence.
-    for (FragRun& fr : runs) {
-      merged.insert(merged.end(),
-                    std::make_move_iterator(fr.rsp.rows.begin()),
-                    std::make_move_iterator(fr.rsp.rows.end()));
-    }
+  for (FragRun& fr : runs) {
+    merged.insert(merged.end(), std::make_move_iterator(fr.rsp.rows.begin()),
+                  std::make_move_iterator(fr.rsp.rows.end()));
   }
   fset.values_node->literal_rows = std::move(merged);
   ExecContext ctx;

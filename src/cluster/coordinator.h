@@ -31,7 +31,7 @@ struct DistQueryStats {
   uint64_t retries = 0;     // fragment re-dispatches after a failed attempt
   uint64_t stragglers = 0;  // Busy answers (snapshot catch-up timeouts)
   Vid snapshot_vid = 0;     // the common read VID
-  uint64_t merge_us = 0;    // coordinator-side merge + completion time
+  uint64_t merge_us = 0;    // coordinator-side concatenation + completion
   struct FragmentTiming {
     std::string node;  // peer that completed the fragment
     uint64_t wait_us = 0;
@@ -44,9 +44,9 @@ struct DistQueryStats {
 
 /// Multi-RO query coordinator (the distributed half of the morsel executor):
 /// cuts a column-engine plan into key-range fragments, schedules them on N
-/// healthy ROs at one common snapshot, and merges partials locally. The
-/// common-snapshot protocol makes any fan-out bit-identical to single-RO
-/// execution; failures at any stage abandon the attempt and report
+/// healthy ROs at one common snapshot, concatenates their outputs and
+/// completes the plan over them locally. The common-snapshot protocol makes
+/// any fan-out bit-identical to single-RO execution; failures at any stage abandon the attempt and report
 /// `attempted=false`, so the caller's single-node path stays the safety
 /// net — distribution is never a new client-visible error surface.
 class QueryCoordinator {

@@ -8,8 +8,6 @@
 #include <span>
 #include <string_view>
 
-#include "exec/merge.h"
-
 namespace imci {
 
 namespace {
@@ -704,53 +702,90 @@ bool NullAt(const int64_t* key, size_t c) {
   return (static_cast<uint64_t>(key[c / 64]) >> (c % 64)) & 1;
 }
 
-/// Ascending key order over two key images in `lanes`: column by column,
-/// NULL first, integers as int64, doubles by OrderBits (so NaN cannot break
-/// a sort), strings bytewise — CompareValues' order. Equal columns have
-/// equal images, so one cursor walks both keys.
-bool KeyLess(const int64_t* x, const int64_t* y,
-             const std::vector<DataType>& lanes) {
-  size_t i = MaskWords(lanes.size());
-  for (size_t c = 0; c < lanes.size(); ++c) {
-    const bool xn = NullAt(x, c);
-    if (xn != NullAt(y, c)) return xn;
-    if (xn) continue;
-    if (lanes[c] == DataType::kString) {
-      const std::string_view a = StringOf(x + i), b = StringOf(y + i);
-      if (a != b) return a < b;
-      i += StringWords(a.size());
-      continue;
-    }
-    if (x[i] != y[i]) {
-      return lanes[c] == DataType::kDouble ? OrderBits(x[i]) < OrderBits(y[i])
-                                           : x[i] < y[i];
-    }
-    ++i;
-  }
-  return false;
-}
+/// A key image to sort and the id of what it keys (a group, a row).
+/// `prefix` is KeyOrder::Prefix(key), so most comparisons read only the
+/// ref.
+struct KeyRef {
+  uint64_t prefix;
+  const int64_t* key;
+  uint32_t id;
+};
 
-/// A 64-bit prefix of key image `key`'s first column in `lanes` whose
-/// order never disagrees with KeyLess (prefixes may tie): 0 for NULL, an
-/// integer with its sign bit flipped, a double's OrderBits, a string's
-/// first 8 bytes big-endian (zero-padded).
-uint64_t KeyPrefix(const int64_t* key, const std::vector<DataType>& lanes) {
-  if (lanes.empty() || NullAt(key, 0)) return 0;
-  const int64_t* v = key + MaskWords(lanes.size());
-  switch (lanes[0]) {
-    case DataType::kDouble:
-      return OrderBits(v[0]);
-    case DataType::kString: {
-      if (v[0] == 0) return 0;  // "": no byte words
-      const uint64_t bytes = static_cast<uint64_t>(v[1]);
-      return std::endian::native == std::endian::little
-                 ? __builtin_bswap64(bytes)
-                 : bytes;
-    }
-    default:
-      return static_cast<uint64_t>(v[0]) ^ (uint64_t{1} << 63);
+/// The engine's one order over values, on key images in `lanes`: column by
+/// column, NULL first, integers as int64, doubles by OrderBits (so NaN
+/// cannot break a sort), strings bytewise — CompareValues' order wherever
+/// that is total — each column reversed where `desc` is set. As a
+/// comparator it orders KeyRefs by prefix, and by the full keys only when
+/// the prefixes tie. It views its caller's vectors, so std::sort's copies
+/// of it are cheap.
+class KeyOrder {
+ public:
+  KeyOrder(std::span<const DataType> lanes, std::span<const uint8_t> desc)
+      : lanes_(lanes), desc_(desc) {}
+
+  KeyRef Ref(const int64_t* key, uint32_t id) const {
+    return {Prefix(key), key, id};
   }
-}
+
+  bool operator()(const KeyRef& x, const KeyRef& y) const {
+    if (x.prefix != y.prefix) return x.prefix < y.prefix;
+    return Less(x.key, y.key);
+  }
+
+ private:
+  /// Equal columns have equal images, so one cursor walks both keys.
+  bool Less(const int64_t* x, const int64_t* y) const {
+    size_t i = MaskWords(lanes_.size());
+    for (size_t c = 0; c < lanes_.size(); ++c) {
+      const bool desc = desc_[c] != 0;
+      const bool xn = NullAt(x, c);
+      if (xn != NullAt(y, c)) return xn != desc;
+      if (xn) continue;
+      if (lanes_[c] == DataType::kString) {
+        const std::string_view a = StringOf(x + i), b = StringOf(y + i);
+        if (a != b) return (a < b) != desc;
+        i += StringWords(a.size());
+        continue;
+      }
+      if (x[i] != y[i]) {
+        const bool less = lanes_[c] == DataType::kDouble
+                              ? OrderBits(x[i]) < OrderBits(y[i])
+                              : x[i] < y[i];
+        return less != desc;
+      }
+      ++i;
+    }
+    return false;
+  }
+
+  /// A 64-bit prefix of `key`'s first column whose order never disagrees
+  /// with Less (prefixes may tie): 0 for NULL, an integer with its sign bit
+  /// flipped, a double's OrderBits, a string's first 8 bytes big-endian
+  /// (zero-padded); complemented when the column is descending.
+  uint64_t Prefix(const int64_t* key) const {
+    if (lanes_.empty()) return 0;
+    const uint64_t flip = desc_[0] ? ~uint64_t{0} : 0;
+    if (NullAt(key, 0)) return flip;
+    const int64_t* v = key + MaskWords(lanes_.size());
+    switch (lanes_[0]) {
+      case DataType::kDouble:
+        return OrderBits(v[0]) ^ flip;
+      case DataType::kString: {
+        if (v[0] == 0) return flip;  // "": no byte words
+        const uint64_t bytes = static_cast<uint64_t>(v[1]);
+        return (std::endian::native == std::endian::little
+                    ? __builtin_bswap64(bytes)
+                    : bytes) ^
+               flip;
+      }
+      default:
+        return static_cast<uint64_t>(v[0]) ^ (uint64_t{1} << 63) ^ flip;
+    }
+  }
+
+  std::span<const DataType> lanes_;
+  std::span<const uint8_t> desc_;
+};
 
 /// Appends the group values of key image `key` in `lanes` to the leading
 /// columns of `out`.
@@ -811,10 +846,11 @@ uint32_t PartitionOf(uint64_t hash, uint32_t pmask) {
 /// The key images of a batch's rows over some key columns, the one key
 /// format of join and aggregation: row r's key is the words [start[r],
 /// start[r+1]) — MaskWords null-mask words (bit c set when key column c is
-/// NULL), then the image of each non-NULL column in its lane — and hashes[r]
-/// is its HashWords. A whole batch is imaged column by column before any
-/// table is probed, so the probe loop stays short enough for the CPU to
-/// overlap the cache misses of consecutive rows.
+/// NULL), then the image of each non-NULL column in its lane — and, after
+/// Hash(), hashes[r] is its HashWords (a sort needs no hashes). A whole
+/// batch is imaged column by column before any table is probed, so the
+/// probe loop stays short enough for the CPU to overlap the cache misses of
+/// consecutive rows.
 struct BatchKeys {
   std::vector<int64_t> words;
   std::vector<size_t> start;
@@ -823,6 +859,11 @@ struct BatchKeys {
 
   const int64_t* key(size_t r) const { return words.data() + start[r]; }
   size_t width(size_t r) const { return start[r + 1] - start[r]; }
+  void Hash() {
+    const size_t n = start.size() - 1;
+    hashes.resize(n);
+    for (size_t r = 0; r < n; ++r) hashes[r] = HashWords(key(r), width(r));
+  }
   /// Whether row r's mask is all zero: no key column is NULL.
   bool NoNulls(size_t r, size_t mask_words) const {
     const int64_t* k = key(r);
@@ -861,10 +902,6 @@ void EncodeKeys(const Batch& b, const std::vector<int>& cols,
         next[r] += ImageWords(v, r, lane);
       }
     }
-  }
-  out->hashes.resize(n);
-  for (size_t r = 0; r < n; ++r) {
-    out->hashes[r] = HashWords(out->key(r), out->width(r));
   }
 }
 
@@ -1029,6 +1066,7 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
   ParallelFor(ctx->pool, nbuild, [&](int bi) {
     BatchKeys& keys = build_images[bi];
     EncodeKeys(build_set.batches[bi], build_keys_, lanes, &keys);
+    keys.Hash();
     auto& parts = scatter[bi];
     parts.resize(P);
     for (uint32_t ri = 0; ri < build_set.batches[bi].rows; ++ri) {
@@ -1105,6 +1143,7 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
     if (build_width > 0) build_rows.reserve(pb.rows);
     BatchKeys keys;
     EncodeKeys(pb, probe_keys_, lanes, &keys);
+    keys.Hash();
     for (uint32_t ri = 0; ri < pb.rows; ++ri) {
       if (ri + kPrefetchRows < pb.rows) {
         const uint64_t h = keys.hashes[ri + kPrefetchRows];
@@ -1261,10 +1300,7 @@ struct AggTable {
 template <typename TableOf>
 void CountDistinct(BatchKeys* keys, TableOf table_of) {
   const size_t n = keys->start.size() - 1;
-  keys->hashes.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys->hashes[i] = HashWords(keys->key(i), keys->width(i));
-  }
+  keys->Hash();
   for (size_t i = 0; i < n; ++i) {
     if (i + kPrefetchRows < n) {
       table_of(i + kPrefetchRows).distinct.Prefetch(
@@ -1426,6 +1462,7 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
         }
       }
       EncodeKeys(b, group_cols_, key_lanes_, &keys);
+      keys.Hash();
       row_tables.resize(b.rows);
       for (uint32_t ri = 0; ri < b.rows; ++ri) {
         row_tables[ri] = &tables[PartitionOf(keys.hashes[ri], pmask)];
@@ -1569,34 +1606,25 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
 
   // Emit in ascending key order: sort each partition's ids in parallel,
   // then merge the partitions. The order depends only on the key set, so it
-  // is the same at every dop and in the coordinator's final fold. Groups
-  // compare by a prefix of their first key column, and by KeyLess only when
-  // the prefixes tie; carrying (prefix, key, id) keeps the id -> key lookup
-  // out of the comparisons.
-  struct GroupRef {
-    uint64_t prefix;
-    const int64_t* key;
-    uint32_t id;
-  };
-  const auto group_less = [&](const GroupRef& x, const GroupRef& y) {
-    if (x.prefix != y.prefix) return x.prefix < y.prefix;
-    return KeyLess(x.key, y.key, key_lanes_);
-  };
-  std::vector<std::vector<GroupRef>> order(P);
+  // is the same at every dop and in the coordinator's final fold. Carrying
+  // (prefix, key, id) keeps the id -> key lookup out of the comparisons.
+  const std::vector<uint8_t> ascending(G, 0);
+  const KeyOrder key_order(key_lanes_, ascending);
+  std::vector<std::vector<KeyRef>> order(P);
   ParallelFor(ctx->pool, P, [&](int p) {
     const KeyTable& keys = merged[p].keys;
     order[p].resize(keys.size());
     for (uint32_t g = 0; g < keys.size(); ++g) {
-      order[p][g] = {KeyPrefix(keys.key(g), key_lanes_), keys.key(g), g};
+      order[p][g] = key_order.Ref(keys.key(g), g);
     }
-    std::sort(order[p].begin(), order[p].end(), group_less);
+    std::sort(order[p].begin(), order[p].end(), key_order);
   });
   struct Head {
     int part;
     size_t pos;
   };
   auto greater = [&](const Head& x, const Head& y) {
-    return group_less(order[y.part][y.pos], order[x.part][x.pos]);
+    return key_order(order[y.part][y.pos], order[x.part][x.pos]);
   };
   std::priority_queue<Head, std::vector<Head>, decltype(greater)> heap(
       greater);
@@ -1610,7 +1638,7 @@ Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
     heap.pop();
     if (h.pos + 1 < order[h.part].size()) heap.push({h.part, h.pos + 1});
     AggTable& t = merged[h.part];
-    const GroupRef& ref = order[h.part][h.pos];
+    const KeyRef& ref = order[h.part][h.pos];
     const uint32_t g = ref.id;
     AppendKey(ref.key, key_lanes_, &outb);
     for (int a = 0; a < A; ++a) {
@@ -1665,29 +1693,68 @@ SortOp::SortOp(PhysOpRef child, std::vector<SortKey> keys, int64_t limit)
 Status SortOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet in;
   IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
-  std::vector<Row> rows = ToRows(in);
-  // Total order (keys then full-row tie-break): ties are broken the same way
-  // on every node and in the coordinator's k-way merge, so tied rows
-  // straddling a LIMIT boundary resolve identically everywhere.
-  auto cmp = [&](const Row& a, const Row& b) {
-    return CompareRowsTotal(a, b, keys_) < 0;
-  };
-  if (limit_ >= 0 && static_cast<size_t>(limit_) < rows.size()) {
-    std::partial_sort(rows.begin(), rows.begin() + limit_, rows.end(), cmp);
-    rows.resize(limit_);
-  } else {
-    std::sort(rows.begin(), rows.end(), cmp);
-  }
   out->types = out_types_;
-  Batch b = Batch::Make(out_types_);
-  for (const Row& r : rows) {
-    for (size_t c = 0; c < r.size(); ++c) b.cols[c].AppendValue(r[c]);
-    if (++b.rows >= Batch::kDefaultCapacity) {
-      out->batches.push_back(std::move(b));
-      b = Batch::Make(out_types_);
+  if (in.TotalRows() > UINT32_MAX) {
+    return Status::NotSupported("sort input past 2^32 rows");
+  }
+  // A row's key image holds the sort keys, then every column as a full-row
+  // tie-break: the order is total, so tied rows straddling a LIMIT resolve
+  // the same way on every node and in the coordinator's re-sort.
+  std::vector<int> cols;
+  std::vector<DataType> lanes;
+  std::vector<uint8_t> desc;
+  for (const SortKey& k : keys_) {
+    cols.push_back(k.col);
+    desc.push_back(k.desc);
+  }
+  for (size_t c = 0; c < out_types_.size(); ++c) {
+    cols.push_back(static_cast<int>(c));
+    desc.push_back(0);
+  }
+  for (int c : cols) lanes.push_back(LaneOf(out_types_[c]));
+  const int nb = static_cast<int>(in.batches.size());
+  std::vector<BatchKeys> keys(nb);
+  ParallelFor(ctx->pool, nb, [&](int bi) {
+    EncodeKeys(in.batches[bi], cols, lanes, &keys[bi]);
+  });
+  const KeyOrder order(lanes, desc);
+  struct Loc {
+    uint32_t batch, row;
+  };
+  std::vector<Loc> at;  // row id -> its batch and row
+  std::vector<KeyRef> refs;
+  at.reserve(in.TotalRows());
+  refs.reserve(in.TotalRows());
+  for (uint32_t bi = 0; bi < in.batches.size(); ++bi) {
+    for (uint32_t r = 0; r < in.batches[bi].rows; ++r) {
+      const uint32_t id = static_cast<uint32_t>(at.size());
+      refs.push_back(order.Ref(keys[bi].key(r), id));
+      at.push_back({bi, r});
     }
   }
-  if (b.rows > 0) out->batches.push_back(std::move(b));
+  size_t n = refs.size();
+  if (limit_ >= 0 && static_cast<size_t>(limit_) < n) {
+    n = static_cast<size_t>(limit_);
+    std::partial_sort(refs.begin(), refs.begin() + n, refs.end(), order);
+  } else {
+    std::sort(refs.begin(), refs.end(), order);
+  }
+
+  // Gather the sorted rows a column at a time, a batch at a time.
+  for (size_t begin = 0; begin < n; begin += Batch::kDefaultCapacity) {
+    Batch b = Batch::Make(out_types_);
+    b.rows = std::min(Batch::kDefaultCapacity, n - begin);
+    for (size_t c = 0; c < out_types_.size(); ++c) {
+      GatherRows(
+          b.rows,
+          [&](size_t i) {
+            const Loc l = at[refs[begin + i].id];
+            return RowRef{&in.batches[l.batch].cols[c], l.row};
+          },
+          &b.cols[c]);
+    }
+    out->batches.push_back(std::move(b));
+  }
   return Status::OK();
 }
 

@@ -230,11 +230,12 @@ struct AggSpec {
 /// keeps (group, agg, value image) keys. Each worker keeps one table per
 /// exchange partition; partition p takes over worker 0's table p and folds
 /// the other workers' tables p into it in worker order, remapping the group
-/// ids of their COUNT DISTINCT keys. Groups are emitted in ascending key
-/// order — NULL first, then CompareValues' order, doubles totally ordered
-/// by their bits — so the row order depends only on the key set, at every
-/// dop. The emission sort compares a 64-bit prefix of the first key column
-/// and falls back to the full key only on a tie.
+/// ids of their COUNT DISTINCT keys. Groups are emitted in ascending
+/// key-image order, the engine's one order over values (SortOp sorts by it
+/// too): NULL first, then CompareValues' order, doubles totally ordered by
+/// their bits. The row order depends only on the key set, at every dop. The
+/// emission sort compares a 64-bit prefix of the first key column and falls
+/// back to the full key only on a tie.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,
@@ -259,6 +260,12 @@ struct SortKey {
   bool desc = false;
 };
 
+/// ORDER BY with an optional LIMIT (limit < 0: none). Each row is imaged
+/// with HashAggOp's key images over the sort keys and then every column,
+/// and row refs are sorted under HashAggOp's key-image order with each sort
+/// key's direction: one total order, NaN included, so ties resolve
+/// independently of the input order. The output is gathered a column at a
+/// time in Batch::kDefaultCapacity batches.
 class SortOp : public PhysOp {
  public:
   SortOp(PhysOpRef child, std::vector<SortKey> keys, int64_t limit = -1);

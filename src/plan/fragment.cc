@@ -297,8 +297,8 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
 
   // Walk the single-child spine from the root. The cut happens at the first
   // aggregate (partial-agg fold), else at the deepest sort (per-fragment
-  // sort+limit, coordinator k-way merge), else the whole plan partitions
-  // row-disjoint and the coordinator concatenates.
+  // sort+limit, re-sorted by the completion plan), else the whole plan
+  // partitions row-disjoint. The coordinator always concatenates.
   std::vector<LogicalRef> spine;
   LogicalRef cur = plan;
   LogicalRef agg;
@@ -316,8 +316,12 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     cur = cur->children[0];
   }
 
+  // Each branch clones the fragment plan template (cloned again per range)
+  // and picks where the co-partitioning search starts: below the cut's
+  // aggregate or sort, at the root of a concat cut.
   FragmentSet fs;
-  LogicalRef tmpl;  // fragment plan template (cloned per range)
+  LogicalRef tmpl;
+  LogicalNode* search_root;
   if (agg) {
     // Two-phase aggregate decomposition. COUNT folds through an int64 sum
     // (kSumInt) so the merged count keeps its type; AVG decomposes into
@@ -377,8 +381,8 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
           return Status::NotSupported("non-distributable aggregate");
       }
     }
-    tmpl = LAgg(agg->children[0], agg->group_cols, partial);
-    fs.merge = FragmentMerge::kAgg;
+    tmpl = ClonePlan(LAgg(agg->children[0], agg->group_cols, partial));
+    search_root = tmpl->children[0].get();
     for (int g : agg->group_cols) fs.fragment_types.push_back(child_types[g]);
     for (const AggSpec& p : partial) fs.fragment_types.push_back(AggOutType(p));
     fs.values_node = LValues(fs.fragment_types, {});
@@ -403,21 +407,19 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     }
     fs.final_plan = RebuildSpine(spine, std::move(fin));
   } else if (last_sort >= 0) {
-    // Sort cut: fragments sort (and limit) their partition, the coordinator
-    // k-way merges under the same total order.
-    LogicalRef S = spine[last_sort];
-    tmpl = S;
-    fs.merge = FragmentMerge::kSortMerge;
-    fs.merge_keys = S->sort_keys;
-    fs.merge_limit = S->limit;
-    IMCI_RETURN_NOT_OK(InferOutputTypes(S, catalog, &fs.fragment_types));
+    // Sort cut: fragments sort (and limit) their partition; the completion
+    // plan sorts (and limits) the concatenated runs again under the same
+    // total order, which yields the single-node top rows.
+    tmpl = ClonePlan(spine[last_sort]);
+    search_root = tmpl->children[0].get();
+    IMCI_RETURN_NOT_OK(InferOutputTypes(tmpl, catalog, &fs.fragment_types));
     fs.values_node = LValues(fs.fragment_types, {});
     fs.final_plan = RebuildSpine(
-        {spine.begin(), spine.begin() + last_sort}, fs.values_node);
+        {spine.begin(), spine.begin() + last_sort + 1}, fs.values_node);
   } else {
     // Concat cut: fragment outputs are disjoint row sets.
-    tmpl = plan;
-    fs.merge = FragmentMerge::kConcat;
+    tmpl = ClonePlan(plan);
+    search_root = tmpl.get();
     IMCI_RETURN_NOT_OK(InferOutputTypes(plan, catalog, &fs.fragment_types));
     fs.values_node = LValues(fs.fragment_types, {});
     fs.final_plan = fs.values_node;
@@ -428,10 +430,6 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
   // occurrence. The cut's input only has to be split disjointly and
   // completely; below it, joins and aggregates pull their inputs onto one
   // key class where that keeps them complete per fragment.
-  tmpl = ClonePlan(tmpl);
-  LogicalNode* search_root = fs.merge == FragmentMerge::kConcat
-                                 ? tmpl.get()
-                                 : tmpl->children[0].get();
   CoPartitioner parts(catalog, stats);
   if (parts.Best(search_root, CoPartitioner::kAnyKey) == 0) {
     return Status::NotSupported("no partitionable scan");

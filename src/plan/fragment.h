@@ -29,26 +29,17 @@ namespace imci {
 /// metadata on the key pack recovers group-granular skipping, so a
 /// value-range fragment still touches ~1/N of the groups.
 
-/// How the coordinator recombines fragment outputs.
-enum class FragmentMerge : uint8_t {
-  kConcat,     // fragment outputs are disjoint row sets; concatenate
-  kAgg,        // fragments emit partial aggregates; fold with a final agg
-  kSortMerge,  // fragments emit sorted (limited) runs; k-way merge
-};
-
 /// The result of cutting a plan: per-node fragment plans plus the
 /// coordinator-side completion plan. The coordinator fills `values_node`
-/// with the merged fragment rows and executes `final_plan` locally
-/// (`final_plan` contains no scans, so it needs no store access).
+/// with the fragment outputs concatenated in fragment order and executes
+/// `final_plan` locally (`final_plan` contains no scans, so it needs no
+/// store access).
 struct FragmentSet {
-  FragmentMerge merge = FragmentMerge::kConcat;
   std::vector<LogicalRef> fragments;      // one per key range, independently
                                           // cloned (safe to mutate/serialize)
   std::vector<DataType> fragment_types;   // fragment output schema
   LogicalRef final_plan;                  // completion plan over values_node
-  LogicalRef values_node;                 // kValues placeholder for merged rows
-  std::vector<SortKey> merge_keys;        // kSortMerge: SortOp total order keys
-  int64_t merge_limit = -1;               // kSortMerge: overall limit
+  LogicalRef values_node;                 // kValues placeholder for the rows
 };
 
 /// Cuts `plan` into up to `nfrags` key-range fragments, choosing the key

@@ -70,7 +70,7 @@ LogStore* PolarFs::log(const std::string& name) {
     // exercise recovery failures go through ReopenLogs(), which reports
     // them.
     (void)store->Open();
-    if (options_.enable_archive) store->set_archive(archive());
+    store->set_archive(archive());
     it = logs_.emplace(name, std::move(store)).first;
   }
   return it->second.get();
@@ -101,7 +101,6 @@ Status PolarFs::SyncControl() {
 }
 
 ArchiveStore* PolarFs::archive() {
-  if (!options_.enable_archive) return nullptr;
   std::lock_guard<std::mutex> g(archive_mu_);
   if (!archive_) {
     archive_ = std::make_unique<ArchiveStore>(this);

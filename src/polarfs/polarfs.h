@@ -77,11 +77,6 @@ class PolarFs {
     uint32_t fsync_latency_us = 0;
     /// Soft segment size for logs opened through log() (see LogStore).
     size_t log_segment_bytes = 1 << 20;
-    /// When set, every log opened through log() gets the shared ArchiveStore
-    /// attached as its recycle sink (seal-before-truncate), enabling
-    /// point-in-time recovery and post-recycle scale-out. Disable to model a
-    /// cluster without an archive tier: Truncate destroys history again.
-    bool enable_archive = true;
     /// Point-in-time-recovery retention: keep only the newest N snapshot
     /// anchors (SnapshotStore::set_retention). 0 (default) keeps every
     /// anchor. Dropping anchors raises the archive GC floor, making the
@@ -124,8 +119,9 @@ class PolarFs {
 
   // --- Archive tier ---------------------------------------------------------
 
-  /// The shared archive (lazily created). nullptr when Options::enable_archive
-  /// is false.
+  /// The shared archive (lazily created). Every log opened through log()
+  /// gets it attached as its recycle sink (seal-before-truncate), enabling
+  /// point-in-time recovery and post-recycle scale-out.
   ArchiveStore* archive();
 
   // --- Page store ----------------------------------------------------------

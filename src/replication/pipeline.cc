@@ -571,11 +571,7 @@ Status ReplicationPipeline::TakeCheckpoint(uint64_t ckpt_id) {
   // Register the checkpoint as a PITR restore anchor: the pages just
   // flushed + this checkpoint directory are exactly the state replay from
   // start_lsn resumes from (Cluster::RestoreToLsn).
-  if (ArchiveStore* arc = fs_->archive()) {
-    IMCI_RETURN_NOT_OK(
-        arc->snapshots()->Register(ckpt_id, csn, start_lsn));
-  }
-  return Status::OK();
+  return fs_->archive()->snapshots()->Register(ckpt_id, csn, start_lsn);
 }
 
 void ReplicationPipeline::RequestCheckpoint(uint64_t ckpt_id) {

@@ -184,20 +184,28 @@ TEST_P(DistTpchEquivalence, DistributedMatchesSingleNode) {
 INSTANTIATE_TEST_SUITE_P(AllQueries, DistTpchEquivalence,
                          ::testing::Range(1, 23));
 
-// Integer-only plans must round-trip bit-exactly — no Canonicalize rounding
-// involved; sorted outputs must also agree on order (k-way merge ties are
-// broken by full-row comparison, same as the single-node sort).
+// These plans must round-trip bit-exactly — no Canonicalize rounding or
+// sorting involved — so sorted outputs must also agree on order: the
+// completion plan re-sorts the concatenated per-fragment runs under the
+// single-node sort's total order (keys, then the full row). The last plan
+// sorts on a DOUBLE and a STRING key in opposite directions.
 TEST_F(DistExecTest, IntegerResultsBitExactAndOrdered) {
   auto li = cluster_->catalog()->GetByName("lineitem");
   const int supp = tpch::ColOf(*li, "l_suppkey");
   const int line = tpch::ColOf(*li, "l_linenumber");
+  auto orders = cluster_->catalog()->GetByName("orders");
+  const int price = tpch::ColOf(*orders, "o_totalprice");
+  const int priority = tpch::ColOf(*orders, "o_orderpriority");
+  const int okey = tpch::ColOf(*orders, "o_orderkey");
   auto agg = LAgg(LScan(li->table_id(), {line, supp}), {0},
                   {AggSpec{AggKind::kCountStar, nullptr},
                    AggSpec{AggKind::kMin, Col(1, DataType::kInt64)},
                    AggSpec{AggKind::kMax, Col(1, DataType::kInt64)}});
   auto sorted = LSort(LScan(li->table_id(), {line, supp}),
                       {SortKey{0, false}, SortKey{1, true}}, 500);
-  for (const auto& plan : {agg, sorted}) {
+  auto by_price = LSort(LScan(orders->table_id(), {price, priority, okey}),
+                        {SortKey{0, true}, SortKey{1, false}}, 100);
+  for (const auto& plan : {agg, sorted, by_price}) {
     std::vector<Row> ref_rows, dist_rows;
     ASSERT_TRUE(Reference(plan, &ref_rows).ok());
     bool attempted = false;

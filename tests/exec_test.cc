@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <random>
 #include <set>
+#include <tuple>
 
 #include "exec/expr.h"
 #include "exec/operators.h"
@@ -843,6 +846,29 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
                                                            pk, type)),
                 model_join(build_rows, rows, bk, pk, type));
     }
+
+    // Sort: 1-3 keys in random directions, then the full row, against
+    // std::sort under CompareValues.
+    std::vector<SortKey> sort_keys;
+    for (int n = 1 + pick(3); n > 0; --n) {
+      sort_keys.push_back({pick(types.size()), pick(2) == 0});
+    }
+    const int64_t n = static_cast<int64_t>(rows.size());
+    const int64_t limits[] = {-1, 0, 1, n / 2, n + 5};
+    const int64_t limit = limits[pick(5)];
+    SCOPED_TRACE(::testing::Message() << "sort limit " << limit);
+    std::vector<Row> sorted = rows;
+    std::sort(sorted.begin(), sorted.end(), [&](const Row& x, const Row& y) {
+      for (const SortKey& k : sort_keys) {
+        if (const int c = CompareValues(x[k.col], y[k.col]); c != 0) {
+          return k.desc ? c > 0 : c < 0;
+        }
+      }
+      return row_less(x, y);
+    });
+    if (limit >= 0 && limit < n) sorted.resize(limit);
+    EXPECT_EQ(RunAtDops(std::make_shared<SortOp>(input, sort_keys, limit)),
+              sorted);
   }
 
   // High cardinality: ~6000 rows over 2000 integer keys in 16-23 batches,
@@ -1048,6 +1074,90 @@ TEST_F(OperatorTest, SortWithLimitAndDirections) {
   EXPECT_EQ(AsInt(out[0][0]), 9);
   EXPECT_EQ(AsInt(out[0][1]), 9);  // smallest i with key 9
   EXPECT_EQ(AsInt(out[4][1]), 49);
+}
+
+// SortOp's order is total over doubles: NaN (after +inf when positive),
+// +-inf, -0.0 == 0.0 and NULL. Every shuffle of the same rows, split into
+// batches at random, must give bit-identical output, in both directions
+// and with a LIMIT; the non-NaN keys must come out in CompareValues' order,
+// ties broken by the unique id column.
+TEST_F(OperatorTest, SortOrdersNaNKeysTotally) {
+  const uint64_t seed = testing_util::TestSeed(20261020);
+  SCOPED_TRACE(::testing::Message() << "IMCI_TEST_SEED=" << seed);
+  std::mt19937_64 rng(seed);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> keys = {Value{nan}, Value{inf}, Value{-inf},
+                                   Value{-0.0}, Value{0.0}, Value{},
+                                   Value{1.5},  Value{-2.5}};
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 40; ++i) rows.push_back({keys[i % keys.size()], i});
+  const std::vector<DataType> types = {DataType::kDouble, DataType::kInt64};
+  auto is_nan = [](const Value& v) {
+    return !IsNull(v) && std::isnan(NumericValue(v));
+  };
+  // Row images that tell NaN, -0.0 and 0.0 apart.
+  auto bits = [](const std::vector<Row>& out) {
+    std::vector<std::tuple<bool, uint64_t, int64_t>> b;
+    for (const Row& r : out) {
+      const bool null = IsNull(r[0]);
+      b.emplace_back(null,
+                     null ? 0 : std::bit_cast<uint64_t>(NumericValue(r[0])),
+                     AsInt(r[1]));
+    }
+    return b;
+  };
+  for (bool desc : {false, true}) {
+    std::vector<Row> full;
+    for (int64_t limit : {int64_t{-1}, int64_t{10}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (desc ? "desc" : "asc") << " limit " << limit);
+      std::vector<Row> first;
+      for (int shuffle = 0; shuffle < 100; ++shuffle) {
+        std::shuffle(rows.begin(), rows.end(), rng);
+        std::vector<std::vector<Row>> batches(1 + rng() % 4);
+        for (const Row& r : rows) batches[rng() % batches.size()].push_back(r);
+        auto sort = std::make_shared<SortOp>(
+            Batches(std::move(batches), types),
+            std::vector<SortKey>{{0, desc}}, limit);
+        std::vector<Row> out;
+        ASSERT_TRUE(RunPlan(sort, &ctx_, &out).ok());
+        if (shuffle == 0) {
+          first = out;
+          continue;
+        }
+        ASSERT_EQ(bits(out), bits(first)) << "shuffle " << shuffle;
+      }
+      if (limit < 0) {
+        ASSERT_EQ(first.size(), rows.size());
+        full = first;
+      } else {
+        ASSERT_EQ(first.size(), static_cast<size_t>(limit));
+        EXPECT_EQ(bits(first),
+                  bits(std::vector<Row>(full.begin(), full.begin() + limit)));
+      }
+      // Positive NaN is the largest key: last ascending, first descending.
+      const Row* prev = nullptr;
+      bool seen_nan = false, seen_other = false;
+      for (const Row& r : first) {
+        if (is_nan(r[0])) {
+          EXPECT_FALSE(desc && seen_other) << "NaN after a number";
+          seen_nan = true;
+          continue;
+        }
+        EXPECT_FALSE(!desc && seen_nan) << "number after NaN";
+        seen_other = true;
+        if (prev != nullptr) {
+          const int c = CompareValues((*prev)[0], r[0]);
+          EXPECT_TRUE(desc ? c >= 0 : c <= 0) << "keys out of order";
+          if (c == 0) {
+            EXPECT_LT(AsInt((*prev)[1]), AsInt(r[1])) << "tie out of order";
+          }
+        }
+        prev = &r;
+      }
+    }
+  }
 }
 
 // A limit past one output batch (2048 rows) cuts inside the second batch.

@@ -7,8 +7,7 @@
 // durable prefix at the cut — the property these tests pin against a
 // transaction-by-transaction model of the workload. The flip side is
 // integrity: a torn or truncated archive must surface as Corruption, never
-// as a silently shorter history; and without the archive tier the operation
-// is refused outright instead of producing a gapped replay.
+// as a silently shorter history.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -354,29 +353,6 @@ TEST_F(RetentionRestoreTest, RetentionDropsAnchorsAndMakesLogPrefixGcEligible) {
   ASSERT_LT(commits_.front().lsn, floor);
   Cluster::RestoredCluster below;
   EXPECT_FALSE(cluster_->RestoreToLsn(commits_.front().lsn, &below).ok());
-}
-
-TEST(RestoreDisabledTest, RefusedWithoutArchiveTier) {
-  ClusterOptions opts;
-  opts.initial_ro_nodes = 1;
-  opts.ro.imci.row_group_size = 256;
-  opts.fs.enable_archive = false;
-  Cluster cluster(opts);
-  ASSERT_TRUE(cluster.CreateTable(KvSchema()).ok());
-  std::vector<Row> rows;
-  for (int64_t pk = 0; pk < 10; ++pk) {
-    rows.push_back({pk, int64_t(0), std::string("base")});
-  }
-  ASSERT_TRUE(cluster.BulkLoad(1, std::move(rows)).ok());
-  ASSERT_TRUE(cluster.Open().ok());
-  auto* txns = cluster.rw()->txn_manager();
-  Transaction txn;
-  txns->Begin(&txn);
-  ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(100), int64_t(1),
-                                     std::string("x")}).ok());
-  ASSERT_TRUE(txns->Commit(&txn).ok());
-  Cluster::RestoredCluster r;
-  EXPECT_FALSE(cluster.RestoreToLsn(txn.commit_lsn(), &r).ok());
 }
 
 }  // namespace
