@@ -1,9 +1,10 @@
 #include "cluster/coordinator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <mutex>
 #include <thread>
+
+#include "common/clock.h"
 
 namespace imci {
 
@@ -12,13 +13,6 @@ namespace {
 /// Total dispatch attempts per fragment (first try + retries on surviving
 /// peers) before the whole query falls back to single-node.
 constexpr int kMaxAttemptsPerFragment = 3;
-
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
 
 }  // namespace
 
@@ -157,7 +151,7 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
   // the final fold visits partials in a deterministic sequence. The
   // completion plan contains no scans (it reads the rows through a Values
   // node), so it executes locally without store access.
-  const auto merge_start = std::chrono::steady_clock::now();
+  Timer merge;
   std::vector<Row> merged;
   for (FragRun& fr : runs) {
     merged.insert(merged.end(), std::make_move_iterator(fr.rsp.rows.begin()),
@@ -183,7 +177,7 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
     stats->participants = static_cast<int>(C);
     stats->fragments = static_cast<int>(F);
     stats->snapshot_vid = read_vid;
-    stats->merge_us = ElapsedUs(merge_start);
+    stats->merge_us = merge.ElapsedMicros();
     for (FragRun& fr : runs) {
       stats->retries += static_cast<uint64_t>(fr.attempts - 1);
       stats->stragglers += fr.stragglers;

@@ -1,8 +1,8 @@
 #include "cluster/fragment_service.h"
 
-#include <chrono>
 #include <utility>
 
+#include "common/clock.h"
 #include "common/coding.h"
 #include "common/fault.h"
 
@@ -27,13 +27,6 @@ Status GetStatus(ByteReader* r, Status* out) {
   IMCI_RETURN_NOT_OK(r->Str(&msg));
   *out = Status(static_cast<Code>(code), std::move(msg));
   return Status::OK();
-}
-
-uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
 }
 
 }  // namespace
@@ -98,44 +91,35 @@ Status FragmentService::Execute(const FragmentRequest& req,
   fault::ScopedContext fault_scope(node_->name());
   IMCI_RETURN_NOT_OK(fault::Maybe("fragment.execute"));
 
-  // Pin the requested snapshot on every index the fragment touches *before*
-  // waiting: maintenance must not reclaim versions the common snapshot can
-  // still read while we catch up to it. This node may have applied past
-  // the snapshot since the coordinator chose it, and released what the
-  // snapshot reads: it answers Busy, and the coordinator retries the
-  // fragment on a peer at the same VID.
-  ScanPins pins(*node_->imci(), req.plan, req.read_vid);
-  if (!pins.covered()) {
-    return Status::Busy("snapshot below this node's released state");
-  }
+  // Pin the requested snapshot *before* waiting: maintenance must not
+  // release state the common snapshot reads while we catch up to it. This
+  // node may have applied past the snapshot since the coordinator chose it,
+  // and released what the snapshot reads: it answers Busy, and the
+  // coordinator retries the fragment on a peer at the same VID.
+  SnapshotRegistry* snaps = node_->engine()->row_snapshots();
+  const uint64_t pin = snaps->Pin(req.read_vid);
+  Status status =
+      snaps->Covers(req.read_vid)
+          ? Status::OK()
+          : Status::Busy("snapshot below this node's released state");
 
   // Bounded catch-up to the common snapshot. A node that can't cover the
   // coordinator's VID in time answers Busy — the coordinator then shrinks
   // the participant set rather than stalling the whole query on one
   // straggler.
-  const auto wait_start = std::chrono::steady_clock::now();
-  IMCI_RETURN_NOT_OK(
-      node_->WaitApplied(req.read_vid, req.catchup_timeout_us));
-  rsp->wait_us = ElapsedUs(wait_start);
-
-  const int desired =
-      req.dop > 0
-          ? req.dop
-          : ChooseDop(req.plan, *node_->stats(),
-                      node_->options().default_parallelism);
-  QueryTokenGrant grant(node_->query_tokens(), desired);
-  ExecContext ctx;
-  ctx.pool = node_->exec_pool();
-  ctx.parallelism = grant.tokens();
-  ctx.morsel_row_groups = node_->options().morsel_row_groups;
-  ctx.read_vid = req.read_vid;
-
-  const auto exec_start = std::chrono::steady_clock::now();
-  PhysOpRef root;
-  Status status = LowerToColumnPlan(req.plan, node_->imci(), &root);
-  if (status.ok()) status = RunPlan(root, &ctx, &rsp->rows);
-  rsp->exec_us = ElapsedUs(exec_start);
-  rsp->applied_vid = node_->applied_vid();
+  if (status.ok()) {
+    Timer wait;
+    status = node_->WaitApplied(req.read_vid, req.catchup_timeout_us);
+    rsp->wait_us = wait.ElapsedMicros();
+  }
+  if (status.ok()) {
+    Timer exec;
+    status = node_->RunColumnAt(req.plan, req.read_vid, req.dop, &rsp->rows,
+                                nullptr);
+    rsp->exec_us = exec.ElapsedMicros();
+    rsp->applied_vid = node_->applied_vid();
+  }
+  snaps->Unpin(pin);
   return status;
 }
 

@@ -1,8 +1,6 @@
 #include "cluster/ro_node.h"
 
-#include <chrono>
-#include <optional>
-#include <thread>
+#include <algorithm>
 
 #include "cluster/rw_node.h"
 #include "common/clock.h"
@@ -13,21 +11,6 @@ namespace {
 /// Deadline of CatchUpNow's wait on the background pipeline: far above any
 /// catch-up a test or bench drives, so reaching it means a stuck pipeline.
 constexpr uint64_t kCatchUpTimeoutUs = 60'000'000;
-
-/// Polls `done` every 100 µs. Busy when `node` turns unhealthy or
-/// `timeout_us` passes first.
-template <typename Done>
-Status PollUntil(const RoNode& node, Done done, uint64_t timeout_us) {
-  Timer t;
-  while (!done()) {
-    if (!node.healthy()) return Status::Busy("node unhealthy during catch-up");
-    if (t.ElapsedMicros() >= timeout_us) {
-      return Status::Busy("catch-up timeout");
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  return Status::OK();
-}
 }  // namespace
 
 RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
@@ -37,7 +20,7 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
       catalog_(catalog),
       options_(std::move(options)),
       engine_(fs, catalog),
-      imci_(options_.imci),
+      imci_(engine_.row_snapshots(), options_.imci),
       exec_pool_(options_.exec_threads),
       query_tokens_(options_.exec_threads),
       repl_pool_(std::max(options_.replication.parse_parallelism,
@@ -47,8 +30,17 @@ RoNode::RoNode(std::string name, PolarFs* fs, Catalog* catalog,
 
 RoNode::~RoNode() { StopReplication(); }
 
+Status RoNode::WaitUntil(const std::function<bool()>& done,
+                         uint64_t timeout_us) {
+  if (pipeline_.Await([&] { return done() || !healthy(); }, timeout_us)) {
+    return done() ? Status::OK()
+                  : Status::Busy("node unhealthy during catch-up");
+  }
+  return Status::Busy("catch-up timeout");
+}
+
 Status RoNode::WaitApplied(Vid vid, uint64_t timeout_us) {
-  return PollUntil(*this, [&] { return applied_vid() >= vid; }, timeout_us);
+  return WaitUntil([&] { return applied_vid() >= vid; }, timeout_us);
 }
 
 Status RoNode::Boot() {
@@ -118,7 +110,7 @@ void RoNode::StartReplication() {
 
 void RoNode::StopReplication() {
   if (!replicating_.exchange(false)) return;
-  pipeline_.Stop();
+  pipeline_.Stop();  // also wakes waiters, which now see !healthy()
 }
 
 Status RoNode::CatchUpNow() {
@@ -131,32 +123,27 @@ Status RoNode::CatchUpNow() {
     // durable LSN of this call (a steady writer keeps moving the tail) —
     // but never wait on a pipeline that can no longer make progress.
     const Lsn target = pipeline_.source_durable_lsn();
-    Status s = PollUntil(
-        *this, [&] { return pipeline_.read_lsn() >= target; },
-        kCatchUpTimeoutUs);
+    Status s = WaitUntil([&] { return pipeline_.read_lsn() >= target; },
+                         kCatchUpTimeoutUs);
     if (!s.ok() && pipeline_.wedged()) return pipeline_.wedge_reason();
     return s;
   }
   return pipeline_.CatchUp(pipeline_.source_durable_lsn());
 }
 
-ScanPins::ScanPins(const ImciStore& imci, const LogicalRef& plan, Vid vid) {
-  std::vector<const LogicalNode*> scans;
-  CollectScans(plan, &scans);
-  for (const LogicalNode* s : scans) {
-    ColumnIndex* index = imci.GetIndex(s->table_id);
-    if (index == nullptr) continue;
-    pins_.emplace_back(index, index->read_views()->Pin(vid));
-    covered_ = covered_ && index->read_views()->Covers(vid);
-  }
-}
-
-ScanPins::~ScanPins() {
-  for (auto& [index, token] : pins_) index->read_views()->Unpin(token);
-}
-
 Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
                              int parallelism, int* dop_used) {
+  // Sampled under the registry mutex: no maintenance pass can release the
+  // opened point, so the snapshot is covered by construction.
+  SnapshotRegistry* snaps = engine_.row_snapshots();
+  const Vid vid = snaps->Open(pipeline_.applied_vid_ref());
+  Status status = RunColumnAt(plan, vid, parallelism, out, dop_used);
+  snaps->Close(vid, pipeline_.applied_vid_ref());
+  return status;
+}
+
+Status RoNode::RunColumnAt(const LogicalRef& plan, Vid vid, int parallelism,
+                           std::vector<Row>* out, int* dop_used) {
   // Degree of parallelism: an explicit caller request wins (bench sweeps,
   // tests); otherwise the optimizer sizes the fan-out to the estimated scan
   // volume. Either way the request is then clamped to this query's token
@@ -172,14 +159,7 @@ Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
   ctx.pool = &exec_pool_;
   ctx.parallelism = grant.tokens();
   ctx.morsel_row_groups = options_.morsel_row_groups;
-  // A maintenance pass between sampling the applied point and pinning it
-  // may already have released that point; the applied point has moved on
-  // by then, so sample again.
-  std::optional<ScanPins> pins;
-  do {
-    ctx.read_vid = pipeline_.applied_vid();
-    pins.emplace(imci_, plan, ctx.read_vid);
-  } while (!pins->covered());
+  ctx.read_vid = vid;
   PhysOpRef root;
   Status status = LowerToColumnPlan(plan, &imci_, &root);
   if (status.ok()) status = RunPlan(root, &ctx, out);
@@ -190,10 +170,10 @@ Status RoNode::ExecuteRow(const LogicalRef& plan, std::vector<Row>* out) {
   ExecContext ctx;
   ctx.pool = nullptr;  // the row engine executes single-threaded
   ctx.parallelism = 1;
-  // Pin the applied commit point for the whole plan (the row-engine
-  // counterpart of ExecuteColumn's read-view pin): every scan it contains
-  // sees one commit prefix, and maintenance pruning cannot reclaim the
-  // pinned versions until the registry releases them below.
+  // Pin the applied commit point for the whole plan, in the same registry
+  // as ExecuteColumn: every scan it contains sees one commit prefix, and
+  // maintenance pruning cannot reclaim the pinned versions until the
+  // registry releases them below.
   SnapshotRegistry* snaps = engine_.row_snapshots();
   const Vid vid = snaps->Open(pipeline_.applied_vid_ref());
   ctx.read_vid = vid;

@@ -2,6 +2,7 @@
 #define POLARDB_IMCI_CLUSTER_RO_NODE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -28,24 +29,6 @@ struct RoNodeOptions {
   int morsel_row_groups = 1;
 };
 
-/// One column-engine plan's read view: `vid` pinned on every index the plan
-/// scans until destruction, so maintenance never reclaims versions under
-/// the plan (§6.4 snapshot consistency). covered() is false when an index
-/// had already released state a view at `vid` reads
-/// (ReadViewRegistry::Covers); such a view must not be scanned.
-class ScanPins {
- public:
-  ScanPins(const ImciStore& imci, const LogicalRef& plan, Vid vid);
-  ~ScanPins();
-  ScanPins(const ScanPins&) = delete;
-  ScanPins& operator=(const ScanPins&) = delete;
-  bool covered() const { return covered_; }
-
- private:
-  std::vector<std::pair<ColumnIndex*, uint64_t>> pins_;
-  bool covered_ = true;
-};
-
 /// A read-only node (§3.1): dual-format storage — a row-store replica (its
 /// buffer pool, maintained by Phase#1) plus in-memory column indexes — and
 /// dual execution engines with cost-based intra-node routing.
@@ -70,15 +53,18 @@ class RoNode {
   /// as WaitApplied, under a fixed deadline: a wedge returns the wedge
   /// reason, another health loss or the deadline returns Busy.
   Status CatchUpNow();
-  /// Bounded wait until the node has applied `vid` (polled every 100 µs).
-  /// Returns Busy when the node turns unhealthy or `timeout_us` passes.
+  /// Bounded wait until the node has applied `vid`, woken by the
+  /// pipeline's progress notifications. Returns Busy when the node turns
+  /// unhealthy or `timeout_us` passes.
   Status WaitApplied(Vid vid, uint64_t timeout_us);
 
   // --- Query execution ----------------------------------------------------
 
-  /// Runs on the column engine at the current applied read view. When
-  /// `dop_used` is non-null it receives the parallelism actually granted
-  /// after token clamping (surfaced by the bench scheduler counters).
+  /// Runs on the column engine at a snapshot opened at the node's applied
+  /// commit point in its snapshot registry, so maintenance releases nothing
+  /// the plan reads. When `dop_used` is non-null it receives the
+  /// parallelism actually granted after token clamping (surfaced by the
+  /// bench scheduler counters).
   Status ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
                        int parallelism = 0, int* dop_used = nullptr);
   /// Runs on the row engine against the row-store replica, at a snapshot
@@ -133,7 +119,10 @@ class RoNode {
   }
   /// Marks the node as leaving the fleet: pickers skip it and strong-read
   /// waiters bail out, so RemoveRoNode's session drain terminates.
-  void Retire() { retired_.store(true); }
+  void Retire() {
+    retired_.store(true);
+    pipeline_.NotifyWaiters();
+  }
   bool retired() const { return retired_.load(); }
 
   bool is_leader() const { return leader_.load(); }
@@ -156,7 +145,18 @@ class RoNode {
   QueryTokenLedger* query_tokens() { return &query_tokens_; }
 
  private:
+  friend class FragmentService;
+
   Status RebuildFromRowStore();
+  /// Blocks until `done()` holds (OK), the node turns unhealthy or
+  /// `timeout_us` passes (Busy).
+  Status WaitUntil(const std::function<bool()>& done, uint64_t timeout_us);
+  /// Runs `plan` on the column engine at `vid`, which the caller holds in
+  /// the node's snapshot registry: sizes the parallelism (`parallelism` if
+  /// positive, else ChooseDop), clamps it to a query-token grant, lowers
+  /// and executes.
+  Status RunColumnAt(const LogicalRef& plan, Vid vid, int parallelism,
+                     std::vector<Row>* out, int* dop_used);
 
   std::string name_;
   PolarFs* fs_;

@@ -1365,6 +1365,21 @@ void FoldDistinct(const KeyTable& src, const std::vector<uint32_t>& remap,
 
 }  // namespace
 
+DataType AggOutType(const AggSpec& a) {
+  switch (a.kind) {
+    case AggKind::kCount:
+    case AggKind::kCountStar:
+    case AggKind::kCountDistinct:
+    case AggKind::kSumInt:
+      return DataType::kInt64;
+    case AggKind::kMin:
+    case AggKind::kMax:
+      return a.arg->out_type;
+    default:
+      return DataType::kDouble;
+  }
+}
+
 HashAggOp::HashAggOp(PhysOpRef child, std::vector<int> group_cols,
                      std::vector<AggSpec> aggs)
     : child_(std::move(child)),
@@ -1376,21 +1391,7 @@ HashAggOp::HashAggOp(PhysOpRef child, std::vector<int> group_cols,
     key_lanes_.push_back(LaneOf(ct[c]));
   }
   for (const AggSpec& a : aggs_) {
-    switch (a.kind) {
-      case AggKind::kCount:
-      case AggKind::kCountStar:
-      case AggKind::kCountDistinct:
-      case AggKind::kSumInt:
-        out_types_.push_back(DataType::kInt64);
-        break;
-      case AggKind::kMin:
-      case AggKind::kMax:
-        out_types_.push_back(a.arg->out_type);
-        break;
-      default:
-        out_types_.push_back(DataType::kDouble);
-        break;
-    }
+    out_types_.push_back(AggOutType(a));
     const bool minmax = a.kind == AggKind::kMin || a.kind == AggKind::kMax;
     const DataType lane = minmax ? LaneOf(a.arg->out_type) : DataType::kInt64;
     has_sums_ |= a.kind == AggKind::kSum || a.kind == AggKind::kAvg;

@@ -220,6 +220,10 @@ struct AggSpec {
   ExprRef arg;  // null for kCountStar
 };
 
+/// The type of `a`'s output column: INT64 for the counts and kSumInt, the
+/// argument's type for MIN/MAX, DOUBLE otherwise.
+DataType AggOutType(const AggSpec& a);
+
 /// Hash aggregation with thread-local partial tables, partitioned by key
 /// hash as they fill and merged partition-parallel (§6.3). Output: group
 /// columns (in given order) then one column per agg.

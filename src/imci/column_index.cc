@@ -4,35 +4,12 @@
 
 namespace imci {
 
-uint64_t ReadViewRegistry::Pin(Vid vid) {
-  std::lock_guard<std::mutex> g(mu_);
-  uint64_t token = next_token_++;
-  pinned_[token] = vid;
-  return token;
-}
-
-void ReadViewRegistry::Unpin(uint64_t token) {
-  std::lock_guard<std::mutex> g(mu_);
-  pinned_.erase(token);
-}
-
-Vid ReadViewRegistry::MinActive(Vid if_none) {
-  std::lock_guard<std::mutex> g(mu_);
-  Vid min = if_none;
-  for (const auto& [token, vid] : pinned_) min = std::min(min, vid);
-  horizon_ = std::max(horizon_, min);
-  return min;
-}
-
-bool ReadViewRegistry::Covers(Vid vid) const {
-  std::lock_guard<std::mutex> g(mu_);
-  return vid >= horizon_;
-}
-
 ColumnIndex::ColumnIndex(std::shared_ptr<const Schema> schema,
-                         ColumnIndexOptions options)
+                         ColumnIndexOptions options,
+                         SnapshotRegistry* read_views)
     : schema_(std::move(schema)),
-      options_(options) {
+      options_(options),
+      read_views_(read_views) {
   col_to_pack_.assign(schema_->num_columns(), -1);
   for (int c = 0; c < schema_->num_columns(); ++c) {
     // The PK column is always part of the index (needed by compaction and
@@ -257,7 +234,8 @@ uint64_t ColumnIndex::visible_rows(Vid read_vid) const {
 ColumnIndex* ImciStore::CreateIndex(std::shared_ptr<const Schema> schema) {
   std::unique_lock<std::shared_mutex> g(mu_);
   auto& slot = indexes_[schema->table_id()];
-  slot = std::make_unique<ColumnIndex>(std::move(schema), options_);
+  slot = std::make_unique<ColumnIndex>(std::move(schema), options_,
+                                       read_views_);
   return slot.get();
 }
 

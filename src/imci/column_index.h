@@ -11,34 +11,11 @@
 
 #include "common/row.h"
 #include "common/schema.h"
+#include "common/snapshot_registry.h"
 #include "imci/rid_locator.h"
 #include "imci/row_group.h"
 
 namespace imci {
-
-/// Tracks pinned read views so maintenance (compaction reclaim, insert-VID
-/// map dropping, checkpoint) knows the oldest VID any reader may observe.
-class ReadViewRegistry {
- public:
-  /// Pins `vid`; returns a token for Unpin.
-  uint64_t Pin(Vid vid);
-  void Unpin(uint64_t token);
-  /// Oldest pinned VID, or `if_none` when nothing is pinned. Maintenance
-  /// asks right before it releases what no view at or above the answer
-  /// reads (retired groups, insert-VID maps), so the answer also raises the
-  /// horizon below which Covers is false.
-  Vid MinActive(Vid if_none);
-  /// False when maintenance may already have released state a view at
-  /// `vid` reads. Pin first, then ask: while the pin holds, a true answer
-  /// stays true.
-  bool Covers(Vid vid) const;
-
- private:
-  mutable std::mutex mu_;
-  uint64_t next_token_ = 1;
-  std::unordered_map<uint64_t, Vid> pinned_;
-  Vid horizon_ = 0;
-};
 
 struct ColumnIndexOptions {
   /// Rows per row group ("64K rows per row group" by default, §4.1). A
@@ -57,8 +34,11 @@ struct ColumnIndexOptions {
 /// which pin a read view VID.
 class ColumnIndex {
  public:
+  /// `read_views` is the owning node's snapshot registry (null for an
+  /// index outside an ImciStore, which nothing reads concurrently).
   ColumnIndex(std::shared_ptr<const Schema> schema,
-              ColumnIndexOptions options = ColumnIndexOptions());
+              ColumnIndexOptions options = ColumnIndexOptions(),
+              SnapshotRegistry* read_views = nullptr);
 
   const Schema& schema() const { return *schema_; }
   /// Pack ordinal for a schema column ordinal, or -1 if not indexed.
@@ -100,7 +80,9 @@ class ColumnIndex {
   Status LookupByPk(int64_t pk, Vid read_vid, Row* row) const;
 
   RidLocator* locator() { return &locator_; }
-  ReadViewRegistry* read_views() { return &read_views_; }
+  /// The node's snapshot registry: a reader holds its read VID there, so
+  /// maintenance releases nothing the reader sees.
+  SnapshotRegistry* read_views() { return read_views_; }
   const ColumnIndexOptions& options() const { return options_; }
 
   /// Materializes the indexed columns of the row stored at `rid` (no
@@ -152,14 +134,17 @@ class ColumnIndex {
   mutable std::shared_mutex groups_mu_;
   std::vector<std::shared_ptr<RowGroup>> groups_;
   RidLocator locator_;
-  ReadViewRegistry read_views_;
+  SnapshotRegistry* read_views_;
 };
 
 /// All column indexes of one RO node (one per table with indexed columns).
+/// Their readers register in `read_views`, the node's one snapshot registry
+/// (the row replica's), so one watermark bounds both engines' maintenance.
 class ImciStore {
  public:
-  explicit ImciStore(ColumnIndexOptions options = ColumnIndexOptions())
-      : options_(options) {}
+  explicit ImciStore(SnapshotRegistry* read_views,
+                     ColumnIndexOptions options = ColumnIndexOptions())
+      : read_views_(read_views), options_(options) {}
 
   ColumnIndex* CreateIndex(std::shared_ptr<const Schema> schema);
   ColumnIndex* GetIndex(TableId table_id) const;
@@ -167,6 +152,7 @@ class ImciStore {
   const ColumnIndexOptions& options() const { return options_; }
 
  private:
+  SnapshotRegistry* read_views_;
   ColumnIndexOptions options_;
   mutable std::shared_mutex mu_;
   std::unordered_map<TableId, std::unique_ptr<ColumnIndex>> indexes_;

@@ -13,21 +13,6 @@ namespace {
 
 constexpr size_t kMaxPlanDepth = 512;
 
-DataType AggOutType(const AggSpec& a) {
-  switch (a.kind) {
-    case AggKind::kCount:
-    case AggKind::kCountStar:
-    case AggKind::kCountDistinct:
-    case AggKind::kSumInt:
-      return DataType::kInt64;
-    case AggKind::kMin:
-    case AggKind::kMax:
-      return a.arg->out_type;
-    default:
-      return DataType::kDouble;
-  }
-}
-
 bool IsSpineKind(LogicalKind k) {
   return k == LogicalKind::kProject || k == LogicalKind::kFilter ||
          k == LogicalKind::kSort;

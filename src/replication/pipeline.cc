@@ -54,7 +54,15 @@ void ReplicationPipeline::Stop() {
   // No exchange guard: a wedged coordinator already cleared running_ on its
   // way out, and the thread must still be joined.
   running_.store(false, std::memory_order_release);
+  NotifyWaiters();
   if (coordinator_.joinable()) coordinator_.join();
+}
+
+void ReplicationPipeline::NotifyWaiters() {
+  // Taking the mutex orders this wake after any Await that found its
+  // condition false but has not blocked yet.
+  { std::lock_guard<std::mutex> g(progress_mu_); }
+  progress_cv_.notify_all();
 }
 
 namespace {
@@ -113,6 +121,7 @@ void ReplicationPipeline::Wedge(Status reason) {
   wedged_.store(true, std::memory_order_release);
   // The coordinator exits right after; Stop() still joins the thread.
   running_.store(false, std::memory_order_release);
+  NotifyWaiters();
 }
 
 Status ReplicationPipeline::wedge_reason() const {
@@ -351,6 +360,7 @@ Status ReplicationPipeline::ReplayChunk() {
   // Publish the consumed position only after the batch landed, so
   // "read_lsn >= X" implies everything committed at or before X is visible.
   read_lsn_.store(to, std::memory_order_release);
+  NotifyWaiters();
   // A failure mid-scan: what was delivered is applied and the cursor kept,
   // so a retry resumes exactly past the progress made.
   return read_error;
@@ -535,15 +545,15 @@ void ReplicationPipeline::ApplyBatch(std::vector<CommittedTxn>& batch) {
 
 void ReplicationPipeline::RunMaintenance() {
   const Vid applied = applied_vid_.load(std::memory_order_acquire);
-  // Same watermark discipline as the RW's checkpoint pruning: drop row
-  // version history below the oldest row-engine snapshot still pinned on
-  // this node (RoNode::ExecuteRow registers them), capped by the applied
-  // commit point.
+  // One watermark per pass, with the RW's checkpoint-pruning discipline:
+  // release nothing at or above the oldest snapshot registered on this node
+  // — row and column reads and fragment pins alike — capped by the applied
+  // commit point. It bounds the replica's version prune and the column
+  // indexes' insert-VID maps and retired groups.
   const Vid wm = replica_engine_->row_snapshots()->Watermark(applied_vid_);
   for (RowTable* t : replica_engine_->AllTables()) t->PruneVersions(wm);
   for (ColumnIndex* index : imci_->All()) {
-    const Vid min_active = index->read_views()->MinActive(applied);
-    index->DropInsertVidMaps(min_active);
+    index->DropInsertVidMaps(wm);
     if (options_.enable_compaction) {
       for (size_t gid :
            index->FindUnderflowGroups(applied, kCompactionThreshold)) {
@@ -553,7 +563,7 @@ void ReplicationPipeline::RunMaintenance() {
         }
       }
     }
-    index->ReclaimRetired(index->read_views()->MinActive(applied));
+    index->ReclaimRetired(wm);
   }
 }
 

@@ -1,7 +1,10 @@
 #ifndef POLARDB_IMCI_REPLICATION_PIPELINE_H_
 #define POLARDB_IMCI_REPLICATION_PIPELINE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -85,11 +88,28 @@ class ReplicationPipeline {
   /// Polls until everything appended up to `target_lsn` has been applied.
   Status CatchUp(Lsn target_lsn);
 
+  /// Blocks until `until()` holds or `timeout_us` passes; returns its last
+  /// answer. `until` is re-checked on every NotifyWaiters: after each chunk
+  /// publishes read_lsn (and applied_vid), and on Wedge and Stop. State it
+  /// reads that changes elsewhere needs a NotifyWaiters of its own.
+  template <typename Until>
+  bool Await(Until until, uint64_t timeout_us) {
+    // Far beyond any real wait; keeps the deadline arithmetic in range for
+    // a timeout taken from the wire.
+    constexpr uint64_t kMaxWaitUs = uint64_t{1} << 40;
+    std::unique_lock<std::mutex> l(progress_mu_);
+    return progress_cv_.wait_for(
+        l, std::chrono::microseconds(std::min(timeout_us, kMaxWaitUs)),
+        until);
+  }
+  /// Wakes every Await caller to re-check its condition.
+  void NotifyWaiters();
+
   /// Commit point visible to queries on this node (read view VID).
   Vid applied_vid() const { return applied_vid_.load(std::memory_order_acquire); }
   /// The applied commit point as an atomic, for SnapshotRegistry::Open —
-  /// row-engine readers sample it under the registry mutex so maintenance
-  /// pruning can never outrun a snapshot being registered.
+  /// readers sample it under the registry mutex so maintenance can never
+  /// release state under a snapshot being registered.
   const std::atomic<Vid>& applied_vid_ref() const { return applied_vid_; }
   /// LSN up to which the log has been consumed.
   Lsn read_lsn() const { return read_lsn_.load(std::memory_order_acquire); }
@@ -220,6 +240,9 @@ class ReplicationPipeline {
   mutable std::mutex health_mu_;
   Status wedge_reason_;           // guarded by health_mu_
   Status last_checkpoint_error_;  // guarded by health_mu_
+
+  std::mutex progress_mu_;  // Await's condition checks vs. NotifyWaiters
+  std::condition_variable progress_cv_;
 };
 
 }  // namespace imci

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "common/snapshot_registry.h"
 #include "polarfs/polarfs.h"
 #include "redo/redo_writer.h"
 #include "rowstore/binlog.h"
@@ -46,9 +47,10 @@ class RowStoreEngine {
   Catalog* catalog() { return catalog_; }
   const Catalog* catalog() const { return catalog_; }
 
-  /// Live row snapshots on this engine (rowstore/mvcc.h): the RW's
+  /// Live snapshots on this node (common/snapshot_registry.h): the RW's
   /// transaction manager registers its read views here, an RO node its
-  /// row-engine executions — and every version trim/prune on this engine's
+  /// row-engine and column-engine reads and fragment pins (its ImciStore
+  /// shares this instance) — and every version trim/prune on this engine's
   /// tables bounds itself by the same registry's watermark.
   SnapshotRegistry* row_snapshots() { return &row_snaps_; }
 
@@ -295,10 +297,10 @@ class TransactionManager {
   /// record is durable.
   ///
   /// The live-view registry and the prune-watermark hint live in the
-  /// engine's SnapshotRegistry (rowstore/mvcc.h) — the same instance every
-  /// trim/prune site on this engine consults — not here: read views opened
-  /// through this manager and any other row snapshot on the engine share
-  /// one watermark.
+  /// engine's SnapshotRegistry (common/snapshot_registry.h) — the same
+  /// instance every trim/prune site on this engine consults — not here:
+  /// read views opened through this manager and any other row snapshot on
+  /// the engine share one watermark.
   std::atomic<Vid> snapshot_vid_{0};
   /// Keeps VID order == commit-record LSN order. Held only across VID
   /// assignment and record *enqueue* — never across the durability wait —

@@ -302,37 +302,4 @@ MvccStats VersionChains::Stats() const {
   return s;
 }
 
-Vid SnapshotRegistry::RefreshLocked(Vid published) {
-  const Vid watermark =
-      live_.empty() ? published : std::min(published, live_.begin()->first);
-  hint_.store(watermark, std::memory_order_relaxed);
-  return watermark;
-}
-
-Vid SnapshotRegistry::Open(const std::atomic<Vid>& published) {
-  std::lock_guard<std::mutex> g(mu_);
-  const Vid vid = published.load(std::memory_order_acquire);
-  live_[vid]++;
-  RefreshLocked(vid);
-  return vid;
-}
-
-void SnapshotRegistry::Close(Vid vid, const std::atomic<Vid>& published) {
-  std::lock_guard<std::mutex> g(mu_);
-  auto it = live_.find(vid);
-  if (it != live_.end() && --it->second == 0) live_.erase(it);
-  RefreshLocked(published.load(std::memory_order_acquire));
-}
-
-Vid SnapshotRegistry::Watermark(const std::atomic<Vid>& published) {
-  std::lock_guard<std::mutex> g(mu_);
-  return RefreshLocked(published.load(std::memory_order_acquire));
-}
-
-void SnapshotRegistry::TryRefresh(const std::atomic<Vid>& published) {
-  if (std::unique_lock<std::mutex> l(mu_, std::try_to_lock); l.owns_lock()) {
-    RefreshLocked(published.load(std::memory_order_acquire));
-  }
-}
-
 }  // namespace imci

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstring>
 #include <map>
-#include <mutex>
 #include <set>
 #include <string>
 #include <string_view>
@@ -263,48 +262,6 @@ class VersionChains {
   uint64_t installed_total_ = 0;
   uint64_t dropped_total_ = 0;
   uint64_t relocations_total_ = 0;
-};
-
-/// Registry of live snapshot VIDs feeding the version-prune watermark: no
-/// trim or prune may drop a version the oldest registered snapshot can still
-/// read. One instance per row-store engine — the RW's transaction manager
-/// registers its read views here, an RO node registers its row-engine
-/// executions, and both the commit-path trim and the maintenance prune read
-/// the same bound. `published` is always the owner's commit point (the RW's
-/// published snapshot VID / the RO's applied VID): new snapshots only open
-/// at or above it, so any previously computed watermark stays valid forever
-/// and can be cached in a lock-free hint for the hot commit path.
-class SnapshotRegistry {
- public:
-  /// Registers a live snapshot at the current `published` point and returns
-  /// it. The sample happens under the registry mutex so a concurrent
-  /// watermark computation either sees the registration or finished before
-  /// the sample — either way it never exceeds the returned VID.
-  Vid Open(const std::atomic<Vid>& published);
-
-  /// Unregisters one use of snapshot `vid` (refreshes the hint).
-  void Close(Vid vid, const std::atomic<Vid>& published);
-
-  /// The prune/trim bound: min(published, oldest live snapshot). The single
-  /// definition every trim and prune site must use — a divergent copy could
-  /// drop versions a live snapshot still needs. Refreshes the cached hint.
-  Vid Watermark(const std::atomic<Vid>& published);
-
-  /// Opportunistic hint refresh off the critical path (try_lock — losing
-  /// the race to readers just means the next caller refreshes it).
-  void TryRefresh(const std::atomic<Vid>& published);
-
-  /// Cached lower bound of Watermark(): any previously computed value stays
-  /// valid forever, so hot paths read this atomic instead of taking the
-  /// reader-hammered mutex.
-  Vid hint() const { return hint_.load(std::memory_order_relaxed); }
-
- private:
-  Vid RefreshLocked(Vid published);
-
-  mutable std::mutex mu_;
-  std::map<Vid, int> live_;  // vid -> open count
-  std::atomic<Vid> hint_{0};
 };
 
 }  // namespace imci

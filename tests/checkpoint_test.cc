@@ -86,7 +86,7 @@ TEST(CheckpointTest, SnapshotManifestAndLoadLatest) {
   auto s2 = TestSchema(2);
   catalog.Register(s1);
   catalog.Register(s2);
-  ImciStore store(SmallGroups());
+  ImciStore store(nullptr, SmallGroups());
   ColumnIndex* i1 = store.CreateIndex(s1);
   ColumnIndex* i2 = store.CreateIndex(s2);
   for (int64_t i = 0; i < 40; ++i) {
@@ -103,7 +103,7 @@ TEST(CheckpointTest, SnapshotManifestAndLoadLatest) {
       ImciCheckpoint::WriteSnapshot(store, /*csn=*/3, /*start_lsn=*/29, &fs,
                                     /*ckpt_id=*/2).ok());
 
-  ImciStore loaded(SmallGroups());
+  ImciStore loaded(nullptr, SmallGroups());
   Vid csn = 0;
   Lsn start_lsn = 0;
   uint64_t ckpt_id = 0;
@@ -119,7 +119,7 @@ TEST(CheckpointTest, SnapshotManifestAndLoadLatest) {
 TEST(CheckpointTest, LoadLatestWithoutCheckpointIsNotFound) {
   PolarFs fs;
   Catalog catalog;
-  ImciStore store;
+  ImciStore store(nullptr);
   Vid csn;
   Lsn lsn;
   EXPECT_TRUE(ImciCheckpoint::LoadLatest(&fs, catalog, &store, &csn, &lsn,
@@ -137,7 +137,7 @@ TEST(CheckpointTest, ReadLatestManifestProbesWithoutLoadingIndexData) {
           .IsNotFound());
 
   auto schema = TestSchema();
-  ImciStore store(SmallGroups());
+  ImciStore store(nullptr, SmallGroups());
   ColumnIndex* idx = store.CreateIndex(schema);
   ASSERT_TRUE(idx->Insert({int64_t(1), int64_t(1), Value{}, Value{}}, 1).ok());
   ASSERT_TRUE(
@@ -206,7 +206,7 @@ TEST(CheckpointTest, TornCurrentIsCorruption) {
   for (const char* current : {"", "12x"}) {
     SCOPED_TRACE(current);
     ASSERT_TRUE(fs.WriteFile("imci_ckpt/CURRENT", current).ok());
-    ImciStore store;
+    ImciStore store(nullptr);
     Vid csn = 0;
     Lsn lsn = 0;
     uint64_t id = 0;

@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <deque>
+#include <functional>
 #include <future>
 #include <thread>
 
+#include "common/clock.h"
+#include "common/fault.h"
 #include "tests/test_util.h"
 
 namespace imci {
@@ -422,6 +425,43 @@ TEST_F(ClusterTest, CatchUpNowReturnsUnderASteadyWriter) {
   ASSERT_TRUE(returned) << "CatchUpNow kept waiting under a steady writer";
   EXPECT_TRUE(done.get().ok());
   EXPECT_GE(ro->pipeline()->read_lsn(), target);
+}
+
+// Strong-read waiters sleep on the pipeline's progress notification, so
+// losing the node must wake them: a waiter on a VID the node never reaches
+// returns Busy within 1 s of Retire(), and within 1 s of a wedge injected
+// through a fault point, not at its 10 s deadline.
+TEST_F(ClusterTest, UnreachableVidWaiterWakesOnRetireAndWedge) {
+  auto wait_through = [](RoNode* ro, const std::function<void()>& lose) {
+    Status status;
+    std::thread waiter([&] {
+      status = ro->WaitApplied(ro->applied_vid() + 1'000'000, 10'000'000);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    lose();
+    Timer since_lost;
+    waiter.join();
+    EXPECT_TRUE(status.IsBusy()) << status.ToString();
+    EXPECT_LT(since_lost.ElapsedMicros(), 1'000'000u) << ro->name();
+  };
+  RoNode* retiring = cluster_->ro(0);
+  wait_through(retiring, [&] { retiring->Retire(); });
+
+  RoNode* wedging = cluster_->ro(1);
+  fault::Policy fail;
+  fail.kind = fault::Kind::kFail;
+  fail.scope = wedging->name();
+  fault::ScopedFault storm("logstore.read", fail);
+  wait_through(wedging, [&] {
+    auto* txns = cluster_->rw()->txn_manager();
+    Transaction txn;
+    txns->Begin(&txn);
+    ASSERT_TRUE(txns->Insert(&txn, 1, {int64_t(40000), int64_t(1)}).ok());
+    ASSERT_TRUE(txns->Commit(&txn).ok());
+    while (!wedging->pipeline()->wedged()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
 }
 
 TEST_F(ClusterTest, VisibilityDelayIsMeasured) {

@@ -10,6 +10,7 @@
 #include "common/histogram.h"
 #include "common/rng.h"
 #include "common/row.h"
+#include "common/snapshot_registry.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "imci/checkpoint.h"
@@ -193,6 +194,27 @@ TEST(ThreadPoolTest, ParallelForRunsAllIndices) {
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
+TEST(SnapshotRegistryTest, WatermarkTracksPins) {
+  SnapshotRegistry reg;
+  const std::atomic<Vid> published{100};
+  uint64_t t1 = reg.Pin(50);
+  uint64_t t2 = reg.Pin(70);
+  EXPECT_EQ(reg.Watermark(published), 50u);
+  reg.Unpin(t1);
+  EXPECT_EQ(reg.Watermark(published), 70u);
+  reg.Unpin(t2);
+  // Each answer is a release horizon: maintenance may have freed what a
+  // view below it reads, so a view pinned there later is not covered.
+  EXPECT_TRUE(reg.Covers(70));
+  EXPECT_FALSE(reg.Covers(69));
+  EXPECT_EQ(reg.Watermark(published), 100u);
+  uint64_t t3 = reg.Pin(80);
+  EXPECT_FALSE(reg.Covers(80));
+  EXPECT_EQ(reg.Watermark(published), 80u);  // a pin still holds it back
+  reg.Unpin(t3);
+  EXPECT_TRUE(reg.Covers(100));
+}
+
 TEST(CodingTest, FixedIntsRoundTrip) {
   std::string buf;
   PutFixed32(&buf, 0xdeadbeef);
@@ -271,7 +293,7 @@ TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
   PolarFs fs;
   Catalog catalog;
   RowStoreEngine replica(&fs, &catalog);
-  ImciStore imci;
+  ImciStore imci(replica.row_snapshots());
   ThreadPool threads(1);
   ReplicationPipeline pipeline(&fs, &catalog, replica.buffer_pool(), &imci,
                                &threads, ReplicationOptions(), "hostile",

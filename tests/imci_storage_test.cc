@@ -309,26 +309,6 @@ TEST(DoubleCodecTest, RoundTrip) {
   EXPECT_EQ(out, v);
 }
 
-TEST(ReadViewRegistryTest, MinActiveTracksPins) {
-  ReadViewRegistry reg;
-  uint64_t t1 = reg.Pin(50);
-  uint64_t t2 = reg.Pin(70);
-  EXPECT_EQ(reg.MinActive(100), 50u);
-  reg.Unpin(t1);
-  EXPECT_EQ(reg.MinActive(100), 70u);
-  reg.Unpin(t2);
-  // Each answer is a release horizon: maintenance may have freed what a
-  // view below it reads, so a view pinned there later is not covered.
-  EXPECT_TRUE(reg.Covers(70));
-  EXPECT_FALSE(reg.Covers(69));
-  EXPECT_EQ(reg.MinActive(100), 100u);
-  uint64_t t3 = reg.Pin(80);
-  EXPECT_FALSE(reg.Covers(80));
-  EXPECT_EQ(reg.MinActive(100), 80u);  // a pin still holds maintenance back
-  reg.Unpin(t3);
-  EXPECT_TRUE(reg.Covers(100));
-}
-
 TEST(StringPoolTest, ValuesOfEverySizeReadBackWhole) {
   StringPool pool;
   std::vector<std::pair<StrRef, std::string>> kept;

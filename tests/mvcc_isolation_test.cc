@@ -492,6 +492,77 @@ TEST(RoMvccTest, ReplicaChainsStampedThenPrunedByMaintenance) {
   }
 }
 
+size_t LiveGroups(const ColumnIndex& index) {
+  size_t live = 0;
+  for (size_t i = 0; i < index.num_groups(); ++i) live += index.group(i) ? 1 : 0;
+  return live;
+}
+
+TEST(RoSnapshotRegistryTest, EachEngineSnapshotHoldsBackTheOthersRelease) {
+  // An RO keeps one snapshot registry for both engines, and its maintenance
+  // pass releases row versions and column groups below one watermark. So a
+  // column view holds back the replica's version prune, and a row snapshot
+  // holds back the reclaim of compacted column groups.
+  PolarFs fs;
+  Catalog catalog;
+  RwNode rw(&fs, &catalog);
+  ASSERT_TRUE(rw.CreateTable(KvSchema(1, "a")).ok());
+  ASSERT_TRUE(rw.BulkLoad(1, KvRows(8, 100)).ok());
+  ASSERT_TRUE(rw.FinishLoad().ok());
+
+  RoNodeOptions opts;
+  opts.replication.maintenance_interval = 1;  // maintenance on every poll
+  opts.imci.row_group_size = 4;  // a rewrite of every row empties 2 groups
+  RoNode node("ro-one-registry", &fs, &catalog, opts);
+  ASSERT_TRUE(node.Boot().ok());
+  ASSERT_TRUE(node.CatchUpNow().ok());
+  RowTable* replica = node.engine()->GetTable(1);
+  ColumnIndex* index = node.imci()->GetIndex(1);
+  SnapshotRegistry* snaps = node.engine()->row_snapshots();
+  ASSERT_EQ(index->read_views(), snaps);
+
+  // Rewrites every row, applies the log, and runs one more maintenance pass
+  // at the new applied point.
+  auto rewrite_all = [&](int64_t v) {
+    for (int64_t pk = 0; pk < 8; ++pk) {
+      ASSERT_TRUE(UpdateOne(rw.txn_manager(), 1, pk, v).ok());
+    }
+    const Lsn tail = fs.log("redo")->written_lsn();
+    while (node.pipeline()->read_lsn() < tail) {
+      ASSERT_TRUE(node.pipeline()->PollOnce().ok());
+    }
+    ASSERT_TRUE(node.pipeline()->PollOnce().ok());
+  };
+
+  // A column view pinned through the index keeps the replica's versions.
+  const Vid column_view = node.applied_vid();
+  const uint64_t pin = index->read_views()->Pin(column_view);
+  ASSERT_TRUE(snaps->Covers(column_view));
+  rewrite_all(200);
+  EXPECT_EQ(replica->versioned_row_count(), 8u);
+  Row row;
+  ASSERT_TRUE(replica->SnapshotGet(column_view, 3, &row).ok());
+  EXPECT_EQ(AsInt(row[1]), 100);
+  index->read_views()->Unpin(pin);
+  ASSERT_TRUE(node.pipeline()->PollOnce().ok());
+  EXPECT_EQ(replica->versioned_row_count(), 0u);
+
+  // A row-engine snapshot keeps the groups compaction retired.
+  const Vid row_view = snaps->Open(node.pipeline()->applied_vid_ref());
+  rewrite_all(300);
+  EXPECT_EQ(index->visible_rows(row_view), 8u);
+  const size_t held = LiveGroups(*index);
+  snaps->Close(row_view, node.pipeline()->applied_vid_ref());
+  ASSERT_TRUE(node.pipeline()->PollOnce().ok());
+  EXPECT_EQ(LiveGroups(*index), held - 2);
+  EXPECT_FALSE(snaps->Covers(row_view));
+
+  std::vector<Row> out;
+  ASSERT_TRUE(node.ExecuteColumn(LScan(1, {0, 1}), &out).ok());
+  ASSERT_EQ(out.size(), 8u);
+  for (const Row& r : out) EXPECT_EQ(AsInt(r[1]), 300);
+}
+
 TEST_F(MvccIsolationTest, SlowScanNoLongerBlocksWriters) {
   // Pre-MVCC, RowTable::Scan held the shared latch for the whole scan, so a
   // writer (exclusive latch) stalled behind a slow reader. Scans now latch
