@@ -305,6 +305,23 @@ Status TypeCheck(const Expr& e, const std::vector<DataType>& types) {
   return e.EvalMask(Batch::Make(types), &mask);
 }
 
+/// The filters of `in` whose every column `child_col` maps to a child
+/// column (it returns -1 for none), with their columns so mapped, in order.
+template <typename ChildCol>
+KeyFilters MapFilters(const KeyFilters& in, ChildCol child_col) {
+  KeyFilters out;
+  for (const KeyFilter& f : in) {
+    KeyFilter mapped{f.keys, {}};
+    for (int c : f.cols) {
+      const int m = child_col(c);
+      if (m < 0) break;
+      mapped.cols.push_back(m);
+    }
+    if (mapped.cols.size() == f.cols.size()) out.push_back(std::move(mapped));
+  }
+  return out;
+}
+
 }  // namespace
 
 ColumnScanOp::ColumnScanOp(ColumnIndex* index, std::vector<int> cols,
@@ -450,7 +467,7 @@ Status ColumnScanOp::ApplyResidual(const Residual& r, const RowGroup& g,
 }
 
 Status ColumnScanOp::ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
-                               RowSet* out) const {
+                               const KeyFilters& filters, RowSet* out) const {
   std::vector<uint32_t> sel;
   SelectVisible(g, used, read_vid, &sel);
   for (const Kernel& k : kernels_) {
@@ -460,6 +477,10 @@ Status ColumnScanOp::ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
   for (const Residual& r : residuals_) {
     if (sel.empty()) return Status::OK();
     IMCI_RETURN_NOT_OK(ApplyResidual(r, g, &sel));
+  }
+  for (const KeyFilter& f : filters) {
+    if (sel.empty()) return Status::OK();
+    ApplyKeyFilter(f, g, &sel);
   }
   // Late materialization: each output column is copied for the survivors
   // only, one column at a time.
@@ -477,7 +498,8 @@ Status ColumnScanOp::ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
   return Status::OK();
 }
 
-Status ColumnScanOp::Execute(ExecContext* ctx, RowSet* out) {
+Status ColumnScanOp::ExecuteFiltered(ExecContext* ctx,
+                                     const KeyFilters& filters, RowSet* out) {
   out->types = out_types_;
   if (part_.col >= 0 && part_pack_ < 0) {
     return Status::NotSupported("partition column has no pack");
@@ -520,7 +542,7 @@ Status ColumnScanOp::Execute(ExecContext* ctx, RowSet* out) {
           continue;
         }
         groups_scanned_.fetch_add(1, std::memory_order_relaxed);
-        Status s = ScanGroup(*g, used, read_vid, &partials[wi]);
+        Status s = ScanGroup(*g, used, read_vid, filters, &partials[wi]);
         if (!s.ok()) {
           statuses[wi] = s;
           return;
@@ -603,9 +625,10 @@ FilterOp::FilterOp(PhysOpRef child, ExprRef pred)
   out_types_ = child_->out_types();
 }
 
-Status FilterOp::Execute(ExecContext* ctx, RowSet* out) {
+Status FilterOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                                 RowSet* out) {
   RowSet in;
-  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
+  IMCI_RETURN_NOT_OK(child_->ExecuteFiltered(ctx, filters, &in));
   IMCI_RETURN_NOT_OK(TypeCheck(*pred_, out_types_));
   out->types = out_types_;
   for (Batch& b : in.batches) {
@@ -622,9 +645,15 @@ ProjectOp::ProjectOp(PhysOpRef child, std::vector<ExprRef> exprs)
   for (const ExprRef& e : exprs_) out_types_.push_back(e->out_type);
 }
 
-Status ProjectOp::Execute(ExecContext* ctx, RowSet* out) {
+Status ProjectOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                                  RowSet* out) {
   RowSet in;
-  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
+  IMCI_RETURN_NOT_OK(child_->ExecuteFiltered(
+      ctx, MapFilters(filters, [&](int c) {
+        const Expr& e = *exprs_[c];
+        return e.kind == ExprKind::kCol ? e.col : -1;
+      }),
+      &in));
   out->types = out_types_;
   out->batches.resize(in.batches.size());
   const int n = static_cast<int>(in.batches.size());
@@ -1004,87 +1033,67 @@ constexpr uint32_t kNoMatch = UINT32_MAX;
 
 /// One build partition of the join: key -> id, and the matches of id i in
 /// CSR form, refs[offsets[i], offsets[i+1]) in build (batch, row) order.
+/// For a single INT64-lane key, [lo, hi] is the range of its keys.
 struct JoinPartition {
   KeyTable keys;
   std::vector<uint32_t> offsets;
   std::vector<JoinRef> refs;
+  int64_t lo = INT64_MAX, hi = INT64_MIN;
 };
 
-}  // namespace
-
-HashJoinOp::HashJoinOp(PhysOpRef build, PhysOpRef probe,
-                       std::vector<int> build_keys,
-                       std::vector<int> probe_keys, JoinType type)
-    : build_(std::move(build)),
-      probe_(std::move(probe)),
-      build_keys_(std::move(build_keys)),
-      probe_keys_(std::move(probe_keys)),
-      type_(type) {
-  out_types_ = probe_->out_types();
-  if (type_ == JoinType::kInner || type_ == JoinType::kLeft) {
-    for (DataType t : build_->out_types()) out_types_.push_back(t);
-  }
+/// Whether a key of `lanes` is one INT64-lane column: the scans test it
+/// with a lane kernel, against the range of the set's values.
+bool IsIntKey(const std::vector<DataType>& lanes) {
+  return lanes.size() == 1 && lanes[0] == DataType::kInt64;
 }
 
-Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
-  // Both sides image a key pair in one lane, the one Cmp compares it in:
-  // STRING, DOUBLE when either side is DOUBLE, else INT64.
-  std::vector<DataType> lanes;
-  for (size_t k = 0; k < build_keys_.size(); ++k) {
-    const DataType b = build_->out_types()[build_keys_[k]];
-    const DataType p = probe_->out_types()[probe_keys_[k]];
-    if ((b == DataType::kString) != (p == DataType::kString)) {
-      return Status::InvalidArgument(std::string("cannot join ") +
-                                     DataTypeName(b) + " with " +
-                                     DataTypeName(p));
-    }
-    lanes.push_back(b == DataType::kDouble ? b : LaneOf(p));
-  }
-  RowSet build_set;
-  IMCI_RETURN_NOT_OK(build_->Execute(ctx, &build_set));
-  RowSet probe_set;
-  IMCI_RETURN_NOT_OK(probe_->Execute(ctx, &probe_set));
-  out->types = out_types_;
-
-  // Build phase, partition-parallel with an exchange step. Stage 1
-  // (scatter) runs per build batch: image its keys and route each row to
-  // the partition its hash picks. Stage 2 (merge) runs per partition:
-  // partition p assembles its own table from every batch's p-bucket,
-  // walking batches in index order so refs land in the exact (batch, row)
-  // order the serial build would have produced — match emission order, and
-  // therefore results, are identical to parallelism=1. A joining key has
-  // no NULL, so its mask words are zero: tables keep only the words after
-  // them.
-  const int workers = std::max(1, ctx->parallelism);
-  const int P = ExchangePartitions(std::min(workers, 64));
+/// The join's build phase over `set`'s keys in `cols`, partition-parallel
+/// with an exchange step, into P = tables->size() partitions. Stage 1
+/// (scatter) runs per batch: image its keys in `lanes`, hash them, and
+/// route each row to the partition its hash picks. The images of batch bi
+/// are left in (*images)[bi] when `images` is not null. Stage 2
+/// (merge) runs per partition: partition p assembles its own table from
+/// every batch's p-bucket, walking batches in index order so refs land in
+/// the exact (batch, row) order the serial build would have produced —
+/// match emission order, and therefore results, are identical to
+/// parallelism=1. A joining key has no NULL, so its mask words are zero:
+/// tables keep only the words after them.
+void BuildPartitions(ExecContext* ctx, const RowSet& set,
+                     const std::vector<int>& cols,
+                     const std::vector<DataType>& lanes,
+                     std::vector<BatchKeys>* images,
+                     std::vector<JoinPartition>* tables) {
+  std::vector<BatchKeys> own;
+  if (images == nullptr) images = &own;
+  const int P = static_cast<int>(tables->size());
   const uint32_t pmask = static_cast<uint32_t>(P - 1);
-  const int nbuild = static_cast<int>(build_set.batches.size());
+  const int nbatches = static_cast<int>(set.batches.size());
   const size_t mask_words = MaskWords(lanes.size());
-  std::vector<BatchKeys> build_images(nbuild);
+  const bool int_key = IsIntKey(lanes);
+  images->resize(nbatches);
   // scatter[bi][p]: the rows of batch bi routed to partition p.
-  std::vector<std::vector<std::vector<uint32_t>>> scatter(nbuild);
-  ParallelFor(ctx->pool, nbuild, [&](int bi) {
-    BatchKeys& keys = build_images[bi];
-    EncodeKeys(build_set.batches[bi], build_keys_, lanes, &keys);
+  std::vector<std::vector<std::vector<uint32_t>>> scatter(nbatches);
+  ParallelFor(ctx->pool, nbatches, [&](int bi) {
+    BatchKeys& keys = (*images)[bi];
+    EncodeKeys(set.batches[bi], cols, lanes, &keys);
     keys.Hash();
     auto& parts = scatter[bi];
     parts.resize(P);
-    for (uint32_t ri = 0; ri < build_set.batches[bi].rows; ++ri) {
+    for (uint32_t ri = 0; ri < set.batches[bi].rows; ++ri) {
       if (!keys.NoNulls(ri, mask_words)) continue;  // NULL never matches
       parts[PartitionOf(keys.hashes[ri], pmask)].push_back(ri);
     }
   });
-  std::vector<JoinPartition> tables(P);
   ParallelFor(ctx->pool, P, [&](int p) {
-    JoinPartition& t = tables[p];
+    JoinPartition& t = (*tables)[p];
     size_t total = 0;
-    for (int bi = 0; bi < nbuild; ++bi) total += scatter[bi][p].size();
+    for (int bi = 0; bi < nbatches; ++bi) total += scatter[bi][p].size();
     t.keys.Reserve(total);
     std::vector<uint32_t> ids;
     ids.reserve(total);
     std::vector<uint32_t> counts;
-    for (int bi = 0; bi < nbuild; ++bi) {
-      const BatchKeys& keys = build_images[bi];
+    for (int bi = 0; bi < nbatches; ++bi) {
+      const BatchKeys& keys = (*images)[bi];
       const std::vector<uint32_t>& rows = scatter[bi][p];
       for (size_t j = 0; j < rows.size(); ++j) {
         if (j + kPrefetchRows < rows.size()) {
@@ -1100,6 +1109,10 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
         ids.push_back(id);
       }
     }
+    for (uint32_t id = 0; int_key && id < t.keys.size(); ++id) {
+      t.lo = std::min(t.lo, t.keys.key(id)[0]);
+      t.hi = std::max(t.hi, t.keys.key(id)[0]);
+    }
     t.offsets.assign(counts.size() + 1, 0);
     for (size_t i = 0; i < counts.size(); ++i) {
       t.offsets[i + 1] = t.offsets[i] + counts[i];
@@ -1107,18 +1120,203 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
     std::vector<uint32_t> cursor(t.offsets.begin(), t.offsets.end() - 1);
     t.refs.resize(total);
     size_t j = 0;
-    for (int bi = 0; bi < nbuild; ++bi) {
+    for (int bi = 0; bi < nbatches; ++bi) {
       for (uint32_t ri : scatter[bi][p]) {
         t.refs[cursor[ids[j++]]++] = {static_cast<uint32_t>(bi), ri};
       }
     }
   });
+}
+
+/// The skip rule: a key filter that keeps more than 3/4 of the first
+/// kSkipTestRows rows it tests stops running for the rest of the query.
+constexpr uint64_t kSkipTestRows = 4096;
+
+}  // namespace
+
+/// The keys of the side a hash join ran first, as its key filters test
+/// them: the join's exchange partitions, shared with it, and for a single
+/// INT64-lane key the range of its values. The scans a filter reaches
+/// tally here the rows it tests and keeps, for the skip rule.
+class KeySet {
+ public:
+  KeySet(const std::vector<JoinPartition>& parts, std::vector<DataType> lanes)
+      : parts_(parts),
+        lanes_(std::move(lanes)),
+        pmask_(static_cast<uint32_t>(parts.size() - 1)) {
+    for (const JoinPartition& t : parts_) {
+      lo_ = std::min(lo_, t.lo);
+      hi_ = std::max(hi_, t.hi);
+    }
+  }
+
+  const std::vector<DataType>& lanes() const { return lanes_; }
+  bool int_key() const { return IsIntKey(lanes_); }
+
+  /// Whether the set holds key image `key` (mask words included, all zero)
+  /// of `width` words and HashWords `hash`.
+  bool Contains(const int64_t* key, size_t width, uint64_t hash) const {
+    const size_t skip = MaskWords(lanes_.size());
+    return parts_[PartitionOf(hash, pmask_)].keys.Find(
+               key + skip, width - skip, hash) != KeyTable::kNone;
+  }
+  /// Contains for the non-NULL value `v` of an int_key() set.
+  bool ContainsInt(int64_t v) const {
+    if (v < lo_ || v > hi_) return false;
+    const int64_t image[2] = {0, v};
+    return Contains(image, 2, HashWords(image, 2));
+  }
+
+  bool skipped() const { return skip_.load(); }
+  /// Counts a test of `tested` rows that kept `kept`. The test that brings
+  /// the count to kSkipTestRows decides whether the filter stops running;
+  /// a concurrent test's rows may be missing from its share.
+  void Tally(size_t tested, size_t kept) const {
+    if (tested_.load() >= kSkipTestRows) return;
+    const uint64_t k = kept_.fetch_add(kept) + kept;
+    const uint64_t t = tested_.fetch_add(tested) + tested;
+    if (t >= kSkipTestRows && t - tested < kSkipTestRows) {
+      skip_.store(4 * k > 3 * t);
+    }
+  }
+
+ private:
+  const std::vector<JoinPartition>& parts_;
+  std::vector<DataType> lanes_;
+  uint32_t pmask_;
+  int64_t lo_ = INT64_MAX, hi_ = INT64_MIN;  // int_key(): the value range
+  mutable std::atomic<uint64_t> tested_{0}, kept_{0};
+  mutable std::atomic<bool> skip_{false};
+};
+
+void ColumnScanOp::ApplyKeyFilter(const KeyFilter& f, const RowGroup& g,
+                                  std::vector<uint32_t>* sel) const {
+  const KeySet& keys = *f.keys;
+  if (keys.skipped()) return;
+  const size_t tested = sel->size();
+  if (keys.int_key() && IsIntegerType(out_types_[f.cols[0]])) {
+    const int pack = packs_[f.cols[0]];
+    const uint8_t* nulls = g.null_data(pack);
+    const int64_t* v = g.int_data(pack);
+    Refine(sel, [&](uint32_t o) {
+      return nulls[o] == 0 && keys.ContainsInt(v[o]);
+    });
+  } else {
+    // Gather the key columns of the selected rows, image them as the join
+    // does and look each image up, a batch at a time.
+    std::vector<DataType> types;
+    std::vector<int> key_cols;
+    for (int c : f.cols) {
+      key_cols.push_back(static_cast<int>(types.size()));
+      types.push_back(out_types_[c]);
+    }
+    const size_t mask_words = MaskWords(types.size());
+    Batch batch = Batch::Make(types);
+    BatchKeys images;
+    size_t kept = 0;
+    for (size_t begin = 0; begin < sel->size();
+         begin += Batch::kDefaultCapacity) {
+      const size_t n = std::min(Batch::kDefaultCapacity, sel->size() - begin);
+      const std::span<const uint32_t> offs(sel->data() + begin, n);
+      for (size_t i = 0; i < f.cols.size(); ++i) {
+        Gather(g, packs_[f.cols[i]], offs, &batch.cols[i]);
+      }
+      batch.rows = n;
+      EncodeKeys(batch, key_cols, keys.lanes(), &images);
+      images.Hash();
+      for (size_t i = 0; i < n; ++i) {
+        const bool keep =
+            images.NoNulls(i, mask_words) &&
+            keys.Contains(images.key(i), images.width(i), images.hashes[i]);
+        (*sel)[kept] = offs[i];
+        kept += keep;
+      }
+    }
+    sel->resize(kept);
+  }
+  keys.Tally(tested, sel->size());
+}
+
+HashJoinOp::HashJoinOp(PhysOpRef build, PhysOpRef probe,
+                       std::vector<int> build_keys,
+                       std::vector<int> probe_keys, JoinType type,
+                       bool probe_first)
+    : build_(std::move(build)),
+      probe_(std::move(probe)),
+      build_keys_(std::move(build_keys)),
+      probe_keys_(std::move(probe_keys)),
+      type_(type),
+      probe_first_(probe_first) {
+  out_types_ = probe_->out_types();
+  if (type_ == JoinType::kInner || type_ == JoinType::kLeft) {
+    for (DataType t : build_->out_types()) out_types_.push_back(t);
+  }
+}
+
+Status HashJoinOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                                   RowSet* out) {
+  // Both sides image a key pair in one lane, the one Cmp compares it in:
+  // STRING, DOUBLE when either side is DOUBLE, else INT64.
+  std::vector<DataType> lanes;
+  for (size_t k = 0; k < build_keys_.size(); ++k) {
+    const DataType b = build_->out_types()[build_keys_[k]];
+    const DataType p = probe_->out_types()[probe_keys_[k]];
+    if ((b == DataType::kString) != (p == DataType::kString)) {
+      return Status::InvalidArgument(std::string("cannot join ") +
+                                     DataTypeName(b) + " with " +
+                                     DataTypeName(p));
+    }
+    lanes.push_back(b == DataType::kDouble ? b : LaneOf(p));
+  }
+  const int probe_width = static_cast<int>(probe_->out_types().size());
+  // Filters from above: on probe columns to the probe side; on build
+  // columns to the build side, when every build row it drops would drop
+  // its output rows (an inner join; a left join pads them instead).
+  KeyFilters probe_filters =
+      MapFilters(filters, [&](int c) { return c < probe_width ? c : -1; });
+  KeyFilters build_filters;
+  if (type_ == JoinType::kInner) {
+    build_filters = MapFilters(filters, [&](int c) {
+      return c >= probe_width ? c - probe_width : -1;
+    });
+  }
+  const int workers = std::max(1, ctx->parallelism);
+  const int P = ExchangePartitions(std::min(workers, 64));
+  const uint32_t pmask = static_cast<uint32_t>(P - 1);
+  const size_t mask_words = MaskWords(lanes.size());
+
+  // The side that runs first hands its key set to the other side, ahead of
+  // the filters from above. The key images of a probe side that ran first
+  // are kept for the probe phase.
+  RowSet build_set, probe_set;
+  std::vector<BatchKeys> probe_images;
+  std::vector<JoinPartition> tables(P);
+  if (probe_first_) {
+    IMCI_RETURN_NOT_OK(probe_->ExecuteFiltered(ctx, probe_filters, &probe_set));
+    std::vector<JoinPartition> probe_tables(P);
+    BuildPartitions(ctx, probe_set, probe_keys_, lanes, &probe_images,
+                    &probe_tables);
+    const KeySet probe_keys(probe_tables, lanes);
+    build_filters.insert(build_filters.begin(),
+                         KeyFilter{&probe_keys, build_keys_});
+    IMCI_RETURN_NOT_OK(build_->ExecuteFiltered(ctx, build_filters, &build_set));
+    BuildPartitions(ctx, build_set, build_keys_, lanes, nullptr, &tables);
+  } else {
+    IMCI_RETURN_NOT_OK(build_->ExecuteFiltered(ctx, build_filters, &build_set));
+    BuildPartitions(ctx, build_set, build_keys_, lanes, nullptr, &tables);
+    const KeySet build_keys(tables, lanes);
+    if (type_ == JoinType::kInner || type_ == JoinType::kSemi) {
+      probe_filters.insert(probe_filters.begin(),
+                           KeyFilter{&build_keys, probe_keys_});
+    }
+    IMCI_RETURN_NOT_OK(probe_->ExecuteFiltered(ctx, probe_filters, &probe_set));
+  }
+  out->types = out_types_;
 
   const int build_width =
       (type_ == JoinType::kInner || type_ == JoinType::kLeft)
           ? static_cast<int>(build_->out_types().size())
           : 0;
-  const int probe_width = static_cast<int>(probe_->out_types().size());
 
   // build_cols[c][bi]: column c of build batch bi.
   std::vector<std::vector<const ColumnVector*>> build_cols(build_width);
@@ -1141,9 +1339,12 @@ Status HashJoinOp::Execute(ExecContext* ctx, RowSet* out) {
     std::vector<JoinRef> build_rows;  // inner and left joins only
     probe_rows.reserve(pb.rows);
     if (build_width > 0) build_rows.reserve(pb.rows);
-    BatchKeys keys;
-    EncodeKeys(pb, probe_keys_, lanes, &keys);
-    keys.Hash();
+    BatchKeys own;
+    if (probe_images.empty()) {
+      EncodeKeys(pb, probe_keys_, lanes, &own);
+      own.Hash();
+    }
+    const BatchKeys& keys = probe_images.empty() ? own : probe_images[pi];
     for (uint32_t ri = 0; ri < pb.rows; ++ri) {
       if (ri + kPrefetchRows < pb.rows) {
         const uint64_t h = keys.hashes[ri + kPrefetchRows];
@@ -1401,11 +1602,15 @@ HashAggOp::HashAggOp(PhysOpRef child, std::vector<int> group_cols,
   }
 }
 
-Status HashAggOp::Execute(ExecContext* ctx, RowSet* out) {
-  RowSet in;
-  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
-  out->types = out_types_;
+Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                                  RowSet* out) {
   const int G = static_cast<int>(group_cols_.size());
+  RowSet in;
+  IMCI_RETURN_NOT_OK(child_->ExecuteFiltered(
+      ctx,
+      MapFilters(filters, [&](int c) { return c < G ? group_cols_[c] : -1; }),
+      &in));
+  out->types = out_types_;
   const int A = static_cast<int>(aggs_.size());
   const int workers = std::max(1, std::min(ctx->parallelism, 32));
   const int P = ExchangePartitions(workers);
@@ -1691,9 +1896,11 @@ SortOp::SortOp(PhysOpRef child, std::vector<SortKey> keys, int64_t limit)
   out_types_ = child_->out_types();
 }
 
-Status SortOp::Execute(ExecContext* ctx, RowSet* out) {
+Status SortOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                               RowSet* out) {
   RowSet in;
-  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
+  IMCI_RETURN_NOT_OK(
+      child_->ExecuteFiltered(ctx, limit_ < 0 ? filters : KeyFilters(), &in));
   out->types = out_types_;
   if (in.TotalRows() > UINT32_MAX) {
     return Status::NotSupported("sort input past 2^32 rows");

@@ -31,13 +31,39 @@ struct ExecContext {
   int morsel_row_groups = 1;
 };
 
+/// The keys of the side a hash join ran first (defined in operators.cc).
+class KeySet;
+
+/// A semi-join reduction filter, as an operator hands it to its child: a
+/// row of the child's output whose values in `cols` (output ordinals, one
+/// per key column) image to no key of `keys` never joins, so the child may
+/// drop it. Dropping is never required; a filter only removes rows the join
+/// that made it would discard.
+struct KeyFilter {
+  const KeySet* keys = nullptr;
+  std::vector<int> cols;
+};
+/// The filters an operator runs under, nearest join first.
+using KeyFilters = std::vector<KeyFilter>;
+
 /// Physical operator base. Operators run batch-at-a-time internally and
 /// materialize their result (RowSet) as the boundary between pipelines;
 /// scans/aggregations/joins parallelize internally (§6.3 parallel operators).
+///
+/// ExecuteFiltered is the semi-join reduction hook: Execute under `filters`.
+/// An operator that can pass a filter on maps its columns to its child's
+/// and drops the filters it cannot map; ColumnScanOp applies them. The
+/// default ignores them, so RowScanOp and ValuesOp return every row and the
+/// row engine stays the filter-free reference.
 class PhysOp {
  public:
   virtual ~PhysOp() = default;
   virtual Status Execute(ExecContext* ctx, RowSet* out) = 0;
+  virtual Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                                 RowSet* out) {
+    (void)filters;
+    return Execute(ctx, out);
+  }
   const std::vector<DataType>& out_types() const { return out_types_; }
 
  protected:
@@ -78,14 +104,22 @@ struct ScanPartition {
 /// column vs integer column, BETWEEN, IN, LIKE) then runs as a typed kernel
 /// on the pack lanes and shrinks the selection in place; every other
 /// conjunct is a residual, evaluated through Expr over just its own columns
-/// for the rows still selected. Only the survivors are copied out.
+/// for the rows still selected. Key filters run last, nearest join first:
+/// a single INT64-lane key as a lane kernel (the set's min/max, then a
+/// table lookup), any other key through gathered key images. A key filter
+/// that keeps more than 3/4 of the first 4096 rows it tests stops running
+/// for the rest of the query. Only the survivors are copied out.
 class ColumnScanOp : public PhysOp {
  public:
   /// `filter` refers to *output* ordinals (positions in `cols`).
   ColumnScanOp(ColumnIndex* index, std::vector<int> cols, ExprRef filter,
                ScanPartition part = ScanPartition());
 
-  Status Execute(ExecContext* ctx, RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override {
+    return ExecuteFiltered(ctx, {}, out);
+  }
+  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                         RowSet* out) override;
 
   uint64_t groups_pruned() const { return groups_pruned_; }
   uint64_t groups_scanned() const { return groups_scanned_; }
@@ -114,8 +148,10 @@ class ColumnScanOp : public PhysOp {
                      std::vector<uint32_t>* sel) const;
   Status ApplyResidual(const Residual& r, const RowGroup& g,
                        std::vector<uint32_t>* sel) const;
+  void ApplyKeyFilter(const KeyFilter& f, const RowGroup& g,
+                      std::vector<uint32_t>* sel) const;
   Status ScanGroup(const RowGroup& g, uint32_t used, Vid read_vid,
-                   RowSet* out) const;
+                   const KeyFilters& filters, RowSet* out) const;
 
   ColumnIndex* index_;
   std::vector<int> cols_;   // schema ordinals
@@ -159,20 +195,30 @@ class RowScanOp : public PhysOp {
 
 // --- Relational operators ----------------------------------------------
 
+/// Passes key filters on unchanged.
 class FilterOp : public PhysOp {
  public:
   FilterOp(PhysOpRef child, ExprRef pred);
-  Status Execute(ExecContext* ctx, RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override {
+    return ExecuteFiltered(ctx, {}, out);
+  }
+  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                         RowSet* out) override;
 
  private:
   PhysOpRef child_;
   ExprRef pred_;
 };
 
+/// Passes on a key filter whose columns are all bare column references.
 class ProjectOp : public PhysOp {
  public:
   ProjectOp(PhysOpRef child, std::vector<ExprRef> exprs);
-  Status Execute(ExecContext* ctx, RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override {
+    return ExecuteFiltered(ctx, {}, out);
+  }
+  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                         RowSet* out) override;
 
  private:
   PhysOpRef child_;
@@ -195,17 +241,34 @@ enum class JoinType { kInner, kLeft, kSemi, kAnti };
 /// (batch, row) it pairs with, or a no-match mark for a left join's padding.
 /// Each output column is then gathered from that list in one typed loop,
 /// NULL rows holding 0, 0.0 or "" in their lane.
+///
+/// Semi-join reduction: the side that runs first hands its key set to the
+/// other side as a key filter, ahead of the filters from above. By default
+/// the build side runs first; its partition tables are the set, and they
+/// filter the probe side of an inner or semi join (a left or anti join
+/// keeps every probe row). With `probe_first` the probe side runs first and
+/// its keys filter the build side, for any join type: the lowering picks it
+/// when the build side is a grouped aggregation keyed on the join keys, so
+/// the filter reaches the aggregation's input. A filter from above passes
+/// to the probe side when all its columns are probe columns, and to the
+/// build side of an inner join when all are build columns.
 class HashJoinOp : public PhysOp {
  public:
   HashJoinOp(PhysOpRef build, PhysOpRef probe, std::vector<int> build_keys,
-             std::vector<int> probe_keys, JoinType type);
+             std::vector<int> probe_keys, JoinType type,
+             bool probe_first = false);
 
-  Status Execute(ExecContext* ctx, RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override {
+    return ExecuteFiltered(ctx, {}, out);
+  }
+  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                         RowSet* out) override;
 
  private:
   PhysOpRef build_, probe_;
   std::vector<int> build_keys_, probe_keys_;
   JoinType type_;
+  bool probe_first_;
 };
 
 /// kSumInt is internal to distributed execution: the coordinator's final
@@ -239,13 +302,18 @@ DataType AggOutType(const AggSpec& a);
 /// too): NULL first, then CompareValues' order, doubles totally ordered by
 /// their bits. The row order depends only on the key set, at every dop. The
 /// emission sort compares a 64-bit prefix of the first key column and falls
-/// back to the full key only on a tie.
+/// back to the full key only on a tie. A key filter on group columns only
+/// passes to the input: it drops whole groups.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,
             std::vector<AggSpec> aggs);
 
-  Status Execute(ExecContext* ctx, RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override {
+    return ExecuteFiltered(ctx, {}, out);
+  }
+  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                         RowSet* out) override;
 
  private:
   PhysOpRef child_;
@@ -269,11 +337,16 @@ struct SortKey {
 /// and row refs are sorted under HashAggOp's key-image order with each sort
 /// key's direction: one total order, NaN included, so ties resolve
 /// independently of the input order. The output is gathered a column at a
-/// time in Batch::kDefaultCapacity batches.
+/// time in Batch::kDefaultCapacity batches. Key filters pass on only
+/// without a LIMIT: below one, dropping rows changes which rows make it.
 class SortOp : public PhysOp {
  public:
   SortOp(PhysOpRef child, std::vector<SortKey> keys, int64_t limit = -1);
-  Status Execute(ExecContext* ctx, RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override {
+    return ExecuteFiltered(ctx, {}, out);
+  }
+  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
+                         RowSet* out) override;
 
  private:
   PhysOpRef child_;

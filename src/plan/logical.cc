@@ -1,5 +1,7 @@
 #include "plan/logical.h"
 
+#include <algorithm>
+
 namespace imci {
 
 namespace {
@@ -76,43 +78,71 @@ void CollectScans(const LogicalRef& node,
 
 namespace {
 
+/// Whether a join's build side, looking through projections only, is a
+/// grouped aggregation whose group columns carry every build key: the
+/// decorrelated-subquery shape, where the probe side runs first so its keys
+/// filter the aggregation's input.
+bool BuildIsKeyedAgg(const LogicalNode& join) {
+  std::vector<int> keys = join.right_keys;
+  const LogicalNode* n = join.children[1].get();
+  for (; n->kind == LogicalKind::kProject; n = n->children[0].get()) {
+    for (int& k : keys) {
+      if (k < 0 || k >= static_cast<int>(n->exprs.size()) ||
+          n->exprs[k]->kind != ExprKind::kCol) {
+        return false;
+      }
+      k = n->exprs[k]->col;
+    }
+  }
+  const int G = static_cast<int>(n->group_cols.size());
+  return n->kind == LogicalKind::kAgg && G > 0 &&
+         std::all_of(keys.begin(), keys.end(),
+                     [G](int k) { return k >= 0 && k < G; });
+}
+
+/// `probe_first_ok`: the column engine, whose scans apply key filters; the
+/// row engine ignores them, so its joins always run the build side first.
 template <typename ScanLower>
 Status Lower(const LogicalRef& node, const ScanLower& scan_lower,
-             PhysOpRef* out) {
+             bool probe_first_ok, PhysOpRef* out) {
+  auto lower = [&](const LogicalRef& child, PhysOpRef* o) {
+    return Lower(child, scan_lower, probe_first_ok, o);
+  };
   switch (node->kind) {
     case LogicalKind::kScan:
       return scan_lower(*node, out);
     case LogicalKind::kFilter: {
       PhysOpRef child;
-      IMCI_RETURN_NOT_OK(Lower(node->children[0], scan_lower, &child));
+      IMCI_RETURN_NOT_OK(lower(node->children[0], &child));
       *out = std::make_shared<FilterOp>(std::move(child), node->exprs[0]);
       return Status::OK();
     }
     case LogicalKind::kProject: {
       PhysOpRef child;
-      IMCI_RETURN_NOT_OK(Lower(node->children[0], scan_lower, &child));
+      IMCI_RETURN_NOT_OK(lower(node->children[0], &child));
       *out = std::make_shared<ProjectOp>(std::move(child), node->exprs);
       return Status::OK();
     }
     case LogicalKind::kJoin: {
       PhysOpRef probe, build;
-      IMCI_RETURN_NOT_OK(Lower(node->children[0], scan_lower, &probe));
-      IMCI_RETURN_NOT_OK(Lower(node->children[1], scan_lower, &build));
-      *out = std::make_shared<HashJoinOp>(std::move(build), std::move(probe),
-                                          node->right_keys, node->left_keys,
-                                          node->join_type);
+      IMCI_RETURN_NOT_OK(lower(node->children[0], &probe));
+      IMCI_RETURN_NOT_OK(lower(node->children[1], &build));
+      *out = std::make_shared<HashJoinOp>(
+          std::move(build), std::move(probe), node->right_keys,
+          node->left_keys, node->join_type,
+          probe_first_ok && BuildIsKeyedAgg(*node));
       return Status::OK();
     }
     case LogicalKind::kAgg: {
       PhysOpRef child;
-      IMCI_RETURN_NOT_OK(Lower(node->children[0], scan_lower, &child));
+      IMCI_RETURN_NOT_OK(lower(node->children[0], &child));
       *out = std::make_shared<HashAggOp>(std::move(child), node->group_cols,
                                          node->aggs);
       return Status::OK();
     }
     case LogicalKind::kSort: {
       PhysOpRef child;
-      IMCI_RETURN_NOT_OK(Lower(node->children[0], scan_lower, &child));
+      IMCI_RETURN_NOT_OK(lower(node->children[0], &child));
       *out = std::make_shared<SortOp>(std::move(child), node->sort_keys,
                                       node->limit);
       return Status::OK();
@@ -141,7 +171,7 @@ Status LowerToColumnPlan(const LogicalRef& node, const ImciStore* imci,
     *o = std::make_shared<ColumnScanOp>(index, scan.cols, scan.filter, part);
     return Status::OK();
   };
-  return Lower(node, scan_lower, out);
+  return Lower(node, scan_lower, /*probe_first_ok=*/true, out);
 }
 
 Status LowerToRowPlan(const LogicalRef& node, const RowStoreEngine* rows,
@@ -173,7 +203,7 @@ Status LowerToRowPlan(const LogicalRef& node, const RowStoreEngine* rows,
     *o = std::make_shared<RowScanOp>(table, scan.cols, scan.filter, hint);
     return Status::OK();
   };
-  return Lower(node, scan_lower, out);
+  return Lower(node, scan_lower, /*probe_first_ok=*/false, out);
 }
 
 }  // namespace imci

@@ -75,6 +75,9 @@ LogicalRef LSort(LogicalRef child, std::vector<SortKey> keys,
 LogicalRef LValues(std::vector<DataType> types, std::vector<Row> rows);
 
 /// Lowers to the column-based engine (vectorized scan over column indexes).
+/// A join whose build side is a grouped aggregation keyed on the join keys
+/// runs its probe side first (HashJoinOp's `probe_first`), so the probe's
+/// keys filter the aggregation's scans.
 Status LowerToColumnPlan(const LogicalRef& node, const ImciStore* imci,
                          PhysOpRef* out);
 

@@ -1504,6 +1504,271 @@ TEST(ColumnScanTest, KernelsMatchGenericFilter) {
   EXPECT_GT(failed, 0);
 }
 
+// Semi-join reduction: random join trees over column scans must return the
+// rows the same trees return over ValuesOp leaves, which ignore key
+// filters. The trees mix inner, left, semi and anti joins, either side run
+// first, on one- and two-column keys of INT32, DATE, INT64, DOUBLE and
+// STRING columns (an integer keyed against a DOUBLE joins in the DOUBLE
+// lane), with grouped aggregates and HAVING filters as build sides,
+// computed projections, and sorts with and without a LIMIT between joins.
+// The tables hold NULLs, rows deleted before the read view and rows changed
+// after it; the largest passes the skip rule's 4096 test rows. Rows are
+// compared sorted, the scan trees run at dop 1 and 3.
+TEST_F(OperatorTest, KeyFiltersMatchReference) {
+  const uint64_t seed = testing_util::TestSeed(20240707);
+  SCOPED_TRACE(::testing::Message() << "IMCI_TEST_SEED=" << seed);
+  std::mt19937_64 rng(seed);
+  auto pick = [&](int n) { return static_cast<int>(rng() % n); };
+
+  // Column domains: `a` is small, so a build on it can cover most of a
+  // table's keys and trip the skip rule; `x` holds every integer of `c`'s
+  // domain and the halves between them.
+  constexpr int kSmall = 60, kWide = 400;
+  const std::vector<ColumnDef> defs = {{"id", DataType::kInt64},
+                                       {"a", DataType::kInt32, true},
+                                       {"d", DataType::kDate, true},
+                                       {"c", DataType::kInt64, true},
+                                       {"x", DataType::kDouble, true},
+                                       {"s", DataType::kString, true}};
+  auto make_row = [&](int64_t id) {
+    auto maybe_null = [&](Value v) { return pick(8) == 0 ? Value{} : v; };
+    return Row{id,
+               maybe_null(int64_t(pick(kSmall))),
+               maybe_null(int64_t(pick(kWide))),
+               maybe_null(int64_t(pick(kWide))),
+               maybe_null(0.5 * pick(2 * kWide)),
+               maybe_null(pick(9) == 0 ? std::string()
+                                       : "s" + std::to_string(pick(kWide)))};
+  };
+  struct Table {
+    std::unique_ptr<ColumnIndex> index;
+    std::map<int64_t, Row> live;
+    std::vector<Row> visible;  // at the read view
+  };
+  std::vector<Table> tables;
+  ColumnIndexOptions options;
+  options.row_group_size = 64;
+  Vid vid = 0;
+  for (int rows : {4600, 300, 120}) {
+    Table t;
+    t.index = std::make_unique<ColumnIndex>(
+        std::make_shared<Schema>(90 + tables.size(), "t", defs, 0), options);
+    for (int64_t id = 0; id < rows; ++id) {
+      t.live[id] = make_row(id);
+      ASSERT_TRUE(t.index->Insert(t.live[id], ++vid).ok());
+    }
+    for (int i = 0; i < rows / 10; ++i) {
+      const int64_t id = pick(rows);
+      if (t.live.erase(id) == 1) {
+        ASSERT_TRUE(t.index->Delete(id, ++vid).ok());
+      }
+    }
+    tables.push_back(std::move(t));
+  }
+  tables[0].index->DropInsertVidMaps(vid);
+  const Vid read_vid = vid;
+  for (Table& t : tables) {
+    for (const auto& [id, row] : t.live) t.visible.push_back(row);
+    // After the read view: deletes, updates and inserts it must not see.
+    for (int i = 0; i < 10; ++i) {
+      const int64_t id =
+          AsInt(t.visible[pick(static_cast<int>(t.visible.size()))][0]);
+      if (t.live.count(id) == 0) continue;
+      if (pick(2) == 0) {
+        ASSERT_TRUE(t.index->Delete(id, ++vid).ok());
+        t.live.erase(id);
+      } else {
+        ASSERT_TRUE(t.index->Update(make_row(id), ++vid).ok());
+      }
+    }
+    const int64_t next = t.live.empty() ? 0 : t.live.rbegin()->first + 1;
+    for (int64_t id = next; id < next + 5; ++id) {
+      ASSERT_TRUE(t.index->Insert(make_row(id), ++vid).ok());
+    }
+  }
+
+  // One generator builds each tree twice from the same seed: over column
+  // scans, then over ValuesOp leaves. The big table appears once per tree,
+  // so joins stay small.
+  std::mt19937_64 trng;
+  auto tpick = [&](size_t n) { return static_cast<int>(trng() % n); };
+  bool columns = true, big_used = false;
+  auto predicate = [&](const std::vector<DataType>& types) -> ExprRef {
+    const int c = tpick(types.size());
+    const ExprRef col = Col(c, types[c]);
+    const bool lt = tpick(2) == 0;
+    switch (types[c]) {
+      case DataType::kString:
+        return lt ? Lt(col, ConstString("s2")) : Ge(col, ConstString("s2"));
+      case DataType::kDouble:
+        return lt ? Lt(col, ConstDouble(0.5 * tpick(2 * kWide)))
+                  : Not(IsNull(col));
+      default:
+        return lt ? Lt(col, ConstInt(tpick(kWide))) : Gt(col, ConstInt(1));
+    }
+  };
+  auto leaf = [&]() -> PhysOpRef {
+    int t = tpick(3);
+    if (t == 0 && big_used) t = 1 + tpick(2);
+    big_used |= t == 0;
+    std::vector<int> cols(defs.size());
+    std::iota(cols.begin(), cols.end(), 0);
+    std::shuffle(cols.begin(), cols.end(), trng);
+    cols.resize(2 + tpick(cols.size() - 1));
+    std::vector<DataType> types;
+    for (int c : cols) types.push_back(defs[c].type);
+    const ExprRef filter = tpick(3) == 0 ? predicate(types) : nullptr;
+    if (columns) {
+      return std::make_shared<ColumnScanOp>(tables[t].index.get(), cols,
+                                            filter);
+    }
+    std::vector<Row> rows;
+    for (const Row& r : tables[t].visible) {
+      Row out;
+      for (int c : cols) out.push_back(r[c]);
+      rows.push_back(std::move(out));
+    }
+    PhysOpRef values = std::make_shared<ValuesOp>(types, std::move(rows));
+    if (filter == nullptr) return values;
+    return std::make_shared<FilterOp>(values, filter);
+  };
+  auto agg = [&](PhysOpRef in) -> PhysOpRef {
+    const std::vector<DataType> t = in->out_types();
+    std::vector<int> groups;
+    if (tpick(6) != 0) groups.push_back(tpick(t.size()));
+    if (tpick(3) == 0) {
+      const int g = tpick(t.size());
+      if (groups.empty() || g != groups[0]) groups.push_back(g);
+    }
+    std::vector<AggSpec> aggs;
+    for (int n = 1 + tpick(3); n > 0; --n) {
+      const int c = tpick(t.size());
+      const ExprRef arg = Col(c, t[c]);
+      switch (tpick(6)) {
+        case 0: aggs.push_back({AggKind::kCountStar, nullptr}); break;
+        case 1: aggs.push_back({AggKind::kCount, arg}); break;
+        case 2: aggs.push_back({AggKind::kMin, arg}); break;
+        case 3: aggs.push_back({AggKind::kMax, arg}); break;
+        case 4: aggs.push_back({AggKind::kCountDistinct, arg}); break;
+        default:
+          aggs.push_back(t[c] == DataType::kString
+                             ? AggSpec{AggKind::kMax, arg}
+                             : AggSpec{AggKind::kSum, arg});
+          break;
+      }
+    }
+    PhysOpRef out = std::make_shared<HashAggOp>(in, groups, aggs);
+    if (tpick(3) != 0) return out;
+    return std::make_shared<FilterOp>(out, predicate(out->out_types()));
+  };
+  auto project = [&](PhysOpRef in) -> PhysOpRef {
+    const std::vector<DataType> t = in->out_types();
+    std::vector<ExprRef> exprs;
+    for (int n = 2 + tpick(3); n > 0; --n) {
+      const int c = tpick(t.size());
+      ExprRef e = Col(c, t[c]);
+      if (tpick(3) == 0) {
+        if (t[c] == DataType::kString) {
+          e = Substr(e, 1, 2);
+        } else if (t[c] == DataType::kDouble) {
+          e = Mul(e, ConstDouble(2.0));
+        } else {
+          e = Add(e, ConstInt(1));
+        }
+      }
+      exprs.push_back(std::move(e));
+    }
+    return std::make_shared<ProjectOp>(in, std::move(exprs));
+  };
+  auto sort = [&](PhysOpRef in) -> PhysOpRef {
+    const int key = tpick(in->out_types().size());
+    const bool desc = tpick(2) == 0;
+    const int64_t limit = tpick(2) == 0 ? -1 : 1 + tpick(40);
+    return std::make_shared<SortOp>(in, std::vector<SortKey>{{key, desc}},
+                                    limit);
+  };
+  const std::vector<JoinType> join_types = {JoinType::kInner, JoinType::kLeft,
+                                            JoinType::kSemi, JoinType::kAnti};
+  auto join = [&](PhysOpRef probe, PhysOpRef build) -> PhysOpRef {
+    const std::vector<DataType> pt = probe->out_types();
+    const std::vector<DataType> bt = build->out_types();
+    std::vector<int> pk, bk;
+    for (int n = tpick(4) == 0 ? 2 : 1; n > 0; --n) {
+      const int p = tpick(pt.size());
+      std::vector<int> fits;  // strings join strings, numbers numbers
+      for (size_t b = 0; b < bt.size(); ++b) {
+        if ((bt[b] == DataType::kString) == (pt[p] == DataType::kString)) {
+          fits.push_back(static_cast<int>(b));
+        }
+      }
+      if (fits.empty()) continue;
+      pk.push_back(p);
+      bk.push_back(fits[tpick(fits.size())]);
+    }
+    if (pk.empty()) return probe;
+    const JoinType type = join_types[tpick(join_types.size())];
+    return std::make_shared<HashJoinOp>(build, probe, bk, pk, type,
+                                        tpick(2) == 0);
+  };
+  std::function<PhysOpRef(int)> gen = [&](int depth) -> PhysOpRef {
+    if (depth == 0) return leaf();
+    switch (tpick(8)) {
+      case 0: return leaf();
+      case 1: return agg(gen(depth - 1));
+      case 2: return project(gen(depth - 1));
+      case 3: return sort(gen(depth - 1));
+      case 4: {
+        PhysOpRef in = gen(depth - 1);
+        const ExprRef pred = predicate(in->out_types());
+        return std::make_shared<FilterOp>(in, pred);
+      }
+      default: {  // a join; a third of build sides are aggregates
+        PhysOpRef probe = gen(depth - 1);
+        PhysOpRef build = gen(depth - 1);
+        if (tpick(3) == 0) build = agg(build);
+        return join(probe, build);
+      }
+    }
+  };
+  const auto row_less = [](const Row& x, const Row& y) {
+    for (size_t i = 0; i < x.size(); ++i) {
+      if (const int c = CompareValues(x[i], y[i]); c != 0) return c < 0;
+    }
+    return false;
+  };
+  auto run = [&](const PhysOpRef& plan, int dop) {
+    ctx_.parallelism = dop;
+    std::vector<Row> rows;
+    const Status s = RunPlan(plan, &ctx_, &rows);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    std::sort(rows.begin(), rows.end(), row_less);
+    return rows;
+  };
+
+  ctx_.read_vid = read_vid;
+  const int iters = testing_util::TestIters(250);
+  int joins = 0, nonempty = 0;
+  for (int it = 0; it < iters; ++it) {
+    SCOPED_TRACE(::testing::Message() << "tree " << it);
+    const uint64_t tree_seed = rng();
+    PhysOpRef plans[2];
+    for (int i = 0; i < 2; ++i) {
+      trng.seed(tree_seed);
+      columns = i == 0;
+      big_used = false;
+      plans[i] = gen(3);
+    }
+    joins += dynamic_cast<HashJoinOp*>(plans[0].get()) != nullptr;
+    const std::vector<Row> want = run(plans[1], 1);
+    nonempty += !want.empty();
+    for (int dop : {1, 3}) {
+      ASSERT_EQ(run(plans[0], dop), want) << "dop " << dop;
+    }
+  }
+  EXPECT_GT(joins, iters / 4);
+  EXPECT_GT(nonempty, iters / 2);
+}
+
 TEST(CompactBatchTest, RemovesMaskedRowsInPlace) {
   Batch b = Batch::Make({DataType::kInt64, DataType::kString});
   for (int64_t i = 0; i < 6; ++i) {

@@ -85,7 +85,10 @@ class MorselExecTest : public ::testing::Test {
 
   /// Plans covering every parallel operator: morsel scan (filtered and
   /// full), partition-parallel join build/probe for each join type, and the
-  /// exchange-merged aggregation with and without group keys.
+  /// exchange-merged aggregation with and without group keys. Two joins
+  /// cover both semi-join reduction orders: a grouped-aggregate build side
+  /// runs after the probe side, whose keys filter the aggregate's scan; a
+  /// HAVING-filtered one runs first, and its keys filter the probe scan.
   std::vector<std::pair<const char*, LogicalRef>> Plans() {
     auto scan_fact = [] {
       return LScan(kFact, {0, 1, 2, 3});
@@ -124,6 +127,20 @@ class MorselExecTest : public ::testing::Test {
         LAgg(LJoin(scan_fact(), scan_dim(), {1}, {0}, JoinType::kInner), {2},
              {AggSpec{AggKind::kSum, Col(5, DataType::kInt64)},
               AggSpec{AggKind::kCountStar, nullptr}}));
+    auto per_key = [&] {  // k, sum(v), count(*)
+      return LAgg(scan_fact(), {1},
+                  {AggSpec{AggKind::kSum, Col(3, DataType::kInt64)},
+                   AggSpec{AggKind::kCountStar, nullptr}});
+    };
+    plans.emplace_back(
+        "join_probe_first",
+        LJoin(LScan(kDim, {0, 1}, Lt(Col(1, DataType::kInt64), ConstInt(0))),
+              per_key(), {0}, {0}, JoinType::kInner));
+    plans.emplace_back(
+        "join_having_build",
+        LJoin(scan_fact(),
+              LFilter(per_key(), Gt(Col(2, DataType::kInt64), ConstInt(30))),
+              {1}, {0}, JoinType::kInner));
     return plans;
   }
 
