@@ -294,24 +294,41 @@ void CompareVectors(const ColumnVector& l, const ColumnVector& r,
   }
 }
 
-template <typename Fn>
-void ArithVectors(const ColumnVector& l, const ColumnVector& r, DataType out_t,
-                  Fn fn, ColumnVector* out) {
+/// `l op r` row by row: on the INT64 lane when the result is INT64 and
+/// neither side is DOUBLE (`int_op` reports overflow), else on the DOUBLE
+/// lane. An INT64 result outside int64 on a non-NULL row fails the
+/// expression, as MySQL's BIGINT does.
+template <typename IntOp, typename DblOp>
+Status ArithVectors(const ColumnVector& l, const ColumnVector& r,
+                    DataType out_t, IntOp int_op, DblOp dbl_op,
+                    ColumnVector* out) {
+  if (IsString(l) || IsString(r)) {
+    return Status::InvalidArgument("arithmetic on a string");
+  }
   const size_t n = l.size();
-  out->type = out_t;
+  const bool ints = out_t == DataType::kInt64 &&
+                    l.type != DataType::kDouble && r.type != DataType::kDouble;
+  out->type = ints ? DataType::kInt64 : DataType::kDouble;
   out->Resize(n);
-  if (out_t == DataType::kInt64 && l.type != DataType::kDouble &&
-      r.type != DataType::kDouble) {
+  for (size_t i = 0; i < n; ++i) out->nulls[i] = l.nulls[i] | r.nulls[i];
+  if (ints) {
     const int64_t* a = l.ints.data();
     const int64_t* b = r.ints.data();
+    const uint8_t* nulls = out->nulls.data();
     int64_t* o = out->ints.data();
-    for (size_t i = 0; i < n; ++i) o[i] = static_cast<int64_t>(fn(a[i], b[i]));
+    bool overflow = false;
+    for (size_t i = 0; i < n; ++i) {
+      overflow |= int_op(a[i], b[i], &o[i]) & !nulls[i];
+    }
+    if (overflow) {
+      return Status::InvalidArgument("BIGINT value is out of range");
+    }
   } else {
     for (size_t i = 0; i < n; ++i) {
-      out->dbls[i] = fn(l.NumericAt(i), r.NumericAt(i));
+      out->dbls[i] = dbl_op(l.NumericAt(i), r.NumericAt(i));
     }
   }
-  for (size_t i = 0; i < n; ++i) out->nulls[i] = l.nulls[i] | r.nulls[i];
+  return Status::OK();
 }
 
 }  // namespace
@@ -412,19 +429,27 @@ Status Expr::Eval(const Batch& batch, ColumnVector* out) const {
       IMCI_RETURN_NOT_OK(args[1]->Eval(batch, &r));
       switch (kind) {
         case ExprKind::kAdd:
-          ArithVectors(l, r, out_type, [](auto a, auto b) { return a + b; },
-                       out);
-          break;
+          return ArithVectors(
+              l, r, out_type,
+              [](int64_t a, int64_t b, int64_t* o) {
+                return __builtin_add_overflow(a, b, o);
+              },
+              [](double a, double b) { return a + b; }, out);
         case ExprKind::kSub:
-          ArithVectors(l, r, out_type, [](auto a, auto b) { return a - b; },
-                       out);
-          break;
+          return ArithVectors(
+              l, r, out_type,
+              [](int64_t a, int64_t b, int64_t* o) {
+                return __builtin_sub_overflow(a, b, o);
+              },
+              [](double a, double b) { return a - b; }, out);
         default:
-          ArithVectors(l, r, out_type, [](auto a, auto b) { return a * b; },
-                       out);
-          break;
+          return ArithVectors(
+              l, r, out_type,
+              [](int64_t a, int64_t b, int64_t* o) {
+                return __builtin_mul_overflow(a, b, o);
+              },
+              [](double a, double b) { return a * b; }, out);
       }
-      return Status::OK();
     }
     case ExprKind::kDiv: {
       ColumnVector l, r;

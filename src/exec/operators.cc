@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <span>
 #include <string_view>
@@ -879,7 +880,8 @@ uint32_t PartitionOf(uint64_t hash, uint32_t pmask) {
 /// Hash(), hashes[r] is its HashWords (a sort needs no hashes). A whole
 /// batch is imaged column by column before any table is probed, so the
 /// probe loop stays short enough for the CPU to overlap the cache misses of
-/// consecutive rows.
+/// consecutive rows. A batch with no string and no NULL in its key columns
+/// is imaged fixed-width, straight from the lanes (FixedWidthKeys).
 struct BatchKeys {
   std::vector<int64_t> words;
   std::vector<size_t> start;
@@ -893,6 +895,11 @@ struct BatchKeys {
     hashes.resize(n);
     for (size_t r = 0; r < n; ++r) hashes[r] = HashWords(key(r), width(r));
   }
+  /// Whether rows r and q have equal images (and so equal keys).
+  bool SameKey(size_t r, size_t q) const {
+    return hashes[r] == hashes[q] && width(r) == width(q) &&
+           std::equal(key(r), key(r) + width(r), key(q));
+  }
   /// Whether row r's mask is all zero: no key column is NULL.
   bool NoNulls(size_t r, size_t mask_words) const {
     const int64_t* k = key(r);
@@ -900,11 +907,45 @@ struct BatchKeys {
   }
 };
 
+/// Whether every key image of `b` over `cols` is one word per column: no
+/// key column is a string or holds a NULL.
+bool FixedWidthKeys(const Batch& b, const std::vector<int>& cols,
+                    const std::vector<DataType>& lanes) {
+  for (size_t c = 0; c < cols.size(); ++c) {
+    if (lanes[c] == DataType::kString) return false;
+    const uint8_t* nulls = b.cols[cols[c]].nulls.data();
+    if (std::any_of(nulls, nulls + b.rows, [](uint8_t x) { return x != 0; })) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void EncodeKeys(const Batch& b, const std::vector<int>& cols,
                 const std::vector<DataType>& lanes, BatchKeys* out) {
   const size_t n = b.rows, mask_words = MaskWords(cols.size());
-  // Row widths go to start[r + 1]; the prefix sum turns them into starts.
   std::vector<size_t>& start = out->start;
+  if (FixedWidthKeys(b, cols, lanes)) {
+    // Row r's image is words [r * width, (r + 1) * width): zero mask words,
+    // then each column's word, as WriteImage writes it.
+    const size_t width = mask_words + cols.size();
+    start.resize(n + 1);
+    for (size_t r = 0; r <= n; ++r) start[r] = r * width;
+    out->words.assign(n * width, 0);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      const ColumnVector& v = b.cols[cols[c]];
+      int64_t* w = out->words.data() + mask_words + c;
+      if (lanes[c] == DataType::kDouble) {
+        for (size_t r = 0; r < n; ++r) {
+          w[r * width] = static_cast<int64_t>(DoubleKeyBits(v.NumericAt(r)));
+        }
+      } else {
+        for (size_t r = 0; r < n; ++r) w[r * width] = v.ints[r];
+      }
+    }
+    return;
+  }
+  // Row widths go to start[r + 1]; the prefix sum turns them into starts.
   start.assign(n + 1, mask_words);
   start[0] = 0;
   for (size_t c = 0; c < cols.size(); ++c) {
@@ -1136,17 +1177,35 @@ constexpr uint64_t kSkipTestRows = 4096;
 
 /// The keys of the side a hash join ran first, as its key filters test
 /// them: the join's exchange partitions, shared with it, and for a single
-/// INT64-lane key the range of its values. The scans a filter reaches
-/// tally here the rows it tests and keeps, for the skip rule.
+/// INT64-lane key the range [lo, hi] of its values. When that range is
+/// dense enough that one bit per value costs no more than the KeyTables
+/// (at most kBitsPerKey values of span per key, and under kMaxBits bits),
+/// the set also keeps an exact bitmap over it, and ContainsInt tests one
+/// bit instead of hashing. The scans a filter reaches tally here the rows
+/// it tests and keeps, for the skip rule.
 class KeySet {
  public:
   KeySet(const std::vector<JoinPartition>& parts, std::vector<DataType> lanes)
       : parts_(parts),
         lanes_(std::move(lanes)),
         pmask_(static_cast<uint32_t>(parts.size() - 1)) {
+    uint64_t keys = 0;
     for (const JoinPartition& t : parts_) {
       lo_ = std::min(lo_, t.lo);
       hi_ = std::max(hi_, t.hi);
+      keys += t.keys.size();
+    }
+    if (!int_key() || keys == 0) return;
+    // Unsigned, so INT64_MIN..INT64_MAX cannot overflow.
+    const uint64_t span =
+        static_cast<uint64_t>(hi_) - static_cast<uint64_t>(lo_);
+    if (span > kBitsPerKey * keys || span + 1 >= kMaxBits) return;
+    bits_.assign(span / 64 + 1, 0);
+    for (const JoinPartition& t : parts_) {
+      for (uint32_t id = 0; id < t.keys.size(); ++id) {
+        const uint64_t off = Offset(t.keys.key(id)[0]);
+        bits_[off / 64] |= uint64_t{1} << (off % 64);
+      }
     }
   }
 
@@ -1163,6 +1222,10 @@ class KeySet {
   /// Contains for the non-NULL value `v` of an int_key() set.
   bool ContainsInt(int64_t v) const {
     if (v < lo_ || v > hi_) return false;
+    if (!bits_.empty()) {
+      const uint64_t off = Offset(v);
+      return (bits_[off / 64] >> (off % 64)) & 1;
+    }
     const int64_t image[2] = {0, v};
     return Contains(image, 2, HashWords(image, 2));
   }
@@ -1181,10 +1244,21 @@ class KeySet {
   }
 
  private:
+  /// A KeyTable spends at least 48 bytes, 384 bits, per key; the bitmap
+  /// at most kBitsPerKey per key, plus one word.
+  static constexpr uint64_t kBitsPerKey = 256;
+  static constexpr uint64_t kMaxBits = uint64_t{1} << 27;
+
+  /// The bit of value `v` in [lo, hi].
+  uint64_t Offset(int64_t v) const {
+    return static_cast<uint64_t>(v) - static_cast<uint64_t>(lo_);
+  }
+
   const std::vector<JoinPartition>& parts_;
   std::vector<DataType> lanes_;
   uint32_t pmask_;
   int64_t lo_ = INT64_MAX, hi_ = INT64_MIN;  // int_key(): the value range
+  std::vector<uint64_t> bits_;  // bit v - lo set for each key v, or empty
   mutable std::atomic<uint64_t> tested_{0}, kept_{0};
   mutable std::atomic<bool> skip_{false};
 };
@@ -1304,10 +1378,11 @@ Status HashJoinOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
   } else {
     IMCI_RETURN_NOT_OK(build_->ExecuteFiltered(ctx, build_filters, &build_set));
     BuildPartitions(ctx, build_set, build_keys_, lanes, nullptr, &tables);
-    const KeySet build_keys(tables, lanes);
+    std::optional<KeySet> build_keys;
     if (type_ == JoinType::kInner || type_ == JoinType::kSemi) {
+      build_keys.emplace(tables, lanes);
       probe_filters.insert(probe_filters.begin(),
-                           KeyFilter{&build_keys, probe_keys_});
+                           KeyFilter{&*build_keys, probe_keys_});
     }
     IMCI_RETURN_NOT_OK(probe_->ExecuteFiltered(ctx, probe_filters, &probe_set));
   }
@@ -1564,6 +1639,35 @@ void FoldDistinct(const KeyTable& src, const std::vector<uint32_t>& remap,
   }
 }
 
+/// Folds each non-NULL row r of `v` into MIN/MAX aggregate a, read in
+/// `lane`, of group gids[r] of table *tables[r].
+void AddMinMax(AggKind kind, DataType lane, const ColumnVector& v,
+               const std::vector<AggTable*>& tables,
+               const std::vector<uint32_t>& gids, int a) {
+  for (uint32_t ri = 0; ri < gids.size(); ++ri) {
+    if (v.nulls[ri]) continue;
+    AggTable& t = *tables[ri];
+    const size_t s = static_cast<size_t>(gids[ri]) * t.A + a;
+    if (lane == DataType::kString) {
+      const std::string_view x = v.str(ri);
+      if (t.counts[s]++ == 0 || Improves(kind, x, t.strs[s])) {
+        t.strs[s] = t.arena.Keep(x);
+      }
+      continue;
+    }
+    AggLane x{};
+    if (lane == DataType::kDouble) {
+      x.d = v.NumericAt(ri);
+    } else {
+      x.i = v.ints[ri];
+    }
+    if (t.counts[s]++ == 0 ||
+        Improves(kind, lane == DataType::kDouble, x, t.minmax[s])) {
+      t.minmax[s] = x;
+    }
+  }
+}
+
 }  // namespace
 
 DataType AggOutType(const AggSpec& a) {
@@ -1629,12 +1733,17 @@ Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
 
   // Partial aggregation: thread-local tables, no synchronization. Each
   // batch first maps every row to its group id in the table of its
-  // partition, then updates one aggregate at a time over the whole batch.
+  // partition (a row keyed like the row before it takes that row's id
+  // without a lookup), takes each row's state pointers, then updates one
+  // aggregate at a time over the whole batch, in a loop typed for its kind
+  // and lane.
   ParallelFor(ctx->pool, workers, [&](int wi) {
     std::vector<AggTable>& tables = partials[wi];
     BatchKeys keys, distinct_keys;
     std::vector<AggTable*> row_tables;
     std::vector<uint32_t> gids, key_rows;
+    std::vector<int64_t*> counts;
+    std::vector<double*> sums;
     std::vector<ColumnVector> evaluated(A);
     std::vector<const ColumnVector*> args(A, nullptr);
     for (;;) {
@@ -1669,75 +1778,70 @@ Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
       }
       EncodeKeys(b, group_cols_, key_lanes_, &keys);
       keys.Hash();
-      row_tables.resize(b.rows);
-      for (uint32_t ri = 0; ri < b.rows; ++ri) {
+      const uint32_t n = static_cast<uint32_t>(b.rows);
+      row_tables.resize(n);
+      for (uint32_t ri = 0; ri < n; ++ri) {
         row_tables[ri] = &tables[PartitionOf(keys.hashes[ri], pmask)];
       }
-      gids.resize(b.rows);
-      for (uint32_t ri = 0; ri < b.rows; ++ri) {
-        if (ri + kPrefetchRows < b.rows) {
+      gids.resize(n);
+      for (uint32_t ri = 0; ri < n; ++ri) {
+        if (ri + kPrefetchRows < n) {
           row_tables[ri + kPrefetchRows]->keys.Prefetch(
               keys.hashes[ri + kPrefetchRows]);
+        }
+        if (ri > 0 && keys.SameKey(ri - 1, ri)) {
+          gids[ri] = gids[ri - 1];  // same key, same table
+          continue;
         }
         bool inserted = false;
         gids[ri] = row_tables[ri]->Group(keys.key(ri), keys.width(ri),
                                          keys.hashes[ri], &inserted);
       }
+      // Each row's state, now that no group of the batch is still to be
+      // added: aggregate a of row ri is counts[ri][a] and sums[ri][a].
+      counts.resize(n);
+      if (has_sums_) sums.resize(n);
+      for (uint32_t ri = 0; ri < n; ++ri) {
+        const size_t at = static_cast<size_t>(gids[ri]) * A;
+        counts[ri] = row_tables[ri]->counts.data() + at;
+        if (has_sums_) sums[ri] = row_tables[ri]->sums.data() + at;
+      }
       for (int a = 0; a < A; ++a) {
         const AggKind kind = aggs_[a].kind;
         if (kind == AggKind::kCountStar) {
-          for (uint32_t ri = 0; ri < b.rows; ++ri) {
-            row_tables[ri]->counts[static_cast<size_t>(gids[ri]) * A + a]++;
-          }
+          for (uint32_t ri = 0; ri < n; ++ri) counts[ri][a]++;
           continue;
         }
         const ColumnVector& v = *args[a];
-        if (kind == AggKind::kCountDistinct) {
-          AddDistinct(row_tables, gids, a, v, &distinct_keys, &key_rows);
-          continue;
-        }
-        const DataType lane = minmax_lane_[a];
-        for (uint32_t ri = 0; ri < b.rows; ++ri) {
-          if (v.nulls[ri]) continue;
-          AggTable& t = *row_tables[ri];
-          const size_t s = static_cast<size_t>(gids[ri]) * A + a;
-          switch (kind) {
-            case AggKind::kSum:
-            case AggKind::kAvg:
-              t.sums[s] += v.NumericAt(ri);
-              t.counts[s]++;
-              break;
-            case AggKind::kCount:
-              t.counts[s]++;
-              break;
-            case AggKind::kSumInt:
-              t.counts[s] += v.ints[ri];
-              break;
-            case AggKind::kMin:
-            case AggKind::kMax:
-              if (lane == DataType::kString) {
-                const std::string_view x = v.str(ri);
-                if (t.counts[s]++ == 0 || Improves(kind, x, t.strs[s])) {
-                  t.strs[s] = t.arena.Keep(x);
-                }
-              } else {
-                AggLane x{};
-                if (lane == DataType::kDouble) {
-                  x.d = v.NumericAt(ri);
-                } else {
-                  x.i = v.ints[ri];
-                }
-                if (t.counts[s]++ == 0 ||
-                    Improves(kind, lane == DataType::kDouble, x,
-                             t.minmax[s])) {
-                  t.minmax[s] = x;
-                }
+        const uint8_t* nulls = v.nulls.data();
+        switch (kind) {
+          case AggKind::kCount:
+            for (uint32_t ri = 0; ri < n; ++ri) counts[ri][a] += !nulls[ri];
+            break;
+          case AggKind::kSumInt:
+            for (uint32_t ri = 0; ri < n; ++ri) {
+              if (!nulls[ri]) counts[ri][a] += v.ints[ri];
+            }
+            break;
+          case AggKind::kSum:
+          case AggKind::kAvg:
+            v.WithLane<double>([&](auto at) {
+              for (uint32_t ri = 0; ri < n; ++ri) {
+                if (nulls[ri]) continue;
+                sums[ri][a] += at(ri);
+                counts[ri][a]++;
               }
-              break;
-            case AggKind::kCountStar:
-            case AggKind::kCountDistinct:
-              break;
-          }
+            });
+            break;
+          case AggKind::kCountDistinct:
+            AddDistinct(row_tables, gids, a, v, &distinct_keys, &key_rows);
+            break;
+          case AggKind::kMin:
+          case AggKind::kMax:
+            AddMinMax(kind, minmax_lane_[a], v, row_tables, gids, a);
+            break;
+          case AggKind::kCountStar:
+            break;
         }
       }
     }

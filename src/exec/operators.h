@@ -105,10 +105,11 @@ struct ScanPartition {
 /// on the pack lanes and shrinks the selection in place; every other
 /// conjunct is a residual, evaluated through Expr over just its own columns
 /// for the rows still selected. Key filters run last, nearest join first:
-/// a single INT64-lane key as a lane kernel (the set's min/max, then a
-/// table lookup), any other key through gathered key images. A key filter
-/// that keeps more than 3/4 of the first 4096 rows it tests stops running
-/// for the rest of the query. Only the survivors are copied out.
+/// a single INT64-lane key as a lane kernel (the set's min/max, then one
+/// bit of the set's bitmap when it is dense, else a table lookup), any
+/// other key through gathered key images. A key filter that keeps more
+/// than 3/4 of the first 4096 rows it tests stops running for the rest of
+/// the query. Only the survivors are copied out.
 class ColumnScanOp : public PhysOp {
  public:
   /// `filter` refers to *output* ordinals (positions in `cols`).
@@ -294,16 +295,20 @@ DataType AggOutType(const AggSpec& a);
 /// Groups of any key types map to dense ids in open-addressing tables over
 /// the same int64-word key images the join uses, aggregate state lives in
 /// flat arrays (strings only when a MIN/MAX reads one), and COUNT DISTINCT
-/// keeps (group, agg, value image) keys. Each worker keeps one table per
-/// exchange partition; partition p takes over worker 0's table p and folds
-/// the other workers' tables p into it in worker order, remapping the group
-/// ids of their COUNT DISTINCT keys. Groups are emitted in ascending
-/// key-image order, the engine's one order over values (SortOp sorts by it
-/// too): NULL first, then CompareValues' order, doubles totally ordered by
-/// their bits. The row order depends only on the key set, at every dop. The
-/// emission sort compares a 64-bit prefix of the first key column and falls
-/// back to the full key only on a tie. A key filter on group columns only
-/// passes to the input: it drops whole groups.
+/// keeps (group, agg, value image) keys. A row keyed like the row before it
+/// in its batch reuses that row's group id without a lookup. With every
+/// row's state located, each aggregate updates the batch in one loop typed
+/// for its kind and lane (SUM/AVG on the DOUBLE or INT lane, COUNT,
+/// COUNT(*), kSumInt); a group's rows add up in row order. Each worker
+/// keeps one table per exchange partition; partition p takes over worker
+/// 0's table p and folds the other workers' tables p into it in worker
+/// order, remapping the group ids of their COUNT DISTINCT keys. Groups are
+/// emitted in ascending key-image order, the engine's one order over values
+/// (SortOp sorts by it too): NULL first, then CompareValues' order, doubles
+/// totally ordered by their bits. The row order depends only on the key
+/// set, at every dop. The emission sort compares a 64-bit prefix of the
+/// first key column and falls back to the full key only on a tie. A key
+/// filter on group columns only passes to the input: it drops whole groups.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,

@@ -122,6 +122,20 @@ struct ColumnVector {
     return type == DataType::kDouble ? dbls[i]
                                      : static_cast<double>(ints[i]);
   }
+
+  /// Calls `fn(at)`, `at(i)` reading row i of this numeric vector as a T
+  /// (integers widen to double as in NumericAt), with the lane picked once
+  /// instead of per row.
+  template <typename T, typename Fn>
+  void WithLane(Fn fn) const {
+    if (type == DataType::kDouble) {
+      const double* v = dbls.data();
+      fn([v](size_t i) { return static_cast<T>(v[i]); });
+    } else {
+      const int64_t* v = ints.data();
+      fn([v](size_t i) { return static_cast<T>(v[i]); });
+    }
+  }
 };
 
 /// A batch of rows in columnar layout — the unit that streams through the

@@ -87,6 +87,126 @@ TEST(ExprTest, ArithmeticTypePromotion) {
   EXPECT_EQ(out.nulls[0], 1);
 }
 
+// `+ - *` over every operand pairing: column and constant on either side,
+// INT x INT (stays INT64), INT x DOUBLE (widens), NULL constants and nested
+// arithmetic.
+TEST(ExprTest, ArithmeticOperandForms) {
+  Batch b = MakeBatch({{int64_t(7), 0.5, int64_t(3)},
+                       {Value{}, 2.0, int64_t(-4)},
+                       {int64_t(-2), Value{}, Value{}}},
+                      {DataType::kInt64, DataType::kDouble, DataType::kInt32});
+  const auto i = Col(0, DataType::kInt64);
+  const auto d = Col(1, DataType::kDouble);
+  const auto j = Col(2, DataType::kInt32);
+  auto eval = [&](const ExprRef& e) {
+    ColumnVector out;
+    const Status st = e->Eval(b, &out);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(out.type, e->out_type);
+    EXPECT_EQ(out.size(), b.rows);
+    return out;
+  };
+  // INT x INT stays INT64, whichever side is the constant.
+  ColumnVector out = eval(Sub(ConstInt(10), i));
+  EXPECT_EQ(out.type, DataType::kInt64);
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 1, 0}));
+  EXPECT_EQ(out.ints[0], 3);
+  EXPECT_EQ(out.ints[2], 12);
+  out = eval(Mul(j, ConstInt(-5)));
+  EXPECT_EQ(out.type, DataType::kInt64);
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 0, 1}));
+  EXPECT_EQ(out.ints[0], -15);
+  EXPECT_EQ(out.ints[1], 20);
+  out = eval(Add(i, j));
+  EXPECT_EQ(out.type, DataType::kInt64);
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 1, 1}));
+  EXPECT_EQ(out.ints[0], 10);
+  out = eval(Add(ConstInt(2), ConstInt(3)));
+  EXPECT_EQ(out.ints, (std::vector<int64_t>{5, 5, 5}));
+  // INT x DOUBLE widens, from either side and for constants too.
+  out = eval(Mul(i, d));
+  EXPECT_EQ(out.type, DataType::kDouble);
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 1, 1}));
+  EXPECT_EQ(out.dbls[0], 3.5);
+  out = eval(Sub(d, j));
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 0, 1}));
+  EXPECT_EQ(out.dbls[0], -2.5);
+  EXPECT_EQ(out.dbls[1], 6.0);
+  out = eval(Sub(ConstDouble(1.0), j));
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 0, 1}));
+  EXPECT_EQ(out.dbls[0], -2.0);
+  EXPECT_EQ(out.dbls[1], 5.0);
+  out = eval(Add(i, ConstDouble(0.25)));
+  EXPECT_EQ(out.dbls[0], 7.25);
+  EXPECT_EQ(out.dbls[2], -1.75);
+  // A NULL constant makes every row NULL, in either lane.
+  for (const ExprRef& null : {ConstInt(0), ConstDouble(0.0)}) {
+    null->constant = Value{};
+    for (const ExprRef& e : {Add(i, null), Mul(null, d), Sub(null, null)}) {
+      out = eval(e);
+      EXPECT_EQ(out.nulls, (std::vector<uint8_t>{1, 1, 1}));
+    }
+  }
+  // Nested arithmetic reads its inner results the same way.
+  out = eval(Mul(d, Sub(ConstInt(1), Mul(j, ConstInt(2)))));
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 0, 1}));
+  EXPECT_EQ(out.dbls[0], -2.5);
+  EXPECT_EQ(out.dbls[1], 18.0);
+  // An operand ordinal outside the batch still fails cleanly.
+  for (const ExprRef& e : {Add(Col(3, DataType::kInt64), ConstInt(1)),
+                           Mul(d, Col(-1, DataType::kDouble))}) {
+    const Status st = e->Eval(b, &out);
+    EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
+  }
+  // The batch's lanes pick the result lane, not the plan's types: a DOUBLE
+  // column that a plan types INT64 adds as DOUBLE.
+  ASSERT_TRUE(Add(Col(1, DataType::kInt64), ConstInt(1))->Eval(b, &out).ok());
+  EXPECT_EQ(out.type, DataType::kDouble);
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 0, 1}));
+  EXPECT_EQ(out.dbls[0], 1.5);
+  EXPECT_EQ(out.dbls[1], 3.0);
+}
+
+// BIGINT arithmetic that leaves int64 fails the expression, as MySQL's
+// "BIGINT value is out of range" does, instead of wrapping (signed
+// overflow). A NULL row never overflows, whatever its lane holds.
+TEST(ExprTest, BigintOverflowIsOutOfRange) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  Batch b = MakeBatch({{int64_t(0), int64_t(1)},
+                       {kMax, int64_t(-1)},
+                       {kMin, Value{}}},
+                      {DataType::kInt64, DataType::kInt64});
+  b.cols[1].ints[2] = kMax;  // the lane under row 2's NULL
+  const auto x = Col(0, DataType::kInt64);
+  const auto y = Col(1, DataType::kInt64);
+  for (const ExprRef& e :
+       {Add(ConstInt(kMax), ConstInt(1)), Sub(ConstInt(kMin), ConstInt(1)),
+        Mul(ConstInt(kMin), ConstInt(-1)), Add(x, ConstInt(1)),
+        Sub(x, ConstInt(1)), Mul(x, ConstInt(-1)), Sub(x, y),
+        Mul(ConstInt(2), x)}) {
+    ColumnVector out;
+    const Status st = e->Eval(b, &out);
+    EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.ToString().find("BIGINT value is out of range"),
+              std::string::npos)
+        << st.ToString();
+  }
+  // In range: kMax + (-1), kMin * 1; row 2's NULL y never overflows.
+  ColumnVector out;
+  ASSERT_TRUE(Add(y, ConstInt(1))->Eval(b, &out).ok());
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 0, 1}));
+  ASSERT_TRUE(Add(x, y)->Eval(b, &out).ok());
+  EXPECT_EQ(out.nulls, (std::vector<uint8_t>{0, 0, 1}));
+  EXPECT_EQ(out.ints[0], 1);
+  EXPECT_EQ(out.ints[1], kMax - 1);
+  ASSERT_TRUE(Mul(x, Mul(y, y))->Eval(b, &out).ok());
+  EXPECT_EQ(out.ints[1], kMax);
+  // A DOUBLE operand takes the DOUBLE lane, which does not overflow.
+  ASSERT_TRUE(Add(x, ConstDouble(1.0))->Eval(b, &out).ok());
+  EXPECT_EQ(out.dbls[1], 9223372036854775808.0);
+}
+
 TEST(ExprTest, LikeMatcher) {
   EXPECT_TRUE(Expr::LikeMatch("PROMO BRUSHED TIN", "PROMO%"));
   EXPECT_TRUE(Expr::LikeMatch("forest green", "%green%"));
@@ -123,7 +243,7 @@ TEST(ExprTest, CaseSubstrYearIn) {
 // Comparing a string with a number used to read the empty lane of one side
 // (SEGV) or throw bad_variant_access from CompareValues (IN); it must fail
 // with InvalidArgument instead. So must the other ill-typed operands a
-// deserialized plan can carry.
+// deserialized plan can carry, arithmetic on a string among them.
 TEST(ExprTest, IllTypedOperandsFailCleanly) {
   Batch b = MakeBatch({{int64_t(1), std::string("x")}},
                       {DataType::kInt64, DataType::kString});
@@ -138,6 +258,8 @@ TEST(ExprTest, IllTypedOperandsFailCleanly) {
       Between(s, ConstString("a"), ConstInt(3)),
       Like(i, "%"),
       Col(2, DataType::kInt64),  // no such column
+      Add(s, ConstInt(1)),
+      Mul(i, ConstString("x")),
   };
   for (auto [type, value] : {std::pair<DataType, Value>{DataType::kInt64,
                                                          std::string("x")},
@@ -359,6 +481,59 @@ TEST_F(OperatorTest, HashAggAllKinds) {
   EXPECT_EQ(AsInt(out[0][7]), 2);
   // Group "b": distinct count dedups the two 10.0 values.
   EXPECT_EQ(AsInt(out[1][7]), 1);
+}
+
+// A batch whose key columns hold no NULL and no string gets fixed-width key
+// images; one with a NULL key gets the generic ones. Both must land the
+// same key in the same group (-0.0 and 0.0 are one key), including a run
+// of equal keys that crosses
+// a batch boundary (a row reuses the previous row's group only inside a
+// batch), and the typed SUM/AVG/COUNT loops must skip NULL arguments on
+// both lanes.
+TEST_F(OperatorTest, HashAggFixedAndGenericImagesShareGroups) {
+  const Value null;
+  const std::vector<DataType> types = {DataType::kInt64, DataType::kDouble,
+                                       DataType::kInt64, DataType::kDouble};
+  // Rows are (k, f, i, d); the groups are (k, f).
+  const std::vector<std::vector<Row>> batches = {
+      {{int64_t(2), -0.0, int64_t(4), null},
+       {int64_t(1), 0.5, int64_t(10), 1.5},
+       {int64_t(1), 0.5, null, 2.0},
+       {int64_t(1), 0.5, int64_t(-3), 0.25}},
+      {{int64_t(1), 0.5, int64_t(7), null},
+       {int64_t(1), 0.5, null, -1.0},
+       {int64_t(3), 2.5, int64_t(100), 3.0},
+       {int64_t(2), 0.0, int64_t(6), 0.5},
+       {null, 0.5, int64_t(1), null},
+       {int64_t(3), 2.5, null, null}},
+      {{int64_t(3), 2.5, int64_t(-50), 1.0},
+       {int64_t(3), 2.5, null, 0.5},
+       {int64_t(1), 0.5, int64_t(2), 4.0}},
+  };
+  const ExprRef i = Col(2, DataType::kInt64), d = Col(3, DataType::kDouble);
+  auto agg = std::make_shared<HashAggOp>(
+      Batches(batches, types), std::vector<int>{0, 1},
+      std::vector<AggSpec>{{AggKind::kSum, i},
+                           {AggKind::kSum, d},
+                           {AggKind::kAvg, i},
+                           {AggKind::kAvg, d},
+                           {AggKind::kCount, i},
+                           {AggKind::kCount, d},
+                           {AggKind::kCountStar, nullptr},
+                           {AggKind::kSumInt, i}});
+  // k, f, SUM(i), SUM(d), AVG(i), AVG(d), COUNT(i), COUNT(d), COUNT(*),
+  // the int SUM(i); NULL keys first.
+  const std::vector<Row> want = {
+      {null, 0.5, 1.0, null, 1.0, null, int64_t(1), int64_t(0), int64_t(1),
+       int64_t(1)},
+      {int64_t(1), 0.5, 16.0, 6.75, 4.0, 6.75 / 5, int64_t(4), int64_t(5),
+       int64_t(6), int64_t(16)},
+      {int64_t(2), 0.0, 10.0, 0.5, 5.0, 0.5, int64_t(2), int64_t(1),
+       int64_t(2), int64_t(10)},
+      {int64_t(3), 2.5, 50.0, 4.5, 25.0, 1.5, int64_t(2), int64_t(3),
+       int64_t(4), int64_t(50)},
+  };
+  EXPECT_EQ(RunAtDops(agg), want);
 }
 
 TEST_F(OperatorTest, GlobalAggOnEmptyInputReturnsOneRow) {
@@ -1514,6 +1689,91 @@ TEST(ColumnScanTest, KernelsMatchGenericFilter) {
 // The tables hold NULLs, rows deleted before the read view and rows changed
 // after it; the largest passes the skip rule's 4096 test rows. Rows are
 // compared sorted, the scan trees run at dop 1 and 3.
+// A join's first side filters the other side's column scan: an integer key
+// set tests a bitmap over [lo, hi] when it is dense, its hash tables when
+// it is sparse. Each set's bounds and their neighbours, the int64 extremes
+// and NULL must pass exactly the rows the join matches, in both
+// directions.
+TEST_F(OperatorTest, KeyFilterEdgesOfDenseAndSparseSets) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  const Value null;
+  struct Case {
+    std::vector<int64_t> keys;
+    std::vector<Value> probes;
+  };
+  const std::vector<Case> cases = {
+      // Dense sets: lo - 1, lo, a gap, hi, hi + 1.
+      {{10, 12, 13, 20},
+       {int64_t(9), int64_t(10), int64_t(11), int64_t(12), int64_t(20),
+        int64_t(21), null, kMin, kMax}},
+      {{kMax - 3, kMax - 1, kMax},
+       {kMax - 4, kMax - 3, kMax - 2, kMax, kMin, int64_t(0), null}},
+      {{kMin, kMin + 2},
+       {kMin, kMin + 1, kMin + 2, kMin + 3, kMax, int64_t(-1), null}},
+      {{0}, {int64_t(-1), int64_t(0), int64_t(1), null}},
+      // Sparse sets: past 256 values of span per key, and the whole int64
+      // range.
+      {{0, 1000},
+       {int64_t(-1), int64_t(0), int64_t(1), int64_t(999), int64_t(1000),
+        int64_t(1001), null}},
+      {{kMin, 0, kMax},
+       {kMin, kMin + 1, int64_t(-1), int64_t(0), int64_t(1), kMax - 1, kMax,
+        null}},
+  };
+  const std::vector<ColumnDef> defs = {{"id", DataType::kInt64},
+                                       {"v", DataType::kInt64, true}};
+  ColumnIndexOptions options;
+  options.row_group_size = 4;
+  int schema_id = 80;
+  auto index_of = [&](const std::vector<Value>& values) {
+    auto index = std::make_unique<ColumnIndex>(
+        std::make_shared<Schema>(schema_id++, "t", defs, 0), options);
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_TRUE(index->Insert({int64_t(i), values[i]}, 1).ok());
+    }
+    return index;
+  };
+  ctx_.read_vid = 1;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "keys from " << c.keys.front());
+    const auto build_index =
+        index_of(std::vector<Value>(c.keys.begin(), c.keys.end()));
+    const auto probe_index = index_of(c.probes);
+    auto build = std::make_shared<ColumnScanOp>(build_index.get(),
+                                                std::vector<int>{1}, nullptr);
+    auto probe = std::make_shared<ColumnScanOp>(
+        probe_index.get(), std::vector<int>{0, 1}, nullptr);
+    std::vector<Row> inner, semi;
+    for (size_t i = 0; i < c.probes.size(); ++i) {
+      const Value& v = c.probes[i];
+      if (IsNull(v) ||
+          std::find(c.keys.begin(), c.keys.end(), AsInt(v)) == c.keys.end()) {
+        continue;
+      }
+      inner.push_back({int64_t(i), v, v});
+      semi.push_back({int64_t(i), v});
+    }
+    for (bool probe_first : {false, true}) {
+      for (JoinType type : {JoinType::kInner, JoinType::kSemi}) {
+        auto join = std::make_shared<HashJoinOp>(
+            build, probe, std::vector<int>{0}, std::vector<int>{1}, type,
+            probe_first);
+        for (int dop : {1, 3}) {
+          ctx_.parallelism = dop;
+          std::vector<Row> rows;
+          ASSERT_TRUE(RunPlan(join, &ctx_, &rows).ok());
+          std::sort(rows.begin(), rows.end(), [](const Row& x, const Row& y) {
+            return AsInt(x[0]) < AsInt(y[0]);
+          });
+          EXPECT_EQ(rows, type == JoinType::kInner ? inner : semi)
+              << "dop " << dop << " probe_first " << probe_first;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(OperatorTest, KeyFiltersMatchReference) {
   const uint64_t seed = testing_util::TestSeed(20240707);
   SCOPED_TRACE(::testing::Message() << "IMCI_TEST_SEED=" << seed);
@@ -1522,14 +1782,31 @@ TEST_F(OperatorTest, KeyFiltersMatchReference) {
 
   // Column domains: `a` is small, so a build on it can cover most of a
   // table's keys and trip the skip rule; `x` holds every integer of `c`'s
-  // domain and the halves between them.
+  // domain and the halves between them. Key sets over those are dense and
+  // tested through a bitmap; `w` is sparse (multiples of 2^56 from INT64_MIN
+  // up, and INT64_MAX - 3), so its key sets are past the bitmap bound and
+  // hashed, and their span overflows a signed subtraction. A tree nests at
+  // most three projections, so `w` + 1 + 1 + 1 cannot overflow, and it
+  // rounds to the same multiple of 2^56 as a double as `w` does: SUMs over
+  // `w` stay exact in any order.
   constexpr int kSmall = 60, kWide = 400;
   const std::vector<ColumnDef> defs = {{"id", DataType::kInt64},
                                        {"a", DataType::kInt32, true},
                                        {"d", DataType::kDate, true},
                                        {"c", DataType::kInt64, true},
                                        {"x", DataType::kDouble, true},
-                                       {"s", DataType::kString, true}};
+                                       {"s", DataType::kString, true},
+                                       {"w", DataType::kInt64, true}};
+  auto sparse = [&]() -> int64_t {
+    switch (pick(8)) {
+      case 0: return std::numeric_limits<int64_t>::min();
+      case 1: return std::numeric_limits<int64_t>::max() - 3;
+      default: {
+        const int64_t k = 1 + pick(16);
+        return (pick(2) == 0 ? k : -k) * (int64_t{1} << 56);
+      }
+    }
+  };
   auto make_row = [&](int64_t id) {
     auto maybe_null = [&](Value v) { return pick(8) == 0 ? Value{} : v; };
     return Row{id,
@@ -1538,7 +1815,8 @@ TEST_F(OperatorTest, KeyFiltersMatchReference) {
                maybe_null(int64_t(pick(kWide))),
                maybe_null(0.5 * pick(2 * kWide)),
                maybe_null(pick(9) == 0 ? std::string()
-                                       : "s" + std::to_string(pick(kWide)))};
+                                       : "s" + std::to_string(pick(kWide))),
+               maybe_null(sparse())};
   };
   struct Table {
     std::unique_ptr<ColumnIndex> index;
