@@ -1074,7 +1074,9 @@ constexpr uint32_t kNoMatch = UINT32_MAX;
 
 /// One build partition of the join: key -> id, and the matches of id i in
 /// CSR form, refs[offsets[i], offsets[i+1]) in build (batch, row) order.
-/// For a single INT64-lane key, [lo, hi] is the range of its keys.
+/// For a single INT64-lane key, [lo, hi] is the range of its keys. A dense
+/// build (BuildDense) is one partition with an empty KeyTable whose id k is
+/// key lo + k.
 struct JoinPartition {
   KeyTable keys;
   std::vector<uint32_t> offsets;
@@ -1086,6 +1088,94 @@ struct JoinPartition {
 /// with a lane kernel, against the range of the set's values.
 bool IsIntKey(const std::vector<DataType>& lanes) {
   return lanes.size() == 1 && lanes[0] == DataType::kInt64;
+}
+
+/// The non-NULL values of one integer key column over an operator's input:
+/// [lo, lo + span], held by `rows` rows. Unsigned, so INT64_MIN..INT64_MAX
+/// cannot overflow.
+struct IntRange {
+  int64_t lo = 0;
+  uint64_t span = 0;
+  uint64_t rows = 0;
+
+  int64_t hi() const {
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) + span);
+  }
+  /// The slot of value `v` counted from lo; above span when v is outside.
+  uint64_t Offset(int64_t v) const {
+    return static_cast<uint64_t>(v) - static_cast<uint64_t>(lo);
+  }
+};
+
+/// The range of column `col` over `set`, or nullopt when a batch holds the
+/// column in a non-integer lane or every value is NULL.
+std::optional<IntRange> KeyRange(const RowSet& set, int col) {
+  int64_t lo = INT64_MAX, hi = INT64_MIN;
+  uint64_t rows = 0;
+  for (const Batch& b : set.batches) {
+    const ColumnVector& v = b.cols[col];
+    if (!IsIntegerType(v.type)) return std::nullopt;
+    for (size_t r = 0; r < b.rows; ++r) {
+      const bool valued = v.nulls[r] == 0;
+      lo = std::min(lo, valued ? v.ints[r] : INT64_MAX);
+      hi = std::max(hi, valued ? v.ints[r] : INT64_MIN);
+      rows += valued;
+    }
+  }
+  if (rows == 0) return std::nullopt;
+  return IntRange{lo, static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo),
+                  rows};
+}
+
+/// Whether a key over `span` + 1 values takes the dense path: its span + 2
+/// slots (one per value, and a NULL group or an end offset) are at most
+/// `budget` and under 2^26.
+bool DenseFits(uint64_t span, uint64_t budget) {
+  constexpr uint64_t kMaxDenseSlots = uint64_t{1} << 26;
+  return span < kMaxDenseSlots - 2 && span + 2 <= budget;
+}
+
+/// The range of a join build side's single integer key column `col` when
+/// it is dense: at most 4 slots per non-NULL row, as a 4-byte offset per slot
+/// costs no more than the 16 bytes per row a hashed build spends at least.
+std::optional<IntRange> DenseJoinRange(const RowSet& set, int col) {
+  std::optional<IntRange> r = KeyRange(set, col);
+  if (r && !DenseFits(r->span, 4 * r->rows)) r.reset();
+  return r;
+}
+
+void SetBit(std::vector<uint64_t>* bits, uint64_t i) {
+  (*bits)[i / 64] |= uint64_t{1} << (i % 64);
+}
+
+/// The join's dense build over `set`'s integer key column `col`, whose
+/// values span `r`: a counting sort into `t`'s CSR form, slot k holding the
+/// rows keyed r.lo + k in build (batch, row) order. NULL keys never match
+/// and are left out.
+void BuildDense(const RowSet& set, int col, const IntRange& r,
+                JoinPartition* t) {
+  // Slot k's rows count at offsets[k + 2], so after the prefix sum
+  // offsets[k + 1] is slot k's start; the scatter advances it to slot k's
+  // end, which is slot k + 1's start, and the last word goes.
+  std::vector<uint32_t>& offsets = t->offsets;
+  offsets.assign(r.span + 3, 0);
+  for (const Batch& b : set.batches) {
+    const ColumnVector& v = b.cols[col];
+    for (uint32_t ri = 0; ri < b.rows; ++ri) {
+      if (!v.nulls[ri]) offsets[r.Offset(v.ints[ri]) + 2]++;
+    }
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  t->refs.resize(r.rows);
+  for (uint32_t bi = 0; bi < set.batches.size(); ++bi) {
+    const ColumnVector& v = set.batches[bi].cols[col];
+    for (uint32_t ri = 0; ri < set.batches[bi].rows; ++ri) {
+      if (!v.nulls[ri]) t->refs[offsets[r.Offset(v.ints[ri]) + 1]++] = {bi, ri};
+    }
+  }
+  offsets.pop_back();
+  t->lo = r.lo;
+  t->hi = r.hi();
 }
 
 /// The join's build phase over `set`'s keys in `cols`, partition-parallel
@@ -1181,16 +1271,18 @@ constexpr uint64_t kSkipTestRows = 4096;
 /// dense enough that one bit per value costs no more than the KeyTables
 /// (at most kBitsPerKey values of span per key, and under kMaxBits bits),
 /// the set also keeps an exact bitmap over it, and ContainsInt tests one
-/// bit instead of hashing. The scans a filter reaches tally here the rows
-/// it tests and keeps, for the skip rule.
+/// bit instead of hashing. A dense build side (BuildDense) hashes nothing:
+/// its set is the bitmap alone, bit k set when key lo + k has a row, and
+/// Contains reads a key image's value word. The scans a filter
+/// reaches tally here the rows it tests and keeps, for the skip rule.
 class KeySet {
  public:
   KeySet(const std::vector<JoinPartition>& parts, std::vector<DataType> lanes)
-      : parts_(parts),
+      : parts_(&parts),
         lanes_(std::move(lanes)),
         pmask_(static_cast<uint32_t>(parts.size() - 1)) {
     uint64_t keys = 0;
-    for (const JoinPartition& t : parts_) {
+    for (const JoinPartition& t : parts) {
       lo_ = std::min(lo_, t.lo);
       hi_ = std::max(hi_, t.hi);
       keys += t.keys.size();
@@ -1201,11 +1293,20 @@ class KeySet {
         static_cast<uint64_t>(hi_) - static_cast<uint64_t>(lo_);
     if (span > kBitsPerKey * keys || span + 1 >= kMaxBits) return;
     bits_.assign(span / 64 + 1, 0);
-    for (const JoinPartition& t : parts_) {
+    for (const JoinPartition& t : parts) {
       for (uint32_t id = 0; id < t.keys.size(); ++id) {
-        const uint64_t off = Offset(t.keys.key(id)[0]);
-        bits_[off / 64] |= uint64_t{1} << (off % 64);
+        SetBit(&bits_, Offset(t.keys.key(id)[0]));
       }
+    }
+  }
+  /// The set of a dense build (BuildDense): a bitmap alone, bit k set when
+  /// slot k, key lo + k, holds rows. Its span + 2 offsets bound span + 1
+  /// slots.
+  explicit KeySet(const JoinPartition& dense)
+      : lanes_{DataType::kInt64}, lo_(dense.lo), hi_(dense.hi),
+        bits_((dense.offsets.size() - 2) / 64 + 1, 0) {
+    for (size_t k = 0; k + 1 < dense.offsets.size(); ++k) {
+      if (dense.offsets[k + 1] > dense.offsets[k]) SetBit(&bits_, k);
     }
   }
 
@@ -1216,8 +1317,8 @@ class KeySet {
   /// of `width` words and HashWords `hash`.
   bool Contains(const int64_t* key, size_t width, uint64_t hash) const {
     const size_t skip = MaskWords(lanes_.size());
-    return parts_[PartitionOf(hash, pmask_)].keys.Find(
-               key + skip, width - skip, hash) != KeyTable::kNone;
+    if (!bits_.empty()) return ContainsInt(key[skip]);
+    return InTables(key + skip, width - skip, hash);
   }
   /// Contains for the non-NULL value `v` of an int_key() set.
   bool ContainsInt(int64_t v) const {
@@ -1227,7 +1328,7 @@ class KeySet {
       return (bits_[off / 64] >> (off % 64)) & 1;
     }
     const int64_t image[2] = {0, v};
-    return Contains(image, 2, HashWords(image, 2));
+    return InTables(image + 1, 1, HashWords(image, 2));
   }
 
   bool skipped() const { return skip_.load(); }
@@ -1249,14 +1350,22 @@ class KeySet {
   static constexpr uint64_t kBitsPerKey = 256;
   static constexpr uint64_t kMaxBits = uint64_t{1} << 27;
 
+  /// Whether the partition tables hold the key whose image, past its mask
+  /// words, is the `width` words at `words`, with HashWords `hash`. Not
+  /// Contains, so that ContainsInt inlines into the scan's lane kernel.
+  bool InTables(const int64_t* words, size_t width, uint64_t hash) const {
+    return (*parts_)[PartitionOf(hash, pmask_)].keys.Find(words, width,
+                                                          hash) !=
+           KeyTable::kNone;
+  }
   /// The bit of value `v` in [lo, hi].
   uint64_t Offset(int64_t v) const {
     return static_cast<uint64_t>(v) - static_cast<uint64_t>(lo_);
   }
 
-  const std::vector<JoinPartition>& parts_;
+  const std::vector<JoinPartition>* parts_ = nullptr;  // null: bits_ only
   std::vector<DataType> lanes_;
-  uint32_t pmask_;
+  uint32_t pmask_ = 0;
   int64_t lo_ = INT64_MAX, hi_ = INT64_MIN;  // int_key(): the value range
   std::vector<uint64_t> bits_;  // bit v - lo set for each key v, or empty
   mutable std::atomic<uint64_t> tested_{0}, kept_{0};
@@ -1361,10 +1470,21 @@ Status HashJoinOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
 
   // The side that runs first hands its key set to the other side, ahead of
   // the filters from above. The key images of a probe side that ran first
-  // are kept for the probe phase.
+  // are kept for the probe phase. A build side with a dense key
+  // (DenseJoinRange) images nothing: it is a counting sort over slots
+  // key - lo (BuildDense), and its key set is a bitmap over those slots.
   RowSet build_set, probe_set;
   std::vector<BatchKeys> probe_images;
   std::vector<JoinPartition> tables(P);
+  std::optional<IntRange> dense;  // the build keys', when dense
+  auto build_tables = [&] {
+    if (IsIntKey(lanes)) dense = DenseJoinRange(build_set, build_keys_[0]);
+    if (dense) {
+      BuildDense(build_set, build_keys_[0], *dense, &tables[0]);
+    } else {
+      BuildPartitions(ctx, build_set, build_keys_, lanes, nullptr, &tables);
+    }
+  };
   if (probe_first_) {
     IMCI_RETURN_NOT_OK(probe_->ExecuteFiltered(ctx, probe_filters, &probe_set));
     std::vector<JoinPartition> probe_tables(P);
@@ -1374,13 +1494,17 @@ Status HashJoinOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
     build_filters.insert(build_filters.begin(),
                          KeyFilter{&probe_keys, build_keys_});
     IMCI_RETURN_NOT_OK(build_->ExecuteFiltered(ctx, build_filters, &build_set));
-    BuildPartitions(ctx, build_set, build_keys_, lanes, nullptr, &tables);
+    build_tables();
   } else {
     IMCI_RETURN_NOT_OK(build_->ExecuteFiltered(ctx, build_filters, &build_set));
-    BuildPartitions(ctx, build_set, build_keys_, lanes, nullptr, &tables);
+    build_tables();
     std::optional<KeySet> build_keys;
     if (type_ == JoinType::kInner || type_ == JoinType::kSemi) {
-      build_keys.emplace(tables, lanes);
+      if (dense) {
+        build_keys.emplace(tables[0]);
+      } else {
+        build_keys.emplace(tables, lanes);
+      }
       probe_filters.insert(probe_filters.begin(),
                            KeyFilter{&*build_keys, probe_keys_});
     }
@@ -1402,10 +1526,12 @@ Status HashJoinOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
   }
 
   // Probe phase: parallel over probe batches, outputs kept in input order.
-  // A probe row's matches are the build refs [first, last). A batch first
-  // lists its output rows — probe_rows[i] paired with build_rows[i], or
-  // with kNoMatch for a left join's padding — then gathers each output
-  // column from the list in one typed loop.
+  // A probe row's matches are the build refs [first, last): a dense build
+  // reads them at the slot of the probe key lane's value, a hashed one at
+  // the id its key image finds. A batch first lists its output rows —
+  // probe_rows[i] paired with build_rows[i], or with kNoMatch for a left
+  // join's padding — then gathers each output column from the list in one
+  // typed loop.
   std::vector<Batch> results(probe_set.batches.size());
   const int n = static_cast<int>(probe_set.batches.size());
   ParallelFor(ctx->pool, n, [&](int pi) {
@@ -1414,49 +1540,64 @@ Status HashJoinOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
     std::vector<JoinRef> build_rows;  // inner and left joins only
     probe_rows.reserve(pb.rows);
     if (build_width > 0) build_rows.reserve(pb.rows);
-    BatchKeys own;
-    if (probe_images.empty()) {
-      EncodeKeys(pb, probe_keys_, lanes, &own);
-      own.Hash();
-    }
-    const BatchKeys& keys = probe_images.empty() ? own : probe_images[pi];
-    for (uint32_t ri = 0; ri < pb.rows; ++ri) {
-      if (ri + kPrefetchRows < pb.rows) {
-        const uint64_t h = keys.hashes[ri + kPrefetchRows];
-        tables[PartitionOf(h, pmask)].keys.Prefetch(h);
+    // `matches(ri)` is probe row ri's [first, last).
+    auto list = [&](auto matches) {
+      for (uint32_t ri = 0; ri < pb.rows; ++ri) {
+        const auto [first, last] = matches(ri);
+        const bool matched = first != last;
+        switch (type_) {
+          case JoinType::kLeft:
+            if (!matched) {
+              probe_rows.push_back(ri);
+              build_rows.push_back({kNoMatch, 0});
+              break;
+            }
+            [[fallthrough]];
+          case JoinType::kInner:
+            probe_rows.insert(probe_rows.end(), last - first, ri);
+            build_rows.insert(build_rows.end(), first, last);
+            break;
+          case JoinType::kSemi:
+            if (matched) probe_rows.push_back(ri);
+            break;
+          case JoinType::kAnti:
+            if (!matched) probe_rows.push_back(ri);
+            break;
+        }
       }
-      const JoinRef* first = nullptr;
-      const JoinRef* last = nullptr;
-      if (keys.NoNulls(ri, mask_words)) {
+    };
+    using Matches = std::pair<const JoinRef*, const JoinRef*>;
+    if (dense) {
+      const JoinPartition& t = tables[0];
+      const ColumnVector& v = pb.cols[probe_keys_[0]];
+      list([&](uint32_t ri) -> Matches {
+        // A NULL key matches nothing, and neither does one outside.
+        const uint64_t off = dense->Offset(v.ints[ri]);
+        if (v.nulls[ri] || off > dense->span) return {nullptr, nullptr};
+        return {t.refs.data() + t.offsets[off],
+                t.refs.data() + t.offsets[off + 1]};
+      });
+    } else {
+      BatchKeys own;
+      if (probe_images.empty()) {
+        EncodeKeys(pb, probe_keys_, lanes, &own);
+        own.Hash();
+      }
+      const BatchKeys& keys = probe_images.empty() ? own : probe_images[pi];
+      list([&](uint32_t ri) -> Matches {
+        if (ri + kPrefetchRows < pb.rows) {
+          const uint64_t h = keys.hashes[ri + kPrefetchRows];
+          tables[PartitionOf(h, pmask)].keys.Prefetch(h);
+        }
+        if (!keys.NoNulls(ri, mask_words)) return {nullptr, nullptr};
         const uint64_t h = keys.hashes[ri];
         const JoinPartition& t = tables[PartitionOf(h, pmask)];
         const uint32_t id = t.keys.Find(keys.key(ri) + mask_words,
                                         keys.width(ri) - mask_words, h);
-        if (id != KeyTable::kNone) {
-          first = t.refs.data() + t.offsets[id];
-          last = t.refs.data() + t.offsets[id + 1];
-        }
-      }
-      const bool matched = first != last;
-      switch (type_) {
-        case JoinType::kLeft:
-          if (!matched) {
-            probe_rows.push_back(ri);
-            build_rows.push_back({kNoMatch, 0});
-            break;
-          }
-          [[fallthrough]];
-        case JoinType::kInner:
-          probe_rows.insert(probe_rows.end(), last - first, ri);
-          build_rows.insert(build_rows.end(), first, last);
-          break;
-        case JoinType::kSemi:
-          if (matched) probe_rows.push_back(ri);
-          break;
-        case JoinType::kAnti:
-          if (!matched) probe_rows.push_back(ri);
-          break;
-      }
+        if (id == KeyTable::kNone) return {nullptr, nullptr};
+        return {t.refs.data() + t.offsets[id],
+                t.refs.data() + t.offsets[id + 1]};
+      });
     }
     Batch& outb = results[pi];
     outb = Batch::Make(out_types_);
@@ -1527,7 +1668,8 @@ class ViewArena {
 };
 
 /// Aggregation state of one worker (or, after the exchange, one
-/// partition). Groups are key images; a group's aggregate a lives at index
+/// partition). Groups are key images, or a dense aggregation's slots
+/// (Slots), which keep no keys; a group's aggregate a lives at index
 /// gid*A + a of each flat array. For MIN/MAX, counts hold the number of
 /// non-NULL inputs (0: the result is NULL); for COUNT DISTINCT, the number
 /// of distinct values.
@@ -1549,6 +1691,16 @@ struct AggTable {
     return g;
   }
 
+  /// Zeroes the state of `slots` groups, none of them seen, for a dense
+  /// aggregation: group id k is slot k, and `keys` stays empty.
+  void Slots(size_t slots) {
+    counts.assign(slots * A, 0);
+    if (sums_on) sums.assign(slots * A, 0.0);
+    if (minmax_on) minmax.assign(slots * A, AggLane{0});
+    if (strs_on) strs.assign(slots * A, std::string_view());
+    seen.assign(slots, 0);
+  }
+
   /// Makes room for `groups` groups and `triples` COUNT DISTINCT keys.
   void Reserve(size_t groups, size_t triples) {
     keys.Reserve(groups);
@@ -1566,6 +1718,7 @@ struct AggTable {
   std::vector<double> sums;       // only with SUM/AVG
   std::vector<AggLane> minmax;    // numeric MIN/MAX, only when one exists
   std::vector<std::string_view> strs;  // string MIN/MAX, views into arena
+  std::vector<uint8_t> seen;  // dense only: per slot, whether a row hit it
   ViewArena arena;
   KeyTable distinct;
 };
@@ -1702,6 +1855,7 @@ HashAggOp::HashAggOp(PhysOpRef child, std::vector<int> group_cols,
     has_sums_ |= a.kind == AggKind::kSum || a.kind == AggKind::kAvg;
     has_minmax_ |= minmax && lane != DataType::kString;
     has_strings_ |= minmax && lane == DataType::kString;
+    has_distinct_ |= a.kind == AggKind::kCountDistinct;
     minmax_lane_.push_back(lane);
   }
 }
@@ -1717,10 +1871,24 @@ Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
   out->types = out_types_;
   const int A = static_cast<int>(aggs_.size());
   const int workers = std::max(1, std::min(ctx->parallelism, 32));
-  const int P = ExchangePartitions(workers);
+  // Dense keys: one integer group column whose span + 2 slots, one array
+  // set per worker, come to at most 2 per input row. Slot 0 is the NULL
+  // group and slot k + 1 key lo + k, so a row's group id is its key's slot:
+  // no image, no hash, no exchange partitions.
+  std::optional<IntRange> dense;
+  if (G == 1 && key_lanes_[0] == DataType::kInt64 && !has_distinct_) {
+    dense = KeyRange(in, group_cols_[0]);
+    if (dense && !DenseFits(dense->span, 2 * in.TotalRows() / workers)) {
+      dense.reset();
+    }
+  }
+  const size_t slots = dense ? dense->span + 2 : 0;
+  const int P = dense ? 1 : ExchangePartitions(workers);
   const uint32_t pmask = static_cast<uint32_t>(P - 1);
   const auto new_table = [&] {
-    return AggTable(A, has_sums_, has_minmax_, has_strings_);
+    AggTable t(A, has_sums_, has_minmax_, has_strings_);
+    if (dense) t.Slots(slots);
+    return t;
   };
   // partials[w][p]: worker w's groups whose key hash routes to partition p.
   std::vector<std::vector<AggTable>> partials(workers);
@@ -1732,11 +1900,11 @@ Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
   std::atomic<int> next_batch{0};
 
   // Partial aggregation: thread-local tables, no synchronization. Each
-  // batch first maps every row to its group id in the table of its
-  // partition (a row keyed like the row before it takes that row's id
-  // without a lookup), takes each row's state pointers, then updates one
-  // aggregate at a time over the whole batch, in a loop typed for its kind
-  // and lane.
+  // batch first maps every row to its group id: a dense key's slot, or the
+  // id in the table of its partition (a row keyed like the row before it
+  // takes that row's id without a lookup). It then takes each row's state
+  // pointers and updates one aggregate at a time over the whole batch, in a
+  // loop typed for its kind and lane.
   ParallelFor(ctx->pool, workers, [&](int wi) {
     std::vector<AggTable>& tables = partials[wi];
     BatchKeys keys, distinct_keys;
@@ -1776,26 +1944,39 @@ Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
           return;
         }
       }
-      EncodeKeys(b, group_cols_, key_lanes_, &keys);
-      keys.Hash();
       const uint32_t n = static_cast<uint32_t>(b.rows);
       row_tables.resize(n);
-      for (uint32_t ri = 0; ri < n; ++ri) {
-        row_tables[ri] = &tables[PartitionOf(keys.hashes[ri], pmask)];
-      }
       gids.resize(n);
-      for (uint32_t ri = 0; ri < n; ++ri) {
-        if (ri + kPrefetchRows < n) {
-          row_tables[ri + kPrefetchRows]->keys.Prefetch(
-              keys.hashes[ri + kPrefetchRows]);
+      if (dense) {
+        AggTable& t = tables[0];
+        const ColumnVector& k = b.cols[group_cols_[0]];
+        std::fill(row_tables.begin(), row_tables.end(), &t);
+        for (uint32_t ri = 0; ri < n; ++ri) {
+          const uint32_t g =
+              k.nulls[ri] ? 0
+                          : static_cast<uint32_t>(dense->Offset(k.ints[ri])) + 1;
+          gids[ri] = g;
+          t.seen[g] = 1;
         }
-        if (ri > 0 && keys.SameKey(ri - 1, ri)) {
-          gids[ri] = gids[ri - 1];  // same key, same table
-          continue;
+      } else {
+        EncodeKeys(b, group_cols_, key_lanes_, &keys);
+        keys.Hash();
+        for (uint32_t ri = 0; ri < n; ++ri) {
+          row_tables[ri] = &tables[PartitionOf(keys.hashes[ri], pmask)];
         }
-        bool inserted = false;
-        gids[ri] = row_tables[ri]->Group(keys.key(ri), keys.width(ri),
-                                         keys.hashes[ri], &inserted);
+        for (uint32_t ri = 0; ri < n; ++ri) {
+          if (ri + kPrefetchRows < n) {
+            row_tables[ri + kPrefetchRows]->keys.Prefetch(
+                keys.hashes[ri + kPrefetchRows]);
+          }
+          if (ri > 0 && keys.SameKey(ri - 1, ri)) {
+            gids[ri] = gids[ri - 1];  // same key, same table
+            continue;
+          }
+          bool inserted = false;
+          gids[ri] = row_tables[ri]->Group(keys.key(ri), keys.width(ri),
+                                           keys.hashes[ri], &inserted);
+        }
       }
       // Each row's state, now that no group of the batch is still to be
       // added: aggregate a of row ri is counts[ri][a] and sums[ri][a].
@@ -1848,111 +2029,98 @@ Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
   });
   for (const Status& s : statuses) IMCI_RETURN_NOT_OK(s);
 
-  // Exchange/merge: partition p takes over worker 0's table p, reserves it
-  // for every worker's groups of p, and folds workers 1..W-1's tables p into
-  // it in worker order, so a group's partials always add up in worker
-  // order. A partition reads and writes only its own tables, so partitions
-  // merge without synchronization.
-  ParallelFor(ctx->pool, P, [&](int p) {
-    AggTable& dst = partials[0][p];
-    size_t groups = 0, triples = 0;
-    for (int w = 0; w < workers; ++w) {
-      groups += partials[w][p].keys.size();
-      triples += partials[w][p].distinct.size();
-    }
-    dst.Reserve(groups, triples);
-    std::vector<uint32_t> remap;  // src group id -> dst group id
-    BatchKeys distinct_keys;
-    for (int w = 1; w < workers; ++w) {
-      AggTable& src = partials[w][p];
-      remap.resize(src.keys.size());
-      for (uint32_t g = 0; g < src.keys.size(); ++g) {
-        if (g + kPrefetchRows < src.keys.size()) {
-          dst.keys.Prefetch(src.keys.hash(g + kPrefetchRows));
-        }
-        bool inserted = false;
-        const uint32_t dg = dst.Group(src.keys.key(g), src.keys.width(g),
-                                      src.keys.hash(g), &inserted);
-        remap[g] = dg;
-        for (int a = 0; a < A; ++a) {
-          const size_t s = static_cast<size_t>(g) * A + a;
-          const size_t d = static_cast<size_t>(dg) * A + a;
-          const AggKind kind = aggs_[a].kind;
-          const DataType lane = minmax_lane_[a];
-          if (kind == AggKind::kCountDistinct) continue;  // re-counted below
-          if (kind == AggKind::kSum || kind == AggKind::kAvg) {
-            dst.sums[d] = inserted ? src.sums[s] : dst.sums[d] + src.sums[s];
-          } else if ((kind == AggKind::kMin || kind == AggKind::kMax) &&
-                     src.counts[s] > 0) {
-            if (lane == DataType::kString) {
-              if (dst.counts[d] == 0 ||
-                  Improves(kind, src.strs[s], dst.strs[d])) {
-                dst.strs[d] = dst.arena.Keep(src.strs[s]);  // src is freed
-              }
-            } else if (dst.counts[d] == 0 ||
-                       Improves(kind, lane == DataType::kDouble,
-                                src.minmax[s], dst.minmax[d])) {
-              dst.minmax[d] = src.minmax[s];
-            }
+  // Folds group g of `src` into group dg of `dst` (`inserted`: dg holds no
+  // partial yet), keeping string MIN/MAX values in `arena`, as src is freed
+  // before the output is built. COUNT DISTINCT is re-counted by the caller.
+  const auto fold = [&](const AggTable& src, size_t g, AggTable* dst,
+                        size_t dg, bool inserted, ViewArena* arena) {
+    for (int a = 0; a < A; ++a) {
+      const size_t s = g * A + a;
+      const size_t d = dg * A + a;
+      const AggKind kind = aggs_[a].kind;
+      const DataType lane = minmax_lane_[a];
+      if (kind == AggKind::kCountDistinct) continue;
+      if (kind == AggKind::kSum || kind == AggKind::kAvg) {
+        dst->sums[d] = inserted ? src.sums[s] : dst->sums[d] + src.sums[s];
+      } else if ((kind == AggKind::kMin || kind == AggKind::kMax) &&
+                 src.counts[s] > 0) {
+        if (lane == DataType::kString) {
+          if (dst->counts[d] == 0 ||
+              Improves(kind, src.strs[s], dst->strs[d])) {
+            dst->strs[d] = arena->Keep(src.strs[s]);
           }
-          dst.counts[d] += src.counts[s];
+        } else if (dst->counts[d] == 0 ||
+                   Improves(kind, lane == DataType::kDouble, src.minmax[s],
+                            dst->minmax[d])) {
+          dst->minmax[d] = src.minmax[s];
         }
       }
-      FoldDistinct(src.distinct, remap, &distinct_keys, &dst);
-      src = new_table();  // folded: free it now
+      dst->counts[d] += src.counts[s];
     }
-  });
+  };
+
+  // Exchange/merge: workers 1..W-1 fold into worker 0 in worker order, so
+  // a group's partials always add up in worker order. Dense tables fold
+  // over disjoint slot ranges in parallel, each range keeping its string
+  // values in its own arena. Hashed tables fold per partition: partition p
+  // takes over worker 0's table p, reserves it for every worker's groups of
+  // p and folds the other workers' tables p into it. A range or partition
+  // reads and writes only its own state, so they merge without
+  // synchronization.
+  std::vector<ViewArena> arenas(dense ? workers : 0);
+  if (dense) {
+    AggTable& dst = partials[0][0];
+    ParallelFor(ctx->pool, workers, [&](int r) {
+      const size_t begin = slots * r / workers;
+      const size_t end = slots * (r + 1) / workers;
+      for (int w = 1; w < workers; ++w) {
+        const AggTable& src = partials[w][0];
+        for (size_t g = begin; g < end; ++g) {
+          if (!src.seen[g]) continue;
+          fold(src, g, &dst, g, !dst.seen[g], &arenas[r]);
+          dst.seen[g] = 1;
+        }
+      }
+    });
+  } else {
+    ParallelFor(ctx->pool, P, [&](int p) {
+      AggTable& dst = partials[0][p];
+      size_t groups = 0, triples = 0;
+      for (int w = 0; w < workers; ++w) {
+        groups += partials[w][p].keys.size();
+        triples += partials[w][p].distinct.size();
+      }
+      dst.Reserve(groups, triples);
+      std::vector<uint32_t> remap;  // src group id -> dst group id
+      BatchKeys distinct_keys;
+      for (int w = 1; w < workers; ++w) {
+        AggTable& src = partials[w][p];
+        remap.resize(src.keys.size());
+        for (uint32_t g = 0; g < src.keys.size(); ++g) {
+          if (g + kPrefetchRows < src.keys.size()) {
+            dst.keys.Prefetch(src.keys.hash(g + kPrefetchRows));
+          }
+          bool inserted = false;
+          const uint32_t dg = dst.Group(src.keys.key(g), src.keys.width(g),
+                                        src.keys.hash(g), &inserted);
+          remap[g] = dg;
+          fold(src, g, &dst, dg, inserted, &dst.arena);
+        }
+        FoldDistinct(src.distinct, remap, &distinct_keys, &dst);
+        src = new_table();  // folded: free it now
+      }
+    });
+  }
   std::vector<AggTable> merged = std::move(partials[0]);
   partials.clear();
 
-  // SQL returns one row for a global aggregate over no rows; its key is
-  // empty.
-  size_t total_groups = 0;
-  for (const AggTable& t : merged) total_groups += t.keys.size();
-  if (total_groups == 0 && G == 0) {
-    bool inserted = false;
-    merged[0].Group(nullptr, 0, HashWords(nullptr, 0), &inserted);
-  }
-
-  // Emit in ascending key order: sort each partition's ids in parallel,
-  // then merge the partitions. The order depends only on the key set, so it
-  // is the same at every dop and in the coordinator's final fold. Carrying
-  // (prefix, key, id) keeps the id -> key lookup out of the comparisons.
-  const std::vector<uint8_t> ascending(G, 0);
-  const KeyOrder key_order(key_lanes_, ascending);
-  std::vector<std::vector<KeyRef>> order(P);
-  ParallelFor(ctx->pool, P, [&](int p) {
-    const KeyTable& keys = merged[p].keys;
-    order[p].resize(keys.size());
-    for (uint32_t g = 0; g < keys.size(); ++g) {
-      order[p][g] = key_order.Ref(keys.key(g), g);
-    }
-    std::sort(order[p].begin(), order[p].end(), key_order);
-  });
-  struct Head {
-    int part;
-    size_t pos;
-  };
-  auto greater = [&](const Head& x, const Head& y) {
-    return key_order(order[y.part][y.pos], order[x.part][x.pos]);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(greater)> heap(
-      greater);
-  for (int p = 0; p < P; ++p) {
-    if (!order[p].empty()) heap.push({p, 0});
-  }
-
+  // Emit in ascending key order, the same at every dop and in the
+  // coordinator's final fold: `emit` appends group g of `t`'s aggregates
+  // after its key columns.
   Batch outb = Batch::Make(out_types_);
-  while (!heap.empty()) {
-    const Head h = heap.top();
-    heap.pop();
-    if (h.pos + 1 < order[h.part].size()) heap.push({h.part, h.pos + 1});
-    AggTable& t = merged[h.part];
-    const KeyRef& ref = order[h.part][h.pos];
-    const uint32_t g = ref.id;
-    AppendKey(ref.key, key_lanes_, &outb);
+  const auto emit = [&](const AggTable& t, size_t g) {
     for (int a = 0; a < A; ++a) {
-      const size_t s = static_cast<size_t>(g) * A + a;
+      const size_t s = g * A + a;
       ColumnVector& col = outb.cols[G + a];
       switch (aggs_[a].kind) {
         case AggKind::kSum:
@@ -1989,6 +2157,65 @@ Status HashAggOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
     if (outb.rows >= Batch::kDefaultCapacity) {
       out->batches.push_back(std::move(outb));
       outb = Batch::Make(out_types_);
+    }
+  };
+
+  if (dense) {
+    // Slot order is key order, NULL first.
+    const AggTable& t = merged[0];
+    for (size_t g = 0; g < slots; ++g) {
+      if (!t.seen[g]) continue;
+      if (g == 0) {
+        outb.cols[0].AppendNull();
+      } else {
+        outb.cols[0].AppendInt(static_cast<int64_t>(
+            static_cast<uint64_t>(dense->lo) + (g - 1)));
+      }
+      emit(t, g);
+    }
+  } else {
+    // SQL returns one row for a global aggregate over no rows; its key is
+    // empty.
+    size_t total_groups = 0;
+    for (const AggTable& t : merged) total_groups += t.keys.size();
+    if (total_groups == 0 && G == 0) {
+      bool inserted = false;
+      merged[0].Group(nullptr, 0, HashWords(nullptr, 0), &inserted);
+    }
+
+    // Sort each partition's ids in parallel, then merge the partitions.
+    // Carrying (prefix, key, id) keeps the id -> key lookup out of the
+    // comparisons.
+    const std::vector<uint8_t> ascending(G, 0);
+    const KeyOrder key_order(key_lanes_, ascending);
+    std::vector<std::vector<KeyRef>> order(P);
+    ParallelFor(ctx->pool, P, [&](int p) {
+      const KeyTable& keys = merged[p].keys;
+      order[p].resize(keys.size());
+      for (uint32_t g = 0; g < keys.size(); ++g) {
+        order[p][g] = key_order.Ref(keys.key(g), g);
+      }
+      std::sort(order[p].begin(), order[p].end(), key_order);
+    });
+    struct Head {
+      int part;
+      size_t pos;
+    };
+    auto greater = [&](const Head& x, const Head& y) {
+      return key_order(order[y.part][y.pos], order[x.part][x.pos]);
+    };
+    std::priority_queue<Head, std::vector<Head>, decltype(greater)> heap(
+        greater);
+    for (int p = 0; p < P; ++p) {
+      if (!order[p].empty()) heap.push({p, 0});
+    }
+    while (!heap.empty()) {
+      const Head h = heap.top();
+      heap.pop();
+      if (h.pos + 1 < order[h.part].size()) heap.push({h.part, h.pos + 1});
+      const KeyRef& ref = order[h.part][h.pos];
+      AppendKey(ref.key, key_lanes_, &outb);
+      emit(merged[h.part], ref.id);
     }
   }
   if (outb.rows > 0) out->batches.push_back(std::move(outb));

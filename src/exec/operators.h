@@ -243,6 +243,14 @@ enum class JoinType { kInner, kLeft, kSemi, kAnti };
 /// Each output column is then gathered from that list in one typed loop,
 /// NULL rows holding 0, 0.0 or "" in their lane.
 ///
+/// Dense keys: when the key is one integer column whose non-NULL build
+/// values span at most 4 slots per non-NULL build row (span + 2 <= 4 *
+/// rows, and under 2^26), the build images and hashes nothing. It is a
+/// counting sort of its (batch, row) refs into the same CSR form over
+/// slots key - min, and a probe reads its key lane directly: a NULL or
+/// out-of-range key matches nothing. Its key set is a bitmap of the slots
+/// that hold rows. Output is the same on either path.
+///
 /// Semi-join reduction: the side that runs first hands its key set to the
 /// other side as a key filter, ahead of the filters from above. By default
 /// the build side runs first; its partition tables are the set, and they
@@ -309,6 +317,14 @@ DataType AggOutType(const AggSpec& a);
 /// set, at every dop. The emission sort compares a 64-bit prefix of the
 /// first key column and falls back to the full key only on a tie. A key
 /// filter on group columns only passes to the input: it drops whole groups.
+///
+/// Dense keys: one integer group column whose non-NULL values span few
+/// slots ((span + 2) * workers <= 2 * input rows, and under 2^26), with no
+/// COUNT DISTINCT, skips the key tables. Slot 0 is the NULL group and slot
+/// k + 1 key min + k; each worker keeps one array set over the slots, the
+/// workers fold into worker 0's over disjoint slot ranges in parallel, and
+/// the emit walks the slots in order, with no sort. The update, fold and
+/// emit code is the hashed path's, and so are the results.
 class HashAggOp : public PhysOp {
  public:
   HashAggOp(PhysOpRef child, std::vector<int> group_cols,
@@ -329,6 +345,7 @@ class HashAggOp : public PhysOp {
   bool has_sums_ = false;     // a SUM or AVG: allocate sums
   bool has_minmax_ = false;   // a numeric MIN or MAX: allocate their state
   bool has_strings_ = false;  // a string MIN or MAX: allocate strings
+  bool has_distinct_ = false;  // a COUNT DISTINCT: the keys stay hashed
   std::vector<DataType> minmax_lane_;  // per agg: the lane a MIN/MAX reads
 };
 

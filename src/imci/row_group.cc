@@ -118,11 +118,12 @@ void RowGroup::UpdateMetaLocked(int pack, uint32_t offset) {
 
 bool RowGroup::MaybeDropInsertVids(Vid min_active_vid) {
   if (insert_vids_dropped_.load(std::memory_order_acquire)) return true;
-  if (max_insert_vid_.load(std::memory_order_acquire) >= min_active_vid) {
+  if (max_insert_vid_.load(std::memory_order_acquire) > min_active_vid) {
     return false;
   }
-  // Every published insert is older than every possible read view: the
-  // insert check always passes, so the map can be discarded. Unpublished
+  // Every published insert is at or below every possible read view (a view
+  // at VID v sees inserts up to v): the insert check always passes, so the
+  // map can be discarded. Unpublished
   // slots (kInvalidVid) in a full group only exist for pre-commit slots
   // not yet rectified or aborted residue, which compaction eliminates
   // before retiring the group; we keep the map if any slot is unpublished.

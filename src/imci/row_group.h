@@ -113,10 +113,10 @@ class RowGroup {
   /// NULL count of `pack`, under the latch.
   uint64_t NullCount(int pack) const;
 
-  /// Drops the insert-VID map once no active transaction can have a read
-  /// view older than every insert in the group (§4.3 memory-footprint
-  /// optimization). `min_active_vid` is the oldest pinned read view. Only
-  /// for a full group, with the caller serialized with the appliers.
+  /// Drops the insert-VID map once every read view sees every insert in the
+  /// group (§4.3 memory-footprint optimization): the newest insert VID is at
+  /// or below `min_active_vid`, the oldest pinned read view. Only for a full
+  /// group, with the caller serialized with the appliers.
   bool MaybeDropInsertVids(Vid min_active_vid);
   bool insert_vids_dropped() const {
     return insert_vids_dropped_.load(std::memory_order_acquire);

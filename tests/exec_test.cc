@@ -807,10 +807,138 @@ TEST_F(OperatorTest, MixedTypeJoinKeys) {
   }
 }
 
+// CompareValues' order on values and, column by column, on rows.
+bool ValueLess(const Value& x, const Value& y) {
+  return CompareValues(x, y) < 0;
+}
+bool RowLess(const Row& x, const Row& y) {
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (const int c = CompareValues(x[i], y[i]); c != 0) return c < 0;
+  }
+  return false;
+}
+
+// The std::map model of HashAggOp over `rows`: one row per key in
+// ascending key order (a global aggregate has one row), each aggregate's
+// argument a bare column.
+std::vector<Row> ModelAgg(const std::vector<Row>& rows,
+                          const std::vector<int>& keys,
+                          const std::vector<AggSpec>& aggs) {
+  std::map<Row, std::vector<Row>, decltype(&RowLess)> groups(&RowLess);
+  for (const Row& r : rows) {
+    Row k;
+    for (int c : keys) k.push_back(r[c]);
+    groups[k].push_back(r);
+  }
+  if (keys.empty()) groups[Row{}];  // a global aggregate has one row
+  std::vector<Row> out;
+  for (const auto& [key, members] : groups) {
+    Row o = key;
+    for (const AggSpec& a : aggs) {
+      std::vector<Value> vals;  // the non-NULL arguments
+      for (const Row& m : members) {
+        if (a.arg && !IsNull(m[a.arg->col])) vals.push_back(m[a.arg->col]);
+      }
+      double sum = 0;
+      int64_t isum = 0;
+      for (const Value& v : vals) {
+        if (a.kind == AggKind::kSumInt) {
+          isum += AsInt(v);
+        } else if (a.kind == AggKind::kSum || a.kind == AggKind::kAvg) {
+          sum += NumericValue(v);
+        }
+      }
+      switch (a.kind) {
+        case AggKind::kSum:
+          o.push_back(vals.empty() ? Value{} : Value{sum});
+          break;
+        case AggKind::kAvg:
+          o.push_back(vals.empty() ? Value{} : Value{sum / vals.size()});
+          break;
+        case AggKind::kCount:
+          o.push_back(static_cast<int64_t>(vals.size()));
+          break;
+        case AggKind::kCountStar:
+          o.push_back(static_cast<int64_t>(members.size()));
+          break;
+        case AggKind::kSumInt:
+          o.push_back(isum);
+          break;
+        case AggKind::kMin:
+        case AggKind::kMax:
+          if (vals.empty()) {
+            o.push_back(Value{});
+          } else if (a.kind == AggKind::kMin) {
+            o.push_back(*std::min_element(vals.begin(), vals.end(), ValueLess));
+          } else {
+            o.push_back(*std::max_element(vals.begin(), vals.end(), ValueLess));
+          }
+          break;
+        case AggKind::kCountDistinct:
+          o.push_back(static_cast<int64_t>(
+              std::set<Value, decltype(&ValueLess)>(vals.begin(), vals.end(),
+                                                    &ValueLess)
+                  .size()));
+          break;
+      }
+    }
+    out.push_back(std::move(o));
+  }
+  return out;
+}
+
+// The nested-loop model of HashJoinOp: probe rows in order, each with its
+// matches in build order; a left join pads an unmatched probe row with
+// `build_width` NULLs.
+std::vector<Row> ModelJoin(const std::vector<Row>& build,
+                           const std::vector<Row>& probe,
+                           const std::vector<int>& bk,
+                           const std::vector<int>& pk, JoinType type,
+                           size_t build_width) {
+  std::vector<Row> out;
+  for (const Row& p : probe) {
+    std::vector<const Row*> matches;
+    for (const Row& b : build) {
+      bool eq = true;
+      for (size_t k = 0; k < bk.size(); ++k) {
+        eq = eq && !IsNull(p[pk[k]]) && !IsNull(b[bk[k]]) &&
+             CompareValues(p[pk[k]], b[bk[k]]) == 0;
+      }
+      if (eq) matches.push_back(&b);
+    }
+    auto emit = [&](const Row* b) {
+      Row o = p;
+      for (size_t c = 0; c < build_width; ++c) {
+        o.push_back(b ? (*b)[c] : Value{});
+      }
+      out.push_back(std::move(o));
+    };
+    switch (type) {
+      case JoinType::kInner:
+        for (const Row* b : matches) emit(b);
+        break;
+      case JoinType::kLeft:
+        if (matches.empty()) emit(nullptr);
+        for (const Row* b : matches) emit(b);
+        break;
+      case JoinType::kSemi:
+        if (!matches.empty()) out.push_back(p);
+        break;
+      case JoinType::kAnti:
+        if (matches.empty()) out.push_back(p);
+        break;
+    }
+  }
+  return out;
+}
+
 // Hash join and hash aggregation against nested-loop and std::map models
 // built on CompareValues: random keys of 1-3 columns over every key type
 // (with -0.0, "", strings longer than a key word and embedded NULs), ~20%
 // NULLs, several batches, every AggKind and JoinType, at dop 1, 3 and 4.
+// Half the iterations spread the integers 2^20 apart, so a single integer
+// key takes the hashed path there and the dense path elsewhere; half drop
+// the COUNT DISTINCTs, which keep an aggregation hashed.
 // The aggregate must come out in the model's ascending key order. One
 // aggregation groups thousands of integer keys over at least 8 batches, so
 // every worker holds groups of every exchange partition; one more groups by
@@ -837,11 +965,14 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
   auto any_of = [&](const std::vector<int>& cols) {
     return cols[pick(cols.size())];
   };
+  // Integers are -3..3 times int_scale: 1 keeps a single integer key dense,
+  // 2^20 makes it sparse at these row counts.
+  int64_t int_scale = 1;
   auto value = [&](DataType t) -> Value {
     if (pick(5) == 0) return Value{};
     if (t == DataType::kDouble) return dbl_values[pick(dbl_values.size())];
     if (t == DataType::kString) return str_values[pick(str_values.size())];
-    return int64_t(pick(7) - 3);
+    return int64_t(pick(7) - 3) * int_scale;
   };
   // Several batches (some empty) of random rows; `rows` gets them in order.
   auto draw_input = [&](const std::vector<DataType>& ts,
@@ -862,133 +993,16 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
     return r;
   };
   auto col = [&](int c) { return Col(c, types[c]); };
-  const auto value_less = [](const Value& x, const Value& y) {
-    return CompareValues(x, y) < 0;
-  };
-  const auto row_less = [](const Row& x, const Row& y) {
-    for (size_t i = 0; i < x.size(); ++i) {
-      if (const int c = CompareValues(x[i], y[i]); c != 0) return c < 0;
-    }
-    return false;
-  };
-
-  auto model_agg = [&](const std::vector<Row>& rows,
-                       const std::vector<int>& keys,
-                       const std::vector<AggSpec>& aggs) {
-    std::map<Row, std::vector<Row>, decltype(row_less)> groups(row_less);
-    for (const Row& r : rows) {
-      Row k;
-      for (int c : keys) k.push_back(r[c]);
-      groups[k].push_back(r);
-    }
-    if (keys.empty()) groups[Row{}];  // a global aggregate has one row
-    std::vector<Row> out;
-    for (const auto& [key, members] : groups) {
-      Row o = key;
-      for (const AggSpec& a : aggs) {
-        std::vector<Value> vals;  // the non-NULL arguments
-        for (const Row& m : members) {
-          if (a.arg && !IsNull(m[a.arg->col])) vals.push_back(m[a.arg->col]);
-        }
-        double sum = 0;
-        int64_t isum = 0;
-        for (const Value& v : vals) {
-          if (a.kind == AggKind::kSumInt) {
-            isum += AsInt(v);
-          } else if (a.kind == AggKind::kSum || a.kind == AggKind::kAvg) {
-            sum += NumericValue(v);
-          }
-        }
-        switch (a.kind) {
-          case AggKind::kSum:
-            o.push_back(vals.empty() ? Value{} : Value{sum});
-            break;
-          case AggKind::kAvg:
-            o.push_back(vals.empty() ? Value{} : Value{sum / vals.size()});
-            break;
-          case AggKind::kCount:
-            o.push_back(static_cast<int64_t>(vals.size()));
-            break;
-          case AggKind::kCountStar:
-            o.push_back(static_cast<int64_t>(members.size()));
-            break;
-          case AggKind::kSumInt:
-            o.push_back(isum);
-            break;
-          case AggKind::kMin:
-          case AggKind::kMax:
-            if (vals.empty()) {
-              o.push_back(Value{});
-            } else if (a.kind == AggKind::kMin) {
-              o.push_back(*std::min_element(vals.begin(), vals.end(),
-                                            value_less));
-            } else {
-              o.push_back(*std::max_element(vals.begin(), vals.end(),
-                                            value_less));
-            }
-            break;
-          case AggKind::kCountDistinct:
-            o.push_back(static_cast<int64_t>(
-                std::set<Value, decltype(value_less)>(vals.begin(),
-                                                      vals.end(), value_less)
-                    .size()));
-            break;
-        }
-      }
-      out.push_back(std::move(o));
-    }
-    return out;
-  };
-
-  auto model_join = [&](const std::vector<Row>& build,
-                        const std::vector<Row>& probe,
-                        const std::vector<int>& bk,
-                        const std::vector<int>& pk, JoinType type) {
-    std::vector<Row> out;
-    for (const Row& p : probe) {
-      std::vector<const Row*> matches;
-      for (const Row& b : build) {
-        bool eq = true;
-        for (size_t k = 0; k < bk.size(); ++k) {
-          eq = eq && !IsNull(p[pk[k]]) && !IsNull(b[bk[k]]) &&
-               CompareValues(p[pk[k]], b[bk[k]]) == 0;
-        }
-        if (eq) matches.push_back(&b);
-      }
-      auto emit = [&](const Row* b) {
-        Row o = p;
-        for (size_t c = 0; c < types.size(); ++c) {
-          o.push_back(b ? (*b)[c] : Value{});
-        }
-        out.push_back(std::move(o));
-      };
-      switch (type) {
-        case JoinType::kInner:
-          for (const Row* b : matches) emit(b);
-          break;
-        case JoinType::kLeft:
-          if (matches.empty()) emit(nullptr);
-          for (const Row* b : matches) emit(b);
-          break;
-        case JoinType::kSemi:
-          if (!matches.empty()) out.push_back(p);
-          break;
-        case JoinType::kAnti:
-          if (matches.empty()) out.push_back(p);
-          break;
-      }
-    }
-    return out;
-  };
 
   const int iters = testing_util::TestIters(150);
   for (int it = 0; it < iters; ++it) {
     SCOPED_TRACE(::testing::Message() << "iteration " << it);
+    int_scale = pick(2) == 0 ? int64_t{1} << 20 : 1;
     std::vector<Row> rows;
     auto input = draw_input(types, random_row, &rows);
     std::vector<int> keys;
     for (int n = pick(4); n > 0; --n) keys.push_back(pick(types.size()));
-    const std::vector<AggSpec> aggs = {
+    std::vector<AggSpec> aggs = {
         {AggKind::kSum, col(any_of(numeric))},
         {AggKind::kAvg, col(any_of(numeric))},
         {AggKind::kCount, col(pick(types.size()))},
@@ -1003,7 +1017,12 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
         {AggKind::kCountDistinct, col(any_of(strings))},
     };
     EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(input, keys, aggs)),
-              model_agg(rows, keys, aggs));
+              ModelAgg(rows, keys, aggs));
+    // A COUNT DISTINCT keeps the group keys hashed: the same aggregation
+    // without them can take the dense path.
+    aggs.resize(aggs.size() - 3);
+    EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(input, keys, aggs)),
+              ModelAgg(rows, keys, aggs));
 
     std::vector<Row> build_rows;
     auto build = draw_input(types, random_row, &build_rows);
@@ -1019,7 +1038,7 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
                                         << static_cast<int>(type));
       EXPECT_EQ(RunAtDops(std::make_shared<HashJoinOp>(build, input, bk,
                                                            pk, type)),
-                model_join(build_rows, rows, bk, pk, type));
+                ModelJoin(build_rows, rows, bk, pk, type, types.size()));
     }
 
     // Sort: 1-3 keys in random directions, then the full row, against
@@ -1039,13 +1058,14 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
           return k.desc ? c > 0 : c < 0;
         }
       }
-      return row_less(x, y);
+      return RowLess(x, y);
     });
     if (limit >= 0 && limit < n) sorted.resize(limit);
     EXPECT_EQ(RunAtDops(std::make_shared<SortOp>(input, sort_keys, limit)),
               sorted);
   }
 
+  int_scale = 1;
   // High cardinality: ~6000 rows over 2000 integer keys in 16-23 batches,
   // so the partition fold merges COUNT DISTINCT keys and string MIN/MAX
   // states of every worker.
@@ -1070,7 +1090,7 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
       {AggKind::kCountStar, nullptr}};
   EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(many_input, many_keys,
                                                   many_aggs)),
-            model_agg(many_rows, many_keys, many_aggs));
+            ModelAgg(many_rows, many_keys, many_aggs));
 
   // 66 group columns: 64 drawn from two prototype rows, then two INT64
   // columns whose NULLs only the second mask word tells apart.
@@ -1097,7 +1117,199 @@ TEST_F(OperatorTest, HashKernelsMatchReference) {
       {AggKind::kCountStar, nullptr},
       {AggKind::kSumInt, Col(64, DataType::kInt64)}};
   EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(wide, all, wide_aggs)),
-            model_agg(wide_rows, all, wide_aggs));
+            ModelAgg(wide_rows, all, wide_aggs));
+}
+
+// Dense integer keys index arrays by key - lo: a join when its key's
+// span + 2 is at most 4 per non-NULL row of the side it indexes, an
+// aggregation when its key's span + 2, times its workers, is at most 2 per
+// input row. Inputs sit exactly at each bound and one row past it, at
+// ordinary keys and at the int64 extremes, with NULL keys on both sides, an
+// empty build side and sparse keys whose span overflows int64. Every join
+// type runs with either side first; two probe-first joins filter a column
+// scan, one with a dense probe side and a sparse build side, one the
+// reverse. Rows and order must equal the nested-loop and std::map models at
+// dop 1, 3 and 4.
+TEST_F(OperatorTest, DenseIntKeysMatchModelAtBounds) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kFar = int64_t{1} << 20;
+  const Value null;
+  ctx_.read_vid = 1;  // the column scans' inserts
+  // lo + d, wrapping as the engine's unsigned offsets do.
+  auto at = [](int64_t lo, int64_t d) -> Value {
+    return static_cast<int64_t>(static_cast<uint64_t>(lo) +
+                                static_cast<uint64_t>(d));
+  };
+  const std::vector<DataType> types = {DataType::kInt64, DataType::kString,
+                                       DataType::kDouble, DataType::kInt32};
+  // Row i: key i, then a string, a double and an INT32 payload, all NULL in
+  // every third row.
+  auto rows_of = [&](const std::vector<Value>& keys) {
+    std::vector<Row> rows;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (i % 3 == 2) {
+        rows.push_back({keys[i], null, null, null});
+      } else {
+        rows.push_back({keys[i], "s" + std::to_string(i % 5), 0.5 * i,
+                        int64_t(i % 4) - 1});
+      }
+    }
+    return rows;
+  };
+  // `rows` in batches of 1, 2, 3, 4, 1, ... rows.
+  auto batched = [&](const std::vector<Row>& rows) {
+    std::vector<std::vector<Row>> batches;
+    for (size_t i = 0; i < rows.size();) {
+      const size_t n = std::min(rows.size() - i, 1 + batches.size() % 4);
+      batches.emplace_back(rows.begin() + i, rows.begin() + i + n);
+      i += n;
+    }
+    return Batches(std::move(batches), types);
+  };
+  const JoinType join_types[] = {JoinType::kInner, JoinType::kLeft,
+                                 JoinType::kSemi, JoinType::kAnti};
+
+  struct JoinCase {
+    std::string name;
+    std::vector<Value> build, probe;
+  };
+  std::vector<JoinCase> joins;
+  for (int64_t lo : {int64_t(-5), kMin, kMax - 30}) {
+    // 8 non-NULL build keys over a span of 30: 30 + 2 = 4 * 8. Past the
+    // bound, one of them is NULL: 32 > 4 * 7.
+    std::vector<Value> build = {at(lo, 30), at(lo, 1),  null,
+                                at(lo, 15), at(lo, 1),  at(lo, 0),
+                                at(lo, 7),  null,       at(lo, 15),
+                                at(lo, 29)};
+    std::vector<Value> past = build;
+    past[6] = null;
+    // A probe side inside [lo - 1, lo + 31] is dense too; one with the
+    // extremes is not.
+    const std::vector<Value> near = {at(lo, 1),  null,       at(lo, -1),
+                                     at(lo, 0),  at(lo, 2),  at(lo, 15),
+                                     at(lo, 30), at(lo, 31), at(lo, 29),
+                                     null,       at(lo, 7),  at(lo, 1)};
+    std::vector<Value> far = near;
+    far.insert(far.begin() + 3, {kMin, kMax});
+    const std::string from = " from " + std::to_string(lo);
+    joins.push_back({"at bound, near probes" + from, build, near});
+    joins.push_back({"at bound, far probes" + from, build, far});
+    joins.push_back({"past bound, near probes" + from, past, near});
+    joins.push_back({"past bound, far probes" + from, past, far});
+  }
+  joins.push_back({"sparse", {kMin, int64_t(0), kMax, kMax, null, kFar},
+                   {kMin, kMax, int64_t(0), int64_t(1), null, int64_t(-1),
+                    kFar}});
+  joins.push_back({"empty build", {}, {int64_t(0), int64_t(1), null}});
+  joins.push_back({"NULL build", {null, null}, {int64_t(0), null}});
+  for (const JoinCase& c : joins) {
+    const std::vector<Row> build = rows_of(c.build), probe = rows_of(c.probe);
+    for (bool probe_first : {false, true}) {
+      for (JoinType type : join_types) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.name << ", probe_first " << probe_first
+                     << ", join type " << static_cast<int>(type));
+        EXPECT_EQ(RunAtDops(std::make_shared<HashJoinOp>(
+                      batched(build), batched(probe), std::vector<int>{0},
+                      std::vector<int>{0}, type, probe_first)),
+                  ModelJoin(build, probe, {0}, {0}, type, types.size()));
+      }
+    }
+  }
+
+  // Probe-first joins whose probe side's key set filters a column scan of
+  // (v, id) rows with unique keys, so the scan's batch order cannot reorder
+  // a probe row's matches. The density rule sees the filtered build side.
+  const std::vector<ColumnDef> defs = {{"id", DataType::kInt64},
+                                       {"v", DataType::kInt64, true}};
+  ColumnIndexOptions options;
+  options.row_group_size = 4;
+  struct ScanCase {
+    std::string name;
+    std::vector<Value> build, probe;
+  };
+  const std::vector<ScanCase> scans = {
+      // The scan keeps keys 0 and 9 of its build side: 9 + 2 > 4 * 2.
+      {"dense probe side, sparse build side",
+       {int64_t(0), kFar, kMin, null, kMax, int64_t(9), -kFar},
+       {int64_t(0), int64_t(1), int64_t(2), int64_t(3), int64_t(4), null,
+        int64_t(5), int64_t(6), int64_t(7), int64_t(8), int64_t(9),
+        int64_t(3)}},
+      {"sparse probe side, dense build side",
+       {int64_t(0), int64_t(1), int64_t(2), int64_t(3), int64_t(4), null,
+        int64_t(5), int64_t(6), int64_t(7), int64_t(8), int64_t(9),
+        int64_t(10), int64_t(11)},
+       {kMin, int64_t(3), kFar, int64_t(5), null, kMax, int64_t(11),
+        int64_t(12), int64_t(-1), int64_t(3)}},
+  };
+  int schema_id = 90;
+  for (const ScanCase& c : scans) {
+    ColumnIndex index(
+        std::make_shared<Schema>(schema_id++, "t", defs, 0), options);
+    std::vector<Row> build;
+    for (size_t i = 0; i < c.build.size(); ++i) {
+      ASSERT_TRUE(index.Insert({int64_t(i), c.build[i]}, 1).ok());
+      build.push_back({c.build[i], int64_t(i)});
+    }
+    auto scan = std::make_shared<ColumnScanOp>(
+        &index, std::vector<int>{1, 0}, nullptr);
+    const std::vector<Row> probe = rows_of(c.probe);
+    for (JoinType type : join_types) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.name << ", join type " << static_cast<int>(type));
+      EXPECT_EQ(RunAtDops(std::make_shared<HashJoinOp>(
+                    scan, batched(probe), std::vector<int>{0},
+                    std::vector<int>{0}, type, /*probe_first=*/true)),
+                ModelJoin(build, probe, {0}, {0}, type, 2));
+    }
+  }
+
+  // Aggregations over 6 * W rows whose key spans 10: (10 + 2) * W = 2 * 6W
+  // puts them exactly at the bound at dop W and past it at every higher
+  // dop; one row fewer is past it at dop W.
+  const std::vector<AggSpec> aggs = {
+      {AggKind::kSum, Col(2, DataType::kDouble)},
+      {AggKind::kAvg, Col(2, DataType::kDouble)},
+      {AggKind::kAvg, Col(3, DataType::kInt32)},
+      {AggKind::kCount, Col(1, DataType::kString)},
+      {AggKind::kCountStar, nullptr},
+      {AggKind::kSumInt, Col(3, DataType::kInt32)},
+      {AggKind::kMin, Col(1, DataType::kString)},
+      {AggKind::kMax, Col(1, DataType::kString)},
+      {AggKind::kMin, Col(2, DataType::kDouble)},
+      {AggKind::kMax, Col(3, DataType::kInt32)}};
+  auto check_agg = [&](const std::vector<Value>& keys,
+                       const std::string& name) {
+    const std::vector<Row> rows = rows_of(keys);
+    for (const std::vector<int>& group : {std::vector<int>{0},
+                                          std::vector<int>{3}}) {
+      SCOPED_TRACE(::testing::Message() << name << ", group column "
+                                        << group[0]);
+      EXPECT_EQ(RunAtDops(std::make_shared<HashAggOp>(batched(rows), group,
+                                                      aggs)),
+                ModelAgg(rows, group, aggs));
+    }
+  };
+  for (int64_t lo : {int64_t(-5), kMin, kMax - 10}) {
+    const Value pattern[] = {at(lo, 0),  null,      at(lo, 10),
+                             at(lo, 3),  at(lo, 3), at(lo, 7)};
+    for (int workers : {1, 3, 4}) {
+      std::vector<Value> keys;
+      for (int i = 0; i < 6 * workers; ++i) keys.push_back(pattern[i % 6]);
+      const std::string name = "from " + std::to_string(lo) + ", " +
+                               std::to_string(keys.size()) + " rows";
+      check_agg(keys, name);
+      keys.pop_back();
+      check_agg(keys, name + " less one");
+    }
+  }
+  std::vector<Value> sparse;
+  for (int i = 0; i < 24; ++i) {
+    const Value cycle[] = {kMin, kMax, null, int64_t(0), kMax};
+    sparse.push_back(cycle[i % 5]);
+  }
+  check_agg(sparse, "sparse");
 }
 
 // The join gathers its output a column at a time from a list of matches.

@@ -128,6 +128,11 @@ TEST(ColumnIndexTest, InsertVidMapDropping) {
   }
   // Oldest active view at VID 1: map must be kept.
   EXPECT_EQ(idx.DropInsertVidMaps(1), 0u);
+  // Oldest active view at VID 2, the newest insert's: every view sees every
+  // insert, so the map goes.
+  EXPECT_EQ(idx.DropInsertVidMaps(2), 1u);
+  EXPECT_TRUE(idx.group(0)->insert_vids_dropped());
+  EXPECT_EQ(idx.visible_rows(2), 64u);
   // Oldest active view newer than every insert: map dropped, rows stay
   // visible.
   EXPECT_EQ(idx.DropInsertVidMaps(10), 1u);
