@@ -10,6 +10,7 @@ perf trajectory that regression tooling (or a human with jq) can diff:
       "commits": {
         "<sha>": {
           "timestamp": "2026-07-30T12:00:00Z",
+          "lines": { "src": 19500, "tests": 16000 },
           "benches": { "fig11_perturbation": { ... the report ... }, ... }
         }
       },
@@ -19,6 +20,10 @@ perf trajectory that regression tooling (or a human with jq) can diff:
 Usage:
     scripts/collect_bench_trends.py [--out BENCH_TRENDS.json]
                                     [--commit SHA] BENCH_*.json
+
+`lines` counts the lines of the C++ sources (*.h, *.cc) under src/ and
+tests/ of the checkout holding this script, so the size of the code sits in
+the trend beside its speed.
 
 The commit defaults to $GITHUB_SHA, falling back to `git rev-parse HEAD`,
 falling back to "unknown". Re-running for the same commit overwrites that
@@ -49,6 +54,17 @@ def resolve_commit(explicit):
         )
     except (subprocess.CalledProcessError, OSError):
         return "unknown"
+
+
+def count_lines(root):
+    """Lines in the *.h and *.cc files under `root`, recursively."""
+    total = 0
+    for dirpath, _, files in os.walk(root):
+        for name in files:
+            if name.endswith((".h", ".cc")):
+                with open(os.path.join(dirpath, name), "rb") as f:
+                    total += sum(1 for _ in f)
+    return total
 
 
 def main(argv):
@@ -96,6 +112,8 @@ def main(argv):
         datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ")
     )
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    entry["lines"] = {d: count_lines(os.path.join(repo, d)) for d in ("src", "tests")}
     entry.setdefault("benches", {}).update(benches)
     if commit in trends["order"]:
         trends["order"].remove(commit)

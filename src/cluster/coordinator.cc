@@ -40,8 +40,8 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
     return Status::OK();
   }
   const int fanout =
-      ChooseFanout(plan, *stats_src, static_cast<int>(chans.size()),
-                   options_.rows_per_fragment);
+      ChooseDop(plan, *stats_src, static_cast<int>(chans.size()),
+                options_.rows_per_fragment);
   if (fanout < 2) return Status::OK();
   FragmentSet fset;
   if (!CutFragments(plan, *catalog_, *stats_src, fanout, &fset).ok()) {

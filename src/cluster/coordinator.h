@@ -12,9 +12,9 @@
 namespace imci {
 
 struct CoordinatorOptions {
-  /// Fan-out sizing: one fragment per this many scanned rows (ChooseFanout),
-  /// capped at the participant count. Below two fragments the query stays
-  /// single-node: distribution isn't worth the dispatch fixed cost.
+  /// Fan-out sizing: one fragment per this many scanned rows (ChooseDop
+  /// with the participant count as its cap). Below two fragments the query
+  /// stays single-node: distribution isn't worth the dispatch fixed cost.
   double rows_per_fragment = kScanRowsPerWorker;
   /// Bound on each participant's applied_vid catch-up to the common
   /// snapshot; stragglers beyond it answer Busy and are shed.

@@ -91,35 +91,41 @@ Status FragmentService::Execute(const FragmentRequest& req,
   fault::ScopedContext fault_scope(node_->name());
   IMCI_RETURN_NOT_OK(fault::Maybe("fragment.execute"));
 
+  // A decoded plan is only well-formed bytes: check its shape (child
+  // counts, ordinals, scan columns in the column index) before lowering
+  // reads it.
+  std::vector<DataType> types;
+  if (Status shape = InferOutputTypes(req.plan, *node_->catalog_, &types);
+      !shape.ok()) {
+    return Status::Corruption("fragment plan: " + shape.message());
+  }
+  PhysOpRef root;
+  IMCI_RETURN_NOT_OK(LowerToColumnPlan(req.plan, &node_->imci_, &root));
+
   // Pin the requested snapshot *before* waiting: maintenance must not
   // release state the common snapshot reads while we catch up to it. This
   // node may have applied past the snapshot since the coordinator chose it,
   // and released what the snapshot reads: it answers Busy, and the
   // coordinator retries the fragment on a peer at the same VID.
   SnapshotRegistry* snaps = node_->engine()->row_snapshots();
-  const uint64_t pin = snaps->Pin(req.read_vid);
-  Status status =
-      snaps->Covers(req.read_vid)
-          ? Status::OK()
-          : Status::Busy("snapshot below this node's released state");
+  const SnapshotRegistry::View pin = snaps->PinView(req.read_vid);
+  if (!snaps->Covers(pin.vid())) {
+    return Status::Busy("snapshot below this node's released state");
+  }
 
   // Bounded catch-up to the common snapshot. A node that can't cover the
   // coordinator's VID in time answers Busy — the coordinator then shrinks
   // the participant set rather than stalling the whole query on one
   // straggler.
-  if (status.ok()) {
-    Timer wait;
-    status = node_->WaitApplied(req.read_vid, req.catchup_timeout_us);
-    rsp->wait_us = wait.ElapsedMicros();
-  }
-  if (status.ok()) {
-    Timer exec;
-    status = node_->RunColumnAt(req.plan, req.read_vid, req.dop, &rsp->rows,
-                                nullptr);
-    rsp->exec_us = exec.ElapsedMicros();
-    rsp->applied_vid = node_->applied_vid();
-  }
-  snaps->Unpin(pin);
+  Timer wait;
+  Status status = node_->WaitApplied(req.read_vid, req.catchup_timeout_us);
+  rsp->wait_us = wait.ElapsedMicros();
+  if (!status.ok()) return status;
+  Timer exec;
+  status = node_->RunColumnAt(req.plan, root, req.read_vid, req.dop,
+                              &rsp->rows, nullptr);
+  rsp->exec_us = exec.ElapsedMicros();
+  rsp->applied_vid = node_->applied_vid();
   return status;
 }
 

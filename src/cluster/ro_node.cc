@@ -133,17 +133,18 @@ Status RoNode::CatchUpNow() {
 
 Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
                              int parallelism, int* dop_used) {
+  PhysOpRef root;
+  IMCI_RETURN_NOT_OK(LowerToColumnPlan(plan, &imci_, &root));
   // Sampled under the registry mutex: no maintenance pass can release the
   // opened point, so the snapshot is covered by construction.
-  SnapshotRegistry* snaps = engine_.row_snapshots();
-  const Vid vid = snaps->Open(pipeline_.applied_vid_ref());
-  Status status = RunColumnAt(plan, vid, parallelism, out, dop_used);
-  snaps->Close(vid, pipeline_.applied_vid_ref());
-  return status;
+  const SnapshotRegistry::View view =
+      engine_.row_snapshots()->OpenView(pipeline_.applied_vid_ref());
+  return RunColumnAt(plan, root, view.vid(), parallelism, out, dop_used);
 }
 
-Status RoNode::RunColumnAt(const LogicalRef& plan, Vid vid, int parallelism,
-                           std::vector<Row>* out, int* dop_used) {
+Status RoNode::RunColumnAt(const LogicalRef& plan, const PhysOpRef& root,
+                           Vid vid, int parallelism, std::vector<Row>* out,
+                           int* dop_used) {
   // Degree of parallelism: an explicit caller request wins (bench sweeps,
   // tests); otherwise the optimizer sizes the fan-out to the estimated scan
   // volume. Either way the request is then clamped to this query's token
@@ -160,10 +161,7 @@ Status RoNode::RunColumnAt(const LogicalRef& plan, Vid vid, int parallelism,
   ctx.parallelism = grant.tokens();
   ctx.morsel_row_groups = options_.morsel_row_groups;
   ctx.read_vid = vid;
-  PhysOpRef root;
-  Status status = LowerToColumnPlan(plan, &imci_, &root);
-  if (status.ok()) status = RunPlan(root, &ctx, out);
-  return status;
+  return RunPlan(root, &ctx, out);
 }
 
 Status RoNode::ExecuteRow(const LogicalRef& plan, std::vector<Row>* out) {
@@ -172,16 +170,14 @@ Status RoNode::ExecuteRow(const LogicalRef& plan, std::vector<Row>* out) {
   ctx.parallelism = 1;
   // Pin the applied commit point for the whole plan, in the same registry
   // as ExecuteColumn: every scan it contains sees one commit prefix, and
-  // maintenance pruning cannot reclaim the pinned versions until the
-  // registry releases them below.
-  SnapshotRegistry* snaps = engine_.row_snapshots();
-  const Vid vid = snaps->Open(pipeline_.applied_vid_ref());
-  ctx.read_vid = vid;
+  // maintenance pruning cannot reclaim the pinned versions until the view
+  // closes.
+  const SnapshotRegistry::View view =
+      engine_.row_snapshots()->OpenView(pipeline_.applied_vid_ref());
+  ctx.read_vid = view.vid();
   PhysOpRef root;
-  Status status = LowerToRowPlan(plan, &engine_, &root);
-  if (status.ok()) status = RunPlan(root, &ctx, out);
-  snaps->Close(vid, pipeline_.applied_vid_ref());
-  return status;
+  IMCI_RETURN_NOT_OK(LowerToRowPlan(plan, &engine_, &root));
+  return RunPlan(root, &ctx, out);
 }
 
 size_t RoNode::RecoverRowReplica() {
@@ -195,13 +191,20 @@ Status RoNode::Execute(const LogicalRef& plan, std::vector<Row>* out,
   RoutingDecision d = RouteQuery(plan, stats_, options_.row_cost_threshold);
   if (chosen) *chosen = d.engine;
   if (d.engine == EngineChoice::kRowEngine) {
+    // A row plan that fails falls back to the column engine.
     Status s = ExecuteRow(plan, out);
-    // Run-time fallback in the *other* direction is what the paper does for
-    // column plans; symmetrical here: a row plan that fails (e.g. missing
-    // index path) falls back to the column engine.
-    if (s.ok()) return s;
+    return s.ok() ? s : ExecuteColumn(plan, out);
   }
-  return ExecuteColumn(plan, out);
+  // Run-time fallback (§6.1): a plan the column engine cannot lower, such as
+  // one that scans a column outside the column index, runs on the row
+  // engine. A lowered column plan that fails while running keeps its error.
+  PhysOpRef root;
+  if (Status s = LowerToColumnPlan(plan, &imci_, &root); !s.ok()) {
+    return s.IsNotSupported() ? ExecuteRow(plan, out) : s;
+  }
+  const SnapshotRegistry::View view =
+      engine_.row_snapshots()->OpenView(pipeline_.applied_vid_ref());
+  return RunColumnAt(plan, root, view.vid(), 0, out, nullptr);
 }
 
 void RoNode::RefreshStats() {

@@ -76,7 +76,9 @@ class RoNode {
   /// keeps every version the plan can still read.
   Status ExecuteRow(const LogicalRef& plan, std::vector<Row>* out);
   /// Cost-based intra-node routing (§6.1): row engine for cheap/point
-  /// queries, column engine otherwise.
+  /// queries, column engine otherwise. A row plan that fails runs on the
+  /// column engine; a column plan runs on the row engine only when it cannot
+  /// be lowered (NotSupported: a column outside the column index).
   Status Execute(const LogicalRef& plan, std::vector<Row>* out,
                  EngineChoice* chosen = nullptr);
 
@@ -151,12 +153,12 @@ class RoNode {
   /// Blocks until `done()` holds (OK), the node turns unhealthy or
   /// `timeout_us` passes (Busy).
   Status WaitUntil(const std::function<bool()>& done, uint64_t timeout_us);
-  /// Runs `plan` on the column engine at `vid`, which the caller holds in
-  /// the node's snapshot registry: sizes the parallelism (`parallelism` if
-  /// positive, else ChooseDop), clamps it to a query-token grant, lowers
-  /// and executes.
-  Status RunColumnAt(const LogicalRef& plan, Vid vid, int parallelism,
-                     std::vector<Row>* out, int* dop_used);
+  /// Runs `root`, the column lowering of `plan`, at `vid`, which the caller
+  /// holds in the node's snapshot registry: sizes the parallelism
+  /// (`parallelism` if positive, else ChooseDop), clamps it to a
+  /// query-token grant and executes.
+  Status RunColumnAt(const LogicalRef& plan, const PhysOpRef& root, Vid vid,
+                     int parallelism, std::vector<Row>* out, int* dop_used);
 
   std::string name_;
   PolarFs* fs_;

@@ -47,6 +47,11 @@ class Schema {
   const std::vector<int>& secondary_index_cols() const {
     return secondary_index_cols_;
   }
+  /// Whether column `i` is in the column index: the PK always is (needed by
+  /// compaction and point reads); other columns opt in (§3.3).
+  bool InColumnIndex(int i) const {
+    return cols_[i].in_column_index || i == pk_col_;
+  }
 
   /// Returns the ordinal of the named column, or -1.
   int ColumnIndex(const std::string& name) const {

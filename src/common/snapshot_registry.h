@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <utility>
 
 #include "common/types.h"
 
@@ -19,6 +20,42 @@ namespace imci {
 /// snapshot VID / the RO's applied VID).
 class SnapshotRegistry {
  public:
+  /// RAII handle on one registered snapshot: opened at the owner's
+  /// published point (OpenView) or pinned at a given VID (PinView). Reads
+  /// through it observe one commit point, and no trim, prune or reclaim
+  /// drops what it reads until it closes. Move-only; closes once.
+  class View {
+   public:
+    View(View&& o) noexcept
+        : reg_(std::exchange(o.reg_, nullptr)),
+          published_(o.published_),
+          vid_(o.vid_) {}
+    ~View() { Close(); }
+
+    Vid vid() const { return vid_; }
+    /// Unregisters the snapshot early; later calls release nothing.
+    void Close() {
+      if (SnapshotRegistry* reg = std::exchange(reg_, nullptr)) {
+        published_ ? reg->Close(vid_, *published_) : reg->Unpin(vid_);
+      }
+    }
+
+   private:
+    friend class SnapshotRegistry;
+    View(SnapshotRegistry* reg, const std::atomic<Vid>* published, Vid vid)
+        : reg_(reg), published_(published), vid_(vid) {}
+
+    SnapshotRegistry* reg_ = nullptr;            // null once closed
+    const std::atomic<Vid>* published_ = nullptr;  // null for a pin
+    Vid vid_ = 0;
+  };
+
+  View OpenView(const std::atomic<Vid>& published) {
+    return View(this, &published, Open(published));
+  }
+  /// Pin first, then ask Covers(view.vid()) before reading.
+  View PinView(Vid vid) { return View(this, nullptr, Pin(vid)); }
+
   /// Registers a live snapshot at the current `published` point and returns
   /// it. The sample happens under the registry mutex so a concurrent
   /// watermark computation either sees the registration or finished before

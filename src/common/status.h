@@ -70,6 +70,7 @@ class [[nodiscard]] Status {
   bool IsAborted() const { return code_ == Code::kAborted; }
   bool IsBusy() const { return code_ == Code::kBusy; }
   bool IsIOError() const { return code_ == Code::kIOError; }
+  bool IsNotSupported() const { return code_ == Code::kNotSupported; }
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }
 

@@ -626,10 +626,9 @@ FilterOp::FilterOp(PhysOpRef child, ExprRef pred)
   out_types_ = child_->out_types();
 }
 
-Status FilterOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
-                                 RowSet* out) {
+Status FilterOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet in;
-  IMCI_RETURN_NOT_OK(child_->ExecuteFiltered(ctx, filters, &in));
+  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
   IMCI_RETURN_NOT_OK(TypeCheck(*pred_, out_types_));
   out->types = out_types_;
   for (Batch& b : in.batches) {
@@ -646,15 +645,9 @@ ProjectOp::ProjectOp(PhysOpRef child, std::vector<ExprRef> exprs)
   for (const ExprRef& e : exprs_) out_types_.push_back(e->out_type);
 }
 
-Status ProjectOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
-                                  RowSet* out) {
+Status ProjectOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet in;
-  IMCI_RETURN_NOT_OK(child_->ExecuteFiltered(
-      ctx, MapFilters(filters, [&](int c) {
-        const Expr& e = *exprs_[c];
-        return e.kind == ExprKind::kCol ? e.col : -1;
-      }),
-      &in));
+  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
   out->types = out_types_;
   out->batches.resize(in.batches.size());
   const int n = static_cast<int>(in.batches.size());
@@ -2227,11 +2220,9 @@ SortOp::SortOp(PhysOpRef child, std::vector<SortKey> keys, int64_t limit)
   out_types_ = child_->out_types();
 }
 
-Status SortOp::ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
-                               RowSet* out) {
+Status SortOp::Execute(ExecContext* ctx, RowSet* out) {
   RowSet in;
-  IMCI_RETURN_NOT_OK(
-      child_->ExecuteFiltered(ctx, limit_ < 0 ? filters : KeyFilters(), &in));
+  IMCI_RETURN_NOT_OK(child_->Execute(ctx, &in));
   out->types = out_types_;
   if (in.TotalRows() > UINT32_MAX) {
     return Status::NotSupported("sort input past 2^32 rows");

@@ -51,10 +51,11 @@ using KeyFilters = std::vector<KeyFilter>;
 /// scans/aggregations/joins parallelize internally (§6.3 parallel operators).
 ///
 /// ExecuteFiltered is the semi-join reduction hook: Execute under `filters`.
-/// An operator that can pass a filter on maps its columns to its child's
-/// and drops the filters it cannot map; ColumnScanOp applies them. The
-/// default ignores them, so RowScanOp and ValuesOp return every row and the
-/// row engine stays the filter-free reference.
+/// Only HashJoinOp and HashAggOp pass filters on, mapping their columns to
+/// their children's and dropping the filters they cannot map, and only
+/// ColumnScanOp applies them. The default drops them, so every other
+/// operator (FilterOp, ProjectOp, SortOp, RowScanOp, ValuesOp) returns
+/// every row and the row engine stays the filter-free reference.
 class PhysOp {
  public:
   virtual ~PhysOp() = default;
@@ -196,30 +197,23 @@ class RowScanOp : public PhysOp {
 
 // --- Relational operators ----------------------------------------------
 
-/// Passes key filters on unchanged.
+/// Keeps the rows `pred` is true for. Key filters stop here.
 class FilterOp : public PhysOp {
  public:
   FilterOp(PhysOpRef child, ExprRef pred);
-  Status Execute(ExecContext* ctx, RowSet* out) override {
-    return ExecuteFiltered(ctx, {}, out);
-  }
-  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
-                         RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override;
 
  private:
   PhysOpRef child_;
   ExprRef pred_;
 };
 
-/// Passes on a key filter whose columns are all bare column references.
+/// Evaluates `exprs` over each batch, batches in parallel. Key filters
+/// stop here.
 class ProjectOp : public PhysOp {
  public:
   ProjectOp(PhysOpRef child, std::vector<ExprRef> exprs);
-  Status Execute(ExecContext* ctx, RowSet* out) override {
-    return ExecuteFiltered(ctx, {}, out);
-  }
-  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
-                         RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override;
 
  private:
   PhysOpRef child_;
@@ -257,7 +251,7 @@ enum class JoinType { kInner, kLeft, kSemi, kAnti };
 /// filter the probe side of an inner or semi join (a left or anti join
 /// keeps every probe row). With `probe_first` the probe side runs first and
 /// its keys filter the build side, for any join type: the lowering picks it
-/// when the build side is a grouped aggregation keyed on the join keys, so
+/// when the build child is a grouped aggregation keyed on the join keys, so
 /// the filter reaches the aggregation's input. A filter from above passes
 /// to the probe side when all its columns are probe columns, and to the
 /// build side of an inner join when all are build columns.
@@ -359,16 +353,11 @@ struct SortKey {
 /// and row refs are sorted under HashAggOp's key-image order with each sort
 /// key's direction: one total order, NaN included, so ties resolve
 /// independently of the input order. The output is gathered a column at a
-/// time in Batch::kDefaultCapacity batches. Key filters pass on only
-/// without a LIMIT: below one, dropping rows changes which rows make it.
+/// time in Batch::kDefaultCapacity batches. Key filters stop here.
 class SortOp : public PhysOp {
  public:
   SortOp(PhysOpRef child, std::vector<SortKey> keys, int64_t limit = -1);
-  Status Execute(ExecContext* ctx, RowSet* out) override {
-    return ExecuteFiltered(ctx, {}, out);
-  }
-  Status ExecuteFiltered(ExecContext* ctx, const KeyFilters& filters,
-                         RowSet* out) override;
+  Status Execute(ExecContext* ctx, RowSet* out) override;
 
  private:
   PhysOpRef child_;

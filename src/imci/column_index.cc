@@ -12,9 +12,7 @@ ColumnIndex::ColumnIndex(std::shared_ptr<const Schema> schema,
       read_views_(read_views) {
   col_to_pack_.assign(schema_->num_columns(), -1);
   for (int c = 0; c < schema_->num_columns(); ++c) {
-    // The PK column is always part of the index (needed by compaction and
-    // point reads); other columns opt in via the schema (§3.3).
-    if (schema_->column(c).in_column_index || c == schema_->pk_col()) {
+    if (schema_->InColumnIndex(c)) {
       col_to_pack_[c] = static_cast<int>(cols_.size());
       cols_.push_back(c);
     }

@@ -212,34 +212,83 @@ LogicalRef ClonePlan(const LogicalRef& plan) {
   return n;
 }
 
+namespace {
+
+/// Whether `v` can sit in a `t` lane (ColumnVector::AppendValue).
+bool ValueFits(const Value& v, DataType t) {
+  if (IsNull(v)) return true;
+  if (t == DataType::kString) return std::holds_alternative<std::string>(v);
+  if (t == DataType::kDouble) return !std::holds_alternative<std::string>(v);
+  return std::holds_alternative<int64_t>(v);
+}
+
+bool InRange(int col, size_t width) {
+  return col >= 0 && static_cast<size_t>(col) < width;
+}
+
+/// Children of a well-formed `kind` node; -Wswitch flags a new kind.
+size_t ChildCount(LogicalKind kind) {
+  switch (kind) {
+    case LogicalKind::kScan: return 0;
+    case LogicalKind::kValues: return 0;
+    case LogicalKind::kJoin: return 2;
+    case LogicalKind::kFilter: return 1;
+    case LogicalKind::kProject: return 1;
+    case LogicalKind::kAgg: return 1;
+    case LogicalKind::kSort: return 1;
+  }
+  return SIZE_MAX;  // no such kind
+}
+
+}  // namespace
+
 Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
                         std::vector<DataType>* out) {
   out->clear();
+  if (plan->children.size() != ChildCount(plan->kind)) {
+    return Status::InvalidArgument("child count");
+  }
   switch (plan->kind) {
     case LogicalKind::kScan: {
       auto schema = catalog.Get(plan->table_id);
       if (!schema) return Status::NotFound("schema for scan");
-      for (int c : plan->cols) {
-        if (c < 0 || c >= schema->num_columns()) {
-          return Status::InvalidArgument("scan column out of range");
-        }
-        out->push_back(schema->column(c).type);
-      }
+      IMCI_RETURN_NOT_OK(CheckColumnScan(*schema, *plan));
+      for (int c : plan->cols) out->push_back(schema->column(c).type);
       return Status::OK();
     }
     case LogicalKind::kFilter:
-    case LogicalKind::kSort:
+      if (plan->exprs.size() != 1) {
+        return Status::InvalidArgument("filter without one predicate");
+      }
       return InferOutputTypes(plan->children[0], catalog, out);
+    case LogicalKind::kSort:
+      IMCI_RETURN_NOT_OK(InferOutputTypes(plan->children[0], catalog, out));
+      for (const SortKey& k : plan->sort_keys) {
+        if (!InRange(k.col, out->size())) {
+          return Status::InvalidArgument("sort column out of range");
+        }
+      }
+      return Status::OK();
     case LogicalKind::kProject:
+      IMCI_RETURN_NOT_OK(InferOutputTypes(plan->children[0], catalog, out));
+      out->clear();  // the child's shape checked, its types replaced
       for (const ExprRef& e : plan->exprs) out->push_back(e->out_type);
       return Status::OK();
     case LogicalKind::kJoin: {
+      if (plan->left_keys.size() != plan->right_keys.size()) {
+        return Status::InvalidArgument("join key counts differ");
+      }
       IMCI_RETURN_NOT_OK(InferOutputTypes(plan->children[0], catalog, out));
+      std::vector<DataType> build;
+      IMCI_RETURN_NOT_OK(InferOutputTypes(plan->children[1], catalog, &build));
+      for (size_t j = 0; j < plan->left_keys.size(); ++j) {
+        if (!InRange(plan->left_keys[j], out->size()) ||
+            !InRange(plan->right_keys[j], build.size())) {
+          return Status::InvalidArgument("join key out of range");
+        }
+      }
       if (plan->join_type == JoinType::kInner ||
           plan->join_type == JoinType::kLeft) {
-        std::vector<DataType> build;
-        IMCI_RETURN_NOT_OK(
-            InferOutputTypes(plan->children[1], catalog, &build));
         out->insert(out->end(), build.begin(), build.end());
       }
       return Status::OK();
@@ -248,30 +297,30 @@ Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
       std::vector<DataType> child;
       IMCI_RETURN_NOT_OK(InferOutputTypes(plan->children[0], catalog, &child));
       for (int g : plan->group_cols) {
-        if (g < 0 || g >= static_cast<int>(child.size())) {
+        if (!InRange(g, child.size())) {
           return Status::InvalidArgument("group column out of range");
         }
         out->push_back(child[g]);
       }
-      for (const AggSpec& a : plan->aggs) out->push_back(AggOutType(a));
+      for (const AggSpec& a : plan->aggs) {
+        if (!a.arg && a.kind != AggKind::kCountStar) {
+          return Status::InvalidArgument("aggregate without an argument");
+        }
+        out->push_back(AggOutType(a));
+      }
       return Status::OK();
     }
     case LogicalKind::kValues:
+      for (const Row& r : plan->literal_rows) {
+        if (!std::equal(r.begin(), r.end(), plan->value_types.begin(),
+                        plan->value_types.end(), ValueFits)) {
+          return Status::InvalidArgument("values row unlike its types");
+        }
+      }
       *out = plan->value_types;
       return Status::OK();
   }
   return Status::NotSupported("logical kind");
-}
-
-int ChooseFanout(const LogicalRef& plan, const StatsCollector& stats,
-                 int max_nodes, double rows_per_fragment) {
-  if (max_nodes <= 1) return 1;
-  if (rows_per_fragment < 1.0) rows_per_fragment = 1.0;
-  const PlanCost cost = EstimatePlan(plan, stats);
-  const double frags = cost.rows_scanned / rows_per_fragment;
-  if (frags <= 1.0) return 1;
-  const double capped = std::min(static_cast<double>(max_nodes), frags);
-  return static_cast<int>(std::ceil(capped));
 }
 
 Status CutFragments(const LogicalRef& plan, const Catalog& catalog,

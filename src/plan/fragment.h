@@ -51,14 +51,9 @@ struct FragmentSet {
 Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
                     const StatsCollector& stats, int nfrags, FragmentSet* out);
 
-/// Inter-node fan-out sizing, the cluster-level sibling of ChooseDop: one
-/// fragment per `rows_per_fragment` of scan volume (PlanCost::rows_scanned),
-/// capped at `max_nodes`. Below two fragments, distribution is not worth
-/// the fixed dispatch cost.
-int ChooseFanout(const LogicalRef& plan, const StatsCollector& stats,
-                 int max_nodes, double rows_per_fragment);
-
-/// Output schema of a logical plan (needs the catalog for scan types).
+/// Output schema of a logical plan (needs the catalog for scan types), and
+/// the shape check a decoded plan passes before lowering: child counts, one
+/// filter predicate, ordinals in range, CheckColumnScan, Values row types.
 Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
                         std::vector<DataType>* out);
 

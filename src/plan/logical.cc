@@ -78,25 +78,14 @@ void CollectScans(const LogicalRef& node,
 
 namespace {
 
-/// Whether a join's build side, looking through projections only, is a
-/// grouped aggregation whose group columns carry every build key: the
-/// decorrelated-subquery shape, where the probe side runs first so its keys
-/// filter the aggregation's input.
+/// Whether a join's build child is a grouped aggregation whose group
+/// columns carry every build key: the decorrelated-subquery shape, where
+/// the probe side runs first so its keys filter the aggregation's input.
 bool BuildIsKeyedAgg(const LogicalNode& join) {
-  std::vector<int> keys = join.right_keys;
-  const LogicalNode* n = join.children[1].get();
-  for (; n->kind == LogicalKind::kProject; n = n->children[0].get()) {
-    for (int& k : keys) {
-      if (k < 0 || k >= static_cast<int>(n->exprs.size()) ||
-          n->exprs[k]->kind != ExprKind::kCol) {
-        return false;
-      }
-      k = n->exprs[k]->col;
-    }
-  }
-  const int G = static_cast<int>(n->group_cols.size());
-  return n->kind == LogicalKind::kAgg && G > 0 &&
-         std::all_of(keys.begin(), keys.end(),
+  const LogicalNode& agg = *join.children[1];
+  const int G = static_cast<int>(agg.group_cols.size());
+  return agg.kind == LogicalKind::kAgg && G > 0 &&
+         std::all_of(join.right_keys.begin(), join.right_keys.end(),
                      [G](int k) { return k >= 0 && k < G; });
 }
 
@@ -157,11 +146,26 @@ Status Lower(const LogicalRef& node, const ScanLower& scan_lower,
 
 }  // namespace
 
+Status CheckColumnScan(const Schema& schema, const LogicalNode& scan) {
+  std::vector<int> cols = scan.cols;
+  if (scan.part_col >= 0) cols.push_back(scan.part_col);
+  for (int c : cols) {
+    if (c < 0 || c >= schema.num_columns()) {
+      return Status::InvalidArgument("scan column out of range");
+    }
+    if (!schema.InColumnIndex(c)) {
+      return Status::NotSupported("scan column outside the column index");
+    }
+  }
+  return Status::OK();
+}
+
 Status LowerToColumnPlan(const LogicalRef& node, const ImciStore* imci,
                          PhysOpRef* out) {
   auto scan_lower = [imci](const LogicalNode& scan, PhysOpRef* o) -> Status {
     ColumnIndex* index = imci->GetIndex(scan.table_id);
     if (index == nullptr) return Status::NotFound("column index");
+    IMCI_RETURN_NOT_OK(CheckColumnScan(index->schema(), scan));
     ScanPartition part;
     part.col = scan.part_col;
     part.has_lo = scan.part_has_lo;
@@ -179,6 +183,11 @@ Status LowerToRowPlan(const LogicalRef& node, const RowStoreEngine* rows,
   auto scan_lower = [rows](const LogicalNode& scan, PhysOpRef* o) -> Status {
     const RowTable* table = rows->GetTable(scan.table_id);
     if (table == nullptr) return Status::NotFound("row table");
+    const int width = table->schema().num_columns();
+    if (std::any_of(scan.cols.begin(), scan.cols.end(),
+                    [width](int c) { return c < 0 || c >= width; })) {
+      return Status::InvalidArgument("scan column out of range");
+    }
     // Fragment plans are column-engine only; refuse rather than silently
     // returning unpartitioned rows.
     if (scan.part_col >= 0) {

@@ -74,10 +74,17 @@ LogicalRef LSort(LogicalRef child, std::vector<SortKey> keys,
                  int64_t limit = -1);
 LogicalRef LValues(std::vector<DataType> types, std::vector<Row> rows);
 
-/// Lowers to the column-based engine (vectorized scan over column indexes).
-/// A join whose build side is a grouped aggregation keyed on the join keys
-/// runs its probe side first (HashJoinOp's `probe_first`), so the probe's
-/// keys filter the aggregation's scans.
+/// Whether a column-engine scan of `schema` can read the scan node's columns
+/// and partition column: InvalidArgument for an ordinal past the schema,
+/// NotSupported for a column outside the column index (§3.3;
+/// RoNode::Execute runs such a plan on the row engine).
+Status CheckColumnScan(const Schema& schema, const LogicalNode& scan);
+
+/// Lowers to the column-based engine (vectorized scan over column indexes);
+/// every scan must pass CheckColumnScan. A join
+/// whose build child is a grouped aggregation keyed on the join keys runs
+/// its probe side first (HashJoinOp's `probe_first`), so the probe's keys
+/// filter the aggregation's scans.
 Status LowerToColumnPlan(const LogicalRef& node, const ImciStore* imci,
                          PhysOpRef* out);
 

@@ -70,7 +70,8 @@ inline constexpr double kScanRowsPerWorker = 65536.0;
 /// tables stays serial (no fan-out fixed cost, no pool tokens consumed)
 /// while a TPC-H fact-table scan asks for the whole budget. Returns a value in
 /// [1, max_dop]; the RO node then shrinks the request to its per-query
-/// token grant.
+/// token grant. The coordinator sizes its fan-out with it too (one fragment
+/// per `rows_per_worker` rows, at most `max_dop` participants).
 int ChooseDop(const LogicalRef& plan, const StatsCollector& stats,
               int max_dop, double rows_per_worker = kScanRowsPerWorker);
 

@@ -230,30 +230,14 @@ Status TransactionManager::GetForUpdate(Transaction* txn, TableId table,
 }
 
 Status TransactionManager::Get(TableId table, int64_t pk, Row* row) {
-  const RowTable* t = engine_->GetTable(table);
-  if (t == nullptr) return Status::NotFound("table");
-  // Single-statement read: the snapshot is sampled under the table latch
-  // (SnapshotGetCurrent), so no live-view registration is needed — point
-  // reads skip the SnapshotRegistry mutex entirely.
-  return t->SnapshotGetCurrent(snapshot_vid_, pk, row);
+  return Get(OpenReadView(), table, pk, row);
 }
 
 ReadView TransactionManager::OpenReadView() {
   // The engine's shared registry samples the published point under its own
   // mutex, so a concurrent watermark computation can never exceed the view
   // we are registering.
-  return ReadView(this, engine_->row_snapshots()->Open(snapshot_vid_));
-}
-
-void TransactionManager::CloseReadView(Vid vid) {
-  engine_->row_snapshots()->Close(vid, snapshot_vid_);
-}
-
-void ReadView::Close() {
-  if (mgr_ != nullptr) {
-    mgr_->CloseReadView(vid_);
-    mgr_ = nullptr;
-  }
+  return engine_->row_snapshots()->OpenView(snapshot_vid_);
 }
 
 Vid TransactionManager::PruneWatermark() const {
@@ -430,7 +414,7 @@ Status TransactionManager::Commit(Transaction* txn) {
   ReleaseLocks(txn);
   commits_.fetch_add(1, std::memory_order_relaxed);
   // Opportunistic trim-hint refresh, off the critical path: a write-only
-  // workload never opens read views, so CloseReadView alone would leave the
+  // workload never opens read views, so closing views alone would leave the
   // hint pinned low and chains would only shrink at checkpoints. try_lock
   // inside — losing the race to readers just means the next commit
   // refreshes it.

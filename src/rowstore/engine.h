@@ -120,41 +120,12 @@ class Transaction {
   std::vector<BinlogWriter::Event> binlog_events_;
 };
 
-class TransactionManager;
-
-/// RAII MVCC read view: a snapshot VID registered as live with its
-/// TransactionManager, so commit-time chain trimming and checkpoint pruning
+/// MVCC read view: a snapshot VID registered in the engine's
+/// SnapshotRegistry, so commit-time chain trimming and checkpoint pruning
 /// keep every version the view can still read. All reads through one view
-/// observe a single commit point (snapshot isolation). Views come only from
+/// observe a single commit point (snapshot isolation). RW views come from
 /// TransactionManager::OpenReadView.
-class ReadView {
- public:
-  ReadView(ReadView&& o) noexcept : mgr_(o.mgr_), vid_(o.vid_) {
-    o.mgr_ = nullptr;
-  }
-  ReadView& operator=(ReadView&& o) noexcept {
-    if (this != &o) {
-      Close();
-      mgr_ = o.mgr_;
-      vid_ = o.vid_;
-      o.mgr_ = nullptr;
-    }
-    return *this;
-  }
-  ReadView(const ReadView&) = delete;
-  ReadView& operator=(const ReadView&) = delete;
-  ~ReadView() { Close(); }
-
-  Vid vid() const { return vid_; }
-  /// Unregisters the snapshot early (idempotent).
-  void Close();
-
- private:
-  friend class TransactionManager;
-  ReadView(TransactionManager* mgr, Vid vid) : mgr_(mgr), vid_(vid) {}
-  TransactionManager* mgr_ = nullptr;
-  Vid vid_ = 0;
-};
+using ReadView = SnapshotRegistry::View;
 
 /// Transaction execution on the RW node (§3.1 "Transaction Exe."): strict
 /// 2PL row locks for writers, eager (commit-ahead) REDO shipping of DML
@@ -195,7 +166,7 @@ class TransactionManager {
   /// Locks the row, then reads it (SELECT ... FOR UPDATE).
   Status GetForUpdate(Transaction* txn, TableId table, int64_t pk, Row* row);
 
-  /// Single-statement read at a fresh snapshot.
+  /// Single-statement read through a read view opened for it.
   Status Get(TableId table, int64_t pk, Row* row);
 
   /// Opens a read view at the current commit point; all reads through it see
@@ -240,8 +211,6 @@ class TransactionManager {
   uint64_t commits() const { return commits_.load(); }
 
  private:
-  friend class ReadView;
-
   /// The one redo append outside Commit; a refusal poisons the log. With a
   /// `txn`, stamps its TID and prev_lsn on every non-SMO record (DML, abort)
   /// and advances its last_lsn_, or records the refusal in it; without one,
@@ -257,7 +226,6 @@ class TransactionManager {
   Status Write(Transaction* txn, RowTable* t, int64_t pk,
                BinlogWriter::Event::Op op, const Row* row);
   void ReleaseLocks(Transaction* txn);
-  void CloseReadView(Vid vid);
   /// Publication: advances snapshot_vid_ over every queued commit
   /// whose record LSN the redo durable watermark now covers. Called after a
   /// successful group-commit sync; safe to race (pub_mu_).

@@ -128,44 +128,6 @@ Status RowTable::SnapshotGet(Vid s, int64_t pk, Row* row) const {
   return RowCodec::Decode(*schema_, image.data(), image.size(), row);
 }
 
-Status RowTable::SnapshotGetCurrent(const std::atomic<Vid>& published,
-                                    int64_t pk, Row* row) const {
-  ArenaReadGuard guard;
-  for (;;) {
-    const RowVersion* head = nullptr;
-    Vid s = 0;
-    {
-      std::shared_lock<WriterPrioritySharedMutex> g(latch_);
-      // Sampled under the same latch hold that harvests the head: every
-      // trim that already ran used a watermark <= the VID published back
-      // then <= this sample, so the version visible at `s` is reachable
-      // from `head`.
-      s = published.load(std::memory_order_acquire);
-      head = versions_.Head(pk);
-      if (head == nullptr) {
-        std::string image;
-        IMCI_RETURN_NOT_OK(btree_.Lookup(pk, &image));
-        return RowCodec::Decode(*schema_, image.data(), image.size(), row);
-      }
-    }
-    const RowVersion* v = VersionChains::ResolveChain(head, s);
-    if (v != nullptr) {
-      if (v->deleted()) return Status::NotFound("snapshot get");
-      const std::string_view image = v->image();
-      return RowCodec::Decode(*schema_, image.data(), image.size(), row);
-    }
-    // Nothing committed at or below `s` is reachable. Nobody registered
-    // `s`, so a commit that advanced `published` past it may have trimmed
-    // the chain above our sample after we dropped the latch. A stable
-    // re-sample rules that out: the row genuinely has no committed state
-    // at `s`. Otherwise re-harvest and retry — each lap needs a further
-    // commit, so the loop cannot spin.
-    if (published.load(std::memory_order_acquire) == s) {
-      return Status::NotFound("snapshot get");
-    }
-  }
-}
-
 Status RowTable::SnapshotScan(
     Vid s, const std::function<bool(int64_t, const Row&)>& fn) const {
   return SnapshotScanRange(s, std::numeric_limits<int64_t>::min(),

@@ -97,15 +97,6 @@ class RowTable {
   /// registered snapshot, and unlinked nodes stay readable until the guard
   /// closes.
   Status SnapshotGet(Vid s, int64_t pk, Row* row) const;
-  /// Registration-free point read at the *current* published snapshot.
-  /// Chainless rows read the tree under the shared latch (pruning
-  /// invariant). Rows with a chain resolve latch-free; because nothing
-  /// registers the sampled VID, a concurrent commit's trim can race past
-  /// it, so a resolution that comes up empty re-samples `published`: stable
-  /// sample == genuine NotFound, advanced sample == re-harvest and retry
-  /// (each retry needs a further commit, so the loop terminates).
-  Status SnapshotGetCurrent(const std::atomic<Vid>& published, int64_t pk,
-                            Row* row) const;
   /// Key-ordered scans at snapshot `s`. Rows deleted after the snapshot was
   /// taken (chain-only keys no longer in the tree) are still produced; rows
   /// inserted or updated by in-flight or later-committed transactions are

@@ -215,6 +215,57 @@ TEST(SnapshotRegistryTest, WatermarkTracksPins) {
   EXPECT_TRUE(reg.Covers(100));
 }
 
+TEST(SnapshotRegistryTest, ViewMoveTransfersTheRegistration) {
+  SnapshotRegistry reg;
+  const std::atomic<Vid> published{100};
+  SnapshotRegistry::View a = reg.PinView(40);
+  {
+    SnapshotRegistry::View b = std::move(a);
+    a.Close();  // moved from: releases nothing
+    EXPECT_EQ(b.vid(), 40u);
+    EXPECT_EQ(reg.Watermark(published), 40u);
+  }
+  EXPECT_EQ(reg.Watermark(published), 100u);  // b's destructor released it
+}
+
+TEST(SnapshotRegistryTest, SecondCloseReleasesNothing) {
+  SnapshotRegistry reg;
+  std::atomic<Vid> published{50};
+  SnapshotRegistry::View first = reg.OpenView(published);
+  SnapshotRegistry::View second = reg.OpenView(published);
+  published.store(90);
+  first.Close();
+  first.Close();
+  EXPECT_EQ(reg.Watermark(published), 50u);  // `second` still holds 50
+  second.Close();
+  EXPECT_EQ(reg.Watermark(published), 90u);
+}
+
+TEST(SnapshotRegistryTest, PinnedViewBelowTheHorizonStillHoldsTheWatermark) {
+  SnapshotRegistry reg;
+  const std::atomic<Vid> published{100};
+  EXPECT_EQ(reg.Watermark(published), 100u);  // hands out horizon 100
+  {
+    const SnapshotRegistry::View stale = reg.PinView(80);
+    EXPECT_FALSE(reg.Covers(stale.vid()));
+    EXPECT_EQ(reg.Watermark(published), 80u);
+  }
+  EXPECT_EQ(reg.Watermark(published), 100u);
+}
+
+TEST(SnapshotRegistryTest, OpenedViewSamplesThePublishedPoint) {
+  SnapshotRegistry reg;
+  std::atomic<Vid> published{7};
+  SnapshotRegistry::View v = reg.OpenView(published);
+  EXPECT_EQ(v.vid(), 7u);
+  EXPECT_TRUE(reg.Covers(v.vid()));
+  published.store(9);
+  EXPECT_EQ(reg.Watermark(published), 7u);
+  v.Close();
+  EXPECT_EQ(reg.hint(), 9u);  // closing refreshes the hint
+  EXPECT_EQ(reg.Watermark(published), 9u);
+}
+
 TEST(CodingTest, FixedIntsRoundTrip) {
   std::string buf;
   PutFixed32(&buf, 0xdeadbeef);

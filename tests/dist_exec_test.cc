@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -796,6 +797,221 @@ TEST(DistRoutingTest, LookupsThroughTheProxyStayOnTheRowEngine) {
     EXPECT_EQ(Canonicalize(out), Canonicalize(ref_rows));
   }
 }
+
+// A column outside the column index (§3.3) has no pack: a column plan over
+// it cannot be lowered, so the RO answers from its row engine and the
+// coordinator leaves the query on one node. A scan ordinal past the schema
+// is refused outright.
+constexpr TableId kSparse = 9400;
+
+std::shared_ptr<const Schema> SparseSchema() {
+  std::vector<ColumnDef> cols{{"id", DataType::kInt64, false, true},
+                              {"k", DataType::kInt64, false, true},
+                              {"note", DataType::kInt64, false, false}};
+  return std::make_shared<Schema>(kSparse, "sparse", cols, 0);
+}
+
+std::unique_ptr<Cluster> MakeSparseCluster() {
+  ClusterOptions opts;
+  opts.initial_ro_nodes = 2;
+  opts.ro.imci.row_group_size = 256;
+  opts.ro.row_cost_threshold = 0.0;            // column engine first
+  opts.coordinator.rows_per_fragment = 100.0;  // any scan would fan out
+  auto cluster = std::make_unique<Cluster>(opts);
+  if (!cluster->CreateTable(SparseSchema()).ok()) return nullptr;
+  std::vector<Row> rows;
+  for (int64_t id = 0; id < 2000; ++id) {
+    rows.push_back(Row{id, id % 7, id * 3});
+  }
+  if (!cluster->BulkLoad(kSparse, std::move(rows)).ok()) return nullptr;
+  if (!cluster->Open().ok()) return nullptr;
+  for (RoNode* ro : cluster->ro_nodes()) {
+    if (!ro->CatchUpNow().ok()) return nullptr;
+    ro->RefreshStats();
+  }
+  return cluster;
+}
+
+TEST(NonIndexedColumnTest, ColumnPlanFallsBackToTheRowEngine) {
+  auto cluster = MakeSparseCluster();
+  ASSERT_NE(cluster, nullptr);
+  RoNode* ro = cluster->ro(0);
+  const LogicalRef plan =
+      LAgg(LScan(kSparse, {1, 2}), {0},
+           {AggSpec{AggKind::kSum, Col(1, DataType::kInt64)},
+            AggSpec{AggKind::kCountStar, nullptr}});
+  std::vector<Row> ref;
+  ASSERT_TRUE(ro->ExecuteRow(plan, &ref).ok());
+  ASSERT_EQ(ref.size(), 7u);
+
+  std::vector<Row> out;
+  EXPECT_EQ(ro->ExecuteColumn(plan, &out).code(), Code::kNotSupported);
+  EngineChoice chosen = EngineChoice::kRowEngine;
+  ASSERT_TRUE(ro->Execute(plan, &out, &chosen).ok());
+  EXPECT_EQ(chosen, EngineChoice::kColumnEngine);  // routed, then fell back
+  EXPECT_EQ(Canonicalize(out), Canonicalize(ref));
+
+  QueryCoordinator* coord = cluster->coordinator();
+  const uint64_t attempted = coord->queries_attempted();
+  out.clear();
+  ASSERT_TRUE(cluster->proxy()->ExecuteQuery(plan, &out).ok());
+  EXPECT_EQ(coord->queries_attempted(), attempted);
+  EXPECT_EQ(Canonicalize(out), Canonicalize(ref));
+
+  // Neither does a projection above the scan hide the column from the
+  // coordinator, between the cut's aggregate and the scan or at the root.
+  const LogicalRef projected =
+      LAgg(LProject(LScan(kSparse, {1, 2}), {Col(0, DataType::kInt64),
+                                             Col(1, DataType::kInt64)}),
+           {0}, {AggSpec{AggKind::kSum, Col(1, DataType::kInt64)},
+                 AggSpec{AggKind::kCountStar, nullptr}});
+  out.clear();
+  ASSERT_TRUE(cluster->proxy()->ExecuteQuery(projected, &out).ok());
+  EXPECT_EQ(coord->queries_attempted(), attempted);
+  EXPECT_EQ(Canonicalize(out), Canonicalize(ref));
+  const LogicalRef project_root =
+      LProject(LScan(kSparse, {0, 2}), {Col(1, DataType::kInt64)});
+  ASSERT_TRUE(ro->ExecuteRow(project_root, &ref).ok());
+  ASSERT_EQ(ref.size(), 2000u);
+  out.clear();
+  ASSERT_TRUE(cluster->proxy()->ExecuteQuery(project_root, &out).ok());
+  EXPECT_EQ(coord->queries_attempted(), attempted);
+  EXPECT_EQ(Canonicalize(out), Canonicalize(ref));
+
+  // Indexed columns alone still distribute.
+  out.clear();
+  ASSERT_TRUE(cluster->proxy()
+                  ->ExecuteQuery(LAgg(LScan(kSparse, {1}), {0},
+                                      {AggSpec{AggKind::kCountStar, nullptr}}),
+                                 &out)
+                  .ok());
+  EXPECT_EQ(coord->queries_attempted(), attempted + 1);
+
+  EXPECT_EQ(ro->ExecuteColumn(LScan(kSparse, {0, 3}), &out).code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(ro->ExecuteRow(LScan(kSparse, {0, 3}), &out).code(),
+            Code::kInvalidArgument);
+}
+
+// A fragment plan arrives as bytes: GetPlan checks that they decode, and
+// the service checks the decoded shape before lowering it. Each malformed
+// shape below would read out of bounds in the lowering or an operator.
+struct MalformedPlan {
+  const char* name;
+  std::function<LogicalRef()> make;
+};
+
+void PrintTo(const MalformedPlan& p, std::ostream* os) { *os << p.name; }
+
+LogicalRef SnapScan() { return LScan(kSnap, {0, 1}); }
+
+const MalformedPlan kMalformedPlans[] = {
+    {"JoinWithOneChild",
+     [] {
+       LogicalRef j = LJoin(SnapScan(), SnapScan(), {0}, {0});
+       j->children.pop_back();
+       return j;
+     }},
+    {"JoinWithOneChildUnderProject",
+     [] {
+       LogicalRef j = LJoin(SnapScan(), SnapScan(), {0}, {0});
+       j->children.pop_back();
+       return LProject(j, {Col(0, DataType::kInt64)});
+     }},
+    {"SortKeyPastWidthUnderProject",
+     [] {
+       return LProject(LSort(SnapScan(), {SortKey{5}}),
+                       {Col(0, DataType::kInt64)});
+     }},
+    {"JoinKeyCountsDiffer",
+     [] { return LJoin(SnapScan(), SnapScan(), {0, 1}, {0}); }},
+    {"ProbeKeyPastWidth", [] { return LJoin(SnapScan(), SnapScan(), {7}, {0}); }},
+    {"BuildKeyPastWidth", [] { return LJoin(SnapScan(), SnapScan(), {0}, {7}); }},
+    {"FilterWithoutPredicate",
+     [] {
+       LogicalRef f = LFilter(SnapScan(), Eq(Col(0, DataType::kInt64),
+                                             ConstInt(1)));
+       f->exprs.clear();
+       return f;
+     }},
+    {"SortKeyPastWidth", [] { return LSort(SnapScan(), {SortKey{5}}); }},
+    {"GroupColumnPastWidth",
+     [] {
+       return LAgg(SnapScan(), {4}, {AggSpec{AggKind::kCountStar, nullptr}});
+     }},
+    {"AggregateWithoutArgument",
+     [] { return LAgg(SnapScan(), {0}, {AggSpec{AggKind::kMax, nullptr}}); }},
+    {"ScanColumnPastSchema", [] { return LScan(kSnap, {0, 9}); }},
+    {"ScanColumnOutsideIndex", [] { return LScan(kSparse, {0, 2}); }},
+    {"PartitionColumnPastSchema",
+     [] {
+       LogicalRef s = SnapScan();
+       s->part_col = 9;
+       s->part_has_hi = true;
+       return s;
+     }},
+    {"ValuesRowWiderThanTypes",
+     [] {
+       return LValues({DataType::kInt64}, {Row{int64_t{1}, int64_t{2}}});
+     }},
+    {"ValuesRowNarrowerThanTypes",
+     [] {
+       return LValues({DataType::kInt64, DataType::kInt64},
+                      {Row{int64_t{1}, int64_t{2}}, Row{int64_t{3}}});
+     }},
+    {"ValuesRowUnlikeItsTypes",
+     [] {
+       return LValues({DataType::kInt64}, {Row{std::string("x")}});
+     }},
+};
+
+class MalformedFragmentPlanTest
+    : public ::testing::TestWithParam<MalformedPlan> {
+ protected:
+  static void SetUpTestSuite() {
+    ClusterOptions opts;
+    opts.initial_ro_nodes = 1;
+    cluster_ = new Cluster(opts);
+    ASSERT_TRUE(cluster_->CreateTable(SnapSchema()).ok());
+    ASSERT_TRUE(cluster_->CreateTable(SparseSchema()).ok());
+    std::vector<Row> rows;
+    std::vector<Row> sparse;
+    for (int64_t id = 0; id < 64; ++id) {
+      rows.push_back(Row{id, id % 5});
+      sparse.push_back(Row{id, id % 5, id});
+    }
+    ASSERT_TRUE(cluster_->BulkLoad(kSnap, std::move(rows)).ok());
+    ASSERT_TRUE(cluster_->BulkLoad(kSparse, std::move(sparse)).ok());
+    ASSERT_TRUE(cluster_->Open().ok());
+    ASSERT_TRUE(cluster_->ro(0)->CatchUpNow().ok());
+  }
+  static void TearDownTestSuite() {
+    delete cluster_;
+    cluster_ = nullptr;
+  }
+  static Cluster* cluster_;
+};
+Cluster* MalformedFragmentPlanTest::cluster_ = nullptr;
+
+TEST_P(MalformedFragmentPlanTest, IsRefusedBeforeLowering) {
+  RoNode* ro = cluster_->ro(0);
+  FragmentService service(ro);
+  FragmentRequest req;
+  req.read_vid = ro->applied_vid();
+  req.plan = GetParam().make();
+  std::string request;
+  EncodeFragmentRequest(req, &request);
+  FragmentResponse rsp;
+  ASSERT_TRUE(DecodeFragmentResponse(service.Handle(request), &rsp).ok());
+  EXPECT_TRUE(rsp.status.IsCorruption()) << rsp.status.ToString();
+  EXPECT_TRUE(rsp.rows.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MalformedFragmentPlanTest, ::testing::ValuesIn(kMalformedPlans),
+    [](const ::testing::TestParamInfo<MalformedPlan>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace imci

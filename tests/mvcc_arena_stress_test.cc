@@ -46,6 +46,10 @@ Vid VidOfImage(std::string_view img) {
 // The RowTable read protocol, reproduced at the VersionChains layer: the
 // "table latch" (a shared_mutex) is taken only to harvest the chain head;
 // resolution walks arena nodes with no lock, inside an ArenaReadGuard.
+// Harsher than production, where every reader registers its snapshot and
+// trims stay below it: these readers register nothing and the writer trims
+// at the published point, so a reader re-harvests when a trim raced past
+// its sample.
 TEST(MvccArenaStressTest, LatchFreeReadersRaceInstallStampPrune) {
   VersionChains chains;
   std::shared_mutex latch;  // plays RowTable::latch_
@@ -66,8 +70,8 @@ TEST(MvccArenaStressTest, LatchFreeReadersRaceInstallStampPrune) {
         std::unique_lock<std::shared_mutex> g(latch);
         chains.Install(pk, tid, /*deleted=*/false, img,
                        committed[pk].empty() ? nullptr : &committed[pk]);
-        // Trim below the currently published VID: registration-free readers
-        // must survive the cut via the SnapshotGetCurrent retry protocol.
+        // Trim below the currently published VID: the unregistered readers
+        // must survive the cut by re-sampling and re-harvesting.
         chains.Stamp(tid, vid, {pk}, published.load());
       }
       committed[pk] = img;
