@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <charconv>
 #include <functional>
 #include <thread>
 #include <unordered_map>
@@ -14,9 +15,6 @@
 namespace imci {
 
 namespace {
-/// Bound on a strong read's wait for its RO to apply the floor VID — the
-/// same bound the fragment path gives a participant (CoordinatorOptions).
-constexpr uint64_t kStrongReadWaitUs = 500'000;
 /// Fleet monitor: apply lag (LSN backlog) above which a node earns a
 /// strike, and the consecutive strikes that evict it (a single burst of
 /// writes must not get a healthy node evicted).
@@ -86,7 +84,7 @@ Status Proxy::ExecuteQuery(const LogicalRef& plan, std::vector<Row>* out,
   for (;;) {
     RoNode* ro = AcquireRo();
     if (ro == nullptr) return serve_from_rw();
-    if (!ro->WaitApplied(floor, kStrongReadWaitUs).ok()) {
+    if (!ro->WaitApplied(floor, kReplicationWaitUs).ok()) {
       // Release the node (unblocking a removal's drain) either way. One
       // that wedged or was retired mid-wait is re-routed; a healthy one
       // that is merely slow hands the read to the RW instead of stalling.
@@ -232,9 +230,22 @@ Status Cluster::RecycleRedoLogLocked(Lsn* recycled_upto) {
   if (recycled_upto) *recycled_upto = 0;
   Vid csn = 0;
   Lsn safe = 0;
-  Status s = ImciCheckpoint::ReadLatestManifest(&fs_, &csn, &safe, nullptr);
+  uint64_t current = 0;
+  Status s = ImciCheckpoint::ReadLatestManifest(&fs_, &csn, &safe, &current);
   if (s.IsNotFound()) return Status::OK();  // nothing reclaimable yet
   IMCI_RETURN_NOT_OK(s);
+  // Checkpoints CURRENT supersedes: boots read CURRENT, restores read their
+  // anchor's links, and one being written has a higher id (next_ckpt_id_;
+  // admin_mu_ keeps booting nodes out).
+  const std::string root = "imci_ckpt/";
+  for (const std::string& f : fs_.ListFiles(root)) {
+    uint64_t id = 0;
+    auto [end, ec] =
+        std::from_chars(f.data() + root.size(), f.data() + f.size(), id);
+    if (ec == std::errc() && *end == '/' && id < current) {
+      IMCI_RETURN_NOT_OK(fs_.DeleteFile(f));
+    }
+  }
   if (const auto slowest = SlowestCursor()) {
     safe = std::min(safe, *slowest);
   }

@@ -102,12 +102,16 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
       if (ci < 0) return;  // no surviving peer
       if (fr.attempts > 0) retries_.fetch_add(1, std::memory_order_relaxed);
       fr.attempts++;
+      // A response that does not decode as rows of the fragment's output
+      // types is a failed attempt, like a transport error.
       std::string response;
       Status s = chans[ci]->Submit(requests[fi], &response);
-      if (s.ok()) s = DecodeFragmentResponse(response, &fr.rsp);
+      if (s.ok()) {
+        s = DecodeFragmentResponse(response, fset.fragment_types, &fr.rsp);
+      }
       if (s.ok() && fr.rsp.status.ok()) {
         fr.ok = true;
-        fr.rows = fr.rsp.rows.size();
+        fr.rows = fr.rsp.rows.TotalRows();
         fr.node = chans[ci]->peer();
         return;
       }
@@ -146,18 +150,16 @@ Status QueryCoordinator::Execute(const LogicalRef& plan, Vid floor_vid,
     }
   }
 
-  // Concatenate the fragment outputs and run the coordinator-side
-  // completion plan over them. Fragment-index order, not completion order:
-  // the final fold visits partials in a deterministic sequence. The
-  // completion plan contains no scans (it reads the rows through a Values
-  // node), so it executes locally without store access.
+  // Hand the fragment outputs' batches to the Values leaf and run the
+  // coordinator-side completion plan over them. Fragment-index order, not
+  // completion order: the final fold visits partials in a deterministic
+  // sequence. The completion plan contains no scans, so it executes
+  // locally without store access.
   Timer merge;
-  std::vector<Row> merged;
+  std::vector<Batch>& merged = fset.values_node->values.batches;
   for (FragRun& fr : runs) {
-    merged.insert(merged.end(), std::make_move_iterator(fr.rsp.rows.begin()),
-                  std::make_move_iterator(fr.rsp.rows.end()));
+    for (Batch& b : fr.rsp.rows.batches) merged.push_back(std::move(b));
   }
-  fset.values_node->literal_rows = std::move(merged);
   ExecContext ctx;
   ctx.pool = nullptr;  // serial: merge volumes are small post-aggregation
   ctx.parallelism = 1;

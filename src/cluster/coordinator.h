@@ -18,7 +18,7 @@ struct CoordinatorOptions {
   double rows_per_fragment = kScanRowsPerWorker;
   /// Bound on each participant's applied_vid catch-up to the common
   /// snapshot; stragglers beyond it answer Busy and are shed.
-  uint64_t catchup_timeout_us = 500'000;
+  uint64_t catchup_timeout_us = kReplicationWaitUs;
   /// Intra-fragment parallelism per node; 0 lets each node size via
   /// ChooseDop against its own token grant.
   int fragment_dop = 0;

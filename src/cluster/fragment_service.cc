@@ -55,19 +55,19 @@ Status DecodeFragmentRequest(const std::string& buf, FragmentRequest* out) {
 
 void EncodeFragmentResponse(const FragmentResponse& rsp, std::string* out) {
   PutStatus(out, rsp.status);
-  PutFixed64(out, rsp.applied_vid);
   PutFixed64(out, rsp.wait_us);
   PutFixed64(out, rsp.exec_us);
   PutRows(out, rsp.rows);
 }
 
-Status DecodeFragmentResponse(const std::string& buf, FragmentResponse* out) {
+Status DecodeFragmentResponse(const std::string& buf,
+                              const std::vector<DataType>& types,
+                              FragmentResponse* out) {
   ByteReader r(buf);
   IMCI_RETURN_NOT_OK(GetStatus(&r, &out->status));
-  IMCI_RETURN_NOT_OK(r.U64(&out->applied_vid));
   IMCI_RETURN_NOT_OK(r.U64(&out->wait_us));
   IMCI_RETURN_NOT_OK(r.U64(&out->exec_us));
-  IMCI_RETURN_NOT_OK(GetRows(&r, &out->rows));
+  IMCI_RETURN_NOT_OK(GetRows(&r, types, &out->rows));
   if (!r.done()) return Status::Corruption("fragment response trailer");
   return Status::OK();
 }
@@ -78,7 +78,7 @@ std::string FragmentService::Handle(const std::string& request) {
   Status s = DecodeFragmentRequest(request, &req);
   if (s.ok()) s = Execute(req, &rsp);
   rsp.status = s;
-  if (!s.ok()) rsp.rows.clear();
+  if (!s.ok()) rsp.rows = RowSet{};
   std::string out;
   EncodeFragmentResponse(rsp, &out);
   return out;
@@ -125,7 +125,6 @@ Status FragmentService::Execute(const FragmentRequest& req,
   status = node_->RunColumnAt(req.plan, root, req.read_vid, req.dop,
                               &rsp->rows, nullptr);
   rsp->exec_us = exec.ElapsedMicros();
-  rsp->applied_vid = node_->applied_vid();
   return status;
 }
 

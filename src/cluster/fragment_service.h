@@ -14,6 +14,10 @@ namespace imci {
 /// exec/serde.h), so the in-process channel used today and a TCP transport
 /// later share the request/response codec and the service unchanged.
 
+/// The one bound on a wait for an RO to apply up to a VID: a fragment's
+/// catch-up to the common snapshot and a strong read's wait on its RO.
+constexpr uint64_t kReplicationWaitUs = 500'000;
+
 struct FragmentRequest {
   uint32_t version = 1;
   /// Common snapshot: the node must cover this VID before executing, and
@@ -21,7 +25,7 @@ struct FragmentRequest {
   Vid read_vid = 0;
   /// Bound on the applied_vid catch-up wait; beyond it the node answers
   /// Busy and the coordinator reassigns the fragment (straggler shedding).
-  uint64_t catchup_timeout_us = 500000;
+  uint64_t catchup_timeout_us = kReplicationWaitUs;
   /// Per-node intra-fragment parallelism; 0 lets the node size via
   /// ChooseDop (then clamp to its query-token grant either way).
   int32_t dop = 0;
@@ -36,14 +40,17 @@ struct FragmentResponse {
   /// FragmentChannel::Submit instead). Busy means "couldn't reach the
   /// common snapshot in time" — retryable on a peer.
   Status status;
-  Vid applied_vid = 0;   // node's applied VID when it answered
   uint64_t wait_us = 0;  // time spent catching up to read_vid
   uint64_t exec_us = 0;  // fragment execution time
-  std::vector<Row> rows;
+  RowSet rows;
 };
 
 void EncodeFragmentResponse(const FragmentResponse& rsp, std::string* out);
-Status DecodeFragmentResponse(const std::string& buf, FragmentResponse* out);
+/// Decodes the rows as one batch of `types`, the fragment's output schema
+/// (FragmentSet::fragment_types): rows of another shape are Corruption.
+Status DecodeFragmentResponse(const std::string& buf,
+                              const std::vector<DataType>& types,
+                              FragmentResponse* out);
 
 /// Executes fragment requests against one RO node: bounded catch-up wait to
 /// the requested snapshot, read-view pinning, lowering to the column engine,

@@ -139,11 +139,15 @@ Status RoNode::ExecuteColumn(const LogicalRef& plan, std::vector<Row>* out,
   // opened point, so the snapshot is covered by construction.
   const SnapshotRegistry::View view =
       engine_.row_snapshots()->OpenView(pipeline_.applied_vid_ref());
-  return RunColumnAt(plan, root, view.vid(), parallelism, out, dop_used);
+  RowSet set;
+  IMCI_RETURN_NOT_OK(
+      RunColumnAt(plan, root, view.vid(), parallelism, &set, dop_used));
+  *out = ToRows(set);
+  return Status::OK();
 }
 
 Status RoNode::RunColumnAt(const LogicalRef& plan, const PhysOpRef& root,
-                           Vid vid, int parallelism, std::vector<Row>* out,
+                           Vid vid, int parallelism, RowSet* out,
                            int* dop_used) {
   // Degree of parallelism: an explicit caller request wins (bench sweeps,
   // tests); otherwise the optimizer sizes the fan-out to the estimated scan
@@ -161,7 +165,7 @@ Status RoNode::RunColumnAt(const LogicalRef& plan, const PhysOpRef& root,
   ctx.parallelism = grant.tokens();
   ctx.morsel_row_groups = options_.morsel_row_groups;
   ctx.read_vid = vid;
-  return RunPlan(root, &ctx, out);
+  return root->Execute(&ctx, out);
 }
 
 Status RoNode::ExecuteRow(const LogicalRef& plan, std::vector<Row>* out) {
@@ -204,7 +208,10 @@ Status RoNode::Execute(const LogicalRef& plan, std::vector<Row>* out,
   }
   const SnapshotRegistry::View view =
       engine_.row_snapshots()->OpenView(pipeline_.applied_vid_ref());
-  return RunColumnAt(plan, root, view.vid(), 0, out, nullptr);
+  RowSet set;
+  IMCI_RETURN_NOT_OK(RunColumnAt(plan, root, view.vid(), 0, &set, nullptr));
+  *out = ToRows(set);
+  return Status::OK();
 }
 
 void RoNode::RefreshStats() {

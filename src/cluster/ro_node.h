@@ -156,9 +156,9 @@ class RoNode {
   /// Runs `root`, the column lowering of `plan`, at `vid`, which the caller
   /// holds in the node's snapshot registry: sizes the parallelism
   /// (`parallelism` if positive, else ChooseDop), clamps it to a
-  /// query-token grant and executes.
+  /// query-token grant and executes into `out`'s batches.
   Status RunColumnAt(const LogicalRef& plan, const PhysOpRef& root, Vid vid,
-                     int parallelism, std::vector<Row>* out, int* dop_used);
+                     int parallelism, RowSet* out, int* dop_used);
 
   std::string name_;
   PolarFs* fs_;

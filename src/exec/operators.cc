@@ -2288,19 +2288,12 @@ Status SortOp::Execute(ExecContext* ctx, RowSet* out) {
   return Status::OK();
 }
 
-ValuesOp::ValuesOp(std::vector<DataType> types, std::vector<Row> rows)
-    : rows_(std::move(rows)) {
-  out_types_ = std::move(types);
+ValuesOp::ValuesOp(RowSet rows) : rows_(std::move(rows)) {
+  out_types_ = rows_.types;
 }
 
 Status ValuesOp::Execute(ExecContext* /*ctx*/, RowSet* out) {
-  out->types = out_types_;
-  Batch b = Batch::Make(out_types_);
-  for (const Row& r : rows_) {
-    for (size_t c = 0; c < r.size(); ++c) b.cols[c].AppendValue(r[c]);
-    b.rows++;
-  }
-  if (b.rows > 0) out->batches.push_back(std::move(b));
+  *out = rows_;
   return Status::OK();
 }
 

@@ -365,14 +365,14 @@ class SortOp : public PhysOp {
   int64_t limit_;
 };
 
-/// Materialized constant input (used for scalar-subquery results).
+/// Emits a copy of its rows: the coordinator's leaf over fragment outputs.
 class ValuesOp : public PhysOp {
  public:
-  ValuesOp(std::vector<DataType> types, std::vector<Row> rows);
+  explicit ValuesOp(RowSet rows);
   Status Execute(ExecContext* ctx, RowSet* out) override;
 
  private:
-  std::vector<Row> rows_;
+  RowSet rows_;
 };
 
 // --- Result helpers ------------------------------------------------------

@@ -69,39 +69,37 @@ Status GetValue(ByteReader* r, Value* out) {
   }
 }
 
-void PutRow(std::string* dst, const Row& row) {
-  PutFixed32(dst, static_cast<uint32_t>(row.size()));
-  for (const Value& v : row) PutValue(dst, v);
-}
-
-Status GetRow(ByteReader* r, Row* out) {
-  uint32_t n;
-  IMCI_RETURN_NOT_OK(r->Count(1, &n));  // each value has a tag byte
-  out->clear();
-  out->reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    Value v;
-    IMCI_RETURN_NOT_OK(GetValue(r, &v));
-    out->push_back(std::move(v));
+void PutRows(std::string* dst, const RowSet& set) {
+  PutFixed32(dst, static_cast<uint32_t>(set.TotalRows()));
+  for (const Batch& b : set.batches) {
+    for (size_t i = 0; i < b.rows; ++i) {
+      PutFixed32(dst, static_cast<uint32_t>(b.cols.size()));
+      for (const ColumnVector& col : b.cols) PutValue(dst, col.GetValue(i));
+    }
   }
-  return Status::OK();
 }
 
-void PutRows(std::string* dst, const std::vector<Row>& rows) {
-  PutFixed32(dst, static_cast<uint32_t>(rows.size()));
-  for (const Row& row : rows) PutRow(dst, row);
-}
-
-Status GetRows(ByteReader* r, std::vector<Row>* out) {
+Status GetRows(ByteReader* r, const std::vector<DataType>& types,
+               RowSet* out) {
   uint32_t n;
   IMCI_RETURN_NOT_OK(r->Count(4, &n));  // each row has a width prefix
-  out->clear();
-  out->reserve(n);
+  *out = RowSet{types, {}};
+  Batch b = Batch::Make(types);
   for (uint32_t i = 0; i < n; ++i) {
-    Row row;
-    IMCI_RETURN_NOT_OK(GetRow(r, &row));
-    out->push_back(std::move(row));
+    uint32_t width = 0;
+    IMCI_RETURN_NOT_OK(r->U32(&width));
+    if (width != types.size()) return Status::Corruption("serde: row width");
+    for (ColumnVector& col : b.cols) {
+      Value v;
+      IMCI_RETURN_NOT_OK(GetValue(r, &v));
+      if (!ConstantFits(col.type, v)) {
+        return Status::Corruption("serde: value unlike its column");
+      }
+      col.AppendValue(v);
+    }
   }
+  b.rows = n;
+  if (n > 0) out->batches.push_back(std::move(b));
   return Status::OK();
 }
 

@@ -22,14 +22,13 @@ namespace imci {
 void PutValue(std::string* dst, const Value& v);
 Status GetValue(ByteReader* r, Value* out);
 
-/// Rows are encoded with an explicit column count per row, so a decoder can
-/// validate widths without out-of-band schema knowledge. Doubles round-trip
-/// by bit pattern (exact), which the distributed equivalence gates rely on.
-void PutRow(std::string* dst, const Row& row);
-Status GetRow(ByteReader* r, Row* out);
-
-void PutRows(std::string* dst, const std::vector<Row>& rows);
-Status GetRows(ByteReader* r, std::vector<Row>* out);
+/// Rows travel row-major, each with an explicit column count. Doubles
+/// round-trip by bit pattern (exact), which the distributed equivalence
+/// gates rely on. GetRows decodes into one batch of `types` (none for no
+/// rows): a row of another width, or a value its column cannot hold
+/// (ConstantFits), is Corruption.
+void PutRows(std::string* dst, const RowSet& set);
+Status GetRows(ByteReader* r, const std::vector<DataType>& types, RowSet* out);
 
 // --- Expressions -------------------------------------------------------
 

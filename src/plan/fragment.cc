@@ -214,14 +214,6 @@ LogicalRef ClonePlan(const LogicalRef& plan) {
 
 namespace {
 
-/// Whether `v` can sit in a `t` lane (ColumnVector::AppendValue).
-bool ValueFits(const Value& v, DataType t) {
-  if (IsNull(v)) return true;
-  if (t == DataType::kString) return std::holds_alternative<std::string>(v);
-  if (t == DataType::kDouble) return !std::holds_alternative<std::string>(v);
-  return std::holds_alternative<int64_t>(v);
-}
-
 bool InRange(int col, size_t width) {
   return col >= 0 && static_cast<size_t>(col) < width;
 }
@@ -311,14 +303,8 @@ Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
       return Status::OK();
     }
     case LogicalKind::kValues:
-      for (const Row& r : plan->literal_rows) {
-        if (!std::equal(r.begin(), r.end(), plan->value_types.begin(),
-                        plan->value_types.end(), ValueFits)) {
-          return Status::InvalidArgument("values row unlike its types");
-        }
-      }
-      *out = plan->value_types;
-      return Status::OK();
+      // The coordinator's local leaf: a plan holding one stays on one node.
+      return Status::NotSupported("values leaf");
   }
   return Status::NotSupported("logical kind");
 }
@@ -419,7 +405,7 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     search_root = tmpl->children[0].get();
     for (int g : agg->group_cols) fs.fragment_types.push_back(child_types[g]);
     for (const AggSpec& p : partial) fs.fragment_types.push_back(AggOutType(p));
-    fs.values_node = LValues(fs.fragment_types, {});
+    fs.values_node = LValues(fs.fragment_types);
     std::vector<int> final_groups(G);
     std::iota(final_groups.begin(), final_groups.end(), 0);
     LogicalRef fin = LAgg(fs.values_node, final_groups, finals);
@@ -447,7 +433,7 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     tmpl = ClonePlan(spine[last_sort]);
     search_root = tmpl->children[0].get();
     IMCI_RETURN_NOT_OK(InferOutputTypes(tmpl, catalog, &fs.fragment_types));
-    fs.values_node = LValues(fs.fragment_types, {});
+    fs.values_node = LValues(fs.fragment_types);
     fs.final_plan = RebuildSpine(
         {spine.begin(), spine.begin() + last_sort + 1}, fs.values_node);
   } else {
@@ -455,7 +441,7 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
     tmpl = ClonePlan(plan);
     search_root = tmpl.get();
     IMCI_RETURN_NOT_OK(InferOutputTypes(plan, catalog, &fs.fragment_types));
-    fs.values_node = LValues(fs.fragment_types, {});
+    fs.values_node = LValues(fs.fragment_types);
     fs.final_plan = fs.values_node;
   }
 
@@ -531,9 +517,6 @@ void PutPlanRec(std::string* dst, const LogicalRef& n) {
     dst->push_back(k.desc ? 1 : 0);
   }
   PutFixed64(dst, static_cast<uint64_t>(n->limit));
-  PutFixed32(dst, static_cast<uint32_t>(n->value_types.size()));
-  for (DataType t : n->value_types) dst->push_back(static_cast<char>(t));
-  PutRows(dst, n->literal_rows);
   PutFixed32(dst, static_cast<uint32_t>(n->children.size()));
   for (const LogicalRef& c : n->children) PutPlanRec(dst, c);
 }
@@ -542,7 +525,8 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
   if (depth > kMaxPlanDepth) return Status::Corruption("plan depth");
   uint8_t kind;
   IMCI_RETURN_NOT_OK(r->U8(&kind));
-  if (kind > static_cast<uint8_t>(LogicalKind::kValues)) {
+  // A Values leaf is local to the coordinator; it never goes on the wire.
+  if (kind >= static_cast<uint8_t>(LogicalKind::kValues)) {
     return Status::Corruption("bad plan kind");
   }
   auto n = std::make_shared<LogicalNode>();
@@ -625,18 +609,6 @@ Status GetPlanRec(ByteReader* r, size_t depth, LogicalRef* out) {
     n->sort_keys.push_back(SortKey{col, desc != 0});
   }
   IMCI_RETURN_NOT_OK(r->I64(&n->limit));
-  uint32_t ntypes;
-  IMCI_RETURN_NOT_OK(r->Count(1, &ntypes));
-  n->value_types.reserve(ntypes);
-  for (uint32_t i = 0; i < ntypes; ++i) {
-    uint8_t t;
-    IMCI_RETURN_NOT_OK(r->U8(&t));
-    if (t > static_cast<uint8_t>(DataType::kDate)) {
-      return Status::Corruption("bad value type");
-    }
-    n->value_types.push_back(static_cast<DataType>(t));
-  }
-  IMCI_RETURN_NOT_OK(GetRows(r, &n->literal_rows));
   uint32_t nchildren;
   IMCI_RETURN_NOT_OK(r->Count(1, &nchildren));
   n->children.reserve(nchildren);

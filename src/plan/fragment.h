@@ -31,7 +31,8 @@ namespace imci {
 
 /// The result of cutting a plan: per-node fragment plans plus the
 /// coordinator-side completion plan. The coordinator fills `values_node`
-/// with the fragment outputs concatenated in fragment order and executes
+/// with the fragment outputs, one batch per fragment in fragment order
+/// (each decoded against `fragment_types`), and executes
 /// `final_plan` locally (`final_plan` contains no scans, so it needs no
 /// store access).
 struct FragmentSet {
@@ -53,7 +54,8 @@ Status CutFragments(const LogicalRef& plan, const Catalog& catalog,
 
 /// Output schema of a logical plan (needs the catalog for scan types), and
 /// the shape check a decoded plan passes before lowering: child counts, one
-/// filter predicate, ordinals in range, CheckColumnScan, Values row types.
+/// filter predicate, ordinals in range, CheckColumnScan. A Values leaf is
+/// NotSupported, so CutFragments keeps a plan holding one on one node.
 Status InferOutputTypes(const LogicalRef& plan, const Catalog& catalog,
                         std::vector<DataType>* out);
 
@@ -66,7 +68,8 @@ LogicalRef ClonePlan(const LogicalRef& plan);
 // --- Plan wire format ---------------------------------------------------
 
 /// Recursive type-tagged LogicalNode codec for FragmentChannel transport.
-/// Decoding is bounds-checked; malformed input yields Status::Corruption.
+/// Decoding is bounds-checked; malformed input, and a Values node, yield
+/// Status::Corruption.
 void PutPlan(std::string* dst, const LogicalRef& plan);
 Status GetPlan(ByteReader* r, LogicalRef* out);
 

@@ -62,10 +62,9 @@ LogicalRef LSort(LogicalRef child, std::vector<SortKey> keys, int64_t limit) {
   return n;
 }
 
-LogicalRef LValues(std::vector<DataType> types, std::vector<Row> rows) {
+LogicalRef LValues(std::vector<DataType> types) {
   auto n = NewNode(LogicalKind::kValues);
-  n->value_types = std::move(types);
-  n->literal_rows = std::move(rows);
+  n->values.types = std::move(types);
   return n;
 }
 
@@ -137,8 +136,7 @@ Status Lower(const LogicalRef& node, const ScanLower& scan_lower,
       return Status::OK();
     }
     case LogicalKind::kValues:
-      *out = std::make_shared<ValuesOp>(node->value_types,
-                                        node->literal_rows);
+      *out = std::make_shared<ValuesOp>(node->values);
       return Status::OK();
   }
   return Status::NotSupported("logical kind");

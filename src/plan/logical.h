@@ -57,9 +57,9 @@ struct LogicalNode {
   std::vector<SortKey> sort_keys;
   int64_t limit = -1;
 
-  // kValues
-  std::vector<DataType> value_types;
-  std::vector<Row> literal_rows;
+  // kValues: the coordinator's local leaf over the fragment outputs; it
+  // never goes on the fragment wire.
+  RowSet values;
 };
 
 LogicalRef LScan(TableId table, std::vector<int> cols, ExprRef filter = nullptr);
@@ -72,7 +72,7 @@ LogicalRef LAgg(LogicalRef child, std::vector<int> group_cols,
                 std::vector<AggSpec> aggs);
 LogicalRef LSort(LogicalRef child, std::vector<SortKey> keys,
                  int64_t limit = -1);
-LogicalRef LValues(std::vector<DataType> types, std::vector<Row> rows);
+LogicalRef LValues(std::vector<DataType> types);
 
 /// Whether a column-engine scan of `schema` can read the scan node's columns
 /// and partition column: InvalidArgument for an ordinal past the schema,

@@ -159,7 +159,7 @@ PlanCost EstimateNode(const LogicalNode* node, const StatsCollector& stats) {
       return cost;
     }
     case LogicalKind::kValues:
-      cost.rows_out = static_cast<double>(node->literal_rows.size());
+      cost.rows_out = static_cast<double>(node->values.TotalRows());
       cost.rows_touched = cost.rows_out;
       return cost;
     default: {

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "archive/snapshot_store.h"
+#include "cluster/fragment_service.h"
 #include "common/clock.h"
 #include "common/coding.h"
 #include "common/histogram.h"
@@ -442,6 +443,74 @@ TEST(HostileInputTest, SmallInputsWithHugeCountsOrBadEnumsAreCorruption) {
     EXPECT_NO_THROW(s = c.decode(c.input));
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   }
+}
+
+// The fragment protocol's decoders, fed the same kind of input: a plan or
+// expression claiming a huge count, a response claiming huge rows, and
+// out-of-range status and value tags. A plan node is 68 bytes before its
+// child count, hence the larger size bound.
+TEST(HostileInputTest, FragmentMessagesWithHugeCountsOrBadTagsAreCorruption) {
+  using Decoder = std::function<Status(const std::string&)>;
+  const Decoder request = [](const std::string& in) {
+    FragmentRequest req;
+    return DecodeFragmentRequest(in, &req);
+  };
+  const Decoder response = [](const std::string& in) {
+    FragmentResponse rsp;
+    return DecodeFragmentResponse(in, {DataType::kInt64}, &rsp);
+  };
+
+  constexpr uint32_t kHuge = 0xFFFFFFFF;
+  // Request header: version, read VID, catch-up bound, dop.
+  const Crafted header = Crafted().u32(1).u64(1).u64(1).u32(0);
+  // A scan node up to its child count: kind, table, no columns, no filter,
+  // partition column, flags and bounds, no exprs, keys, join type, groups,
+  // aggregates or sort keys, then the limit.
+  const Crafted node = Crafted(header)
+                           .u8(0).u32(1).u32(0).u8(0)
+                           .u32(0).u8(0).u64(0).u64(0)
+                           .u32(0).u32(0).u32(0).u8(0).u32(0).u32(0).u32(0)
+                           .u64(0);
+  // A filter holding a column expression up to its argument count: kind,
+  // type, column, NULL constant, pattern, IN set, substring bounds.
+  const Crafted expr = Crafted(header)
+                           .u8(1).u32(1).u32(0).u8(1)
+                           .u8(0).u8(0).u32(0).u8(0).str("").u32(0).u32(0)
+                           .u32(0);
+  // Response header: OK status, wait and exec times.
+  const Crafted ok = Crafted().u8(0).str("").u64(0).u64(0);
+  struct Case {
+    const char* name;
+    std::string input;
+    const Decoder& decode;
+  };
+  const Case cases[] = {
+      {"plan child count", Crafted(node).u32(kHuge).s, request},
+      {"plan column count", Crafted(header).u8(0).u32(1).u32(kHuge).s,
+       request},
+      {"expression argument count", Crafted(expr).u32(kHuge).s, request},
+      {"response row count", Crafted(ok).u32(kHuge).s, response},
+      {"response row width", Crafted(ok).u32(1).u32(kHuge).u8(1).u64(7).s,
+       response},
+      {"response status code",
+       Crafted().u8(0x7f).str("").u64(0).u64(0).u32(0).s, response},
+      {"response value tag", Crafted(ok).u32(1).u32(1).u8(0x7f).u64(7).s,
+       response},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_LE(c.input.size(), 128u);
+    Status s;
+    EXPECT_NO_THROW(s = c.decode(c.input));
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  }
+  // The well-formed prefixes decode: each case fails at its own field.
+  EXPECT_TRUE(request(Crafted(node).u32(0).s).ok());
+  FragmentResponse rsp;
+  ASSERT_TRUE(DecodeFragmentResponse(Crafted(ok).u32(1).u32(1).u8(1).u64(7).s,
+                                     {DataType::kInt64}, &rsp)
+                  .ok());
+  EXPECT_EQ(ToRows(rsp.rows), std::vector<Row>{Row{int64_t{7}}});
 }
 
 // Decoding a checkpoint string lane into a pack's flat lane: a lane that

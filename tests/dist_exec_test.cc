@@ -37,24 +37,48 @@ using testing_util::Canonicalize;
 // --- Serde round-trips --------------------------------------------------
 
 TEST(FragmentSerdeTest, RowsRoundTripExactly) {
-  std::vector<Row> rows;
-  rows.push_back(Row{int64_t{42}, 3.14159265358979, std::string("abc"),
-                     Value{}});
-  rows.push_back(Row{int64_t{-7}, -0.0, std::string(""), int64_t{1} << 62});
+  const std::vector<DataType> types = {DataType::kInt64, DataType::kDouble,
+                                       DataType::kString, DataType::kInt64};
+  const std::vector<Row> rows = {
+      Row{int64_t{42}, 3.14159265358979, std::string("abc"), Value{}},
+      Row{int64_t{-7}, -0.0, std::string(""), int64_t{1} << 62}};
   std::string buf;
-  PutRows(&buf, rows);
+  PutRows(&buf, testing_util::ToRowSet(types, rows));
   ByteReader r(buf);
-  std::vector<Row> back;
-  ASSERT_TRUE(GetRows(&r, &back).ok());
+  RowSet back;
+  ASSERT_TRUE(GetRows(&r, types, &back).ok());
   ASSERT_TRUE(r.done());
-  ASSERT_EQ(back.size(), rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(back[i], rows[i]);
+  EXPECT_EQ(back.types, types);
+  ASSERT_EQ(back.batches.size(), 1u);
+  EXPECT_EQ(ToRows(back), rows);
   // Truncated buffers must fail cleanly, never read out of bounds.
   for (size_t cut = 0; cut < buf.size(); cut += 3) {
     ByteReader short_r(buf.data(), cut);
-    std::vector<Row> ignored;
-    (void)GetRows(&short_r, &ignored);  // any Status is fine; no UB
+    RowSet ignored;
+    (void)GetRows(&short_r, types, &ignored);  // any Status is fine; no UB
   }
+  // Decoded against other types: another width, or a value its column
+  // cannot hold, is Corruption. An integer widens into a DOUBLE column.
+  const std::vector<std::vector<DataType>> unlike = {
+      {DataType::kInt64, DataType::kDouble, DataType::kString},
+      {DataType::kInt64, DataType::kDouble, DataType::kString,
+       DataType::kInt64, DataType::kInt64},
+      {DataType::kString, DataType::kDouble, DataType::kString,
+       DataType::kInt64},
+      {DataType::kInt64, DataType::kInt64, DataType::kString,
+       DataType::kInt64},
+  };
+  for (const std::vector<DataType>& other : unlike) {
+    ByteReader again(buf);
+    EXPECT_TRUE(GetRows(&again, other, &back).IsCorruption());
+  }
+  ByteReader widen(buf);
+  ASSERT_TRUE(GetRows(&widen,
+                      {DataType::kDouble, DataType::kDouble, DataType::kString,
+                       DataType::kDouble},
+                      &back)
+                  .ok());
+  EXPECT_EQ(back.batches[0].cols[0].dbls[0], 42.0);
 }
 
 TEST(FragmentSerdeTest, PlanRoundTripPreservesStructure) {
@@ -347,6 +371,18 @@ TEST_F(CutRulesTest, AggregateJoinedOnNonGroupColumnReplicates) {
                                                    "lineitem"}));
 }
 
+// A Values leaf is the coordinator's own and never goes on the wire, so a
+// plan holding one, here as a join's build side, stays on one node.
+TEST_F(CutRulesTest, PlanWithAValuesLeafIsNotCut) {
+  const Catalog& catalog = *cluster_->catalog();
+  auto li = catalog.GetByName("lineitem");
+  auto plan = LJoin(LScan(li->table_id(), {tpch::ColOf(*li, "l_orderkey")}),
+                    LValues({DataType::kInt64}), {0}, {0});
+  FragmentSet fs;
+  EXPECT_TRUE(CutFragments(plan, catalog, *cluster_->ro(0)->stats(), 2, &fs)
+                  .IsNotSupported());
+}
+
 // Cutting works on a private copy: the caller's plan (with Q21's shared
 // `late` subtree) is byte-identical afterwards and carries no partition.
 TEST_F(CutRulesTest, CallerPlanIsNotModified) {
@@ -560,7 +596,9 @@ TEST(FragmentSnapshotTest, SnapshotBelowReleasedStateIsBusyNotShort) {
                     {AggSpec{AggKind::kCountStar, nullptr}});
     std::string request;
     EncodeFragmentRequest(req, &request);
-    ASSERT_TRUE(DecodeFragmentResponse(service.Handle(request), rsp).ok());
+    ASSERT_TRUE(DecodeFragmentResponse(service.Handle(request),
+                                       {DataType::kInt64}, rsp)
+                    .ok());
   };
   FragmentResponse stale;
   run_at(before, &stale);
@@ -568,8 +606,8 @@ TEST(FragmentSnapshotTest, SnapshotBelowReleasedStateIsBusyNotShort) {
   FragmentResponse fresh;
   run_at(ro->applied_vid(), &fresh);
   ASSERT_TRUE(fresh.status.ok()) << fresh.status.ToString();
-  ASSERT_EQ(fresh.rows.size(), 1u);
-  EXPECT_EQ(AsInt(fresh.rows[0][0]), 8);
+  ASSERT_EQ(fresh.rows.TotalRows(), 1u);
+  EXPECT_EQ(fresh.rows.batches[0].cols[0].ints[0], 8);
 }
 
 // Straggler shedding: one participant's replication reads are slowed to a
@@ -632,6 +670,133 @@ TEST_F(DistExecTest, StragglerParticipantIsShedNotWaitedFor) {
     saw_shed = coord->stragglers() > shed_before;
   }
   EXPECT_TRUE(saw_shed) << "laggard was never recruited and shed";
+}
+
+// --- Malformed fragment responses ---------------------------------------
+
+/// Wraps an in-process channel and rewrites every row of each response it
+/// returns, writing the rewritten rows back with their value tags as they
+/// are: the coordinator must decode them against the fragment's types.
+class RewritingChannel : public FragmentChannel {
+ public:
+  RewritingChannel(RoNode* node, std::vector<DataType> types,
+                   std::function<void(Row*)> rewrite)
+      : inner_(node), types_(std::move(types)), rewrite_(std::move(rewrite)) {}
+
+  const std::string& peer() const override { return inner_.peer(); }
+  Status Submit(const std::string& request, std::string* response) override {
+    std::string honest;
+    IMCI_RETURN_NOT_OK(inner_.Submit(request, &honest));
+    FragmentResponse rsp;
+    IMCI_RETURN_NOT_OK(DecodeFragmentResponse(honest, types_, &rsp));
+    std::vector<Row> rows = ToRows(rsp.rows);
+    rsp.rows = RowSet{};
+    // The rows are the response's last field: drop the empty set's count
+    // and append the rewritten rows.
+    EncodeFragmentResponse(rsp, response);
+    response->resize(response->size() - 4);
+    PutFixed32(response, static_cast<uint32_t>(rows.size()));
+    for (Row& row : rows) {
+      rewrite_(&row);
+      PutFixed32(response, static_cast<uint32_t>(row.size()));
+      for (const Value& v : row) PutValue(response, v);
+    }
+    return Status::OK();
+  }
+  Vid applied_vid() const override { return inner_.applied_vid(); }
+  bool healthy() const override { return inner_.healthy(); }
+  const StatsCollector* stats() const override { return inner_.stats(); }
+  double row_cost_threshold() const override {
+    return inner_.row_cost_threshold();
+  }
+
+ private:
+  InProcessFragmentChannel inner_;
+  std::vector<DataType> types_;
+  std::function<void(Row*)> rewrite_;
+};
+
+// A participant whose rows do not match the fragment's output types fails
+// its attempt like a transport error: every fragment runs out of peers,
+// the coordinator falls back, and the proxy answers from one node. Left
+// unchecked, an extra column overflows the coordinator's heap, a string in
+// an INT64 column throws std::bad_variant_access out of the coordinator,
+// and a missing column reads a null lane.
+class MalformedResponseTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ClusterOptions opts;
+    opts.initial_ro_nodes = 3;
+    opts.ro.imci.row_group_size = 256;
+    opts.ro.row_cost_threshold = 0.0;
+    opts.coordinator.rows_per_fragment = 500.0;
+    cluster_ = new Cluster(opts);
+    ASSERT_TRUE(cluster_->CreateTable(SnapSchema()).ok());
+    std::vector<Row> rows;
+    for (int64_t id = 0; id < kSnapRows; ++id) rows.push_back(Row{id, id % 7});
+    ASSERT_TRUE(cluster_->BulkLoad(kSnap, std::move(rows)).ok());
+    ASSERT_TRUE(cluster_->Open().ok());
+    for (RoNode* ro : cluster_->ro_nodes()) {
+      ASSERT_TRUE(ro->CatchUpNow().ok());
+      ro->RefreshStats();
+    }
+  }
+  static void TearDownTestSuite() {
+    delete cluster_;
+    cluster_ = nullptr;
+  }
+
+  /// Runs the query through a coordinator whose channels apply `rewrite`,
+  /// directly and then through the proxy.
+  static void ExpectFallback(const std::function<void(Row*)>& rewrite) {
+    // Fragments: (val, COUNT(*)) partials, both INT64.
+    const LogicalRef plan =
+        LAgg(LScan(kSnap, {1}), {0}, {AggSpec{AggKind::kCountStar, nullptr}});
+    const std::vector<DataType> types = {DataType::kInt64, DataType::kInt64};
+    CoordinatorOptions copts;
+    copts.rows_per_fragment = 500.0;
+    QueryCoordinator hostile(cluster_->catalog(), copts, [&] {
+      std::vector<std::unique_ptr<FragmentChannel>> chans;
+      for (RoNode* ro : cluster_->ro_nodes()) {
+        chans.push_back(std::make_unique<RewritingChannel>(ro, types, rewrite));
+      }
+      return chans;
+    });
+    std::vector<Row> reference;
+    ASSERT_TRUE(cluster_->ro(0)->ExecuteColumn(plan, &reference, 1).ok());
+    ASSERT_EQ(reference.size(), 7u);
+
+    std::vector<Row> out;
+    bool attempted = true;
+    ASSERT_TRUE(hostile.Execute(plan, 0, &out, &attempted).ok());
+    EXPECT_FALSE(attempted);
+    EXPECT_EQ(hostile.queries_attempted(), 1u);
+    EXPECT_EQ(hostile.fallbacks(), 1u);
+
+    Proxy* proxy = cluster_->proxy();
+    proxy->set_coordinator(&hostile);
+    std::vector<Row> served;
+    const Status s = proxy->ExecuteQuery(plan, &served);
+    proxy->set_coordinator(cluster_->coordinator());
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(hostile.fallbacks(), 2u);
+    EXPECT_EQ(Canonicalize(served), Canonicalize(reference));
+  }
+
+  static Cluster* cluster_;
+};
+Cluster* MalformedResponseTest::cluster_ = nullptr;
+
+TEST_F(MalformedResponseTest, ExtraColumnIsAFailedAttempt) {
+  ExpectFallback([](Row* row) { row->push_back(int64_t{0}); });
+}
+
+TEST_F(MalformedResponseTest, StringInAnIntColumnIsAFailedAttempt) {
+  ExpectFallback([](Row* row) { (*row)[0] = std::string("x"); });
+}
+
+TEST_F(MalformedResponseTest, MissingColumnIsAFailedAttempt) {
+  ExpectFallback([](Row* row) { row->pop_back(); });
 }
 
 // --- NULL partition keys ------------------------------------------------
@@ -950,19 +1115,9 @@ const MalformedPlan kMalformedPlans[] = {
        s->part_has_hi = true;
        return s;
      }},
-    {"ValuesRowWiderThanTypes",
-     [] {
-       return LValues({DataType::kInt64}, {Row{int64_t{1}, int64_t{2}}});
-     }},
-    {"ValuesRowNarrowerThanTypes",
-     [] {
-       return LValues({DataType::kInt64, DataType::kInt64},
-                      {Row{int64_t{1}, int64_t{2}}, Row{int64_t{3}}});
-     }},
-    {"ValuesRowUnlikeItsTypes",
-     [] {
-       return LValues({DataType::kInt64}, {Row{std::string("x")}});
-     }},
+    // A Values leaf is local to the coordinator: on the wire it is
+    // Corruption, whatever it holds.
+    {"ValuesNodeOnTheWire", [] { return LValues({DataType::kInt64}); }},
 };
 
 class MalformedFragmentPlanTest
@@ -1002,9 +1157,9 @@ TEST_P(MalformedFragmentPlanTest, IsRefusedBeforeLowering) {
   std::string request;
   EncodeFragmentRequest(req, &request);
   FragmentResponse rsp;
-  ASSERT_TRUE(DecodeFragmentResponse(service.Handle(request), &rsp).ok());
+  ASSERT_TRUE(DecodeFragmentResponse(service.Handle(request), {}, &rsp).ok());
   EXPECT_TRUE(rsp.status.IsCorruption()) << rsp.status.ToString();
-  EXPECT_TRUE(rsp.rows.empty());
+  EXPECT_TRUE(rsp.rows.batches.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(

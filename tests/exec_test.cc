@@ -313,7 +313,7 @@ class OperatorTest : public ::testing::Test {
     ctx_.read_vid = kMaxVid;
   }
   PhysOpRef Values(std::vector<Row> rows, std::vector<DataType> types) {
-    return std::make_shared<ValuesOp>(types, std::move(rows));
+    return std::make_shared<ValuesOp>(testing_util::ToRowSet(types, rows));
   }
   /// A child that emits one batch per element of `batches` (ValuesOp
   /// emits a single batch), so parallel workers split the input.
@@ -2118,7 +2118,8 @@ TEST_F(OperatorTest, KeyFiltersMatchReference) {
       for (int c : cols) out.push_back(r[c]);
       rows.push_back(std::move(out));
     }
-    PhysOpRef values = std::make_shared<ValuesOp>(types, std::move(rows));
+    PhysOpRef values =
+        std::make_shared<ValuesOp>(testing_util::ToRowSet(types, rows));
     if (filter == nullptr) return values;
     return std::make_shared<FilterOp>(values, filter);
   };

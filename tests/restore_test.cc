@@ -355,5 +355,65 @@ TEST_F(RetentionRestoreTest, RetentionDropsAnchorsAndMakesLogPrefixGcEligible) {
   EXPECT_FALSE(cluster_->RestoreToLsn(commits_.front().lsn, &below).ok());
 }
 
+// Recycling deletes every column checkpoint CURRENT supersedes: a restore
+// anchor links its own copies, so once the anchor cap is reached the store
+// stays flat however many checkpoints follow.
+TEST_F(RetentionRestoreTest, SupersededCheckpointsAreReclaimed) {
+  // Distinct long payloads: a checkpoint outweighs a round's redo.
+  for (int64_t pk = 10; pk < 400; ++pk) {
+    Put(pk, pk, "payload-" + std::to_string(pk) + std::string(100, 'x'));
+  }
+  PolarFs* fs = cluster_->fs();
+  auto file_bytes = [&](const std::string& prefix) {
+    uint64_t n = 0;
+    for (const std::string& name : fs->ListFiles(prefix)) {
+      std::string data;
+      EXPECT_TRUE(fs->ReadFile(name, &data).ok());
+      n += data.size();
+    }
+    return n;
+  };
+  constexpr uint64_t kSettled = 3;  // anchors reach the cap of 2 at id 2
+  constexpr uint64_t kCheckpoints = 8;
+  uint64_t settled_bytes = 0;
+  uint64_t ckpt_bytes = 0;
+  for (uint64_t id = 1; id <= kCheckpoints; ++id) {
+    for (int64_t pk = 0; pk < 4; ++pk) {
+      Put(pk, static_cast<int64_t>(id), "r" + std::to_string(id));
+    }
+    CheckpointAndRecycle(id);
+    const std::string dir = "imci_ckpt/" + std::to_string(id) + "/";
+    for (const std::string& f : fs->ListFiles("imci_ckpt/")) {
+      EXPECT_TRUE(f == "imci_ckpt/CURRENT" || f.rfind(dir, 0) == 0)
+          << f << " survives checkpoint " << id;
+    }
+    if (id == kSettled) {
+      settled_bytes = fs->stored_bytes();
+      ckpt_bytes = file_bytes(dir);
+    }
+  }
+  ASSERT_GT(ckpt_bytes, 0u);
+  EXPECT_LT(fs->stored_bytes(), settled_bytes + ckpt_bytes)
+      << kCheckpoints - kSettled << " checkpoints of " << ckpt_bytes
+      << " bytes grew the store from " << settled_bytes;
+
+  // Every retained anchor restores its own cut: the first commit above its
+  // start LSN is served from it.
+  Put(5, -1, "after");
+  std::vector<SnapshotStore::Anchor> anchors;
+  ASSERT_TRUE(fs->archive()->snapshots()->Anchors(&anchors).ok());
+  ASSERT_EQ(anchors.size(), 2u);
+  for (const SnapshotStore::Anchor& a : anchors) {
+    SCOPED_TRACE(a.ckpt_id);
+    size_t k = 0;
+    while (k < commits_.size() && commits_[k].lsn <= a.start_lsn) ++k;
+    ASSERT_LT(k, commits_.size());
+    Cluster::RestoredCluster r;
+    ASSERT_TRUE(cluster_->RestoreToLsn(commits_[k].lsn, &r).ok());
+    EXPECT_EQ(r.anchor_ckpt_id, a.ckpt_id);
+    CheckRestored(&r, ModelAt(commits_, commits_[k].lsn));
+  }
+}
+
 }  // namespace
 }  // namespace imci

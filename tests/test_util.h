@@ -32,6 +32,22 @@ inline int TestIters(int default_iters) {
   return v > 0 ? static_cast<int>(v) : default_iters;
 }
 
+/// `rows` as one batch of `types` (none when `rows` is empty): the input a
+/// ValuesOp emits.
+inline RowSet ToRowSet(const std::vector<DataType>& types,
+                       const std::vector<Row>& rows) {
+  RowSet set;
+  set.types = types;
+  if (rows.empty()) return set;
+  Batch b = Batch::Make(types);
+  for (const Row& r : rows) {
+    for (size_t c = 0; c < r.size(); ++c) b.cols[c].AppendValue(r[c]);
+  }
+  b.rows = rows.size();
+  set.batches.push_back(std::move(b));
+  return set;
+}
+
 /// Normalizes a result set for engine-equivalence comparison: values are
 /// rendered to strings (doubles rounded to 2 decimals to absorb summation
 /// order differences) and rows sorted.
